@@ -5,7 +5,8 @@ Run with:  pytest benchmarks/ --benchmark-only
 Each benchmark mirrors one figure (or extension claim) of the paper; the
 measured quantity and the paper's expected shape are recorded in
 ``benchmark.extra_info`` and printed at the end of the run.  Absolute
-numbers are pure-Python scale — see DESIGN.md §2 and EXPERIMENTS.md.
+numbers are pure-Python scale.  The BENCH_*.json trajectory files are
+rewritten only under ``--bench-record``.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ from repro.field.vectorized import HAVE_NUMPY
 from repro.streams.generators import uniform_frequency_stream
 
 #: Scalar-vs-vectorized trajectory file; regenerate with
-#:   PYTHONPATH=src python -m pytest benchmarks/test_vectorized_speedup.py -q
+#:   PYTHONPATH=src python -m pytest benchmarks/test_vectorized_speedup.py \
+#:       -q --bench-record
 BENCH_VECTORIZED_JSON = pathlib.Path(__file__).resolve().parent / (
     "BENCH_vectorized.json"
 )
 
 #: CI smoke knob: when set, the speedup benchmarks run at tiny sizes,
 #: keep all transcript-equality assertions, skip the wall-clock speedup
-#: bars (meaningless at toy sizes), and leave BENCH_vectorized.json
-#: untouched.  This keeps the perf plumbing exercised on every push.
+#: bars (meaningless at toy sizes), and never record, even under
+#: ``--bench-record``.  This keeps the perf plumbing exercised on every
+#: push.
 BENCH_SMOKE_ENV_VAR = "REPRO_BENCH_SMOKE"
 
 
@@ -50,16 +53,17 @@ def field():
 
 
 @pytest.fixture(scope="session")
-def vectorized_bench_recorder():
+def vectorized_bench_recorder(request):
     """Collects scalar-vs-vectorized timing records for the session.
 
-    Append dicts (one per measurement); at session end they are written to
-    ``BENCH_vectorized.json`` so later PRs can track the speedup
-    trajectory.
+    Append dicts (one per measurement); under ``--bench-record`` they are
+    written to ``BENCH_vectorized.json`` at session end so later PRs can
+    track the speedup trajectory.
     """
     records = []
     yield records
-    if records and not bench_smoke():
+    if (records and request.config.getoption("--bench-record")
+            and not bench_smoke()):
         numpy_version = None
         if HAVE_NUMPY:
             import numpy

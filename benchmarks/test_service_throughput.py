@@ -2,9 +2,9 @@
 
 Measures the prover-as-a-service subsystem end to end — real sockets,
 real frames — and the worker-pool execution mode's wall-clock gain over
-the sequential sharded coordinator.  Results land in
-``benchmarks/BENCH_service.json`` so later PRs can track the service's
-throughput trajectory.
+the sequential sharded coordinator.  Under ``--bench-record`` results
+land in ``benchmarks/BENCH_service.json`` so later PRs can track the
+service's throughput trajectory.
 
 Smoke mode (``REPRO_SERVICE_SMOKE=1`` or ``REPRO_BENCH_SMOKE=1``) runs
 everything at toy sizes, keeps all correctness assertions (loadgen
@@ -62,10 +62,11 @@ def server():
 
 
 @pytest.fixture(scope="module")
-def service_bench_recorder():
+def service_bench_recorder(request):
     records = []
     yield records
-    if records and not service_smoke():
+    if (records and request.config.getoption("--bench-record")
+            and not service_smoke()):
         # Merge with the existing file by (measure, u) so a partial run
         # (one test, one mode leg) refreshes only what it re-measured,
         # and sort records + keys so a rerun diffs nothing but the

@@ -17,7 +17,7 @@ Quick start::
                                      rng=random.Random(42))
     assert result.accepted and result.value == stream.self_join_size()
 
-See README.md for the full tour and DESIGN.md for the system inventory.
+See README.md for the full tour and ROADMAP.md for the architecture.
 """
 
 from repro.comm import Channel, Transcript

@@ -42,13 +42,13 @@ class F2Prover:
     implementation and produces identical messages.
     """
 
-    def __init__(self, field: PrimeField, u: int, backend=None):
+    def __init__(self, field: PrimeField, u: int, backend=None, freq=None):
         self.field = field
         self.u = u
         self.d = pow2_dimension(u)
         self.size = 1 << self.d
         self.backend = backend if backend is not None else get_backend(field)
-        self.freq: List[int] = [0] * self.size
+        self.freq = freq if freq is not None else [0] * self.size
         self._table = None
 
     # -- stream phase -------------------------------------------------------

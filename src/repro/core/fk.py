@@ -37,7 +37,8 @@ class FkProver:
     under a vectorized backend; the scalar loops are the reference path.
     """
 
-    def __init__(self, field: PrimeField, u: int, k: int, backend=None):
+    def __init__(self, field: PrimeField, u: int, k: int, backend=None,
+                 freq=None):
         if k < 1:
             raise ValueError("moment order k must be >= 1, got %d" % k)
         self.field = field
@@ -46,7 +47,7 @@ class FkProver:
         self.d = pow2_dimension(u)
         self.size = 1 << self.d
         self.backend = backend if backend is not None else get_backend(field)
-        self.freq: List[int] = [0] * self.size
+        self.freq = freq if freq is not None else [0] * self.size
         self._table = None
 
     def process(self, i: int, delta: int) -> None:

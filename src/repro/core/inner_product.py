@@ -5,8 +5,8 @@ the *same* secret point r, and the prover's round polynomials are sums of
 ``f_a · f_b`` (degree 2 per variable, like F2).  The final check is
 ``g_d(r_d) = f_a(r) · f_b(r)``.
 
-RANGE-SUM (``repro.core.range_sum``) reuses this machinery with an
-implicit indicator vector b.
+RANGE-SUM (``repro.core.range_sum``) runs the same rounds with b the
+indicator of the query range, which its prover never materialises.
 """
 
 from __future__ import annotations
@@ -40,14 +40,15 @@ class InnerProductProver:
     is the reference and produces identical messages.
     """
 
-    def __init__(self, field: PrimeField, u: int, backend=None):
+    def __init__(self, field: PrimeField, u: int, backend=None,
+                 freq_a=None, freq_b=None):
         self.field = field
         self.u = u
         self.d = pow2_dimension(u)
         self.size = 1 << self.d
         self.backend = backend if backend is not None else get_backend(field)
-        self.freq_a: List[int] = [0] * self.size
-        self.freq_b: List[int] = [0] * self.size
+        self.freq_a = freq_a if freq_a is not None else [0] * self.size
+        self.freq_b = freq_b if freq_b is not None else [0] * self.size
         self._table_a: Optional[List[int]] = None
         self._table_b: Optional[List[int]] = None
 
@@ -67,7 +68,7 @@ class InnerProductProver:
         return sum(x * y for x, y in zip(self.freq_a, self.freq_b))
 
     def set_b_vector(self, b: Sequence[int]) -> None:
-        """Install an explicit b (used by RANGE-SUM's query-time indicator)."""
+        """Install an explicit b (e.g. a dense query-time range indicator)."""
         if len(b) > self.size:
             raise ValueError("vector b longer than padded universe")
         self.freq_b = list(b) + [0] * (self.size - len(b))

@@ -22,13 +22,10 @@ class KLargestProver(SubVectorProver):
     """SUB-VECTOR prover that can claim the k-th largest present key."""
 
     def claim_kth_largest(self, k: int):
-        found = 0
-        p = self.field.p
-        for i in range(self.size - 1, -1, -1):
-            if self.freq[i] % p != 0:
-                found += 1
-                if found == k:
-                    return (1, i)
+        descending = self.present(range(self.size - 1, -1, -1))
+        for found, (key, _) in enumerate(descending, 1):
+            if found == k:
+                return (1, key)
         return (0, 0)
 
 

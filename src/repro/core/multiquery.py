@@ -32,7 +32,6 @@ from repro.core.base import (
     rejected,
 )
 from repro.core.inner_product import InnerProductVerifier
-from repro.core.range_sum import RangeSumProver, RangeSumVerifier
 from repro.field.modular import PrimeField
 from repro.field.polynomial import evaluate_from_evals_batch
 from repro.field.vectorized import (
@@ -283,7 +282,8 @@ class BatchedSumcheckEngine:
     """
 
     def __init__(self, field: PrimeField, u: int, backend=None,
-                 range_fold: Optional[str] = None):
+                 range_fold: Optional[str] = None,
+                 freq_a=None, freq_b=None):
         self.field = field
         self.u = u
         self.d = pow2_dimension(u)
@@ -295,8 +295,10 @@ class BatchedSumcheckEngine:
         self.range_fold = (
             range_fold_mode(range_fold) if range_fold is not None else None
         )
-        self.freq_a: List[int] = [0] * self.size
-        self.freq_b: List[int] = [0] * self.size
+        # Vectors to stream into — or adopted, not copied: the service
+        # passes shared read-only tables (b only with an INNER-PRODUCT).
+        self.freq_a = freq_a if freq_a is not None else [0] * self.size
+        self._freq_b = freq_b
         self._queries: Optional[List[BatchQuery]] = None
         self._a_table = None
         self._b_table = None
@@ -305,6 +307,17 @@ class BatchedSumcheckEngine:
         self._range_index: List[int] = []
         self._dyadic: Optional[List[_DyadicIndicator]] = None
         self._round_index = 0
+
+    @property
+    def freq_b(self):
+        """The second vector; zeros, made on first use, if none was given."""
+        if self._freq_b is None:
+            self._freq_b = [0] * self.size
+        return self._freq_b
+
+    @freq_b.setter
+    def freq_b(self, vector) -> None:
+        self._freq_b = vector
 
     # -- stream phase -------------------------------------------------------
 
@@ -540,7 +553,7 @@ class BatchRangeSumProver(BatchedSumcheckEngine):
 
     @classmethod
     def from_range_sum_prover(
-        cls, prover: RangeSumProver, backend=None
+        cls, prover, backend=None
     ) -> "BatchRangeSumProver":
         """Snapshot an existing single-query prover's frequency vector.
 
@@ -756,7 +769,7 @@ def run_batched_sumcheck(
 
 def run_batch_range_sum(
     prover,
-    verifier: RangeSumVerifier,
+    verifier,
     queries: Sequence[Tuple[int, int]],
     channel: Optional[Channel] = None,
     backend=None,
@@ -780,12 +793,12 @@ def run_batch_range_sum(
             raise ValueError("query range [%d, %d] invalid" % (lo, hi))
     if not queries:
         return []
-    if hasattr(prover, "round_messages"):
-        engine = prover
-    else:
+    if hasattr(prover, "round_message"):  # the single-query prover
         engine = BatchRangeSumProver.from_range_sum_prover(
             prover, backend=backend
         )
+    else:
+        engine = prover
     return run_batched_sumcheck(
         engine, verifier,
         [batch_range_sum(lo, hi) for lo, hi in queries],

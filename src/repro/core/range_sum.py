@@ -1,10 +1,13 @@
 """RANGE-SUM — Section 3.2, "Range-sum".
 
 A special case of INNER PRODUCT where b is the indicator of the query
-range ``[qL, qR]``, chosen *after* the stream.  The verifier never builds
-b: it evaluates ``f_b(r)`` in O(log² u) via the canonical-interval
-identity of Section 3.2 (``repro.lde.canonical``), then runs the standard
-inner-product rounds against a prover who materialises b at query time.
+range ``[qL, qR]``, chosen *after* the stream.  Neither party ever
+builds b: the verifier evaluates ``f_b(r)`` in O(log² u) via the
+canonical-interval identity of Section 3.2 (``repro.lde.canonical``),
+and the prover answers every inner-product round from the same O(log u)
+dyadic cover, in closed form against its folded a-table — it is the
+batched engine of :mod:`repro.core.multiquery` with one member.  A dense
+u-entry indicator is this prover's oracle in the test suite, no more.
 
 RANGE-COUNT (all values 1) is the same protocol over unit updates and is
 used by SUB-VECTOR to pre-verify the answer size k (Appendix B.2 remark).
@@ -13,40 +16,42 @@ used by SUB-VECTOR to pre-verify the answer size k (Appendix B.2 remark).
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.comm.channel import Channel
 from repro.core.base import VerificationResult, pow2_dimension, rejected
-from repro.core.inner_product import (
-    InnerProductProver,
-    InnerProductVerifier,
-    run_inner_product,
-)
+from repro.core.inner_product import InnerProductVerifier, run_inner_product
+from repro.core.multiquery import BatchRangeSumProver, batch_range_sum
 from repro.field.modular import PrimeField
 from repro.lde.canonical import range_indicator_eval
 from repro.lde.streaming import StreamingLDE
 
 
-class RangeSumProver(InnerProductProver):
-    """Stores the (key → value) vector a; builds b when the query arrives."""
+class RangeSumProver(BatchRangeSumProver):
+    """Stores the (key → value) vector a; the query range stays a cover.
 
-    def process(self, i: int, delta: int) -> None:
-        self.process_a(i, delta)
+    The engine's RANGE-SUM member at Q = 1 behind the inner-product
+    prover interface, always on the dyadic fold.
+    """
 
-    def process_stream(self, updates) -> None:
-        for i, delta in updates:
-            self.process_a(i, delta)
+    def __init__(self, field: PrimeField, u: int, backend=None, freq_a=None):
+        super().__init__(field, u, backend=backend, range_fold="dyadic",
+                         freq_a=freq_a)
+        self._query = None
 
     def receive_query(self, lo: int, hi: int) -> None:
         if not 0 <= lo <= hi < self.size:
             raise ValueError("query range [%d, %d] invalid" % (lo, hi))
-        b = [0] * self.size
-        for i in range(lo, hi + 1):
-            b[i] = 1
-        self.set_b_vector(b)
+        self._query = batch_range_sum(lo, hi)
 
-    def true_answer(self, lo: int, hi: int) -> int:
-        return sum(self.freq_a[lo : hi + 1])
+    def begin_proof(self) -> None:
+        if self._query is None:
+            raise RuntimeError("receive_query() must be called first")
+        self.receive_batch([self._query])
+
+    def round_message(self) -> List[int]:
+        """[g(0), g(1), g(2)] with g(c) = Σ_t lineA_t(c) · lineB_t(c)."""
+        return self.round_messages()[0]
 
 
 class RangeSumVerifier:

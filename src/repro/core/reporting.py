@@ -44,15 +44,13 @@ class ReportingProver(SubVectorProver):
     protocols require (predecessor/successor positions)."""
 
     def claim_predecessor(self, q: int) -> Tuple[int, int]:
-        for i in range(min(q, self.size - 1), -1, -1):
-            if self.freq[i] % self.field.p != 0:
-                return (1, i)
+        for key, _ in self.present(range(min(q, self.size - 1), -1, -1)):
+            return (1, key)
         return _NOT_FOUND
 
     def claim_successor(self, q: int) -> Tuple[int, int]:
-        for i in range(max(q, 0), self.size):
-            if self.freq[i] % self.field.p != 0:
-                return (1, i)
+        for key, _ in self.present(range(max(q, 0), self.size)):
+            return (1, key)
         return _NOT_FOUND
 
 

@@ -40,6 +40,9 @@ from repro.lde.streaming import (
 )
 
 
+_SCAN_BLOCK = 1 << 10  # keys per backend read of SubVectorProver.present
+
+
 def sibling_plan(lo: int, hi: int, d: int) -> List[List[int]]:
     """Sibling node indices the prover must supply, per level.
 
@@ -222,6 +225,7 @@ class SubVectorProver:
         u: int,
         normalized: bool = False,
         backend=None,
+        freq=None,
     ):
         self.field = field
         self.u = u
@@ -229,7 +233,7 @@ class SubVectorProver:
         self.size = 1 << self.d
         self.normalized = normalized
         self.backend = backend if backend is not None else get_backend(field)
-        self.freq: List[int] = [0] * self.size
+        self.freq = freq if freq is not None else [0] * self.size
         self._level = None
         self._level_index = 0
         self._plan: Optional[List[List[int]]] = None
@@ -241,6 +245,23 @@ class SubVectorProver:
     def process_stream(self, updates) -> None:
         for i, delta in updates:
             self.freq[i] += delta
+
+    def present(self, keys: range):
+        """``(key, frequency mod p)`` of each present key, lazily, in the
+        order of ``keys`` (ascending or descending).  Read block-wise
+        through the backend: Python ints even when ``freq`` is an array
+        (NumPy scalars overflow in the verifier's arithmetic)."""
+        p = self.field.p
+        for start in range(0, len(keys), _SCAN_BLOCK):
+            block = keys[start : start + _SCAN_BLOCK]
+            low = min(block[0], block[-1])
+            values = self.backend.to_list(self.freq[low : low + len(block)])
+            if block.step < 0:
+                values.reverse()
+            for key, value in zip(block, values):
+                residue = value % p
+                if residue:
+                    yield key, residue
 
     # -- protocol ----------------------------------------------------------
 
@@ -257,12 +278,7 @@ class SubVectorProver:
         if self._query is None:
             raise RuntimeError("receive_query() must be called first")
         lo, hi = self._query
-        p = self.field.p
-        return [
-            (i, self.freq[i] % p)
-            for i in range(lo, hi + 1)
-            if self.freq[i] % p != 0
-        ]
+        return list(self.present(range(lo, hi + 1)))
 
     def level0_siblings(self) -> List[Tuple[int, int]]:
         """(leaf index, value) pairs for the level-0 plan entries."""

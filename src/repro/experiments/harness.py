@@ -1,8 +1,8 @@
 """Measurement harness for the Section 5 experiments.
 
-Absolute times differ from the paper's C++/Opteron setup (see DESIGN.md
-§2); what must reproduce is the *shape*: growth rates (log-log slopes),
-orderings (who is faster), and crossover behaviour.  The helpers here
+Absolute times differ from the paper's C++/Opteron setup (this is
+Python); what must reproduce is the *shape*: growth rates (log-log
+slopes), orderings (who is faster), and crossover behaviour.  The helpers here
 time callables, sweep parameter ranges and fit slopes so the figure
 regenerators can assert those shapes.
 """

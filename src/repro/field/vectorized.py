@@ -427,6 +427,8 @@ class VectorizedField:
         return _np.mod(arr, _np.int64(p)).astype(_np.uint64)
 
     def to_list(self, arr) -> List[int]:
+        if isinstance(arr, _np.ndarray):
+            return arr.tolist()  # Python ints, one C pass
         return [int(v) for v in arr]
 
     def zeros(self, n: int):
@@ -897,12 +899,29 @@ def canonical_table(backend: Backend, field: PrimeField, values) -> object:
     """Proof table from a raw (integer) frequency vector.
 
     Backend array under a vectorized backend, list of canonical residues
-    otherwise — the shared first step of every table-folding prover.
+    otherwise — the shared first step of every table-folding prover.  A
+    :func:`frozen_table` comes back as the same object: no fold writes
+    to its input, so any number of provers can start from one.
     """
     if getattr(backend, "vectorized", False):
+        if (isinstance(values, _np.ndarray) and values.dtype == backend.dtype
+                and not values.flags.writeable):
+            return values
         return backend.asarray(values)
+    if isinstance(values, tuple):
+        return values
     p = field.p
     return [v % p for v in values]
+
+
+def frozen_table(backend: Backend, field: PrimeField, values) -> object:
+    """:func:`canonical_table` made read-only (a tuple on the scalar
+    backend), to be shared: a write through any alias raises."""
+    table = canonical_table(backend, field, values)
+    if getattr(backend, "vectorized", False):
+        table.flags.writeable = False
+        return table
+    return tuple(table)
 
 
 def fold_pairs(backend: Backend, field: PrimeField, table, r: int,

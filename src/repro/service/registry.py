@@ -12,8 +12,9 @@ server-side:
   references and its open queries;
 * an :class:`ActiveQuery` owns the prover materialised (through the
   :class:`~repro.service.router.QueryRouter`) for one verified query —
-  with its own frequency snapshot, so proofs stay consistent while other
-  sessions keep streaming into the dataset.
+  started from the dataset's read-only canonical table as it stood when
+  the query opened, so proofs stay consistent while other sessions keep
+  streaming into the dataset.
 
 Late-joining sessions catch up via the dataset's replay log: a verifier
 must observe the *whole* stream, so the server re-serves the prefix it
@@ -30,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.core.base import pow2_dimension
 from repro.field.modular import PrimeField
+from repro.field.vectorized import frozen_table, get_backend
 from repro.service import protocol as sp
 from repro.service.router import PlanUnit, QueryDescriptor, QueryRouter
 
@@ -78,6 +80,9 @@ class Dataset:
         # vector 1 the optional second operand of INNER-PRODUCT queries.
         self.freq_a: List[int] = [0] * self.size
         self.freq_b: List[int] = [0] * self.size
+        #: Per vector, the canonical table of the data as it stands;
+        #: :meth:`apply` drops it and never writes it.
+        self._tables: Dict[int, object] = {}
         #: Replay log: (vector, key, delta) in arrival order.  This is
         #: the stream both parties observed; late verifiers re-read it.
         self.log: List[Tuple[int, int, int]] = []
@@ -88,16 +93,40 @@ class Dataset:
         return len(self.log)
 
     def apply(self, vector: int, pairs) -> int:
-        """Append a block of updates; returns the new stream length."""
+        """Append a block of updates; returns the new stream length.
+
+        All or nothing: a block refused half-way is never acknowledged,
+        so it leaves vectors and log as they were.
+        """
         freq = self.freq_a if vector == 0 else self.freq_b
-        for key, delta in pairs:
-            if not 0 <= key < self.u:
-                raise RegistryError(
-                    "key %d outside universe [0, %d)" % (key, self.u)
-                )
-            freq[key] += delta
-            self.log.append((vector, key, delta))
-        return len(self.log)
+        log, u = self.log, self.u
+        start = len(log)
+        try:
+            for key, delta in pairs:
+                if not 0 <= key < u:
+                    raise RegistryError(
+                        "key %d outside universe [0, %d)" % (key, u)
+                    )
+                freq[key] += delta
+                log.append((vector, key, delta))
+        except Exception:
+            for _, key, delta in log[start:]:
+                freq[key] -= delta
+            del log[start:]
+            raise
+        self._tables.pop(vector, None)
+        return len(log)
+
+    def canonical_table(self, vector: int):
+        """The read-only proof table of one vector, built lazily and
+        shared by every prover: folds return fresh tables, so a proof in
+        flight keeps this one while :meth:`apply` drops the reference."""
+        table = self._tables.get(vector)
+        if table is None:
+            freq = self.freq_a if vector == 0 else self.freq_b
+            table = frozen_table(get_backend(self.field), self.field, freq)
+            self._tables[vector] = table
+        return table
 
     def replay_slice(self, start: int, count: int):
         """A block of logged updates for catch-up replay."""
@@ -265,9 +294,7 @@ class SessionRegistry:
             )
         dataset = session.dataset
         unit = PlanUnit(batched, tuple(descriptors))
-        prover = QueryRouter.make_prover(
-            unit, self.field, dataset.u, dataset.freq_a, dataset.freq_b
-        )
+        prover = QueryRouter.make_prover(unit, dataset)
         if self.prover_wrapper is not None:
             replacement = self.prover_wrapper(unit, prover, dataset)
             if replacement is not None:

@@ -342,37 +342,33 @@ class QueryRouter:
     # -- prover side ---------------------------------------------------------
 
     @staticmethod
-    def make_prover(unit: PlanUnit, field: PrimeField, u: int,
-                    freq_a: Sequence[int],
-                    freq_b: Optional[Sequence[int]] = None):
+    def make_prover(unit: PlanUnit, dataset):
         """Materialise the server-side prover for one plan unit.
 
-        ``freq_a``/``freq_b`` are the dataset's padded frequency
-        vectors; they are copied so an in-flight proof stays consistent
-        while other sessions keep streaming into the dataset.
+        Sum-check and tree-hash provers start from the shared read-only
+        canonical tables of ``dataset`` (a registry ``Dataset``) without
+        a copy, so an in-flight proof stays consistent while other
+        sessions keep streaming.  Heavy hitters and the pooled F2 need
+        raw counts, not residues: they snapshot ``freq_a``.
         """
+        field, u, table = dataset.field, dataset.u, dataset.canonical_table
         descriptor = unit.descriptors[0]
         kind = descriptor.kind
         if unit.batched:
             kinds = {q.kind for q in unit.descriptors}
             if kinds == {KIND_RANGE_SUM}:
-                prover = BatchRangeSumProver(field, u)
-                prover.freq_a = list(freq_a)
-                return prover
+                return BatchRangeSumProver(field, u, freq_a=table(0))
             for q in unit.descriptors:
                 _to_batch_query(q)  # raises RoutingError on a bad mix
-            return BatchedSumcheckEngine.from_vectors(
-                field, u, freq_a, freq_b
+            return BatchedSumcheckEngine(
+                field, u, freq_a=table(0),
+                freq_b=table(1) if KIND_INNER_PRODUCT in kinds else None,
             )
         if kind == KIND_RANGE_SUM:
-            prover = RangeSumProver(field, u)
-            prover.freq_a = list(freq_a)
-            return prover
+            return RangeSumProver(field, u, freq_a=table(0))
         if kind in TREE_KINDS:
             cls = KLargestProver if kind == KIND_K_LARGEST else ReportingProver
-            prover = cls(field, u)
-            prover.freq = list(freq_a)
-            return prover
+            return cls(field, u, freq=table(0))
         if kind == KIND_F2:
             workers = descriptor.params[0] if descriptor.params else 0
             if workers:
@@ -384,29 +380,22 @@ class QueryRouter:
                 # when its query closes.
                 prover = make_pooled_prover(field, u, num_workers=workers)
                 prover.process_stream(
-                    (i, f) for i, f in enumerate(freq_a) if f
+                    (i, f) for i, f in enumerate(dataset.freq_a) if f
                 )
                 return prover
-            prover = F2Prover(field, u)
-            prover.freq = list(freq_a)
-            return prover
+            return F2Prover(field, u, freq=table(0))
         if kind == KIND_FK:
-            prover = FkProver(field, u, descriptor.params[0])
-            prover.freq = list(freq_a)
-            return prover
+            return FkProver(field, u, descriptor.params[0], freq=table(0))
         if kind == KIND_INNER_PRODUCT:
-            prover = InnerProductProver(field, u)
-            prover.freq_a = list(freq_a)
-            prover.freq_b = list(freq_b if freq_b is not None
-                                 else [0] * len(freq_a))
-            return prover
+            return InnerProductProver(field, u, freq_a=table(0),
+                                      freq_b=table(1))
         if kind == KIND_HEAVY_HITTERS:
             num, den = descriptor.params
             if den == 0 or not 0 < num / den <= 1:
                 raise RoutingError("heavy-hitters phi %d/%d invalid"
                                    % (num, den))
             prover = HeavyHittersProver(field, u, num / den)
-            prover.freq = list(freq_a)
+            prover.freq = list(dataset.freq_a)
             return prover
         raise RoutingError("unroutable kind %r" % (kind,))
 

@@ -1,0 +1,174 @@
+"""The dense range indicator, kept as the oracle for RANGE-SUM.
+
+Until the standalone :class:`~repro.core.range_sum.RangeSumProver` moved
+onto the dyadic fold it *was* this: an INNER-PRODUCT prover whose b is
+the explicit u-entry indicator of the query range.  That construction is
+the textbook statement of the protocol (Section 3.2), so it stays here
+as the reference: the dyadic prover must send the same words — every
+round message, every transcript, on both backends and through the
+service wire.
+"""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+
+import pytest
+
+from repro.comm.channel import Channel
+from repro.core.inner_product import InnerProductProver
+from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
+from repro.field.modular import DEFAULT_FIELD as F
+from repro.field.vectorized import HAVE_NUMPY, get_backend
+from repro.service import ProverServer, ServiceClient, range_sum
+
+BACKENDS = ["scalar"] + (["vectorized"] if HAVE_NUMPY else [])
+
+#: Universe sizes: a power of two and one that pads (100 -> 128).
+UNIVERSES = [64, 100]
+
+
+class DenseRangeSumProver(InnerProductProver):
+    """RANGE-SUM with b materialised at query time."""
+
+    process = InnerProductProver.process_a
+
+    def receive_query(self, lo: int, hi: int) -> None:
+        b = [0] * self.size
+        b[lo : hi + 1] = [1] * (hi - lo + 1)
+        self.set_b_vector(b)
+
+
+def range_cases(size):
+    return {
+        "single-key": (5, 5),
+        "full-range": (0, size - 1),
+        "pow2-aligned": (16, 31),
+        "maximally-unaligned": (1, size - 2),
+        "last-key": (size - 1, size - 1),
+    }
+
+
+def turnstile_updates(u, seed):
+    """Inserts, deletions, a frequency past p and one below zero."""
+    rng = random.Random(seed)
+    updates = [(rng.randrange(u), rng.randint(-4, 9)) for _ in range(3 * u)]
+    return updates + [(3, F.p + 11), (u - 1, -7)]
+
+
+def loaded(cls, backend_name, u, updates):
+    prover = cls(F, u, backend=get_backend(F, backend_name))
+    for key, delta in updates:
+        prover.process(key, delta)
+    return prover
+
+
+CASES = [
+    (backend, u, name)
+    for backend in BACKENDS
+    for u in UNIVERSES
+    for name in range_cases(64)
+]
+
+
+@pytest.mark.parametrize("backend_name,u,case", CASES)
+def test_round_messages_equal_the_dense_oracle(backend_name, u, case):
+    updates = turnstile_updates(u, seed=u)
+    dyadic = loaded(RangeSumProver, backend_name, u, updates)
+    dense = loaded(DenseRangeSumProver, backend_name, u, updates)
+    lo, hi = range_cases(dyadic.size)[case]
+    rng = random.Random(7)
+    for prover in (dyadic, dense):
+        prover.receive_query(lo, hi)
+        prover.begin_proof()
+    for _ in range(dyadic.d):
+        message = dyadic.round_message()
+        assert message == dense.round_message()
+        assert all(type(word) is int for word in message)
+        challenge = rng.randrange(F.p)
+        dyadic.receive_challenge(challenge)
+        dense.receive_challenge(challenge)
+
+
+@pytest.mark.parametrize("backend_name,u,case", CASES)
+def test_transcripts_equal_the_dense_oracle(backend_name, u, case):
+    updates = turnstile_updates(u, seed=u + 1)
+    point = F.rand_vector(random.Random(u), RangeSumVerifier(F, u).d)
+    transcripts = []
+    for cls in (RangeSumProver, DenseRangeSumProver):
+        prover = loaded(cls, backend_name, u, updates)
+        verifier = RangeSumVerifier(F, u, point=point)
+        verifier.process_stream(updates)
+        lo, hi = range_cases(prover.size)[case]
+        channel = Channel()
+        result = run_range_sum(prover, verifier, lo, hi, channel)
+        assert result.accepted, result.reason
+        # The oracle answer, straight from the stream.
+        assert result.value == sum(
+            delta for key, delta in updates if lo <= key <= hi) % F.p
+        transcripts.append([
+            (m.sender, m.round_index, m.label, m.payload)
+            for m in channel.transcript.messages
+        ])
+    assert transcripts[0] == transcripts[1]
+
+
+def test_the_indicator_is_never_materialised(monkeypatch):
+    """Not at receive_query, not at begin_proof, and not even when the
+    batched engine is told to keep its dense reference stack."""
+    monkeypatch.setenv("REPRO_RANGE_FOLD", "dense")
+    prover = RangeSumProver(F, 1 << 12)
+    tracemalloc.start()
+    prover.receive_query(1, (1 << 12) - 2)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 1 << 12  # bytes: nothing of size u, not even briefly
+    assert prover._a_table is None
+    prover.begin_proof()
+    assert prover._b_table is None and prover._freq_b is None
+    assert prover._b_stack is None and prover._b_tables is None
+    (indicator,) = prover._dyadic
+    assert len(indicator.nodes) <= 2 * prover.d
+
+
+def test_proof_needs_a_query_first():
+    prover = RangeSumProver(F, 16)
+    with pytest.raises(RuntimeError):
+        prover.begin_proof()
+
+
+def _served_transcript(prover_wrapper, u, updates, lo, hi):
+    handle = ProverServer(F, prover_wrapper=prover_wrapper).serve_in_thread()
+    try:
+        host, port = handle.address
+        with ServiceClient(host, port, F, u, dataset_id=1,
+                           rng=random.Random(23)) as client:
+            client.provision(("range-sum",), 1)
+            client.send_updates(updates)
+            (outcome,) = client.query(range_sum(lo, hi))
+    finally:
+        handle.stop()
+    assert outcome.result.accepted, outcome.result.reason
+    return outcome.result.value, [
+        (m.sender, m.round_index, m.label, m.payload)
+        for m in outcome.transcript.messages
+    ]
+
+
+def test_served_transcript_equals_the_dense_oracle():
+    """Through the wire: the router's prover over the dataset's shared
+    table, against a server whose prover is swapped for the dense one."""
+    u, lo, hi = 100, 1, 126
+    updates = [(key, delta) for key, delta in turnstile_updates(u, seed=5)
+               if abs(delta) < 100]  # the wire carries small signed deltas
+
+    def dense(unit, prover, dataset):
+        oracle = DenseRangeSumProver(F, dataset.u)
+        oracle.process_streams(
+            ((key, delta) for vector, key, delta in dataset.log
+             if vector == 0), ())
+        return oracle
+
+    assert (_served_transcript(None, u, updates, lo, hi)
+            == _served_transcript(dense, u, updates, lo, hi))

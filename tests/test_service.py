@@ -185,9 +185,9 @@ def test_router_runs_every_kind_in_process():
     pairs = key_value_pairs(u, 40, rng=random.Random(3))
     store.put_many(pairs)
     updates = list(store.updates())
-    freq = [0] * (1 << pow2_dimension(u))
-    for i, delta in updates:
-        freq[i] += delta
+    dataset = Dataset(F, u, 0)
+    for vector in (0, 1):
+        dataset.apply(vector, updates)
     rng = random.Random(9)
     some_key = pairs[0][0]
     queries = [point_lookup(some_key), range_scan(0, u - 1),
@@ -205,7 +205,7 @@ def test_router_runs_every_kind_in_process():
                 verifier.process_b(i, delta)
         else:
             verifier.process_stream(updates)
-        prover = QueryRouter.make_prover(unit, F, u, freq, freq)
+        prover = QueryRouter.make_prover(unit, dataset)
         result = QueryRouter.run(unit, prover, verifier)
         assert result.accepted, (q.name, result.reason)
 

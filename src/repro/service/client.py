@@ -8,11 +8,15 @@ one independent copy), streams its updates — feeding every local pool
 and the remote dataset from the same blocks — and then asks verified
 queries through the :class:`~repro.service.router.QueryRouter`.
 
-The prover never runs locally: each prover-side protocol step crosses
-the wire as a ``P_CALL``/``P_REPLY`` frame pair through the remote
-proxies below, so the :class:`~repro.comm.channel.Channel` word counts
-of a query correspond one-to-one to real frames, and the client
-additionally meters raw bytes per query (:class:`QueryOutcome.cost`).
+The prover never runs locally: its protocol steps cross the wire as
+``P_CALL``/``P_REPLY`` frame pairs through the remote proxies below.  A
+step that returns nothing (a challenge, a query announcement) waits in
+its proxy and rides in front of the next step that returns words, as
+one chained frame — so one round of the protocol is one round trip, and
+a d-round sum-check query costs d + 2 of them (open, d rounds, close).
+The :class:`~repro.comm.channel.Channel` still records every word in
+conversation order, and the client additionally meters raw bytes per
+query (:class:`QueryOutcome.cost`).
 """
 
 from __future__ import annotations
@@ -142,13 +146,41 @@ class QueryOutcome:
 
 
 class _RemoteProverBase:
+    """Wire plumbing of every proxy, and the steps that return nothing.
+
+    Those are *deferred*: they wait here and ride in front of the next
+    step that returns words, as one chained frame.  The server runs a
+    chain in order, so the prover still learns r_j only after g_j went
+    out and before it commits g_{j+1}.  The buffer is per proxy, and a
+    retry builds a new proxy: nothing deferred survives a reconnect.
+    """
+
     def __init__(self, client: "ServiceClient", ref: int):
         self._client = client
         self._ref = ref
         self.d = client.d
+        self._deferred: List[Tuple[int, Sequence[int]]] = []
+
+    def _defer(self, method: int, args: Sequence[int] = ()) -> None:
+        self._deferred.append((method, args))
 
     def _call(self, method: int, args: Sequence[int] = ()) -> List[int]:
-        return self._client._prover_call(self._ref, method, args)
+        deferred, self._deferred = self._deferred, []
+        return self._client._prover_call(self._ref, method, args, deferred)
+
+    def flush(self) -> None:
+        """Send what the driver deferred last (nothing follows it)."""
+        if self._deferred:
+            self._call(*self._deferred.pop())
+
+    def begin_proof(self) -> None:
+        self._defer(sp.M_BEGIN_PROOF)
+
+    def receive_challenge(self, r: int) -> None:
+        self._defer(sp.M_RECEIVE_CHALLENGE, [r])
+
+    def receive_query(self, lo: int, hi: int) -> None:
+        self._defer(sp.M_RECEIVE_QUERY, [lo, hi])
 
 
 class RemoteSumcheckProver(_RemoteProverBase):
@@ -160,26 +192,14 @@ class RemoteSumcheckProver(_RemoteProverBase):
         if k is not None:
             self.k = k
 
-    def begin_proof(self) -> None:
-        self._call(sp.M_BEGIN_PROOF)
-
     def round_message(self) -> List[int]:
         return self._call(sp.M_ROUND_MESSAGE)
-
-    def receive_challenge(self, r: int) -> None:
-        self._call(sp.M_RECEIVE_CHALLENGE, [r])
-
-    def receive_query(self, lo: int, hi: int) -> None:
-        self._call(sp.M_RECEIVE_QUERY, [lo, hi])
 
 
 class RemoteTreeProver(_RemoteProverBase):
     """SUB-VECTOR family prover (reporting / k-largest) behind the wire."""
 
     normalized = False
-
-    def receive_query(self, lo: int, hi: int) -> None:
-        self._call(sp.M_RECEIVE_QUERY, [lo, hi])
 
     def answer_entries(self) -> List[Tuple[int, int]]:
         return _pairs(self._call(sp.M_ANSWER_ENTRIES))
@@ -203,9 +223,6 @@ class RemoteTreeProver(_RemoteProverBase):
 class RemoteHeavyHittersProver(_RemoteProverBase):
     """Heavy-hitters prover behind the wire."""
 
-    def begin_proof(self) -> None:
-        self._call(sp.M_BEGIN_PROOF)
-
     def round_message(self):
         from repro.core.heavy_hitters import NodeRecord
 
@@ -218,7 +235,7 @@ class RemoteHeavyHittersProver(_RemoteProverBase):
         ]
 
     def receive_randomness(self, r_l: int, s_l: int) -> None:
-        self._call(sp.M_RECEIVE_RANDOMNESS, [r_l, s_l])
+        self._defer(sp.M_RECEIVE_RANDOMNESS, [r_l, s_l])
 
 
 class RemoteBatchRangeSumProver(_RemoteProverBase):
@@ -233,16 +250,13 @@ class RemoteBatchRangeSumProver(_RemoteProverBase):
         for lo, hi in queries:
             flat.extend((lo, hi))
         self._num_queries = len(queries)
-        self._call(sp.M_RECEIVE_QUERIES, flat)
+        self._defer(sp.M_RECEIVE_QUERIES, flat)
 
     def round_messages(self) -> List[List[int]]:
         words = self._call(sp.M_ROUND_MESSAGES)
         if len(words) != 3 * self._num_queries:
             raise ServiceClientError("malformed batched round message")
         return [words[t : t + 3] for t in range(0, len(words), 3)]
-
-    def receive_challenge(self, r: int) -> None:
-        self._call(sp.M_RECEIVE_CHALLENGE, [r])
 
 
 class RemoteBatchedSumcheckProver(_RemoteProverBase):
@@ -264,7 +278,7 @@ class RemoteBatchedSumcheckProver(_RemoteProverBase):
         for q in queries:
             flat.extend(q.to_words())
             self._degrees.append(q.degree)
-        self._call(sp.M_RECEIVE_BATCH, flat)
+        self._defer(sp.M_RECEIVE_BATCH, flat)
 
     def round_messages(self) -> List[List[int]]:
         words = self._call(sp.M_ROUND_MESSAGES)
@@ -276,9 +290,6 @@ class RemoteBatchedSumcheckProver(_RemoteProverBase):
         if cursor != len(words):
             raise ServiceClientError("malformed batched round message")
         return out
-
-    def receive_challenge(self, r: int) -> None:
-        self._call(sp.M_RECEIVE_CHALLENGE, [r])
 
 
 def _pairs(words: Sequence[int]) -> List[Tuple[int, int]]:
@@ -779,6 +790,7 @@ class ServiceClient:
                     state["result"] = QueryRouter.run(
                         unit, proxy, state["verifier"], channel
                     )
+                    proxy.flush()
                 completed = True
             finally:
                 # Best-effort close: if the transport just died the
@@ -906,8 +918,17 @@ class ServiceClient:
 
     # -- wire plumbing -------------------------------------------------------
 
-    def _prover_call(self, ref: int, method: int,
-                     args: Sequence[int]) -> List[int]:
+    def _prover_call(self, ref: int, method: int, args: Sequence[int],
+                     deferred: Sequence[Tuple[int, Sequence[int]]] = ()
+                     ) -> List[int]:
+        """One round trip: the ``deferred`` void calls, then ``method``,
+        whose words come back.  With nothing deferred the frame is the
+        plain ``[ref, method, args...]``."""
+        if deferred:
+            words = [ref, sp.M_CHAIN,
+                     *sp.chain_args([*deferred, (method, args)])]
+        else:
+            words = [ref, method, *args]
         # Round-message calls are the proof rounds; each gets its own
         # span so the server's per-round spans nest one level deeper.
         if method in (sp.M_ROUND_MESSAGE, sp.M_ROUND_MESSAGES):
@@ -918,7 +939,7 @@ class ServiceClient:
             _t, _s, payload = self._request(
                 sp.T_P_CALL,
                 self.session_id,
-                sp.words_payload(self.field, [ref, method, *args]),
+                sp.words_payload(self.field, words),
                 expect=sp.T_P_REPLY,
             )
         return sp.parse_words(self.field, payload)

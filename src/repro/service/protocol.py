@@ -119,9 +119,14 @@ RETRYABLE_RECONNECT = frozenset([E_TIMEOUT, E_UNKNOWN_SESSION, E_TRANSPORT])
 
 # -- prover method opcodes (T_P_CALL payloads) --------------------------------
 #
-# The interactive protocols are driven by the client (the verifier); each
-# prover-side step crosses the wire as one P_CALL/P_REPLY exchange, so a
-# round of conversation is a round of frames.
+# The interactive protocols are driven by the client (the verifier).  A
+# P_CALL is ``[ref, method, args...]``; its P_REPLY carries the method's
+# words.  Steps that return nothing do not travel alone: the client sends
+# them in front of the next step that replies, as one chain ``[ref,
+# M_CHAIN, m1, n1, args1..., m2, n2, args2...]`` answered by one P_REPLY
+# with the last call's words.  The server runs a chain in order, so the
+# prover learns r_j after g_j went out and before it commits g_{j+1}, as
+# ever — and a round of the paper's protocol is one round trip.
 
 M_BEGIN_PROOF = 0x01        # () -> []
 M_ROUND_MESSAGE = 0x02      # () -> round polynomial / flattened records
@@ -135,6 +140,14 @@ M_RECEIVE_RANDOMNESS = 0x09  # (r, s) -> []  (heavy hitters)
 M_RECEIVE_QUERIES = 0x0A    # (lo1, hi1, ...) -> []  (batched range-sum)
 M_ROUND_MESSAGES = 0x0B     # () -> per-query round polynomials, flattened
 M_RECEIVE_BATCH = 0x0C      # BatchQuery words -> []  (heterogeneous batch)
+M_CHAIN = 0x0D              # (m1, n1, args1..., m2, n2, ...) -> last call's words
+
+#: Methods that return no words: the only ones a chain may carry before
+#: its last call (one P_REPLY has room for one call's answer).
+VOID_METHODS = frozenset([
+    M_BEGIN_PROOF, M_RECEIVE_CHALLENGE, M_RECEIVE_QUERY,
+    M_RECEIVE_RANDOMNESS, M_RECEIVE_QUERIES, M_RECEIVE_BATCH,
+])
 
 
 class ServiceProtocolError(WireFormatError):
@@ -242,6 +255,42 @@ def parse_words(field: PrimeField, payload: bytes) -> List[int]:
         return decode_words(field, payload)
     except WireFormatError as exc:
         raise ServiceProtocolError("bad word payload: %s" % exc) from exc
+
+
+def chain_args(calls: Sequence[Tuple[int, Sequence[int]]]) -> List[int]:
+    """M_CHAIN argument words: ``method, nargs, args...`` per call."""
+    return [w for method, args in calls for w in (method, len(args), *args)]
+
+
+def parse_calls(words: List[int]) -> List[Tuple[int, List[int]]]:
+    """``[(method, args), ...]`` from a P_CALL body after its ``ref``.
+
+    A plain call is a chain of one.  A chain is checked whole before the
+    server runs any of it: not empty, truncated or nested, and every
+    call but the last one of :data:`VOID_METHODS`.
+    """
+    if not words:
+        raise ServiceProtocolError("prover call needs (ref, method)")
+    if words[0] != M_CHAIN:
+        return [(words[0], words[1:])]
+    calls: List[Tuple[int, List[int]]] = []
+    cursor = 1
+    while cursor < len(words):
+        method, end = words[cursor], cursor + 2
+        if end <= len(words):
+            end += words[cursor + 1]
+        if end > len(words) or method == M_CHAIN:
+            raise ServiceProtocolError("truncated or nested call chain")
+        if end < len(words) and method not in VOID_METHODS:
+            raise ServiceProtocolError(
+                "chained call 0x%02x is not a void method: only the last "
+                "call of a chain may reply" % method
+            )
+        calls.append((method, words[cursor + 2 : end]))
+        cursor = end
+    if not calls:
+        raise ServiceProtocolError("empty call chain")
+    return calls
 
 
 #: Largest universe the wire protocol admits.  Keys and query bounds

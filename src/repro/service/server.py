@@ -215,7 +215,9 @@ class ProverServer:
         return await asyncio.wait_for(reader.readexactly(count), timeout)
 
     def _allow_frame(self, session_id: int) -> bool:
-        """Per-session token bucket; HELLO-less frames share bucket 0."""
+        """Token bucket of the session born on the calling connection
+        (never the id a frame header claims, which the peer chooses);
+        connections that have not said HELLO share bucket 0."""
         if self.rate_limit is None:
             return True
         bucket = self._buckets.get(session_id)
@@ -247,9 +249,10 @@ class ProverServer:
         fields: Dict[str, object] = {}
         name = self._SPAN_NAMES.get(frame_type)
         if frame_type == sp.T_P_CALL:
+            # A chain is named after its last call, the one that replies.
             try:
                 words = sp.parse_words(self.field, payload)
-                method = words[1] if len(words) >= 2 else 0
+                method = sp.parse_calls(words[1:])[-1][0]
             except sp.ServiceProtocolError:
                 method = 0
             name = ("server.proof.round"
@@ -322,7 +325,7 @@ class ProverServer:
                     await writer.drain()
                     break
                 if frame_type not in (sp.T_HELLO, sp.H_PING, sp.H_STATS) \
-                        and not self._allow_frame(frame_session):
+                        and not self._allow_frame(session_id):
                     writer.write(sp.pack_frame(
                         sp.T_ERROR, frame_session,
                         sp.error_payload(
@@ -536,14 +539,18 @@ class ProverServer:
 
         if frame_type == sp.T_P_CALL:
             words = sp.parse_words(field, payload)
-            if len(words) < 2:
-                raise ServiceError("prover call needs (ref, method)")
-            ref, method = words[0], words[1]
-            args = words[2:]
-            active = session.queries.get(ref)
+            calls = sp.parse_calls(words[1:])
+            active = session.queries.get(words[0])
             if active is None:
-                raise ServiceError("unknown query reference %d" % ref)
-            result = self._prover_call(active, method, args)
+                raise ServiceError("unknown query reference %d" % words[0])
+            try:
+                for method, args in calls:
+                    result = self._prover_call(active, method, args)
+            except AttributeError as exc:
+                # A step this query's prover does not have is the
+                # client's mistake, not a reason to drop the connection.
+                raise ServiceError("no such step for query kind %d: %s"
+                                   % (active.kind, exc)) from exc
             return [
                 sp.pack_frame(
                     sp.T_P_REPLY,

@@ -773,20 +773,36 @@ def test_end_to_end_kvstore_demo_over_the_wire(server):
             "heavy-hitters": 12 * d * phi_den,  # O(1/phi · log u)
             "predecessor": 12 * d,           # O(log u)
         }
+        unit_of = {q: unit for unit in QueryRouter.plan(descriptors)
+                   for q in unit.descriptors}
         for outcome in outcomes:
             bound = word_bounds[outcome.descriptor.name]
             assert outcome.cost.transcript_words <= bound, (
                 outcome.descriptor.name, outcome.cost.transcript_words,
                 bound,
             )
-            # Interactive phase: O(1) frames per round -> O(log u) frames
-            # (heavy hitters ships O(1/phi) records in its d frames).
-            assert outcome.cost.frames <= 8 * d + 16
-            # Frame bytes are the word payloads plus bounded envelope
-            # overhead per frame — the Channel costs are real bytes.
+            # Interactive phase: one round trip per round (void calls
+            # ride chained on the next replying call), plus open, close
+            # and at most two more (a claim, a trailing flush): d + 4
+            # round trips (heavy hitters ships O(1/phi) records in its d).
+            assert outcome.cost.frames <= 2 * (d + 4)
+            # Frame bytes are the unit's transcript words (a batch shares
+            # its frames) plus a bounded envelope, from the frame layout:
+            # every frame has a 12-byte header and a 4-byte word count; a
+            # P_CALL adds ref, M_CHAIN and (method, nargs) per chained
+            # call, 8 words for the longest chain a driver builds
+            # (receive_query, begin_proof, round_message).  A round trip
+            # so carries at most 2 * 16 + 8 * 8 = 96 bytes that are not
+            # transcript — 48 per frame — and the unit's descriptor words
+            # travel outside the transcript at most twice (QUERY_OPEN,
+            # RECEIVE_BATCH).
             wire = outcome.cost.bytes_sent + outcome.cost.bytes_received
-            assert wire <= 8 * outcome.cost.transcript_words + \
-                48 * outcome.cost.frames
+            descriptor_words = 1 + sum(
+                len(q.to_words())
+                for q in unit_of[outcome.descriptor].descriptors
+            )
+            assert wire <= 8 * outcome.transcript.total_words + \
+                48 * outcome.cost.frames + 16 * descriptor_words
 
     # 3. The same flow against a cheating cloud is rejected.
     def corrupt_f2(unit, prover, dataset):

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.comm import wire as wire_module
 from repro.comm.transcript import PROVER, VERIFIER, Message, Transcript
 from repro.comm.wire import (
+    MAX_MESSAGE_WORDS,
     TRANSCRIPT_MAGIC,
     WIRE_VERSION,
     WireFormatError,
@@ -22,6 +24,8 @@ from repro.comm.wire import (
     frame_bytes,
     transcript_wire_bytes,
     word_width,
+    _decode_words_loop,
+    _encode_words_loop,
 )
 from repro.field.modular import DEFAULT_FIELD, PrimeField
 from repro.field.primes import MERSENNE_127
@@ -263,3 +267,102 @@ def test_unpack_header_max_payload_knob():
     huge[8:12] = (sp.MAX_PAYLOAD + 1).to_bytes(4, "big")
     with pytest.raises(sp.ServiceProtocolError):
         sp.unpack_header(bytes(huge), max_payload=sp.MAX_PAYLOAD * 4)
+
+
+# -- the bulk (struct) codec against the per-word loop --------------------------
+#
+# 8-byte fields encode/decode a frame with one struct call; the loop the
+# other widths still take is the reference, byte for byte and error for
+# error.
+
+_EDGE_WORDS = [0, 1, F.p - 1, F.p, F.p + 1, (1 << 63), (1 << 64) - 1]
+
+raw_words_strategy = st.lists(
+    st.one_of(st.sampled_from(_EDGE_WORDS),
+              st.integers(min_value=0, max_value=(1 << 64) - 1)),
+    max_size=24,
+)
+
+
+def _raw_frame(words):
+    return len(words).to_bytes(4, "big") + b"".join(
+        w.to_bytes(8, "big") for w in words
+    )
+
+
+@given(st.lists(
+    st.one_of(st.sampled_from(_EDGE_WORDS + [-1, -F.p, 1 << 64, 1 << 130]),
+              st.integers(min_value=-(1 << 70), max_value=1 << 70)),
+    max_size=40,
+))
+def test_bulk_encode_equals_loop_byte_for_byte(words):
+    frame = encode_words(F, words)
+    assert frame == _encode_words_loop(F, words)
+    assert frame == _raw_frame([w % F.p for w in words])
+
+
+@given(raw_words_strategy)
+def test_bulk_decode_equals_loop_on_words_and_on_errors(words):
+    frame = _raw_frame(words)
+    try:
+        expected = _decode_words_loop(F, frame, len(words))
+    except WireFormatError as exc:
+        # Same error, naming the same (first) non-canonical word.
+        with pytest.raises(WireFormatError) as raised:
+            decode_words(F, frame)
+        assert str(raised.value) == str(exc)
+        assert any(w >= F.p for w in words)
+    else:
+        assert decode_words(F, frame) == expected == words
+
+
+@pytest.mark.parametrize("bad", [F.p, (1 << 64) - 1])
+def test_bulk_decode_rejects_non_canonical_anywhere(bad):
+    for position in (0, 7, 15):
+        words = list(range(16))
+        words[position] = bad
+        with pytest.raises(WireFormatError,
+                           match="word %d is not a canonical" % position):
+            decode_words(F, _raw_frame(words))
+
+
+@given(words_strategy, st.integers(min_value=-12, max_value=12))
+def test_bulk_decode_length_checks_unchanged(words, slack):
+    """Short and over-long frames die on the shared length checks, with
+    the messages the loop path always gave."""
+    frame = encode_words(F, words)
+    damaged = frame[:slack] if slack < 0 else frame + b"\x00" * slack
+    if damaged == frame:
+        assert decode_words(F, damaged) == words
+        return
+    expected = ("shorter than its length prefix" if len(damaged) < 4
+                else "does not match declared")
+    with pytest.raises(WireFormatError, match=expected):
+        decode_words(F, damaged)
+
+
+def test_bulk_decode_count_cap_precedes_unpack():
+    frame = encode_words(F, [1, 2, 3])
+    with pytest.raises(WireFormatError, match="exceeds the 2-word cap"):
+        decode_words(F, frame, max_words=2)
+    hostile = (MAX_MESSAGE_WORDS + 1).to_bytes(4, "big") + b"\x00" * 24
+    with pytest.raises(WireFormatError, match="cap"):
+        decode_words(F, hostile)
+
+
+def test_other_widths_still_take_the_loop(monkeypatch):
+    class NoStruct:
+        def __getattr__(self, name):
+            raise AssertionError("struct.%s used off the 8-byte path" % name)
+
+    monkeypatch.setattr(wire_module, "struct", NoStruct())
+    for field in (BIG, PrimeField(101), PrimeField(2_147_483_647)):
+        words = [0, 1, field.p - 1, field.p + 5, -3]
+        frame = encode_words(field, words)
+        assert frame == _encode_words_loop(field, words)
+        assert decode_words(field, frame) == [w % field.p for w in words]
+    # ...and the patch does bite on the 8-byte path.
+    with pytest.raises(AssertionError):
+        encode_words(F, [1])
+    with pytest.raises(AssertionError):
+        decode_words(F, _raw_frame([1]))

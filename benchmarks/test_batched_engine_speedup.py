@@ -55,12 +55,6 @@ SIZES = bench_sizes(full=[1 << 16], smoke=[1 << 6])
 #: independent runs (same vectorized backend) by at least this factor.
 REQUIRED_SPEEDUP_AT_2_16 = 3.0
 
-#: Acceptance bar: the structured dyadic fold must beat the dense
-#: indicator-table reference by at least this factor on a range-heavy
-#: mixed batch at u = 2^16 (the Section 3.2 O(log² u)-per-query claim,
-#: measured end to end).
-REQUIRED_DYADIC_SPEEDUP_AT_2_16 = 2.0
-
 
 def mixed_queries(u, nq):
     """A mixed workload: ranges, self-joins, four moments, join sizes."""
@@ -80,25 +74,8 @@ def mixed_queries(u, nq):
     return queries
 
 
-def range_heavy_queries(u, nq, seed=7):
-    """A range-dominated workload (3/4 RANGE-SUM over random intervals,
-    the rest F2/Fk/INNER-PRODUCT) — the batched range-predicate shape
-    the dyadic fold targets."""
-    rng = random.Random(seed)
-    n_range = (3 * nq) // 4
-    queries = []
-    for _ in range(n_range):
-        lo = rng.randrange(u)
-        queries.append(batch_range_sum(lo, rng.randrange(lo, u)))
-    fillers = [batch_f2(), batch_fk(2), batch_fk(3), batch_inner_product()]
-    for q in range(nq - n_range):
-        queries.append(fillers[q % len(fillers)])
-    return queries
-
-
-def ingest(u, updates_a, updates_b, backend, point, range_fold=None):
-    engine = BatchedSumcheckEngine(F, u, backend=backend,
-                                   range_fold=range_fold)
+def ingest(u, updates_a, updates_b, backend, point):
+    engine = BatchedSumcheckEngine(F, u, backend=backend)
     engine.process_stream(updates_a)
     engine.process_stream_b(updates_b)
     verifier = BatchedSumcheckVerifier(F, u, point=point)
@@ -230,68 +207,3 @@ def test_mixed_batch_vs_independent_runs(u, field,
                 % (speedup_vs_independent, nq, REQUIRED_SPEEDUP_AT_2_16)
             )
     vectorized_bench_recorder.append(record)
-
-
-@pytest.mark.parametrize("u", SIZES,
-                         ids=lambda u: "u=2^%d" % (u.bit_length() - 1))
-def test_dyadic_fold_vs_dense_reference(u, field, vectorized_bench_recorder):
-    """Structured dyadic indicator folds vs the dense reference tables.
-
-    Same range-heavy batch, same stream, same verifier point; the only
-    difference is the engine's RANGE-SUM representation
-    (``range_fold="dyadic"`` vs ``"dense"``).  Transcripts must be
-    byte-identical — the representations are interchangeable — and at
-    the full Section 5 size the dyadic fold must win by >= 2x.
-    """
-    nq = 32 if not bench_smoke() else 8
-    d = u.bit_length() - 1
-    updates_a = list(section5_stream(u).updates())
-    updates_b = [(i, 1 + i % 5) for i in range(0, u, 3)]
-    queries = range_heavy_queries(u, nq)
-    point = field.rand_vector(random.Random(u + 3), d)
-    backend_name = "vectorized" if HAVE_NUMPY else "scalar"
-    backend = get_backend(field, backend_name)
-
-    def run_fold(mode):
-        engine, verifier = ingest(u, updates_a, updates_b, backend, point,
-                                  range_fold=mode)
-        channel = Channel()
-        start = time.perf_counter()
-        results = run_batched_sumcheck(engine, verifier, queries, channel,
-                                       backend=backend)
-        elapsed = time.perf_counter() - start
-        assert all(r.accepted for r in results)
-        return [r.value for r in results], channel, elapsed
-
-    dense_values, dense_ch, t_dense = run_fold("dense")
-    dyadic_values, dyadic_ch, t_dyadic = run_fold("dyadic")
-    # Interchangeable representations: same answers, same bytes on the
-    # wire, same word accounting.
-    assert dyadic_values == dense_values
-    assert dyadic_ch.transcript.messages == dense_ch.transcript.messages
-    assert dyadic_ch.query_words == dense_ch.query_words
-
-    speedup = t_dense / t_dyadic if t_dyadic else float("inf")
-    n_range = sum(1 for q in queries if len(q.params) == 2)
-    print(
-        "\ndyadic fold u=2^%d Q=%d (%d range): %.3fs dyadic vs %.3fs dense "
-        "(%.2fx, %s backend)"
-        % (d, nq, n_range, t_dyadic, t_dense, speedup, backend_name)
-    )
-    if u >= 1 << 16 and not bench_smoke():
-        assert speedup >= REQUIRED_DYADIC_SPEEDUP_AT_2_16, (
-            "dyadic fold only %.2fx faster than the dense reference "
-            "(required %.0fx)"
-            % (speedup, REQUIRED_DYADIC_SPEEDUP_AT_2_16)
-        )
-    vectorized_bench_recorder.append({
-        "measure": "batched_engine_dyadic_fold",
-        "u": u,
-        "queries": nq,
-        "range_queries": n_range,
-        "mix": "range-heavy 3/4 range-sum + f2/fk(2,3)/inner-product",
-        "backend": backend_name,
-        "dense_seconds": t_dense,
-        "dyadic_seconds": t_dyadic,
-        "speedup": speedup,
-    })

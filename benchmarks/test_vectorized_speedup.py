@@ -152,7 +152,7 @@ def test_batch_multiquery_scalar_vs_vectorized(u, field,
     def run(backend_name):
         backend = get_backend(field, backend_name)
         verifier = RangeSumVerifier(field, u, rng=random.Random(u + 7))
-        prover = RangeSumProver(field, u)
+        prover = RangeSumProver(field, u, backend=backend)
         for i, delta in stream.updates():
             verifier.process(i, delta)
             prover.process_a(i, delta)

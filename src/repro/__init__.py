@@ -23,7 +23,6 @@ See README.md for the full tour and ROADMAP.md for the architecture.
 from repro.comm import Channel, Transcript
 from repro.core import (
     BatchQuery,
-    BatchRangeSumProver,
     BatchedSumcheckEngine,
     BatchedSumcheckVerifier,
     DictionaryAnswer,
@@ -98,7 +97,6 @@ __all__ = [
     "FkProver",
     "FkVerifier",
     "BatchQuery",
-    "BatchRangeSumProver",
     "BatchedSumcheckEngine",
     "BatchedSumcheckVerifier",
     "IndependentCopies",

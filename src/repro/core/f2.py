@@ -14,24 +14,18 @@ algorithm: O(u) total work across all rounds.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.comm.channel import Channel
-from repro.core.base import (
-    VerificationResult,
-    accepted,
-    pow2_dimension,
-    rejected,
-)
+from repro.core.base import VerificationResult, pow2_dimension, rejected
+from repro.core.sumcheck import SingleLDEVerifier, run_sumcheck_rounds
 from repro.field.modular import PrimeField
-from repro.field.polynomial import evaluate_from_evals
 from repro.field.vectorized import (
     canonical_table,
     f2_round_sums,
     fold_pairs,
     get_backend,
 )
-from repro.lde.streaming import StreamingLDE
 
 
 class F2Prover:
@@ -86,39 +80,8 @@ class F2Prover:
         self._table = fold_pairs(self.backend, self.field, self._table, r)
 
 
-class F2Verifier:
+class F2Verifier(SingleLDEVerifier):
     """Streaming verifier: secret point ``r``, running LDE, O(log u) words."""
-
-    #: The whole streaming state is the LDE: IndependentCopies may share
-    #: one digitisation pass across copies (process_stream_batched).
-    STREAM_STATE_IS_LDE = True
-
-    def __init__(
-        self,
-        field: PrimeField,
-        u: int,
-        rng: Optional[random.Random] = None,
-        point: Optional[Sequence[int]] = None,
-    ):
-        self.field = field
-        self.u = u
-        self.d = pow2_dimension(u)
-        self.size = 1 << self.d
-        if point is None:
-            if rng is None:
-                rng = random.Random()
-            point = field.rand_vector(rng, self.d)
-        self.lde = StreamingLDE(field, self.size, ell=2, point=point)
-        self.r = self.lde.point
-
-    def process(self, i: int, delta: int) -> None:
-        if not 0 <= i < self.u:
-            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
-        self.lde.update(i, delta)
-
-    def process_stream(self, updates) -> None:
-        for i, delta in updates:
-            self.process(i, delta)
 
     @property
     def space_words(self) -> int:
@@ -138,47 +101,13 @@ def run_f2(
     enough (2^61 - 1 by default) that this equals the exact integer F2.
     """
     ch = channel or Channel()
-    field = verifier.field
-    p = field.p
-    d = verifier.d
-    if prover.d != d:
+    if prover.d != verifier.d:
         return rejected(ch.transcript, "prover/verifier dimension mismatch")
-
     prover.begin_proof()
-    claimed = None
-    previous_eval = None
-    for j in range(d):
-        message = ch.prover_says(j, "g%d" % (j + 1), prover.round_message())
-        if len(message) != 3:
-            return rejected(
-                ch.transcript,
-                "round %d: message has %d words, degree-2 polynomial needs 3"
-                % (j, len(message)),
-                verifier.space_words,
-            )
-        evals = [v % p for v in message]
-        round_sum = (evals[0] + evals[1]) % p
-        if j == 0:
-            claimed = round_sum
-        elif round_sum != previous_eval:
-            return rejected(
-                ch.transcript,
-                "round %d: g_j(0)+g_j(1) != g_{j-1}(r_{j-1})" % j,
-                verifier.space_words,
-            )
-        previous_eval = evaluate_from_evals(field, evals, verifier.r[j])
-        if j < d - 1:
-            ch.verifier_says(j, "r%d" % (j + 1), [verifier.r[j]])
-            prover.receive_challenge(verifier.r[j])
-
-    lde_value = verifier.lde.value
-    if previous_eval != lde_value * lde_value % p:
-        return rejected(
-            ch.transcript,
-            "final check failed: g_d(r_d) != f_a(r)^2",
-            verifier.space_words,
-        )
-    return accepted(ch.transcript, claimed, verifier.space_words)
+    return run_sumcheck_rounds(
+        prover, verifier, ch, message_len=3,
+        target=verifier.lde.value**2, target_name="f_a(r)^2",
+    )
 
 
 def self_join_size_protocol(

@@ -18,11 +18,11 @@ import random
 from typing import List, Optional, Sequence
 
 from repro.comm.channel import Channel
-from repro.core.base import VerificationResult, accepted, rejected
+from repro.core.base import VerificationResult, rejected
+from repro.core.sumcheck import SingleLDEVerifier, run_sumcheck_rounds
 from repro.field.modular import PrimeField
-from repro.field.polynomial import evaluate_from_evals
 from repro.lde.chi import chi_table
-from repro.lde.streaming import StreamingLDE, dimension_for
+from repro.lde.streaming import dimension_for
 
 
 class GeneralF2Prover:
@@ -89,10 +89,8 @@ class GeneralF2Prover:
         ]
 
 
-class GeneralF2Verifier:
+class GeneralF2Verifier(SingleLDEVerifier):
     """Streaming verifier with O(d + ℓ) words of state."""
-
-    STREAM_STATE_IS_LDE = True  # see F2Verifier / IndependentCopies
 
     def __init__(
         self,
@@ -104,26 +102,8 @@ class GeneralF2Verifier:
     ):
         if ell < 2:
             raise ValueError("grid base ℓ must be at least 2, got %r" % ell)
-        self.field = field
-        self.u = u
         self.ell = ell
-        self.d = dimension_for(u, ell)
-        self.size = ell**self.d
-        if point is None:
-            if rng is None:
-                rng = random.Random()
-            point = field.rand_vector(rng, self.d)
-        self.lde = StreamingLDE(field, self.size, ell=ell, point=point)
-        self.r = self.lde.point
-
-    def process(self, i: int, delta: int) -> None:
-        if not 0 <= i < self.u:
-            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
-        self.lde.update(i, delta)
-
-    def process_stream(self, updates) -> None:
-        for i, delta in updates:
-            self.process(i, delta)
+        super().__init__(field, u, rng=rng, point=point)
 
     @property
     def space_words(self) -> int:
@@ -138,48 +118,14 @@ def run_general_f2(
 ) -> VerificationResult:
     """Run the d-round, base-ℓ F2 protocol."""
     ch = channel or Channel()
-    field = verifier.field
-    p = field.p
-    d = verifier.d
     ell = verifier.ell
-    if prover.d != d or prover.ell != ell:
+    if prover.d != verifier.d or prover.ell != ell:
         return rejected(ch.transcript, "prover/verifier parameter mismatch")
-
     prover.begin_proof()
-    claimed = None
-    previous_eval = None
-    for j in range(d):
-        message = ch.prover_says(j, "g%d" % (j + 1), prover.round_message())
-        if len(message) != 2 * ell - 1:
-            return rejected(
-                ch.transcript,
-                "round %d: message has %d words, degree-2(ℓ-1) needs %d"
-                % (j, len(message), 2 * ell - 1),
-                verifier.space_words,
-            )
-        evals = [v % p for v in message]
-        round_sum = sum(evals[:ell]) % p  # Σ_{x in [ℓ]} g_j(x)
-        if j == 0:
-            claimed = round_sum
-        elif round_sum != previous_eval:
-            return rejected(
-                ch.transcript,
-                "round %d: Σ_x g_j(x) != g_{j-1}(r_{j-1})" % j,
-                verifier.space_words,
-            )
-        previous_eval = evaluate_from_evals(field, evals, verifier.r[j])
-        if j < d - 1:
-            ch.verifier_says(j, "r%d" % (j + 1), [verifier.r[j]])
-            prover.receive_challenge(verifier.r[j])
-
-    lde_value = verifier.lde.value
-    if previous_eval != lde_value * lde_value % p:
-        return rejected(
-            ch.transcript,
-            "final check failed: g_d(r_d) != f_a(r)^2",
-            verifier.space_words,
-        )
-    return accepted(ch.transcript, claimed, verifier.space_words)
+    return run_sumcheck_rounds(
+        prover, verifier, ch, message_len=2 * ell - 1, sum_len=ell,
+        target=verifier.lde.value**2, target_name="f_a(r)^2",
+    )
 
 
 def general_f2_protocol(

@@ -13,21 +13,15 @@ import random
 from typing import List, Optional, Sequence
 
 from repro.comm.channel import Channel
-from repro.core.base import (
-    VerificationResult,
-    accepted,
-    pow2_dimension,
-    rejected,
-)
+from repro.core.base import VerificationResult, pow2_dimension, rejected
+from repro.core.sumcheck import SingleLDEVerifier, run_sumcheck_rounds
 from repro.field.modular import PrimeField
-from repro.field.polynomial import evaluate_from_evals
 from repro.field.vectorized import (
     canonical_table,
     fk_round_sums,
     fold_pairs,
     get_backend,
 )
-from repro.lde.streaming import StreamingLDE
 
 
 class FkProver:
@@ -77,10 +71,8 @@ class FkProver:
         self._table = fold_pairs(self.backend, self.field, self._table, r)
 
 
-class FkVerifier:
+class FkVerifier(SingleLDEVerifier):
     """Same streaming state as the F2 verifier; checks degree-k messages."""
-
-    STREAM_STATE_IS_LDE = True  # see F2Verifier / IndependentCopies
 
     def __init__(
         self,
@@ -92,26 +84,8 @@ class FkVerifier:
     ):
         if k < 1:
             raise ValueError("moment order k must be >= 1, got %d" % k)
-        self.field = field
-        self.u = u
+        super().__init__(field, u, rng=rng, point=point)
         self.k = k
-        self.d = pow2_dimension(u)
-        self.size = 1 << self.d
-        if point is None:
-            if rng is None:
-                rng = random.Random()
-            point = field.rand_vector(rng, self.d)
-        self.lde = StreamingLDE(field, self.size, ell=2, point=point)
-        self.r = self.lde.point
-
-    def process(self, i: int, delta: int) -> None:
-        if not 0 <= i < self.u:
-            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
-        self.lde.update(i, delta)
-
-    def process_stream(self, updates) -> None:
-        for i, delta in updates:
-            self.process(i, delta)
 
     @property
     def space_words(self) -> int:
@@ -125,47 +99,15 @@ def run_fk(
 ) -> VerificationResult:
     """Run the d-round Fk protocol; message size k+1 words per round."""
     ch = channel or Channel()
-    field = verifier.field
-    p = field.p
-    d = verifier.d
     k = verifier.k
-    if prover.d != d or prover.k != k:
+    if prover.d != verifier.d or prover.k != k:
         return rejected(ch.transcript, "prover/verifier parameter mismatch")
-
     prover.begin_proof()
-    claimed = None
-    previous_eval = None
-    for j in range(d):
-        message = ch.prover_says(j, "g%d" % (j + 1), prover.round_message())
-        if len(message) != k + 1:
-            return rejected(
-                ch.transcript,
-                "round %d: message has %d words, degree-%d polynomial needs %d"
-                % (j, len(message), k, k + 1),
-                verifier.space_words,
-            )
-        evals = [v % p for v in message]
-        round_sum = (evals[0] + evals[1]) % p
-        if j == 0:
-            claimed = round_sum
-        elif round_sum != previous_eval:
-            return rejected(
-                ch.transcript,
-                "round %d: g_j(0)+g_j(1) != g_{j-1}(r_{j-1})" % j,
-                verifier.space_words,
-            )
-        previous_eval = evaluate_from_evals(field, evals, verifier.r[j])
-        if j < d - 1:
-            ch.verifier_says(j, "r%d" % (j + 1), [verifier.r[j]])
-            prover.receive_challenge(verifier.r[j])
-
-    if previous_eval != field.pow(verifier.lde.value, k):
-        return rejected(
-            ch.transcript,
-            "final check failed: g_d(r_d) != f_a(r)^%d" % k,
-            verifier.space_words,
-        )
-    return accepted(ch.transcript, claimed, verifier.space_words)
+    return run_sumcheck_rounds(
+        prover, verifier, ch, message_len=k + 1,
+        target=verifier.field.pow(verifier.lde.value, k),
+        target_name="f_a(r)^%d" % k,
+    )
 
 
 def frequency_moment_protocol(

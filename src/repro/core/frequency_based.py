@@ -35,8 +35,9 @@ from repro.core.heavy_hitters import (
 )
 from repro.core.reporting import index_query
 from repro.core.subvector import SubVectorProver, TreeHashVerifier
+from repro.core.sumcheck import run_sumcheck_rounds
 from repro.field.modular import PrimeField
-from repro.field.polynomial import Polynomial, evaluate_from_evals
+from repro.field.polynomial import Polynomial
 from repro.field.vectorized import (
     canonical_table,
     ensure_backend_array,
@@ -88,17 +89,20 @@ class FrequencyBasedProver:
 
     # -- sum-check phase ------------------------------------------------------
 
-    def begin_sumcheck(self, h_tilde: Polynomial, heavy: Dict[int, int]) -> None:
+    def begin_sumcheck(self, h_tilde: Polynomial, heavy: Dict[int, int],
+                       num_evals: int) -> None:
         self._h_tilde = h_tilde
+        self._num_evals = num_evals
         table = canonical_table(self.backend, self.field, self.freq)
         for idx in heavy:
             table[idx] = 0
         self._table = table
 
-    def round_message(self, num_evals: int) -> List[int]:
+    def round_message(self) -> List[int]:
         """[g(0), ..., g(num_evals-1)] with
         g(c) = Σ_t h̃((1-c)·A[2t] + c·A[2t+1])."""
         p = self.field.p
+        num_evals = self._num_evals
         h_tilde = self._h_tilde
         be = self.backend
         table = self._table = ensure_backend_array(be, self._table)
@@ -214,47 +218,20 @@ def run_frequency_based(
     h_tilde = _interpolant(field, h, tau)
     num_evals = max(tau, 2)  # at least degree 1 so g(0)+g(1) is defined
 
-    # Phase 2: the sum-check over h̃ ∘ f̃_a.
-    prover.begin_sumcheck(h_tilde, heavy)
-    claimed_total = None
-    previous_eval = None
-    for j in range(d):
-        message = ch.prover_says(
-            d + j, "g%d" % (j + 1), prover.round_message(num_evals)
-        )
-        if len(message) != num_evals:
-            return rejected(
-                ch.transcript,
-                "sum-check round %d: expected %d evaluations, got %d"
-                % (j, num_evals, len(message)),
-                verifier.space_words,
-            )
-        evals = [v % p for v in message]
-        round_sum = (evals[0] + evals[1]) % p
-        if j == 0:
-            claimed_total = round_sum
-        elif round_sum != previous_eval:
-            return rejected(
-                ch.transcript,
-                "sum-check round %d: g_j(0)+g_j(1) != g_{j-1}(r_{j-1})" % j,
-                verifier.space_words,
-            )
-        previous_eval = evaluate_from_evals(field, evals, verifier.r[j])
-        if j < d - 1:
-            ch.verifier_says(d + j, "r%d" % (j + 1), [verifier.r[j]])
-            prover.receive_challenge(verifier.r[j])
-
-    if previous_eval != h_tilde(f_tilde_at_r):
-        return rejected(
-            ch.transcript,
-            "final check failed: g_d(r_d) != h̃(f̃_a(r))",
-            verifier.space_words,
-        )
+    # Phase 2: the sum-check over h̃ ∘ f̃_a, on rounds d .. 2d-1.
+    prover.begin_sumcheck(h_tilde, heavy, num_evals)
+    sumcheck = run_sumcheck_rounds(
+        prover, verifier, ch, message_len=num_evals,
+        target=h_tilde(f_tilde_at_r), target_name="h̃(f̃_a(r))",
+        round_offset=d,
+    )
+    if not sumcheck.accepted:
+        return sumcheck
 
     # F(a) = sum-check total + F' - h(0)·(#heavy + padding), since the
     # zeroed heavy slots and the padded slots each contributed h(0).
     correction = (len(heavy) + (verifier.size - verifier.u)) * (h(0) % p)
-    value = (claimed_total + f_prime - correction) % p
+    value = (sumcheck.value + f_prime - correction) % p
     return accepted(ch.transcript, value, verifier.space_words)
 
 

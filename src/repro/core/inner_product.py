@@ -15,14 +15,9 @@ import random
 from typing import List, Optional, Sequence
 
 from repro.comm.channel import Channel
-from repro.core.base import (
-    VerificationResult,
-    accepted,
-    pow2_dimension,
-    rejected,
-)
+from repro.core.base import VerificationResult, pow2_dimension, rejected
+from repro.core.sumcheck import run_sumcheck_rounds
 from repro.field.modular import PrimeField
-from repro.field.polynomial import evaluate_from_evals
 from repro.field.vectorized import (
     canonical_table,
     fold_pairs,
@@ -145,51 +140,18 @@ def run_inner_product(
     ``f_a(r) · f_b(r)`` with its O(log² u)-computed ``f_b(r)``).
     """
     ch = channel or Channel()
-    field = verifier.field
-    p = field.p
-    d = verifier.d
-    if prover.d != d:
+    if prover.d != verifier.d:
         return rejected(ch.transcript, "prover/verifier dimension mismatch")
-
     prover.begin_proof()
-    claimed = None
-    previous_eval = None
-    for j in range(d):
-        message = ch.prover_says(j, "g%d" % (j + 1), prover.round_message())
-        if len(message) != 3:
-            return rejected(
-                ch.transcript,
-                "round %d: message has %d words, degree-2 polynomial needs 3"
-                % (j, len(message)),
-                verifier.space_words,
-            )
-        evals = [v % p for v in message]
-        round_sum = (evals[0] + evals[1]) % p
-        if j == 0:
-            claimed = round_sum
-        elif round_sum != previous_eval:
-            return rejected(
-                ch.transcript,
-                "round %d: g_j(0)+g_j(1) != g_{j-1}(r_{j-1})" % j,
-                verifier.space_words,
-            )
-        previous_eval = evaluate_from_evals(field, evals, verifier.r[j])
-        if j < d - 1:
-            ch.verifier_says(j, "r%d" % (j + 1), [verifier.r[j]])
-            prover.receive_challenge(verifier.r[j])
-
-    target = (
-        expected_final
-        if expected_final is not None
-        else verifier.expected_final_value()
+    return run_sumcheck_rounds(
+        prover, verifier, ch, message_len=3,
+        target=(
+            expected_final
+            if expected_final is not None
+            else verifier.expected_final_value()
+        ),
+        target_name="f_a(r)·f_b(r)",
     )
-    if previous_eval != target % p:
-        return rejected(
-            ch.transcript,
-            "final check failed: g_d(r_d) != f_a(r)·f_b(r)",
-            verifier.space_words,
-        )
-    return accepted(ch.transcript, claimed, verifier.space_words)
 
 
 def inner_product_protocol(

@@ -9,15 +9,14 @@ it is unsafe.  The paper offers two remedies, both implemented here:
   each query retains the single-query guarantee.  The
   :class:`BatchedSumcheckEngine` runs *heterogeneous* batches — F2, Fk,
   INNER-PRODUCT and RANGE-SUM queries over one dataset — as one fused
-  (queries × table) pass per round; :func:`run_batch_range_sum` is the
-  RANGE-SUM-only wrapper kept for the original interface.
+  (queries × table) pass per round; :func:`run_batch_range_sum` builds
+  an all-RANGE-SUM batch from ``(lo, hi)`` pairs.
 * :class:`IndependentCopies` — maintain c independent protocol instances
   over the stream (c·log u words); each verified query consumes one copy.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -49,34 +48,15 @@ from repro.lde.streaming import (
     apply_stream_batched,
 )
 
-#: Environment knob selecting the RANGE-SUM indicator representation of
-#: the batched engine: ``dyadic`` (the default — O(log u) canonical
-#: nodes per query, ~Q·log² u indicator work per round) or ``dense``
-#: (the original Q×u stack, kept as the differential reference).  Both
-#: produce byte-identical transcripts.
-RANGE_FOLD_ENV_VAR = "REPRO_RANGE_FOLD"
-
-_RANGE_FOLD_MODES = ("dyadic", "dense")
-
-
-def range_fold_mode(name: Optional[str] = None) -> str:
-    """Resolve the indicator representation (arg > env > ``dyadic``)."""
-    if name is None:
-        name = (
-            os.environ.get(RANGE_FOLD_ENV_VAR, "dyadic").strip().lower()
-            or "dyadic"
-        )
-    if name not in _RANGE_FOLD_MODES:
-        raise ValueError(
-            "unknown range fold mode %r (expected dyadic or dense)" % (name,)
-        )
-    return name
+def range_fold_mode() -> str:
+    # bench/run.py (frozen) imports this name to print its header; the
+    # dyadic fold is the only representation left.
+    return "dyadic"
 
 
 # -- batch query descriptors ---------------------------------------------------
 
-#: Engine-level kind codes for heterogeneous batches.  They are stable
-#: wire words (the service's M_RECEIVE_BATCH payload), deliberately
+#: Engine-level kind codes for heterogeneous batches, deliberately
 #: distinct from the service-layer query kinds in
 #: :mod:`repro.service.router`, which cover non-sum-check protocols too.
 BATCH_KIND_F2 = 1
@@ -133,25 +113,6 @@ class BatchQuery:
         """Per-variable degree of this query's round polynomial."""
         return self.params[0] if self.kind == BATCH_KIND_FK else 2
 
-    def to_words(self) -> List[int]:
-        return [self.kind, len(self.params), *self.params]
-
-    @classmethod
-    def parse_many(cls, words: Sequence[int]) -> List["BatchQuery"]:
-        """Decode a concatenation of :meth:`to_words` encodings."""
-        out = []
-        cursor = 0
-        while cursor < len(words):
-            if cursor + 2 > len(words):
-                raise ValueError("truncated batch query words")
-            count = words[cursor + 1]
-            end = cursor + 2 + count
-            if end > len(words):
-                raise ValueError("truncated batch query words")
-            out.append(cls(words[cursor], tuple(words[cursor + 2 : end])))
-            cursor = end
-        return out
-
 
 def batch_f2() -> BatchQuery:
     return BatchQuery(BATCH_KIND_F2)
@@ -193,7 +154,7 @@ class _DyadicIndicator:
 
     Per query per round this is O(log u) work instead of O(u), with the
     exact same values mod p as folding the dense indicator table — the
-    differential harness pins the transcripts byte-identical.
+    test suite's explicit-b oracle pins the transcripts byte-identical.
     """
 
     __slots__ = ("nodes", "max_level")
@@ -251,8 +212,8 @@ class _DyadicIndicator:
 class BatchedSumcheckEngine:
     """The prover side of heterogeneous lockstep multi-query rounds.
 
-    Generalises the stacked-table RANGE-SUM engine to mixed batches of
-    F2, Fk, INNER-PRODUCT and RANGE-SUM queries over one dataset: one
+    Mixed batches of F2, Fk, INNER-PRODUCT and RANGE-SUM queries over
+    one dataset: one
     shared a-table (plus one b-table when the batch carries INNER-PRODUCT
     members) and per-query :class:`_DyadicIndicator` state — O(log u)
     canonical nodes each — for the RANGE-SUM members.  Per round it
@@ -265,15 +226,11 @@ class BatchedSumcheckEngine:
     even/odd prefix-sum pass over the folded a-table plus O(log u)
     closed-form node terms per query (products of χ factors against
     a-table segments), mirroring the verifier's O(log² u)
-    canonical-interval evaluation.  The original dense Q×u indicator
-    stack — three ``rows_dot`` limb-plane passes and a ``row_fold`` per
-    round — is retained behind ``REPRO_RANGE_FOLD=dense`` (or the
-    ``range_fold`` constructor argument) as the differential reference.
+    canonical-interval evaluation; no dense indicator is ever built.
     The Fk rounds are one ``pair_line_stack``/``rows_pow_sums`` pass per
     distinct k.  The per-query loops of the scalar backend are the
-    reference; transcripts are identical whichever backend and whichever
-    indicator representation — and identical to the standalone one-query
-    provers, message for message.
+    reference; transcripts are identical whichever backend — and
+    identical to the standalone one-query provers, message for message.
 
     :func:`run_batched_sumcheck` drives one of these — built locally
     from the dataset's frequency vectors or standing in for a remote
@@ -282,19 +239,12 @@ class BatchedSumcheckEngine:
     """
 
     def __init__(self, field: PrimeField, u: int, backend=None,
-                 range_fold: Optional[str] = None,
                  freq_a=None, freq_b=None):
         self.field = field
         self.u = u
         self.d = pow2_dimension(u)
         self.size = 1 << self.d
         self.backend = backend if backend is not None else get_backend(field)
-        #: Indicator representation for RANGE-SUM members; ``None``
-        #: defers to the ``REPRO_RANGE_FOLD`` environment knob at
-        #: :meth:`receive_batch` time (default ``dyadic``).
-        self.range_fold = (
-            range_fold_mode(range_fold) if range_fold is not None else None
-        )
         # Vectors to stream into — or adopted, not copied: the service
         # passes shared read-only tables (b only with an INNER-PRODUCT).
         self.freq_a = freq_a if freq_a is not None else [0] * self.size
@@ -302,10 +252,8 @@ class BatchedSumcheckEngine:
         self._queries: Optional[List[BatchQuery]] = None
         self._a_table = None
         self._b_table = None
-        self._b_stack = None
-        self._b_tables: Optional[List[List[int]]] = None
         self._range_index: List[int] = []
-        self._dyadic: Optional[List[_DyadicIndicator]] = None
+        self._dyadic: List[_DyadicIndicator] = []
         self._round_index = 0
 
     @property
@@ -341,17 +289,6 @@ class BatchedSumcheckEngine:
         for i, delta in updates:
             self.process_b(i, delta)
 
-    @classmethod
-    def from_vectors(cls, field: PrimeField, u: int, freq_a: Sequence[int],
-                     freq_b: Optional[Sequence[int]] = None,
-                     backend=None) -> "BatchedSumcheckEngine":
-        """Wrap a dataset's (padded or unpadded) frequency vectors."""
-        out = cls(field, u, backend=backend)
-        out.freq_a[: len(freq_a)] = list(freq_a)
-        if freq_b is not None:
-            out.freq_b[: len(freq_b)] = list(freq_b)
-        return out
-
     # -- proof phase ---------------------------------------------------------
 
     def receive_batch(self, queries: Sequence[BatchQuery]) -> None:
@@ -379,70 +316,29 @@ class BatchedSumcheckEngine:
             idx for idx, q in enumerate(queries)
             if q.kind == BATCH_KIND_RANGE_SUM
         ]
-        self._b_stack = None
-        self._b_tables = None
-        self._dyadic = None
+        self._dyadic = [
+            _DyadicIndicator(*queries[idx].params)
+            for idx in self._range_index
+        ]
         self._round_index = 0
-        if not self._range_index:
-            return
-        ranges = [queries[idx].params for idx in self._range_index]
-        if range_fold_mode(self.range_fold) == "dyadic":
-            self._dyadic = [_DyadicIndicator(lo, hi) for lo, hi in ranges]
-            return
-        if getattr(be, "vectorized", False):
-            # The indicator stack is written directly into one 2-D array.
-            self._b_stack = be.stack([be.zeros(self.size)] * len(ranges))
-            for row, (lo, hi) in enumerate(ranges):
-                self._b_stack[row, lo : hi + 1] = 1
-        else:
-            self._b_tables = []
-            for lo, hi in ranges:
-                b = [0] * self.size
-                b[lo : hi + 1] = [1] * (hi - lo + 1)
-                self._b_tables.append(b)
 
     def _range_round_messages(self) -> List[List[int]]:
-        """The RANGE-SUM members' committed round polynomials.
-
-        Dyadic representation: one shared even/odd prefix-sum pass over
-        the current a-table (only while some query still has wide
-        nodes), then O(log u) closed-form node terms per query.  Dense
-        representation: the fused (queries × table) stack pass.
-        """
+        """The RANGE-SUM members' committed round polynomials: one
+        shared even/odd prefix-sum pass over the current a-table (only
+        while some query still has wide nodes), then O(log u)
+        closed-form node terms per query."""
         be = self.backend
-        p = self.field.p
         a_table = self._a_table
-        if self._dyadic is not None:
-            j = self._round_index
-            prefix = (
-                be.pair_prefix_sums(a_table)
-                if any(state.max_level > j for state in self._dyadic)
-                else None
-            )
-            return [
-                state.round_message(be, p, a_table, j, prefix)
-                for state in self._dyadic
-            ]
-        if self._b_stack is not None:
-            a_lo, a_hi = a_table[0::2], a_table[1::2]
-            a_at2 = be.sub(be.add(a_hi, a_hi), a_lo)
-            b_lo, b_hi = self._b_stack[:, 0::2], self._b_stack[:, 1::2]
-            b_at2 = be.sub(be.add(b_hi, b_hi), b_lo)
-            g0s = be.rows_dot(b_lo, a_lo)
-            g1s = be.rows_dot(b_hi, a_hi)
-            g2s = be.rows_dot(b_at2, a_at2)
-            return [list(g) for g in zip(g0s, g1s, g2s)]
-        messages = []
-        for b in self._b_tables:
-            g0 = g1 = g2 = 0
-            for t in range(0, len(a_table), 2):
-                a_lo, a_hi = a_table[t], a_table[t + 1]
-                bb_lo, bb_hi = b[t], b[t + 1]
-                g0 += a_lo * bb_lo
-                g1 += a_hi * bb_hi
-                g2 += (2 * a_hi - a_lo) * (2 * bb_hi - bb_lo)
-            messages.append([g0 % p, g1 % p, g2 % p])
-        return messages
+        j = self._round_index
+        prefix = (
+            be.pair_prefix_sums(a_table)
+            if any(state.max_level > j for state in self._dyadic)
+            else None
+        )
+        return [
+            state.round_message(be, self.field.p, a_table, j, prefix)
+            for state in self._dyadic
+        ]
 
     def round_messages(self) -> List[List[int]]:
         """Every query's committed round polynomial, in batch order.
@@ -450,7 +346,7 @@ class BatchedSumcheckEngine:
         Queries of one family share the committed computation: all F2
         members reuse one :func:`f2_round_sums` pass, Fk members one
         stacked pass per distinct k, INNER-PRODUCT members one two-table
-        pass, and the RANGE-SUM members one fused stack pass.
+        pass, and the RANGE-SUM members one prefix-sum pass.
         """
         if self._queries is None:
             raise RuntimeError("receive_batch() must be called first")
@@ -458,11 +354,10 @@ class BatchedSumcheckEngine:
         field = self.field
         a_table = self._a_table
         messages: List[Optional[List[int]]] = [None] * len(self._queries)
-        range_messages = (
-            self._range_round_messages() if self._range_index else []
-        )
-        for row, idx in enumerate(self._range_index):
-            messages[idx] = range_messages[row]
+        if self._range_index:
+            for idx, message in zip(self._range_index,
+                                    self._range_round_messages()):
+                messages[idx] = message
         f2_message: Optional[List[int]] = None
         ip_message: Optional[List[int]] = None
         fk_messages = self._fk_round_messages()
@@ -521,7 +416,7 @@ class BatchedSumcheckEngine:
         return out
 
     def receive_challenge(self, r: int) -> None:
-        """Fold the shared tables and the whole indicator stack with ``r``."""
+        """Fold the shared tables and every indicator's nodes with ``r``."""
         if self._queries is None:
             raise RuntimeError("receive_batch() must be called first")
         be = self.backend
@@ -529,48 +424,9 @@ class BatchedSumcheckEngine:
         self._a_table = fold_pairs(be, field, self._a_table, r)
         if self._b_table is not None:
             self._b_table = fold_pairs(be, field, self._b_table, r)
-        if self._dyadic is not None:
-            for state in self._dyadic:
-                state.fold(field, self._round_index, r)
-        elif self._b_stack is not None:
-            self._b_stack = be.row_fold(self._b_stack, r)
-        elif self._b_tables is not None:
-            self._b_tables = be.row_fold(self._b_tables, r)
+        for state in self._dyadic:
+            state.fold(field, self._round_index, r)
         self._round_index += 1
-
-
-class BatchRangeSumProver(BatchedSumcheckEngine):
-    """RANGE-SUM-only batch engine (the original Section 7 interface).
-
-    Kept as the wire-compatible engine behind
-    :func:`run_batch_range_sum` and the service's ``M_RECEIVE_QUERIES``
-    opcode: :meth:`receive_queries` takes plain ``(lo, hi)`` pairs and
-    every round message is three words.
-    """
-
-    def true_answer(self, lo: int, hi: int) -> int:
-        return sum(self.freq_a[lo : hi + 1])
-
-    @classmethod
-    def from_range_sum_prover(
-        cls, prover, backend=None
-    ) -> "BatchRangeSumProver":
-        """Snapshot an existing single-query prover's frequency vector.
-
-        The vector is copied: later updates streamed into the wrapped
-        prover must not silently mutate a proof already in flight here
-        (and vice versa — the engine's own ``process`` stays local).
-        """
-        out = cls(prover.field, prover.u, backend=backend)
-        out.freq_a[: len(prover.freq_a)] = list(prover.freq_a)
-        return out
-
-    def receive_queries(self, queries: Sequence[Tuple[int, int]]) -> None:
-        """Materialise the indicator table of every query at once."""
-        for lo, hi in queries:
-            if not 0 <= lo <= hi < self.size:
-                raise ValueError("query range [%d, %d] invalid" % (lo, hi))
-        self.receive_batch([batch_range_sum(lo, hi) for lo, hi in queries])
 
 
 class BatchedSumcheckVerifier(InnerProductVerifier):
@@ -618,8 +474,7 @@ def run_batched_sumcheck(
 
     ``prover`` is a :class:`BatchedSumcheckEngine` (or the service
     layer's remote proxy with the same ``receive_batch`` /
-    ``round_messages`` / ``receive_challenge`` interface; a legacy
-    RANGE-SUM-only proxy exposing ``receive_queries`` is also accepted).
+    ``round_messages`` / ``receive_challenge`` interface).
     ``verifier`` is a :class:`BatchedSumcheckVerifier` for mixed
     batches; any single-LDE streaming verifier of the sum-check family
     (RANGE-SUM / F2 / Fk) works for batches without INNER-PRODUCT
@@ -650,16 +505,7 @@ def run_batched_sumcheck(
             "INNER-PRODUCT batch members need a verifier with a "
             "second-stream LDE (BatchedSumcheckVerifier)"
         )
-    if hasattr(prover, "receive_batch"):
-        prover.receive_batch(queries)
-    else:
-        # Legacy RANGE-SUM-only engines (the service's original batched
-        # proxy) speak (lo, hi) pairs.
-        if any(q.kind != BATCH_KIND_RANGE_SUM for q in queries):
-            raise TypeError(
-                "prover %r only supports RANGE-SUM batches" % (prover,)
-            )
-        prover.receive_queries([q.params for q in queries])
+    prover.receive_batch(queries)
     eval_backend = (
         backend if backend is not None else getattr(prover, "backend", None)
     )
@@ -723,10 +569,10 @@ def run_batched_sumcheck(
             )
             for idx, value in zip(group, evaluated):
                 previous[idx] = value
-        # Reveal r_j and fold all tables.
+        # Reveal r_j and fold all tables; r_d stays secret.
         if j < d - 1:
             ch.verifier_says(j, "r%d" % (j + 1), [verifier.r[j]])
-        prover.receive_challenge(verifier.r[j])
+            prover.receive_challenge(verifier.r[j])
         round_seconds.observe(time.perf_counter() - round_t0)
 
     # Per-query proof telemetry, straight off the channel's own
@@ -776,33 +622,15 @@ def run_batch_range_sum(
 ) -> List[VerificationResult]:
     """Verify many RANGE-SUM queries in lockstep with shared randomness.
 
-    The RANGE-SUM-only face of :func:`run_batched_sumcheck`, kept for
-    the original Section 7 interface: per round the prover sends one
-    degree-2 polynomial per query, communication is 3·|queries| words
-    per round plus the shared challenges, attributed per query on the
-    channel (:meth:`repro.comm.channel.Channel.query_cost`).
-
-    ``prover`` is a :class:`~repro.core.range_sum.RangeSumProver` (its
-    frequency vector is wrapped in a local
-    :class:`BatchRangeSumProver`) or any object with the batch-prover
-    interface itself — such as the service layer's remote proxy.
+    :func:`run_batched_sumcheck` over an all-RANGE-SUM batch given as
+    ``(lo, hi)`` pairs: 3·|queries| words per round plus the shared
+    challenges.  ``prover`` is any batch engine — a
+    :class:`~repro.core.range_sum.RangeSumProver` is one.
     """
-    ch = channel or Channel()
-    for lo, hi in queries:
-        if not 0 <= lo <= hi < verifier.size:
-            raise ValueError("query range [%d, %d] invalid" % (lo, hi))
-    if not queries:
-        return []
-    if hasattr(prover, "round_message"):  # the single-query prover
-        engine = BatchRangeSumProver.from_range_sum_prover(
-            prover, backend=backend
-        )
-    else:
-        engine = prover
     return run_batched_sumcheck(
-        engine, verifier,
+        prover, verifier,
         [batch_range_sum(lo, hi) for lo, hi in queries],
-        channel=ch, backend=backend,
+        channel=channel, backend=backend,
     )
 
 

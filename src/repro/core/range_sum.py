@@ -16,28 +16,30 @@ used by SUB-VECTOR to pre-verify the answer size k (Appendix B.2 remark).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.comm.channel import Channel
-from repro.core.base import VerificationResult, pow2_dimension, rejected
+from repro.core.base import VerificationResult, rejected
 from repro.core.inner_product import InnerProductVerifier, run_inner_product
-from repro.core.multiquery import BatchRangeSumProver, batch_range_sum
+from repro.core.multiquery import BatchedSumcheckEngine, batch_range_sum
+from repro.core.sumcheck import SingleLDEVerifier
 from repro.field.modular import PrimeField
 from repro.lde.canonical import range_indicator_eval
-from repro.lde.streaming import StreamingLDE
 
 
-class RangeSumProver(BatchRangeSumProver):
+class RangeSumProver(BatchedSumcheckEngine):
     """Stores the (key → value) vector a; the query range stays a cover.
 
     The engine's RANGE-SUM member at Q = 1 behind the inner-product
-    prover interface, always on the dyadic fold.
+    prover interface.
     """
 
     def __init__(self, field: PrimeField, u: int, backend=None, freq_a=None):
-        super().__init__(field, u, backend=backend, range_fold="dyadic",
-                         freq_a=freq_a)
+        super().__init__(field, u, backend=backend, freq_a=freq_a)
         self._query = None
+
+    def true_answer(self, lo: int, hi: int) -> int:
+        return sum(self.freq_a[lo : hi + 1])
 
     def receive_query(self, lo: int, hi: int) -> None:
         if not 0 <= lo <= hi < self.size:
@@ -54,37 +56,8 @@ class RangeSumProver(BatchRangeSumProver):
         return self.round_messages()[0]
 
 
-class RangeSumVerifier:
+class RangeSumVerifier(SingleLDEVerifier):
     """Streams only a; computes ``f_b(r)`` for the query range on demand."""
-
-    STREAM_STATE_IS_LDE = True  # see F2Verifier / IndependentCopies
-
-    def __init__(
-        self,
-        field: PrimeField,
-        u: int,
-        rng: Optional[random.Random] = None,
-        point: Optional[Sequence[int]] = None,
-    ):
-        self.field = field
-        self.u = u
-        self.d = pow2_dimension(u)
-        self.size = 1 << self.d
-        if point is None:
-            if rng is None:
-                rng = random.Random()
-            point = field.rand_vector(rng, self.d)
-        self.lde = StreamingLDE(field, self.size, ell=2, point=point)
-        self.r = self.lde.point
-
-    def process(self, i: int, delta: int) -> None:
-        if not 0 <= i < self.u:
-            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
-        self.lde.update(i, delta)
-
-    def process_stream(self, updates) -> None:
-        for i, delta in updates:
-            self.process(i, delta)
 
     def indicator_lde_at_r(self, lo: int, hi: int) -> int:
         """``f_b(r)`` in O(log² u) — no pass over the data."""

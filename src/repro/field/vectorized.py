@@ -309,11 +309,6 @@ class ScalarBackend:
         field = self.field
         return [sum(field.pow(v, e) for v in row) % self.p for row in stack]
 
-    def rows_dot(self, stack, weights: Sequence[int]) -> List[int]:
-        """Per-row inner product with a shared weight vector (the limb-dot
-        counterpart of :meth:`VectorizedField.rows_dot`; identical results)."""
-        return self.row_weighted_sums(stack, weights)
-
     # -- pair prefix sums ----------------------------------------------------
     #
     # The structured (dyadic) RANGE-SUM fold needs, per round, the sum of
@@ -668,49 +663,6 @@ class VectorizedField:
             else self.asarray(weights)
         )
         return self.row_sums(self.mul(stack, weights))
-
-    def rows_dot(self, stack, weights) -> List[int]:
-        """Per-row inner products via 22-bit-limb einsum planes.
-
-        The row-wise analogue of :meth:`dot`: the stack is split into
-        three (rows × width) limb planes and the shared weight vector
-        into three limb vectors; the nine cross products are single
-        ``einsum('qw,w->q')`` fused passes (one matrix–vector product per
-        limb pair, no canonical-residue modmul temporaries) recombined
-        exactly in Python integers.  Identical results to
-        :meth:`row_weighted_sums` at ~3x the throughput for Mersenne-61 —
-        this is what closes the batched-multiquery prover gap to the 1-D
-        provers' speedups.
-        """
-        weights = (
-            weights
-            if isinstance(weights, _np.ndarray)
-            else self.asarray(weights)
-        )
-        if (
-            not self._is_m61
-            or self.dtype is object
-            or getattr(stack, "ndim", 0) != 2
-        ):
-            return self.row_weighted_sums(stack, weights)
-        rows, width = stack.shape
-        if width != weights.shape[0]:
-            raise ValueError("rows_dot weight vector has the wrong length")
-        totals = [0] * rows
-        for start in range(0, width, _DOT_CHUNK):
-            sl = _limbs22(stack[:, start : start + _DOT_CHUNK])
-            wl = _limbs22(weights[start : start + _DOT_CHUNK])
-            for i in range(3):
-                for j in range(3):
-                    # Limb products are < 2^44 and chunks hold <= 2^19
-                    # columns, so each uint64 row accumulator stays below
-                    # 2^63 — the einsum is exact.
-                    part = _np.einsum("qw,w->q", sl[i], wl[j])
-                    shift = 22 * (i + j)
-                    for t, value in enumerate(part.tolist()):
-                        totals[t] += value << shift
-        p = self.p
-        return [t % p for t in totals]
 
     # -- pair prefix sums ----------------------------------------------------
 

@@ -168,11 +168,6 @@ class _RemoteProverBase:
         deferred, self._deferred = self._deferred, []
         return self._client._prover_call(self._ref, method, args, deferred)
 
-    def flush(self) -> None:
-        """Send what the driver deferred last (nothing follows it)."""
-        if self._deferred:
-            self._call(*self._deferred.pop())
-
     def begin_proof(self) -> None:
         self._defer(sp.M_BEGIN_PROOF)
 
@@ -238,55 +233,33 @@ class RemoteHeavyHittersProver(_RemoteProverBase):
         self._defer(sp.M_RECEIVE_RANDOMNESS, [r_l, s_l])
 
 
-class RemoteBatchRangeSumProver(_RemoteProverBase):
-    """Batched RANGE-SUM engine behind the wire (direct-sum rounds)."""
-
-    def __init__(self, client: "ServiceClient", ref: int):
-        super().__init__(client, ref)
-        self._num_queries = 0
-
-    def receive_queries(self, queries: Sequence[Tuple[int, int]]) -> None:
-        flat: List[int] = []
-        for lo, hi in queries:
-            flat.extend((lo, hi))
-        self._num_queries = len(queries)
-        self._defer(sp.M_RECEIVE_QUERIES, flat)
-
-    def round_messages(self) -> List[List[int]]:
-        words = self._call(sp.M_ROUND_MESSAGES)
-        if len(words) != 3 * self._num_queries:
-            raise ServiceClientError("malformed batched round message")
-        return [words[t : t + 3] for t in range(0, len(words), 3)]
-
-
 class RemoteBatchedSumcheckProver(_RemoteProverBase):
-    """Heterogeneous batched engine behind the wire (mixed direct-sum).
+    """The batched engine behind the wire (direct-sum rounds).
 
-    The client knows each batch member's degree from the descriptors it
-    sent, so the flattened per-round reply splits back into one
-    committed polynomial per query — degree-2 members read 3 words, an
-    Fk member k+1.
+    T_QUERY_OPEN already announced the batch to the server's prover, so
+    nothing is re-sent here: the proxy knows the members of the unit
+    it opened, only checks that the driver announces that same batch,
+    and splits the flattened per-round reply by their degrees — a
+    degree-2 member reads 3 words, an Fk member k+1.
     """
 
-    def __init__(self, client: "ServiceClient", ref: int):
+    def __init__(self, client: "ServiceClient", ref: int, members):
         super().__init__(client, ref)
-        self._degrees: List[int] = []
+        self._members = list(members)
 
     def receive_batch(self, queries) -> None:
-        flat: List[int] = []
-        self._degrees = []
-        for q in queries:
-            flat.extend(q.to_words())
-            self._degrees.append(q.degree)
-        self._defer(sp.M_RECEIVE_BATCH, flat)
+        if list(queries) != self._members:
+            raise RoutingError(
+                "the driver announced a batch other than the one opened"
+            )
 
     def round_messages(self) -> List[List[int]]:
         words = self._call(sp.M_ROUND_MESSAGES)
         out: List[List[int]] = []
         cursor = 0
-        for degree in self._degrees:
-            out.append(words[cursor : cursor + degree + 1])
-            cursor += degree + 1
+        for member in self._members:
+            out.append(words[cursor : cursor + member.degree + 1])
+            cursor += member.degree + 1
         if cursor != len(words):
             raise ServiceClientError("malformed batched round message")
         return out
@@ -733,10 +706,11 @@ class ServiceClient:
     def query(self, *descriptors: QueryDescriptor) -> List[QueryOutcome]:
         """Run verified queries; returns one outcome per descriptor.
 
-        The router plans the descriptors first: multiple RANGE-SUM
-        descriptors share one batched direct-sum execution (and one
-        verifier copy); everything else runs single-shot, each consuming
-        one copy from its provisioned pool.
+        The router plans the descriptors first: two or more sum-check
+        descriptors (RANGE-SUM, F2, Fk, INNER-PRODUCT, in any mix) share
+        one batched direct-sum execution (and one verifier copy);
+        everything else runs single-shot, each consuming one copy from
+        its provisioned pool.
         """
         if not descriptors:
             return []
@@ -790,7 +764,6 @@ class ServiceClient:
                     state["result"] = QueryRouter.run(
                         unit, proxy, state["verifier"], channel
                     )
-                    proxy.flush()
                 completed = True
             finally:
                 # Best-effort close: if the transport just died the
@@ -862,12 +835,13 @@ class ServiceClient:
             KIND_INNER_PRODUCT,
             KIND_RANGE_SUM,
             TREE_KINDS,
+            to_batch_query,
         )
 
         if unit.batched:
-            if {q.kind for q in unit.descriptors} == {KIND_RANGE_SUM}:
-                return RemoteBatchRangeSumProver(self, ref)
-            return RemoteBatchedSumcheckProver(self, ref)
+            return RemoteBatchedSumcheckProver(
+                self, ref, [to_batch_query(q) for q in unit.descriptors]
+            )
         kind = unit.descriptors[0].kind
         if kind in TREE_KINDS:
             return RemoteTreeProver(self, ref)

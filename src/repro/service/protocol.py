@@ -137,16 +137,15 @@ M_LEVEL0_SIBLINGS = 0x06    # () -> flattened (index, hash) pairs
 M_FOLD_CHALLENGE = 0x07     # (r) -> next level's flattened siblings
 M_CLAIM = 0x08              # (arg) -> (flag, key) claim
 M_RECEIVE_RANDOMNESS = 0x09  # (r, s) -> []  (heavy hitters)
-M_RECEIVE_QUERIES = 0x0A    # (lo1, hi1, ...) -> []  (batched range-sum)
 M_ROUND_MESSAGES = 0x0B     # () -> per-query round polynomials, flattened
-M_RECEIVE_BATCH = 0x0C      # BatchQuery words -> []  (heterogeneous batch)
 M_CHAIN = 0x0D              # (m1, n1, args1..., m2, n2, ...) -> last call's words
+# 0x0A and 0x0C stay unassigned: they announced a batch to its prover,
+# which T_QUERY_OPEN does, and are answered like any unknown opcode.
 
 #: Methods that return no words: the only ones a chain may carry before
 #: its last call (one P_REPLY has room for one call's answer).
 VOID_METHODS = frozenset([
-    M_BEGIN_PROOF, M_RECEIVE_CHALLENGE, M_RECEIVE_QUERY,
-    M_RECEIVE_RANDOMNESS, M_RECEIVE_QUERIES, M_RECEIVE_BATCH,
+    M_BEGIN_PROOF, M_RECEIVE_CHALLENGE, M_RECEIVE_QUERY, M_RECEIVE_RANDOMNESS,
 ])
 
 

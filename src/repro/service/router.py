@@ -6,8 +6,8 @@ decides *how*: which ``core/`` protocol runs it, which streaming
 verifier the client must have provisioned before the stream, which
 prover the server materialises from its dataset, and whether several
 descriptors can share one batched execution
-(:func:`~repro.core.multiquery.run_batch_range_sum`'s direct-sum rounds)
-instead of consuming one independent verifier copy each.
+(:func:`~repro.core.multiquery.run_batched_sumcheck`'s direct-sum
+rounds) instead of consuming one independent verifier copy each.
 
 The router is pure planning/dispatch logic — it runs identically
 in-process (tests drive it without sockets) and behind the service wire
@@ -38,14 +38,12 @@ from repro.core.inner_product import (
 from repro.core.k_largest import KLargestProver, k_largest_query
 from repro.core.multiquery import (
     BatchQuery,
-    BatchRangeSumProver,
     BatchedSumcheckEngine,
     BatchedSumcheckVerifier,
     batch_f2,
     batch_fk,
     batch_inner_product,
     batch_range_sum as core_batch_range_sum,
-    run_batch_range_sum,
     run_batched_sumcheck,
 )
 from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
@@ -110,9 +108,9 @@ TREE_KINDS = frozenset(
 #: :class:`~repro.core.multiquery.BatchedSumcheckEngine` — except an F2
 #: descriptor that requests worker-pool execution, which keeps its own
 #: prover.  There is no batch-size ceiling in the plan: RANGE-SUM
-#: members cost the engine O(log² u) per round each (the dyadic fold,
-#: ``REPRO_RANGE_FOLD``), so adding a range member to a unit is cheap
-#: server-side and always saves verifier words vs a standalone run.
+#: members cost the engine O(log² u) per round each (the dyadic fold),
+#: so adding a range member to a unit is cheap server-side and always
+#: saves verifier words vs a standalone run.
 SUMCHECK_KINDS = frozenset(
     [KIND_RANGE_SUM, KIND_F2, KIND_FK, KIND_INNER_PRODUCT]
 )
@@ -128,18 +126,21 @@ def _batchable(descriptor: QueryDescriptor) -> bool:
     return True
 
 
-def _to_batch_query(descriptor: QueryDescriptor) -> BatchQuery:
+def to_batch_query(descriptor: QueryDescriptor) -> BatchQuery:
     """The engine-level batch member for one service descriptor."""
     kind = descriptor.kind
+    if not _batchable(descriptor):
+        raise RoutingError(
+            "%s%r cannot join a batched unit"
+            % (descriptor.name, descriptor.params)
+        )
     if kind == KIND_RANGE_SUM:
         return core_batch_range_sum(*descriptor.params)
     if kind == KIND_F2:
         return batch_f2()
     if kind == KIND_FK:
         return batch_fk(descriptor.params[0])
-    if kind == KIND_INNER_PRODUCT:
-        return batch_inner_product()
-    raise RoutingError("kind %r cannot join a batched unit" % (kind,))
+    return batch_inner_product()
 
 
 class RoutingError(ValueError):
@@ -355,14 +356,13 @@ class QueryRouter:
         descriptor = unit.descriptors[0]
         kind = descriptor.kind
         if unit.batched:
-            kinds = {q.kind for q in unit.descriptors}
-            if kinds == {KIND_RANGE_SUM}:
-                return BatchRangeSumProver(field, u, freq_a=table(0))
             for q in unit.descriptors:
-                _to_batch_query(q)  # raises RoutingError on a bad mix
+                to_batch_query(q)  # raises RoutingError on a bad mix
             return BatchedSumcheckEngine(
                 field, u, freq_a=table(0),
-                freq_b=table(1) if KIND_INNER_PRODUCT in kinds else None,
+                freq_b=table(1) if any(
+                    q.kind == KIND_INNER_PRODUCT for q in unit.descriptors
+                ) else None,
             )
         if kind == KIND_RANGE_SUM:
             return RangeSumProver(field, u, freq_a=table(0))
@@ -415,11 +415,7 @@ class QueryRouter:
         descriptor = unit.descriptors[0]
         kind = descriptor.kind
         if unit.batched:
-            kinds = {q.kind for q in unit.descriptors}
-            if kinds == {KIND_RANGE_SUM}:
-                queries = [q.params for q in unit.descriptors]
-                return run_batch_range_sum(prover, verifier, queries, ch)
-            batch = [_to_batch_query(q) for q in unit.descriptors]
+            batch = [to_batch_query(q) for q in unit.descriptors]
             return run_batched_sumcheck(prover, verifier, batch, ch)
         if kind == KIND_POINT_LOOKUP:
             return index_query(prover, verifier, descriptor.params[0], ch)

@@ -37,6 +37,7 @@ from repro.service.router import (
     KIND_SUCCESSOR,
     QueryDescriptor,
     RoutingError,
+    to_batch_query,
 )
 
 #: Replayed updates per T_REPLAY_DATA frame.
@@ -527,8 +528,25 @@ class ProverServer:
                 raise ServiceError("query open carried no descriptors")
             if batched and len(descriptors) < 2:
                 raise ServiceError("a batched unit needs >= 2 descriptors")
+            if not batched and len(descriptors) > 1:
+                raise ServiceError(
+                    "a single-shot unit carries one descriptor, got %d"
+                    % len(descriptors)
+                )
             active = self.registry.open_query(session_id, descriptors,
                                               batched)
+            if batched:
+                # The open frame is the batch announcement: the prover
+                # (as wrapped) gets its members here, not in a later call.
+                try:
+                    active.prover.receive_batch(
+                        [to_batch_query(q) for q in descriptors]
+                    )
+                except Exception:
+                    # No ack will carry the reference: nobody could
+                    # close this query but us.
+                    session.close_query(active.ref)
+                    raise
             return [
                 sp.pack_frame(
                     sp.T_QUERY_ACK,
@@ -637,23 +655,6 @@ class ProverServer:
             if len(args) != 2:
                 raise ServiceError("receive_randomness takes (r, s)")
             prover.receive_randomness(args[0], args[1])
-            return []
-        if method == sp.M_RECEIVE_QUERIES:
-            if len(args) % 2 != 0:
-                raise ServiceError("batched queries come as (lo, hi) pairs")
-            queries = [
-                (args[t], args[t + 1]) for t in range(0, len(args), 2)
-            ]
-            prover.receive_queries(queries)
-            return []
-        if method == sp.M_RECEIVE_BATCH:
-            from repro.core.multiquery import BatchQuery
-
-            try:
-                batch = BatchQuery.parse_many(args)
-            except ValueError as exc:
-                raise ServiceError("bad batch query words: %s" % exc) from exc
-            prover.receive_batch(batch)
             return []
         if method == sp.M_ROUND_MESSAGES:
             out: List[int] = []

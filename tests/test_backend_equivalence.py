@@ -610,15 +610,16 @@ def run_batch_with(backend_name):
     stream = uniform_frequency_stream(128, max_frequency=25,
                                       rng=random.Random(97))
     point = F.rand_vector(random.Random(101), 7)
+    backend = get_backend(F, backend_name)
     verifier = RangeSumVerifier(F, 128, point=point)
-    prover = RangeSumProver(F, 128)
+    prover = RangeSumProver(F, 128, backend=backend)
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process_a(i, delta)
     ch = Channel()
     results = run_batch_range_sum(
         prover, verifier, [(0, 30), (31, 90), (5, 127), (64, 64)],
-        ch, backend=get_backend(F, backend_name),
+        ch, backend=backend,
     )
     assert all(r.accepted for r in results)
     return results, ch

@@ -9,7 +9,9 @@ byte, so this suite is the engine's spec:
   a transcript byte-identical to the corresponding standalone one-query
   run (same verifier point, same challenges), on both the scalar and the
   vectorized backend, including the empty-batch and single-query
-  degenerate paths;
+  degenerate paths.  The standalone reference of a RANGE-SUM member is
+  the dense-indicator oracle (``dense_oracle.DenseRangeSumProver``), not
+  the library's own range prover — that one *is* this engine;
 * *adversarial* — a prover cheating on exactly one query inside a mixed
   batch is rejected for that query while the honest members of the same
   batch still verify (the Section 7 direct-sum guarantee, per query).
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import DenseRangeSumProver
 from repro.adversary.cheating_provers import PerQueryCheatingBatchEngine
 from repro.comm.channel import Channel
 from repro.core.f2 import F2Prover, F2Verifier, run_f2
@@ -38,7 +41,6 @@ from repro.core.multiquery import (
     BATCH_KIND_INNER_PRODUCT,
     BATCH_KIND_RANGE_SUM,
     BatchQuery,
-    BatchRangeSumProver,
     BatchedSumcheckEngine,
     BatchedSumcheckVerifier,
     batch_f2,
@@ -95,11 +97,9 @@ def batch_case():
 # -- harness helpers -----------------------------------------------------------
 
 
-def build_batch_session(backend_name, u, updates_a, updates_b, point,
-                        range_fold=None):
+def build_batch_session(backend_name, u, updates_a, updates_b, point):
     backend = get_backend(F, backend_name)
-    engine = BatchedSumcheckEngine(F, u, backend=backend,
-                                   range_fold=range_fold)
+    engine = BatchedSumcheckEngine(F, u, backend=backend)
     verifier = BatchedSumcheckVerifier(F, u, point=point)
     for i, delta in updates_a:
         engine.process(i, delta)
@@ -138,7 +138,8 @@ def run_standalone(query, backend_name, u, updates_a, updates_b, point):
             prover.process_b(i, delta)
             verifier.process_b(i, delta)
         return run_inner_product(prover, verifier, channel), channel
-    prover = RangeSumProver(F, u, backend=backend)
+    # RANGE-SUM: explicit b + the inner-product prover, not the engine.
+    prover = DenseRangeSumProver(F, u, backend=backend)
     verifier = RangeSumVerifier(F, u, point=point)
     for i, delta in updates_a:
         prover.process(i, delta)
@@ -262,12 +263,11 @@ def test_batched_transcripts_identical_across_backends(case):
     assert values["scalar"] == values["vectorized"]
 
 
-# -- dyadic vs dense indicator folds -------------------------------------------
+# -- the dyadic fold against the dense oracle ----------------------------------
 #
 # The structured dyadic RANGE-SUM representation (O(log u) canonical
 # nodes per query) must be *indistinguishable on the wire* from the
-# dense Q×u indicator stack it replaced — the dense path stays behind
-# REPRO_RANGE_FOLD=dense exactly so these tests can keep pinning it.
+# explicit u-entry indicator it replaced.
 
 
 def range_mix_strategy(u):
@@ -288,7 +288,7 @@ def range_mix_strategy(u):
     )
 
 
-def dyadic_dense_case():
+def range_heavy_case():
     return st.integers(3, 7).flatmap(
         lambda log_u: st.tuples(
             st.just(1 << log_u),
@@ -299,45 +299,38 @@ def dyadic_dense_case():
     )
 
 
-def _run_fold_mode(backend_name, u, updates_a, queries, point, range_fold):
+def assert_batch_equals_the_oracle(backend_name, u, updates_a, queries,
+                                   point):
+    """Every member of the batch sends what its standalone run sends —
+    for a RANGE-SUM member that is the dense oracle's run."""
     engine, verifier, backend = build_batch_session(
-        backend_name, u, updates_a, [], point, range_fold=range_fold
+        backend_name, u, updates_a, [], point
     )
     channel = Channel()
     results = run_batched_sumcheck(engine, verifier, queries, channel,
                                    backend=backend)
-    return results, channel
+    for idx, query in enumerate(queries):
+        single_result, single_channel = run_standalone(
+            query, backend_name, u, updates_a, [], point
+        )
+        assert single_result.accepted and results[idx].accepted
+        assert single_result.value == results[idx].value
+        assert per_query_view(channel, idx) == \
+            standalone_view(single_channel), query.name
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(case=dyadic_dense_case())
+@given(case=range_heavy_case())
 def test_dyadic_fold_transcripts_byte_identical_to_dense(backend_name, case):
-    """Dyadic and dense indicator representations commit identical round
-    messages — whole transcripts byte-for-byte, results equal — across
-    random (lo, hi) mixes, on either backend."""
+    """The engine's dyadic members and the dense oracle commit identical
+    round messages across random (lo, hi) mixes, on either backend."""
     u, updates_a, queries, seed = case
     d = (u - 1).bit_length()
     point = F.rand_vector(random.Random(seed), d)
-    dyadic, ch_dyadic = _run_fold_mode(
-        backend_name, u, updates_a, queries, point, "dyadic"
-    )
-    dense, ch_dense = _run_fold_mode(
-        backend_name, u, updates_a, queries, point, "dense"
-    )
-    assert ch_dyadic.transcript.messages == ch_dense.transcript.messages
-    assert [r.value for r in dyadic] == [r.value for r in dense]
-    assert all(r.accepted for r in dyadic)
-    # ...and both agree with the standalone scalar reference runs.
-    for idx, query in enumerate(queries):
-        single_result, single_channel = run_standalone(
-            query, "scalar", u, updates_a, [], point
-        )
-        assert single_result.accepted
-        assert single_result.value == dyadic[idx].value
-        assert per_query_view(ch_dyadic, idx) == \
-            standalone_view(single_channel), query.name
+    assert_batch_equals_the_oracle(backend_name, u, updates_a, queries,
+                                   point)
 
 
 EDGE_RANGE_CASES = [
@@ -354,68 +347,15 @@ EDGE_RANGE_CASES = [
 @pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("name,make_range", EDGE_RANGE_CASES,
                          ids=[n for n, _ in EDGE_RANGE_CASES])
-def test_dyadic_fold_edge_ranges_match_dense_and_standalone(
-    backend_name, name, make_range
-):
+def test_dyadic_fold_edge_ranges_match_dense(backend_name, name, make_range):
     u = 64
-    lo, hi = make_range(u)
     rng = random.Random(11)
     updates_a = [(rng.randrange(u), rng.randrange(-2, 6)) for _ in range(70)]
     point = F.rand_vector(random.Random(12), 6)
-    queries = [batch_range_sum(lo, hi), batch_f2()]
-    dyadic, ch_dyadic = _run_fold_mode(
-        backend_name, u, updates_a, queries, point, "dyadic"
+    assert_batch_equals_the_oracle(
+        backend_name, u, updates_a,
+        [batch_range_sum(*make_range(u)), batch_f2()], point,
     )
-    dense, ch_dense = _run_fold_mode(
-        backend_name, u, updates_a, queries, point, "dense"
-    )
-    assert ch_dyadic.transcript.messages == ch_dense.transcript.messages
-    assert all(r.accepted for r in dyadic)
-    assert [r.value for r in dyadic] == [r.value for r in dense]
-    single_result, single_channel = run_standalone(
-        queries[0], "scalar", u, updates_a, [], point
-    )
-    assert single_result.accepted
-    assert per_query_view(ch_dyadic, 0) == standalone_view(single_channel)
-
-
-def test_range_fold_env_knob_selects_representation(monkeypatch):
-    """REPRO_RANGE_FOLD drives the engine-internal representation (the
-    constructor argument wins over the env); bad values are rejected."""
-    from repro.core.multiquery import range_fold_mode
-
-    monkeypatch.delenv("REPRO_RANGE_FOLD", raising=False)
-    assert range_fold_mode() == "dyadic"
-    monkeypatch.setenv("REPRO_RANGE_FOLD", "dense")
-    assert range_fold_mode() == "dense"
-    engine = BatchedSumcheckEngine(F, 16)
-    engine.receive_batch([batch_range_sum(2, 9)])
-    assert engine._dyadic is None  # env said dense
-    forced = BatchedSumcheckEngine(F, 16, range_fold="dyadic")
-    forced.receive_batch([batch_range_sum(2, 9)])
-    assert forced._dyadic is not None  # argument beats the env
-    monkeypatch.setenv("REPRO_RANGE_FOLD", "nonsense")
-    with pytest.raises(ValueError, match="range fold"):
-        BatchedSumcheckEngine(F, 16).receive_batch([batch_range_sum(0, 3)])
-    with pytest.raises(ValueError):
-        BatchedSumcheckEngine(F, 16, range_fold="nonsense")
-
-
-def test_wrapping_a_range_sum_prover_snapshots_its_vector():
-    """Regression: from_range_sum_prover used to alias the wrapped
-    prover's freq_a by reference, so updates streamed into the original
-    prover after wrapping silently mutated the engine's table."""
-    u = 32
-    prover = RangeSumProver(F, u)
-    prover.process_stream([(1, 4), (7, 2), (20, 1)])
-    engine = BatchRangeSumProver.from_range_sum_prover(prover)
-    assert engine.true_answer(0, u - 1) == 7
-    # The wrapped prover keeps streaming: the engine must not see it...
-    prover.process(7, 10)
-    assert engine.true_answer(0, u - 1) == 7
-    # ...and the engine's own updates must not leak back.
-    engine.process(2, 5)
-    assert prover.freq_a[2] == 0
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -453,9 +393,9 @@ def test_single_query_batch_matches_standalone(backend_name, query):
     assert per_query_view(channel, 0) == standalone_view(single_channel)
 
 
-def test_wrapped_range_sum_path_unchanged():
-    """run_batch_range_sum still wraps a plain RangeSumProver onto the
-    engine, with the original transcript shape."""
+def test_range_sum_prover_is_a_batch_engine():
+    """run_batch_range_sum drives a plain RangeSumProver as the engine it
+    is — same transcript as announcing the members to a bare engine."""
     u = 64
     rng = random.Random(9)
     updates = [(rng.randrange(u), rng.randrange(1, 5)) for _ in range(50)]
@@ -470,7 +410,7 @@ def test_wrapped_range_sum_path_unchanged():
                                   channel)
     assert all(r.accepted for r in results)
 
-    engine = BatchRangeSumProver(F, u)
+    engine = BatchedSumcheckEngine(F, u)
     engine.process_stream(updates)
     verifier2 = RangeSumVerifier(F, u, point=point)
     verifier2.process_stream(updates)
@@ -483,10 +423,29 @@ def test_wrapped_range_sum_path_unchanged():
     assert [r.value for r in results] == [r.value for r in direct]
 
 
+def test_driver_never_reveals_the_last_challenge():
+    """r_d is the verifier's alone: the prover is folded d - 1 times, as
+    by the standalone drivers, and the channel records d - 1 reveals."""
+    engine, verifier, _ = build_batch_session(
+        "scalar", 32, [(3, 2), (9, 1)], [], F.rand_vector(random.Random(1), 5)
+    )
+    seen = []
+    fold = engine.receive_challenge
+    engine.receive_challenge = lambda r: (seen.append(r), fold(r))[1]
+    channel = Channel()
+    results = run_batched_sumcheck(
+        engine, verifier, [batch_f2(), batch_range_sum(1, 20)], channel
+    )
+    assert all(r.accepted for r in results)
+    assert seen == list(verifier.r[:-1])
+    assert [m.payload[0] for m in channel.transcript.messages
+            if m.label.startswith("r")] == seen
+
+
 # -- validation ----------------------------------------------------------------
 
 
-def test_batch_query_validation_and_words():
+def test_batch_query_validation():
     with pytest.raises(ValueError):
         BatchQuery(99, ())
     with pytest.raises(ValueError):
@@ -495,15 +454,7 @@ def test_batch_query_validation_and_words():
         batch_range_sum(5, 4)
     with pytest.raises(ValueError):
         BatchQuery(BATCH_KIND_F2, (1,))
-    queries = [batch_f2(), batch_fk(3), batch_inner_product(),
-               batch_range_sum(2, 9)]
-    words = []
-    for q in queries:
-        words.extend(q.to_words())
-    assert BatchQuery.parse_many(words) == queries
-    with pytest.raises(ValueError):
-        BatchQuery.parse_many(words[:-1])  # truncated params
-    assert queries[1].degree == 3 and queries[3].degree == 2
+    assert batch_fk(3).degree == 3 and batch_range_sum(2, 9).degree == 2
 
 
 def test_engine_validates_usage():

@@ -361,7 +361,9 @@ def test_rate_limited_session_backs_off_and_completes(reference):
     """A token-bucket squeeze slows the conversation down but does not
     change a single transcript byte: refused frames were never
     processed, so the resend continues exactly where the protocol was."""
-    srv = ProverServer(F, rate_limit=(300.0, 8.0))
+    # Burst 2 against the workload's 9 limited frames: a refusal is
+    # certain unless the conversation takes > 23 ms (it takes 4-7).
+    srv = ProverServer(F, rate_limit=(300.0, 2.0))
     handle = srv.serve_in_thread()
     try:
         outcomes, client = run_workload(

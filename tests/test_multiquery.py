@@ -9,8 +9,9 @@ import pytest
 from repro.comm.channel import Channel, flip_word
 from repro.core.f2 import F2Verifier
 from repro.core.multiquery import (
-    BatchRangeSumProver,
+    BatchedSumcheckEngine,
     IndependentCopies,
+    batch_range_sum,
     run_batch_range_sum,
 )
 from repro.core.range_sum import RangeSumProver, RangeSumVerifier
@@ -42,10 +43,10 @@ def test_batch_all_queries_verified():
         assert result.value == stream.range_sum(lo, hi) % F.p
 
 
-def test_batch_engine_prover_matches_wrapped_run():
-    """Driving a streamed BatchRangeSumProver directly produces the same
-    transcript as wrapping a RangeSumProver — the seam the service's
-    remote proxy stands behind."""
+def test_batch_engine_prover_matches_range_sum_prover_run():
+    """Driving a streamed bare engine produces the same transcript as
+    driving a RangeSumProver — the seam the service's remote proxy
+    stands behind."""
     stream = uniform_frequency_stream(64, max_frequency=9,
                                       rng=random.Random(4))
     queries = [(0, 10), (5, 40), (63, 63)]
@@ -53,7 +54,7 @@ def test_batch_engine_prover_matches_wrapped_run():
     ch_wrapped = Channel()
     wrapped = run_batch_range_sum(prover, verifier, queries, ch_wrapped)
 
-    engine = BatchRangeSumProver(F, stream.u)
+    engine = BatchedSumcheckEngine(F, stream.u)
     engine.process_stream(stream.updates())
     verifier2 = RangeSumVerifier(F, stream.u, rng=random.Random(9))
     verifier2.process_stream(stream.updates())
@@ -66,13 +67,13 @@ def test_batch_engine_prover_matches_wrapped_run():
 
 
 def test_batch_engine_validates_usage():
-    engine = BatchRangeSumProver(F, 64)
+    engine = BatchedSumcheckEngine(F, 64)
     with pytest.raises(RuntimeError):
         engine.round_messages()
     with pytest.raises(RuntimeError):
         engine.receive_challenge(3)
     with pytest.raises(ValueError):
-        engine.receive_queries([(5, 90)])
+        engine.receive_batch([batch_range_sum(5, 90)])
     with pytest.raises(ValueError):
         engine.process(64, 1)
 

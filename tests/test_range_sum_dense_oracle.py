@@ -1,12 +1,9 @@
-"""The dense range indicator, kept as the oracle for RANGE-SUM.
+"""The standalone RANGE-SUM prover against the dense-indicator oracle.
 
-Until the standalone :class:`~repro.core.range_sum.RangeSumProver` moved
-onto the dyadic fold it *was* this: an INNER-PRODUCT prover whose b is
-the explicit u-entry indicator of the query range.  That construction is
-the textbook statement of the protocol (Section 3.2), so it stays here
-as the reference: the dyadic prover must send the same words — every
-round message, every transcript, on both backends and through the
-service wire.
+Until :class:`~repro.core.range_sum.RangeSumProver` moved onto the
+dyadic fold it *was* ``dense_oracle.DenseRangeSumProver``.  The dyadic
+prover must send the same words — every round message, every
+transcript, on both backends and through the service wire.
 """
 
 from __future__ import annotations
@@ -16,8 +13,9 @@ import tracemalloc
 
 import pytest
 
+from dense_oracle import DenseRangeSumProver
 from repro.comm.channel import Channel
-from repro.core.inner_product import InnerProductProver
+from repro.core.multiquery import BatchedSumcheckEngine, batch_range_sum
 from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY, get_backend
@@ -27,17 +25,6 @@ BACKENDS = ["scalar"] + (["vectorized"] if HAVE_NUMPY else [])
 
 #: Universe sizes: a power of two and one that pads (100 -> 128).
 UNIVERSES = [64, 100]
-
-
-class DenseRangeSumProver(InnerProductProver):
-    """RANGE-SUM with b materialised at query time."""
-
-    process = InnerProductProver.process_a
-
-    def receive_query(self, lo: int, hi: int) -> None:
-        b = [0] * self.size
-        b[lo : hi + 1] = [1] * (hi - lo + 1)
-        self.set_b_vector(b)
 
 
 def range_cases(size):
@@ -114,22 +101,39 @@ def test_transcripts_equal_the_dense_oracle(backend_name, u, case):
     assert transcripts[0] == transcripts[1]
 
 
-def test_the_indicator_is_never_materialised(monkeypatch):
-    """Not at receive_query, not at begin_proof, and not even when the
-    batched engine is told to keep its dense reference stack."""
-    monkeypatch.setenv("REPRO_RANGE_FOLD", "dense")
-    prover = RangeSumProver(F, 1 << 12)
+def test_the_indicator_is_never_materialised():
+    """Not at receive_query, not at begin_proof, and not by a batched
+    unit either: nothing of size u is allocated for a range."""
+    size = 1 << 12
+    prover = RangeSumProver(F, size)
     tracemalloc.start()
-    prover.receive_query(1, (1 << 12) - 2)
+    prover.receive_query(1, size - 2)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert peak < 1 << 12  # bytes: nothing of size u, not even briefly
+    assert peak < size  # bytes: nothing of size u, not even briefly
     assert prover._a_table is None
     prover.begin_proof()
     assert prover._b_table is None and prover._freq_b is None
-    assert prover._b_stack is None and prover._b_tables is None
     (indicator,) = prover._dyadic
     assert len(indicator.nodes) <= 2 * prover.d
+
+    # The engine's a-table is built once per batch; on top of it, four
+    # more range members cost O(log u) nodes each — far below one
+    # u-entry indicator (>= 8 bytes a word), let alone four.
+    ranges = [(1, size - 2), (0, size - 1), (5, 5), (17, 3000)]
+
+    def batch_peak(members):
+        engine = BatchedSumcheckEngine(F, size)
+        tracemalloc.start()
+        engine.receive_batch([batch_range_sum(*r) for r in members])
+        engine.round_messages()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert engine._b_table is None and engine._freq_b is None
+        return peak
+
+    assert batch_peak(ranges + ranges[:1]) - batch_peak(ranges[:1]) \
+        < 8 * size
 
 
 def test_proof_needs_a_query_first():

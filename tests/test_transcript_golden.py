@@ -1,0 +1,290 @@
+"""Golden transcripts: absolute bytes, pinned across commits.
+
+Every other transcript suite is differential (batched == standalone,
+scalar == vectorized, wire == in-process), so a refactor that moved all
+of them together would pass.  This file pins, per protocol and per
+backend, ``sha256(encode_transcript(...))`` of one fixed-seed run plus
+the verified value and the verifier's space — generated at commit
+a5e7b64 (``python tests/test_transcript_golden.py`` prints the table).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from repro.comm.channel import Channel, flip_word
+from repro.comm.wire import encode_transcript
+from repro.core.f2 import F2Prover, F2Verifier, run_f2
+from repro.core.f2_general import (
+    GeneralF2Prover,
+    GeneralF2Verifier,
+    run_general_f2,
+)
+from repro.core.fk import FkProver, FkVerifier, run_fk
+from repro.core.frequency_based import (
+    FrequencyBasedProver,
+    FrequencyBasedVerifier,
+    default_phi,
+    run_frequency_based,
+)
+from repro.core.inner_product import (
+    InnerProductProver,
+    InnerProductVerifier,
+    run_inner_product,
+)
+from repro.core.multiquery import (
+    BatchedSumcheckEngine,
+    BatchedSumcheckVerifier,
+    batch_f2,
+    batch_fk,
+    batch_inner_product,
+    batch_range_sum,
+    run_batch_range_sum,
+    run_batched_sumcheck,
+)
+from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
+from repro.field.modular import DEFAULT_FIELD as F
+from repro.field.vectorized import HAVE_NUMPY, get_backend
+from repro.service import (
+    ProverServer,
+    ServiceClient,
+    f2,
+    fk,
+    inner_product,
+    range_sum,
+)
+
+BACKENDS = ["scalar"] + (["vectorized"] if HAVE_NUMPY else [])
+
+U = 64
+
+
+def _updates(seed, u=U, n=80):
+    rng = random.Random(seed)
+    return [(rng.randrange(u), rng.randrange(1, 6)) for _ in range(n)]
+
+
+UPDATES_A = _updates(101)
+UPDATES_B = _updates(102, n=40)
+
+
+def _digest(transcript) -> str:
+    return hashlib.sha256(encode_transcript(F, transcript)).hexdigest()
+
+
+def _single(result, channel):
+    return _digest(channel.transcript), result.value, \
+        result.verifier_space_words
+
+
+def _batch(results, channel):
+    return (_digest(channel.transcript), [r.value for r in results],
+            results[0].verifier_space_words)
+
+
+def _feed(updates, *parties):
+    for i, delta in updates:
+        for party in parties:
+            party.process(i, delta)
+
+
+def golden_f2(be, tamper=None):
+    prover = F2Prover(F, U, backend=be)
+    verifier = F2Verifier(F, U, rng=random.Random(1))
+    _feed(UPDATES_A, prover, verifier)
+    channel = Channel(tamper=tamper)
+    return _single(run_f2(prover, verifier, channel), channel)
+
+
+def golden_f2_tampered(be):
+    """A rejected run: pins where the loop stops talking."""
+    return golden_f2(be, tamper=flip_word(2))
+
+
+def golden_fk(be):
+    prover = FkProver(F, U, 3, backend=be)
+    verifier = FkVerifier(F, U, 3, rng=random.Random(2))
+    _feed(UPDATES_A, prover, verifier)
+    channel = Channel()
+    return _single(run_fk(prover, verifier, channel), channel)
+
+
+def golden_inner_product(be):
+    prover = InnerProductProver(F, U, backend=be)
+    verifier = InnerProductVerifier(F, U, rng=random.Random(3))
+    for i, delta in UPDATES_A:
+        prover.process_a(i, delta)
+        verifier.process_a(i, delta)
+    for i, delta in UPDATES_B:
+        prover.process_b(i, delta)
+        verifier.process_b(i, delta)
+    channel = Channel()
+    return _single(run_inner_product(prover, verifier, channel), channel)
+
+
+def golden_range_sum(be):
+    prover = RangeSumProver(F, U, backend=be)
+    verifier = RangeSumVerifier(F, U, rng=random.Random(4))
+    _feed(UPDATES_A, prover, verifier)
+    channel = Channel()
+    return _single(run_range_sum(prover, verifier, 5, 40, channel), channel)
+
+
+def golden_general_f2(be):
+    u = 50  # not a power of three: the padded grid is 81
+    prover = GeneralF2Prover(F, u, 3)
+    verifier = GeneralF2Verifier(F, u, 3, rng=random.Random(5))
+    _feed(_updates(103, u=u), prover, verifier)
+    channel = Channel()
+    return _single(run_general_f2(prover, verifier, channel), channel)
+
+
+def golden_frequency_based(be):
+    phi = default_phi(U)
+    prover = FrequencyBasedProver(F, U, phi, backend=be)
+    verifier = FrequencyBasedVerifier(F, U, phi, rng=random.Random(6))
+    _feed(UPDATES_A, prover, verifier)
+    channel = Channel()
+    result = run_frequency_based(
+        prover, verifier, lambda x: 0 if x == 0 else 1, channel
+    )
+    return _single(result, channel)
+
+
+def golden_batch_range_sum(be):
+    prover = RangeSumProver(F, U, backend=be)
+    verifier = RangeSumVerifier(F, U, rng=random.Random(7))
+    _feed(UPDATES_A, prover, verifier)
+    channel = Channel()
+    results = run_batch_range_sum(
+        prover, verifier, [(0, 9), (10, 63), (7, 7)], channel, backend=be
+    )
+    return _batch(results, channel)
+
+
+MIXED = [batch_range_sum(2, 50), batch_f2(), batch_fk(3),
+         batch_inner_product(), batch_range_sum(0, 63)]
+
+
+def golden_mixed_batch(be):
+    engine = BatchedSumcheckEngine(F, U, backend=be)
+    verifier = BatchedSumcheckVerifier(F, U, rng=random.Random(8))
+    for i, delta in UPDATES_A:
+        engine.process(i, delta)
+        verifier.process_a(i, delta)
+    for i, delta in UPDATES_B:
+        engine.process_b(i, delta)
+        verifier.process_b(i, delta)
+    channel = Channel()
+    results = run_batched_sumcheck(engine, verifier, MIXED, channel,
+                                   backend=be)
+    return _batch(results, channel)
+
+
+def _through_a_server(descriptors, pool_key, seed):
+    handle = ProverServer(F).serve_in_thread()
+    try:
+        with ServiceClient(*handle.address, F, U, dataset_id=1,
+                           rng=random.Random(seed)) as client:
+            client.provision(pool_key, 1)
+            client.send_updates(UPDATES_A)
+            client.send_updates(UPDATES_B, vector=1)
+            outcomes = client.query(*descriptors)
+    finally:
+        handle.stop()
+    assert len({id(o.transcript) for o in outcomes}) == 1  # one unit
+    return (_digest(outcomes[0].transcript),
+            [o.result.value for o in outcomes],
+            outcomes[0].result.verifier_space_words)
+
+
+def golden_mixed_batch_over_the_wire(be):
+    return _through_a_server(
+        [range_sum(2, 50), f2(), fk(3), inner_product(), range_sum(0, 63)],
+        ("batch",), seed=9,
+    )
+
+
+def golden_range_batch_over_the_wire(be):
+    return _through_a_server(
+        [range_sum(0, 9), range_sum(10, 63), range_sum(7, 7)],
+        ("range-sum",), seed=10,
+    )
+
+
+SCENARIOS = {
+    "f2": golden_f2,
+    "f2-tampered": golden_f2_tampered,
+    "fk3": golden_fk,
+    "inner-product": golden_inner_product,
+    "range-sum": golden_range_sum,
+    "general-f2-ell3": golden_general_f2,
+    "frequency-based-f0": golden_frequency_based,
+    "batch-range-sum": golden_batch_range_sum,
+    "mixed-batch": golden_mixed_batch,
+    "mixed-batch-wire": golden_mixed_batch_over_the_wire,
+    "range-batch-wire": golden_range_batch_over_the_wire,
+}
+
+#: name -> (sha256 of the encoded transcript, value(s), verifier words);
+#: the same on both backends.
+GOLDEN = {
+    "batch-range-sum": (
+        "e1e2f0c4b4aef10074a8017418e7311b254550ebb5805304d44ae05a7ff7607d",
+        [43, 187, 7], 22),
+    "f2": (
+        "861bd548951c62548e3697aefe7c77d51adb614c364fc2c1ff490beee28346d1",
+        1510, 12),
+    "f2-tampered": (
+        "ae2f45a3756e0a11b8884ce2655f119d0c78aca200bc7f5fbc2c39731ece9ab6",
+        None, 12),
+    "fk3": (
+        "cf30a55d9a770ef25a9fb6a8f7e64b746cf617cf90e3aaa949cf6432b5506820",
+        11780, 13),
+    "frequency-based-f0": (
+        "fd9b8dbdd10cd67b06a138dfbf3cc5ff518d7c699e71224ea5890a2b495e0060",
+        46, 103),
+    "general-f2-ell3": (
+        "5a7d34b73d23f71d380c7a05bbb834b7620ad1b386909c69e5c5330b69e73187",
+        2032, 12),
+    "inner-product": (
+        "cb27342feb159f8218f1996ccf782cee6d52af052f58a269c1871bedc594b4e1",
+        456, 13),
+    "mixed-batch": (
+        "96f1b368edd7d9382f78892582c7e285de4c1ad2058a83f658dbd3b16722646e",
+        [182, 1510, 11780, 456, 230], 34),
+    "mixed-batch-wire": (
+        "e7b8e2e02aadc3958c8fb6966c11f07ca3b582c09d73ef6a3b4bdf48c39e812e",
+        [182, 1510, 11780, 456, 230], 34),
+    "range-batch-wire": (
+        "b6f6acbf14f50be6da48a69f9f3c8b93e41b7be954a955e3880ed4fd54039325",
+        [43, 187, 7], 22),
+    "range-sum": (
+        "c1ff793b21449f2b87777c69aa22983c83af63138274240cae041f82b849b9d6",
+        136, 13),
+}
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_transcript_bytes_are_the_golden_ones(monkeypatch, name,
+                                              backend_name):
+    # The env var reaches the parties that take no backend argument
+    # (streaming LDEs, the server's provers).
+    monkeypatch.setenv("REPRO_BACKEND", backend_name)
+    assert SCENARIOS[name](get_backend(F, backend_name)) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import os
+
+    for _name in sorted(SCENARIOS):
+        rows = set()
+        for _backend in BACKENDS:
+            os.environ["REPRO_BACKEND"] = _backend
+            rows.add(repr(SCENARIOS[_name](get_backend(F, _backend))))
+        assert len(rows) == 1, (_name, rows)
+        print("    %r: %s," % (_name, rows.pop()))

@@ -223,33 +223,6 @@ def test_stack_row_ops_match_scalar(setup):
         sb.row_weighted_sums(sb.stack(rows), weights)
 
 
-def test_rows_dot_matches_row_weighted_sums(setup):
-    field, be, xs, ys = setup
-    sb = ScalarBackend(field)
-    rows = [
-        [x % field.p for x in xs[k * 16:(k + 1) * 16]] for k in range(4)
-    ]
-    weights = [y % field.p for y in ys[:16]]
-    assert be.rows_dot(be.stack(rows), be.asarray(weights)) == \
-        sb.rows_dot(sb.stack(rows), weights)
-    assert sb.rows_dot(sb.stack(rows), weights) == \
-        sb.row_weighted_sums(sb.stack(rows), weights)
-
-
-def test_rows_dot_chunking_is_exact(monkeypatch):
-    import repro.field.vectorized as vec
-
-    field = PrimeField(MERSENNE_61, check_prime=False)
-    be = VectorizedField(field)
-    monkeypatch.setattr(vec, "_DOT_CHUNK", 8)
-    rng = random.Random(3)
-    rows = [[rng.randrange(field.p) for _ in range(100)] for _ in range(5)]
-    weights = [rng.randrange(field.p) for _ in range(100)]
-    assert be.rows_dot(be.stack(rows), be.asarray(weights)) == [
-        sum(x * w for x, w in zip(row, weights)) % field.p for row in rows
-    ]
-
-
 def test_dot_limb_path_matches_reference(setup):
     field, be, xs, ys = setup
     a = [x % field.p for x in xs]

@@ -42,6 +42,7 @@ from repro.service import (
     successor,
 )
 from repro.service.client import NO_RETRY, RetryPolicy
+from repro.service.router import RoutingError, to_batch_query
 
 U = 64
 D = pow2_dimension(U)
@@ -66,21 +67,24 @@ REQUESTS = {
 }
 
 #: Round trips of a chained query, from the drivers' call order: open +
-#: close + one per replying call, + one flush where the driver ends on a
-#: void call (the batched driver reveals r_d too).
+#: close + one per replying call.  Every driver ends on a replying call
+#: (r_d is never revealed), and a batch is announced by its open frame.
 ROUND_TRIPS = {
     "f2": D + 2,
     "fk": D + 2,
     "range-sum": D + 2,
     "inner-product": D + 2,
     "heavy-hitters": D + 2,
-    "batch-range-sum": D + 3,
-    "batch-mixed": D + 3,
+    "batch-range-sum": D + 2,
+    "batch-mixed": D + 2,
 }
+
+#: The opcodes that used to announce a batch to its prover.
+RETIRED_OPCODES = (0x0A, 0x0C)
 
 _PROVER_STEPS = frozenset([
     "begin_proof", "round_message", "round_messages", "receive_challenge",
-    "receive_query", "receive_queries", "receive_batch",
+    "receive_query", "receive_batch",
     "receive_randomness", "answer_entries", "level0_siblings",
     "claim_predecessor", "claim_successor", "claim_kth_largest",
 ])
@@ -220,10 +224,46 @@ def test_chained_equals_unchained_equals_in_process(recording, name):
     assert frames <= 2 * (D + 4)
     if name in ROUND_TRIPS:
         assert frames == 2 * ROUND_TRIPS[name]
-        assert plain[0].cost.frames >= 2 * (2 * D + 2)
+        # Unchained: open, close, d commits and d - 1 reveals at least.
+        assert plain[0].cost.frames >= 2 * (2 * D + 1)
     wire = chained[0].cost.bytes_sent + chained[0].cost.bytes_received
     plain_wire = plain[0].cost.bytes_sent + plain[0].cost.bytes_received
     assert wire <= plain_wire
+
+
+class ProxyKeepingClient(ServiceClient):
+    proxies = ()
+
+    def _make_proxy(self, unit, ref):
+        proxy = super()._make_proxy(unit, ref)
+        self.proxies = (*self.proxies, proxy)
+        return proxy
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_no_call_is_left_deferred_when_the_driver_returns(recording, name):
+    """Every driver ends on a call that replies, so the client needs no
+    flush step after QueryRouter.run."""
+    client, outcomes = over_the_wire(recording.handle.address,
+                                     REQUESTS[name], cls=ProxyKeepingClient)
+    assert all(o.result.accepted for o in outcomes)
+    assert [proxy._deferred for proxy in client.proxies] == [[]]
+
+
+def test_proxy_refuses_a_batch_other_than_the_one_it_opened(recording):
+    """The open frame announced the batch; a driver that then announces
+    another one is stopped locally, before any frame is sent."""
+    descriptors = REQUESTS["batch-mixed"]
+    (unit,) = QueryRouter.plan(descriptors)
+    members = [to_batch_query(q) for q in descriptors]
+    with open_session(recording.handle.address, descriptors) as client:
+        proxy = client._make_proxy(unit, ref=1)
+        frames = client.frames_sent
+        proxy.receive_batch(members)  # the batch it opened: fine
+        for other in (members[:-1], members[::-1], []):
+            with pytest.raises(RoutingError):
+                proxy.receive_batch(other)
+        assert client.frames_sent == frames and proxy._deferred == []
 
 
 def test_parse_calls_reads_a_plain_call_and_a_chain():
@@ -305,6 +345,75 @@ def test_unknown_last_opcode_and_bad_arity_are_typed_errors(recording):
         assert client.reconnects == 0
 
 
+#: Opens whose shape the server must refuse: (batched flag, descriptors).
+REFUSED_OPENS = {
+    "batched with one descriptor": (1, [range_sum(0, 9)]),
+    "single-shot with several": (0, [range_sum(0, 9), range_sum(10, 63)]),
+    "batched with a worker-pool f2": (1, [range_sum(0, 9), f2(2)]),
+    "batched with a non-sum-check kind": (1, [f2(), point_lookup(7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_OPENS))
+def test_malformed_open_is_a_typed_error_and_opens_nothing(recording, name):
+    batched, descriptors = REFUSED_OPENS[name]
+    words = [batched]
+    for q in descriptors:
+        words.extend(q.to_words())
+    with open_session(recording.handle.address, [f2()], retry=NO_RETRY,
+                      op_timeout=5.0) as client:
+        with pytest.raises(ServiceClientError):
+            client._request(sp.T_QUERY_OPEN, client.session_id,
+                            sp.words_payload(F, words),
+                            expect=sp.T_QUERY_ACK)
+        assert recording.logs.get(client.dataset_id, []) == []
+        session = recording.server.registry.session(client.session_id)
+        assert not session.queries
+        assert client.query(f2())[0].result.accepted
+        assert client.reconnects == 0
+
+
+def test_failed_batch_announcement_releases_the_query(recording):
+    """A batch the prover refuses at open (a range past the padded
+    universe) leaves no query behind: no ack carried its reference."""
+    words = [1, *range_sum(0, 9).to_words(), *range_sum(5, 2 * U).to_words()]
+    with open_session(recording.handle.address, [f2()], retry=NO_RETRY,
+                      op_timeout=5.0) as client:
+        with pytest.raises(ServiceClientError, match="invalid"):
+            client._request(sp.T_QUERY_OPEN, client.session_id,
+                            sp.words_payload(F, words),
+                            expect=sp.T_QUERY_ACK)
+        session = recording.server.registry.session(client.session_id)
+        assert not session.queries
+        assert client.query(f2())[0].result.accepted
+
+
+@pytest.mark.parametrize("opcode", RETIRED_OPCODES)
+def test_retired_batch_opcodes_are_unknown_methods(recording, opcode):
+    descriptors = REQUESTS["batch-range-sum"]
+    with open_session(recording.handle.address, descriptors, retry=NO_RETRY,
+                      op_timeout=5.0) as client:
+        _t, _s, payload = client._request(
+            sp.T_QUERY_OPEN, client.session_id,
+            sp.words_payload(
+                F, [1, *(w for q in descriptors for w in q.to_words())]),
+            expect=sp.T_QUERY_ACK,
+        )
+        ref = sp.parse_words(F, payload)[0]
+        announced = list(recording.logs[client.dataset_id])
+        for words in ([opcode, 0, 9, 10, 63],
+                      [sp.M_CHAIN, opcode, 4, 0, 9, 10, 63,
+                       sp.M_ROUND_MESSAGES, 0]):
+            with pytest.raises(ServiceClientError):
+                raw_call(client, [ref, *words])
+        assert recording.logs[client.dataset_id] == announced
+        client._request(sp.T_QUERY_CLOSE, client.session_id,
+                        sp.words_payload(F, [ref]),
+                        expect=sp.T_QUERY_CLOSE_ACK)
+        assert all(o.result.accepted for o in client.query(*descriptors))
+        assert client.reconnects == 0
+
+
 @settings(max_examples=40)
 @given(
     body=st.lists(st.integers(min_value=0, max_value=F.p - 1), max_size=12),
@@ -312,8 +421,8 @@ def test_unknown_last_opcode_and_bad_arity_are_typed_errors(recording):
         [],
         [sp.M_RECEIVE_QUERY, 2],
         [sp.M_RECEIVE_CHALLENGE, 1],
-        [sp.M_RECEIVE_BATCH, 6],
-        [sp.M_RECEIVE_QUERIES, 4],
+        [RETIRED_OPCODES[0], 4],
+        [RETIRED_OPCODES[1], 6],
         [sp.M_RECEIVE_RANDOMNESS, 2],
     ]),
 )

@@ -38,7 +38,9 @@ from repro.field.vectorized import canonical_table, get_backend
 from repro.lde.streaming import (
     DEFAULT_BLOCK,
     FUSE_LIMIT,
-    split_update_block,
+    StreamSketch,
+    UpdateBlock,
+    iter_blocks,
 )
 
 try:  # NumPy is optional; the scalar reference path needs none of this.
@@ -188,7 +190,7 @@ class HeavyHittersProver:
         self._level += 1
 
 
-class HeavyHittersVerifier:
+class HeavyHittersVerifier(StreamSketch):
     """Streaming state: r, s, the count-augmented root hash, and n."""
 
     def __init__(
@@ -284,54 +286,45 @@ class HeavyHittersVerifier:
             self._fused = groups
         return self._fused
 
-    def process_stream_batched(self, updates, block: int = DEFAULT_BLOCK) -> None:
-        """Fold ``(i, δ)`` updates into (root, n) in vectorized blocks.
+    @property
+    def stream_sketches(self):
+        return (self,)
 
-        Identical results to :meth:`process_stream`; the per-leaf weights
-        of a whole block are a few fused table gathers instead of an O(d)
-        Python loop per update.  Falls back to the scalar loop when the
-        backend is not vectorized.
+    def absorb_block(self, block: UpdateBlock) -> None:
+        """Fold one prepared block into (root, n).
+
+        Identical results to the per-update loop; the per-leaf weights
+        of the block's distinct keys are a few fused table gathers
+        instead of an O(d) Python loop per update.
         """
-        if block < 1:
-            raise ValueError("block size must be positive, got %d" % block)
-        be = self.backend
-        if not getattr(be, "vectorized", False) or self.u > (1 << 62):
-            self.process_stream(updates)
+        if block.keys is None:  # scalar backend: the reference loop
+            self.process_stream(block.pairs)
             return
-        from itertools import islice
+        be = self.backend
+        keys = block.keys
+        acc = None
+        tail = None
+        shift = self.d
+        for span, prod, s_terms in reversed(self._fused_weight_tables()):
+            shift -= span
+            digit = (keys >> shift) & ((1 << span) - 1)
+            a_g = be.take(s_terms, digit)
+            p_g = be.take(prod, digit)
+            if tail is None:
+                acc = a_g
+                tail = p_g
+            else:
+                acc = be.add(acc, be.mul(a_g, tail))
+                tail = be.mul(tail, p_g)
+        contribution = be.dot(be.add(acc, tail), be.asarray(block.deltas))
+        self.root = (self.root + contribution) % self.field.p
+        # n is the exact integer mass, not a residue.
+        self.n += block.total
 
-        p = self.field.p
-        groups = self._fused_weight_tables()
-        shifts = []
-        shift = 0
-        for span, _prod, _acc in groups:
-            shifts.append(shift)
-            shift += span
-        it = iter(updates)
-        while True:
-            chunk = list(islice(it, block))
-            if not chunk:
-                break
-            keys, deltas = split_update_block(be, self.u, chunk)
-            acc = None
-            tail = None
-            for (span, prod, s_terms), sh in zip(
-                reversed(groups), reversed(shifts)
-            ):
-                digit = (keys >> sh) & ((1 << span) - 1)
-                a_g = be.take(s_terms, digit)
-                p_g = be.take(prod, digit)
-                if tail is None:
-                    acc = a_g
-                    tail = p_g
-                else:
-                    acc = be.add(acc, be.mul(a_g, tail))
-                    tail = be.mul(tail, p_g)
-            weights = be.add(acc, tail)
-            self.root = (self.root + be.dot(weights, deltas)) % p
-            # n is exact integer mass; deltas were reduced mod p for the
-            # root update, so re-sum the raw values at Python level.
-            self.n += sum(delta for _i, delta in chunk)
+    def process_stream_batched(self, updates, block: int = DEFAULT_BLOCK) -> None:
+        """Fold ``(i, δ)`` updates into (root, n) block by block."""
+        for prepared in iter_blocks(self.backend, self.u, updates, block):
+            self.absorb_block(prepared)
 
     @property
     def space_words(self) -> int:

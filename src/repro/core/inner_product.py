@@ -109,6 +109,11 @@ class InnerProductVerifier:
         self.lde_b = StreamingLDE(field, self.size, ell=2, point=point)
         self.r = self.lde_a.point
 
+    @property
+    def stream_sketches(self):
+        """Vector 0 streams into ``lde_a``, vector 1 into ``lde_b``."""
+        return (self.lde_a, self.lde_b)
+
     def process_a(self, i: int, delta: int) -> None:
         if not 0 <= i < self.u:
             raise ValueError("key %d outside universe [0, %d)" % (i, self.u))

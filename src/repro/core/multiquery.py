@@ -42,11 +42,7 @@ from repro.field.vectorized import (
     inner_product_round_sums,
 )
 from repro.lde.canonical import chi_at, dyadic_cover, range_indicator_eval
-from repro.lde.streaming import (
-    DEFAULT_BLOCK,
-    StreamingLDE,
-    apply_stream_batched,
-)
+from repro.lde.streaming import DEFAULT_BLOCK, SketchStack
 
 def range_fold_mode() -> str:
     # bench/run.py (frozen) imports this name to print its header; the
@@ -700,6 +696,7 @@ class IndependentCopies:
             verifier_factory(random.Random(rng.getrandbits(64)))
             for _ in range(copies)
         ]
+        self._stack = None  # built by the first process_stream_batched
 
     def process(self, i: int, delta: int) -> None:
         for v in self._fresh:
@@ -710,47 +707,35 @@ class IndependentCopies:
             self.process(i, delta)
 
     def process_stream_batched(self, updates, block: int = DEFAULT_BLOCK) -> None:
-        """One vectorized pass over the stream shared by all copies.
+        """One pass over the stream shared by all copies.
 
-        Verifiers whose *entire* streaming state is their ``.lde`` declare
-        it with the class attribute ``STREAM_STATE_IS_LDE = True`` (the
-        F2/Fk/RANGE-SUM family): each key block is then digitised once
-        and every copy pays only its own table gathers — c copies cost
-        barely more than one.  Copies without the explicit opt-in (e.g.
-        the frequency-based verifier, whose ``process`` also feeds a
-        heavy-hitters sketch) or on a scalar backend fall back to the
+        Verifiers that expose their streaming state as
+        ``stream_sketches`` (the sum-check families, the tree hash,
+        heavy hitters) are rows of one
+        :class:`~repro.lde.streaming.SketchStack`: every block is
+        validated, split and pre-aggregated once and folded into all
+        live copies by one stacked kernel, so c copies cost barely more
+        than one.  Copies that do not (e.g. the frequency-based
+        verifier, whose ``process`` feeds two sketches) take the
         per-update loop; results are identical either way.
         """
         if block < 1:
             raise ValueError("block size must be positive, got %d" % block)
-        ldes = [getattr(v, "lde", None) for v in self._fresh]
-        if not ldes:
+        if not self._fresh:
             return
-        first = ldes[0]
-        if (
-            any(not getattr(v, "STREAM_STATE_IS_LDE", False)
-                for v in self._fresh)
-            or not isinstance(first, StreamingLDE)
-            or any(not isinstance(l, StreamingLDE) for l in ldes)
-            or any(l.u != first.u or l.ell != first.ell for l in ldes)
-            or not getattr(first.backend, "vectorized", False)
-            or first.u > (1 << 62)
-        ):
-            # Copies with their own batched walk (the tree-hash /
-            # heavy-hitters verifiers) still get it, one copy at a time;
-            # that needs a re-iterable update sequence.
-            if isinstance(updates, (list, tuple)) and all(
-                hasattr(v, "process_stream_batched") for v in self._fresh
-            ):
-                for v in self._fresh:
-                    v.process_stream_batched(updates, block=block)
+        if self._stack is None:
+            lanes = [getattr(v, "stream_sketches", None) for v in self._fresh]
+            grids = {(s.ell, s.d) for lane in lanes if lane for s in lane}
+            if None in lanes or len(grids) != 1:
+                self.process_stream(updates)
                 return
-            self.process_stream(updates)
-            return
+            (ell, d), = grids
+            self._stack = SketchStack(lanes[0][0].backend, ell, d)
+            self._stack.add_copies(self._fresh)
         # Verifiers validate keys against their own (unpadded) universe.
-        apply_stream_batched(
-            ldes, updates, block=block,
-            strict_u=min(getattr(v, "u", first.u) for v in self._fresh),
+        self._stack.process_stream(
+            updates, min(v.u for v in self._fresh), block,
+            live=[len(self._fresh)],
         )
 
     def take(self):

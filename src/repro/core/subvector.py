@@ -35,8 +35,8 @@ from repro.field.vectorized import canonical_table, fold_pairs, get_backend
 from repro.lde.canonical import dyadic_cover
 from repro.lde.streaming import (
     DEFAULT_BLOCK,
-    FUSE_LIMIT,
-    split_update_block,
+    StreamSketch,
+    apply_stream_batched,
 )
 
 
@@ -83,7 +83,7 @@ class SubVectorAnswer:
         return len(self.entries)
 
 
-class TreeHashVerifier:
+class TreeHashVerifier(StreamSketch):
     """Streaming verifier state: ``r_1..r_d`` and the running root ``t``."""
 
     def __init__(
@@ -114,7 +114,6 @@ class TreeHashVerifier:
             (1 - x) % field.p if normalized else 1 for x in self.r
         ]
         self.root = 0
-        self._fused = None  # lazy fused leaf-weight tables (batched path)
 
     def leaf_weight(self, i: int) -> int:
         p = self.field.p
@@ -137,72 +136,25 @@ class TreeHashVerifier:
         for i, delta in updates:
             self.process(i, delta)
 
-    # -- batched (vectorized) stream processing -----------------------------
+    # -- batched stream processing (see lde.streaming.SketchStack) -----------
 
-    def _fused_weight_tables(self):
-        """Fused leaf-weight lookup tables, one per group of bit levels.
+    @property
+    def stream_sketches(self):
+        return (self,)
 
-        ``leaf_weight(i)`` is a product of per-bit factors (``r_j`` /
-        ``zero_weight_j``) — the same tensor structure as the LDE's χ
-        tables (for ``normalized=True`` the table *is* the eq/χ table of
-        ``r``).  Groups of up to ``log2(FUSE_LIMIT)`` bits are collapsed
-        into one table over their combined digit, so a block pays one
-        gather and one multiply per group.
-        """
-        if self._fused is None:
-            be = self.backend
-            g = 1
-            while (1 << (g + 1)) <= FUSE_LIMIT and g < self.d:
-                g += 1
-            groups = []
-            j = 0
-            while j < self.d:
-                span = min(g, self.d - j)
-                acc = be.asarray([1])
-                for t in range(j, j + span):
-                    # outer_flat doubles the table with bit t as its MSB,
-                    # so in-group bit order matches the key's bit order.
-                    acc = be.outer_flat(
-                        acc, be.asarray([self._zero_weights[t], self.r[t]])
-                    )
-                groups.append((span, acc))
-                j += span
-            self._fused = groups
-        return self._fused
+    def sketch_tables(self):
+        """``leaf_weight(i)`` is a product of per-bit factors — the same
+        tensor structure as the LDE's χ tables (for ``normalized=True``
+        they *are* the χ tables of ``r``)."""
+        return [list(pair) for pair in zip(self._zero_weights, self.r)]
+
+    def absorb(self, contribution: int, count: int) -> None:
+        self.root = (self.root + contribution) % self.field.p
 
     def process_stream_batched(self, updates, block: int = DEFAULT_BLOCK) -> None:
-        """Fold ``(i, δ)`` updates into the root in vectorized blocks.
-
-        Result identical to :meth:`process_stream`; the leaf weights of a
-        whole block are a handful of fused table gathers instead of an
-        O(d) Python loop per update.  Falls back to the scalar loop when
-        the backend is not vectorized.
-        """
-        if block < 1:
-            raise ValueError("block size must be positive, got %d" % block)
-        be = self.backend
-        if not getattr(be, "vectorized", False) or self.u > (1 << 62):
-            self.process_stream(updates)
-            return
-        from itertools import islice
-
-        it = iter(updates)
-        p = self.field.p
-        while True:
-            chunk = list(islice(it, block))
-            if not chunk:
-                break
-            keys, deltas = split_update_block(be, self.u, chunk)
-            weights = None
-            shift = 0
-            for span, table in self._fused_weight_tables():
-                digit = (keys >> shift) & ((1 << span) - 1)
-                gathered = be.take(table, digit)
-                weights = (
-                    gathered if weights is None else be.mul(weights, gathered)
-                )
-                shift += span
-            self.root = (self.root + be.dot(weights, deltas)) % p
+        """Fold ``(i, δ)`` updates into the root block by block; result
+        identical to :meth:`process_stream`."""
+        apply_stream_batched([self], updates, block=block)
 
     def merge(self, level: int, left: int, right: int) -> int:
         """Hash of a level-(level+1) parent from its level-`level` children."""

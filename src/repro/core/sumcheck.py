@@ -32,10 +32,6 @@ class SingleLDEVerifier:
     moment order, the grid base, the range-indicator evaluation.
     """
 
-    #: The whole streaming state is the LDE: IndependentCopies may share
-    #: one digitisation pass across copies (process_stream_batched).
-    STREAM_STATE_IS_LDE = True
-
     #: Grid base ℓ of the LDE.
     ell = 2
 
@@ -56,6 +52,13 @@ class SingleLDEVerifier:
             point = field.rand_vector(rng, self.d)
         self.lde = StreamingLDE(field, self.size, ell=self.ell, point=point)
         self.r = self.lde.point
+
+    @property
+    def stream_sketches(self):
+        """The whole streaming state, one sketch per update vector: what
+        a :class:`~repro.lde.streaming.SketchStack` feeds in place of
+        :meth:`process`."""
+        return (self.lde,)
 
     def process(self, i: int, delta: int) -> None:
         if not 0 <= i < self.u:

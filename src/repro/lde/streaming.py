@@ -8,13 +8,18 @@ and maintains ``f_a(r) = Σ_v a_v χ_v(r)`` under updates ``(i, δ)`` via
 using O(d) words of state.  With per-dimension lookup tables
 ``χ_k(r_j)`` the per-update time is O(d) (the paper's O(ℓd) bound covers
 recomputing the table on the fly).
+
+Batched ingest is written here once for every streamed verifier state of
+the library: :func:`prepare_block` validates, splits and pre-aggregates a
+block of updates, and :class:`SketchStack` folds it into any number of
+verifier copies as one (copies × block) kernel.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import islice
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.field.modular import PrimeField
 from repro.field.vectorized import get_backend
@@ -24,68 +29,388 @@ from repro.lde.chi import chi_table, chi_table_batch, digits
 #: amortise array construction, small enough to stay cache-resident.
 DEFAULT_BLOCK = 4096
 
-#: Max entries of a fused χ lookup table (see StreamingLDE._fused_groups):
+#: Max entries per row of a fused lookup table (SketchStack._fuse):
 #: 2048 × 8 bytes stays L1-resident while collapsing up to 11 binary
 #: dimensions into a single gather.
 FUSE_LIMIT = 2048
 
+#: Elements of one (rows × updates) tile of the stacked kernel, which
+#: works in five reused buffers of this size (the backend's
+#: ``tile_scratch``), so a feed's working memory is 1.25 MiB however many
+#: copies are stacked.  Measured on 120 copies × 1 000-update blocks:
+#: 1.92 / 1.54 / 1.33 / 1.32 / 1.39 ms per block at 2^12 .. 2^16 — below
+#: 2^14 the ~60 NumPy calls per tile show, above 2^15 the buffers leave
+#: the 2 MiB L2.
+TILE_ELEMENTS = 1 << 15
 
-def apply_stream_batched(evaluators, updates, block: int = DEFAULT_BLOCK,
-                         strict_u: Optional[int] = None) -> None:
-    """Shared vectorized stream walk over one or more LDE evaluators.
+#: Fewest copies a block must feed before its duplicate keys are summed
+#: first.  Aggregating costs a sort and a segment sum, ~27 ns per update
+#: in 4 096-update blocks, and saves ~20 ns per copy for every update
+#: that repeats a key: with the 60 % repeats of the Zipf workloads it
+#: pays from 3 copies up, and on one copy it can only lose — the
+#: all-distinct uniform stream of benchmarks/test_vectorized_speedup.py
+#: (1.05M updates, u = 2^20, one row) takes 144.5 ms at the parent,
+#: 141.8 ms through this kernel unaggregated, 168.6 ms aggregated.
+AGGREGATE_MIN_COPIES = 4
 
-    All ``evaluators`` must be :class:`StreamingLDE` instances over the
-    same ``(u, ell)`` grid on a vectorized backend (callers are expected
-    to have routed scalar/heterogeneous cases to the per-update loop).
-    Each key block is split and digitised once — through the first
-    evaluator's fused tables — and applied to every evaluator.
-    ``strict_u`` optionally tightens the key range check below the padded
-    universe (protocol verifiers validate against their unpadded ``u``).
+
+class UpdateBlock:
+    """One block of ``(key, δ)`` updates, validated and split once.
+
+    ``pairs`` is the block as it arrived: its length is what
+    ``updates_processed`` counts, and the scalar backend walks it.
+    Under a vectorized backend ``keys`` / ``deltas`` are aligned integer
+    arrays with ``Σ_t deltas[t]·w(keys[t]) = Σ_(i,δ) δ·w(i) (mod p)`` for
+    every weight function ``w`` — duplicate keys summed and zero nets
+    dropped when the block was aggregated, the raw columns otherwise —
+    ``total`` is the exact integer ``Σ δ``, and ``columns`` the
+    un-aggregated int64 ``(keys, deltas)`` split the wire encodes (None
+    when a delta does not fit int64).
     """
-    if block < 1:
-        raise ValueError("block size must be positive, got %d" % block)
-    if not evaluators:
-        return
-    first = evaluators[0]
-    it = iter(updates)
-    while True:
-        chunk = list(islice(it, block))
-        if not chunk:
-            break
-        keys, deltas = first._split_block(chunk)
-        if strict_u is not None and int(keys.max()) >= strict_u:
-            bad = int(keys[keys >= strict_u][0])
-            raise ValueError(
-                "key %d outside universe [0, %d)" % (bad, strict_u)
-            )
-        digit_arrays = first._digit_arrays(keys)
-        for evaluator in evaluators:
-            evaluator._apply_block(digit_arrays, deltas, len(chunk))
+
+    __slots__ = ("pairs", "keys", "deltas", "total", "columns")
+
+    def __init__(self, pairs, keys=None, deltas=None, total=None,
+                 columns=None):
+        self.pairs = pairs
+        self.keys = keys
+        self.deltas = deltas
+        self.total = total
+        self.columns = columns
+
+    @property
+    def folded(self) -> int:
+        """``(key, δ)`` columns a consumer folds: the distinct keys with
+        a non-zero net when the block was aggregated, else every update."""
+        return len(self.pairs) if self.keys is None else len(self.keys)
 
 
-def split_update_block(backend, u: int, chunk) -> tuple:
-    """(keys, deltas) backend arrays for a block of updates, range-checked.
+def _reject_bad_key(u: int, chunk) -> None:
+    for i, _delta in chunk:
+        if not 0 <= i < u:
+            raise ValueError("key %d outside universe [0, %d)" % (i, u))
 
-    Shared by every batched stream ingester (LDE, tree-hash and
-    heavy-hitters verifiers).  Keys outside ``[0, u)`` raise ValueError;
-    deltas that overflow int64 are re-split exactly at Python level.
+
+def prepare_block(backend, u: int, chunk, copies: int = 1) -> UpdateBlock:
+    """Validate and split a non-empty list of updates for every consumer.
+
+    Shared by every batched ingester (LDE, tree-hash and heavy-hitters
+    verifiers, one at a time or stacked).  A key outside ``[0, u)``
+    raises ValueError before any state has moved.  When at least
+    :data:`AGGREGATE_MIN_COPIES` ``copies`` will fold the block,
+    duplicate keys are pre-aggregated by exact int64 segment sums —
+    skipped, never approximated, when ``max|δ| · n`` could leave int64
+    or a delta already did.
     """
+    if not getattr(backend, "vectorized", False) or u > (1 << 62):
+        _reject_bad_key(u, chunk)
+        return UpdateBlock(chunk)
     try:
         keys, deltas = backend.pair_columns(chunk)
     except (OverflowError, TypeError):
         keys = None  # some value does not even fit int64
     if keys is None or int(keys.min()) < 0 or int(keys.max()) >= u:
-        for i, _delta in chunk:
-            if not 0 <= i < u:
-                raise ValueError(
-                    "key %d outside universe [0, %d)" % (i, u)
+        _reject_bad_key(u, chunk)
+        # Keys are in range, so only a delta overflowed int64: redo the
+        # split at Python level with exact big-int reduction.
+        return UpdateBlock(
+            chunk,
+            backend.index_array([i for i, _ in chunk]),
+            backend.asarray([delta for _, delta in chunk]),
+            sum(delta for _, delta in chunk),
+        )
+    columns = (keys, deltas)
+    # Below this bound no int64 sum of the block's deltas can wrap.
+    exact = max(int(deltas.max()), -int(deltas.min())) * len(chunk) < 1 << 63
+    total = int(deltas.sum()) if exact else sum(deltas.tolist())
+    if exact and copies >= AGGREGATE_MIN_COPIES:
+        keys, deltas = backend.net_columns(keys, deltas)
+    return UpdateBlock(chunk, keys, deltas, total, columns)
+
+
+def iter_blocks(backend, u: int, updates, block: int = DEFAULT_BLOCK,
+                copies: int = 1) -> Iterator[UpdateBlock]:
+    """Cut any iterable of updates into prepared blocks of ``block``."""
+    if block < 1:
+        raise ValueError("block size must be positive, got %d" % block)
+    it = iter(updates)
+    while True:
+        chunk = list(islice(it, block))
+        if not chunk:
+            return
+        yield prepare_block(backend, u, chunk, copies)
+
+
+class StreamSketch:
+    """What :class:`SketchStack` asks of a streamed verifier state.
+
+    A *product-form* sketch (:class:`StreamingLDE`, the tree-hash root)
+    is a linear sketch ``value += Σ_t δ_t · Π_j T_j[digit_j(key_t)]`` over
+    the ``(ell, d)`` grid: it exposes its ``d`` factor tables through
+    ``sketch_tables()`` and takes a block's contribution through
+    ``absorb(contribution, count)``.  Any other sketch (heavy hitters)
+    takes the prepared block itself through ``absorb_block(block)``.
+    """
+
+    ell = 2
+    #: The single-segment stack this sketch was last fed through (see
+    #: SketchStack.over).  Never copied or pickled along with the
+    #: sketch: a verifier snapshot must not drag every other copy's
+    #: tables with it.
+    _stack = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_stack", None)
+        return state
+
+
+class SketchStack:
+    """Many verifier copies fed as one.
+
+    Copies are added in *segments* (one pool of independent copies
+    each); a segment has one *lane* of sketches per update vector it
+    listens to, lane ``v`` fed by vector ``v``, and the sketches of one
+    copy share their factor tables (the two LDEs of an inner-product
+    verifier sit at one point).  Product-form segments occupy
+    consecutive rows of per-group 2-D fused tables, built for all rows
+    at once on the first block — groups of up to ``g`` dimensions
+    (``ℓ^g <= FUSE_LIMIT``) collapse into one lookup over their combined
+    digit, so d = 20, ℓ = 2 is two gathers instead of twenty — and a
+    block is folded into every live row by one gather and one multiply
+    per group over a (rows × block) tile and one mat-vec against the
+    deltas.  Entries are exact mod-p products, so every value equals the
+    per-update loop's.  Copies are consumed from the tail of their
+    segment: ``live`` says how many leading ones are still read.
+
+    The scalar backend (and universes beyond int64) walk the block per
+    update over the same factor tables.
+    """
+
+    def __init__(self, backend, ell: int, d: int):
+        self.backend = backend
+        self.ell = ell
+        self.d = d
+        self._segments: List[tuple] = []  # (first row or None, lanes)
+        self._tables: List = []  # factor tables of every product row
+        self._fused = None
+
+    @classmethod
+    def over(cls, sketches) -> "SketchStack":
+        """The one-segment stack ``sketches`` were last fed through —
+        they may have lost copies from the tail since — or a new one."""
+        first = sketches[0]
+        stack = first._stack
+        if stack is not None and len(stack._segments) == 1:
+            owners = stack._segments[0][1][0]
+            if len(sketches) <= len(owners) and all(
+                a is b for a, b in zip(sketches, owners)
+            ):
+                return stack
+        stack = cls(first.backend, first.ell, first.d)
+        stack.add(list(sketches))
+        for sketch in sketches:
+            sketch._stack = stack
+        return stack
+
+    def add(self, *lanes) -> None:
+        """Append a segment: ``lanes[v][n]`` is copy n's sketch of vector v."""
+        first = None
+        if hasattr(lanes[0][0], "sketch_tables"):
+            first = len(self._tables)
+            for copy in zip(*lanes):
+                tables = copy[0].sketch_tables()
+                if any(
+                    (sketch.ell, sketch.d) != (self.ell, self.d)
+                    or sketch.sketch_tables() != tables
+                    for sketch in copy
+                ):
+                    raise ValueError(
+                        "stacked sketches must share one (ell, d) grid, "
+                        "and the lanes of a copy one point"
+                    )
+                self._tables.append(tables)
+            self._fused = None
+        self._segments.append((first, lanes))
+
+    def add_copies(self, verifiers) -> None:
+        """Append a segment of verifier copies: lane v is what their
+        ``stream_sketches`` name for update vector v."""
+        self.add(*map(list, zip(*(v.stream_sketches for v in verifiers))))
+
+    def _listeners(self, vector: int, live):
+        """``(first row, sketches)`` of every segment ``vector`` feeds."""
+        for index, (first, lanes) in enumerate(self._segments):
+            if vector < len(lanes):
+                owners = lanes[vector]
+                yield first, (
+                    owners if live is None else owners[: live[index]]
                 )
-        # Keys are in range, so only a delta overflowed int64: redo
-        # the split at Python level with exact big-int reduction.
-        keys = backend.index_array([i for i, _ in chunk])
-        deltas = backend.asarray([delta for _, delta in chunk])
-        return keys, deltas
-    return keys, backend.asarray(deltas)
+
+    def copies(self, vector: int = 0, live=None) -> int:
+        """How many copies a block of ``vector`` moves."""
+        return sum(len(owners) for _, owners in self._listeners(vector, live))
+
+    def process_stream(self, updates, u: int, block: int = DEFAULT_BLOCK,
+                       vector: int = 0, live=None) -> None:
+        for prepared in iter_blocks(self.backend, u, updates, block,
+                                    self.copies(vector, live)):
+            self.feed(prepared, vector, live)
+
+    def feed(self, block: UpdateBlock, vector: int = 0, live=None) -> None:
+        """Fold one prepared block into lane ``vector`` of the leading
+        ``live[s]`` copies of every segment s (all copies when omitted)."""
+        count = len(block.pairs)
+        digit_arrays = None
+        for first, owners in self._listeners(vector, live):
+            if not owners:
+                continue
+            if first is None:
+                for sketch in owners:
+                    sketch.absorb_block(block)
+            elif block.keys is None:
+                self._walk(block.pairs, first, owners)
+            else:
+                if digit_arrays is None:
+                    digit_arrays = self._digitise(block.keys)
+                sums = self._fold(digit_arrays, block.deltas, first,
+                                  first + len(owners))
+                for sketch, contribution in zip(owners, sums):
+                    sketch.absorb(contribution, count)
+
+    def _walk(self, pairs, first: int, owners) -> None:
+        """The per-update reference loop, digits shared across copies."""
+        p = self.backend.p
+        rows = list(zip(owners, self._tables[first:]))
+        for i, delta in pairs:
+            v = digits(i, self.ell, self.d)
+            for sketch, tables in rows:
+                weight = 1
+                for j, digit in enumerate(v):
+                    weight = weight * tables[j][digit] % p
+                sketch.absorb(delta * weight, 1)
+
+    def _fuse(self):
+        """Per-group fused tables ``[(size, rows × size array), ...]``.
+
+        One doubling recurrence for all rows: the table of a run of
+        dimensions is the row-wise outer product of the tables of its
+        two halves, ``low[n, i]·high[n, k]`` at index ``i + len(low)·k``,
+        so the in-group digit order is the key's own.  Multiplied a tile
+        of rows at a time in five reused buffers.
+        """
+        if self._fused is None:
+            be = self.backend
+            ell, d, rows = self.ell, self.d, len(self._tables)
+            factors = be.asarray([
+                entry for tables in self._tables for table in tables
+                for entry in table
+            ]).reshape(rows, d, ell)
+            scratch = be.tile_scratch(TILE_ELEMENTS)
+
+            def product(j: int, span: int):
+                if span == 1:
+                    return factors[:, j].copy()
+                low = product(j, span // 2)
+                high = product(j + span // 2, span - span // 2)
+                shape = (high.shape[1], low.shape[1])
+                size = shape[0] * shape[1]
+                out = be.zeros(rows * size).reshape(rows, size)
+                step = max(1, TILE_ELEMENTS // size)
+                for a in range(0, rows, step):
+                    b = min(a + step, rows)
+                    left, right, *work = (
+                        buf[: (b - a) * size].reshape(b - a, *shape)
+                        for buf in scratch
+                    )
+                    left[...] = low[a:b, None, :]
+                    right[...] = high[a:b, :, None]
+                    be.mul_into(left, right, work)
+                    out[a:b] = left.reshape(b - a, size)
+                return out
+
+            g = 1
+            while ell ** (g + 1) <= FUSE_LIMIT and g < d:
+                g += 1
+            self._fused = [
+                (ell ** min(g, d - j), product(j, min(g, d - j)))
+                for j in range(0, d, g)
+            ]
+        return self._fused
+
+    def _digitise(self, keys) -> List:
+        """Combined base-ℓ^span digits of a key block, one per group."""
+        ell = self.ell
+        out = []
+        if ell & (ell - 1) == 0:
+            shift = 0
+            for size, _table in self._fuse():
+                out.append((keys >> shift) & (size - 1))
+                shift += size.bit_length() - 1
+        else:
+            for size, _table in self._fuse():
+                out.append(keys % size)
+                keys = keys // size
+        return out
+
+    def _fold(self, digit_arrays, deltas, lo: int, hi: int) -> List[int]:
+        """``Σ_t δ_t · Π_g T_g[n, digit_g(t)]`` for rows ``lo <= n < hi``,
+        a (rows × updates) tile at a time in five reused buffers:
+        weights, gathered factors and three of limb work."""
+        be = self.backend
+        fused = self._fuse()
+        scratch = be.tile_scratch(TILE_ELEMENTS)
+        n = deltas.shape[0]
+        sums = [0] * (hi - lo)
+        if not n:
+            return sums  # every pair of the block cancelled
+        width = min(n, TILE_ELEMENTS)
+        step = max(1, TILE_ELEMENTS // width)
+        for c in range(0, n, width):
+            cols = min(width, n - c)
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                weights, gathered, *work = (
+                    buf[: (b - a) * cols].reshape(b - a, cols)
+                    for buf in scratch
+                )
+                for g, ((_size, table), digit) in enumerate(
+                    zip(fused, digit_arrays)
+                ):
+                    table[a:b].take(
+                        digit[c : c + cols], axis=1, mode="clip",
+                        out=gathered if g else weights,
+                    )
+                    if g:
+                        be.mul_into(weights, gathered, work)
+                for k, part in enumerate(
+                    be.row_int_dots(weights, deltas[c : c + cols], work),
+                    a - lo,
+                ):
+                    sums[k] += part
+        return sums
+
+
+def apply_stream_batched(evaluators, updates, block: int = DEFAULT_BLOCK,
+                         strict_u: Optional[int] = None) -> None:
+    """One shared stream walk over any number of product-form sketches.
+
+    All ``evaluators`` (:class:`StreamingLDE` instances, tree-hash
+    verifiers) must sit on one ``(ell, d)`` grid.  They are fed through
+    the :class:`SketchStack` they share, so repeated calls on the same
+    list — or on a prefix of it, copies being consumed from the tail —
+    reuse its fused tables.  ``strict_u`` optionally tightens the key
+    range check below the padded universe (protocol verifiers validate
+    against their unpadded ``u``).
+    """
+    if block < 1:
+        raise ValueError("block size must be positive, got %d" % block)
+    if not evaluators:
+        return
+    SketchStack.over(evaluators).process_stream(
+        updates, evaluators[0].u if strict_u is None else strict_u, block,
+        live=[len(evaluators)],
+    )
 
 
 def dimension_for(u: int, ell: int) -> int:
@@ -102,7 +427,7 @@ def dimension_for(u: int, ell: int) -> int:
     return max(d, 1)
 
 
-class StreamingLDE:
+class StreamingLDE(StreamSketch):
     """Incrementally evaluates the LDE of a stream at a fixed point.
 
     Parameters
@@ -122,8 +447,8 @@ class StreamingLDE:
     backend:
         Compute backend (see :func:`repro.field.vectorized.get_backend`);
         defaults to the REPRO_BACKEND / auto selection.  The per-update
-        path is identical either way; a vectorized backend additionally
-        enables :meth:`process_stream_batched`.
+        path is identical either way; a vectorized backend turns
+        :meth:`process_stream_batched` into an array kernel.
     """
 
     def __init__(
@@ -158,7 +483,6 @@ class StreamingLDE:
             )
         else:
             self.tables = [chi_table(field, ell, x) for x in self.point]
-        self._fused = None  # lazy fused-table groups for the batched path
         self.value = 0
         self.updates_processed = 0
 
@@ -181,85 +505,22 @@ class StreamingLDE:
         for i, delta in updates:
             self.update(i, delta)
 
-    # -- batched (vectorized) stream processing -----------------------------
+    # -- batched stream processing (see SketchStack) --------------------------
 
-    def _fused_groups(self):
-        """Fused χ tables: consecutive dimensions pre-multiplied together.
+    def sketch_tables(self):
+        return self.tables
 
-        Groups of up to ``g`` dimensions (``ℓ^g <= FUSE_LIMIT``) are
-        collapsed into one lookup table over their combined digit, so a
-        block pays one gather + one multiply *per group* instead of per
-        dimension (d = 20, ℓ = 2 becomes two gathers instead of twenty).
-        Entries are exact mod-p products, so results are unchanged.
-        Returns ``[(span, size, table_array), ...]``.
-        """
-        if self._fused is None:
-            be = self.backend
-            ell = self.ell
-            g = 1
-            while ell ** (g + 1) <= FUSE_LIMIT and g < self.d:
-                g += 1
-            groups = []
-            j = 0
-            while j < self.d:
-                span = min(g, self.d - j)
-                acc = be.asarray(self.tables[j])
-                for t in range(1, span):
-                    acc = be.outer_flat(acc, be.asarray(self.tables[j + t]))
-                groups.append((span, ell**span, acc))
-                j += span
-            self._fused = groups
-        return self._fused
-
-    def _digit_arrays(self, keys) -> List:
-        """Combined base-ℓ^span digits of a key block, one per fused group."""
-        ell = self.ell
-        groups = self._fused_groups()
-        out = []
-        if ell & (ell - 1) == 0:
-            bits = ell.bit_length() - 1
-            shift = 0
-            for span, size, _table in groups:
-                out.append((keys >> shift) & (size - 1))
-                shift += span * bits
-        else:
-            work = keys
-            for span, size, _table in groups:
-                out.append(work % size)
-                work = work // size
-        return out
-
-    def _apply_block(self, digit_arrays, deltas, count: int) -> None:
-        """Fold one pre-digitised block into the running value."""
-        be = self.backend
-        groups = self._fused_groups()
-        weights = be.take(groups[0][2], digit_arrays[0])
-        for gi in range(1, len(groups)):
-            weights = be.mul(weights, be.take(groups[gi][2], digit_arrays[gi]))
-        contrib = be.sum(be.mul(weights, deltas))
-        self.value = (self.value + contrib) % self.field.p
+    def absorb(self, contribution: int, count: int) -> None:
+        self.value = (self.value + contribution) % self.field.p
         self.updates_processed += count
 
-    def _split_block(self, chunk):
-        """(keys, deltas) arrays for a chunk, with range checking."""
-        return split_update_block(self.backend, self.u, chunk)
-
     def process_stream_batched(self, updates, block: int = DEFAULT_BLOCK) -> None:
-        """Process ``(i, δ)`` updates in vectorized blocks of size ``block``.
+        """Process ``(i, δ)`` updates in blocks of size ``block``.
 
         Produces exactly the same final ``value`` and update count as
-        :meth:`process_stream` (all arithmetic is exact mod p); the χ
-        weights of a whole block are computed with a handful of fused
-        table gathers and array multiplications instead of a Python loop
-        per update.  Falls back to the scalar loop when the backend is not
-        vectorized or keys exceed the int64 index range.
+        :meth:`process_stream` (all arithmetic is exact mod p): a
+        one-row :class:`SketchStack`.
         """
-        if block < 1:
-            raise ValueError("block size must be positive, got %d" % block)
-        be = self.backend
-        if not getattr(be, "vectorized", False) or self.u > (1 << 62):
-            self.process_stream(updates)
-            return
         apply_stream_batched([self], updates, block=block)
 
     @property
@@ -353,22 +614,9 @@ class MultipointStreamingLDE:
             self.update(i, delta)
 
     def process_stream_batched(self, updates, block: int = DEFAULT_BLOCK) -> None:
-        """Batched variant of :meth:`process_stream`.
-
-        Key digitisation is shared across all evaluation points: each
-        block is digitised once and every evaluator only pays its own
-        table gathers and multiplies.
-        """
-        if block < 1:
-            raise ValueError("block size must be positive, got %d" % block)
-        evaluators = self.evaluators
-        be = self.backend
-        if not evaluators:
-            return
-        if not getattr(be, "vectorized", False) or evaluators[0].u > (1 << 62):
-            self.process_stream(updates)
-            return
-        apply_stream_batched(evaluators, updates, block=block)
+        """Batched variant of :meth:`process_stream`: every block is
+        split once and folded into all evaluation points together."""
+        apply_stream_batched(self.evaluators, updates, block=block)
 
     @property
     def values(self) -> List[int]:

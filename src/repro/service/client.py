@@ -27,16 +27,20 @@ import random
 import socket
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.comm.channel import Channel, TamperHook
 from repro.comm.transcript import Transcript
 from repro.core.base import VerificationResult, pow2_dimension
-from repro.core.multiquery import IndependentCopies
 from repro.field.modular import PrimeField
 from repro.field.vectorized import get_backend
-from repro.lde.streaming import DEFAULT_BLOCK, apply_stream_batched
+from repro.lde.streaming import (
+    DEFAULT_BLOCK,
+    SketchStack,
+    UpdateBlock,
+    prepare_block,
+)
 from repro.service import protocol as sp
 from repro.service.router import (
     PlanUnit,
@@ -274,43 +278,23 @@ def _pairs(words: Sequence[int]) -> List[Tuple[int, int]]:
 # -- verifier pools ------------------------------------------------------------
 
 
-class _TwoVectorPool:
-    """Independent two-LDE verifier copies (two-vector ingest).
+class _Pool:
+    """One pool key's independent verifier copies.
 
-    Serves the ``("inner-product",)`` pool and the mixed-batch
-    ``("batch",)`` pool — both verifier families stream vector 0 into
-    ``lde_a`` and vector 1 into ``lde_b`` at one shared secret point.
+    A segment of the client's :class:`SketchStack` — which streams
+    vector 0 into every copy and vector 1 into the second LDE of the
+    two-vector families — consumed from the tail, one copy per query.
     """
 
     def __init__(self, copies: int, pool_key: Tuple, field: PrimeField,
-                 u: int, rng: random.Random):
+                 u: int, rng: random.Random, stack: SketchStack):
         self._fresh = [
             QueryRouter.make_verifier(
                 pool_key, field, u, random.Random(rng.getrandbits(64))
             )
             for _ in range(copies)
         ]
-        self._vectorized = getattr(get_backend(field), "vectorized", False)
-
-    def feed(self, updates: Sequence[Tuple[int, int]], vector: int) -> None:
-        if not self._fresh:
-            return
-        ldes = [
-            v.lde_a if vector == 0 else v.lde_b for v in self._fresh
-        ]
-        if self._vectorized:
-            # One shared digitising pass feeds every copy's LDE.
-            apply_stream_batched(
-                ldes, updates, strict_u=min(v.u for v in self._fresh)
-            )
-            return
-        for v, lde in zip(self._fresh, ldes):
-            for i, delta in updates:
-                if not 0 <= i < v.u:
-                    raise ValueError(
-                        "key %d outside universe [0, %d)" % (i, v.u)
-                    )
-                lde.update(i, delta)
+        stack.add_copies(self._fresh)
 
     def take(self):
         if not self._fresh:
@@ -320,32 +304,6 @@ class _TwoVectorPool:
     @property
     def remaining(self) -> int:
         return len(self._fresh)
-
-
-class _Pool:
-    """Single-stream verifier pool riding IndependentCopies."""
-
-    def __init__(self, copies: int, pool_key: Tuple, field: PrimeField,
-                 u: int, rng: random.Random):
-        self.copies = IndependentCopies(
-            copies,
-            lambda copy_rng: QueryRouter.make_verifier(
-                pool_key, field, u, copy_rng
-            ),
-            rng=rng,
-        )
-
-    def feed(self, updates: Sequence[Tuple[int, int]], vector: int) -> None:
-        if vector != 0:
-            return  # the second operand only feeds inner-product pools
-        self.copies.process_stream_batched(updates)
-
-    def take(self):
-        return self.copies.take()
-
-    @property
-    def remaining(self) -> int:
-        return self.copies.remaining
 
 
 # -- the client ----------------------------------------------------------------
@@ -420,7 +378,10 @@ class ServiceClient:
         self.dataset_id = dataset_id
         self.tamper = tamper
         self._rng = rng or random.Random()
-        self._pools: Dict[Tuple, Union[_Pool, _TwoVectorPool]] = {}
+        self._pools: Dict[Tuple, _Pool] = {}
+        #: Every copy of every pool, fed as one: segment s of the stack
+        #: is the s-th pool provisioned.
+        self._stack = SketchStack(get_backend(field), 2, self.d)
         self.bytes_sent = 0
         self.bytes_received = 0
         self.frames_sent = 0
@@ -572,14 +533,9 @@ class ServiceClient:
             raise ValueError(
                 "pools must be provisioned before the stream starts"
             )
-        if key[0] in ("inner-product", "batch"):
-            self._pools[key] = _TwoVectorPool(
-                copies, key, self.field, self.u, self._rng
-            )
-        else:
-            self._pools[key] = _Pool(
-                copies, key, self.field, self.u, self._rng
-            )
+        self._pools[key] = _Pool(
+            copies, key, self.field, self.u, self._rng, self._stack
+        )
         return key
 
     def pool_remaining(self, what) -> int:
@@ -596,26 +552,43 @@ class ServiceClient:
                      vector: int = 0, block: int = DEFAULT_BLOCK) -> None:
         """Stream a batch of ``(key, delta)`` updates.
 
-        Each block feeds every provisioned verifier pool locally *and*
-        travels to the service in one UPDATES frame — the single pass
-        both parties observe.
+        Every block is validated, split and pre-aggregated once; it
+        travels to the service in one UPDATES frame built from the split
+        columns and, once acknowledged, is folded into every provisioned
+        verifier copy by one stacked kernel — the single pass both
+        parties observe.  A key outside the universe is refused before
+        anything is sent or fed, and a block the service refuses moves
+        no copy.
         """
+        if block < 1:
+            raise ValueError("block size must be positive, got %d" % block)
         pairs = list(pairs)
-        for key, _delta in pairs:
-            # Validate up front so no pool is left partially fed by a
-            # block that another pool (or the server) would reject.
-            if not 0 <= key < self.u:
-                raise ValueError(
-                    "key %d outside universe [0, %d)" % (key, self.u)
-                )
-        for start in range(0, len(pairs), block):
-            chunk = pairs[start : start + block]
-            for pool in self._pools.values():
-                pool.feed(chunk, vector)
-            self._send_block(vector, chunk)
-            self.updates_streamed += len(chunk)
+        for prepared in [
+            self._prepare(pairs[start : start + block], vector)
+            for start in range(0, len(pairs), block)
+        ]:
+            self._send_block(vector, prepared)
+            self._feed(prepared, vector)
 
-    def _send_block(self, vector: int, chunk) -> None:
+    def _live(self) -> List[int]:
+        return [pool.remaining for pool in self._pools.values()]
+
+    def _prepare(self, chunk, vector: int) -> UpdateBlock:
+        return prepare_block(
+            self._stack.backend, self.u, chunk,
+            self._stack.copies(vector, self._live()),
+        )
+
+    def _feed(self, prepared: UpdateBlock, vector: int) -> None:
+        live = self._live()
+        with self._tracer.span(
+            "client.update.feed", updates=len(prepared.pairs),
+            keys=prepared.folded, rows=self._stack.copies(vector, live),
+        ):
+            self._stack.feed(prepared, vector, live)
+        self.updates_streamed += len(prepared.pairs)
+
+    def _send_block(self, vector: int, prepared: UpdateBlock) -> None:
         """One UPDATES frame, retried idempotently.
 
         If the frame was applied but its ack lost (connection dropped in
@@ -626,16 +599,15 @@ class ServiceClient:
         window (true for per-session datasets; shared datasets have a
         single writer by construction in the load generator).
         """
-        target = self._server_updates + len(chunk)
+        count = len(prepared.pairs)
+        target = self._server_updates + count
 
         def attempt() -> None:
-            _t, _s, payload = self._request(
-                sp.T_UPDATES,
-                self.session_id,
-                sp.updates_payload(self.field, vector, chunk),
+            _t, _s, reply = self._request(
+                sp.T_UPDATES, self.session_id, payload,
                 expect=sp.T_UPDATES_ACK,
             )
-            words = sp.parse_words(self.field, payload)
+            words = sp.parse_words(self.field, reply)
             self._server_updates = words[0] if words else target
             self._last_acked = "updates@%d" % self._server_updates
 
@@ -643,7 +615,15 @@ class ServiceClient:
             return self._server_updates >= target
 
         with self._tracer.span("client.update.block",
-                               n=len(chunk), vector=vector):
+                               n=count, vector=vector):
+            # Encoded once, from the split columns; a delta outside
+            # int64 left none and takes the per-pair loop.
+            payload = (
+                sp.updates_payload(self.field, vector, prepared.pairs)
+                if prepared.columns is None
+                else sp.updates_payload_columns(self.field, vector,
+                                                *prepared.columns)
+            )
             self._with_retries(attempt, "updates", already_done=already_done)
 
     def put(self, key: int, delta: int, vector: int = 0) -> None:
@@ -653,7 +633,8 @@ class ServiceClient:
         """Fetch and locally process updates this session never saw.
 
         Feeds the replayed blocks through the provisioned pools exactly
-        as :meth:`send_updates` would, so a late-joining verifier ends in
+        as :meth:`send_updates` would — same range check before any copy
+        moves, same stacked feed — so a late-joining verifier ends in
         the same state as one that watched from the start.  Returns the
         number of replayed updates.
 
@@ -691,10 +672,21 @@ class ServiceClient:
                         "unexpected frame 0x%02x during replay" % frame_type
                     )
                 vector, pairs = sp.parse_updates(self.field, payload)
-                for pool in self._pools.values():
-                    pool.feed(pairs, vector)
+                if not pairs:
+                    continue
+                try:
+                    prepared = self._prepare(pairs, vector)
+                except ValueError as exc:
+                    # Nothing was fed.  The rest of the replay is still
+                    # in flight on this socket: close it, so the next
+                    # operation re-dials instead of reading stale frames.
+                    self._sock.close()
+                    self._sock = None
+                    raise ServiceClientError(
+                        "the service replayed a bad block: %s" % exc
+                    ) from exc
+                self._feed(prepared, vector)
                 replayed[0] += len(pairs)
-                self.updates_streamed += len(pairs)
                 self._last_acked = "replay@%d" % self.updates_streamed
 
         self._with_retries(attempt, "replay")

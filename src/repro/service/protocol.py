@@ -38,9 +38,15 @@ is a rejected conversation, never a crashed server.
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence, Tuple
 
-from repro.comm.wire import WireFormatError, decode_words, encode_words
+from repro.comm.wire import (
+    WireFormatError,
+    decode_words,
+    encode_words,
+    word_width,
+)
 from repro.field.modular import PrimeField
 
 #: Version byte stamped on every frame; peers with a different version
@@ -356,6 +362,23 @@ def updates_payload(field: PrimeField, vector: int, pairs) -> bytes:
         words.append(key)
         words.append(encode_signed(field, delta))
     return words_payload(field, words)
+
+
+def updates_payload_columns(field: PrimeField, vector: int, keys,
+                            deltas) -> bytes:
+    """:func:`updates_payload` from the block's int64 column arrays.
+
+    Byte-for-byte the same body — every word reduced to its canonical
+    residue, the same 4-byte word count in front — interleaved and laid
+    out big-endian by NumPy instead of two Python ints per pair.
+    """
+    if word_width(field) != 8:
+        return updates_payload(field, vector,
+                               zip(keys.tolist(), deltas.tolist()))
+    body = (keys % field.p).repeat(2)
+    body[1::2] = deltas % field.p
+    return struct.pack(">IQ", body.shape[0] + 1,
+                       vector % field.p) + body.astype(">u8").tobytes()
 
 
 def parse_updates(field: PrimeField, payload: bytes):

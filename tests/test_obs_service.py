@@ -145,6 +145,38 @@ def test_observability_changes_zero_transcript_bytes(server):
     assert trace_sink.getvalue().strip()
 
 
+def test_feed_span_splits_an_ingest_block(server):
+    """``client.update.feed`` sits beside ``client.update.block``: a
+    production trace says how an ingest block splits between the
+    verifier copies and the frame — as spans only, no new metric."""
+    import json
+
+    old, trace_sink = _obs_on()
+    try:
+        host, port = server.address
+        with ServiceClient(host, port, F, U, dataset_id=fresh_dataset_id(),
+                           rng=random.Random(0)) as client:
+            client.provision(("batch",), 3)
+            client.provision(("tree",), 2)
+            client.send_updates(UPDATES_A, block=32)
+            client.send_updates(UPDATES_B, vector=1)
+        metrics = set(obs.get_registry().snapshot())
+    finally:
+        _obs_restore(old)
+    spans = [json.loads(line)
+             for line in trace_sink.getvalue().splitlines() if line.strip()]
+    feeds = [s for s in spans if s["name"] == "client.update.feed"]
+    frames = [s for s in spans if s["name"] == "client.update.block"]
+    assert [(s["updates"], s["keys"], s["rows"]) for s in feeds] == [
+        # vector 0 moves all five copies (aggregated: 32 distinct keys,
+        # then 16), vector 1 only the three second LDEs (folded raw).
+        (32, 32, 5), (16, 16, 5), (48, 48, 3),
+    ]
+    assert [s["n"] for s in frames] == [32, 16, 48]
+    assert {s["parent"] for s in feeds} == {s["parent"] for s in frames}
+    assert not any("feed" in name for name in metrics)
+
+
 def test_observability_is_byte_neutral_through_the_worker_pool(
         server, monkeypatch):
     """Same invariant through the process-pool F2 path (shared-memory

@@ -223,6 +223,61 @@ def test_stack_row_ops_match_scalar(setup):
         sb.row_weighted_sums(sb.stack(rows), weights)
 
 
+def test_in_place_tile_kernels_match_python_ints(setup):
+    """mul_into and row_int_dots — the stacked ingest kernel's two
+    passes — against exact integer arithmetic, with and without the
+    shared scratch rows, for signed int64 and for canonical operands."""
+    import numpy as np
+
+    field, be, xs, ys = setup
+    p = field.p
+    rows = [[x % p for x in xs[k * 40:(k + 1) * 40]] for k in range(5)]
+    other = [[y % p for y in ys[k * 40:(k + 1) * 40]] for k in range(5)]
+    scratch = be.tile_scratch(5 * 40)
+    assert scratch is be.tile_scratch(100)  # reused, never shrunk
+    a, b, *work = (buf[:200].reshape(5, 40) for buf in scratch)
+    a[...] = be.stack(rows)
+    b[...] = be.stack(other)
+    be.mul_into(a, b, work)
+    assert [be.to_list(row) for row in a] == [
+        [x * y % p for x, y in zip(r, o)] for r, o in zip(rows, other)]
+
+    stack = be.stack(rows)
+    edge = [0, 1, -1, (1 << 22) - 1, -(1 << 22), 1 << 44, -(1 << 62) - 1,
+            (1 << 63) - 1, -(1 << 63)]
+    rng = random.Random(p % 77)
+    signed = edge + [rng.randrange(-9, 10) for _ in range(40 - len(edge))]
+    for ints in (np.array(signed, dtype=np.int64),
+                 np.array([3, -2] * 20, dtype=np.int64),
+                 be.asarray(signed)):
+        want = [sum(x * int(d) for x, d in zip(row, ints)) % p
+                for row in rows]
+        assert be.row_int_dots(stack, ints) == want
+        assert be.row_int_dots(stack, ints, work) == want
+
+
+def test_net_columns_sums_runs_exactly(setup):
+    import numpy as np
+
+    _field, be, _xs, _ys = setup
+    rng = random.Random(5)
+    keys = [rng.randrange(12) for _ in range(300)] + [40, 40, 41]
+    deltas = [rng.randrange(-(1 << 50), 1 << 50) for _ in range(300)]
+    deltas += [7, -7, (1 << 54)]
+    want = {}
+    for key, delta in zip(keys, deltas):
+        want[key] = want.get(key, 0) + delta
+    want = {key: net for key, net in want.items() if net}
+    got_keys, got_nets = be.net_columns(
+        np.array(keys, dtype=np.int64), np.array(deltas, dtype=np.int64))
+    assert dict(zip(got_keys.tolist(), got_nets.tolist())) == want
+    assert got_keys.tolist() == sorted(want) and 40 not in want
+    one_key, one_net = be.net_columns(
+        np.array([3, 3, 3], dtype=np.int64),
+        np.array([1, 1, -5], dtype=np.int64))
+    assert (one_key.tolist(), one_net.tolist()) == ([3], [-3])
+
+
 def test_dot_limb_path_matches_reference(setup):
     field, be, xs, ys = setup
     a = [x % field.p for x in xs]

@@ -29,6 +29,7 @@ from repro.comm.wire import (
 )
 from repro.field.modular import DEFAULT_FIELD, PrimeField
 from repro.field.primes import MERSENNE_127
+from repro.field.vectorized import HAVE_NUMPY, get_backend
 
 F = DEFAULT_FIELD
 BIG = PrimeField(MERSENNE_127, check_prime=False)
@@ -366,3 +367,40 @@ def test_other_widths_still_take_the_loop(monkeypatch):
         encode_words(F, [1])
     with pytest.raises(AssertionError):
         decode_words(F, _raw_frame([1]))
+
+
+# -- T_UPDATES built from the block's columns -----------------------------------
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+@pytest.mark.parametrize("field", [DEFAULT_FIELD, PrimeField(MERSENNE_127)])
+def test_updates_frame_from_columns_equals_the_per_pair_reference(field):
+    """``updates_payload`` (two Python ints per pair through
+    ``encode_words``) stays the byte-for-byte reference of the column
+    encoder the client uses."""
+    import numpy as np
+
+    from repro.lde.streaming import prepare_block
+    from repro.service import protocol as sp
+
+    p = DEFAULT_FIELD.p
+    u = 1 << 20
+    pairs = [(0, -1), (u - 1, 1), (5, p - 1), (5, -(p - 1)), (7, p),
+             (9, 1 << 61), (9, (1 << 62) + 5), (3, 0), (2, -(1 << 63)),
+             (u - 1, (1 << 63) - 1)]
+    for chunk, vector in ((pairs, 0), (pairs[:1], 1), (pairs * 300, 1)):
+        keys = np.array([k for k, _ in chunk], dtype=np.int64)
+        deltas = np.array([d for _, d in chunk], dtype=np.int64)
+        assert sp.updates_payload_columns(field, vector, keys, deltas) == \
+            sp.updates_payload(field, vector, chunk)
+    empty = np.array([], dtype=np.int64)
+    assert sp.updates_payload_columns(field, 0, empty, empty) == \
+        sp.updates_payload(field, 0, [])
+    # The columns are the ones the block split produced; a delta outside
+    # int64 leaves none, and the client falls back to the pair loop.
+    be = get_backend(field, "vectorized")
+    block = prepare_block(be, u, pairs, copies=8)
+    assert sp.updates_payload_columns(field, 0, *block.columns) == \
+        sp.updates_payload(field, 0, pairs)
+    assert prepare_block(be, u, pairs + [(1, 1 << 63)]).columns is None
+

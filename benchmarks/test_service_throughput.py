@@ -1,17 +1,14 @@
-"""Service throughput: sessions/sec, updates/sec, worker-pool speedup.
+"""Service throughput: sessions/sec, updates/sec, queries/sec.
 
 Measures the prover-as-a-service subsystem end to end — real sockets,
-real frames — and the worker-pool execution mode's wall-clock gain over
-the sequential sharded coordinator.  Under ``--bench-record`` results
+real frames — on a clean wire, through a chaos proxy and through a
+replicated cluster with node kills.  Under ``--bench-record`` results
 land in ``benchmarks/BENCH_service.json`` so later PRs can track the
 service's throughput trajectory.
 
 Smoke mode (``REPRO_SERVICE_SMOKE=1`` or ``REPRO_BENCH_SMOKE=1``) runs
 everything at toy sizes, keeps all correctness assertions (loadgen
-sessions verify, pooled transcripts byte-identical) and skips both the
-wall-clock bars and the JSON file.  The > 1.5x pool-speedup bar
-additionally requires >= 4 physical cores — thread-level Map-Reduce
-cannot beat 1.5x on fewer.
+sessions verify) and skips the JSON file.
 """
 
 from __future__ import annotations
@@ -25,19 +22,9 @@ import time
 
 import pytest
 
-from repro.comm.channel import Channel
-from repro.core.base import pow2_dimension
-from repro.core.f2 import F2Verifier, run_f2
-from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import DEFAULT_FIELD as F
-from repro.field.vectorized import HAVE_NUMPY, get_backend
-from repro.service import (
-    PooledDistributedF2Prover,
-    ProcessPooledDistributedF2Prover,
-    ProverServer,
-    run_load,
-)
-from repro.streams.generators import uniform_frequency_stream
+from repro.field.vectorized import HAVE_NUMPY
+from repro.service import ProverServer, run_load
 
 BENCH_SERVICE_JSON = pathlib.Path(__file__).resolve().parent / (
     "BENCH_service.json"
@@ -68,9 +55,9 @@ def service_bench_recorder(request):
     if (records and request.config.getoption("--bench-record")
             and not service_smoke()):
         # Merge with the existing file by (measure, u) so a partial run
-        # (one test, one mode leg) refreshes only what it re-measured,
-        # and sort records + keys so a rerun diffs nothing but the
-        # numbers that actually changed.
+        # (one test) refreshes only what it re-measured, and sort
+        # records + keys so a rerun diffs nothing but the numbers that
+        # actually changed.
         merged = {}
         if BENCH_SERVICE_JSON.exists():
             try:
@@ -116,126 +103,6 @@ def test_service_session_throughput(server, service_bench_recorder):
     print("\nservice load: %.1f sessions/s, %.0f updates/s, %.1f queries/s"
           % (report.sessions_per_second, report.updates_per_second,
              report.queries_per_second))
-
-
-def test_worker_pool_wallclock_speedup(service_bench_recorder):
-    """Worker-pool prover vs the sequential sharded coordinator.
-
-    Transcripts must be byte-identical at any size; the > 1.5x
-    wall-clock bar applies only at full size on >= 4 cores (NumPy's
-    GIL-releasing kernels cannot overlap meaningfully below that).
-    """
-    if not HAVE_NUMPY:
-        pytest.skip("worker-pool speedup needs the vectorized backend")
-    u = 1 << 12 if service_smoke() else 1 << 21
-    workers = 8
-    stream = uniform_frequency_stream(u, max_frequency=1000,
-                                      rng=random.Random(11))
-    updates = list(stream.updates())
-    point = F.rand_vector(random.Random(13), pow2_dimension(u))
-
-    def drive(prover):
-        verifier = F2Verifier(F, u, point=point)
-        verifier.lde.process_stream_batched(updates)
-        channel = Channel()
-        start = time.perf_counter()
-        result = run_f2(prover, verifier, channel)
-        elapsed = time.perf_counter() - start
-        assert result.accepted
-        return elapsed, channel.transcript
-
-    sequential = DistributedF2Prover(F, u, num_workers=workers)
-    sequential.process_stream(updates)
-    t_seq, tx_seq = drive(sequential)
-
-    with PooledDistributedF2Prover(F, u, num_workers=workers) as pooled:
-        pooled.process_stream(updates)
-        t_pool, tx_pool = drive(pooled)
-
-    assert tx_seq.messages == tx_pool.messages  # byte-identical proof
-    speedup = t_seq / t_pool if t_pool else float("inf")
-    cores = os.cpu_count() or 1
-    service_bench_recorder.append({
-        "measure": "worker_pool_f2",
-        "u": u,
-        "pool_mode": "thread",
-        "workers": workers,
-        "cores": cores,
-        "seconds_sequential": t_seq,
-        "seconds_pooled": t_pool,
-        "speedup": speedup,
-    })
-    print("\nworker pool: %.3fs sequential vs %.3fs pooled (%.2fx, %d cores)"
-          % (t_seq, t_pool, speedup, cores))
-    if not service_smoke() and cores >= 4:
-        assert speedup > 1.5, (
-            "worker pool only %.2fx faster on %d cores" % (speedup, cores)
-        )
-
-
-def test_process_pool_wallclock_speedup(service_bench_recorder):
-    """Shared-memory process-pool prover vs the inline coordinator, on
-    the *scalar* backend — the case threads cannot win (every fold is
-    Python-level, so a thread pool serialises on the GIL while the
-    process pool scales with cores).
-
-    Transcripts must be byte-identical at any size; the > 2x wall-clock
-    bar applies only at full size on >= 4 cores (the 4-vCPU CI leg).
-    """
-    u = 1 << 11 if service_smoke() else 1 << 22
-    workers = 8
-    backend = get_backend(F, "scalar")
-    stream = uniform_frequency_stream(u, max_frequency=1000,
-                                      rng=random.Random(17))
-    updates = list(stream.updates())
-    point = F.rand_vector(random.Random(19), pow2_dimension(u))
-
-    def drive(prover):
-        verifier = F2Verifier(F, u, point=point)
-        verifier.lde.process_stream_batched(updates)
-        channel = Channel()
-        start = time.perf_counter()
-        result = run_f2(prover, verifier, channel)
-        elapsed = time.perf_counter() - start
-        assert result.accepted
-        return elapsed, channel.transcript
-
-    inline = DistributedF2Prover(F, u, num_workers=workers, backend=backend)
-    inline.process_stream(updates)
-    t_inline, tx_inline = drive(inline)
-
-    with ProcessPooledDistributedF2Prover(
-        F, u, num_workers=workers, backend=backend
-    ) as pooled:
-        # Pay the spawn + import cost outside the timed window: a real
-        # service reuses its pool across queries.
-        pooled.warm_up()
-        pooled.process_stream(updates)
-        t_proc, tx_proc = drive(pooled)
-        assert pooled.effective_mode == "process", pooled.effective_mode
-        max_procs = pooled.max_procs
-
-    assert tx_inline.messages == tx_proc.messages  # byte-identical proof
-    speedup = t_inline / t_proc if t_proc else float("inf")
-    cores = os.cpu_count() or 1
-    service_bench_recorder.append({
-        "measure": "process_pool_f2",
-        "u": u,
-        "pool_mode": "process",
-        "backend": "scalar",
-        "workers": workers,
-        "max_procs": max_procs,
-        "cores": cores,
-        "seconds_inline": t_inline,
-        "seconds_process": t_proc,
-        "speedup": speedup,
-    })
-    print("\nprocess pool: %.3fs inline vs %.3fs process (%.2fx, %d cores)"
-          % (t_inline, t_proc, speedup, cores))
-    if not service_smoke() and cores >= 4:
-        assert speedup > 2.0, (
-            "process pool only %.2fx faster on %d cores" % (speedup, cores)
-        )
 
 
 def test_service_chaos_throughput(server, service_bench_recorder):

@@ -56,7 +56,7 @@ def main():
         range_sum(0, u // 2),
         range_sum(u // 2, u - 1),
         fk(3),          # joins the range-sums in one batched engine run
-        f2(workers=4),  # worker-pool execution mode on the server
+        f2(workers=4),  # the sharded Section 7 coordinator, 4 workers
         heavy_hitters(1, 32),
         predecessor(u // 2),
         range_scan(0, 200),

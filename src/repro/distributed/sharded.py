@@ -35,16 +35,20 @@ from repro.field.vectorized import (
 
 
 class F2ShardWorker:
-    """One mapper: a contiguous shard of the frequency vector."""
+    """One mapper: a contiguous shard of the frequency vector.
+
+    ``freq`` adopts an existing shard (a slice of a shared read-only
+    table) instead of starting from zeros; it is never written.
+    """
 
     def __init__(self, field: PrimeField, shard_index: int, shard_size: int,
-                 backend=None):
+                 backend=None, freq=None):
         self.field = field
         self.shard_index = shard_index
         self.shard_size = shard_size
         self.base = shard_index * shard_size
         self.backend = backend if backend is not None else get_backend(field)
-        self.freq: List[int] = [0] * shard_size
+        self.freq = freq if freq is not None else [0] * shard_size
         self._table = None
         self._partial = None
 
@@ -93,10 +97,14 @@ class DistributedF2Prover:
     padded universe into shards of at least two entries; anything else is
     rejected up front — a shard count that does not divide the padded
     dimension would silently route keys to the wrong worker.
+
+    ``freq`` is the padded frequency table to prove over, adopted like
+    ``F2Prover``'s: worker ``w`` takes the slice ``freq[w·s:(w+1)·s]``
+    (a view of a frozen table, not a copy).
     """
 
     def __init__(self, field: PrimeField, u: int, num_workers: int = 4,
-                 backend=None):
+                 backend=None, freq=None):
         if num_workers < 1 or num_workers & (num_workers - 1):
             raise ValueError(
                 "worker count must be a power of two (got %d): the shard "
@@ -118,7 +126,11 @@ class DistributedF2Prover:
         self.backend = backend if backend is not None else get_backend(field)
         self.num_workers = num_workers
         self.workers = [
-            F2ShardWorker(field, w, shard_size, backend=self.backend)
+            F2ShardWorker(
+                field, w, shard_size, backend=self.backend,
+                freq=None if freq is None
+                else freq[w * shard_size:(w + 1) * shard_size],
+            )
             for w in range(num_workers)
         ]
         self._shard_bits = shard_size.bit_length() - 1
@@ -189,17 +201,3 @@ class DistributedF2Prover:
     def max_worker_keys(self) -> int:
         """Peak per-worker storage — the Map-Reduce balance statistic."""
         return max(len(w.freq) for w in self.workers)
-
-    # -- pooled-prover interface ---------------------------------------------
-    # The service selects between this inline coordinator and the
-    # thread/process-pooled subclasses at runtime (REPRO_POOL_MODE), so
-    # all three share the lifecycle surface; inline has nothing to free.
-
-    def shutdown(self) -> None:
-        pass
-
-    def __enter__(self) -> "DistributedF2Prover":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

@@ -18,8 +18,8 @@ Three stdlib-only planes, all off the transcript path:
 **Invariant:** enabling any of these changes zero transcript bytes —
 ids never draw from the verifier RNGs, instrumentation never writes a
 word payload, and the differential tests in
-``tests/test_obs_service.py`` enforce it across the plain service,
-cluster failover, and the process pool.
+``tests/test_obs_service.py`` enforce it across the plain service
+and cluster failover.
 """
 
 from repro.obs.metrics import (  # noqa: F401

@@ -2,9 +2,9 @@
 
 One log line is one JSON object::
 
-    {"ts": 1699999999.5, "level": "warning", "logger": "service.pool",
-     "node": "node-1", "event": "pool.degraded", "trace": "…16 hex…",
-     "to": "thread", "restarts": 2}
+    {"ts": 1699999999.5, "level": "info", "logger": "service.registry",
+     "node": "node-1", "event": "admission.refused", "trace": "…16 hex…",
+     "kind": "query", "session": 7, "inflight": 4}
 
 ``event`` is a stable machine-matchable name (the tests grep for these);
 free-form prose goes in a ``msg`` field.  When a span is open on the

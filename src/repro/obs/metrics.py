@@ -113,7 +113,7 @@ class Counter(_Instrument):
 
 
 class Gauge(_Instrument):
-    """A value that goes up and down (inflight connections, live shm)."""
+    """A value that goes up and down (inflight connections)."""
 
     def __init__(self, name, label_key, enabled):
         super().__init__(name, label_key, enabled)

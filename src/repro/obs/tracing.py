@@ -2,8 +2,8 @@
 
 A *trace* covers one client conversation end to end — session open,
 update blocks, every proof round, the verify — across every hop it
-touches: client, cluster router, fan-out legs, the primary's worker
-pool, and (after a failover) the next primary incarnation.  Trace and
+touches: client, cluster router, fan-out legs, the primary, and (after
+a failover) the next primary incarnation.  Trace and
 span ids are 64-bit and ride the wire in the version-2 frame-header
 extension (:mod:`repro.service.protocol`), so a receiving node parents
 its spans under the sender's active span and the whole conversation

@@ -9,19 +9,15 @@ powerful server and verifying its answers):
   payloads in the :mod:`repro.comm.wire` word encoding;
 * :mod:`repro.service.router` — declarative query descriptors routed
   onto the matching ``core/`` protocol, with single-shot vs batched
-  (direct-sum) planning;
+  (direct-sum) planning; ``f2(workers=w)`` runs the Section 7 sharded
+  coordinator (:mod:`repro.distributed.sharded`) over ``w`` slices of
+  the dataset's table, transcript equal to plain ``f2()``;
 * :mod:`repro.service.registry` — server-side datasets shared across
   sessions (one server pass, many independent verifiers) and per-query
   prover snapshots;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   asyncio prover server and the thin blocking verifier client whose
   prover proxies exchange real frames per protocol round;
-* :mod:`repro.service.pool` — the sharded prover's map step on a
-  thread pool (NumPy releases the GIL) or a *process* pool over the
-  :mod:`repro.service.shm` shared-memory shard tables (zero-copy, so
-  the scalar backend scales with cores too), selected per deployment
-  via ``REPRO_POOL_MODE=auto|thread|process|inline``; wall-clock
-  Map-Reduce scaling with byte-identical transcripts in every mode;
 * :mod:`repro.service.loadgen` — many concurrent sessions, measured,
   with per-phase (dial/update/query/verify) latency breakdowns;
 * :mod:`repro.service.ring` / :mod:`repro.service.cluster` /
@@ -33,7 +29,7 @@ powerful server and verifying its answers):
 
 Observability (:mod:`repro.obs`) threads through every layer: trace ids
 ride a negotiated version-2 frame-header extension end to end, a
-process-wide metrics registry counts retries/failovers/degradations and
+process-wide metrics registry counts retries/failovers/refusals and
 times proof rounds, and every recovery decision point emits a structured
 JSON log line — with the transcript bytes provably unchanged whether
 instrumentation is on or off.
@@ -62,14 +58,6 @@ from repro.service.loadgen import (
     run_cluster_load,
     run_load,
 )
-from repro.service.pool import (
-    POOL_MODE_ENV_VAR,
-    PoolConfigError,
-    PooledDistributedF2Prover,
-    ProcessPooledDistributedF2Prover,
-    make_pooled_prover,
-    resolve_pool_mode,
-)
 from repro.service.protocol import ServiceProtocolError
 from repro.service.registry import AdmissionError, SessionRegistry
 from repro.service.ring import HashRing
@@ -96,6 +84,13 @@ from repro.service.supervisor import (
     ThreadNodeManager,
 )
 
+
+def resolve_pool_mode() -> str:
+    # bench/run.py (frozen) imports this name to print its header; the
+    # sharded coordinator runs its workers inline, the only plane left.
+    return "inline"
+
+
 __all__ = [
     "AdmissionError",
     "BlackoutSchedule",
@@ -109,11 +104,7 @@ __all__ = [
     "NO_RETRY",
     "NodeSupervisor",
     "PHASES",
-    "POOL_MODE_ENV_VAR",
     "ProcessNodeManager",
-    "ProcessPooledDistributedF2Prover",
-    "PoolConfigError",
-    "PooledDistributedF2Prover",
     "ProverServer",
     "QueryCost",
     "QueryDescriptor",
@@ -136,7 +127,6 @@ __all__ = [
     "heavy_hitters",
     "inner_product",
     "k_largest",
-    "make_pooled_prover",
     "point_lookup",
     "predecessor",
     "range_scan",

@@ -23,7 +23,6 @@ import sys
 
 from repro import obs
 from repro.field.modular import DEFAULT_FIELD, PrimeField
-from repro.service.pool import POOL_MODE_ENV_VAR, POOL_MODES
 from repro.service.registry import SessionRegistry
 from repro.service.server import ProverServer
 
@@ -58,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-session token bucket (frames/sec, burst)")
     parser.add_argument("--idle-timeout", type=float, default=None,
                         help="seconds a connection may sit silent")
-    parser.add_argument("--pool-mode", choices=POOL_MODES, default=None,
-                        help="worker-pool F2 execution mode (default: "
-                             "the %s environment variable, then auto)"
-                             % POOL_MODE_ENV_VAR)
     parser.add_argument("--node-name", default="",
                         help="observability tag stamped on this node's "
                              "spans, logs and H_STATS replies")
@@ -119,10 +114,6 @@ def main(argv=None) -> int:
     if args.snapshot_interval and not args.snapshot:
         print("--snapshot-interval requires --snapshot", file=sys.stderr)
         return 2
-    if args.pool_mode:
-        # The router reads the knob per prover construction, so setting
-        # the env var here covers every query this node will serve.
-        os.environ[POOL_MODE_ENV_VAR] = args.pool_mode
     if args.node_name:
         # Stamp the node id on every span and log line this process
         # emits (sinks stay env-configured: REPRO_TRACE / REPRO_LOG).

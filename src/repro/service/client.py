@@ -301,6 +301,11 @@ class _Pool:
             raise LookupError("all independent protocol copies were consumed")
         return self._fresh.pop()
 
+    def put_back(self, verifier) -> None:
+        """Undo the last :meth:`take` of a copy that was never used: it
+        is the tail row of its segment again, so the stream feeds it."""
+        self._fresh.append(verifier)
+
     @property
     def remaining(self) -> int:
         return len(self._fresh)
@@ -779,7 +784,16 @@ class ServiceClient:
             "client.query", batched=unit.batched,
             kinds=[q.name for q in unit.descriptors],
         ):
-            self._with_retries(attempt, "query", on_retry=on_retry)
+            try:
+                self._with_retries(attempt, "query", on_retry=on_retry)
+            except Exception:
+                if state["channel"] is None:
+                    # No open was ever acked, and T_QUERY_OPEN carries
+                    # only the descriptor: nothing about this copy left
+                    # the client, and copies cannot be re-provisioned
+                    # once the stream has started.
+                    pool.put_back(verifier)
+                raise
         result = state["result"]
         channel = state["channel"]
 

@@ -21,8 +21,7 @@ from typing import Dict, List, Optional
 
 from repro.field.modular import PrimeField
 from repro.service.client import ServiceClient
-from repro.service.pool import resolve_pool_mode
-from repro.service.router import KIND_F2, QueryDescriptor, QueryRouter
+from repro.service.router import QueryDescriptor, QueryRouter
 from repro.streams.generators import key_value_pairs
 
 
@@ -74,14 +73,8 @@ class LoadReport:
     failovers: int = 0
     resyncs: int = 0
     node_kills: int = 0
-    #: Execution context: which pool mode the service's worker-pool F2
-    #: provers resolve to ("" = stamp the process-wide resolution at
-    #: record time), the per-prover worker count (0 = no pooled F2 in
-    #: the workload), and the host's core count — so the perf
-    #: trajectory in BENCH_service.json distinguishes thread numbers
-    #: from process numbers and 1-core from multicore hosts.
-    pool_mode: str = ""
-    pool_workers: int = 0
+    #: The host's core count, so the perf trajectory in
+    #: BENCH_service.json distinguishes 1-core from multicore hosts.
     cores: int = 0
 
     @property
@@ -128,8 +121,6 @@ class LoadReport:
             "refusals": self.refusals,
             "reconnects": self.reconnects,
             "errors": len(self.failures),
-            "pool_mode": self.pool_mode or resolve_pool_mode(),
-            "pool_workers": self.pool_workers,
             "cores": self.cores or (os.cpu_count() or 1),
         }
         # Additive keys only: consumers of the pre-phase schema read
@@ -343,12 +334,6 @@ def run_load(
         retries=totals["retries"],
         refusals=totals["refusals"],
         reconnects=totals["reconnects"],
-        pool_mode=resolve_pool_mode(),
-        pool_workers=max(
-            (q.params[0] for q in queries
-             if q.kind == KIND_F2 and q.params),
-            default=0,
-        ),
         cores=os.cpu_count() or 1,
     )
 

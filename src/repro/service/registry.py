@@ -147,21 +147,6 @@ class ActiveQuery:
     def kind(self) -> int:
         return self.unit.descriptors[0].kind
 
-    def release(self) -> None:
-        """Free prover-held resources (worker pools, shm segments).
-
-        Pooled provers own executors and — in process mode — a named
-        shared-memory segment; a long-lived server must release those
-        the moment the query closes, not whenever GC notices.  Never
-        raises: a release failure must not take the session down.
-        """
-        shutdown = getattr(self.prover, "shutdown", None)
-        if callable(shutdown):
-            try:
-                shutdown()
-            except Exception:
-                pass
-
 
 class Session:
     """One connected client verifier."""
@@ -182,12 +167,7 @@ class Session:
     def close_query(self, ref: int) -> None:
         if ref not in self.queries:
             raise RegistryError("unknown query reference %d" % ref)
-        self.queries.pop(ref).release()
-
-    def release_queries(self) -> None:
-        while self.queries:
-            _, active = self.queries.popitem()
-            active.release()
+        del self.queries[ref]
 
 
 class SessionRegistry:
@@ -273,7 +253,6 @@ class SessionRegistry:
         session = self.sessions.pop(session_id, None)
         if session is not None:
             session.dataset.sessions_attached -= 1
-            session.release_queries()
 
     # -- queries -------------------------------------------------------------
 

@@ -55,6 +55,7 @@ from repro.core.reporting import (
     successor_query,
 )
 from repro.core.subvector import TreeHashVerifier
+from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import PrimeField
 
 # -- query kinds ---------------------------------------------------------------
@@ -106,7 +107,7 @@ TREE_KINDS = frozenset(
 #: The sum-check family: descriptors of these kinds share one
 #: heterogeneous direct-sum execution (Section 7) through the
 #: :class:`~repro.core.multiquery.BatchedSumcheckEngine` — except an F2
-#: descriptor that requests worker-pool execution, which keeps its own
+#: descriptor that names a worker count, which keeps its own (sharded)
 #: prover.  There is no batch-size ceiling in the plan: RANGE-SUM
 #: members cost the engine O(log² u) per round each (the dyadic fold),
 #: so adding a range member to a unit is cheap server-side and always
@@ -122,7 +123,7 @@ def _batchable(descriptor: QueryDescriptor) -> bool:
     if kind not in SUMCHECK_KINDS:
         return False
     if kind == KIND_F2 and descriptor.params and descriptor.params[0]:
-        return False  # worker-pool F2 runs on its own prover
+        return False  # sharded F2 runs on its own prover
     return True
 
 
@@ -276,7 +277,7 @@ class QueryRouter:
         (one verifier copy, one dataset digitisation, shared challenges
         — Section 7) on the
         :class:`~repro.core.multiquery.BatchedSumcheckEngine`; every
-        other descriptor (and worker-pool F2) is a single-shot unit.
+        other descriptor (and sharded F2) is a single-shot unit.
         Order of the returned units follows first appearance, so results
         can be re-matched to the request order via the units'
         descriptors.
@@ -349,8 +350,9 @@ class QueryRouter:
         Sum-check and tree-hash provers start from the shared read-only
         canonical tables of ``dataset`` (a registry ``Dataset``) without
         a copy, so an in-flight proof stays consistent while other
-        sessions keep streaming.  Heavy hitters and the pooled F2 need
-        raw counts, not residues: they snapshot ``freq_a``.
+        sessions keep streaming; ``f2(workers=w)`` runs the Section 7
+        coordinator over ``w`` slices of that table.  Heavy hitters needs
+        raw counts, not residues: it snapshots ``freq_a``.
         """
         field, u, table = dataset.field, dataset.u, dataset.canonical_table
         descriptor = unit.descriptors[0]
@@ -372,17 +374,8 @@ class QueryRouter:
         if kind == KIND_F2:
             workers = descriptor.params[0] if descriptor.params else 0
             if workers:
-                from repro.service.pool import make_pooled_prover
-
-                # Execution mode (thread pool / process pool with
-                # shared-memory shards / inline) comes from
-                # REPRO_POOL_MODE; the registry shuts the prover down
-                # when its query closes.
-                prover = make_pooled_prover(field, u, num_workers=workers)
-                prover.process_stream(
-                    (i, f) for i, f in enumerate(dataset.freq_a) if f
-                )
-                return prover
+                return DistributedF2Prover(field, u, num_workers=workers,
+                                           freq=table(0))
             return F2Prover(field, u, freq=table(0))
         if kind == KIND_FK:
             return FkProver(field, u, descriptor.params[0], freq=table(0))

@@ -513,67 +513,6 @@ def test_cli_rejects_snapshot_interval_without_path(capsys):
     assert "--snapshot" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                    reason="shared-memory leak scan needs /dev/shm")
-def test_process_mode_node_restart_sweep_leaves_no_segments(
-        tmp_path, monkeypatch):
-    """Real ``python -m repro.service`` nodes serving worker-pool F2
-    queries in ``REPRO_POOL_MODE=process``: across query close, node
-    SIGKILL and restart-from-snapshot, no ``reproshm_*`` segment
-    survives in /dev/shm."""
-    def shm_segments():
-        return {n for n in os.listdir("/dev/shm")
-                if n.startswith("reproshm")}
-
-    before = shm_segments()
-    monkeypatch.setenv("REPRO_POOL_MODE", "process")
-    manager = ProcessNodeManager(
-        F, snapshot_dir=str(tmp_path),
-        extra_args=["--snapshot-interval", "0.1"],
-    )
-    try:
-        host, port = manager.add_node("shm0")
-        dataset_id = fresh_dataset_id()
-        client = ServiceClient(host, port, F, U, dataset_id=dataset_id,
-                               rng=random.Random(9), retry=FAST_RETRY,
-                               op_timeout=5.0)
-        with client:
-            client.provision(("f2",), 2)
-            client.send_updates(UPDATES)
-            want = client.query(f2(workers=4))[0]
-            assert want.result.accepted
-        deadline = time.monotonic() + 5.0
-        snapshot = manager.snapshot_path("shm0")
-        while not os.path.exists(snapshot):
-            assert time.monotonic() < deadline, "snapshot never appeared"
-            time.sleep(0.05)
-        time.sleep(0.15)  # one more interval so the file covers the data
-        manager.kill("shm0")
-
-        new_address = manager.restart("shm0")
-        reader = ServiceClient(*new_address, F, U, dataset_id=dataset_id,
-                               rng=random.Random(10), retry=FAST_RETRY,
-                               op_timeout=5.0)
-        with reader:
-            reader.provision(("f2",), 2)
-            reader.replay_missed()
-            got = reader.query(f2(workers=4))[0]
-        assert got.result.accepted
-        assert got.result.value == want.result.value
-    finally:
-        manager.stop_all()
-    # The resource-tracker backstop may trail a killed node by a beat.
-    deadline = time.monotonic() + 10.0
-    while True:
-        leaked = shm_segments() - before
-        if not leaked:
-            break
-        assert time.monotonic() < deadline, (
-            "segments survived the node sweep: %s" % sorted(leaked)
-        )
-        time.sleep(0.05)
-
-
 # -- the cluster load run (acceptance criterion) -------------------------------
 
 
@@ -676,11 +615,9 @@ def test_load_report_record_schema_is_backward_compatible():
     extended = clustered.as_record()
     assert set(record) < set(extended)
     assert extended["resyncs"] == 4
-    # Execution-context fields (pool mode / worker / core counts) are
-    # additive on both shapes: present, typed, never renaming a key.
+    # The execution-context field (core count) is additive on both
+    # shapes: present, typed, never renaming a key.
     for rec in (record, extended):
-        assert rec["pool_mode"] in ("auto", "thread", "process", "inline")
-        assert rec["pool_workers"] == 0  # no pooled-F2 query in either
         assert rec["cores"] >= 1
 
 

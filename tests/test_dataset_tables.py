@@ -17,6 +17,7 @@ import pytest
 
 from repro.comm.channel import Channel
 from repro.core.subvector import SubVectorAnswer
+from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY
 from repro.service import (
@@ -89,33 +90,40 @@ class Client:
 def test_updates_mid_proof_do_not_reach_the_proof_in_flight(
         backend_name, monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", backend_name)
-    query = range_sum(3, 40)
 
-    undisturbed = Client()
-    undisturbed.apply(UPDATES)
-    unit, prover = undisturbed.open(query)
-    channel = Channel()
-    result = QueryRouter.run(unit, prover, undisturbed.verifier(unit, 5),
-                             channel)
-    assert result.accepted
+    def range_oracle(freq):
+        return sum(freq[3:41]) % F.p
 
-    client = Client()
-    client.apply(UPDATES)
-    unit, prover = client.open(query)
-    verifier = client.verifier(unit, 5)  # saw exactly what the proof did
-    client.apply([(4, 1000), (39, -3)])  # the dataset moves on mid-proof
-    disturbed = Channel()
-    result = QueryRouter.run(unit, prover, verifier, disturbed)
-    assert result.accepted, result.reason
-    assert transcript_of(disturbed) == transcript_of(channel)
+    def f2_oracle(freq):
+        return sum(f * f for f in freq) % F.p
 
-    # The next query proves the new data.
-    unit, prover = client.open(query)
-    result = QueryRouter.run(unit, prover, client.verifier(unit, 6))
-    assert result.accepted, result.reason
-    assert result.value == sum(
-        delta for _v, pairs in client.updates for key, delta in pairs
-        if 3 <= key <= 40) % F.p
+    # The sharded prover holds slices of the table, not the table: the
+    # slices must keep the old array alive just the same.
+    for query, oracle in ((range_sum(3, 40), range_oracle),
+                          (f2(workers=4), f2_oracle)):
+        undisturbed = Client()
+        undisturbed.apply(UPDATES)
+        unit, prover = undisturbed.open(query)
+        channel = Channel()
+        result = QueryRouter.run(unit, prover, undisturbed.verifier(unit, 5),
+                                 channel)
+        assert result.accepted
+
+        client = Client()
+        client.apply(UPDATES)
+        unit, prover = client.open(query)
+        verifier = client.verifier(unit, 5)  # saw exactly what the proof did
+        client.apply([(4, 1000), (39, -3)])  # the dataset moves on mid-proof
+        disturbed = Channel()
+        result = QueryRouter.run(unit, prover, verifier, disturbed)
+        assert result.accepted, result.reason
+        assert transcript_of(disturbed) == transcript_of(channel)
+
+        # The next query proves the new data.
+        unit, prover = client.open(query)
+        result = QueryRouter.run(unit, prover, client.verifier(unit, 6))
+        assert result.accepted, result.reason
+        assert result.value == oracle(client.dataset.freq_a)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -160,6 +168,36 @@ def test_an_aliasing_write_raises(backend_name, monkeypatch):
     assert second._table is client.dataset.canonical_table(0)
 
 
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_sharded_f2_workers_alias_slices_of_the_shared_table(
+        backend_name, monkeypatch):
+    """``f2(workers=w)`` is served by the Section 7 coordinator — not
+    quietly by the plain prover — and its w shards are views of the
+    dataset's one table, taken without a copy and never written."""
+    monkeypatch.setenv("REPRO_BACKEND", backend_name)
+    client = Client()
+    client.apply(UPDATES)
+    table = client.dataset.canonical_table(0)
+    _unit, prover = client.open(f2(workers=4))
+    assert type(prover) is DistributedF2Prover and prover.num_workers == 4
+    shard = len(table) // 4
+    for w, worker in enumerate(prover.workers):
+        assert list(worker.freq) == list(table[w * shard:(w + 1) * shard])
+        if backend_name == "vectorized":
+            import numpy as np
+
+            assert np.shares_memory(worker.freq, table)
+            assert not worker.freq.flags.writeable
+        else:
+            assert type(worker.freq) is tuple
+    with pytest.raises((ValueError, TypeError)):
+        prover.process(2, 1)
+    assert list(table) == [v % F.p for v in client.dataset.freq_a]
+    prover.begin_proof()
+    for worker in prover.workers:
+        assert worker._table is worker.freq  # round 0 adopts the view
+
+
 # -- (c) only Python ints leave a prover ---------------------------------------
 
 EVERY_KIND = [
@@ -168,6 +206,7 @@ EVERY_KIND = [
     (k_largest(2),), (predecessor(U - 1),), (successor(1),),
     (range_sum(0, 9), range_sum(10, 63)),
     (range_sum(5, 6), f2(), fk(2), inner_product()),
+    (f2(workers=4),),
 ]
 
 
@@ -184,7 +223,8 @@ def _flat_ints(value):
 @pytest.mark.skipif(not HAVE_NUMPY, reason="needs the vectorized backend")
 @pytest.mark.parametrize(
     "descriptors", EVERY_KIND,
-    ids=["+".join(q.name for q in qs) for qs in EVERY_KIND])
+    ids=["+".join(q.name + ("-sharded" if q == f2(workers=4) else "")
+                  for q in qs) for qs in EVERY_KIND])
 def test_every_transcript_word_is_a_python_int(descriptors, monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "vectorized")
     client = Client()

@@ -3,11 +3,11 @@
 The acceptance bar is stronger than "it still works": because sum-check
 transcripts are deterministic given the data and the verifier's
 randomness, every recovery path — retry, reconnect, replay catch-up,
-snapshot/restore, worker-pool rebuild — must reproduce the *byte
-identical* transcript of an undisturbed run.  These tests drive a real
-server and a real client through a :class:`ChaosProxy` under scheduled
-connection drops, frame truncation/corruption, delays and stalls, and
-compare ``encode_transcript`` bytes against a fault-free reference.
+snapshot/restore — must reproduce the *byte identical* transcript of
+an undisturbed run.  These tests drive a real server and a real client
+through a :class:`ChaosProxy` under scheduled connection drops, frame
+truncation/corruption, delays and stalls, and compare
+``encode_transcript`` bytes against a fault-free reference.
 
 Soundness must survive too: structural transport damage is retried, but
 a *cheating prover* behind the same faulty wire is still rejected — the
@@ -24,24 +24,19 @@ import random
 import socket
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.cheating_provers import ModifiedStreamF2Prover
-from repro.comm.channel import Channel
 from repro.comm.wire import encode_transcript
-from repro.core.f2 import F2Verifier, run_f2
-from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.service import protocol as sp
 from repro.service import (
     ChaosProxy,
     FaultSchedule,
     NO_RETRY,
-    PooledDistributedF2Prover,
     ProverServer,
     RetryPolicy,
     ServiceBusyError,
@@ -59,7 +54,6 @@ from repro.service.faults import (
     KIND_TRUNCATE,
     SeededSchedule,
 )
-from repro.streams.generators import uniform_frequency_stream
 
 #: Seed offset for the CI chaos matrix (three fixed seeds in the leg).
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -524,101 +518,6 @@ def test_snapshot_rejects_field_and_version_mismatch(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(RegistryError, match="version"):
         SessionRegistry.restore(path, F)
-
-
-# -- worker-pool death and graceful degradation --------------------------------
-
-
-class _FlakyExecutor:
-    """A thread-pool wrapper that dies on scheduled submit calls.
-
-    Failures happen *at submission*, before the task runs — the
-    recovery contract re-runs only tasks that never executed.
-    """
-
-    def __init__(self, state):
-        self._real = ThreadPoolExecutor(max_workers=2)
-        self._state = state
-
-    def submit(self, fn, *args):
-        self._state["submits"] += 1
-        if self._state["submits"] in self._state["fail_at"]:
-            raise BrokenExecutor("injected worker-pool death")
-        return self._real.submit(fn, *args)
-
-    def shutdown(self, wait=True):
-        self._real.shutdown(wait=wait)
-
-
-def _flaky_factory(fail_at):
-    state = {"submits": 0, "made": 0, "fail_at": set(fail_at)}
-
-    def factory():
-        state["made"] += 1
-        return _FlakyExecutor(state)
-
-    return factory, state
-
-
-def _sequential_f2_reference(u, updates, point):
-    prover = DistributedF2Prover(F, u, num_workers=8)
-    prover.process_stream(updates)
-    verifier = F2Verifier(F, u, point=point)
-    verifier.process_stream(updates)
-    channel = Channel()
-    result = run_f2(prover, verifier, channel)
-    assert result.accepted
-    return result, channel.transcript.messages
-
-
-def test_pool_survives_worker_death_with_identical_transcript():
-    u = 1 << 8
-    stream = uniform_frequency_stream(u, max_frequency=9,
-                                      rng=random.Random(21))
-    updates = list(stream.updates())
-    point = F.rand_vector(random.Random(22), 8)
-    want, want_messages = _sequential_f2_reference(u, updates, point)
-
-    factory, state = _flaky_factory(fail_at={1, 20})
-    with PooledDistributedF2Prover(F, u, num_workers=8,
-                                   executor_factory=factory) as prover:
-        prover.process_stream(updates)
-        verifier = F2Verifier(F, u, point=point)
-        verifier.process_stream(updates)
-        channel = Channel()
-        got = run_f2(prover, verifier, channel)
-        assert prover.pool_failures == 2
-        assert prover.pool_restarts == 2
-        assert not prover._degraded
-
-    assert got.accepted and got.value == want.value
-    assert channel.transcript.messages == want_messages
-
-
-def test_pool_degrades_to_inline_after_repeated_death():
-    u = 1 << 8
-    stream = uniform_frequency_stream(u, max_frequency=9,
-                                      rng=random.Random(23))
-    updates = list(stream.updates())
-    point = F.rand_vector(random.Random(24), 8)
-    want, want_messages = _sequential_f2_reference(u, updates, point)
-
-    factory, state = _flaky_factory(fail_at=set(range(1, 10_000)))
-    with PooledDistributedF2Prover(F, u, num_workers=8,
-                                   executor_factory=factory) as prover:
-        prover.process_stream(updates)
-        verifier = F2Verifier(F, u, point=point)
-        verifier.process_stream(updates)
-        channel = Channel()
-        got = run_f2(prover, verifier, channel)
-        # Two rebuilds were spent, then the prover went in-process for
-        # good: no further executors are created.
-        assert prover._degraded
-        made_when_degraded = state["made"]
-
-    assert state["made"] == made_when_degraded
-    assert got.accepted and got.value == want.value
-    assert channel.transcript.messages == want_messages
 
 
 # -- the loadgen acceptance run ------------------------------------------------

@@ -1,36 +1,28 @@
-"""Trace continuity through recovery: failover and pool-worker death.
+"""Trace continuity through recovery: cluster failover.
 
 The trace-propagation promise is only interesting when the path breaks:
-a conversation that fails over between cluster nodes, or a proof whose
-worker process is SIGKILLed mid-round, must still stitch into **one**
-trace — a single connected span tree rooted at the client session, with
-spans from every node that touched the conversation.  Alongside the
-tree, the recovery counters must actually count: a kill that forced a
-failover shows up in ``repro_cluster_failovers_total``, a dead worker
-in ``repro_pool_failures_total``.
+a conversation that fails over between cluster nodes must still stitch
+into **one** trace — a single connected span tree rooted at the client
+session, with spans from every node that touched the conversation.
+Alongside the tree, the recovery counters must actually count: a kill
+that forced a failover shows up in ``repro_cluster_failovers_total``.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
 import random
-import signal
 
 import pytest
 
 from repro import obs
-from repro.comm.channel import Channel
 from repro.comm.wire import encode_transcript
-from repro.core.base import pow2_dimension
-from repro.core.f2 import F2Verifier, run_f2
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.service import (
     ClusterNode,
     ClusterRouter,
     NodeSupervisor,
-    ProcessPooledDistributedF2Prover,
     RetryPolicy,
     ServiceClient,
     ThreadNodeManager,
@@ -145,50 +137,3 @@ def test_failover_keeps_one_connected_trace(cluster, traced):
     reg = obs.get_registry()
     assert reg.counter("repro_cluster_failovers_total").value >= 1
     assert handle.stats()["failovers"] >= 1
-
-
-def test_pool_worker_sigkill_stays_in_trace_and_counters(traced):
-    """SIGKILL a live pool worker mid-proof: the prover rebuilds the
-    pool, the proof still verifies, the map steps stay inside the
-    active trace, and the failure/rerun counters record the event."""
-    u = 1 << 9
-    updates = [((i * 17) % u, 1 + i % 7) for i in range(200)]
-    point = F.rand_vector(random.Random(52), pow2_dimension(u))
-
-    tracer = obs.get_tracer()
-    with ProcessPooledDistributedF2Prover(F, u, num_workers=4) as prover:
-        prover.warm_up(delay=0.01)
-        prover.process_stream(updates)
-        verifier = F2Verifier(F, u, point=point)
-        verifier.process_stream(updates)
-
-        state = {"round": 0}
-        real_round_message = prover.round_message
-
-        def killing_round_message():
-            if state["round"] == 2 and prover._executor is not None:
-                victims = [
-                    p.pid for p in prover._executor._processes.values()
-                ]
-                assert victims, "pool has no live workers to kill"
-                os.kill(victims[0], signal.SIGKILL)
-            state["round"] += 1
-            return real_round_message()
-
-        prover.round_message = killing_round_message
-        with tracer.span("proof.f2", root=True) as root:
-            got = run_f2(prover, verifier, Channel())
-        assert prover.pool_failures >= 1
-
-    assert got.accepted
-
-    spans = _spans(traced)
-    maps = [s for s in spans if s["name"] == "pool.map"]
-    assert maps, "no pool.map spans emitted"
-    assert all(s["trace"] == "%016x" % root.ctx.trace_id for s in maps)
-    assert all(s["mode"] == "process" for s in maps)
-
-    reg = obs.get_registry()
-    assert reg.counter("repro_pool_failures_total").value >= 1
-    assert reg.counter("repro_pool_restarts_total").value >= 1
-    assert reg.counter("repro_pool_task_reruns_total").value >= 1

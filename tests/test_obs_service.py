@@ -127,22 +127,27 @@ def _transcripts(outcomes):
 
 
 def test_observability_changes_zero_transcript_bytes(server):
-    old, _ = _obs_off()
-    try:
-        baseline = _transcripts(_run_workload(server, fresh_dataset_id()))
-    finally:
-        _obs_restore(old)
+    # The mixed sum-check batch, then the sharded F2 coordinator.
+    for workload in ({}, {"descriptors": [f2(2)], "pool_key": ("f2",)}):
+        old, _ = _obs_off()
+        try:
+            baseline = _transcripts(_run_workload(
+                server, fresh_dataset_id(), **workload))
+        finally:
+            _obs_restore(old)
 
-    old, trace_sink = _obs_on()
-    try:
-        traced = _transcripts(_run_workload(server, fresh_dataset_id()))
-    finally:
-        _obs_restore(old)
+        old, trace_sink = _obs_on()
+        try:
+            traced = _transcripts(_run_workload(
+                server, fresh_dataset_id(), **workload))
+        finally:
+            _obs_restore(old)
 
-    assert traced == baseline
-    # The instrumented run really was instrumented: spans were emitted
-    # and the words histograms filled — yet the bytes did not move.
-    assert trace_sink.getvalue().strip()
+        assert traced == baseline
+        # The instrumented run really was instrumented: spans were
+        # emitted and the words histograms filled — yet the bytes did
+        # not move.
+        assert trace_sink.getvalue().strip()
 
 
 def test_feed_span_splits_an_ingest_block(server):
@@ -175,33 +180,6 @@ def test_feed_span_splits_an_ingest_block(server):
     assert [s["n"] for s in frames] == [32, 16, 48]
     assert {s["parent"] for s in feeds} == {s["parent"] for s in frames}
     assert not any("feed" in name for name in metrics)
-
-
-def test_observability_is_byte_neutral_through_the_worker_pool(
-        server, monkeypatch):
-    """Same invariant through the process-pool F2 path (shared-memory
-    shard tables, worker subprocesses): tracing a pooled query must not
-    perturb its transcript either."""
-    monkeypatch.setenv("REPRO_POOL_MODE", "process")
-
-    old, _ = _obs_off()
-    try:
-        baseline = _transcripts(_run_workload(
-            server, fresh_dataset_id(), descriptors=[f2(2)],
-            pool_key=("f2",)))
-    finally:
-        _obs_restore(old)
-
-    old, trace_sink = _obs_on()
-    try:
-        traced = _transcripts(_run_workload(
-            server, fresh_dataset_id(), descriptors=[f2(2)],
-            pool_key=("f2",)))
-    finally:
-        _obs_restore(old)
-
-    assert traced == baseline
-    assert trace_sink.getvalue().strip()
 
 
 # -- metrics equal accounting --------------------------------------------------

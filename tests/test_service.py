@@ -2,12 +2,12 @@
 
 Covers the frame protocol, the query router/planner, the session
 registry, the full client/server lifecycle over real sockets (connect →
-stream → query → verify → reject cheating prover), the worker-pool
-execution mode, and the load generator.  The end-to-end demo test at the
-bottom is the acceptance scenario: >= 10^5 OutsourcedKVStore updates
-streamed over the wire, >= 4 query types verified through the
-QueryRouter, with per-query channel/frame costs checked against the
-paper's asymptotic bounds.
+stream → query → verify → reject cheating prover), sharded
+``f2(workers)`` execution, and the load generator.  The end-to-end demo
+test at the bottom is the acceptance scenario: >= 10^5
+OutsourcedKVStore updates streamed over the wire, >= 4 query types
+verified through the QueryRouter, with per-query channel/frame costs
+checked against the paper's asymptotic bounds.
 """
 
 from __future__ import annotations
@@ -22,21 +22,20 @@ from repro.adversary.cheating_provers import (
     ModifiedStreamF2Prover,
     OmittingSubVectorProver,
 )
-from repro.comm.channel import Channel, flip_word
+from repro.comm.channel import flip_word
+from repro.comm.wire import encode_transcript
 from repro.core.base import pow2_dimension
-from repro.core.f2 import F2Verifier, run_f2
-from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.modular import PrimeField
 from repro.field.vectorized import HAVE_NUMPY
 from repro.service import protocol as sp
 from repro.service import (
-    PoolConfigError,
-    PooledDistributedF2Prover,
+    NO_RETRY,
     ProverServer,
     QueryDescriptor,
     QueryRouter,
     RoutingError,
+    ServiceBusyError,
     ServiceClient,
     ServiceClientError,
     f2,
@@ -162,7 +161,7 @@ def test_plan_batches_the_sumcheck_family():
     # A lone sum-check descriptor stays single-shot...
     units = QueryRouter.plan([range_sum(0, 5), heavy_hitters(1, 8)])
     assert [u.batched for u in units] == [False, False]
-    # ...and worker-pool F2 keeps its own prover, outside any batch.
+    # ...and sharded F2 keeps its own prover, outside any batch.
     units = QueryRouter.plan([f2(workers=4), range_sum(0, 5), fk(3)])
     assert [u.batched for u in units] == [False, True]
     assert units[1].descriptors == (range_sum(0, 5), fk(3))
@@ -610,70 +609,119 @@ def test_tampered_network_rejected_over_the_wire(server):
         assert "round 1" in outcome.result.reason
 
 
-# -- worker-pool execution mode ------------------------------------------------
+# -- f2(workers): the sharded coordinator over the wire -------------------------
+
+BACKENDS = ["scalar"] + (["vectorized"] if HAVE_NUMPY else [])
+
+#: u = 1000 is not a power of two; net frequencies go negative, cancel
+#: to zero, and two deltas sit at the field's edge, ±(p − 1).
+SHARDED_U = 1000
+SHARDED_UPDATES = (
+    [(key * 37 % SHARDED_U, key % 11 - 5) for key in range(1500)]
+    + [(999, F.p - 1), (0, -(F.p - 1)), (500, 7), (500, -7), (123, -400)]
+)
 
 
-def test_pooled_prover_transcripts_byte_identical():
-    u = 1 << 10
-    stream = uniform_frequency_stream(u, max_frequency=50,
-                                      rng=random.Random(17))
-    updates = list(stream.updates())
-    point = F.rand_vector(random.Random(19), 10)
-
-    sequential = DistributedF2Prover(F, u, num_workers=8)
-    sequential.process_stream(updates)
-    v1 = F2Verifier(F, u, point=point)
-    v1.process_stream(updates)
-    ch1 = Channel()
-    r1 = run_f2(sequential, v1, ch1)
-
-    with PooledDistributedF2Prover(F, u, num_workers=8) as pooled:
-        pooled.process_stream(updates)
-        v2 = F2Verifier(F, u, point=point)
-        v2.process_stream(updates)
-        ch2 = Channel()
-        r2 = run_f2(pooled, v2, ch2)
-
-    assert r1.accepted and r2.accepted
-    assert r1.value == r2.value == stream.self_join_size()
-    assert ch1.transcript.messages == ch2.transcript.messages
-    assert pooled.max_worker_keys == sequential.max_worker_keys
+def test_service_f2_worker_pool_mode(server, monkeypatch):
+    """``f2(workers=w)`` is the Section 7 coordinator, not a second
+    protocol: at one verifier point its transcript is byte for byte the
+    plain ``f2()`` one, for every legal w, on both backends."""
+    net = {}
+    for key, delta in SHARDED_UPDATES:
+        net[key] = (net.get(key, 0) + delta) % F.p
+    expected = sum(v * v for v in net.values()) % F.p
+    assert any(v > F.p // 2 for v in net.values())  # negative nets
+    for backend_name in BACKENDS:
+        monkeypatch.setenv("REPRO_BACKEND", backend_name)
+        plain = None
+        for workers in (0, 1, 2, 4, 8):
+            with connect(server, SHARDED_U, fresh_dataset_id(),
+                         seed=61) as client:
+                client.provision(("f2",), 1)
+                client.send_updates(SHARDED_UPDATES)
+                (outcome,) = client.query(f2(workers=workers))
+            assert outcome.result.accepted, outcome.result.reason
+            assert outcome.result.value == expected
+            data = encode_transcript(F, outcome.transcript)
+            plain = plain or data  # workers=0 is the plain prover
+            assert data == plain, (backend_name, workers)
 
 
-def test_pooled_prover_rejects_bad_worker_counts():
-    with pytest.raises(ValueError):
-        PooledDistributedF2Prover(F, 64, num_workers=3)
-    with pytest.raises(ValueError):
-        PooledDistributedF2Prover(F, 4, num_workers=4)
+class _FailsAfterAck:
+    """A prover that opens fine and dies on its first round."""
+
+    def begin_proof(self):
+        pass
+
+    def round_message(self):
+        raise RuntimeError("injected: prover lost after the ack")
 
 
-def test_pooled_prover_rejects_bad_thread_configs():
-    with pytest.raises(PoolConfigError, match=">= 1"):
-        PooledDistributedF2Prover(F, 64, num_workers=4, max_threads=0)
-    with pytest.raises(PoolConfigError, match=">= 1"):
-        PooledDistributedF2Prover(F, 64, num_workers=4, max_threads=-2)
-    with pytest.raises(PoolConfigError, match="exceeds num_workers"):
-        PooledDistributedF2Prover(F, 64, num_workers=4, max_threads=8)
-    # The boundary is fine: one thread per worker.
-    with PooledDistributedF2Prover(F, 64, num_workers=4,
-                                   max_threads=4) as prover:
-        assert prover.max_threads == 4
+def test_refused_open_returns_the_verifier_copy():
+    """Copies are single-use and cannot be re-provisioned once the
+    stream has started, so an open that was never acked — T_QUERY_OPEN
+    carries only the descriptor — must not cost one.  An open that was
+    acked and then failed still does: challenges may have left."""
+    u = 64
+    armed = []
+    srv = ProverServer(
+        F, max_inflight_queries=1,
+        prover_wrapper=lambda unit, prover, dataset:
+            _FailsAfterAck() if armed else None,
+    )
+    handle = srv.serve_in_thread()
+    try:
+        host, port = handle.address
+        with ServiceClient(host, port, F, u, dataset_id=1,
+                           rng=random.Random(7), retry=NO_RETRY) as client:
+            client.provision(("f2",), 6)
+            first = [(i % 16, 3) for i in range(40)] + [(63, -2)]
+            client.send_updates(first)
+            session = srv.registry.session(client.session_id)
 
+            # Refused by the prover's constructor: not a power of two,
+            # shards of one entry, more workers than the universe.
+            for workers in (3, u, 2 ** 40):
+                with pytest.raises(ServiceClientError, match="worker"):
+                    client.query(f2(workers=workers))
+                assert not session.queries  # opened nothing
+            assert client.pool_remaining(("f2",)) == 6
 
-def test_service_f2_worker_pool_mode(server):
-    u = 512
-    client = connect(server, u, fresh_dataset_id(), seed=61)
-    with client:
-        client.provision(("f2",), 2)
-        stream = uniform_frequency_stream(u, max_frequency=30,
-                                          rng=random.Random(23))
-        client.send_updates(list(stream.updates()))
-        plain = client.query(f2())[0]
-        pooled = client.query(f2(workers=4))[0]
-        assert plain.result.accepted and pooled.result.accepted
-        assert plain.result.value == pooled.result.value
-        # Identical protocol: same transcript words on the wire.
-        assert plain.cost.transcript_words == pooled.cost.transcript_words
+            # Refused by admission control: one raw open holds the slot.
+            _t, _s, payload = client._request(
+                sp.T_QUERY_OPEN, client.session_id,
+                sp.words_payload(F, [0, *f2().to_words()]),
+                expect=sp.T_QUERY_ACK)
+            with pytest.raises(ServiceBusyError):
+                client.query(f2())
+            client._request(sp.T_QUERY_CLOSE, client.session_id, payload,
+                            expect=sp.T_QUERY_CLOSE_ACK)
+            assert client.pool_remaining(("f2",)) == 6
+
+            # The returned copy is the tail row of its pool again: the
+            # stream must feed it, or the query that takes it next
+            # would check the old fingerprint and reject.
+            second = [(5, 9), (40, -1), (63, 2)]
+            client.send_updates(second)
+            freq = [0] * u
+            for key, delta in first + second:
+                freq[key] += delta
+            (served,) = client.query(f2(workers=4))
+            assert served.result.accepted, served.result.reason
+            assert served.result.value == sum(f * f for f in freq)
+            assert client.pool_remaining(("f2",)) == 5
+
+            # Acked, then failed: the verifier may have spoken.
+            armed.append(True)
+            with pytest.raises(ServiceClientError, match="injected"):
+                client.query(f2())
+            assert client.pool_remaining(("f2",)) == 4
+            armed.clear()
+            (after,) = client.query(f2())
+            assert after.result.accepted, after.result.reason
+            assert client.pool_remaining(("f2",)) == 3
+    finally:
+        handle.stop()
 
 
 # -- load generator ------------------------------------------------------------

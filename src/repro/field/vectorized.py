@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import threading
 from itertools import chain
 from typing import List, Sequence, Tuple, Union
@@ -68,6 +69,23 @@ _TILE_SCRATCH = threading.local()
 #: terms stay below 2^63 — exact in uint64, no wraparound possible.
 _DOT_CHUNK = 1 << 19
 
+#: Pairs per tile of the prover kernels (:func:`fold_pairs`,
+#: :func:`f2_round_sums`, :func:`inner_product_round_sums`): a tile's two
+#: halves and all its limb rows stay cache-resident, and twenty rows of
+#: one tile are exactly the 5 × 2^15 entries the stacked ingest already
+#: holds per thread (``repro.lde.streaming.TILE_ELEMENTS``).  Must stay
+#: <= :data:`_DOT_CHUNK` for the limb dots to be exact.
+_TILE_PAIRS = 1 << 13
+
+#: Pairs per block of :meth:`VectorizedField.pair_prefix_sums`.  A segment
+#: is whole blocks (one lookup) plus two ragged ends summed directly, so
+#: the block bounds what a lookup can cost; 32-bit half totals of up to
+#: 2^31 pairs stay below 2^63 in ``uint64`` whatever the block.
+_PREFIX_BLOCK = 1 << 7
+
+#: Which 32-bit word of a ``uint64`` viewed as two ``uint32`` is the low one.
+_LOW_WORD = 0 if sys.byteorder == "little" else 1
+
 
 def _limbs22(arr):
     """Split canonical Mersenne-61 residues into three 22-bit limbs."""
@@ -101,10 +119,7 @@ def _mul_m61(a, b):
 
     and mod ``p = 2^61 - 1`` the three terms reduce via ``2^64 ≡ 8``,
     ``m·2^32 = (m >> 29) + (m & (2^29-1))·2^32 (mod p)`` and
-    ``l ≡ (l >> 61) + (l & p)``.  Every partial sum stays in ``uint64``;
-    when one operand is canonical the other may even be a *relaxed*
-    residue below ``2^62`` (the fold fast path uses this), still with no
-    overflow and a canonical result.
+    ``l ≡ (l >> 61) + (l & p)``.  Every partial sum stays in ``uint64``.
     """
     ah = a >> _U32
     al = a & _MASK32
@@ -115,25 +130,29 @@ def _mul_m61(a, b):
     ll = al * bl  # < 2^64, exact in uint64
     acc = (hh << _U3) + ((mid & _MASK29) << _U32) + (mid >> _U29)
     acc = acc + (ll & _M61) + (ll >> _U61)  # < 3·2^61 + 2^34 < 2^63
-    acc = (acc & _M61) + (acc >> _U61)
-    acc = (acc & _M61) + (acc >> _U61)
+    acc = (acc & _M61) + (acc >> _U61)  # <= p + 3
     return _np.where(acc >= _M61, acc - _M61, acc)
 
 
-def _mul_m61_into(a, b, t0, t1, t2) -> None:
-    """``a ← a·b mod 2^61 - 1`` without allocating: :func:`_mul_m61`'s
-    limb identities step by step through ``out=``, for canonical arrays
-    of one shape.  ``b`` and the three scratch arrays are clobbered.
+def _mul_m61_acc(a, bh, bl, t0, t1, t2) -> None:
+    """``t2 ← a·b`` as an *unreduced* residue, allocating nothing:
+    :func:`_mul_m61`'s limb identities step by step through ``out=``.
+
+    ``a`` may be a relaxed residue below 2^62; ``bh``/``bl`` are the
+    32-bit halves of a canonical ``b`` — scalars, or arrays of ``a``'s
+    shape (``bh`` may be ``t1`` itself).  Then ``hh < 2^59``,
+    ``mid < 3·2^61`` and the sum left in ``t2`` is below
+    2^63 + 2^34 + 8: one more canonical residue may be added before
+    :func:`_reduce_m61_into` without reaching 2^64.  ``a``, ``t0`` and
+    ``t1`` are clobbered.
     """
-    _np.right_shift(a, _U32, out=t0)  # ah
+    _np.right_shift(a, _U32, out=t0)  # ah < 2^30
     _np.bitwise_and(a, _MASK32, out=a)  # al
-    _np.right_shift(b, _U32, out=t1)  # bh
-    _np.bitwise_and(b, _MASK32, out=b)  # bl
-    _np.multiply(t0, t1, out=t2)  # hh < 2^58
-    _np.multiply(t0, b, out=t0)
-    _np.multiply(t1, a, out=t1)
-    _np.add(t0, t1, out=t0)  # mid < 2^62
-    _np.multiply(a, b, out=a)  # ll < 2^64
+    _np.multiply(t0, bh, out=t2)  # hh < 2^59
+    _np.multiply(t0, bl, out=t0)
+    _np.multiply(a, bh, out=t1)
+    _np.add(t0, t1, out=t0)  # mid < 2^62 + 2^61
+    _np.multiply(a, bl, out=a)  # ll < 2^64
     _np.left_shift(t2, _U3, out=t2)
     _np.bitwise_and(t0, _MASK29, out=t1)
     _np.left_shift(t1, _U32, out=t1)
@@ -143,14 +162,29 @@ def _mul_m61_into(a, b, t0, t1, t2) -> None:
     _np.bitwise_and(a, _M61, out=t1)
     _np.add(t2, t1, out=t2)
     _np.right_shift(a, _U61, out=a)
-    _np.add(t2, a, out=t2)  # < 3·2^61 + 2^34 < 2^63
-    for _ in range(2):
-        _np.right_shift(t2, _U61, out=t0)
-        _np.bitwise_and(t2, _M61, out=t2)
-        _np.add(t2, t0, out=t2)
+    _np.add(t2, a, out=t2)
+
+
+def _reduce_m61_into(acc, work, out) -> None:
+    """``out ←`` the canonical residue of any ``uint64`` array ``acc``
+    (clobbered, as is ``work``): one Mersenne fold leaves at most
+    p + 7, one conditional subtraction the residue."""
+    _np.right_shift(acc, _U61, out=work)
+    _np.bitwise_and(acc, _M61, out=acc)
+    _np.add(acc, work, out=acc)
     # acc - p wraps far above acc exactly when acc < p.
-    _np.subtract(t2, _M61, out=t0)
-    _np.minimum(t2, t0, out=a)
+    _np.subtract(acc, _M61, out=work)
+    _np.minimum(acc, work, out=out)
+
+
+def _mul_m61_into(a, b, t0, t1, t2) -> None:
+    """``a ← a·b mod 2^61 - 1`` without allocating, for canonical arrays
+    of one shape.  ``b`` and the three scratch arrays are clobbered.
+    """
+    _np.right_shift(b, _U32, out=t1)
+    _np.bitwise_and(b, _MASK32, out=b)
+    _mul_m61_acc(a, t1, b, t0, t1, t2)
+    _reduce_m61_into(t2, t0, a)
 
 
 class ScalarBackend:
@@ -718,12 +752,15 @@ class VectorizedField:
     # -- in-place tile kernels ----------------------------------------------
     #
     # The stacked ingest kernel (repro.lde.streaming.SketchStack) works a
-    # (rows × updates) tile at a time in buffers it never frees.  The
-    # scalar backend walks updates one by one and has no counterpart.
+    # (rows × updates) tile at a time in buffers it never frees, and the
+    # prover kernels below (fold_pairs, the round sums) a tile of table
+    # pairs at a time in the same ones.  The scalar backend walks its
+    # input one entry at a time and has no counterpart.
 
     def tile_scratch(self, elements: int):
         """Five reusable rows of ``elements`` entries for the in-place
-        tile kernels (:meth:`mul_into`, :meth:`row_int_dots`).
+        tile kernels (:meth:`mul_into`, :meth:`row_int_dots`,
+        :func:`fold_pairs` and the round-sum kernels).
 
         One set per thread, kept for the thread's life; contents are
         garbage between calls.  A feed that allocated its tiles per
@@ -796,91 +833,108 @@ class VectorizedField:
     # -- pair prefix sums ----------------------------------------------------
 
     def pair_prefix_sums(self, table):
-        """Running sums of the even and odd entries of a proof table.
+        """Even/odd running totals of a proof table, a block at a time.
 
-        One ``cumsum`` pass per 32-bit half: canonical residues are split
-        so both ``uint64`` accumulators stay exact (``hi < 2^29`` and
-        ``lo < 2^32`` per entry keep any prefix below ``2^63`` for tables
-        of up to 2^31 pairs).  The returned state answers
-        :meth:`prefix_segment_sums` lookups in O(1) without ever
-        materialising Python-int prefix lists.
+        Returns an opaque state for :meth:`prefix_segment_sums`: the
+        table seen as rows of four 32-bit words per pair (even low, even
+        high, odd low, odd high) and the running totals of each word
+        column at every :data:`_PREFIX_BLOCK` boundary.  Four strided
+        reductions over the table and one ``cumsum`` over the blocks —
+        no per-pair prefix is ever written.  A word is < 2^32, so any
+        total over a table of up to 2^31 pairs stays below 2^63: exact
+        in ``uint64``.
         """
+        table = (
+            table if isinstance(table, _np.ndarray) else self.asarray(table)
+        )
+        if self.dtype is object:
+            # Arbitrary-precision cumsum; exact as-is.
+            zero = _np.zeros(1, dtype=object)
+            return (
+                _np.concatenate([zero, _np.cumsum(table[0::2])]),
+                _np.concatenate([zero, _np.cumsum(table[1::2])]),
+            )
+        words = _np.ascontiguousarray(table).view(_np.uint32).reshape(-1, 4)
+        blocks = words.shape[0] // _PREFIX_BLOCK
+        totals = _np.zeros((blocks + 1, 4), dtype=_np.uint64)
+        whole = words[: blocks * _PREFIX_BLOCK]
+        for column in range(4):
+            _np.sum(
+                whole[:, column].reshape(blocks, _PREFIX_BLOCK), axis=1,
+                dtype=_np.uint64, out=totals[1:, column],
+            )
+        return words, _np.cumsum(totals, axis=0, out=totals)
+
+    def prefix_segment_sums(self, state, start: int, end: int) -> Tuple[int, int]:
+        """``(Σ even, Σ odd)`` over pair indices ``[start, end)`` mod p.
+
+        Whole blocks come from the running totals; the ragged ends — or
+        a segment inside one block — are summed directly, fewer than
+        :data:`_PREFIX_BLOCK` pairs each.  A dyadic node is block-aligned
+        or lies inside one block, so it costs one or the other.
+        """
+        p = self.p
+        if self.dtype is object:
+            even, odd = state
+            return (
+                int(even[end] - even[start]) % p,
+                int(odd[end] - odd[start]) % p,
+            )
+        words, totals = state
+        first = -(-start // _PREFIX_BLOCK)
+        last = end // _PREFIX_BLOCK
+        if first > last:
+            sums = _np.add.reduce(words[start:end], axis=0, dtype=_np.uint64)
+        else:
+            sums = totals[last] - totals[first]
+            for piece in (words[start : first * _PREFIX_BLOCK],
+                          words[last * _PREFIX_BLOCK : end]):
+                if piece.shape[0]:
+                    sums += _np.add.reduce(piece, axis=0, dtype=_np.uint64)
+        low, high = _LOW_WORD, 1 - _LOW_WORD
+        sums = sums.tolist()
+        return (
+            ((sums[high] << 32) + sums[low]) % p,
+            ((sums[2 + high] << 32) + sums[2 + low]) % p,
+        )
+
+    def pair_line_stack(self, table, points: Sequence[int]):
+        """Stack of pair-line evaluations of a folded proof table.
+
+        Row ``c`` is ``E + c·(O - E)`` over the even/odd halves — every
+        pair-line of the table evaluated at point ``c``: the halves
+        themselves at 0 and 1, one scalar multiply per further point."""
         table = (
             table if isinstance(table, _np.ndarray) else self.asarray(table)
         )
         even = table[0::2]
         odd = table[1::2]
-        if self.dtype is object:
-            # Arbitrary-precision cumsum; exact as-is.
-            zero = _np.zeros(1, dtype=object)
-            return (
-                _np.concatenate([zero, _np.cumsum(even)]),
-                _np.concatenate([zero, _np.cumsum(odd)]),
-            )
-        zero = _np.zeros(1, dtype=_np.uint64)
-
-        def split_cumsum(half):
-            hi = _np.concatenate(
-                [zero, _np.cumsum(half >> _U32, dtype=_np.uint64)]
-            )
-            lo = _np.concatenate(
-                [zero, _np.cumsum(half & _MASK32, dtype=_np.uint64)]
-            )
-            return hi, lo
-
-        return split_cumsum(even), split_cumsum(odd)
-
-    def prefix_segment_sums(self, state, start: int, end: int) -> Tuple[int, int]:
-        """``(Σ even, Σ odd)`` over pair indices ``[start, end)`` mod p."""
-        even, odd = state
         p = self.p
-        if self.dtype is object:
-            return (
-                int(even[end] - even[start]) % p,
-                int(odd[end] - odd[start]) % p,
-            )
-        ehi, elo = even
-        ohi, olo = odd
-        e = (
-            ((int(ehi[end]) - int(ehi[start])) << 32)
-            + int(elo[end])
-            - int(elo[start])
-        )
-        o = (
-            ((int(ohi[end]) - int(ohi[start])) << 32)
-            + int(olo[end])
-            - int(olo[start])
-        )
-        return e % p, o % p
-
-    def pair_line_stack(self, table, points: Sequence[int]):
-        """Stack of pair-line evaluations of a folded proof table.
-
-        One broadcast pass: row ``c`` is ``(1-c)·T[0::2] + c·T[1::2]``,
-        i.e. every pair-line of the table evaluated at point ``c``."""
-        table = (
-            table if isinstance(table, _np.ndarray) else self.asarray(table)
-        )
-        lo = table[0::2]
-        hi = table[1::2]
-        p = self.p
-        cs = self.asarray([int(c) % p for c in points]).reshape(-1, 1)
-        w0 = self.asarray([(1 - int(c)) % p for c in points]).reshape(-1, 1)
-        return self.add(self.mul(w0, lo), self.mul(cs, hi))
+        out = _np.empty((len(points), even.shape[0]), dtype=self.dtype)
+        diff = None
+        for row, c in zip(out, points):
+            c = int(c) % p
+            if c == 0:
+                row[...] = even
+            elif c == 1:
+                row[...] = odd
+            else:
+                if diff is None:
+                    diff = self.sub(odd, even)
+                row[...] = self.add(even, self.mul(c, diff))
+        return out
 
     def rows_pow_sums(self, stack, e: int) -> List[int]:
         """Per-row ``Σ row**e mod p`` by 2-D square-and-multiply."""
         if e < 0:
             raise ValueError("rows_pow_sums needs a non-negative exponent")
-        if self.dtype is object:
-            result = _np.empty(stack.shape, dtype=object)
-            result[:] = 1
-        else:
-            result = _np.ones(stack.shape, dtype=_np.uint64)
+        if e == 0:
+            return [stack.shape[1] % self.p] * stack.shape[0]
+        result = None
         base = stack
         while e:
             if e & 1:
-                result = self.mul(result, base)
+                result = base if result is None else self.mul(result, base)
             e >>= 1
             if e:
                 base = self.mul(base, base)
@@ -1005,6 +1059,75 @@ def frozen_table(backend: Backend, field: PrimeField, values) -> object:
     return tuple(table)
 
 
+def _tile_limbs(backend: "VectorizedField", table, a: int, b: int,
+                column: int = 0):
+    """22-bit limbs of table entries ``[2a, 2b)`` — one tile's pairs — as
+    the rows of a matrix, low limb first: only the limbs the tile's
+    largest entry reaches, so counts below 2^22 are one row, the table's
+    own slice, neither copied nor written.  Otherwise the rows live in
+    the thread's scratch, ``column`` 0 or 1 choosing the half of it.
+    """
+    tile = table[2 * a : 2 * b]
+    count = -(-int(tile.max()).bit_length() // 22)
+    if count <= 1:
+        return tile[None, :]
+    start = 2 * _TILE_PAIRS * column
+    limbs = backend.tile_scratch(4 * _TILE_PAIRS)[
+        :count, start : start + tile.shape[0]]
+    _np.bitwise_and(tile, _MASK22, out=limbs[0])
+    _np.right_shift(tile, _U22, out=limbs[1])
+    if count == 3:
+        _np.right_shift(tile, _U44, out=limbs[2])
+        _np.bitwise_and(limbs[1], _MASK22, out=limbs[1])
+    return limbs
+
+
+def _limb_products(xs, ys) -> int:
+    """Exact ``Σ_t x_t·y_t`` from two limb matrices of one tile, as a
+    Python int: every limb-pair dot in one integer matrix product.  A
+    limb is < 2^22, so a dot of up to 2^19 terms stays below 2^63 —
+    exact in ``uint64`` for tiles of :data:`_TILE_PAIRS` pairs."""
+    total = 0
+    for i, row in enumerate(_np.dot(xs, ys.T).tolist()):
+        for j, s in enumerate(row):
+            total += s << (22 * (i + j))
+    return total
+
+
+def _fold_pairs_m61(backend: "VectorizedField", table, r: int, w0):
+    """:func:`fold_pairs` on ``uint64`` Mersenne-61 residues: each tile's
+    ``w0·E + r·O`` by one in-place limb product against the pre-split
+    scalar, allocating only the output.  ``w0`` is None for ``1 - r``.
+    """
+    pairs = table.shape[0] // 2
+    out = _np.empty(pairs, dtype=_np.uint64)
+    rh, rl = _np.uint64(r >> 32), _np.uint64(r & 0xFFFFFFFF)
+    scratch = backend.tile_scratch(4 * _TILE_PAIRS)
+    for a in range(0, pairs, _TILE_PAIRS):
+        b = min(a + _TILE_PAIRS, pairs)
+        even = table[2 * a : 2 * b : 2]
+        odd = table[2 * a + 1 : 2 * b : 2]
+        d, t0, t1, t2 = scratch[:4, : b - a]
+        if w0 is None:
+            # (1-r)·E + r·O = E + r·(O - E), and O + (p - E) < 2p < 2^62
+            # is a relaxed residue the limb product takes as it is.
+            _np.subtract(_M61, even, out=d)
+            _np.add(d, odd, out=d)
+        else:
+            _np.copyto(d, odd)
+        _mul_m61_acc(d, rh, rl, t0, t1, t2)
+        if w0 is None or w0 == 1:
+            _np.add(t2, even, out=t2)  # < 2^63 + 2^61 + 2^34 + 8
+        else:
+            _reduce_m61_into(t2, t0, out[a:b])
+            _np.copyto(d, even)
+            _mul_m61_acc(d, _np.uint64(w0 >> 32),
+                         _np.uint64(w0 & 0xFFFFFFFF), t0, t1, t2)
+            _np.add(t2, out[a:b], out=t2)
+        _reduce_m61_into(t2, t0, out[a:b])
+    return out
+
+
 def fold_pairs(backend: Backend, field: PrimeField, table, r: int,
                zero_weight: int = None):
     """One table fold: ``T'[t] = w0·T[2t] + r·T[2t+1] (mod p)``.
@@ -1012,23 +1135,22 @@ def fold_pairs(backend: Backend, field: PrimeField, table, r: int,
     The Appendix B.1 step shared by the sum-check provers (where
     ``w0 = 1 - r``, the default) and the tree-hash prover (which passes
     ``zero_weight=1`` for the unnormalized variant).  Accepts list or
-    backend-array tables; returns the same kind it was given.
+    backend-array tables; returns the same kind it was given and never
+    writes its input.
     """
     p = field.p
     r %= p
     w0 = (1 - r) % p if zero_weight is None else zero_weight % p
     table = ensure_backend_array(backend, table)
+    if getattr(backend, "_is_m61", False):
+        return _fold_pairs_m61(
+            backend, table, r, None if zero_weight is None else w0
+        )
     if getattr(backend, "vectorized", False):
         even = table[0::2]
         odd = table[1::2]
         if zero_weight is None:
             # (1-r)·E + r·O = E + r·(O - E): one modular multiply per fold.
-            if getattr(backend, "_is_m61", False) and backend.dtype is not object:
-                # O + (p - E) stays below 2p < 2^62, which _mul_m61
-                # tolerates when the other operand is canonical — the
-                # intermediate canonicalization pass can be skipped.
-                diff = (_M61 - even) + odd
-                return backend.add(even, _mul_m61(_np.uint64(r), diff))
             return backend.add(even, backend.mul(r, backend.sub(odd, even)))
         if w0 == 1:
             return backend.add(even, backend.mul(odd, r))
@@ -1047,25 +1169,28 @@ def f2_round_sums(backend: Backend, field: PrimeField, table) -> List[int]:
     the even/odd halves, with ``g(2) = g(0) + 4·g(1) - 4·Σ A[2t]·A[2t+1]``
     recombined from the mixed product.  Shared by the centralised F2
     prover, the shard workers and the coordinator, on either backend.
+
+    On ``uint64`` Mersenne-61 tables the products are exact limb dots, a
+    tile at a time, over only the limbs the tile's entries reach: before
+    the first challenge the table is the data, and counts below 2^22 cost
+    three dots a tile instead of twenty-one.
     """
     p = field.p
     table = ensure_backend_array(backend, table)
+    if getattr(backend, "_is_m61", False):
+        g0 = g1 = gm = 0
+        pairs = table.shape[0] // 2
+        for a in range(0, pairs, _TILE_PAIRS):
+            limbs = _tile_limbs(
+                backend, table, a, min(a + _TILE_PAIRS, pairs))
+            lo, hi = limbs[:, 0::2], limbs[:, 1::2]
+            g0 += _limb_products(lo, lo)
+            g1 += _limb_products(hi, hi)
+            gm += _limb_products(lo, hi)
+        return [g0 % p, g1 % p, (g0 + 4 * g1 - 4 * gm) % p]
     if getattr(backend, "vectorized", False):
         lo = table[0::2]
         hi = table[1::2]
-        if getattr(backend, "_is_m61", False) and backend.dtype is not object:
-            # One limb split per half serves all three inner products.
-            g0 = g1 = gm = 0
-            n = lo.shape[0]
-            for start in range(0, n, _DOT_CHUNK):
-                ll = _limbs22(lo[start : start + _DOT_CHUNK])
-                hl = _limbs22(hi[start : start + _DOT_CHUNK])
-                g0 += _limb_dot(ll, ll, True)
-                g1 += _limb_dot(hl, hl, True)
-                gm += _limb_dot(ll, hl, False)
-            g0 %= p
-            g1 %= p
-            return [g0, g1, (g0 + 4 * g1 - 4 * gm) % p]
         g0 = backend.dot(lo, lo)
         g1 = backend.dot(hi, hi)
         gm = backend.dot(lo, hi)
@@ -1110,6 +1235,22 @@ def inner_product_round_sums(
     p = field.p
     table_a = ensure_backend_array(backend, table_a)
     table_b = ensure_backend_array(backend, table_b)
+    if getattr(backend, "_is_m61", False):
+        # g(2) = Σ (2·Oa - Ea)(2·Ob - Eb) from the four even/odd cross
+        # dots; the limbs are split once per tile and, as in
+        # f2_round_sums, only those the entries reach.
+        ee = oo = cross = 0
+        pairs = table_a.shape[0] // 2
+        for a in range(0, pairs, _TILE_PAIRS):
+            b = min(a + _TILE_PAIRS, pairs)
+            a_limbs = _tile_limbs(backend, table_a, a, b, 0)
+            b_limbs = _tile_limbs(backend, table_b, a, b, 1)
+            a_lo, a_hi = a_limbs[:, 0::2], a_limbs[:, 1::2]
+            b_lo, b_hi = b_limbs[:, 0::2], b_limbs[:, 1::2]
+            ee += _limb_products(a_lo, b_lo)
+            oo += _limb_products(a_hi, b_hi)
+            cross += _limb_products(a_lo, b_hi) + _limb_products(a_hi, b_lo)
+        return [ee % p, oo % p, (ee + 4 * oo - 2 * cross) % p]
     if getattr(backend, "vectorized", False):
         a_lo, a_hi = table_a[0::2], table_a[1::2]
         b_lo, b_hi = table_b[0::2], table_b[1::2]

@@ -31,9 +31,10 @@ import asyncio
 import random
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from repro.service import protocol as sp
+from repro.service.server import cancel_and_wait
 
 #: Relay directions.
 C2S = "c2s"  # client -> server
@@ -207,6 +208,8 @@ class ChaosProxy:
         self.faults_injected = 0
         self.connections = 0
         self._server: Optional[asyncio.AbstractServer] = None
+        #: The running ``_handle`` tasks, so ``stop`` can end them.
+        self._relays: Set["asyncio.Task[None]"] = set()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -217,8 +220,10 @@ class ChaosProxy:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop listening and close both ends of every relayed pair."""
         if self._server is not None:
             self._server.close()
+            await cancel_and_wait(self._relays)
             await self._server.wait_closed()
             self._server = None
 
@@ -248,40 +253,49 @@ class ChaosProxy:
 
     async def _handle(self, client_reader: asyncio.StreamReader,
                       client_writer: asyncio.StreamWriter) -> None:
-        if not self.schedule.accepting():
-            # The node behind this proxy is playing dead: refuse the
-            # dial the way a crashed process would.
-            try:
-                client_writer.close()
-            except (ConnectionError, OSError):
-                pass
-            return
-        self.connections += 1
+        relay = asyncio.current_task()
+        self._relays.add(relay)
+        writers = [client_writer]
         try:
-            upstream_reader, upstream_writer = await asyncio.open_connection(
-                self.upstream_host, self.upstream_port
-            )
-        except OSError:
-            client_writer.close()
-            return
-        closing = asyncio.Event()
+            if not self.schedule.accepting():
+                # The node behind this proxy is playing dead: refuse the
+                # dial the way a crashed process would.
+                return
+            self.connections += 1
+            try:
+                upstream_reader, upstream_writer = (
+                    await asyncio.open_connection(
+                        self.upstream_host, self.upstream_port))
+            except OSError:
+                return
+            writers.append(upstream_writer)
+            closing = asyncio.Event()
 
-        async def close_both() -> None:
-            closing.set()
-            for writer in (client_writer, upstream_writer):
+            async def close_both() -> None:
+                closing.set()
+                for writer in writers:
+                    try:
+                        writer.close()
+                    except (ConnectionError, OSError):
+                        pass
+
+            await asyncio.gather(
+                self._pump(client_reader, upstream_writer, C2S, close_both,
+                           closing),
+                self._pump(upstream_reader, client_writer, S2C, close_both,
+                           closing),
+                return_exceptions=True,
+            )
+        finally:
+            self._relays.discard(relay)
+            # Also reached when ``stop`` cancels the relay: both peers
+            # must see EOF before the loop goes away.
+            for writer in writers:
                 try:
                     writer.close()
+                    await writer.wait_closed()
                 except (ConnectionError, OSError):
                     pass
-
-        await asyncio.gather(
-            self._pump(client_reader, upstream_writer, C2S, close_both,
-                       closing),
-            self._pump(upstream_reader, client_writer, S2C, close_both,
-                       closing),
-            return_exceptions=True,
-        )
-        await close_both()
 
     async def _pump(self, reader, writer, direction, close_both,
                     closing) -> None:

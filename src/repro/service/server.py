@@ -24,7 +24,7 @@ import asyncio
 import json
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core.heavy_hitters import NodeRecord
@@ -146,6 +146,8 @@ class ProverServer:
         self.rate_limited = 0
         self._buckets: Dict[int, TokenBucket] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        #: The running ``_handle_connection`` tasks, so ``stop`` can end them.
+        self._connections: Set["asyncio.Task[None]"] = set()
 
     @classmethod
     def from_snapshot(cls, path, field: PrimeField,
@@ -169,8 +171,12 @@ class ProverServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Stop listening and close every accepted connection, so a peer
+        (or a proxy in front of it) reads EOF at once instead of waiting
+        out its receive timeout on a server that is gone."""
         if self._server is not None:
             self._server.close()
+            await cancel_and_wait(self._connections)
             await self._server.wait_closed()
             self._server = None
 
@@ -274,6 +280,8 @@ class ProverServer:
         inflight = obs.gauge("repro_server_inflight_connections",
                              node=self.node_name)
         inflight.inc()
+        handler = asyncio.current_task()
+        self._connections.add(handler)
         try:
             while True:
                 try:
@@ -384,6 +392,7 @@ class ProverServer:
         except (ConnectionError, OSError):
             pass
         finally:
+            self._connections.discard(handler)
             inflight.dec()
             if session_id:
                 self.registry.disconnect(session_id)
@@ -662,6 +671,15 @@ class ProverServer:
                 out.extend(message)
             return out
         raise ServiceError("unknown prover method 0x%02x" % method)
+
+
+async def cancel_and_wait(tasks) -> None:
+    """Cancel the connection tasks a stopping server still runs and wait
+    until each has unwound — closed its writers — so the loop can go."""
+    tasks = list(tasks)
+    for task in tasks:
+        task.cancel()
+    await asyncio.gather(*tasks, return_exceptions=True)
 
 
 class ServerHandle:

@@ -465,7 +465,8 @@ def test_snapshot_restore_across_server_restart(tmp_path, server):
     try:
         client = ServiceClient(*proxy_handle.address, F, U,
                                dataset_id=fresh_dataset_id(),
-                               rng=random.Random(3), retry=FAST_RETRY)
+                               rng=random.Random(3), retry=FAST_RETRY,
+                               op_timeout=5.0)
         with client:
             client.provision(("f2",), 2)
             client.send_updates(UPDATES)
@@ -481,7 +482,12 @@ def test_snapshot_restore_across_server_restart(tmp_path, server):
                 # The old connection is dead; the next query retries,
                 # reconnects through the proxy, lands on the restored
                 # dataset, and must reproduce the control bytes.
+                started = time.monotonic()
                 second = client.query(f2())
+                # A stopped server closes its accepted connections, so
+                # the proxy relays EOF and the client learns at once that
+                # the node is gone — not by waiting out op_timeout.
+                assert time.monotonic() - started < 2.0
                 assert client.reconnects >= 1
                 assert srv2.registry.stats()["updates"] == len(UPDATES)
             finally:

@@ -356,8 +356,8 @@ def test_independent_copies_batched_falls_back_without_lde():
 
 
 def test_independent_copies_batched_preserves_non_lde_state():
-    """Verifiers with streaming state beyond .lde (no STREAM_STATE_IS_LDE
-    opt-in) must take the per-update fallback, not lose their sketches."""
+    """Verifiers with streaming state beyond .lde (no ``stream_sketches``)
+    must take the per-update fallback, not lose their sketches."""
     from repro.core.frequency_based import FrequencyBasedVerifier
 
     stream = uniform_frequency_stream(32, max_frequency=4,

@@ -622,7 +622,7 @@ SHARDED_UPDATES = (
 )
 
 
-def test_service_f2_worker_pool_mode(server, monkeypatch):
+def test_service_sharded_f2_matches_plain_f2(server, monkeypatch):
     """``f2(workers=w)`` is the Section 7 coordinator, not a second
     protocol: at one verifier point its transcript is byte for byte the
     plain ``f2()`` one, for every legal w, on both backends."""

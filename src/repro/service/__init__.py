@@ -6,7 +6,12 @@ the service boundary the paper describes (a weak client streaming to a
 powerful server and verifying its answers):
 
 * :mod:`repro.service.protocol` — versioned binary frames over TCP,
-  payloads in the :mod:`repro.comm.wire` word encoding;
+  payloads in the :mod:`repro.comm.wire` word encoding, and the prover
+  step table both ends are derived from (:mod:`repro.service.wiredoc`
+  renders both as ``docs/WIRE.md``);
+* :mod:`repro.service.transport` — the one place bytes cross a socket:
+  the async and the blocking frame link, and the listener lifecycle the
+  node, the router and the chaos proxy inherit;
 * :mod:`repro.service.router` — declarative query descriptors routed
   onto the matching ``core/`` protocol, with single-shot vs batched
   (direct-sum) planning; ``f2(workers=w)`` runs the Section 7 sharded

@@ -104,9 +104,7 @@ async def _run(server: ProverServer, snapshot: str,
                 server.snapshot(snapshot)
 
         asyncio.ensure_future(persist())
-    assert server._server is not None
-    async with server._server:
-        await server._server.serve_forever()
+    await server.serve_forever()
 
 
 def main(argv=None) -> int:

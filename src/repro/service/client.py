@@ -33,6 +33,7 @@ from repro import obs
 from repro.comm.channel import Channel, TamperHook
 from repro.comm.transcript import Transcript
 from repro.core.base import VerificationResult, pow2_dimension
+from repro.core.heavy_hitters import NodeRecord
 from repro.field.modular import PrimeField
 from repro.field.vectorized import get_backend
 from repro.lde.streaming import (
@@ -43,11 +44,14 @@ from repro.lde.streaming import (
 )
 from repro.service import protocol as sp
 from repro.service.router import (
+    KIND_FK,
     PlanUnit,
     QueryDescriptor,
     QueryRouter,
     RoutingError,
+    to_batch_query,
 )
+from repro.service.transport import BlockingFrameLink, LinkClosed
 
 
 class ServiceClientError(RuntimeError):
@@ -149,20 +153,55 @@ class QueryOutcome:
 # -- remote prover proxies -----------------------------------------------------
 
 
-class _RemoteProverBase:
-    """Wire plumbing of every proxy, and the steps that return nothing.
+def _pairs(words: Sequence[int]) -> List[Tuple[int, int]]:
+    if len(words) % 2 != 0:
+        raise ServiceClientError("malformed pair list from the service")
+    return [(words[t], words[t + 1]) for t in range(0, len(words), 2)]
 
-    Those are *deferred*: they wait here and ride in front of the next
-    step that returns words, as one chained frame.  The server runs a
-    chain in order, so the prover still learns r_j only after g_j went
-    out and before it commits g_{j+1}.  The buffer is per proxy, and a
-    retry builds a new proxy: nothing deferred survives a reconnect.
+
+def _records(words: Sequence[int]) -> List[NodeRecord]:
+    if len(words) % 3 != 0:
+        raise ServiceClientError("malformed heavy-hitters records")
+    return [
+        NodeRecord(words[t], words[t + 1], words[t + 2])
+        for t in range(0, len(words), 3)
+    ]
+
+
+#: Reply codec -> what a proxy makes of a P_REPLY's words.  ``words``
+#: and ``rows`` are handed on as they are (the batch proxy splits its
+#: rows by member degree); void steps get no reply: they are deferred.
+_DECODERS = {
+    sp.REPLY_PAIRS: _pairs,
+    sp.REPLY_RECORDS: _records,
+    sp.REPLY_CLAIM: lambda words: tuple(words[:2]),
+}
+
+
+class RemoteProver:
+    """A prover behind the wire: every step in the protocol's step table
+    (:data:`repro.service.protocol.STEPS`) as a method, resolved for the
+    query kind this proxy was opened for.
+
+    A step that returns nothing is *deferred*: it waits here and rides
+    in front of the next step that returns words, as one chained frame.
+    The server runs a chain in order, so the prover still learns r_j
+    only after g_j went out and before it commits g_{j+1}.  The buffer
+    is per proxy, and a retry builds a new proxy: nothing deferred
+    survives a reconnect.
     """
 
-    def __init__(self, client: "ServiceClient", ref: int):
+    #: The tree-hash drivers ask; a remote prover is never normalized.
+    normalized = False
+
+    def __init__(self, client: "ServiceClient", ref: int,
+                 descriptor: QueryDescriptor):
         self._client = client
         self._ref = ref
+        self._steps = sp.steps_for_kind(descriptor.kind)
         self.d = client.d
+        if descriptor.kind == KIND_FK:
+            self.k = descriptor.params[0]
         self._deferred: List[Tuple[int, Sequence[int]]] = []
 
     def _defer(self, method: int, args: Sequence[int] = ()) -> None:
@@ -172,72 +211,26 @@ class _RemoteProverBase:
         deferred, self._deferred = self._deferred, []
         return self._client._prover_call(self._ref, method, args, deferred)
 
-    def begin_proof(self) -> None:
-        self._defer(sp.M_BEGIN_PROOF)
 
-    def receive_challenge(self, r: int) -> None:
-        self._defer(sp.M_RECEIVE_CHALLENGE, [r])
+def _step_method(name: str):
+    def step(self, *args: int):
+        opcode, reply = self._steps[name]
+        if reply == sp.REPLY_VOID:
+            self._defer(opcode, args)
+            return None
+        words = self._call(opcode, args)
+        decode = _DECODERS.get(reply)
+        return decode(words) if decode else words
 
-    def receive_query(self, lo: int, hi: int) -> None:
-        self._defer(sp.M_RECEIVE_QUERY, [lo, hi])
-
-
-class RemoteSumcheckProver(_RemoteProverBase):
-    """F2 / Fk / RANGE-SUM / INNER-PRODUCT prover behind the wire."""
-
-    def __init__(self, client: "ServiceClient", ref: int,
-                 k: Optional[int] = None):
-        super().__init__(client, ref)
-        if k is not None:
-            self.k = k
-
-    def round_message(self) -> List[int]:
-        return self._call(sp.M_ROUND_MESSAGE)
+    step.__name__ = name
+    return step
 
 
-class RemoteTreeProver(_RemoteProverBase):
-    """SUB-VECTOR family prover (reporting / k-largest) behind the wire."""
-
-    normalized = False
-
-    def answer_entries(self) -> List[Tuple[int, int]]:
-        return _pairs(self._call(sp.M_ANSWER_ENTRIES))
-
-    def level0_siblings(self) -> List[Tuple[int, int]]:
-        return _pairs(self._call(sp.M_LEVEL0_SIBLINGS))
-
-    def receive_challenge(self, r_j: int) -> List[Tuple[int, int]]:
-        return _pairs(self._call(sp.M_FOLD_CHALLENGE, [r_j]))
-
-    def claim_predecessor(self, q: int) -> Tuple[int, int]:
-        return tuple(self._call(sp.M_CLAIM, [q])[:2])
-
-    def claim_successor(self, q: int) -> Tuple[int, int]:
-        return tuple(self._call(sp.M_CLAIM, [q])[:2])
-
-    def claim_kth_largest(self, k: int) -> Tuple[int, int]:
-        return tuple(self._call(sp.M_CLAIM, [k])[:2])
+for _name in sp.STEP_METHODS:
+    setattr(RemoteProver, _name, _step_method(_name))
 
 
-class RemoteHeavyHittersProver(_RemoteProverBase):
-    """Heavy-hitters prover behind the wire."""
-
-    def round_message(self):
-        from repro.core.heavy_hitters import NodeRecord
-
-        words = self._call(sp.M_ROUND_MESSAGE)
-        if len(words) % 3 != 0:
-            raise ServiceClientError("malformed heavy-hitters records")
-        return [
-            NodeRecord(words[t], words[t + 1], words[t + 2])
-            for t in range(0, len(words), 3)
-        ]
-
-    def receive_randomness(self, r_l: int, s_l: int) -> None:
-        self._defer(sp.M_RECEIVE_RANDOMNESS, [r_l, s_l])
-
-
-class RemoteBatchedSumcheckProver(_RemoteProverBase):
+class RemoteBatchedSumcheckProver(RemoteProver):
     """The batched engine behind the wire (direct-sum rounds).
 
     T_QUERY_OPEN already announced the batch to the server's prover, so
@@ -247,9 +240,10 @@ class RemoteBatchedSumcheckProver(_RemoteProverBase):
     degree-2 member reads 3 words, an Fk member k+1.
     """
 
-    def __init__(self, client: "ServiceClient", ref: int, members):
-        super().__init__(client, ref)
-        self._members = list(members)
+    def __init__(self, client: "ServiceClient", ref: int,
+                 descriptors: Sequence[QueryDescriptor]):
+        super().__init__(client, ref, descriptors[0])
+        self._members = [to_batch_query(q) for q in descriptors]
 
     def receive_batch(self, queries) -> None:
         if list(queries) != self._members:
@@ -267,12 +261,6 @@ class RemoteBatchedSumcheckProver(_RemoteProverBase):
         if cursor != len(words):
             raise ServiceClientError("malformed batched round message")
         return out
-
-
-def _pairs(words: Sequence[int]) -> List[Tuple[int, int]]:
-    if len(words) % 2 != 0:
-        raise ServiceClientError("malformed pair list from the service")
-    return [(words[t], words[t + 1]) for t in range(0, len(words), 2)]
 
 
 # -- verifier pools ------------------------------------------------------------
@@ -419,7 +407,7 @@ class ServiceClient:
         self.wire_seconds = 0.0
         #: Last operation the server acknowledged (for error context).
         self._last_acked = "connect"
-        self._sock: Optional[socket.socket] = None
+        self._link: Optional[BlockingFrameLink] = None
         #: The dataset's server-side update total as last acknowledged —
         #: the idempotence anchor: a resent block whose updates the
         #: server already counted is skipped, not double-applied.
@@ -465,15 +453,13 @@ class ServiceClient:
 
     def _connect(self) -> None:
         """Dial the service and open a session on the dataset."""
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        if self._link is not None:
+            self._link.close()
+            self._link = None
         try:
-            self._sock = socket.create_connection(
-                (self._host, self._port), timeout=self._connect_timeout
+            self._link = BlockingFrameLink.dial(
+                (self._host, self._port), self._connect_timeout,
+                self.op_timeout, self.max_payload,
             )
         except OSError as exc:
             if len(self._addresses) > 1:
@@ -484,8 +470,6 @@ class ServiceClient:
                 self._host, self._port = \
                     self._addresses[self._address_index]
             raise self._unavailable("dial failed: %s" % exc) from exc
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._sock.settimeout(self.op_timeout)
         with self._tracer.span("client.session.open",
                                host=self._host, port=self._port):
             _t, session_id, payload = self._request(
@@ -685,8 +669,8 @@ class ServiceClient:
                     # Nothing was fed.  The rest of the replay is still
                     # in flight on this socket: close it, so the next
                     # operation re-dials instead of reading stale frames.
-                    self._sock.close()
-                    self._sock = None
+                    self._link.close()
+                    self._link = None
                     raise ServiceClientError(
                         "the service replayed a bad block: %s" % exc
                     ) from exc
@@ -833,32 +817,10 @@ class ServiceClient:
             descriptor, result, cost, transcript=channel.transcript
         ))]
 
-    def _make_proxy(self, unit: PlanUnit, ref: int):
-        from repro.service.router import (
-            KIND_F2,
-            KIND_FK,
-            KIND_HEAVY_HITTERS,
-            KIND_INNER_PRODUCT,
-            KIND_RANGE_SUM,
-            TREE_KINDS,
-            to_batch_query,
-        )
-
+    def _make_proxy(self, unit: PlanUnit, ref: int) -> RemoteProver:
         if unit.batched:
-            return RemoteBatchedSumcheckProver(
-                self, ref, [to_batch_query(q) for q in unit.descriptors]
-            )
-        kind = unit.descriptors[0].kind
-        if kind in TREE_KINDS:
-            return RemoteTreeProver(self, ref)
-        if kind == KIND_HEAVY_HITTERS:
-            return RemoteHeavyHittersProver(self, ref)
-        if kind == KIND_FK:
-            return RemoteSumcheckProver(self, ref,
-                                        k=unit.descriptors[0].params[0])
-        if kind in (KIND_F2, KIND_RANGE_SUM, KIND_INNER_PRODUCT):
-            return RemoteSumcheckProver(self, ref)
-        raise RoutingError("unroutable kind %r" % (kind,))
+            return RemoteBatchedSumcheckProver(self, ref, unit.descriptors)
+        return RemoteProver(self, ref, unit.descriptors[0])
 
     # -- service metadata ----------------------------------------------------
 
@@ -881,14 +843,14 @@ class ServiceClient:
 
     def close(self) -> None:
         self._session_span.end()
-        if self._sock is None:
+        if self._link is None:
             return
         try:
             self._request(sp.T_BYE, self.session_id, b"", expect=sp.T_BYE_ACK)
         except (OSError, ServiceClientError):
             pass
-        self._sock.close()
-        self._sock = None
+        self._link.close()
+        self._link = None
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -911,7 +873,7 @@ class ServiceClient:
             words = [ref, method, *args]
         # Round-message calls are the proof rounds; each gets its own
         # span so the server's per-round spans nest one level deeper.
-        if method in (sp.M_ROUND_MESSAGE, sp.M_ROUND_MESSAGES):
+        if method in sp.ROUND_METHODS:
             span = self._tracer.span("client.proof.round", method=method)
         else:
             span = obs.NOOP_SPAN
@@ -941,59 +903,23 @@ class ServiceClient:
                                      trace=ctx.pair())
         return sp.pack_frame(frame_type, session_id, payload)
 
-    def _send(self, frame: bytes) -> None:
-        if self._sock is None:
+    def _on_wire(self, op: str, call, *args):
+        """One blocking call on the link, timed into ``wire_seconds``,
+        its failures mapped onto :class:`ServiceUnavailableError`."""
+        if self._link is None:
             raise self._unavailable("client is not connected")
         t0 = time.perf_counter()
         try:
-            self._sock.sendall(frame)
+            return call(self._link, *args)
         except socket.timeout as exc:
-            obs.counter("repro_client_deadline_hits_total", op="send").inc()
-            raise self._unavailable("send timed out: %s" % exc) from exc
+            obs.counter("repro_client_deadline_hits_total", op=op).inc()
+            raise self._unavailable(
+                "%s timed out after %.3gs" % (op, self.op_timeout)) from exc
+        except LinkClosed as exc:
+            raise self._unavailable(
+                "connection closed by the service") from exc
         except OSError as exc:
-            raise self._unavailable("send failed: %s" % exc) from exc
-        finally:
-            self.wire_seconds += time.perf_counter() - t0
-        self.bytes_sent += len(frame)
-        self.frames_sent += 1
-
-    def _recv_exact(self, count: int) -> bytes:
-        chunks = []
-        t0 = time.perf_counter()
-        try:
-            while count:
-                try:
-                    chunk = self._sock.recv(count)
-                except socket.timeout as exc:
-                    obs.counter("repro_client_deadline_hits_total",
-                                op="recv").inc()
-                    raise self._unavailable(
-                        "receive timed out after %.3gs" % self.op_timeout
-                    ) from exc
-                except OSError as exc:
-                    raise self._unavailable(
-                        "receive failed: %s" % exc) from exc
-                if not chunk:
-                    raise self._unavailable(
-                        "connection closed by the service")
-                chunks.append(chunk)
-                count -= len(chunk)
-        finally:
-            self.wire_seconds += time.perf_counter() - t0
-        return b"".join(chunks)
-
-    def _recv(self) -> Tuple[int, int, bytes]:
-        try:
-            header = self._recv_exact(sp.HEADER_LEN)
-            frame_type, session_id, length = sp.unpack_header(
-                header, max_payload=self.max_payload
-            )
-            # Replies are version 1 today, but tolerate a traced reply
-            # (the extension is observability data, not payload).
-            ext_len = sp.header_ext_len(header)
-            if ext_len:
-                self._recv_exact(ext_len)
-            payload = self._recv_exact(length) if length else b""
+            raise self._unavailable("%s failed: %s" % (op, exc)) from exc
         except sp.ServiceProtocolError as exc:
             # Structural damage on the inbound stream is a transport
             # fault (TCP guarantees the server's bytes arrive intact, so
@@ -1001,7 +927,20 @@ class ServiceClient:
             # reconnecting rather than misparse everything after it.
             raise self._unavailable("frame damaged in flight: %s" % exc) \
                 from exc
-        self.bytes_received += sp.HEADER_LEN + length
+        finally:
+            self.wire_seconds += time.perf_counter() - t0
+
+    def _send(self, frame: bytes) -> None:
+        self._on_wire("send", BlockingFrameLink.send, frame)
+        self.bytes_sent += len(frame)
+        self.frames_sent += 1
+
+    def _recv(self) -> Tuple[int, int, bytes]:
+        # A traced reply's extension stays on the header: observability
+        # data, not payload, but bytes that did cross the wire.
+        frame_type, session_id, header, payload = self._on_wire(
+            "recv", BlockingFrameLink.read_frame)
+        self.bytes_received += len(header) + len(payload)
         self.frames_received += 1
         return frame_type, session_id, payload
 

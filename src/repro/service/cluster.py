@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -55,6 +54,13 @@ from repro import obs
 from repro.field.modular import PrimeField
 from repro.service import protocol as sp
 from repro.service.ring import DEFAULT_VNODES, HashRing
+from repro.service.transport import (
+    Frame,
+    FrameLink,
+    FrameListener,
+    ListenerHandle,
+    frame_trace,
+)
 
 _log = obs.get_logger("service.cluster")
 
@@ -66,7 +72,6 @@ NODE_DEAD = "dead"        # out of everything until supervisor readmission
 #: Errors that mean "this backend just failed us".
 _BACKEND_ERRORS = (
     asyncio.TimeoutError,
-    asyncio.IncompleteReadError,
     ConnectionError,
     OSError,
     sp.ServiceProtocolError,
@@ -119,59 +124,59 @@ class _PrimaryDown(Exception):
     """The conversation's primary failed; abort and let the client retry."""
 
 
-class _BackendLink:
-    """One framed connection from the router to a backend node."""
+class RouterHandle(ListenerHandle):
+    """A running threaded router: address, health view, readmission."""
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, timeout: Optional[float]):
-        self._reader = reader
-        self._writer = writer
-        self._timeout = timeout
+    @property
+    def router(self) -> "ClusterRouter":
+        return self.listener
 
-    @classmethod
-    async def dial(cls, host: str, port: int,
-                   timeout: Optional[float]) -> "_BackendLink":
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout
-        )
-        return cls(reader, writer, timeout)
+    def health_view(self) -> Dict[str, str]:
+        """``{node id: state}`` as of now."""
+        return {
+            node_id: health.state
+            for node_id, health in self.router.health.items()
+        }
 
-    async def read_frame(self) -> Tuple[int, int, bytes, bytes]:
-        header = await asyncio.wait_for(
-            self._reader.readexactly(sp.HEADER_LEN), self._timeout
-        )
-        frame_type, session_id, length = sp.unpack_header(header)
-        # A version-2 frame's trace extension stays attached to the
-        # header, so relays (which write header + payload) forward it
-        # verbatim without touching the payload bytes.
-        ext_len = sp.header_ext_len(header)
-        if ext_len:
-            header += await asyncio.wait_for(
-                self._reader.readexactly(ext_len), self._timeout
-            )
-        payload = b""
-        if length:
-            payload = await asyncio.wait_for(
-                self._reader.readexactly(length), self._timeout
-            )
-        return frame_type, session_id, header, payload
+    def assigned_datasets(self, node_id: str) -> Dict[int, Tuple[int, int]]:
+        """``{dataset id: (u, router update count)}`` the ring puts on
+        a node — the supervisor's resync work list."""
+        return {
+            dataset_id: (meta.u, meta.updates)
+            for dataset_id, meta in self.router.datasets.items()
+            if node_id in self.router.replicas(dataset_id)
+        }
 
-    async def send(self, frame: bytes) -> None:
-        self._writer.write(frame)
-        await asyncio.wait_for(self._writer.drain(), self._timeout)
+    def sync_sources(self, dataset_id: int,
+                     exclude: str) -> List[str]:
+        """In-sync live replicas a recovering node can pull a tail from."""
+        router = self.router
+        meta = router.datasets.get(dataset_id)
+        return [
+            node_id
+            for node_id in router.replicas(dataset_id)
+            if node_id != exclude
+            and router.health[node_id].state != NODE_DEAD
+            and (meta is None or meta.updates == 0
+                 or dataset_id in router.synced[node_id])
+        ]
 
-    async def request(self, frame: bytes) -> Tuple[int, int, bytes, bytes]:
-        await self.send(frame)
-        return await self.read_frame()
+    def mark_dead(self, node_id: str) -> None:
+        """Declare a node dead (tests; the relay path does it itself)."""
+        self._loop.call_soon_threadsafe(self.router._node_failed, node_id)
 
-    def close(self) -> None:
-        try:
-            self._writer.close()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
+    def readmit(self, node_id: str, counts: Dict[int, int],
+                address: Optional[Tuple[str, int]] = None
+                ) -> Dict[int, Tuple[int, int]]:
+        """Attempt readmission; returns still-lagging datasets (empty =
+        the node is fully back in the replica set)."""
+        return self._run(self.router._readmit(node_id, counts, address))
+
+    def stats(self) -> Dict[str, int]:
+        return self.router.stats()
 
 
-class ClusterRouter:
+class ClusterRouter(FrameListener):
     """Consistent-hash front process over replicated prover backends.
 
     Parameters
@@ -195,6 +200,9 @@ class ClusterRouter:
         Deadline on every router-to-backend operation.
     """
 
+    handle_class = RouterHandle
+    thread_name = "repro-cluster-router"
+
     def __init__(self, field: PrimeField, nodes: Sequence[ClusterNode],
                  replication_factor: int = 2,
                  vnodes: int = DEFAULT_VNODES,
@@ -207,6 +215,7 @@ class ClusterRouter:
             raise ValueError("a cluster needs at least one node")
         if replication_factor < 1:
             raise ValueError("replication factor must be >= 1")
+        super().__init__(host, port)
         self.field = field
         self.nodes: Dict[str, ClusterNode] = {}
         for node in nodes:
@@ -229,8 +238,6 @@ class ClusterRouter:
         self.probe_timeout = probe_timeout
         self.dead_after = dead_after
         self.backend_timeout = backend_timeout
-        self.host = host
-        self.port = port
         #: Client conversations aborted by a primary failure (each one
         #: is a mid-conversation failover: the client's retry lands on a
         #: replica).
@@ -238,8 +245,6 @@ class ClusterRouter:
         #: Mirror fan-out legs dropped on a node failure.
         self.fanout_errors = 0
         self.connections = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._heartbeat_task: Optional[asyncio.Task] = None
 
     # -- placement -----------------------------------------------------------
 
@@ -308,10 +313,12 @@ class ClusterRouter:
             _log.warning("node.dead", node=node_id, epoch=health.epoch)
 
     async def _probe(self, node: ClusterNode) -> bool:
-        link = None
         try:
-            link = await _BackendLink.dial(node.host, node.port,
-                                           self.probe_timeout)
+            link = await FrameLink.dial(node.host, node.port,
+                                        self.probe_timeout)
+        except _BACKEND_ERRORS:
+            return False
+        try:
             frame_type, _s, _h, _p = await link.request(
                 sp.pack_frame(sp.H_PING, 0)
             )
@@ -319,8 +326,7 @@ class ClusterRouter:
         except _BACKEND_ERRORS:
             return False
         finally:
-            if link is not None:
-                link.close()
+            await link.aclose()
 
     async def _heartbeat_loop(self) -> None:
         while True:
@@ -399,51 +405,12 @@ class ClusterRouter:
                   lagging=sorted(lag))
         return lag
 
-    def _mark_dead(self, node_id: str) -> None:
-        self._node_failed(node_id)
-
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         if self.heartbeat_interval is not None:
-            self._heartbeat_task = asyncio.ensure_future(
-                self._heartbeat_loop()
-            )
-
-    async def stop(self) -> None:
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            self._heartbeat_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    def serve_in_thread(self) -> "RouterHandle":
-        started = threading.Event()
-        loop_holder = {}
-
-        def run():
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            loop_holder["loop"] = loop
-            loop.run_until_complete(self.start())
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.stop())
-                loop.close()
-
-        thread = threading.Thread(target=run, name="repro-cluster-router",
-                                  daemon=True)
-        thread.start()
-        started.wait()
-        return RouterHandle(self, thread, loop_holder["loop"])
+            self._spawn(self._heartbeat_loop())
 
     # -- statistics ----------------------------------------------------------
 
@@ -462,18 +429,6 @@ class ClusterRouter:
 
     # -- the client conversation ---------------------------------------------
 
-    async def _read_client_frame(self, reader: asyncio.StreamReader
-                                 ) -> Tuple[int, int, bytes, bytes]:
-        header = await reader.readexactly(sp.HEADER_LEN)
-        frame_type, session_id, length = sp.unpack_header(header)
-        # Keep a traced frame's extension with the header (see
-        # _BackendLink.read_frame): the relay legs forward it untouched.
-        ext_len = sp.header_ext_len(header)
-        if ext_len:
-            header += await reader.readexactly(ext_len)
-        payload = await reader.readexactly(length) if length else b""
-        return frame_type, session_id, header, payload
-
     def _router_status_frame(self) -> bytes:
         inventory = [
             (dataset_id, meta.u, meta.updates)
@@ -484,36 +439,19 @@ class ClusterRouter:
             sp.status_payload(self.field, self.connections, 0, 0, inventory),
         )
 
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _serve(self, link: FrameLink) -> None:
         self.connections += 1
         conversation = _Conversation(self)
         try:
-            await conversation.run(reader, writer)
+            await conversation.run(link)
         except _PrimaryDown:
             self.failovers += 1
             obs.counter("repro_cluster_failovers_total").inc()
             _log.warning("cluster.failover",
                          primary=conversation.primary_id,
                          dataset=conversation.dataset_id)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        except sp.ServiceProtocolError as exc:
-            try:
-                writer.write(sp.pack_frame(
-                    sp.T_ERROR, 0,
-                    sp.error_payload(str(exc), sp.E_TRANSPORT),
-                ))
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
         finally:
-            conversation.close()
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
+            await conversation.close()
 
 
 class _Conversation:
@@ -522,22 +460,22 @@ class _Conversation:
     def __init__(self, router: ClusterRouter):
         self.router = router
         self.primary_id: Optional[str] = None
-        self.primary: Optional[_BackendLink] = None
+        self.primary: Optional[FrameLink] = None
         self.primary_epoch = 0
         #: node id -> (link, mirror session id, node epoch at dial);
         #: opened lazily so a replica readmitted mid-conversation joins
         #: at its next block.
-        self.mirrors: Dict[str, Tuple[_BackendLink, int, int]] = {}
+        self.mirrors: Dict[str, Tuple[FrameLink, int, int]] = {}
         self.dataset_id: Optional[int] = None
         self.hello_payload = b""
         self.meta: Optional[_DatasetMeta] = None
         self.replica_ids: List[str] = []
 
-    def close(self) -> None:
+    async def close(self) -> None:
         if self.primary is not None:
-            self.primary.close()
+            await self.primary.aclose()
         for link, _session, _epoch in self.mirrors.values():
-            link.close()
+            await link.aclose()
         self.mirrors.clear()
 
     # -- primary plumbing ----------------------------------------------------
@@ -549,8 +487,7 @@ class _Conversation:
             self.router._node_failed(self.primary_id)
         raise _PrimaryDown()
 
-    async def _primary_request(self, frame: bytes
-                               ) -> Tuple[int, int, bytes, bytes]:
+    async def _primary_request(self, frame: bytes) -> Frame:
         try:
             return await self.primary.request(frame)
         except _BACKEND_ERRORS:
@@ -558,14 +495,11 @@ class _Conversation:
 
     # -- conversation --------------------------------------------------------
 
-    async def run(self, reader: asyncio.StreamReader,
-                  writer: asyncio.StreamWriter) -> None:
+    async def run(self, client: FrameLink) -> None:
         router = self.router
-        frame_type, _session, header, payload = \
-            await router._read_client_frame(reader)
+        frame_type, _session, header, payload = await client.read_frame()
         if frame_type == sp.H_PING:
-            writer.write(router._router_status_frame())
-            await writer.drain()
+            await client.send(router._router_status_frame())
             return
         if frame_type == sp.H_STATS:
             stats = {
@@ -579,21 +513,14 @@ class _Conversation:
                                in sorted(router.health.items())},
                 },
             }
-            writer.write(sp.pack_frame(
+            await client.send(sp.pack_frame(
                 sp.H_STATS_REPLY, 0,
                 json.dumps(stats, sort_keys=True).encode("utf-8"),
             ))
-            await writer.drain()
             return
         if frame_type != sp.T_HELLO:
-            writer.write(sp.pack_frame(
-                sp.T_ERROR, 0,
-                sp.error_payload(
-                    "a cluster conversation opens with HELLO",
-                    sp.E_GENERIC,
-                ),
-            ))
-            await writer.drain()
+            await client.send_error(
+                0, "a cluster conversation opens with HELLO", sp.E_GENERIC)
             return
 
         _p, u, dataset_id = sp.parse_hello(payload)
@@ -604,29 +531,22 @@ class _Conversation:
         if self.primary_id is None:
             # Every replica is down: a clean, retryable refusal — the
             # client backs off while the supervisor restores a node.
-            writer.write(sp.pack_frame(
-                sp.T_ERROR, 0,
-                sp.error_payload(
-                    "no live replica for dataset %d; retry after backoff"
-                    % dataset_id,
-                    sp.E_BUSY,
-                ),
-            ))
-            await writer.drain()
+            await client.send_error(
+                0, "no live replica for dataset %d; retry after backoff"
+                % dataset_id, sp.E_BUSY)
             return
 
         node = router.nodes[self.primary_id]
         self.primary_epoch = router.health[self.primary_id].epoch
         try:
-            self.primary = await _BackendLink.dial(
+            self.primary = await FrameLink.dial(
                 node.host, node.port, router.backend_timeout
             )
         except _BACKEND_ERRORS:
             self._primary_failed()
         reply_type, _rs, reply_header, reply_payload = \
             await self._primary_request(header + payload)
-        writer.write(reply_header + reply_payload)
-        await writer.drain()
+        await client.send(reply_header + reply_payload)
         if reply_type != sp.T_HELLO_ACK:
             return
         ack_words = sp.parse_words(router.field, reply_payload)
@@ -637,49 +557,49 @@ class _Conversation:
 
         while True:
             frame_type, _session, header, payload = \
-                await router._read_client_frame(reader)
+                await client.read_frame()
             if frame_type == sp.T_UPDATES:
-                await self._fanout_updates(writer, header, payload)
+                await self._fanout_updates(client, header, payload)
             elif frame_type == sp.T_REPLAY_REQUEST:
-                await self._relay_replay(writer, header, payload)
+                await self._relay_replay(client, header, payload)
             elif frame_type == sp.T_BYE:
                 try:
                     _t, _s, rh, rp = await self.primary.request(
                         header + payload
                     )
-                    writer.write(rh + rp)
-                    await writer.drain()
+                    await client.send(rh + rp)
                 except _BACKEND_ERRORS:
                     pass  # the session is over either way
                 return
             else:
                 _t, _s, rh, rp = await self._primary_request(header + payload)
-                writer.write(rh + rp)
-                await writer.drain()
+                await client.send(rh + rp)
 
-    async def _relay_replay(self, writer, header: bytes,
+    async def _relay_replay(self, client: FrameLink, header: bytes,
                             payload: bytes) -> None:
         """Replay is the one multi-frame reply: relay until END/ERROR."""
         try:
             await self.primary.send(header + payload)
-            while True:
-                frame_type, _s, rh, rp = await self.primary.read_frame()
-                writer.write(rh + rp)
-                if frame_type in (sp.T_REPLAY_END, sp.T_ERROR):
-                    break
         except _BACKEND_ERRORS:
             self._primary_failed()
-        await writer.drain()
+        while True:
+            try:
+                frame_type, _s, rh, rp = await self.primary.read_frame()
+            except _BACKEND_ERRORS:
+                self._primary_failed()
+            await client.send(rh + rp)
+            if frame_type in (sp.T_REPLAY_END, sp.T_ERROR):
+                break
 
     # -- replication ---------------------------------------------------------
 
     async def _open_mirror(self, node_id: str,
                            trace: Optional[Tuple[int, int]] = None
-                           ) -> Tuple[_BackendLink, int, int]:
+                           ) -> Tuple[FrameLink, int, int]:
         node = self.router.nodes[node_id]
         epoch = self.router.health[node_id].epoch
-        link = await _BackendLink.dial(node.host, node.port,
-                                       self.router.backend_timeout)
+        link = await FrameLink.dial(node.host, node.port,
+                                    self.router.backend_timeout)
         try:
             frame_type, session_id, _h, _p = await link.request(
                 sp.pack_frame(sp.T_HELLO, 0, self.hello_payload,
@@ -695,7 +615,7 @@ class _Conversation:
             )
         return link, session_id, epoch
 
-    async def _fanout_updates(self, writer, header: bytes,
+    async def _fanout_updates(self, client: FrameLink, header: bytes,
                               payload: bytes) -> None:
         """One client update block onto the primary and every mirror.
 
@@ -713,8 +633,7 @@ class _Conversation:
         # to the header; each fan-out leg forwards it (re-parented under
         # a router leg span when tracing is on here) so mirror-side
         # spans join the client's tree.
-        trace = (sp.parse_trace_ext(header[sp.HEADER_LEN:])
-                 if len(header) > sp.HEADER_LEN else None)
+        trace = frame_trace(header)
         self.meta.inflight += 1
         try:
             try:
@@ -726,8 +645,7 @@ class _Conversation:
             if reply_type != sp.T_UPDATES_ACK:
                 # Semantic rejection (bad key etc.): relay it, apply
                 # nowhere else.
-                writer.write(rh + rp)
-                await writer.drain()
+                await client.send(rh + rp)
                 return
             ack_words = sp.parse_words(router.field, rp)
             total = ack_words[0] if ack_words else None
@@ -757,8 +675,7 @@ class _Conversation:
                     leg_span.end()
             if total is not None:
                 self.meta.updates = total
-            writer.write(rh + rp)
-            await writer.drain()
+            await client.send(rh + rp)
         finally:
             self.meta.inflight -= 1
 
@@ -813,73 +730,3 @@ class _Conversation:
                              dataset=self.dataset_id)
                 router._node_failed(node_id)
                 break
-
-
-class RouterHandle:
-    """A running threaded router: address, health view, readmission."""
-
-    def __init__(self, router: ClusterRouter, thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop):
-        self.router = router
-        self._thread = thread
-        self._loop = loop
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.router.host, self.router.port)
-
-    def _run(self, coro, timeout: float = 30.0):
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout=timeout)
-
-    def health_view(self) -> Dict[str, str]:
-        """``{node id: state}`` as of now."""
-        return {
-            node_id: health.state
-            for node_id, health in self.router.health.items()
-        }
-
-    def assigned_datasets(self, node_id: str) -> Dict[int, Tuple[int, int]]:
-        """``{dataset id: (u, router update count)}`` the ring puts on
-        a node — the supervisor's resync work list."""
-        return {
-            dataset_id: (meta.u, meta.updates)
-            for dataset_id, meta in self.router.datasets.items()
-            if node_id in self.router.replicas(dataset_id)
-        }
-
-    def sync_sources(self, dataset_id: int,
-                     exclude: str) -> List[str]:
-        """In-sync live replicas a recovering node can pull a tail from."""
-        router = self.router
-        meta = router.datasets.get(dataset_id)
-        return [
-            node_id
-            for node_id in router.replicas(dataset_id)
-            if node_id != exclude
-            and router.health[node_id].state != NODE_DEAD
-            and (meta is None or meta.updates == 0
-                 or dataset_id in router.synced[node_id])
-        ]
-
-    def mark_dead(self, node_id: str) -> None:
-        """Declare a node dead (tests; the relay path does it itself)."""
-        self._loop.call_soon_threadsafe(self.router._mark_dead, node_id)
-
-    def readmit(self, node_id: str, counts: Dict[int, int],
-                address: Optional[Tuple[str, int]] = None
-                ) -> Dict[int, Tuple[int, int]]:
-        """Attempt readmission; returns still-lagging datasets (empty =
-        the node is fully back in the replica set)."""
-        return self._run(self.router._readmit(node_id, counts, address))
-
-    def stats(self) -> Dict[str, int]:
-        return self.router.stats()
-
-    def stop(self) -> None:
-        if not self._loop.is_closed():
-            try:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-            except RuntimeError:
-                pass
-        self._thread.join(timeout=10)

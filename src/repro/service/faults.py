@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import asyncio
 import random
-import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.service import protocol as sp
-from repro.service.server import cancel_and_wait
+from repro.service.transport import FrameLink, FrameListener, ListenerHandle
 
 #: Relay directions.
 C2S = "c2s"  # client -> server
@@ -185,192 +184,12 @@ class BlackoutSchedule(FaultSchedule):
         self.after = None
 
 
-class ChaosProxy:
-    """A frame-level TCP proxy with a fault schedule.
-
-    Clients connect to the proxy's address instead of the server's; the
-    proxy dials :attr:`upstream_port` per connection — mutable, so a
-    test can restart the upstream server (snapshot/restore) behind a
-    stable client-facing address and watch the client reconnect through.
-    """
-
-    def __init__(self, upstream_host: str, upstream_port: int,
-                 schedule: Optional[FaultSchedule] = None,
-                 host: str = "127.0.0.1", port: int = 0):
-        self.upstream_host = upstream_host
-        self.upstream_port = upstream_port
-        self.schedule = schedule or FaultSchedule()
-        self.host = host
-        self.port = port
-        #: Frames relayed per direction, and overall (fault coordinates).
-        self.frames: Dict[str, int] = {C2S: 0, S2C: 0}
-        self.global_frames = 0
-        self.faults_injected = 0
-        self.connections = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        #: The running ``_handle`` tasks, so ``stop`` can end them.
-        self._relays: Set["asyncio.Task[None]"] = set()
-
-    # -- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        """Stop listening and close both ends of every relayed pair."""
-        if self._server is not None:
-            self._server.close()
-            await cancel_and_wait(self._relays)
-            await self._server.wait_closed()
-            self._server = None
-
-    def serve_in_thread(self) -> "ProxyHandle":
-        started = threading.Event()
-        loop_holder = {}
-
-        def run():
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            loop_holder["loop"] = loop
-            loop.run_until_complete(self.start())
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.stop())
-                loop.close()
-
-        thread = threading.Thread(target=run, name="repro-chaos-proxy",
-                                  daemon=True)
-        thread.start()
-        started.wait()
-        return ProxyHandle(self, thread, loop_holder["loop"])
-
-    # -- relaying ------------------------------------------------------------
-
-    async def _handle(self, client_reader: asyncio.StreamReader,
-                      client_writer: asyncio.StreamWriter) -> None:
-        relay = asyncio.current_task()
-        self._relays.add(relay)
-        writers = [client_writer]
-        try:
-            if not self.schedule.accepting():
-                # The node behind this proxy is playing dead: refuse the
-                # dial the way a crashed process would.
-                return
-            self.connections += 1
-            try:
-                upstream_reader, upstream_writer = (
-                    await asyncio.open_connection(
-                        self.upstream_host, self.upstream_port))
-            except OSError:
-                return
-            writers.append(upstream_writer)
-            closing = asyncio.Event()
-
-            async def close_both() -> None:
-                closing.set()
-                for writer in writers:
-                    try:
-                        writer.close()
-                    except (ConnectionError, OSError):
-                        pass
-
-            await asyncio.gather(
-                self._pump(client_reader, upstream_writer, C2S, close_both,
-                           closing),
-                self._pump(upstream_reader, client_writer, S2C, close_both,
-                           closing),
-                return_exceptions=True,
-            )
-        finally:
-            self._relays.discard(relay)
-            # Also reached when ``stop`` cancels the relay: both peers
-            # must see EOF before the loop goes away.
-            for writer in writers:
-                try:
-                    writer.close()
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-
-    async def _pump(self, reader, writer, direction, close_both,
-                    closing) -> None:
-        while not closing.is_set():
-            try:
-                header = await reader.readexactly(sp.HEADER_LEN)
-                _type, _session, length = sp.unpack_header(header)
-                ext_len = sp.header_ext_len(header)
-                if ext_len:
-                    # Keep a version-2 frame's trace extension glued to
-                    # the header so every relay below forwards it intact.
-                    header += await reader.readexactly(ext_len)
-                payload = (await reader.readexactly(length)
-                           if length else b"")
-            except (asyncio.IncompleteReadError, ConnectionError, OSError,
-                    sp.ServiceProtocolError):
-                # The endpoint closed (or sent something the proxy cannot
-                # frame-parse — e.g. raw-byte robustness tests): stop
-                # relaying this direction and shut the pair down.
-                await close_both()
-                return
-            index = self.frames[direction]
-            global_index = self.global_frames
-            self.frames[direction] = index + 1
-            self.global_frames = global_index + 1
-            fault = self.schedule.decide(direction, index, global_index,
-                                         _type)
-            try:
-                if fault is None:
-                    writer.write(header + payload)
-                    await writer.drain()
-                    continue
-                self.faults_injected += 1
-                if fault.kind == KIND_DELAY:
-                    await asyncio.sleep(fault.seconds)
-                    writer.write(header + payload)
-                    await writer.drain()
-                elif fault.kind == KIND_CORRUPT:
-                    # Break the header's type byte: structurally invalid
-                    # at both ends, detected before any payload parse.
-                    damaged = header[:3] + bytes([0xEE]) + header[4:]
-                    writer.write(damaged + payload)
-                    await writer.drain()
-                elif fault.kind == KIND_TRUNCATE:
-                    cut = len(header) + len(payload) // 2
-                    writer.write((header + payload)[:cut])
-                    await writer.drain()
-                    await close_both()
-                    return
-                elif fault.kind == KIND_STALL:
-                    # Hold the frame past the peer's deadline, then
-                    # reset — models a hung middlebox.
-                    await asyncio.sleep(fault.seconds)
-                    await close_both()
-                    return
-                else:  # KIND_DROP
-                    await close_both()
-                    return
-            except (ConnectionError, OSError):
-                await close_both()
-                return
-
-
-class ProxyHandle:
+class ProxyHandle(ListenerHandle):
     """A running threaded proxy: address, retarget and stop."""
 
-    def __init__(self, proxy: ChaosProxy, thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop):
-        self.proxy = proxy
-        self._thread = thread
-        self._loop = loop
-
     @property
-    def address(self) -> Tuple[str, int]:
-        return (self.proxy.host, self.proxy.port)
+    def proxy(self) -> "ChaosProxy":
+        return self.listener
 
     def retarget(self, upstream_port: int,
                  upstream_host: Optional[str] = None) -> None:
@@ -380,10 +199,108 @@ class ProxyHandle:
             self.proxy.upstream_host = upstream_host
         self.proxy.upstream_port = upstream_port
 
-    def stop(self) -> None:
-        if not self._loop.is_closed():
+
+class ChaosProxy(FrameListener):
+    """A frame-level TCP proxy with a fault schedule.
+
+    Clients connect to the proxy's address instead of the server's; the
+    proxy dials :attr:`upstream_port` per connection — mutable, so a
+    test can restart the upstream server (snapshot/restore) behind a
+    stable client-facing address and watch the client reconnect through.
+    """
+
+    handle_class = ProxyHandle
+    thread_name = "repro-chaos-proxy"
+
+    def __init__(self, upstream_host: str, upstream_port: int,
+                 schedule: Optional[FaultSchedule] = None,
+                 host: str = "127.0.0.1", port: int = 0):
+        super().__init__(host, port)
+        self.upstream_host = upstream_host
+        self.upstream_port = upstream_port
+        self.schedule = schedule or FaultSchedule()
+        #: Frames relayed per direction, and overall (fault coordinates).
+        self.frames: Dict[str, int] = {C2S: 0, S2C: 0}
+        self.global_frames = 0
+        self.faults_injected = 0
+        self.connections = 0
+
+    # -- relaying ------------------------------------------------------------
+
+    async def _serve(self, client: FrameLink) -> None:
+        if not self.schedule.accepting():
+            # The node behind this proxy is playing dead: refuse the
+            # dial the way a crashed process would.
+            return
+        self.connections += 1
+        try:
+            upstream = await FrameLink.dial(self.upstream_host,
+                                            self.upstream_port)
+        except OSError:
+            return
+        closing = asyncio.Event()
+
+        def close_both() -> None:
+            closing.set()
+            client.close()
+            upstream.close()
+
+        try:
+            await asyncio.gather(
+                self._pump(client, upstream, C2S, close_both, closing),
+                self._pump(upstream, client, S2C, close_both, closing),
+                return_exceptions=True,
+            )
+        finally:
+            # Also reached when ``stop`` cancels the relay: both peers
+            # must see EOF before the loop goes away.
+            await upstream.aclose()
+
+    async def _pump(self, source: FrameLink, sink: FrameLink, direction,
+                    close_both, closing) -> None:
+        while not closing.is_set():
             try:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-            except RuntimeError:
-                pass
-        self._thread.join(timeout=10)
+                frame_type, _session, header, payload = \
+                    await source.read_frame()
+            except (ConnectionError, OSError, sp.ServiceProtocolError):
+                # The endpoint closed (or sent something the proxy cannot
+                # frame-parse — e.g. raw-byte robustness tests): stop
+                # relaying this direction and shut the pair down.
+                close_both()
+                return
+            index = self.frames[direction]
+            global_index = self.global_frames
+            self.frames[direction] = index + 1
+            self.global_frames = global_index + 1
+            fault = self.schedule.decide(direction, index, global_index,
+                                         frame_type)
+            try:
+                if fault is None:
+                    await sink.send(header + payload)
+                    continue
+                self.faults_injected += 1
+                if fault.kind == KIND_DELAY:
+                    await asyncio.sleep(fault.seconds)
+                    await sink.send(header + payload)
+                elif fault.kind == KIND_CORRUPT:
+                    # Break the header's type byte: structurally invalid
+                    # at both ends, detected before any payload parse.
+                    await sink.send(header[:3] + bytes([0xEE]) + header[4:]
+                                    + payload)
+                elif fault.kind == KIND_TRUNCATE:
+                    cut = len(header) + len(payload) // 2
+                    await sink.send((header + payload)[:cut])
+                    close_both()
+                    return
+                elif fault.kind == KIND_STALL:
+                    # Hold the frame past the peer's deadline, then
+                    # reset — models a hung middlebox.
+                    await asyncio.sleep(fault.seconds)
+                    close_both()
+                    return
+                else:  # KIND_DROP
+                    close_both()
+                    return
+            except (ConnectionError, OSError):
+                close_both()
+                return

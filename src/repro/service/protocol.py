@@ -2,44 +2,50 @@
 
 Every byte the prover service and the thin client verifier exchange
 travels in one of these frames, so the per-query communication a
-:class:`~repro.comm.channel.Channel` accounts for is *measured on real
-frames*, not simulated.  The payload of word-carrying frames is the
-:mod:`repro.comm.wire` word encoding (fixed-width big-endian field
-elements with a word-count prefix), making the frame layer a thin
-session envelope around the transcript format.
+`repro.comm.channel.Channel` accounts for is *measured on real frames*,
+not simulated.  The payload of word-carrying frames is the
+`repro.comm.wire` word encoding (a 4-byte word count, then fixed-width
+big-endian field elements), making the frame layer a thin session
+envelope around the transcript format.
 
-Frame layout (big-endian)::
+Frame layout (big-endian):
 
     magic  "SI"        2 bytes
-    version            1 byte   (FRAME_VERSION or FRAME_VERSION_TRACED)
-    frame type         1 byte   (T_* constants)
-    session id         4 bytes
-    payload length     4 bytes
-    [trace extension   16 bytes  — version 2 frames only]
+    version            1 byte   (1, or 2 = traced)
+    frame type         1 byte   (see Frame types)
+    session id         4 bytes  (0 on sessionless frames)
+    payload length     4 bytes  (payload only; capped, see below)
+    [trace extension   16 bytes — version 2 frames only]
     payload            <length> bytes
 
-Version 2 (:data:`FRAME_VERSION_TRACED`) is version 1 plus a
-fixed-length *trace extension* between header and payload: the sender's
-64-bit trace id and 64-bit span id (:data:`TRACE_EXT_LEN` bytes).  The
-payload — the transcript bytes the :class:`~repro.comm.channel.Channel`
-accounts for — is identical under both versions, which is how
-observability stays off the transcript path.  Traced frames are
-*negotiated*: a server that understands them appends
-:data:`TRACE_CAPABLE` as an extra word to its HELLO_ACK (old clients
-read only the leading words and never notice), and a client only stamps
+Version 2 is version 1 plus a fixed-length *trace extension* between
+header and payload: the sender's 64-bit trace id and 64-bit span id.
+The payload — the transcript bytes the channel accounts for — is
+identical under both versions, which is how observability stays off the
+transcript path, and a relay forwards the extension byte for byte.
+Traced frames are *negotiated*: a server that understands them appends
+the capability word `TRACE_CAPABLE` to its HELLO_ACK (old clients read
+only the leading words and never notice), and a client only stamps
 version 2 on the wire after seeing that word — so old clients and old
 servers keep speaking plain version 1 to everything.
 
-Decoding validates everything — magic, version, type, length bounds —
-and raises :class:`ServiceProtocolError` (a
-:class:`~repro.comm.wire.WireFormatError`) on damage: a malformed frame
-is a rejected conversation, never a crashed server.
+Decoding validates everything — magic, version, type, and the declared
+length against `MAX_PAYLOAD` (2^26) and the receiver's own `max_payload`
+*before any payload byte is read* — and raises `ServiceProtocolError`
+(a `repro.comm.wire.WireFormatError`) on damage: a malformed frame is a
+rejected conversation, never a crashed server.
+
+Frame types, error codes, the prover step table and the chaining rule
+are declared below, one declaration each; `docs/WIRE.md` is this
+docstring plus those tables, rendered by `repro.service.wiredoc`
+(`python -m repro.service.protocol > docs/WIRE.md`, diffed in CI).
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.comm.wire import (
     WireFormatError,
@@ -48,6 +54,13 @@ from repro.comm.wire import (
     word_width,
 )
 from repro.field.modular import PrimeField
+from repro.service.router import (
+    KIND_HEAVY_HITTERS,
+    KIND_K_LARGEST,
+    KIND_PREDECESSOR,
+    KIND_SUCCESSOR,
+    TREE_KINDS,
+)
 
 #: Version byte stamped on every frame; peers with a different version
 #: fail the handshake instead of misparsing each other.
@@ -73,86 +86,173 @@ MAX_PAYLOAD = 1 << 26
 
 # -- frame types ---------------------------------------------------------------
 
-T_HELLO = 0x01          # client -> server: open a session on a dataset
-T_HELLO_ACK = 0x02      # server -> client: session id + missed updates
-T_UPDATES = 0x03        # client -> server: a block of stream updates
-T_UPDATES_ACK = 0x04    # server -> client: total updates applied
-T_REPLAY_REQUEST = 0x05  # client -> server: resend updates from an index
-T_REPLAY_DATA = 0x06    # server -> client: a block of replayed updates
-T_REPLAY_END = 0x07     # server -> client: replay complete
-T_QUERY_OPEN = 0x08     # client -> server: instantiate a prover
-T_QUERY_ACK = 0x09      # server -> client: query reference
-T_P_CALL = 0x0A         # client -> server: invoke a prover method
-T_P_REPLY = 0x0B        # server -> client: the method's word result
-T_QUERY_CLOSE = 0x0C    # client -> server: release a prover
-T_QUERY_CLOSE_ACK = 0x0D
-T_STATS = 0x0E          # client -> server: service statistics
-T_STATS_REPLY = 0x0F
-T_ERROR = 0x10          # server -> client: error code + UTF-8 message
-T_BYE = 0x11            # client -> server: end the session
-T_BYE_ACK = 0x12
+#: type -> ``(who sends it, what it carries)``, filled by the
+#: declarations below (the *Frame types* table of the docs).
+FRAME_TYPES: Dict[int, Tuple[str, str]] = {}
 
-# Health/cluster frames: exchanged by the cluster router's heartbeat
-# probes and the node supervisor's resync loop — sessionless (session id
-# 0), exempt from per-session rate limits, answered before any registry
-# lookup so a node reports its health even when it refuses new sessions.
-H_PING = 0x13           # router/supervisor -> node: are you alive?
-H_STATUS = 0x14         # node -> prober: counters + dataset inventory
-H_STATS = 0x15          # scraper -> node: metrics registry snapshot?
-H_STATS_REPLY = 0x16    # node -> scraper: JSON metrics snapshot
 
-_KNOWN_TYPES = frozenset(range(T_HELLO, H_STATS_REPLY + 1))
+def _frame(value: int, direction: str, carries: str) -> int:
+    FRAME_TYPES[value] = (direction, carries)
+    return value
+
+
+T_HELLO = _frame(0x01, "client -> server", "open a session on a dataset")
+T_HELLO_ACK = _frame(0x02, "server -> client", "session id + missed updates")
+T_UPDATES = _frame(0x03, "client -> server", "a block of stream updates")
+T_UPDATES_ACK = _frame(0x04, "server -> client", "total updates applied")
+T_REPLAY_REQUEST = _frame(0x05, "client -> server",
+                          "resend updates from an index")
+T_REPLAY_DATA = _frame(0x06, "server -> client", "a block of replayed updates")
+T_REPLAY_END = _frame(0x07, "server -> client", "replay complete")
+T_QUERY_OPEN = _frame(0x08, "client -> server",
+                      "instantiate a prover (and announce a batch to it)")
+T_QUERY_ACK = _frame(0x09, "server -> client", "query reference")
+T_P_CALL = _frame(0x0A, "client -> server", "run prover steps (see below)")
+T_P_REPLY = _frame(0x0B, "server -> client", "the replying step's words")
+T_QUERY_CLOSE = _frame(0x0C, "client -> server", "release a prover")
+T_QUERY_CLOSE_ACK = _frame(0x0D, "server -> client", "prover released")
+T_STATS = _frame(0x0E, "client -> server", "service statistics?")
+T_STATS_REPLY = _frame(0x0F, "server -> client", "five counters as words")
+T_ERROR = _frame(0x10, "server -> client", "error code + UTF-8 message")
+T_BYE = _frame(0x11, "client -> server", "end the session")
+T_BYE_ACK = _frame(0x12, "server -> client", "session ended")
+H_PING = _frame(0x13, "prober -> node", "are you alive?")
+H_STATUS = _frame(0x14, "node -> prober", "counters + dataset inventory")
+H_STATS = _frame(0x15, "scraper -> node", "metrics registry snapshot?")
+H_STATS_REPLY = _frame(0x16, "node -> scraper", "JSON metrics snapshot")
 
 # -- error codes (T_ERROR payloads) -------------------------------------------
-#
-# A structured refusal beats a bare connection reset: the first two bytes
-# of every T_ERROR payload classify the failure so a client can decide
-# between "retry after backoff" (busy/rate-limited), "reconnect and
-# resume" (timeout/transport/unknown session — the server lost this
-# conversation) and "give up" (a semantic rejection that will repeat).
 
-E_GENERIC = 0x0000        # semantic rejection; retrying will not help
-E_BUSY = 0x0001           # admission control refused; retry after backoff
-E_RATE_LIMITED = 0x0002   # token bucket empty; retry after backoff
-E_TIMEOUT = 0x0003        # the server timed this conversation out
-E_UNKNOWN_SESSION = 0x0004  # session state is gone; reconnect + resume
-E_TRANSPORT = 0x0005      # framing damage observed; reconnect + resume
+#: code -> meaning (the *Error codes* table of the docs).
+ERROR_CODES: Dict[int, str] = {}
+
+
+def _error(code: int, meaning: str) -> int:
+    ERROR_CODES[code] = meaning
+    return code
+
+
+E_GENERIC = _error(0x0000, "semantic rejection; retrying will not help")
+E_BUSY = _error(0x0001, "admission control refused")
+E_RATE_LIMITED = _error(0x0002, "token bucket empty")
+E_TIMEOUT = _error(0x0003, "the server timed this conversation out")
+E_UNKNOWN_SESSION = _error(0x0004, "session state is gone")
+E_TRANSPORT = _error(0x0005, "framing damage observed")
 
 #: Codes a client may transparently absorb with a retry (the request
-#: itself was fine — the *service state or network* was not).
+#: itself was fine — the *service state or network* was not): after a
+#: backoff on the same connection, or after a reconnect and resume.
 RETRYABLE_BUSY = frozenset([E_BUSY, E_RATE_LIMITED])
 RETRYABLE_RECONNECT = frozenset([E_TIMEOUT, E_UNKNOWN_SESSION, E_TRANSPORT])
 
-# -- prover method opcodes (T_P_CALL payloads) --------------------------------
-#
-# The interactive protocols are driven by the client (the verifier).  A
-# P_CALL is ``[ref, method, args...]``; its P_REPLY carries the method's
-# words.  Steps that return nothing do not travel alone: the client sends
-# them in front of the next step that replies, as one chain ``[ref,
-# M_CHAIN, m1, n1, args1..., m2, n2, args2...]`` answered by one P_REPLY
-# with the last call's words.  The server runs a chain in order, so the
-# prover learns r_j after g_j went out and before it commits g_{j+1}, as
-# ever — and a round of the paper's protocol is one round trip.
+# -- prover steps (T_P_CALL payloads) ------------------------------------------
 
-M_BEGIN_PROOF = 0x01        # () -> []
-M_ROUND_MESSAGE = 0x02      # () -> round polynomial / flattened records
-M_RECEIVE_CHALLENGE = 0x03  # (r) -> []
-M_RECEIVE_QUERY = 0x04      # (lo, hi) -> []
-M_ANSWER_ENTRIES = 0x05     # () -> flattened (key, value) pairs
-M_LEVEL0_SIBLINGS = 0x06    # () -> flattened (index, hash) pairs
-M_FOLD_CHALLENGE = 0x07     # (r) -> next level's flattened siblings
-M_CLAIM = 0x08              # (arg) -> (flag, key) claim
-M_RECEIVE_RANDOMNESS = 0x09  # (r, s) -> []  (heavy hitters)
-M_ROUND_MESSAGES = 0x0B     # () -> per-query round polynomials, flattened
-M_CHAIN = 0x0D              # (m1, n1, args1..., m2, n2, ...) -> last call's words
+#: Reply codecs: how a step's result is laid out in the P_REPLY's words.
+#: The server holds the encoder of each, the client the decoder.
+REPLY_VOID = "void"
+REPLY_WORDS = "words"
+REPLY_PAIRS = "pairs"
+REPLY_RECORDS = "records"
+REPLY_CLAIM = "claim"
+REPLY_ROWS = "rows"
+
+REPLY_LAYOUTS = {
+    REPLY_VOID: "no words",
+    REPLY_WORDS: "the result's words as they are",
+    REPLY_PAIRS: "`(a, b)` pairs, flattened",
+    REPLY_RECORDS: "`(index, hash, count)` node records, flattened",
+    REPLY_CLAIM: "one `(flag, key)` claim",
+    REPLY_ROWS: "one round polynomial per batch member, flattened: "
+                "member i takes degree_i + 1 words",
+}
+
+
+class Step(NamedTuple):
+    """One row of the prover RPC surface.
+
+    ``default`` is the ``(prover method, reply codec)`` of every query
+    kind ``by_kind`` does not name (``None``: only the kinds named have
+    the step); ``by_kind`` maps a kind to its own pair, or to ``None``
+    where the kind does not have the step.
+    """
+
+    opcode: int
+    arity: int
+    default: Optional[Tuple[str, str]]
+    by_kind: Mapping[int, Optional[Tuple[str, str]]] = {}
+
+    def resolve(self, kind: int) -> Optional[Tuple[str, str]]:
+        """``(prover method, reply codec)`` for a query kind, if any."""
+        return self.by_kind.get(kind, self.default)
+
+
+#: opcode -> :class:`Step`: the step table, one declaration per row.
+STEPS: Dict[int, Step] = {}
+
+
+def _step(*row) -> int:
+    step = Step(*row)
+    STEPS[step.opcode] = step
+    return step.opcode
+
+
+# Within one kind a method name belongs to one row: the tree family's
+# ``receive_challenge`` *replies* (the next level's siblings), so for
+# those kinds it is M_FOLD_CHALLENGE and the void M_RECEIVE_CHALLENGE
+# does not exist.
+M_BEGIN_PROOF = _step(0x01, 0, ("begin_proof", REPLY_VOID))
+M_ROUND_MESSAGE = _step(
+    0x02, 0, ("round_message", REPLY_WORDS),
+    {KIND_HEAVY_HITTERS: ("round_message", REPLY_RECORDS)})
+M_RECEIVE_CHALLENGE = _step(0x03, 1, ("receive_challenge", REPLY_VOID),
+                            dict.fromkeys(TREE_KINDS))
+M_RECEIVE_QUERY = _step(0x04, 2, ("receive_query", REPLY_VOID))
+M_ANSWER_ENTRIES = _step(0x05, 0, ("answer_entries", REPLY_PAIRS))
+M_LEVEL0_SIBLINGS = _step(0x06, 0, ("level0_siblings", REPLY_PAIRS))
+M_FOLD_CHALLENGE = _step(
+    0x07, 1, None,
+    dict.fromkeys(TREE_KINDS, ("receive_challenge", REPLY_PAIRS)))
+M_CLAIM = _step(0x08, 1, None, {
+    KIND_PREDECESSOR: ("claim_predecessor", REPLY_CLAIM),
+    KIND_SUCCESSOR: ("claim_successor", REPLY_CLAIM),
+    KIND_K_LARGEST: ("claim_kth_largest", REPLY_CLAIM),
+})
+M_RECEIVE_RANDOMNESS = _step(0x09, 2, ("receive_randomness", REPLY_VOID))
+M_ROUND_MESSAGES = _step(0x0B, 0, ("round_messages", REPLY_ROWS))
+#: Not a step but framing: several steps for one P_REPLY (*Chaining*).
+M_CHAIN = 0x0D
 # 0x0A and 0x0C stay unassigned: they announced a batch to its prover,
 # which T_QUERY_OPEN does, and are answered like any unknown opcode.
 
-#: Methods that return no words: the only ones a chain may carry before
+#: Every prover method name the table can dispatch to.
+STEP_METHODS = frozenset(
+    resolved[0]
+    for step in STEPS.values()
+    for resolved in (step.default, *step.by_kind.values())
+    if resolved
+)
+
+#: Steps that return no words: the only ones a chain may carry before
 #: its last call (one P_REPLY has room for one call's answer).
-VOID_METHODS = frozenset([
-    M_BEGIN_PROOF, M_RECEIVE_CHALLENGE, M_RECEIVE_QUERY, M_RECEIVE_RANDOMNESS,
-])
+VOID_METHODS = frozenset(
+    opcode for opcode, step in STEPS.items()
+    if step.default and step.default[1] == REPLY_VOID
+)
+
+#: The steps that are a proof round (both ends name their spans by it).
+ROUND_METHODS = frozenset([M_ROUND_MESSAGE, M_ROUND_MESSAGES])
+
+
+@lru_cache(maxsize=None)
+def steps_for_kind(kind: int) -> Dict[str, Tuple[int, str]]:
+    """``{prover method: (opcode, reply codec)}`` for one query kind —
+    what a client-side proxy of that kind exposes."""
+    out: Dict[str, Tuple[int, str]] = {}
+    for step in STEPS.values():
+        resolved = step.resolve(kind)
+        if resolved is not None:
+            out[resolved[0]] = (step.opcode, resolved[1])
+    return out
 
 
 class ServiceProtocolError(WireFormatError):
@@ -168,7 +268,7 @@ def pack_frame(frame_type: int, session_id: int, payload: bytes = b"",
     the declared length, which counts payload only) are identical either
     way: tracing never shifts a transcript byte.
     """
-    if frame_type not in _KNOWN_TYPES:
+    if frame_type not in FRAME_TYPES:
         raise ServiceProtocolError("unknown frame type 0x%02x" % frame_type)
     if not 0 <= session_id < (1 << 32):
         raise ServiceProtocolError("session id %r out of range" % (session_id,))
@@ -235,7 +335,7 @@ def unpack_header(header: bytes,
             % (header[2], FRAME_VERSION, FRAME_VERSION_TRACED)
         )
     frame_type = header[3]
-    if frame_type not in _KNOWN_TYPES:
+    if frame_type not in FRAME_TYPES:
         raise ServiceProtocolError("unknown frame type 0x%02x" % frame_type)
     session_id = int.from_bytes(header[4:8], "big")
     length = int.from_bytes(header[8:12], "big")
@@ -449,3 +549,13 @@ def parse_error_struct(payload: bytes) -> Tuple[int, str]:
         return E_GENERIC, payload.decode("utf-8", errors="replace")
     code = int.from_bytes(payload[:2], "big")
     return code, payload[2:].decode("utf-8", errors="replace")
+
+
+if __name__ == "__main__":
+    # Imported here only: the renderer and its prose stay out of every
+    # process that merely speaks the protocol.
+    import sys
+
+    from repro.service.wiredoc import wire_doc
+
+    sys.stdout.write(wire_doc())

@@ -142,10 +142,8 @@ class ActiveQuery:
         self.ref = ref
         self.unit = unit
         self.prover = prover
-
-    @property
-    def kind(self) -> int:
-        return self.unit.descriptors[0].kind
+        #: The kind the step table resolves this query's calls for.
+        self.kind = unit.descriptors[0].kind
 
 
 class Session:

@@ -20,32 +20,33 @@ real listening port without managing an event loop.
 
 from __future__ import annotations
 
-import asyncio
 import json
-import threading
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core.heavy_hitters import NodeRecord
 from repro.field.modular import PrimeField
 from repro.service import protocol as sp
 from repro.service.registry import RegistryError, SessionRegistry
 from repro.service.router import (
-    KIND_K_LARGEST,
-    KIND_PREDECESSOR,
-    KIND_SUCCESSOR,
     QueryDescriptor,
     RoutingError,
     to_batch_query,
+)
+from repro.service.transport import (
+    FrameLink,
+    FrameListener,
+    LinkTimeout,
+    ListenerHandle,
+    frame_trace,
 )
 
 #: Replayed updates per T_REPLAY_DATA frame.
 REPLAY_BLOCK = 4096
 
 
-def _flatten_pairs(pairs) -> List[int]:
-    return [word for pair in pairs for word in pair]
+def _flatten(rows) -> List[int]:
+    return [word for row in rows for word in row]
 
 
 def _flatten_records(records) -> List[int]:
@@ -53,6 +54,17 @@ def _flatten_records(records) -> List[int]:
     for rec in records:
         out.extend((rec.index, rec.hash_value, rec.count))
     return out
+
+
+#: Reply codec -> how a prover step's result becomes P_REPLY words.
+_ENCODERS = {
+    sp.REPLY_VOID: lambda _nothing: [],
+    sp.REPLY_WORDS: list,
+    sp.REPLY_PAIRS: _flatten,
+    sp.REPLY_RECORDS: _flatten_records,
+    sp.REPLY_CLAIM: list,
+    sp.REPLY_ROWS: _flatten,
+}
 
 
 class ServiceError(RuntimeError):
@@ -87,7 +99,23 @@ class TokenBucket:
         return False
 
 
-class ProverServer:
+class ServerHandle(ListenerHandle):
+    """A running threaded server: address, snapshot, synchronous stop."""
+
+    @property
+    def server(self) -> "ProverServer":
+        return self.listener
+
+    def snapshot(self, path) -> str:
+        """Snapshot the registry *on the server's loop* — between frames,
+        so no half-applied update block can leak into the file."""
+        async def on_loop() -> str:
+            return self.server.snapshot(path)
+
+        return self._run(on_loop())
+
+
+class ProverServer(FrameListener):
     """Prover-as-a-service endpoint.
 
     Parameters
@@ -114,6 +142,9 @@ class ProverServer:
         Per-frame payload cap enforced on decode, before allocation.
     """
 
+    handle_class = ServerHandle
+    thread_name = "repro-prover-server"
+
     def __init__(self, field: PrimeField, host: str = "127.0.0.1",
                  port: int = 0, prover_wrapper=None,
                  max_universe: int = SessionRegistry.DEFAULT_MAX_UNIVERSE,
@@ -125,9 +156,8 @@ class ProverServer:
                  max_payload: int = sp.MAX_PAYLOAD,
                  registry: Optional[SessionRegistry] = None,
                  node_name: str = ""):
+        super().__init__(host, port)
         self.field = field
-        self.host = host
-        self.port = port
         #: Observability tag stamped on this node's spans and H_STATS
         #: (cluster node managers pass the node id; default anonymous).
         self.node_name = node_name
@@ -145,9 +175,6 @@ class ProverServer:
         self.timeouts = 0
         self.rate_limited = 0
         self._buckets: Dict[int, TokenBucket] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        #: The running ``_handle_connection`` tasks, so ``stop`` can end them.
-        self._connections: Set["asyncio.Task[None]"] = set()
 
     @classmethod
     def from_snapshot(cls, path, field: PrimeField,
@@ -162,64 +189,16 @@ class ProverServer:
         registry = SessionRegistry.restore(path, field, **registry_kwargs)
         return cls(field, registry=registry, **kwargs)
 
-    # -- lifecycle -----------------------------------------------------------
-
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        """Stop listening and close every accepted connection, so a peer
-        (or a proxy in front of it) reads EOF at once instead of waiting
-        out its receive timeout on a server that is gone."""
-        if self._server is not None:
-            self._server.close()
-            await cancel_and_wait(self._connections)
-            await self._server.wait_closed()
-            self._server = None
-
     def snapshot(self, path) -> str:
         """Persist the registry's datasets (see ``SessionRegistry.snapshot``)."""
         return self.registry.snapshot(path)
 
-    async def serve_forever(self) -> None:
-        await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    def serve_in_thread(self) -> "ServerHandle":
-        """Boot the server on a daemon thread; returns a stop handle."""
-        started = threading.Event()
-        loop_holder = {}
-
-        def run():
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            loop_holder["loop"] = loop
-            loop.run_until_complete(self.start())
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self.stop())
-                loop.close()
-
-        thread = threading.Thread(target=run, name="repro-prover-server",
-                                  daemon=True)
-        thread.start()
-        started.wait()
-        return ServerHandle(self, thread, loop_holder["loop"])
-
     # -- connection handling -------------------------------------------------
 
-    async def _read_exactly(self, reader: asyncio.StreamReader, count: int,
-                            timeout: Optional[float]) -> bytes:
-        if timeout is None:
-            return await reader.readexactly(count)
-        return await asyncio.wait_for(reader.readexactly(count), timeout)
+    def _link(self, reader, writer) -> FrameLink:
+        return FrameLink(reader, writer, idle_timeout=self.idle_timeout,
+                         frame_timeout=self.frame_timeout,
+                         max_payload=self.max_payload)
 
     def _allow_frame(self, session_id: int) -> bool:
         """Token bucket of the session born on the calling connection
@@ -245,14 +224,12 @@ class ProverServer:
         sp.T_QUERY_CLOSE: "server.query.close",
     }
 
-    def _frame_span(self, frame_type: int,
-                    trace_pair: Optional[Tuple[int, int]],
-                    payload: bytes):
+    def _frame_span(self, frame_type: int, header: bytes, payload: bytes):
         """A server-side span parented under the frame's trace ext."""
         tracer = obs.get_tracer()
-        if trace_pair is None or not tracer.enabled:
-            return obs.NOOP_SPAN
-        trace_id, parent_span = trace_pair
+        if len(header) == sp.HEADER_LEN or not tracer.enabled:
+            return obs.NOOP_SPAN  # the per-frame path of an untraced run
+        trace_id, parent_span = frame_trace(header)
         fields: Dict[str, object] = {}
         name = self._SPAN_NAMES.get(frame_type)
         if frame_type == sp.T_P_CALL:
@@ -262,8 +239,7 @@ class ProverServer:
                 method = sp.parse_calls(words[1:])[-1][0]
             except sp.ServiceProtocolError:
                 method = 0
-            name = ("server.proof.round"
-                    if method in (sp.M_ROUND_MESSAGE, sp.M_ROUND_MESSAGES)
+            name = ("server.proof.round" if method in sp.ROUND_METHODS
                     else "server.proof.step")
             fields["method"] = method
         elif name is None:
@@ -274,76 +250,40 @@ class ProverServer:
         return tracer.span(name, parent=parent_span, trace_id=trace_id,
                            **fields)
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
+    async def _serve(self, link: FrameLink) -> None:
         session_id = 0
         inflight = obs.gauge("repro_server_inflight_connections",
                              node=self.node_name)
         inflight.inc()
-        handler = asyncio.current_task()
-        self._connections.add(handler)
         try:
             while True:
                 try:
-                    header = await self._read_exactly(
-                        reader, sp.HEADER_LEN, self.idle_timeout
-                    )
-                except asyncio.IncompleteReadError:
-                    break  # connection closed between frames
-                except asyncio.TimeoutError:
-                    # Idle too long: shed the connection quietly — the
-                    # client reconnects and resumes on its next request.
+                    frame_type, frame_session, header, payload = \
+                        await link.read_frame()
+                except LinkTimeout as exc:
                     self.timeouts += 1
                     obs.counter("repro_server_timeouts_total",
-                                kind="idle", node=self.node_name).inc()
-                    break
-                frame_type, frame_session, length = sp.unpack_header(
-                    header, max_payload=self.max_payload
-                )
-                trace_pair: Optional[Tuple[int, int]] = None
-                try:
-                    ext_len = sp.header_ext_len(header)
-                    if ext_len:
-                        ext = await self._read_exactly(
-                            reader, ext_len, self.frame_timeout
-                        )
-                        trace_pair = sp.parse_trace_ext(ext)
-                    payload = await self._read_exactly(
-                        reader, length, self.frame_timeout
-                    )
-                except asyncio.TimeoutError:
-                    # A header whose payload never arrives is a stalled
-                    # or malicious peer: structured refusal, then
-                    # hang up (the stream position is unrecoverable).
-                    self.timeouts += 1
-                    obs.counter("repro_server_timeouts_total",
-                                kind="frame", node=self.node_name).inc()
-                    try:
-                        writer.write(sp.pack_frame(
-                            sp.T_ERROR, frame_session,
-                            sp.error_payload(
-                                "frame payload timed out", sp.E_TIMEOUT
-                            ),
-                        ))
-                        await writer.drain()
-                    except (ConnectionError, OSError):
-                        pass
+                                kind="frame" if exc.mid_frame else "idle",
+                                node=self.node_name).inc()
+                    # Idle between frames: shed the connection quietly —
+                    # the client reconnects and resumes on its next
+                    # request.  A header whose payload never arrives is
+                    # a stalled or malicious peer: structured refusal,
+                    # then hang up (the stream position is unrecoverable).
+                    if exc.mid_frame:
+                        await link.send_error(exc.session_id, str(exc),
+                                              sp.E_TIMEOUT)
                     break
                 if frame_type == sp.T_BYE:
-                    writer.write(sp.pack_frame(sp.T_BYE_ACK, frame_session))
-                    await writer.drain()
+                    await link.send(sp.pack_frame(sp.T_BYE_ACK,
+                                                  frame_session))
                     break
                 if frame_type not in (sp.T_HELLO, sp.H_PING, sp.H_STATS) \
                         and not self._allow_frame(session_id):
-                    writer.write(sp.pack_frame(
-                        sp.T_ERROR, frame_session,
-                        sp.error_payload(
-                            "session %d rate limited; retry after backoff"
-                            % frame_session,
-                            sp.E_RATE_LIMITED,
-                        ),
-                    ))
-                    await writer.drain()
+                    await link.send_error(
+                        frame_session,
+                        "session %d rate limited; retry after backoff"
+                        % frame_session, sp.E_RATE_LIMITED)
                     continue
                 try:
                     if frame_type == sp.T_HELLO and session_id:
@@ -353,7 +293,7 @@ class ProverServer:
                             "connection already carries session %d"
                             % session_id
                         )
-                    with self._frame_span(frame_type, trace_pair, payload):
+                    with self._frame_span(frame_type, header, payload):
                         replies = self._dispatch(
                             frame_type, frame_session, payload
                         )
@@ -376,34 +316,12 @@ class ProverServer:
                             ),
                         )
                     ]
-                for frame in replies:
-                    writer.write(frame)
-                await writer.drain()
-        except sp.ServiceProtocolError as exc:
-            # Framing damage: tell the peer once, then hang up.
-            try:
-                writer.write(sp.pack_frame(
-                    sp.T_ERROR, 0,
-                    sp.error_payload(str(exc), sp.E_TRANSPORT),
-                ))
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-        except (ConnectionError, OSError):
-            pass
+                await link.send(b"".join(replies))
         finally:
-            self._connections.discard(handler)
             inflight.dec()
             if session_id:
                 self.registry.disconnect(session_id)
                 self._buckets.pop(session_id, None)
-            # RuntimeError: the loop may already be closed when a handler
-            # is garbage-collected during interpreter/test teardown.
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
 
     # -- frame dispatch ------------------------------------------------------
 
@@ -617,106 +535,21 @@ class ProverServer:
     # -- prover method dispatch ----------------------------------------------
 
     def _prover_call(self, active, method: int, args: List[int]) -> List[int]:
-        """Invoke one prover-side protocol step; returns reply words."""
-        prover = active.prover
-        if method == sp.M_BEGIN_PROOF:
-            prover.begin_proof()
-            return []
-        if method == sp.M_ROUND_MESSAGE:
-            message = prover.round_message()
-            if message and isinstance(message[0], NodeRecord):
-                return _flatten_records(message)
-            return list(message)
-        if method == sp.M_RECEIVE_CHALLENGE:
-            if len(args) != 1:
-                raise ServiceError("receive_challenge takes one word")
-            prover.receive_challenge(args[0])
-            return []
-        if method == sp.M_RECEIVE_QUERY:
-            if len(args) != 2:
-                raise ServiceError("receive_query takes (lo, hi)")
-            prover.receive_query(args[0], args[1])
-            return []
-        if method == sp.M_ANSWER_ENTRIES:
-            return _flatten_pairs(prover.answer_entries())
-        if method == sp.M_LEVEL0_SIBLINGS:
-            return _flatten_pairs(prover.level0_siblings())
-        if method == sp.M_FOLD_CHALLENGE:
-            if len(args) != 1:
-                raise ServiceError("fold challenge takes one word")
-            return _flatten_pairs(prover.receive_challenge(args[0]))
-        if method == sp.M_CLAIM:
-            if len(args) != 1:
-                raise ServiceError("claim takes one word")
-            kind = active.kind
-            if kind == KIND_PREDECESSOR:
-                flag, key = prover.claim_predecessor(args[0])
-            elif kind == KIND_SUCCESSOR:
-                flag, key = prover.claim_successor(args[0])
-            elif kind == KIND_K_LARGEST:
-                flag, key = prover.claim_kth_largest(args[0])
-            else:
-                raise ServiceError(
-                    "query kind %d makes no claims" % kind
-                )
-            return [flag, key]
-        if method == sp.M_RECEIVE_RANDOMNESS:
-            if len(args) != 2:
-                raise ServiceError("receive_randomness takes (r, s)")
-            prover.receive_randomness(args[0], args[1])
-            return []
-        if method == sp.M_ROUND_MESSAGES:
-            out: List[int] = []
-            for message in prover.round_messages():
-                out.extend(message)
-            return out
-        raise ServiceError("unknown prover method 0x%02x" % method)
+        """Invoke one prover-side protocol step; returns reply words.
 
-
-async def cancel_and_wait(tasks) -> None:
-    """Cancel the connection tasks a stopping server still runs and wait
-    until each has unwound — closed its writers — so the loop can go."""
-    tasks = list(tasks)
-    for task in tasks:
-        task.cancel()
-    await asyncio.gather(*tasks, return_exceptions=True)
-
-
-class ServerHandle:
-    """A running threaded server: address + synchronous stop."""
-
-    def __init__(self, server: ProverServer, thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop):
-        self.server = server
-        self._thread = thread
-        self._loop = loop
-
-    @property
-    def address(self):
-        return (self.server.host, self.server.port)
-
-    def snapshot(self, path) -> str:
-        """Snapshot the registry *on the server's loop* — between frames,
-        so no half-applied update block can leak into the file."""
-        import concurrent.futures
-
-        future: "concurrent.futures.Future[str]" = concurrent.futures.Future()
-
-        def run() -> None:
-            try:
-                future.set_result(self.server.snapshot(path))
-            except BaseException as exc:  # noqa: BLE001 - relayed to caller
-                future.set_exception(exc)
-
-        self._loop.call_soon_threadsafe(run)
-        return future.result(timeout=30)
-
-    def stop(self) -> None:
-        # Idempotent: a test that restarts servers may stop one both at
-        # the restart point and again in its cleanup path.
-        if not self._loop.is_closed():
-            try:
-                self._loop.call_soon_threadsafe(self._loop.stop)
-            except RuntimeError:
-                pass
-        self._thread.join(timeout=10)
+        The step table decides everything: which method the opcode names
+        for this query's kind, how many words it takes, how its result
+        is laid out.  Nothing off the wire is ever used as a name.
+        """
+        step = sp.STEPS.get(method)
+        if step is None:
+            raise ServiceError("unknown prover method 0x%02x" % method)
+        if len(args) != step.arity:
+            raise ServiceError("prover method 0x%02x takes %d words, got %d"
+                               % (method, step.arity, len(args)))
+        resolved = step.resolve(active.kind)
+        if resolved is None:
+            raise ServiceError("query kind %d has no prover method 0x%02x"
+                               % (active.kind, method))
+        name, reply = resolved
+        return _ENCODERS[reply](getattr(active.prover, name)(*args))

@@ -28,7 +28,6 @@ real frames and works identically for thread- and process-backed nodes.
 from __future__ import annotations
 
 import os
-import socket
 import subprocess
 import sys
 import threading
@@ -39,6 +38,7 @@ from repro import obs
 from repro.field.modular import PrimeField
 from repro.service import protocol as sp
 from repro.service.server import ProverServer
+from repro.service.transport import BlockingFrameLink
 
 #: Tail entries pulled per resync round-trip.
 RESYNC_BLOCK = 4096
@@ -56,52 +56,36 @@ class SupervisorError(RuntimeError):
 # budget worth an event loop): dial, speak, hang up.
 
 
-def _request(sock: socket.socket, frame: bytes,
-             max_payload: int = sp.MAX_PAYLOAD) -> Tuple[int, int, bytes]:
-    sock.sendall(frame)
-    return _recv_frame(sock, max_payload)
-
-
-def _recv_frame(sock: socket.socket,
-                max_payload: int = sp.MAX_PAYLOAD) -> Tuple[int, int, bytes]:
-    header = _recv_exact(sock, sp.HEADER_LEN)
-    frame_type, session_id, length = sp.unpack_header(
-        header, max_payload=max_payload
-    )
-    ext_len = sp.header_ext_len(header)
-    if ext_len:
-        _recv_exact(sock, ext_len)  # trace ext: read past, not used here
-    payload = _recv_exact(sock, length) if length else b""
-    return frame_type, session_id, payload
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    while count:
-        chunk = sock.recv(count)
-        if not chunk:
-            raise ConnectionError("peer closed mid-frame")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
-
-
 def probe_node(address: Tuple[str, int], field: PrimeField,
                timeout: float = 2.0
                ) -> Optional[Tuple[Dict[str, int], Dict[int, Tuple[int, int]]]]:
     """One H_PING round-trip: ``(counters, {dataset: (u, n_updates)})``,
     or ``None`` if the node is unreachable or answers garbage."""
     try:
-        with socket.create_connection(address, timeout=timeout) as sock:
-            sock.settimeout(timeout)
-            frame_type, _s, payload = _request(
-                sock, sp.pack_frame(sp.H_PING, 0)
+        with BlockingFrameLink.dial(address, timeout) as link:
+            frame_type, _s, _h, payload = link.request(
+                sp.pack_frame(sp.H_PING, 0)
             )
             if frame_type != sp.H_STATUS:
                 return None
             return sp.parse_status(field, payload)
     except (OSError, sp.ServiceProtocolError):
         return None
+
+
+def _open_session(link: BlockingFrameLink, field: PrimeField, u: int,
+                  dataset_id: int, peer: str) -> Tuple[int, bytes]:
+    """HELLO on a throwaway resync session: ``(session id, ack payload)``."""
+    frame_type, session_id, _h, payload = link.request(
+        sp.pack_frame(sp.T_HELLO, 0, sp.hello_payload(field, u, dataset_id))
+    )
+    if frame_type != sp.T_HELLO_ACK:
+        raise SupervisorError(
+            "%s refused a resync session: %s"
+            % (peer, sp.parse_error(payload) if frame_type == sp.T_ERROR
+               else "frame 0x%02x" % frame_type)
+        )
+    return session_id, payload
 
 
 def pull_tail(address: Tuple[str, int], field: PrimeField, u: int,
@@ -114,27 +98,16 @@ def pull_tail(address: Tuple[str, int], field: PrimeField, u: int,
     a valid T_UPDATES payload (``[vector, k1, d1, ...]``), so
     :func:`push_tail` forwards them verbatim.
     """
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        frame_type, session_id, payload = _request(
-            sock,
-            sp.pack_frame(sp.T_HELLO, 0,
-                          sp.hello_payload(field, u, dataset_id)),
-        )
-        if frame_type != sp.T_HELLO_ACK:
-            raise SupervisorError(
-                "peer %s:%d refused a resync session: %s"
-                % (address[0], address[1],
-                   sp.parse_error(payload) if frame_type == sp.T_ERROR
-                   else "frame 0x%02x" % frame_type)
-            )
-        sock.sendall(sp.pack_frame(
+    with BlockingFrameLink.dial(address, timeout) as link:
+        session_id, _ack = _open_session(link, field, u, dataset_id,
+                                         "peer %s:%d" % address)
+        link.send(sp.pack_frame(
             sp.T_REPLAY_REQUEST, session_id,
             sp.words_payload(field, [start]),
         ))
         blocks: List[bytes] = []
         while True:
-            frame_type, _s, payload = _recv_frame(sock)
+            frame_type, _s, _h, payload = link.read_frame()
             if frame_type == sp.T_REPLAY_END:
                 break
             if frame_type != sp.T_REPLAY_DATA:
@@ -142,7 +115,7 @@ def pull_tail(address: Tuple[str, int], field: PrimeField, u: int,
                     "unexpected frame 0x%02x during tail pull" % frame_type
                 )
             blocks.append(payload)
-        _request(sock, sp.pack_frame(sp.T_BYE, session_id))
+        link.request(sp.pack_frame(sp.T_BYE, session_id))
         return blocks
 
 
@@ -151,22 +124,14 @@ def push_tail(address: Tuple[str, int], field: PrimeField, u: int,
               timeout: float = 10.0) -> int:
     """Apply pulled tail blocks to the recovering node; returns its new
     update count for that dataset."""
-    with socket.create_connection(address, timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        frame_type, session_id, payload = _request(
-            sock,
-            sp.pack_frame(sp.T_HELLO, 0,
-                          sp.hello_payload(field, u, dataset_id)),
-        )
-        if frame_type != sp.T_HELLO_ACK:
-            raise SupervisorError(
-                "node %s:%d refused a resync session" % address
-            )
+    with BlockingFrameLink.dial(address, timeout) as link:
+        session_id, payload = _open_session(link, field, u, dataset_id,
+                                            "node %s:%d" % address)
         words = sp.parse_words(field, payload)
         total = words[0] if words else 0
         for block in blocks:
-            frame_type, _s, payload = _request(
-                sock, sp.pack_frame(sp.T_UPDATES, session_id, block)
+            frame_type, _s, _h, payload = link.request(
+                sp.pack_frame(sp.T_UPDATES, session_id, block)
             )
             if frame_type != sp.T_UPDATES_ACK:
                 raise SupervisorError(
@@ -177,7 +142,7 @@ def push_tail(address: Tuple[str, int], field: PrimeField, u: int,
                 )
             ack = sp.parse_words(field, payload)
             total = ack[0] if ack else total
-        _request(sock, sp.pack_frame(sp.T_BYE, session_id))
+        link.request(sp.pack_frame(sp.T_BYE, session_id))
         return total
 
 

@@ -43,6 +43,7 @@ from repro.service import (
     RetryPolicy,
     ServiceBusyError,
     ServiceClient,
+    ServiceUnavailableError,
     ThreadNodeManager,
     f2,
     run_cluster_load,
@@ -257,6 +258,45 @@ def test_no_live_replica_is_a_clean_retryable_refusal(cluster):
     # Heal everything so later tests on this fixture see a full cluster.
     assert all(cluster["supervisor"].check_once().values())
     assert set(cluster["handle"].health_view().values()) == {"alive"}
+
+
+# -- one listener lifecycle: a stopped listener hangs up on its clients --------
+
+
+@pytest.mark.parametrize("front", ["node", "router", "proxy"])
+def test_stopped_listener_hangs_up_on_its_clients(single_node, front):
+    """``stop()`` closes every conversation the listener accepted (and,
+    for the router, cancels *and awaits* its heartbeat), so a connected
+    client reads EOF at once instead of sitting out ``op_timeout`` on a
+    process that is gone.  One assertion for all three listeners: they
+    share the lifecycle, so they cannot drift."""
+    if front == "node":
+        listener = ProverServer(F)
+    elif front == "router":
+        listener = ClusterRouter(
+            F, [ClusterNode("n0", *single_node.address)],
+            replication_factor=1, heartbeat_interval=0.02,
+        )
+    else:
+        listener = ChaosProxy(*single_node.address)
+    handle = listener.serve_in_thread()
+    client = ServiceClient(*handle.address, F, U,
+                           dataset_id=fresh_dataset_id(),
+                           rng=random.Random(4), retry=NO_RETRY,
+                           op_timeout=5.0)
+    try:
+        client.provision(("f2",), 1)
+        client.send_updates(UPDATES)  # an open session, mid-conversation
+        time.sleep(0.05)  # let the router's heartbeat be mid-flight too
+        t0 = time.monotonic()
+        handle.stop()
+        with pytest.raises(ServiceUnavailableError):
+            client.stats()
+        assert time.monotonic() - t0 < 1.0
+        assert not listener._tasks  # nothing left pending on a dead loop
+    finally:
+        client.close()
+        handle.stop()
 
 
 # -- the tentpole: kill the primary at every frame boundary --------------------

@@ -23,8 +23,10 @@ from __future__ import annotations
 import io
 import os
 import random
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -34,6 +36,7 @@ from repro.comm.wire import encode_transcript
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY
 from repro.service import (
+    NO_RETRY,
     ProverServer,
     ServiceClient,
     f2,
@@ -41,6 +44,8 @@ from repro.service import (
     inner_product,
     range_sum,
 )
+from repro.service import protocol as sp
+from repro.service.transport import BlockingFrameLink, LinkClosed
 
 U = 64
 UPDATES_A = [(i % U, 1 + i % 3) for i in range(48)]
@@ -121,6 +126,52 @@ def _run_workload(server, dataset_id, seed=0, descriptors=None,
 
 def _transcripts(outcomes):
     return [encode_transcript(F, o.transcript) for o in outcomes]
+
+
+# -- byte accounting covers the trace extension ---------------------------------
+
+
+def test_bytes_received_counts_a_traced_replys_extension():
+    """Servers reply in version-1 frames today, but a traced (version-2)
+    reply is legal, and its 16 extension bytes cross the socket like any
+    others: ``bytes_received`` is what the reader consumed, exactly."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    replies = {
+        sp.T_HELLO: (sp.T_HELLO_ACK,
+                     sp.words_payload(F, [0, 1, sp.TRACE_CAPABLE])),
+        sp.T_STATS: (sp.T_STATS_REPLY, sp.words_payload(F, [1, 2, 3, 4, 5])),
+        sp.T_BYE: (sp.T_BYE_ACK, b""),
+    }
+    sent = []
+
+    def serve():
+        conn, _ = listener.accept()
+        with BlockingFrameLink(conn) as link:
+            while True:
+                try:
+                    frame_type, _session, _header, _payload = \
+                        link.read_frame()
+                except LinkClosed:
+                    return
+                reply_type, payload = replies[frame_type]
+                sent.append(sp.pack_frame(reply_type, 1, payload,
+                                          trace=(5, 6)))
+                link.send(sent[-1])
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        client = ServiceClient(*listener.getsockname(), F, U,
+                               retry=NO_RETRY, op_timeout=5.0)
+        assert client.stats()["queries_served"] == 5
+        client.close()
+        thread.join(timeout=5)
+    finally:
+        listener.close()
+    assert len(sent) == 3 and all(
+        frame[2] == sp.FRAME_VERSION_TRACED for frame in sent)
+    assert client.frames_received == 3
+    assert client.bytes_received == sum(len(frame) for frame in sent)
 
 
 # -- the invariant: obs on vs. off changes zero transcript bytes ---------------

@@ -565,7 +565,7 @@ def test_a_bad_replayed_block_is_refused_whole_and_not_retried(backend_name):
             # The rest of that replay was still in flight, so the socket
             # is gone: the next operation re-dials instead of reading a
             # stale REPLAY_DATA frame as its reply.
-            assert client._sock is None
+            assert client._link is None
             client.send_updates([(2, 1)])
             assert (client.reconnects, stub.connections) == (1, 2)
             loop_feed(reference, [(2, 1)])

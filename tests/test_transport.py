@@ -1,0 +1,240 @@
+"""One reader contract, both links.
+
+``repro.service.transport`` reads a frame in two places — the asyncio
+:class:`FrameLink` and the :class:`BlockingFrameLink` — and everything
+in ``service/`` goes through one of them.  This suite feeds the *same*
+byte strings, cut into the same chunks, to both and holds them to one
+contract: the 4-tuple they return, where they stop, and how they tell a
+clean hang-up from a cut frame from framing damage.
+"""
+
+from __future__ import annotations
+
+import asyncio
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.service import protocol as sp
+from repro.service.transport import (
+    BlockingFrameLink,
+    FrameLink,
+    LinkClosed,
+    LinkTimeout,
+    frame_trace,
+)
+
+TRACE = (0x1122334455667788, 0x99AABBCCDDEEFF00)
+PAYLOAD = bytes(range(1, 38))
+
+#: name -> (frame bytes, the 4-tuple both readers must return).
+FRAMES = {}
+for _name, _type, _session, _payload, _trace in (
+    ("v1", sp.T_UPDATES, 42, PAYLOAD, None),
+    ("v2", sp.T_P_CALL, 7, PAYLOAD, TRACE),
+    ("v1-empty", sp.T_BYE, 3, b"", None),
+    ("v2-empty", sp.H_PING, 0, b"", TRACE),
+):
+    _raw = sp.pack_frame(_type, _session, _payload, trace=_trace)
+    FRAMES[_name] = (
+        _raw, (_type, _session, _raw[: len(_raw) - len(_payload)], _payload)
+    )
+
+
+class ScriptedSocket:
+    """``recv`` hands out the scripted chunks, never more than one at a
+    time and never across a chunk boundary; then EOF."""
+
+    def __init__(self, chunks):
+        self._chunks = [bytes(c) for c in chunks if c]
+        self.recv_calls = 0
+
+    def recv(self, count):
+        self.recv_calls += 1
+        if not self._chunks:
+            return b""
+        head = self._chunks[0]
+        if len(head) <= count:
+            return self._chunks.pop(0)
+        self._chunks[0] = head[count:]
+        return head[:count]
+
+    def close(self):
+        pass
+
+
+def read_blocking(chunks, max_payload=sp.MAX_PAYLOAD):
+    link = BlockingFrameLink(ScriptedSocket(chunks), max_payload)
+    frames = []
+    while True:
+        try:
+            frames.append(link.read_frame())
+        except (LinkClosed, sp.ServiceProtocolError) as exc:
+            return frames, exc
+
+
+def read_async(chunks, max_payload=sp.MAX_PAYLOAD):
+    async def main():
+        reader = asyncio.StreamReader()
+        link = FrameLink(reader, None, max_payload=max_payload)
+
+        async def feed():
+            # One chunk per loop turn: the reader really does wake up on
+            # a partial frame and go back to sleep.
+            for chunk in chunks:
+                if chunk:
+                    reader.feed_data(bytes(chunk))
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.ensure_future(feed())
+        frames = []
+        try:
+            while True:
+                frames.append(await link.read_frame())
+        except (LinkClosed, sp.ServiceProtocolError) as exc:
+            return frames, exc
+        finally:
+            await feeder
+
+    return asyncio.run(main())
+
+
+READERS = {"async": read_async, "blocking": read_blocking}
+
+
+@pytest.fixture(params=sorted(READERS))
+def read(request):
+    return READERS[request.param]
+
+
+def assert_closed(ending, mid_frame):
+    assert isinstance(ending, LinkClosed), ending
+    assert ending.mid_frame is mid_frame
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_a_frame_split_at_every_byte_boundary_reads_whole(read, name):
+    raw, expected = FRAMES[name]
+    for cut in range(len(raw) + 1):
+        frames, ending = read([raw[:cut], raw[cut:]])
+        assert frames == [expected], cut
+        assert_closed(ending, mid_frame=False)
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_header_keeps_the_trace_extension_verbatim(read, name):
+    """What a relay forwards (``header + payload``) is the frame, byte
+    for byte; the node gets the parsed pair from the same header; and
+    the two lengths add up to what came off the socket."""
+    raw, expected = FRAMES[name]
+    (frame,), _ending = read([raw])
+    _type, _session, header, payload = frame
+    assert header + payload == raw
+    traced = name.startswith("v2")
+    assert len(header) == sp.HEADER_LEN + (sp.TRACE_EXT_LEN if traced else 0)
+    assert frame_trace(header) == (TRACE if traced else None)
+
+
+def test_back_to_back_frames_keep_their_boundaries(read):
+    raws = [FRAMES[name][0] for name in sorted(FRAMES)]
+    frames, ending = read([b"".join(raws)])
+    assert frames == [FRAMES[name][1] for name in sorted(FRAMES)]
+    assert_closed(ending, mid_frame=False)
+
+
+@pytest.mark.parametrize("name", sorted(FRAMES))
+def test_eof_mid_frame_is_not_eof_between_frames(read, name):
+    raw, expected = FRAMES[name]
+    frames, ending = read([])
+    assert frames == []
+    assert_closed(ending, mid_frame=False)
+    for cut in range(1, len(raw)):  # inside header, extension, payload
+        frames, ending = read([raw, raw[:cut]])
+        assert frames == [expected], cut
+        assert_closed(ending, mid_frame=True)
+
+
+def test_oversized_length_is_refused_before_any_payload_read(read):
+    raw, expected = FRAMES["v1"]
+    frames, ending = read([raw], max_payload=len(PAYLOAD))
+    assert frames == [expected]  # at the cap: fine
+    # Over it: refused on the header alone.  The payload is not there to
+    # read — a reader that went for it would report a cut frame instead.
+    frames, ending = read([raw[: sp.HEADER_LEN]],
+                          max_payload=len(PAYLOAD) - 1)
+    assert frames == []
+    assert isinstance(ending, sp.ServiceProtocolError)
+    assert "exceeds" in str(ending)
+
+
+def test_blocking_reader_stops_at_the_refused_header():
+    raw = FRAMES["v1"][0]
+    sock = ScriptedSocket([raw])
+    link = BlockingFrameLink(sock, max_payload=1)
+    with pytest.raises(sp.ServiceProtocolError):
+        link.read_frame()
+    assert sock.recv_calls == 1  # the header; nothing after it
+
+
+_GOOD = FRAMES["v1"][0]
+DAMAGED = {
+    "bad magic": b"XX" + _GOOD[2:],
+    "bad version": _GOOD[:2] + bytes([99]) + _GOOD[3:],
+    "version 0": _GOOD[:2] + bytes([0]) + _GOOD[3:],
+    "unknown type": _GOOD[:3] + bytes([0xEE]) + _GOOD[4:],
+    "type 0": _GOOD[:3] + bytes([0]) + _GOOD[4:],
+    "length past the hard cap": (
+        _GOOD[:8] + (sp.MAX_PAYLOAD + 1).to_bytes(4, "big") + _GOOD[12:]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGED))
+def test_framing_damage_is_a_protocol_error(read, name):
+    frames, ending = read([_GOOD, DAMAGED[name]])
+    assert frames == [FRAMES["v1"][1]]  # the frame before it was fine
+    assert isinstance(ending, sp.ServiceProtocolError)
+    assert not isinstance(ending, LinkClosed)
+
+
+@given(
+    names=st.lists(st.sampled_from(sorted(FRAMES) + sorted(DAMAGED)),
+                   max_size=5),
+    cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=6),
+    keep=st.integers(min_value=0, max_value=400),
+)
+def test_both_readers_agree_on_any_chunking_of_any_stream(names, cuts, keep):
+    """Whatever the stream — good frames, damaged ones, cut anywhere,
+    delivered in any chunks — the two readers return the same frames
+    and stop for the same reason."""
+    stream = b"".join(FRAMES[n][0] if n in FRAMES else DAMAGED[n]
+                      for n in names)[:keep]
+    edges = sorted({min(c, len(stream)) for c in cuts} | {0, len(stream)})
+    chunks = [stream[a:b] for a, b in zip(edges, edges[1:])]
+    got = {}
+    for kind, reader in READERS.items():
+        frames, ending = reader(chunks)
+        got[kind] = (frames, type(ending), getattr(ending, "mid_frame", None))
+    assert got["async"] == got["blocking"]
+
+
+def test_async_deadlines_tell_idle_from_a_stalled_frame():
+    """Only the async link has deadlines of its own (a blocking socket
+    raises ``socket.timeout``): idle between frames, or a header whose
+    payload never comes — with the session id that header claimed."""
+    raw = FRAMES["v2"][0]
+
+    async def main(fed):
+        reader = asyncio.StreamReader()
+        reader.feed_data(fed)
+        link = FrameLink(reader, None, idle_timeout=0.05, frame_timeout=0.05)
+        with pytest.raises(LinkTimeout) as info:
+            await link.read_frame()
+        return info.value
+
+    idle = asyncio.run(main(b""))
+    assert idle.mid_frame is False
+    for fed in (raw[: sp.HEADER_LEN], raw[: sp.HEADER_LEN + 20]):
+        stalled = asyncio.run(main(fed))
+        assert stalled.mid_frame is True and stalled.session_id == 7

@@ -440,6 +440,131 @@ def test_fuzzed_chain_words_never_crash_or_hang(recording, body, head):
         assert client.reconnects == 0
 
 
+# -- (e) the step table is the surface -------------------------------------------
+
+
+def test_step_table_names_the_prover_steps_and_the_void_set():
+    """The table is the RPC surface: its method names are the protocol
+    steps (``receive_batch`` is local, announced by the open frame), no
+    kind sees one name under two opcodes, both ends hold a codec for
+    every reply layout, and the void set a chain may carry in front is
+    derived from it."""
+    from repro.service.client import _DECODERS
+    from repro.service.router import KIND_NAMES
+    from repro.service.server import _ENCODERS
+
+    assert sp.STEP_METHODS == _PROVER_STEPS - {"receive_batch"}
+    assert sp.VOID_METHODS == {
+        sp.M_BEGIN_PROOF, sp.M_RECEIVE_CHALLENGE, sp.M_RECEIVE_QUERY,
+        sp.M_RECEIVE_RANDOMNESS,
+    }
+    assert sp.M_CHAIN not in sp.STEPS
+    replies = set()
+    for kind in KIND_NAMES:
+        resolved = [step.resolve(kind) for step in sp.STEPS.values()]
+        names = [r[0] for r in resolved if r is not None]
+        assert len(names) == len(set(names)), (kind, names)
+        assert sp.steps_for_kind(kind).keys() == set(names)
+        replies.update(r[1] for r in resolved if r is not None)
+    assert replies == set(sp.REPLY_LAYOUTS) == set(_ENCODERS)
+    assert set(_DECODERS) \
+        == replies - {sp.REPLY_VOID, sp.REPLY_WORDS, sp.REPLY_ROWS}
+    # A chain is refused whole when a row that replies is not its last.
+    for opcode, step in sp.STEPS.items():
+        chain = [sp.M_CHAIN, opcode, 0, sp.M_ROUND_MESSAGE, 0]
+        if opcode in sp.VOID_METHODS:
+            assert [m for m, _a in sp.parse_calls(chain)] \
+                == [opcode, sp.M_ROUND_MESSAGE]
+        else:
+            with pytest.raises(sp.ServiceProtocolError, match="void"):
+                sp.parse_calls(chain)
+
+
+def open_raw_unit(client, descriptors):
+    words = [1 if len(descriptors) > 1 else 0]
+    for q in descriptors:
+        words.extend(q.to_words())
+    _t, _s, payload = client._request(
+        sp.T_QUERY_OPEN, client.session_id, sp.words_payload(F, words),
+        expect=sp.T_QUERY_ACK,
+    )
+    return sp.parse_words(F, payload)[0]
+
+
+def close_raw_query(client, ref):
+    client._request(sp.T_QUERY_CLOSE, client.session_id,
+                    sp.words_payload(F, [ref]), expect=sp.T_QUERY_CLOSE_ACK)
+
+
+@pytest.mark.parametrize("opcode", sorted(sp.STEPS))
+def test_wrong_arity_is_a_typed_error_on_a_live_connection(recording, opcode):
+    step = sp.STEPS[opcode]
+    with open_session(recording.handle.address, [f2()], retry=NO_RETRY,
+                      op_timeout=5.0) as client:
+        ref = open_raw_query(client, f2())
+        for count in {step.arity + 1, step.arity + 3, max(step.arity - 1, 0)}:
+            if count == step.arity:
+                continue
+            for words in ([opcode] + [1] * count,
+                          [sp.M_CHAIN, opcode, count] + [1] * count):
+                with pytest.raises(ServiceClientError, match="takes %d words"
+                                   % step.arity):
+                    raw_call(client, [ref, *words])
+        assert recording.logs[client.dataset_id] == []
+        assert client.query(f2())[0].result.accepted
+        assert client.reconnects == 0
+
+
+@pytest.mark.parametrize(
+    "opcode", [0x00, 0x0A, 0x0C, 0x0E, 0x0F, 0x10, 0x7F, 0xFF, F.p - 1])
+def test_opcodes_outside_the_table_are_unknown_methods(recording, opcode):
+    assert opcode not in sp.STEPS
+    with open_session(recording.handle.address, [f2()], retry=NO_RETRY,
+                      op_timeout=5.0) as client:
+        ref = open_raw_query(client, f2())
+        for words in ([opcode], [opcode, 1, 2],
+                      [sp.M_CHAIN, sp.M_BEGIN_PROOF, 0, opcode, 0]):
+            with pytest.raises(ServiceClientError,
+                               match="unknown prover method"):
+                raw_call(client, [ref, *words])
+        # The chain was refused on its last call, after begin_proof ran:
+        # that is the documented order, and the query is still there.
+        close_raw_query(client, ref)
+        assert client.query(f2())[0].result.accepted
+        assert client.reconnects == 0
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_steps_a_kinds_prover_lacks_are_refused(recording, name):
+    """For every (request shape, table row): a row the kind does not
+    have, or whose method the kind's prover lacks, is a typed error on a
+    connection that stays up, runs nothing, and leaves the query
+    closable — never an AttributeError or a TypeError in the handler."""
+    descriptors = REQUESTS[name]
+    (unit,) = QueryRouter.plan(descriptors)
+    kind = descriptors[0].kind
+    with open_session(recording.handle.address, descriptors, retry=NO_RETRY,
+                      op_timeout=5.0) as client:
+        dataset = recording.server.registry.datasets[client.dataset_id]
+        prover = QueryRouter.make_prover(unit, dataset)
+        ref = open_raw_unit(client, descriptors)
+        ran = list(recording.logs.get(client.dataset_id, []))
+        refused = 0
+        for opcode, step in sp.STEPS.items():
+            resolved = step.resolve(kind)
+            if resolved is not None and hasattr(prover, resolved[0]):
+                continue
+            with pytest.raises(ServiceClientError,
+                               match="no such step|has no prover method"):
+                raw_call(client, [ref, opcode] + [1] * step.arity)
+            refused += 1
+        assert refused >= 2
+        assert recording.logs.get(client.dataset_id, []) == ran
+        close_raw_query(client, ref)
+        assert all(o.result.accepted for o in client.query(*descriptors))
+        assert client.reconnects == 0
+
+
 # -- (d) the limiter refuses a chain whole ---------------------------------------
 
 

@@ -104,12 +104,14 @@ class HeavyHittersProver:
         be = self.backend
         self._vectorized = False
         if getattr(be, "vectorized", False) and _np is not None:
-            try:
-                counts0 = _np.fromiter(
-                    self.freq, dtype=_np.int64, count=self.size
-                )
-            except (OverflowError, TypeError):
-                counts0 = None  # a count does not fit int64: scalar path
+            counts0 = self.freq  # a dataset hands over its int64 column
+            if getattr(counts0, "dtype", None) != _np.int64:
+                try:
+                    counts0 = _np.fromiter(
+                        counts0, dtype=_np.int64, count=self.size
+                    )
+                except (OverflowError, TypeError):
+                    counts0 = None  # does not fit int64: scalar path
             if counts0 is not None:
                 # Exact int64 subtree counts (strict streams keep every
                 # count in [0, n], far below 2^63), canonical hash array.

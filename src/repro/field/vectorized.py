@@ -33,6 +33,7 @@ import random
 import sys
 import threading
 from itertools import chain
+from operator import index
 from typing import List, Sequence, Tuple, Union
 
 from repro.field.modular import PrimeField
@@ -303,6 +304,56 @@ class ScalarBackend:
             return [], []
         first, second = zip(*pairs)
         return list(first), list(second)
+
+    # -- exact integer columns ------------------------------------------------
+    #
+    # Signed and never reduced: a service dataset's counts and its replay
+    # log.  Lists of Python ints here, int64 arrays on the vectorized
+    # backend — which moves a column to Python-int storage before an
+    # entry could leave int64, so both are exact.
+
+    def int_zeros(self, n: int) -> List[int]:
+        return [0] * n
+
+    def int_columns(self, pairs) -> Tuple[List[int], List[int]]:
+        """Split ``(a, b)`` pairs into two columns; anything that is not
+        an integer (``"7"``, ``7.9``, ``None``) is a TypeError."""
+        first, second = [], []
+        for a, b in pairs:
+            first.append(index(a))
+            second.append(index(b))
+        return first, second
+
+    def int_bounds(self, column: Sequence[int]) -> Tuple[int, int]:
+        """``(min, max)`` of a non-empty column."""
+        return min(column), max(column)
+
+    def int_add_at(self, counts: List[int], keys, deltas, mass: int):
+        """``counts[keys[t]] += deltas[t]``; returns the column.  ``mass``
+        bounds Σ|δ| over everything ever added to it, this block included."""
+        for key, delta in zip(keys, deltas):
+            counts[key] += delta
+        return counts
+
+    def int_table(self, rows: int) -> List[List[int]]:
+        """An empty table of ``rows`` growable columns."""
+        return [[] for _ in range(rows)]
+
+    def int_table_append(self, table, used: int, columns):
+        """``table[:, :used]`` followed by ``columns`` (one per row; a plain
+        int repeats down its column); returns the table."""
+        count = len(columns[-1])
+        for row, column in zip(table, columns):
+            row.extend(column if isinstance(column, list)
+                       else [column] * count)
+        return table
+
+    def int_where(self, selector, value: int, columns):
+        """Each of ``columns`` where the aligned ``selector`` is ``value``."""
+        return [
+            [entry for flag, entry in zip(selector, column) if flag == value]
+            for column in columns
+        ]
 
     # -- stacked (2-D) operations --------------------------------------------
     #
@@ -692,6 +743,66 @@ class VectorizedField:
         nets = _np.add.reduceat(deltas[order], starts)
         live = _np.flatnonzero(nets)
         return keys[starts[live]], nets[live]
+
+    # -- exact integer columns (see ScalarBackend) ----------------------------
+
+    def int_zeros(self, n: int):
+        return _np.zeros(n, dtype=_np.int64)
+
+    def int_columns(self, pairs):
+        """Split ``(a, b)`` pairs into two int64 columns — object columns
+        of Python ints when a value does not fit; anything that is not an
+        integer is a TypeError (``fromiter`` alone would parse ``"7"``
+        and truncate ``7.9``)."""
+        if not isinstance(pairs, (list, tuple)):
+            pairs = list(pairs)
+        try:
+            flat = _np.fromiter(map(index, chain.from_iterable(pairs)),
+                                dtype=_np.int64)
+        except OverflowError:
+            flat = _np.array(
+                [index(v) for v in chain.from_iterable(pairs)], dtype=object)
+        if flat.shape[0] != 2 * len(pairs):
+            raise ValueError("an update is one (key, delta) pair")
+        flat = flat.reshape(len(pairs), 2)
+        return flat[:, 0], flat[:, 1]
+
+    def int_bounds(self, column) -> Tuple[int, int]:
+        return int(column.min()), int(column.max())
+
+    def int_add_at(self, counts, keys, deltas, mass: int):
+        """One scatter-add.  While ``mass`` — a bound on Σ|δ| over
+        everything ever added to the column — is below 2^63 no int64
+        entry can wrap; past it the column becomes Python ints, once."""
+        if counts.dtype != object and mass >= 1 << 63:
+            counts = counts.astype(object)
+        if counts.dtype == object:
+            deltas = deltas.astype(object)  # not wrapping int64 scalars
+        _np.add.at(counts, keys.astype(_np.int64, copy=False), deltas)
+        return counts
+
+    def int_table(self, rows: int):
+        return _np.empty((rows, 0), dtype=_np.int64)
+
+    def int_table_append(self, table, used: int, columns):
+        """Slice assignment into capacity that doubles when it runs out
+        (and turns to Python ints with the first column that has)."""
+        end = used + columns[-1].shape[0]
+        wide = table.dtype != object and any(
+            getattr(column, "dtype", None) == object for column in columns)
+        if wide or end > table.shape[1]:
+            grown = _np.empty(
+                (table.shape[0], max(end, 2 * table.shape[1])),
+                dtype=object if wide else table.dtype)
+            grown[:, :used] = table[:, :used]
+            table = grown
+        for row, column in zip(table, columns):
+            row[used:end] = column
+        return table
+
+    def int_where(self, selector, value: int, columns):
+        mask = selector == value
+        return [column[mask] for column in columns]
 
     # -- stacked (2-D) operations --------------------------------------------
 

@@ -57,32 +57,42 @@ AGGREGATE_MIN_COPIES = 4
 class UpdateBlock:
     """One block of ``(key, δ)`` updates, validated and split once.
 
-    ``pairs`` is the block as it arrived: its length is what
-    ``updates_processed`` counts, and the scalar backend walks it.
-    Under a vectorized backend ``keys`` / ``deltas`` are aligned integer
-    arrays with ``Σ_t deltas[t]·w(keys[t]) = Σ_(i,δ) δ·w(i) (mod p)`` for
-    every weight function ``w`` — duplicate keys summed and zero nets
-    dropped when the block was aggregated, the raw columns otherwise —
-    ``total`` is the exact integer ``Σ δ``, and ``columns`` the
+    ``count`` is how many updates arrived — what ``updates_processed``
+    counts.  Under a vectorized backend ``keys`` / ``deltas`` are aligned
+    integer arrays with ``Σ_t deltas[t]·w(keys[t]) = Σ_(i,δ) δ·w(i) (mod
+    p)`` for every weight function ``w`` — duplicate keys summed and zero
+    nets dropped when the block was aggregated, the raw columns otherwise
+    — ``total`` is the exact integer ``Σ δ``, and ``columns`` the
     un-aggregated int64 ``(keys, deltas)`` split the wire encodes (None
-    when a delta does not fit int64).
+    when a delta does not fit int64).  ``pairs`` is the block as a list
+    of tuples, for the consumers that walk it (the scalar backend, a
+    heavy-hitters verifier without arrays): a block that arrived as
+    columns builds it only when one of them asks.
     """
 
-    __slots__ = ("pairs", "keys", "deltas", "total", "columns")
+    __slots__ = ("_pairs", "count", "keys", "deltas", "total", "columns")
 
     def __init__(self, pairs, keys=None, deltas=None, total=None,
                  columns=None):
-        self.pairs = pairs
+        self._pairs = pairs
+        self.count = len(columns[0] if pairs is None else pairs)
         self.keys = keys
         self.deltas = deltas
         self.total = total
         self.columns = columns
 
     @property
+    def pairs(self):
+        if self._pairs is None:
+            keys, deltas = self.columns
+            self._pairs = list(zip(keys.tolist(), deltas.tolist()))
+        return self._pairs
+
+    @property
     def folded(self) -> int:
         """``(key, δ)`` columns a consumer folds: the distinct keys with
         a non-zero net when the block was aggregated, else every update."""
-        return len(self.pairs) if self.keys is None else len(self.keys)
+        return self.count if self.keys is None else len(self.keys)
 
 
 def _reject_bad_key(u: int, chunk) -> None:
@@ -108,20 +118,45 @@ def prepare_block(backend, u: int, chunk, copies: int = 1) -> UpdateBlock:
     try:
         keys, deltas = backend.pair_columns(chunk)
     except (OverflowError, TypeError):
-        keys = None  # some value does not even fit int64
-    if keys is None or int(keys.min()) < 0 or int(keys.max()) >= u:
+        # Some value does not even fit int64.  If the keys are in range
+        # it was a delta: redo the split at Python level with exact
+        # big-int reduction.
         _reject_bad_key(u, chunk)
-        # Keys are in range, so only a delta overflowed int64: redo the
-        # split at Python level with exact big-int reduction.
         return UpdateBlock(
             chunk,
             backend.index_array([i for i, _ in chunk]),
             backend.asarray([delta for _, delta in chunk]),
             sum(delta for _, delta in chunk),
         )
+    return _int64_block(backend, u, chunk, keys, deltas, copies)
+
+
+def prepare_columns(backend, u: int, keys, deltas,
+                    copies: int = 1) -> UpdateBlock:
+    """:func:`prepare_block` for a non-empty block that is already two
+    exact integer columns of the backend (a decoded replay frame): the
+    same checks and the same block, with no pair built on the way."""
+    if (not getattr(backend, "vectorized", False) or u > (1 << 62)
+            or keys.dtype == object):  # some value outside int64
+        return prepare_block(
+            backend, u,
+            list(zip(backend.to_list(keys), backend.to_list(deltas))),
+            copies)
+    return _int64_block(backend, u, None, keys, deltas, copies)
+
+
+def _int64_block(backend, u: int, chunk, keys, deltas,
+                 copies: int) -> UpdateBlock:
+    """Range check and optional pre-aggregation of two int64 columns
+    (``chunk``: the same block as pairs, when it arrived that way)."""
+    low, high = int(keys.min()), int(keys.max())
+    if low < 0 or high >= u:
+        raise ValueError("key %d outside universe [0, %d)"
+                         % (low if low < 0 else high, u))
     columns = (keys, deltas)
     # Below this bound no int64 sum of the block's deltas can wrap.
-    exact = max(int(deltas.max()), -int(deltas.min())) * len(chunk) < 1 << 63
+    exact = (max(int(deltas.max()), -int(deltas.min())) * len(keys)
+             < 1 << 63)
     total = int(deltas.sum()) if exact else sum(deltas.tolist())
     if exact and copies >= AGGREGATE_MIN_COPIES:
         keys, deltas = backend.net_columns(keys, deltas)
@@ -260,7 +295,7 @@ class SketchStack:
     def feed(self, block: UpdateBlock, vector: int = 0, live=None) -> None:
         """Fold one prepared block into lane ``vector`` of the leading
         ``live[s]`` copies of every segment s (all copies when omitted)."""
-        count = len(block.pairs)
+        count = block.count
         digit_arrays = None
         for first, owners in self._listeners(vector, live):
             if not owners:

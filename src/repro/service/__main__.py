@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import ctypes
 import os
 import sys
 
@@ -25,6 +26,30 @@ from repro import obs
 from repro.field.modular import DEFAULT_FIELD, PrimeField
 from repro.service.registry import SessionRegistry
 from repro.service.server import ProverServer
+
+
+# The node keeps its heap.  With the datasets in arrays nothing long-lived
+# sits at the top of the brk heap, so glibc trims it after every freed
+# 32 KB-1 MB round temporary and faults it back in on the next: 28 minor
+# faults per RANGE-SUM query at u = 2^12 without these two mallopt calls, 0
+# with them (tests/test_service.py), and svc_analytic reads 497-520 q/s
+# without against 611-625 with.  Raising the trim threshold switches off
+# glibc's dynamic mmap threshold, hence the second: table-sized (1-8 MB)
+# temporaries must keep coming from the heap.  Not configurable.
+HEAP_TRIM_THRESHOLD = 1 << 30
+HEAP_MMAP_THRESHOLD = 32 << 20
+
+
+def keep_heap() -> None:
+    """Apply the two thresholds (glibc only; silently skipped elsewhere)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, HEAP_TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
+    mallopt(-3, HEAP_MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,6 +142,7 @@ def main(argv=None) -> int:
         # emits (sinks stay env-configured: REPRO_TRACE / REPRO_LOG).
         obs.configure_tracing(node=args.node_name)
         obs.configure_logging(node=args.node_name)
+    keep_heap()
     server = make_server(args)
     try:
         asyncio.run(_run(server, args.snapshot, args.snapshot_interval,

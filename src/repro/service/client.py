@@ -41,6 +41,7 @@ from repro.lde.streaming import (
     SketchStack,
     UpdateBlock,
     prepare_block,
+    prepare_columns,
 )
 from repro.service import protocol as sp
 from repro.service.router import (
@@ -571,11 +572,11 @@ class ServiceClient:
     def _feed(self, prepared: UpdateBlock, vector: int) -> None:
         live = self._live()
         with self._tracer.span(
-            "client.update.feed", updates=len(prepared.pairs),
+            "client.update.feed", updates=prepared.count,
             keys=prepared.folded, rows=self._stack.copies(vector, live),
         ):
             self._stack.feed(prepared, vector, live)
-        self.updates_streamed += len(prepared.pairs)
+        self.updates_streamed += prepared.count
 
     def _send_block(self, vector: int, prepared: UpdateBlock) -> None:
         """One UPDATES frame, retried idempotently.
@@ -588,7 +589,7 @@ class ServiceClient:
         window (true for per-session datasets; shared datasets have a
         single writer by construction in the load generator).
         """
-        count = len(prepared.pairs)
+        count = prepared.count
         target = self._server_updates + count
 
         def attempt() -> None:
@@ -660,11 +661,16 @@ class ServiceClient:
                     raise ServiceClientError(
                         "unexpected frame 0x%02x during replay" % frame_type
                     )
-                vector, pairs = sp.parse_updates(self.field, payload)
-                if not pairs:
+                # Frame bytes to the columns the copies fold.
+                backend = self._stack.backend
+                vector, keys, deltas = sp.parse_updates_columns(
+                    backend, self.field, payload)
+                if not len(keys):
                     continue
                 try:
-                    prepared = self._prepare(pairs, vector)
+                    prepared = prepare_columns(
+                        backend, self.u, keys, deltas,
+                        self._stack.copies(vector, self._live()))
                 except ValueError as exc:
                     # Nothing was fed.  The rest of the replay is still
                     # in flight on this socket: close it, so the next
@@ -675,7 +681,7 @@ class ServiceClient:
                         "the service replayed a bad block: %s" % exc
                     ) from exc
                 self._feed(prepared, vector)
-                replayed[0] += len(pairs)
+                replayed[0] += prepared.count
                 self._last_acked = "replay@%d" % self.updates_streamed
 
         self._with_retries(attempt, "replay")

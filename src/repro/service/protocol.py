@@ -48,6 +48,7 @@ from functools import lru_cache
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.comm.wire import (
+    MAX_MESSAGE_WORDS,
     WireFormatError,
     decode_words,
     encode_words,
@@ -61,6 +62,11 @@ from repro.service.router import (
     KIND_SUCCESSOR,
     TREE_KINDS,
 )
+
+try:  # NumPy is optional: only the columnar update codec uses it.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
+    _np = None
 
 #: Version byte stamped on every frame; peers with a different version
 #: fail the handshake instead of misparsing each other.
@@ -466,12 +472,15 @@ def updates_payload(field: PrimeField, vector: int, pairs) -> bytes:
 
 def updates_payload_columns(field: PrimeField, vector: int, keys,
                             deltas) -> bytes:
-    """:func:`updates_payload` from the block's int64 column arrays.
+    """:func:`updates_payload` from the block's two columns.
 
     Byte-for-byte the same body — every word reduced to its canonical
-    residue, the same 4-byte word count in front — interleaved and laid
-    out big-endian by NumPy instead of two Python ints per pair.
+    residue, the same 4-byte word count in front — from int64 arrays
+    interleaved and laid out big-endian by NumPy instead of two Python
+    ints per pair.
     """
+    if isinstance(keys, list):
+        return updates_payload(field, vector, zip(keys, deltas))
     if word_width(field) != 8:
         return updates_payload(field, vector,
                                zip(keys.tolist(), deltas.tolist()))
@@ -494,6 +503,33 @@ def parse_updates(field: PrimeField, payload: bytes):
         for t in range(1, len(words), 2)
     ]
     return vector, pairs
+
+
+def parse_updates_columns(backend, field: PrimeField, payload: bytes):
+    """:func:`parse_updates` as ``(vector, keys, signed deltas)`` in the
+    backend's exact integer columns: the inverse of
+    :func:`updates_payload_columns`.
+
+    A well-formed body of 8-byte words is one ``frombuffer`` and one
+    masked subtract, no Python object per update.  Every other body —
+    damaged ones included — goes to the per-word reference, which names
+    what is wrong with it.
+    """
+    count = (len(payload) - 4) // 8
+    if (getattr(backend, "vectorized", False) and word_width(field) == 8
+            and field.p < 1 << 63 and count > 0 and count & 1
+            and count <= MAX_MESSAGE_WORDS
+            and len(payload) == 4 + 8 * count
+            and payload[:4] == count.to_bytes(4, "big")):
+        words = _np.frombuffer(payload, ">u8", count, 4)
+        if int(words.max()) < field.p and words[0] <= 1:
+            body = words[1:].astype(_np.int64).reshape(-1, 2)
+            deltas = body[:, 1]
+            _np.subtract(deltas, field.p, out=deltas,
+                         where=deltas > field.p >> 1)
+            return int(words[0]), body[:, 0], deltas
+    vector, pairs = parse_updates(field, payload)
+    return (vector, *backend.int_columns(pairs))
 
 
 def status_payload(field: PrimeField, sessions: int, open_queries: int,

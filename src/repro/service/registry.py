@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -68,7 +70,16 @@ class UnknownSessionError(RegistryError):
 
 
 class Dataset:
-    """One outsourced update stream, shared by any number of sessions."""
+    """One outsourced update stream, shared by any number of sessions.
+
+    The data are exact integer columns of the compute backend (int64
+    arrays under NumPy, lists on the scalar backend; see the backend's
+    ``int_*`` primitives): one dense padded count column per vector —
+    vector 0 is the primary stream, vector 1 the optional second operand
+    of INNER-PRODUCT queries — and the replay log as three growable
+    columns ``(vector, key, delta)`` in arrival order.  The log is the
+    stream both parties observed; late verifiers re-read it.
+    """
 
     def __init__(self, field: PrimeField, u: int, dataset_id: int):
         self.field = field
@@ -76,63 +87,109 @@ class Dataset:
         self.dataset_id = dataset_id
         self.d = pow2_dimension(u)
         self.size = 1 << self.d
-        # Dense padded frequency vectors: vector 0 is the primary stream,
-        # vector 1 the optional second operand of INNER-PRODUCT queries.
-        self.freq_a: List[int] = [0] * self.size
-        self.freq_b: List[int] = [0] * self.size
+        self.backend = get_backend(field)
+        self._counts = [self.backend.int_zeros(self.size) for _ in (0, 1)]
+        #: Per vector, a bound on Σ|δ| over everything applied so far:
+        #: what tells the backend when an int64 count could wrap.
+        self._mass = [0, 0]
         #: Per vector, the canonical table of the data as it stands;
         #: :meth:`apply` drops it and never writes it.
         self._tables: Dict[int, object] = {}
-        #: Replay log: (vector, key, delta) in arrival order.  This is
-        #: the stream both parties observed; late verifiers re-read it.
-        self.log: List[Tuple[int, int, int]] = []
+        self._log = self.backend.int_table(3)
+        self._n = 0
         self.sessions_attached = 0
 
     @property
     def n_updates(self) -> int:
-        return len(self.log)
+        return self._n
 
     def apply(self, vector: int, pairs) -> int:
-        """Append a block of updates; returns the new stream length.
+        """Append a block of ``(key, delta)`` updates; returns the new
+        stream length.  All or nothing, see :meth:`apply_columns`."""
+        return self.apply_columns(vector, *self.backend.int_columns(pairs))
 
-        All or nothing: a block refused half-way is never acknowledged,
-        so it leaves vectors and log as they were.
+    def apply_columns(self, vector: int, keys, deltas) -> int:
+        """:meth:`apply` for a block that is already two backend columns.
+
+        All or nothing: every check runs before anything moves, so a
+        refused block — never acknowledged — leaves counts, log and
+        the cached table as they were.
         """
-        freq = self.freq_a if vector == 0 else self.freq_b
-        log, u = self.log, self.u
-        start = len(log)
-        try:
-            for key, delta in pairs:
-                if not 0 <= key < u:
-                    raise RegistryError(
-                        "key %d outside universe [0, %d)" % (key, u)
-                    )
-                freq[key] += delta
-                log.append((vector, key, delta))
-        except Exception:
-            for _, key, delta in log[start:]:
-                freq[key] -= delta
-            del log[start:]
-            raise
+        if vector not in (0, 1):
+            raise RegistryError("unknown update vector %r" % (vector,))
+        count = len(keys)
+        if count:
+            be = self.backend
+            low, high = be.int_bounds(keys)
+            if low < 0 or high >= self.u:
+                raise RegistryError(
+                    "key %d outside universe [0, %d)"
+                    % (low if low < 0 else high, self.u)
+                )
+            low, high = be.int_bounds(deltas)
+            self._mass[vector] += max(high, -low) * count
+            self._counts[vector] = be.int_add_at(
+                self._counts[vector], keys, deltas, self._mass[vector])
+            self._log = be.int_table_append(self._log, self._n,
+                                            (vector, keys, deltas))
+            self._n += count
         self._tables.pop(vector, None)
-        return len(log)
+        return self._n
 
     def canonical_table(self, vector: int):
-        """The read-only proof table of one vector, built lazily and
-        shared by every prover: folds return fresh tables, so a proof in
-        flight keeps this one while :meth:`apply` drops the reference."""
+        """The read-only proof table of one vector — its counts mod p,
+        one pass — built lazily and shared by every prover: folds return
+        fresh tables, so a proof in flight keeps this one while
+        :meth:`apply` drops the reference."""
         table = self._tables.get(vector)
         if table is None:
-            freq = self.freq_a if vector == 0 else self.freq_b
-            table = frozen_table(get_backend(self.field), self.field, freq)
+            table = frozen_table(self.backend, self.field,
+                                 self._counts[vector])
             self._tables[vector] = table
         return table
 
-    def replay_slice(self, start: int, count: int):
-        """A block of logged updates for catch-up replay."""
+    def raw_counts(self, vector: int):
+        """A private copy of one vector's exact count column (heavy
+        hitters needs signed counts, not residues)."""
+        return self._counts[vector].copy()
+
+    def _log_columns(self, start: int, count: int):
+        """Log entries ``[start, start + count)`` as three columns."""
         if start < 0:
             raise RegistryError("replay start must be non-negative")
-        return self.log[start : start + count]
+        stop = min(start + count, self._n)
+        return [row[start:stop] for row in self._log]
+
+    def replay_slice(self, start: int, count: int):
+        """A block of logged updates for catch-up replay, as an iterator
+        of ``(vector, key, delta)`` triples of Python ints."""
+        return zip(*map(self.backend.to_list,
+                        self._log_columns(start, count)))
+
+    def replay_columns(self, start: int, count: int):
+        """The same block as ``(vector, keys, deltas)`` per vector that
+        occurs in it, ascending: one replay frame each."""
+        vectors, *columns = self._log_columns(start, count)
+        groups = [
+            (vector, *self.backend.int_where(vectors, vector, columns))
+            for vector in (0, 1)
+        ]
+        return [group for group in groups if len(group[1])]
+
+    # Read-only views for tests and debugging: fresh lists of Python
+    # ints, built on every access — nothing is stored for them.
+
+    @property
+    def freq_a(self) -> List[int]:
+        return self.backend.to_list(self._counts[0])
+
+    @property
+    def freq_b(self) -> List[int]:
+        return self.backend.to_list(self._counts[1])
+
+    @property
+    def log(self) -> List[Tuple[int, int, int]]:
+        return list(self.replay_slice(0, self._n))
 
 
 class ActiveQuery:
@@ -294,21 +351,22 @@ class SessionRegistry:
                             key=lambda d: d.dataset_id)
         ]
 
-    def tail_slice(self, dataset_id: int, start: int,
-                   count: int) -> List[Tuple[int, int, int]]:
-        """A slice of one dataset's update log, for tail resync.
+    def tail_slice(self, dataset_id: int, start: int, count: int):
+        """A slice of one dataset's update log, for tail resync and
+        catch-up replay: ``(vector, keys, deltas)`` columns per vector
+        (see :meth:`Dataset.replay_columns`).
 
-        The hinted-handoff read path: a peer replica serves the
-        ``(vector, key, delta)`` entries a recovering node missed while
-        it was down, starting at the recovering node's own update count.
-        Replica logs are prefixes of the writer's sequence (one writer
-        per dataset), so ``start = len(recovering node's log)`` is
-        exactly the first missed update.
+        The hinted-handoff read path: a peer replica serves the entries
+        a recovering node missed while it was down, starting at the
+        recovering node's own update count.  Replica logs are prefixes
+        of the writer's sequence (one writer per dataset), so
+        ``start = len(recovering node's log)`` is exactly the first
+        missed update.
         """
         dataset = self.datasets.get(dataset_id)
         if dataset is None:
             raise RegistryError("unknown dataset %d" % dataset_id)
-        return list(dataset.replay_slice(start, count))
+        return dataset.replay_columns(start, count)
 
     # -- snapshot / restore --------------------------------------------------
     #
@@ -341,7 +399,8 @@ class SessionRegistry:
                 {
                     "id": d.dataset_id,
                     "u": d.u,
-                    "log": [list(entry) for entry in d.log],
+                    # Triples serialise as the arrays they always were.
+                    "log": d.log,
                 }
                 for d in self.datasets.values()
             ],
@@ -389,8 +448,10 @@ class SessionRegistry:
         registry.queries_served = int(payload.get("queries_served", 0))
         for entry in payload.get("datasets", []):
             dataset = Dataset(field, int(entry["u"]), int(entry["id"]))
-            for vector, key, delta in entry.get("log", []):
-                dataset.apply(int(vector), [(int(key), int(delta))])
+            # One block per same-vector run, not one per update.
+            for vector, run in groupby(entry.get("log", []),
+                                       key=itemgetter(0)):
+                dataset.apply(vector, [row[1:] for row in run])
             registry.datasets[dataset.dataset_id] = dataset
         _log.info("snapshot.restored", path=str(path),
                   datasets=len(registry.datasets),

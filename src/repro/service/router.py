@@ -352,7 +352,7 @@ class QueryRouter:
         a copy, so an in-flight proof stays consistent while other
         sessions keep streaming; ``f2(workers=w)`` runs the Section 7
         coordinator over ``w`` slices of that table.  Heavy hitters needs
-        raw counts, not residues: it snapshots ``freq_a``.
+        raw counts, not residues: it takes a copy of the count column.
         """
         field, u, table = dataset.field, dataset.u, dataset.canonical_table
         descriptor = unit.descriptors[0]
@@ -387,8 +387,9 @@ class QueryRouter:
             if den == 0 or not 0 < num / den <= 1:
                 raise RoutingError("heavy-hitters phi %d/%d invalid"
                                    % (num, den))
-            prover = HeavyHittersProver(field, u, num / den)
-            prover.freq = list(dataset.freq_a)
+            prover = HeavyHittersProver(field, u, num / den,
+                                        backend=dataset.backend)
+            prover.freq = dataset.raw_counts(0)
             return prover
         raise RoutingError("unroutable kind %r" % (kind,))
 

@@ -391,8 +391,9 @@ class ProverServer(FrameListener):
         dataset = session.dataset
 
         if frame_type == sp.T_UPDATES:
-            vector, pairs = sp.parse_updates(field, payload)
-            total = dataset.apply(vector, pairs)
+            # Socket bytes to the dataset's columns: no object per update.
+            total = dataset.apply_columns(
+                *sp.parse_updates_columns(dataset.backend, field, payload))
             return [
                 sp.pack_frame(
                     sp.T_UPDATES_ACK,
@@ -405,25 +406,17 @@ class ProverServer(FrameListener):
             words = sp.parse_words(field, payload)
             if len(words) != 1:
                 raise ServiceError("replay request takes one start index")
-            start = words[0]
-            frames = []
-            cursor = start
-            while cursor < dataset.n_updates:
-                block = self.registry.tail_slice(
-                    dataset.dataset_id, cursor, REPLAY_BLOCK
-                )
-                by_vector = {}
-                for vector, key, delta in block:
-                    by_vector.setdefault(vector, []).append((key, delta))
-                for vector, pairs in sorted(by_vector.items()):
-                    frames.append(
-                        sp.pack_frame(
-                            sp.T_REPLAY_DATA,
-                            session_id,
-                            sp.updates_payload(field, vector, pairs),
-                        )
-                    )
-                cursor += len(block)
+            # Each block of the log is cut column to column into one
+            # frame per vector, ascending.
+            frames = [
+                sp.pack_frame(
+                    sp.T_REPLAY_DATA, session_id,
+                    sp.updates_payload_columns(field, vector, keys, deltas))
+                for cursor in range(words[0], dataset.n_updates,
+                                    REPLAY_BLOCK)
+                for vector, keys, deltas in self.registry.tail_slice(
+                    dataset.dataset_id, cursor, REPLAY_BLOCK)
+            ]
             frames.append(
                 sp.pack_frame(
                     sp.T_REPLAY_END,

@@ -271,15 +271,23 @@ class FrameListener:
         self._track(asyncio.current_task())
         link = self._link(reader, writer)
         try:
-            await self._serve(link)
-        except sp.ServiceProtocolError as exc:
-            # Framing damage: tell the peer once, then hang up (the
-            # stream position is unrecoverable).
-            await link.send_error(0, str(exc), sp.E_TRANSPORT)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            await link.aclose()
+            try:
+                await self._serve(link)
+            except sp.ServiceProtocolError as exc:
+                # Framing damage: tell the peer once, then hang up (the
+                # stream position is unrecoverable).
+                await link.send_error(0, str(exc), sp.E_TRANSPORT)
+            except (ConnectionError, OSError):
+                pass
+            finally:
+                await link.aclose()
+        except asyncio.CancelledError:
+            # Only :meth:`stop` cancels this task, wherever it stands —
+            # serving or already winding down.  It ends normally: on
+            # Python < 3.12 asyncio's own done-callback for this
+            # coroutine calls ``task.exception()``, which on a cancelled
+            # task raises into the loop's exception handler.
+            link.close()
 
     def _track(self, task: "asyncio.Task") -> None:
         self._tasks.add(task)

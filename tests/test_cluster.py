@@ -604,7 +604,10 @@ def test_cluster_loadgen_with_seeded_node_kills_zero_errors(tmp_path):
                 (0.04, lambda: manager.kill(victims[0])),
                 (0.15, lambda: kill_when_healed(victims[1])),
             ],
-            sessions=12, updates_per_session=2000, concurrency=3,
+            # Sized so the run outlasts the kill schedule (0.2 s here;
+            # 2000 updates took 0.15-0.18 s before the node's ingest
+            # went columnar and 0.11 s after).
+            sessions=12, updates_per_session=6000, concurrency=3,
             seed=CLUSTER_SEED + 1,
             dataset_base=fresh_dataset_id(),
             client_kwargs={

@@ -1,0 +1,269 @@
+"""``registry.Dataset`` against a per-pair model.
+
+The dataset keeps its counts and its replay log as exact integer columns
+of the compute backend and moves a block through them without a Python
+object per update.  What it must *be* is the fifteen lines of
+:class:`Model` below — the per-pair loop it replaced — on every backend:
+same counts, same log, same refusals, and a refused block changes
+nothing, the cached table object included.  The replay frames and the
+snapshot file are pinned to the bytes the list-based tree produced.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.field.modular import DEFAULT_FIELD as F
+from repro.field.vectorized import HAVE_NUMPY
+from repro.service import protocol as sp
+from repro.service.registry import Dataset, RegistryError, SessionRegistry
+from repro.service.server import REPLAY_BLOCK, ProverServer
+
+BACKENDS = ["scalar"] + (["vectorized"] if HAVE_NUMPY else [])
+HALF = (F.p - 1) // 2
+
+
+class Model:
+    """The reference: ``dict`` counts and a tuple log, one pair at a time."""
+
+    def __init__(self, u):
+        self.u, self.counts, self.log = u, ({}, {}), []
+
+    def apply(self, vector, pairs):
+        for key, delta in pairs:
+            if type(key) is not int or type(delta) is not int:
+                raise TypeError("not an integer update")
+            if not 0 <= key < self.u:
+                raise RegistryError("key outside universe")
+        for key, delta in pairs:
+            self.counts[vector][key] = self.counts[vector].get(key, 0) + delta
+            self.log.append((vector, key, delta))
+        return len(self.log)
+
+
+def dataset_on(backend_name, u, dataset_id=0):
+    with mock.patch.dict(os.environ, REPRO_BACKEND=backend_name):
+        return Dataset(F, u, dataset_id)
+
+
+def assert_same(dataset, model):
+    assert dataset.n_updates == len(model.log)
+    assert dataset.log == model.log
+    for vector, freq in enumerate((dataset.freq_a, dataset.freq_b)):
+        assert len(freq) == dataset.size
+        assert all(type(count) is int for count in freq)
+        assert freq == [model.counts[vector].get(key, 0)
+                        for key in range(dataset.size)]
+        table = dataset.canonical_table(vector)
+        assert [int(word) for word in table] == [c % F.p for c in freq]
+        assert dataset.canonical_table(vector) is table
+        with pytest.raises((ValueError, TypeError)):
+            table[0] = 1  # frozen
+
+
+universes = st.sampled_from([1, 2, 3, 7, 12, 100, 129])
+deltas = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from([HALF, -HALF, F.p - 1, -(1 << 61), (1 << 62) + 5]),
+)
+
+
+@st.composite
+def block_streams(draw):
+    u = draw(universes)
+    pair = st.tuples(st.integers(0, u - 1), deltas)
+    blocks = draw(st.lists(
+        st.tuples(st.integers(0, 1), st.lists(pair, max_size=12)),
+        max_size=8))
+    return u, blocks
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@given(stream=block_streams())
+def test_dataset_is_the_per_pair_model(backend_name, stream):
+    u, blocks = stream
+    dataset, model = dataset_on(backend_name, u), Model(u)
+    for vector, pairs in blocks:
+        assert dataset.apply(vector, pairs) == model.apply(vector, pairs)
+    assert_same(dataset, model)
+    n = len(model.log)
+    for start in range(n + 2):
+        for count in (0, 1, 3, n, n + 5):
+            assert list(dataset.replay_slice(start, count)) == \
+                model.log[start:start + count]
+            by_vector = {}
+            for vector, key, delta in model.log[start:start + count]:
+                by_vector.setdefault(vector, []).append((key, delta))
+            assert [
+                (vector, list(zip(dataset.backend.to_list(keys),
+                                  dataset.backend.to_list(deltas))))
+                for vector, keys, deltas in dataset.replay_columns(start,
+                                                                   count)
+            ] == sorted(by_vector.items())
+    with pytest.raises(RegistryError):
+        dataset.replay_slice(-1, 5)
+    with pytest.raises(RegistryError):
+        dataset.replay_columns(-1, 5)
+
+
+BAD_BLOCKS = [
+    (RegistryError, lambda u: [(0, 1), (u, 1)]),        # key = u
+    (RegistryError, lambda u: [(0, 1), (-1, 1)]),       # key < 0
+    (RegistryError, lambda u: [(1 << 70, 1)]),          # key beyond int64
+    (TypeError, lambda u: [(0, 1), (0, "7")]),
+    (TypeError, lambda u: [(0, 1), (0, 7.9)]),
+    (TypeError, lambda u: [(0, 1), (0, None)]),
+    (TypeError, lambda u: [(0.0, 1)]),
+    (ValueError, lambda u: [(0, 1), (0, 1, 1)]),        # not a pair
+]
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@given(stream=block_streams(), bad=st.sampled_from(BAD_BLOCKS),
+       vector=st.integers(0, 1))
+def test_a_refused_block_leaves_everything_untouched(backend_name, stream,
+                                                     bad, vector):
+    u, blocks = stream
+    dataset, model = dataset_on(backend_name, u), Model(u)
+    for block_vector, pairs in blocks:
+        dataset.apply(block_vector, pairs)
+        model.apply(block_vector, pairs)
+    tables = [dataset.canonical_table(0), dataset.canonical_table(1)]
+    error, make = bad
+    with pytest.raises(error):
+        dataset.apply(vector, make(u))
+    with pytest.raises(RegistryError):
+        dataset.apply(2, [(0, 1)])  # no such vector
+    assert_same(dataset, model)
+    assert dataset.canonical_table(0) is tables[0]
+    assert dataset.canonical_table(1) is tables[1]
+    # ...and the next good block lands on exactly that state.
+    dataset.apply(vector, [(u - 1, -4)])
+    model.apply(vector, [(u - 1, -4)])
+    assert_same(dataset, model)
+    assert dataset.canonical_table(vector) is not tables[vector]
+    assert dataset.canonical_table(1 - vector) is tables[1 - vector]
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_counts_stay_exact_past_int64(backend_name):
+    """±(p − 1)/2 is the largest delta a wire word decodes to.  Nine of
+    them on one key pass 2^63: the column moves to Python ints — once,
+    and only the vector that needed it — and nothing wraps."""
+    dataset, model = dataset_on(backend_name, 12), Model(12)
+    for step in range(12):
+        block = [(5, HALF), (7, -HALF), (step, 1)]
+        dataset.apply(0, block)
+        model.apply(0, block)
+        dataset.apply(1, [(5, -3)])
+        model.apply(1, [(5, -3)])
+        assert_same(dataset, model)
+    assert dataset.freq_a[5] == 12 * HALF + 1 > 1 << 63
+    assert dataset.freq_a[7] == -12 * HALF + 1 < -(1 << 63)
+    if backend_name == "vectorized":
+        assert dataset.raw_counts(0).dtype == object
+        assert dataset.raw_counts(1).dtype == "int64"
+    # A delta that does not fit a machine word is exact too, in the
+    # counts, the log and what a snapshot would write.
+    wide = [(3, 1 << 70), (3, -(1 << 64)), (4, 2)]
+    dataset.apply(1, wide)
+    model.apply(1, wide)
+    assert_same(dataset, model)
+    assert dataset.freq_b[3] == (1 << 70) - (1 << 64)
+
+
+# -- replay frames and snapshots: the bytes of the list-based tree ---------------
+
+U = 1000
+
+#: sha256 over the T_REPLAY_DATA / T_REPLAY_END frames the PR 22 tree (a
+#: list of 3-tuples regrouped per pair) answered for `interleaved_blocks`,
+#: replayed from update 0 and from update 4090.
+REPLAY_FROM_0 = (
+    6, "d7b4580242838c6c61146418c4db360ad10c50808c8ae8190806977f5d25ef86")
+REPLAY_FROM_4090 = (
+    4, "f5bc483903680c2149f30aeb73296e6b5b5175d5ab40785b1d9725a14e08f4e3")
+
+#: A version-1 snapshot file as the PR 22 tree wrote it.
+PARENT_SNAPSHOT = (
+    '{"version": 1, "field_p": 2305843009213693951, "next_session_id": 3, '
+    '"queries_served": 3, "datasets": [{"id": 7, "u": 12, "log": '
+    '[[0, 3, 2], [0, 11, -1], [1, 0, 5], [0, 3, 1152921504606846975], '
+    '[0, 4, -1152921504606846975]]}, {"id": 9, "u": 5, "log": []}]}'
+)
+
+
+def interleaved_blocks(total, seed=23):
+    """Same-vector runs of uneven length, both vectors, edge deltas."""
+    rng = random.Random(seed)
+    blocks = []
+    while total:
+        count = min(total, rng.randrange(1, 700))
+        block_deltas = [rng.choice((1, 1, 2, -1, 7, -3, HALF, -HALF, 0))
+                        for _ in range(count)]
+        blocks.append((rng.randrange(2),
+                       [(rng.randrange(U), d) for d in block_deltas]))
+        total -= count
+    return blocks
+
+
+def replay_digest(server, session, start):
+    frames = server._dispatch(sp.T_REPLAY_REQUEST, session.session_id,
+                              sp.words_payload(F, [start]))
+    return len(frames), hashlib.sha256(b"".join(frames)).hexdigest()
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_replay_frames_and_snapshot_are_byte_identical(backend_name,
+                                                       monkeypatch,
+                                                       tmp_path):
+    monkeypatch.setenv("REPRO_BACKEND", backend_name)
+    server = ProverServer(F)
+    session = server.registry.connect(U, 1)
+    dataset, model = session.dataset, Model(U)
+    for vector, pairs in interleaved_blocks(2 * REPLAY_BLOCK + 5):
+        dataset.apply(vector, pairs)
+        model.apply(vector, pairs)
+    assert dataset.n_updates == 2 * REPLAY_BLOCK + 5
+    assert replay_digest(server, session, 0) == REPLAY_FROM_0
+    assert replay_digest(server, session, 4090) == REPLAY_FROM_4090
+    # Past the end: just the END frame, carrying the total.
+    frames = server._dispatch(sp.T_REPLAY_REQUEST, session.session_id,
+                              sp.words_payload(F, [dataset.n_updates]))
+    assert frames == [sp.pack_frame(
+        sp.T_REPLAY_END, session.session_id,
+        sp.words_payload(F, [dataset.n_updates]))]
+
+    path = server.snapshot(tmp_path / "snapshot.json")
+    restored = SessionRegistry.restore(path, F).datasets[1]
+    assert_same(restored, model)
+    assert restored.u == U
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_a_snapshot_written_by_the_list_based_tree_restores(
+        backend_name, monkeypatch, tmp_path):
+    monkeypatch.setenv("REPRO_BACKEND", backend_name)
+    path = tmp_path / "parent.json"
+    path.write_text(PARENT_SNAPSHOT, encoding="utf-8")
+    registry = SessionRegistry.restore(path, F)
+    assert registry.inventory() == [(7, 12, 5), (9, 5, 0)]
+    assert registry.queries_served == 3
+    assert registry.connect(12, 7).session_id == 3
+    dataset = registry.datasets[7]
+    assert dataset.log == [(0, 3, 2), (0, 11, -1), (1, 0, 5),
+                           (0, 3, HALF), (0, 4, -HALF)]
+    assert dataset.freq_a[3] == 2 + HALF and dataset.freq_a[4] == -HALF
+    assert dataset.freq_a[11] == -1 and dataset.freq_b[0] == 5
+    # ...and writes the same file back.
+    again = tmp_path / "again.json"
+    registry._next_session_id = 3
+    registry.snapshot(again)
+    assert again.read_text(encoding="utf-8") == PARENT_SNAPSHOT

@@ -253,8 +253,10 @@ def test_a_refused_block_changes_nothing():
     freq, log = list(dataset.freq_a), list(dataset.log)
     with pytest.raises(RegistryError):
         dataset.apply(0, [(1, 5), (2, 7), (99, 1)])
-    with pytest.raises(TypeError):
-        dataset.apply(0, [(1, 5), (2, "7")])
+    # Not integers: a columnar split must not parse "7" or truncate 7.9.
+    for delta in ("7", 7.9, None):
+        with pytest.raises(TypeError):
+            dataset.apply(0, [(1, 5), (2, delta)])
     assert dataset.freq_a == freq and dataset.log == log
     assert dataset.n_updates == 2
     # Nothing changed, so the cached table is still the current one.

@@ -12,7 +12,11 @@ checked against the paper's asymptotic bounds.
 
 from __future__ import annotations
 
+import os
+import platform
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -23,7 +27,7 @@ from repro.adversary.cheating_provers import (
     OmittingSubVectorProver,
 )
 from repro.comm.channel import flip_word
-from repro.comm.wire import encode_transcript
+from repro.comm.wire import MAX_MESSAGE_WORDS, encode_transcript
 from repro.core.base import pow2_dimension
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.modular import PrimeField
@@ -244,7 +248,7 @@ def test_registry_dataset_apply_and_replay():
     assert dataset.freq_a[3] == 2 and dataset.freq_a[5] == -1
     assert dataset.freq_b[1] == 4
     assert dataset.n_updates == 3
-    assert dataset.replay_slice(1, 10) == [(0, 5, -1), (1, 1, 4)]
+    assert list(dataset.replay_slice(1, 10)) == [(0, 5, -1), (1, 1, 4)]
     with pytest.raises(RegistryError):
         dataset.apply(0, [(16, 1)])
     # The failed batch applied its valid prefix and logged it.
@@ -357,6 +361,47 @@ def test_server_rejects_bad_requests(server):
             client._prover_call(999, sp.M_BEGIN_PROOF, [])
         # The session survives all of the above and still verifies.
         client.send_updates([(3, 4)])
+        assert client.query(f2())[0].result.accepted
+
+
+def test_damaged_updates_frames_are_typed_errors_on_a_live_connection(
+        server):
+    """Every damaged form of a T_UPDATES body — the node decodes it
+    straight into columns — is answered with a T_ERROR frame on a
+    connection that stays up, and applies nothing."""
+    dataset_id = fresh_dataset_id()
+    client = connect(server, 64, dataset_id, seed=9)
+    with client:
+        client.provision(("f2",), 1)
+        client.send_updates([(1, 2), (5, -3)])
+        dataset = server.server.registry.datasets[dataset_id]
+        good = sp.updates_payload(F, 0, [(2, 1), (3, F.p - 1), (4, 7)])
+        count, raw = good[:4], good[4:]
+        damaged = {
+            "length prefix": [good[:2], b""],
+            "does not match": [good[:-3], good + b"\x00",
+                               (9).to_bytes(4, "big") + raw],
+            "cap": [(MAX_MESSAGE_WORDS + 1).to_bytes(4, "big") + raw],
+            "wrong shape": [(6).to_bytes(4, "big") + raw[:48]],
+            "word 4 is not a canonical": [
+                count + raw[:32] + F.p.to_bytes(8, "big") + raw[40:]],
+            "unknown update vector": [
+                count + (2).to_bytes(8, "big") + raw[8:]],
+            "outside universe": [
+                sp.updates_payload(F, 0, [(2, 1), (64, 1)])],
+        }
+        for message, payloads in damaged.items():
+            for payload in payloads:
+                with pytest.raises(ServiceClientError, match=message):
+                    client._request(sp.T_UPDATES, client.session_id,
+                                    payload, expect=sp.T_UPDATES_ACK)
+                assert dataset.n_updates == 2
+        assert dataset.freq_a[1] == 2 and dataset.freq_a[5] == -3
+        # Same connection, same session: the good frame lands, its
+        # p - 1 read as -1, and the verifier's next proof checks out
+        # against the stream it knows.
+        client.send_updates([(2, 1), (3, -1), (4, 7)])
+        assert dataset.n_updates == 5 and dataset.freq_a[3] == -1
         assert client.query(f2())[0].result.accepted
 
 
@@ -510,6 +555,54 @@ def test_late_join_replay_catches_up(server):
             second = reader.query(f2())[0]
             assert second.result.accepted
             assert second.result.value == first.result.value
+
+
+# -- the node process keeps its heap -------------------------------------------
+
+
+def _minor_faults(pid):
+    with open("/proc/%d/stat" % pid) as fh:  # field 10, after "(comm)"
+        return int(fh.read().rsplit(")", 1)[1].split()[7])
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/stat"),
+    reason="the heap rule is two glibc mallopt calls, read back from /proc")
+def test_node_process_takes_no_page_faults_per_query():
+    """``python -m repro.service`` raises glibc's trim and mmap thresholds
+    at start, so a steady-state query runs in memory the node already
+    holds.  Without the two calls this scenario costs 28 minor faults per
+    query (the heap top is trimmed after every round's temporaries and
+    faulted back in on the next), with them 0 — on any heap layout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    node = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "--port", "0"],
+        stdout=subprocess.PIPE, env=env, text=True)
+    try:
+        _tag, _listening, host, port = node.stdout.readline().split()
+        u = 1 << 12
+        rng = random.Random(5)
+        with ServiceClient(host, int(port), F, u, dataset_id=1,
+                           rng=random.Random(1)) as client:
+            client.provision(("range-sum",), 230)
+            client.send_updates([(rng.randrange(u), rng.randrange(1, 5))
+                                 for _ in range(5000)])
+
+            def run(queries):
+                for _ in range(queries):
+                    lo = rng.randrange(u)
+                    (outcome,) = client.query(
+                        range_sum(lo, rng.randrange(lo, u)))
+                    assert outcome.result.accepted
+
+            run(30)  # warm-up: the heap grows to its working size
+            before = _minor_faults(node.pid)
+            run(200)
+            assert _minor_faults(node.pid) - before < 200
+    finally:
+        node.terminate()
+        node.wait(timeout=10)
+        node.stdout.close()
 
 
 # -- cheating provers over the wire -------------------------------------------

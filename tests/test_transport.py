@@ -20,6 +20,7 @@ from repro.service import protocol as sp
 from repro.service.transport import (
     BlockingFrameLink,
     FrameLink,
+    FrameListener,
     LinkClosed,
     LinkTimeout,
     frame_trace,
@@ -238,3 +239,51 @@ def test_async_deadlines_tell_idle_from_a_stalled_frame():
     for fed in (raw[: sp.HEADER_LEN], raw[: sp.HEADER_LEN + 20]):
         stalled = asyncio.run(main(fed))
         assert stalled.mid_frame is True and stalled.session_id == 7
+
+
+# -- the listener lifecycle -----------------------------------------------------
+
+
+class _ReadUntilHangUp(FrameListener):
+    async def _serve(self, link):
+        while True:
+            await link.read_frame()
+
+
+def test_stop_over_conversations_that_are_winding_down_is_silent():
+    """``stop()`` cancels every conversation wherever it stands: still
+    reading, or already past its peer's hang-up and waiting for its own
+    transport to close.  Either way the task must end *normally* — on
+    Python < 3.12 asyncio's done-callback for an accepted connection
+    calls ``task.exception()``, which raises on a cancelled task and
+    lands in the loop's exception handler as ``Exception in callback``.
+    Clients hang up and the listener stops in the same loop iteration,
+    and one, two, ... iterations later; the handler must record nothing.
+    """
+    recorded = []
+
+    async def main(yields):
+        loop = asyncio.get_running_loop()
+        loop.set_exception_handler(
+            lambda _loop, context: recorded.append((yields, context)))
+        listener = _ReadUntilHangUp("127.0.0.1", 0)
+        await listener.start()
+        links = [await FrameLink.dial("127.0.0.1", listener.port)
+                 for _ in range(6)]
+        while len(listener._tasks) < len(links):
+            await asyncio.sleep(0)
+        for link in links[:4]:  # the other two are cancelled mid-read
+            link.close()
+        for _ in range(yields):
+            await asyncio.sleep(0)
+        await listener.stop()
+        assert not listener._tasks
+        for link in links[4:]:
+            with pytest.raises(LinkClosed):
+                await link.read_frame()
+            await link.aclose()
+        await asyncio.sleep(0.01)  # let every scheduled callback run
+
+    for yields in range(6):
+        asyncio.run(main(yields))
+    assert recorded == []

@@ -404,3 +404,97 @@ def test_updates_frame_from_columns_equals_the_per_pair_reference(field):
         sp.updates_payload(field, 0, pairs)
     assert prepare_block(be, u, pairs + [(1, 1 << 63)]).columns is None
 
+
+
+# -- ...and decoded straight back into columns ----------------------------------
+
+HALF_P = F.p >> 1
+
+update_words = st.one_of(
+    st.integers(0, F.p - 1),
+    st.sampled_from([0, 1, HALF_P - 1, HALF_P, HALF_P + 1, HALF_P + 2,
+                     F.p - 2, F.p - 1]),
+)
+update_bodies = st.tuples(
+    st.integers(0, 1),
+    st.lists(st.tuples(update_words, update_words), max_size=40),
+)
+
+
+def _updates_frame(vector, word_pairs):
+    return encode_words(F, [vector] + [w for pair in word_pairs for w in pair])
+
+
+def _decode_both(payload):
+    """``(vector, keys, deltas)`` or the error, from the per-pair decoder
+    and from the columnar one on every backend."""
+    from repro.service import protocol as sp
+
+    def run(decode):
+        try:
+            vector, keys, deltas = decode()
+        except sp.ServiceProtocolError as exc:
+            return type(exc), str(exc)
+        if HAVE_NUMPY:
+            import numpy as np
+
+            if isinstance(keys, np.ndarray):
+                assert keys.dtype == deltas.dtype == np.int64
+        keys, deltas = list(map(int, keys)), list(map(int, deltas))
+        return vector, keys, deltas
+
+    def reference():
+        vector, pairs = sp.parse_updates(F, payload)
+        return (vector, [k for k, _ in pairs], [d for _, d in pairs])
+
+    results = [run(reference)]
+    for name in ["scalar"] + (["vectorized"] if HAVE_NUMPY else []):
+        backend = get_backend(F, name)
+        results.append(run(
+            lambda: sp.parse_updates_columns(backend, F, payload)))
+    assert all(result == results[0] for result in results), results
+    return results[0]
+
+
+@given(update_bodies)
+def test_columnar_updates_decoder_equals_the_per_pair_one(body):
+    vector, word_pairs = body
+    decoded = _decode_both(_updates_frame(vector, word_pairs))
+    assert decoded[0] == vector
+    assert decoded[1] == [key for key, _ in word_pairs]
+    assert decoded[2] == [word - F.p if word > HALF_P else word
+                          for _, word in word_pairs]
+
+
+def test_columnar_updates_decoder_edges():
+    assert _decode_both(_updates_frame(1, [])) == (1, [], [])
+    assert _decode_both(_updates_frame(0, [(F.p - 1, HALF_P)])) == \
+        (0, [F.p - 1], [HALF_P])
+    assert _decode_both(_updates_frame(0, [(0, HALF_P + 1)])) == \
+        (0, [0], [-HALF_P])
+
+
+@given(update_bodies, st.data())
+def test_columnar_updates_decoder_refuses_what_the_per_pair_one_does(
+        body, data):
+    from repro.service import protocol as sp
+
+    vector, word_pairs = body
+    good = _updates_frame(vector, word_pairs)
+    n = 1 + 2 * len(word_pairs)
+    raw = good[4:]
+    position = data.draw(st.integers(0, n - 1))
+    over = data.draw(st.integers(F.p, (1 << 64) - 1)).to_bytes(8, "big")
+    damaged = [
+        good[:data.draw(st.integers(0, 3))],              # truncated prefix
+        good[:-1], good + b"\x00",                        # length ≠ declared
+        (n + 2).to_bytes(4, "big") + raw,
+        (MAX_MESSAGE_WORDS + 1).to_bytes(4, "big") + raw,  # over the cap
+        (n + 1).to_bytes(4, "big") + raw + raw[:8],       # even word count
+        good[:4] + raw[:8 * position] + over + raw[8 * position + 8:],
+        good[:4] + (2).to_bytes(8, "big") + raw[8:],      # vector 2
+        b"",
+    ]
+    for payload in damaged:
+        error, message = _decode_both(payload)
+        assert error is sp.ServiceProtocolError and message

@@ -5,7 +5,9 @@ scalar == vectorized, wire == in-process), so a refactor that moved all
 of them together would pass.  This file pins, per protocol and per
 backend, ``sha256(encode_transcript(...))`` of one fixed-seed run plus
 the verified value and the verifier's space — generated at commit
-a5e7b64 (``python tests/test_transcript_golden.py`` prints the table).
+a5e7b64; ``fk1``, ``fk2``, ``fk5`` and ``two-order-batch`` at e710c65,
+before the moment kernel replaced the line stack under them
+(``python tests/test_transcript_golden.py`` prints the table).
 """
 
 from __future__ import annotations
@@ -104,9 +106,9 @@ def golden_f2_tampered(be):
     return golden_f2(be, tamper=flip_word(2))
 
 
-def golden_fk(be):
-    prover = FkProver(F, U, 3, backend=be)
-    verifier = FkVerifier(F, U, 3, rng=random.Random(2))
+def golden_fk(be, k=3):
+    prover = FkProver(F, U, k, backend=be)
+    verifier = FkVerifier(F, U, k, rng=random.Random(2))
     _feed(UPDATES_A, prover, verifier)
     channel = Channel()
     return _single(run_fk(prover, verifier, channel), channel)
@@ -169,9 +171,15 @@ MIXED = [batch_range_sum(2, 50), batch_f2(), batch_fk(3),
          batch_inner_product(), batch_range_sum(0, 63)]
 
 
-def golden_mixed_batch(be):
+#: Two distinct moment orders beside F2: the members that share one pass
+#: over the table per round.
+TWO_ORDERS = [batch_f2(), batch_fk(3), batch_fk(4), batch_range_sum(5, 40),
+              batch_inner_product()]
+
+
+def golden_mixed_batch(be, queries=MIXED, seed=8):
     engine = BatchedSumcheckEngine(F, U, backend=be)
-    verifier = BatchedSumcheckVerifier(F, U, rng=random.Random(8))
+    verifier = BatchedSumcheckVerifier(F, U, rng=random.Random(seed))
     for i, delta in UPDATES_A:
         engine.process(i, delta)
         verifier.process_a(i, delta)
@@ -179,7 +187,7 @@ def golden_mixed_batch(be):
         engine.process_b(i, delta)
         verifier.process_b(i, delta)
     channel = Channel()
-    results = run_batched_sumcheck(engine, verifier, MIXED, channel,
+    results = run_batched_sumcheck(engine, verifier, queries, channel,
                                    backend=be)
     return _batch(results, channel)
 
@@ -218,13 +226,17 @@ def golden_range_batch_over_the_wire(be):
 SCENARIOS = {
     "f2": golden_f2,
     "f2-tampered": golden_f2_tampered,
+    "fk1": lambda be: golden_fk(be, 1),
+    "fk2": lambda be: golden_fk(be, 2),
     "fk3": golden_fk,
+    "fk5": lambda be: golden_fk(be, 5),
     "inner-product": golden_inner_product,
     "range-sum": golden_range_sum,
     "general-f2-ell3": golden_general_f2,
     "frequency-based-f0": golden_frequency_based,
     "batch-range-sum": golden_batch_range_sum,
     "mixed-batch": golden_mixed_batch,
+    "two-order-batch": lambda be: golden_mixed_batch(be, TWO_ORDERS, seed=11),
     "mixed-batch-wire": golden_mixed_batch_over_the_wire,
     "range-batch-wire": golden_range_batch_over_the_wire,
 }
@@ -241,9 +253,18 @@ GOLDEN = {
     "f2-tampered": (
         "ae2f45a3756e0a11b8884ce2655f119d0c78aca200bc7f5fbc2c39731ece9ab6",
         None, 12),
+    "fk1": (
+        "b5ff45ecd61f56f4a397a964034e969ffaf1a17d0b77663b2070ef89821208ae",
+        230, 11),
+    "fk2": (
+        "6fba95ec196bcbd4d78b42d25c05ec059b9912877d65a1b2fd396fd8590d8803",
+        1510, 12),
     "fk3": (
         "cf30a55d9a770ef25a9fb6a8f7e64b746cf617cf90e3aaa949cf6432b5506820",
         11780, 13),
+    "fk5": (
+        "adef2e34fe14676048db3da5686441e3fb27d50ac5ec7ddfaf1a128e3c980ea0",
+        999260, 15),
     "frequency-based-f0": (
         "fd9b8dbdd10cd67b06a138dfbf3cc5ff518d7c699e71224ea5890a2b495e0060",
         46, 103),
@@ -265,6 +286,9 @@ GOLDEN = {
     "range-sum": (
         "c1ff793b21449f2b87777c69aa22983c83af63138274240cae041f82b849b9d6",
         136, 13),
+    "two-order-batch": (
+        "a04589a35016cf0e5d799e8508193ca2cfb0b91e74c5adcd824faf8bdf40e499",
+        [1510, 11780, 103786, 136, 456], 36),
 }
 
 

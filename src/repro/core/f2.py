@@ -56,7 +56,7 @@ class F2Prover:
 
     def true_answer(self) -> int:
         """Exact integer F2 (what an honest cloud reports)."""
-        return sum(f * f for f in self.freq)
+        return sum(f * f for f in self.backend.to_list(self.freq))
 
     # -- proof phase ---------------------------------------------------------
 

@@ -24,6 +24,23 @@ from repro.field.vectorized import (
 )
 
 
+#: Largest moment order the service and the batch constructors accept.
+#: A proof is (k + 1)·d words and the prover's weights (k + 1)² integers
+#: of k·log k bits, so the order is a resource an open must bound before
+#: it allocates; 64 is (k + 1)·d <= 1300 words at d = 20, and the
+#: soundness error d·k/p stays below 2^-50.
+MAX_MOMENT_ORDER = 64
+
+
+def check_moment_order(k: int) -> int:
+    """``k`` if a request may name it as a moment order, else ValueError."""
+    if not 1 <= k <= MAX_MOMENT_ORDER:
+        raise ValueError(
+            "moment order k must be in 1..%d, got %d" % (MAX_MOMENT_ORDER, k)
+        )
+    return k
+
+
 class FkProver:
     """Honest prover for the k-th frequency moment, table folding as in B.1.
 
@@ -52,15 +69,16 @@ class FkProver:
             self.freq[i] += delta
 
     def true_answer(self) -> int:
-        return sum(f**self.k for f in self.freq)
+        # Python ints: a ``freq=`` table may be a uint64 array.
+        return sum(f**self.k for f in self.backend.to_list(self.freq))
 
     def begin_proof(self) -> None:
         self._table = canonical_table(self.backend, self.field, self.freq)
 
     def round_message(self) -> List[int]:
         """Evaluations [g(0), ..., g(k)] of the degree-k round polynomial:
-        g(c) = Σ_t ((1-c)·A[2t] + c·A[2t+1])^k — one pair-line stack and
-        its per-row power sums (shared with the batched engine)."""
+        g(c) = Σ_t ((1-c)·A[2t] + c·A[2t+1])^k, from the k + 1 pair
+        moments of the table (shared with the batched engine)."""
         if self._table is None:
             raise RuntimeError("begin_proof() must be called first")
         return fk_round_sums(self.backend, self.field, self._table, self.k)

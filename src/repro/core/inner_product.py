@@ -60,7 +60,9 @@ class InnerProductProver:
             self.freq_b[i] += delta
 
     def true_answer(self) -> int:
-        return sum(x * y for x, y in zip(self.freq_a, self.freq_b))
+        to_list = self.backend.to_list
+        return sum(x * y for x, y in zip(to_list(self.freq_a),
+                                         to_list(self.freq_b)))
 
     def set_b_vector(self, b: Sequence[int]) -> None:
         """Install an explicit b (e.g. a dense query-time range indicator)."""

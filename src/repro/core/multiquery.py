@@ -30,16 +30,16 @@ from repro.core.base import (
     pow2_dimension,
     rejected,
 )
+from repro.core.fk import check_moment_order
 from repro.core.inner_product import InnerProductVerifier
 from repro.field.modular import PrimeField
 from repro.field.polynomial import evaluate_from_evals_batch
 from repro.field.vectorized import (
     canonical_table,
-    f2_round_sums,
-    fk_round_sums,
     fold_pairs,
     get_backend,
     inner_product_round_sums,
+    moment_round_sums,
 )
 from repro.lde.canonical import chi_at, dyadic_cover, range_indicator_eval
 from repro.lde.streaming import DEFAULT_BLOCK, SketchStack
@@ -115,7 +115,7 @@ def batch_f2() -> BatchQuery:
 
 
 def batch_fk(k: int) -> BatchQuery:
-    return BatchQuery(BATCH_KIND_FK, (k,))
+    return BatchQuery(BATCH_KIND_FK, (check_moment_order(k),))
 
 
 def batch_inner_product() -> BatchQuery:
@@ -223,10 +223,11 @@ class BatchedSumcheckEngine:
     closed-form node terms per query (products of χ factors against
     a-table segments), mirroring the verifier's O(log² u)
     canonical-interval evaluation; no dense indicator is ever built.
-    The Fk rounds are one ``pair_line_stack``/``rows_pow_sums`` pass per
-    distinct k.  The per-query loops of the scalar backend are the
-    reference; transcripts are identical whichever backend — and
-    identical to the standalone one-query provers, message for message.
+    The F2 and Fk members share one pair-moment pass
+    (:func:`~repro.field.vectorized.moment_round_sums`, F2 as order 2)
+    whatever their orders.  Transcripts are identical whichever backend
+    — and identical to the standalone one-query provers, message for
+    message.
 
     :func:`run_batched_sumcheck` drives one of these — built locally
     from the dataset's frequency vectors or standing in for a remote
@@ -248,6 +249,7 @@ class BatchedSumcheckEngine:
         self._queries: Optional[List[BatchQuery]] = None
         self._a_table = None
         self._b_table = None
+        self._moment_orders: List[int] = []
         self._range_index: List[int] = []
         self._dyadic: List[_DyadicIndicator] = []
         self._round_index = 0
@@ -308,6 +310,10 @@ class BatchedSumcheckEngine:
             if any(q.kind == BATCH_KIND_INNER_PRODUCT for q in queries)
             else None
         )
+        self._moment_orders = sorted({
+            q.degree for q in queries
+            if q.kind in (BATCH_KIND_F2, BATCH_KIND_FK)
+        })
         self._range_index = [
             idx for idx, q in enumerate(queries)
             if q.kind == BATCH_KIND_RANGE_SUM
@@ -339,10 +345,10 @@ class BatchedSumcheckEngine:
     def round_messages(self) -> List[List[int]]:
         """Every query's committed round polynomial, in batch order.
 
-        Queries of one family share the committed computation: all F2
-        members reuse one :func:`f2_round_sums` pass, Fk members one
-        stacked pass per distinct k, INNER-PRODUCT members one two-table
-        pass, and the RANGE-SUM members one prefix-sum pass.
+        Queries of one family share the committed computation: the F2
+        and Fk members one pair-moment pass (F2 is order 2), the
+        INNER-PRODUCT members one two-table pass, and the RANGE-SUM
+        members one prefix-sum pass.
         """
         if self._queries is None:
             raise RuntimeError("receive_batch() must be called first")
@@ -354,16 +360,12 @@ class BatchedSumcheckEngine:
             for idx, message in zip(self._range_index,
                                     self._range_round_messages()):
                 messages[idx] = message
-        f2_message: Optional[List[int]] = None
         ip_message: Optional[List[int]] = None
-        fk_messages = self._fk_round_messages()
+        moment_messages = moment_round_sums(
+            be, field, a_table, self._moment_orders)
         for idx, q in enumerate(self._queries):
-            if q.kind == BATCH_KIND_F2:
-                if f2_message is None:
-                    f2_message = f2_round_sums(be, field, a_table)
-                messages[idx] = list(f2_message)
-            elif q.kind == BATCH_KIND_FK:
-                messages[idx] = list(fk_messages[q.params[0]])
+            if q.kind in (BATCH_KIND_F2, BATCH_KIND_FK):
+                messages[idx] = list(moment_messages[q.degree])
             elif q.kind == BATCH_KIND_INNER_PRODUCT:
                 if ip_message is None:
                     ip_message = inner_product_round_sums(
@@ -371,45 +373,6 @@ class BatchedSumcheckEngine:
                     )
                 messages[idx] = list(ip_message)
         return messages
-
-    def _fk_round_messages(self):
-        """One message per distinct k among the batch's Fk members.
-
-        Every k shares one pair-line stack over the current a-table
-        (rows c = 0..k_max) and one incremental power chain
-        ``stack^2, stack^3, ...``: the degree-k message is the per-row
-        sums of the first k+1 rows of ``stack^k``, so the whole Fk
-        family costs k_max - 1 stacked multiplies per round instead of
-        one full pass per distinct k.  The scalar backend keeps the
-        per-k reference loop (:func:`fk_round_sums`); messages are
-        identical either way.
-        """
-        ks = sorted(
-            {
-                q.params[0]
-                for q in self._queries
-                if q.kind == BATCH_KIND_FK
-            }
-        )
-        if not ks:
-            return {}
-        be = self.backend
-        field = self.field
-        if not getattr(be, "vectorized", False):
-            return {
-                k: fk_round_sums(be, field, self._a_table, k) for k in ks
-            }
-        k_max = ks[-1]
-        lines = be.pair_line_stack(self._a_table, range(k_max + 1))
-        out = {}
-        if ks[0] == 1:
-            out[1] = be.row_sums(lines[:2])
-        power = lines
-        for e in range(2, k_max + 1):
-            power = be.mul(power, lines)
-            if e in ks:
-                out[e] = be.row_sums(power[: e + 1])
-        return out
 
     def receive_challenge(self, r: int) -> None:
         """Fold the shared tables and every indicator's nodes with ``r``."""

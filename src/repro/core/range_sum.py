@@ -39,7 +39,7 @@ class RangeSumProver(BatchedSumcheckEngine):
         self._query = None
 
     def true_answer(self, lo: int, hi: int) -> int:
-        return sum(self.freq_a[lo : hi + 1])
+        return sum(self.backend.to_list(self.freq_a[lo : hi + 1]))
 
     def receive_query(self, lo: int, hi: int) -> None:
         if not 0 <= lo <= hi < self.size:

@@ -32,9 +32,11 @@ import os
 import random
 import sys
 import threading
+from functools import lru_cache
 from itertools import chain
+from math import comb
 from operator import index
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.field.modular import PrimeField
 
@@ -404,32 +406,6 @@ class ScalarBackend:
         """Per-row inner product with a shared weight vector."""
         field = self.field
         return [field.dot(row, weights) for row in stack]
-
-    def pair_line_stack(self, table, points: Sequence[int]):
-        """Stack of pair-line evaluations of a folded proof table.
-
-        Row ``c`` holds ``(1-c)·T[2t] + c·T[2t+1]`` for every pair ``t`` —
-        the lines a sum-check round polynomial is summed over, evaluated
-        at each requested point at once."""
-        p = self.p
-        out = []
-        for c in points:
-            c %= p
-            w0 = (1 - c) % p
-            out.append(
-                [
-                    (w0 * table[t] + c * table[t + 1]) % p
-                    for t in range(0, len(table), 2)
-                ]
-            )
-        return out
-
-    def rows_pow_sums(self, stack, e: int) -> List[int]:
-        """Per-row ``Σ row**e mod p`` of a stack (degree-k round sums)."""
-        if e < 0:
-            raise ValueError("rows_pow_sums needs a non-negative exponent")
-        field = self.field
-        return [sum(field.pow(v, e) for v in row) % self.p for row in stack]
 
     # -- pair prefix sums ----------------------------------------------------
     #
@@ -1009,48 +985,6 @@ class VectorizedField:
             ((sums[2 + high] << 32) + sums[2 + low]) % p,
         )
 
-    def pair_line_stack(self, table, points: Sequence[int]):
-        """Stack of pair-line evaluations of a folded proof table.
-
-        Row ``c`` is ``E + c·(O - E)`` over the even/odd halves — every
-        pair-line of the table evaluated at point ``c``: the halves
-        themselves at 0 and 1, one scalar multiply per further point."""
-        table = (
-            table if isinstance(table, _np.ndarray) else self.asarray(table)
-        )
-        even = table[0::2]
-        odd = table[1::2]
-        p = self.p
-        out = _np.empty((len(points), even.shape[0]), dtype=self.dtype)
-        diff = None
-        for row, c in zip(out, points):
-            c = int(c) % p
-            if c == 0:
-                row[...] = even
-            elif c == 1:
-                row[...] = odd
-            else:
-                if diff is None:
-                    diff = self.sub(odd, even)
-                row[...] = self.add(even, self.mul(c, diff))
-        return out
-
-    def rows_pow_sums(self, stack, e: int) -> List[int]:
-        """Per-row ``Σ row**e mod p`` by 2-D square-and-multiply."""
-        if e < 0:
-            raise ValueError("rows_pow_sums needs a non-negative exponent")
-        if e == 0:
-            return [stack.shape[1] % self.p] * stack.shape[0]
-        result = None
-        base = stack
-        while e:
-            if e & 1:
-                result = base if result is None else self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return self.row_sums(result)
-
     # -- aggregates ----------------------------------------------------------
 
     def sum(self, arr) -> int:
@@ -1170,6 +1104,19 @@ def frozen_table(backend: Backend, field: PrimeField, values) -> object:
     return tuple(table)
 
 
+def _split_limbs(values, bound: int, rows):
+    """The 22-bit limbs of ``values`` (canonical, at most ``bound`` >=
+    2^22) written to the three ``rows``, low limb first; returns the two
+    or three ``bound`` reaches."""
+    _np.bitwise_and(values, _MASK22, out=rows[0])
+    _np.right_shift(values, _U22, out=rows[1])
+    if not bound >> 44:
+        return rows[:2]
+    _np.right_shift(values, _U44, out=rows[2])
+    _np.bitwise_and(rows[1], _MASK22, out=rows[1])
+    return rows
+
+
 def _tile_limbs(backend: "VectorizedField", table, a: int, b: int,
                 column: int = 0):
     """22-bit limbs of table entries ``[2a, 2b)`` — one tile's pairs — as
@@ -1179,18 +1126,12 @@ def _tile_limbs(backend: "VectorizedField", table, a: int, b: int,
     the thread's scratch, ``column`` 0 or 1 choosing the half of it.
     """
     tile = table[2 * a : 2 * b]
-    count = -(-int(tile.max()).bit_length() // 22)
-    if count <= 1:
+    bound = int(tile.max())
+    if bound < 1 << 22:
         return tile[None, :]
     start = 2 * _TILE_PAIRS * column
-    limbs = backend.tile_scratch(4 * _TILE_PAIRS)[
-        :count, start : start + tile.shape[0]]
-    _np.bitwise_and(tile, _MASK22, out=limbs[0])
-    _np.right_shift(tile, _U22, out=limbs[1])
-    if count == 3:
-        _np.right_shift(tile, _U44, out=limbs[2])
-        _np.bitwise_and(limbs[1], _MASK22, out=limbs[1])
-    return limbs
+    return _split_limbs(tile, bound, backend.tile_scratch(
+        4 * _TILE_PAIRS)[:3, start : start + tile.shape[0]])
 
 
 def _limb_products(xs, ys) -> int:
@@ -1272,65 +1213,158 @@ def fold_pairs(backend: Backend, field: PrimeField, table, r: int,
     ]
 
 
-def f2_round_sums(backend: Backend, field: PrimeField, table) -> List[int]:
-    """[g(0), g(1), g(2)] of the F2 sum-check round polynomial.
+def _moment_tile(top_order: int) -> Tuple[int, int]:
+    """``(rows, pairs)`` of one tile of :func:`_pair_moments_m61`: five
+    work rows and three limb rows for each power 1 .. k-1 — 3k + 2 — of a
+    tile must fit the 5 × 2^15 scratch entries, so the tile shrinks as
+    the top order grows and memory grows with neither k nor the table."""
+    rows = 3 * max(top_order, 2) + 2
+    return rows, min(_TILE_PAIRS, 10 * _TILE_PAIRS // rows)
 
-    With the current folded table A (pairs sharing a suffix adjacent):
-    ``g(c) = Σ_t ((1-c)·A[2t] + c·A[2t+1])²`` — three inner products over
-    the even/odd halves, with ``g(2) = g(0) + 4·g(1) - 4·Σ A[2t]·A[2t+1]``
-    recombined from the mixed product.  Shared by the centralised F2
-    prover, the shard workers and the coordinator, on either backend.
 
-    On ``uint64`` Mersenne-61 tables the products are exact limb dots, a
-    tile at a time, over only the limbs the tile's entries reach: before
-    the first challenge the table is the data, and counts below 2^22 cost
-    three dots a tile instead of twenty-one.
+def _pair_moments_m61(backend: "VectorizedField", table, orders):
+    """``{k: [Σ_t E_t^(k-j)·O_t^j for j = 0..k]}`` of a ``uint64``
+    Mersenne-61 table as exact Python ints, a tile at a time.
+
+    The halves are interleaved, so ``tile^e`` is one product over the
+    tile for both: a plain ``uint64`` multiply while ``top^e < p`` (all
+    of round 0 on count data), :func:`_mul_m61_into` after.  Each power
+    is split into only the limbs its bound reaches and a moment is one
+    :func:`_limb_products` of strided views.  All rows live in the
+    thread's scratch (:func:`_moment_tile`).
     """
-    p = field.p
+    top_order = orders[-1]
+    rows, step = _moment_tile(top_order)
+    scratch = backend.tile_scratch(4 * _TILE_PAIRS).reshape(-1)[
+        : 2 * step * rows].reshape(rows, 2 * step)
+    moments = {k: [0] * (k + 1) for k in orders}
+    pairs = table.shape[0] // 2
+    for a in range(0, pairs, step):
+        tile = table[2 * a : 2 * min(a + step, pairs)]
+        work = scratch[:, : tile.shape[0]]
+        top = bound = int(tile.max())
+        limbs = [None, tile[None, :] if bound < 1 << 22
+                 else _split_limbs(tile, bound, work[5:8])]
+        power = tile
+        for e in range(2, top_order):
+            bound *= top
+            block = work[3 * e + 2 : 3 * e + 5]
+            # A one-limb power is its own limb row and must survive the
+            # next product; wider ones are split, so they share row 0.
+            narrow = bound < 1 << 22
+            dest = block[0] if narrow else work[0]
+            if bound < _MERSENNE_61:
+                _np.multiply(power, tile, out=dest)
+            else:
+                bound = _MERSENNE_61 - 1
+                if power is not dest:
+                    _np.copyto(dest, power)
+                spare, t0, t1, t2 = work[1:5]
+                _np.copyto(spare, tile)
+                _mul_m61_into(dest, spare, t0, t1, t2)
+            power = dest
+            limbs.append(power[None, :] if narrow
+                         else _split_limbs(power, bound, block))
+        even = [m if m is None else m[:, 0::2] for m in limbs]
+        odd = [m if m is None else m[:, 1::2] for m in limbs]
+        for k, sums in moments.items():
+            if k == 1:
+                halves = limbs[1].reshape(limbs[1].shape[0], -1, 2)
+                for i, (e, o) in enumerate(
+                        halves.sum(axis=1, dtype=_np.uint64).tolist()):
+                    sums[0] += e << (22 * i)
+                    sums[1] += o << (22 * i)
+                continue
+            sums[0] += _limb_products(even[k - 1], even[1])
+            sums[k] += _limb_products(odd[k - 1], odd[1])
+            for j in range(1, k):
+                sums[j] += _limb_products(even[k - j], odd[j])
+    return moments
+
+
+@lru_cache(maxsize=64)
+def _line_power_weights(k: int):
+    """Row c = 2..k: the integer coefficients of the pair moments in
+    ``Σ_t ((1-c)·E_t + c·O_t)^k`` — ``C(k,j)·(1-c)^(k-j)·c^j``, negative
+    where k - j is odd.  (At c = 0 and 1 the sum is a moment itself.)"""
+    return tuple(
+        tuple(comb(k, j) * (1 - c) ** (k - j) * c ** j for j in range(k + 1))
+        for c in range(2, k + 1)
+    )
+
+
+def moment_round_sums(backend: Backend, field: PrimeField, table,
+                      orders) -> Dict[int, List[int]]:
+    """``{k: [g(0), ..., g(k)]}`` of the degree-k sum-check round
+    polynomials ``g(c) = Σ_t ((1-c)·A[2t] + c·A[2t+1])^k`` for every
+    order k asked for, in one pass over the folded table A.
+
+    ``g(c) = Σ_j C(k,j)·(1-c)^(k-j)·c^j · M_j`` with the k + 1 pair
+    moments ``M_j = Σ_t A[2t]^(k-j)·A[2t+1]^j``: k - 2 elementwise
+    products give the powers every order shares, each moment is one
+    inner product, and the weights are exact integers reduced once at
+    the end.  Shared by the F2 / Fk provers (order 2 is F2), the shard
+    workers and the batched engine, on either backend.
+    """
+    orders = sorted(set(orders))
+    if not orders:
+        return {}
+    if orders[0] < 1:
+        raise ValueError("moment order k must be >= 1, got %d" % orders[0])
     table = ensure_backend_array(backend, table)
     if getattr(backend, "_is_m61", False):
-        g0 = g1 = gm = 0
-        pairs = table.shape[0] // 2
-        for a in range(0, pairs, _TILE_PAIRS):
-            limbs = _tile_limbs(
-                backend, table, a, min(a + _TILE_PAIRS, pairs))
-            lo, hi = limbs[:, 0::2], limbs[:, 1::2]
-            g0 += _limb_products(lo, lo)
-            g1 += _limb_products(hi, hi)
-            gm += _limb_products(lo, hi)
-        return [g0 % p, g1 % p, (g0 + 4 * g1 - 4 * gm) % p]
-    if getattr(backend, "vectorized", False):
-        lo = table[0::2]
-        hi = table[1::2]
-        g0 = backend.dot(lo, lo)
-        g1 = backend.dot(hi, hi)
-        gm = backend.dot(lo, hi)
-        return [g0, g1, (g0 + 4 * g1 - 4 * gm) % p]
-    g0 = g1 = g2 = 0
-    for t in range(0, len(table), 2):
-        lo = table[t]
-        hi = table[t + 1]
-        g0 += lo * lo
-        g1 += hi * hi
-        at2 = 2 * hi - lo
-        g2 += at2 * at2
-    return [g0 % p, g1 % p, g2 % p]
+        moments = _pair_moments_m61(backend, table, orders)
+    else:
+        powers = [None, table]
+        for _ in range(2, orders[-1]):
+            powers.append(backend.mul(powers[-1], table))
+        even = [q if q is None else q[0::2] for q in powers]
+        odd = [q if q is None else q[1::2] for q in powers]
+        moments = {
+            k: [backend.sum(even[1]), backend.sum(odd[1])] if k == 1 else
+            [backend.dot(even[k - 1], even[1])]
+            + [backend.dot(even[k - j], odd[j]) for j in range(1, k)]
+            + [backend.dot(odd[k - 1], odd[1])]
+            for k in orders
+        }
+    p = field.p
+    return {
+        k: [sums[0] % p, sums[-1] % p] + [
+            sum(w * m for w, m in zip(row, sums)) % p
+            for row in _line_power_weights(k)]
+        for k, sums in moments.items()
+    }
+
+
+def f2_round_sums(backend: Backend, field: PrimeField, table) -> List[int]:
+    """[g(0), g(1), g(2)] of the F2 sum-check round polynomial
+    ``g(c) = Σ_t ((1-c)·A[2t] + c·A[2t+1])²``: order 2 of
+    :func:`moment_round_sums`, for the standalone F2 prover, the shard
+    workers and the coordinator.
+
+    A Mersenne-61 table takes the three limb products directly: the
+    general kernel's bookkeeping is ≈ 5 µs a call, a sixth of an F2
+    proof at u = 2^12.
+    """
+    table = ensure_backend_array(backend, table)
+    if not getattr(backend, "_is_m61", False):
+        return moment_round_sums(backend, field, table, (2,))[2]
+    p = field.p
+    g0 = g1 = gm = 0
+    pairs = table.shape[0] // 2
+    for a in range(0, pairs, _TILE_PAIRS):
+        limbs = _tile_limbs(backend, table, a, min(a + _TILE_PAIRS, pairs))
+        lo, hi = limbs[:, 0::2], limbs[:, 1::2]
+        g0 += _limb_products(lo, lo)
+        g1 += _limb_products(hi, hi)
+        gm += _limb_products(lo, hi)
+    return [g0 % p, g1 % p, (g0 + 4 * g1 - 4 * gm) % p]
 
 
 def fk_round_sums(backend: Backend, field: PrimeField, table, k: int) -> List[int]:
-    """[g(0), ..., g(k)] of the degree-k sum-check round polynomial.
-
-    ``g(c) = Σ_t ((1-c)·A[2t] + c·A[2t+1])^k``: the pair-lines of the
-    folded table are evaluated at all k+1 points as one stack
-    (:meth:`pair_line_stack`) whose per-row power sums
-    (:meth:`rows_pow_sums`) are the message.  Shared by the Fk prover and
-    the batched multi-query engine, on either backend.
-    """
-    if k < 1:
-        raise ValueError("moment order k must be >= 1, got %d" % k)
-    table = ensure_backend_array(backend, table)
-    lines = backend.pair_line_stack(table, range(k + 1))
-    return backend.rows_pow_sums(lines, k)
+    """[g(0), ..., g(k)] of the degree-k sum-check round polynomial:
+    order k of :func:`moment_round_sums`."""
+    return moment_round_sums(backend, field, table, (k,))[k]
 
 
 def inner_product_round_sums(

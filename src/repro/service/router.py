@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.comm.channel import Channel
 from repro.core.base import VerificationResult
 from repro.core.f2 import F2Prover, F2Verifier, run_f2
-from repro.core.fk import FkProver, FkVerifier, run_fk
+from repro.core.fk import FkProver, FkVerifier, check_moment_order, run_fk
 from repro.core.heavy_hitters import (
     HeavyHittersProver,
     HeavyHittersVerifier,
@@ -213,7 +213,7 @@ def f2(workers: int = 0) -> QueryDescriptor:
 
 
 def fk(k: int) -> QueryDescriptor:
-    return QueryDescriptor(KIND_FK, (k,))
+    return QueryDescriptor(KIND_FK, (check_moment_order(k),))
 
 
 def inner_product() -> QueryDescriptor:
@@ -378,7 +378,8 @@ class QueryRouter:
                                            freq=table(0))
             return F2Prover(field, u, freq=table(0))
         if kind == KIND_FK:
-            return FkProver(field, u, descriptor.params[0], freq=table(0))
+            return FkProver(field, u, check_moment_order(descriptor.params[0]),
+                            freq=table(0))
         if kind == KIND_INNER_PRODUCT:
             return InnerProductProver(field, u, freq_a=table(0),
                                       freq_b=table(1))

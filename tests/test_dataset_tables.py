@@ -16,10 +16,14 @@ import random
 import pytest
 
 from repro.comm.channel import Channel
+from repro.core.f2 import F2Prover
+from repro.core.fk import FkProver
+from repro.core.inner_product import InnerProductProver
+from repro.core.range_sum import RangeSumProver
 from repro.core.subvector import SubVectorAnswer
 from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import DEFAULT_FIELD as F
-from repro.field.vectorized import HAVE_NUMPY
+from repro.field.vectorized import HAVE_NUMPY, frozen_table, get_backend
 from repro.service import (
     ProverServer,
     QueryRouter,
@@ -241,6 +245,30 @@ def test_every_transcript_word_is_a_python_int(descriptors, monkeypatch):
     answers = _flat_ints([getattr(r.value, "value", r.value)
                           for r in results])
     assert answers and all(type(word) is int for word in answers), answers
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("count", [1 << 22, 3 * 10 ** 6, 1 << 32, F.p - 1])
+def test_true_answers_on_a_shared_table_are_exact_python_ints(backend_name,
+                                                              count):
+    """A ``freq=`` table is a uint64 array under NumPy: summing its
+    entries as they come wrapped mod 2^64 from counts of 2^32 (F2,
+    INNER-PRODUCT) or 3·10^6 (F3) up, and handed back ``numpy.uint64``."""
+    backend = get_backend(F, backend_name)
+    table = frozen_table(backend, F, [count, 7] + [0] * 14)
+    other = frozen_table(backend, F, [count, 2] + [1] * 14)
+    answers = [
+        (F2Prover(F, 16, backend=backend, freq=table).true_answer(),
+         count ** 2 + 49),
+        (FkProver(F, 16, 3, backend=backend, freq=table).true_answer(),
+         count ** 3 + 343),
+        (InnerProductProver(F, 16, backend=backend, freq_a=table,
+                            freq_b=other).true_answer(), count ** 2 + 14),
+        (RangeSumProver(F, 16, backend=backend,
+                        freq_a=other).true_answer(0, 9), count + 10),
+    ]
+    for got, want in answers:
+        assert type(got) is int and got == want
 
 
 # -- all-or-nothing apply ------------------------------------------------------

@@ -15,8 +15,10 @@ from __future__ import annotations
 import os
 import platform
 import random
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -29,6 +31,8 @@ from repro.adversary.cheating_provers import (
 from repro.comm.channel import flip_word
 from repro.comm.wire import MAX_MESSAGE_WORDS, encode_transcript
 from repro.core.base import pow2_dimension
+from repro.core.fk import MAX_MOMENT_ORDER
+from repro.core.multiquery import batch_fk
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.modular import PrimeField
 from repro.field.vectorized import HAVE_NUMPY
@@ -55,7 +59,7 @@ from repro.service import (
     successor,
 )
 from repro.service.registry import Dataset, RegistryError, SessionRegistry
-from repro.service.router import KIND_RANGE_SUM, PlanUnit
+from repro.service.router import KIND_FK, KIND_RANGE_SUM, PlanUnit
 from repro.streams.generators import key_value_pairs, uniform_frequency_stream
 from repro.streams.kvstore import OutsourcedKVStore
 
@@ -815,6 +819,56 @@ def test_refused_open_returns_the_verifier_copy():
             assert client.pool_remaining(("f2",)) == 3
     finally:
         handle.stop()
+
+
+def test_an_oversized_moment_order_is_refused_before_it_allocates(server):
+    """The order of a moment is a resource: (k + 1)·d words a proof and,
+    before the moment kernel, a (k + 1) × u/2 array a round — fk(20000)
+    at u = 2^12 was 4 GB and a client timeout.  Above MAX_MOMENT_ORDER
+    an open is a typed error on a connection that stays up, costs no
+    verifier copy and no memory, and the session keeps proving."""
+    u = 1 << 12
+    rng = random.Random(13)
+    updates = [(rng.randrange(u), rng.randrange(1, 9)) for _ in range(3000)]
+    freq = [0] * u
+    for key, delta in updates:
+        freq[key] += delta
+    assert MAX_MOMENT_ORDER == 64
+    for build in (fk, batch_fk):
+        for k in (0, 65, 20000):
+            with pytest.raises(ValueError, match="moment order"):
+                build(k)
+    with connect(server, u, fresh_dataset_id(), seed=13) as client:
+        for k in (3, 64, 65, 20000):
+            client.provision(("fk", k), 1)
+        client.provision(("batch",), 1)
+        client.send_updates(updates)
+        session = server.server.registry.session(client.session_id)
+        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        for k in (65, 20000):
+            refused = QueryDescriptor(KIND_FK, (k,))
+            client._send(client._frame(
+                sp.T_QUERY_OPEN, client.session_id,
+                sp.words_payload(F, [0, *refused.to_words()])))
+            reply_type, _session, payload = client._recv()
+            assert reply_type == sp.T_ERROR
+            code, message = sp.parse_error_struct(payload)
+            assert code == sp.E_GENERIC and "moment order" in message
+            started = time.perf_counter()
+            with pytest.raises(ServiceClientError, match="moment order"):
+                client.query(refused)
+            assert time.perf_counter() - started < 0.05
+            with pytest.raises(ServiceClientError, match="moment order"):
+                client.query(f2(), refused)
+            assert not session.queries
+            assert client.pool_remaining(("fk", k)) == 1
+        assert client.pool_remaining(("batch",)) == 1
+        grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb
+        assert grown_kb < 50 * 1024 or sys.platform != "linux"
+        for k in (3, 64):
+            (outcome,) = client.query(fk(k))
+            assert outcome.result.accepted, outcome.result.reason
+            assert outcome.result.value == sum(f ** k for f in freq) % F.p
 
 
 # -- load generator ------------------------------------------------------------

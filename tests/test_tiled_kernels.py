@@ -1,9 +1,10 @@
 """The tiled prover kernels against exact Python-int arithmetic.
 
-``fold_pairs``, ``f2_round_sums``, ``inner_product_round_sums`` and
-``pair_prefix_sums`` / ``prefix_segment_sums`` work a Mersenne-61 table a
-tile at a time in per-thread scratch, over only the 22-bit limbs the
-data reaches.  Every table length around a tile and a prefix block,
+``fold_pairs``, ``f2_round_sums``, ``moment_round_sums``,
+``inner_product_round_sums`` and ``pair_prefix_sums`` /
+``prefix_segment_sums`` work a Mersenne-61 table a tile at a time in
+per-thread scratch, over only the 22-bit limbs the data reaches.  Every
+table length around a tile and a prefix block,
 every value class at a limb edge, every segment class, and every
 overflow bound the in-place arithmetic leans on is pinned here on both
 backends; only what needs two backends or NumPy itself is skipped when
@@ -21,10 +22,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.f2 import F2Prover
+from repro.core.fk import FkProver
 from repro.core.inner_product import InnerProductProver
 from repro.core.subvector import SubVectorProver
 from repro.field import vectorized as vec
 from repro.field.modular import DEFAULT_FIELD as F
+from repro.field.modular import PrimeField
 from repro.field.vectorized import (
     HAVE_NUMPY,
     ScalarBackend,
@@ -34,6 +37,7 @@ from repro.field.vectorized import (
     fold_pairs,
     frozen_table,
     inner_product_round_sums,
+    moment_round_sums,
 )
 from repro.lde.streaming import TILE_ELEMENTS, StreamingLDE
 
@@ -232,14 +236,88 @@ def test_vectorized_kernels_equal_the_scalar_backend(pairs, more, r):
             fk_round_sums(sb, F, values, k)
 
 
+# -- round messages from pair moments --------------------------------------------
+
+ORDERS = [1, 2, 3, 4, 5, 8, 64]
+
+
+def moment_oracle(values, k, p=P):
+    """[g(0), ..., g(k)] one pair-line and one ``pow`` at a time."""
+    return [
+        sum(pow((1 - c) * values[t] + c * values[t + 1], k, p)
+            for t in range(0, len(values), 2)) % p
+        for c in range(k + 1)
+    ]
+
+
+def check_moments(backend, values, orders):
+    table = frozen_table(backend, F, values)
+    got = moment_round_sums(backend, F, table, orders)
+    assert sorted(got) == sorted(set(orders))
+    for k in got:
+        assert got[k] == moment_oracle(values, k), k
+        assert all(type(word) is int for word in got[k])
+    assert backend.to_list(table) == values
+
+
+@pytest.mark.parametrize("k", ORDERS)
+def test_moments_around_the_tile_each_order_gets(backend, k):
+    """Lengths 2, 4, 6, one pair short of a tile, a tile, a tile and a
+    pair, and three tiles with a ragged fourth — for the tile of this
+    order: 2^13 pairs at k = 2, 7447 at k = 3, 422 at k = 64."""
+    tile = vec._moment_tile(k)[1]
+    for length in (2, 4, 6, 2 * (tile - 1), 2 * tile, 2 * tile + 2):
+        check_moments(backend, pattern("full", length, seed=k), [k])
+    for name in ("counts", "limb_edges", "negative_counts"):
+        check_moments(backend, pattern(name, 6 * tile + 10, seed=k), [k])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+def test_moments_on_either_side_of_the_unreduced_product(backend, k):
+    """A power is a plain uint64 product while top^e < p and a Mersenne
+    product from the first e with top^e >= p: for every e up to k - 1,
+    the largest top still unreduced at e, the smallest reduced there,
+    and a tile where only one entry decides."""
+    for e in range(2, max(k, 3)):
+        top = round(P ** (1 / e))
+        top -= top ** e >= P
+        assert top ** e < P <= (top + 1) ** e
+        for values in ([top] * 8, [top + 1] * 8, [top, top + 1, 1, 0, 3, top],
+                       [2] * 6 + [top + 1, 1]):
+            check_moments(backend, values, [k])
+
+
+@pytest.mark.parametrize("k", ORDERS)
+def test_moments_at_the_limb_edges(backend, k):
+    for top in LIMB_EDGES:
+        check_moments(backend, [top] * 6, [k])
+        check_moments(backend, [top, 0, 1, top, top - 1 if top else 0, 2],
+                      [k])
+    check_moments(backend, pattern("tilewise", 3 * TILE + 6), [k])
+
+
+def test_a_set_of_orders_is_the_one_order_calls(backend):
+    """The engine's one pass per round: shared powers and limb splits
+    change nothing, in any order, with repeats, down to no order."""
+    for name in ("counts", "full"):
+        values = pattern(name, 2 * vec._moment_tile(5)[1] + 6)
+        table = backend.asarray(values)
+        together = moment_round_sums(backend, F, table, [5, 2, 3, 2])
+        assert together == {
+            k: fk_round_sums(backend, F, table, k) for k in (2, 3, 5)}
+        assert together[2] == f2_round_sums(backend, F, table)
+        check_moments(backend, values, [2, 3, 5])
+    assert moment_round_sums(backend, F, table, []) == {}
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        moment_round_sums(backend, F, table, [3, 0])
+
+
 @needs_numpy
 @pytest.mark.parametrize("p", [P, 97, (1 << 89) - 1])
 def test_fk_messages_equal_the_scalar_backend(p):
-    """Rows 0 and 1 of the line stack are the halves themselves and the
-    power ladder starts from its base: same values mod p for k = 1..7 on
-    every execution path, down to a single pair."""
-    from repro.field.modular import PrimeField
-
+    """Same values mod p for k = 1..7 on every execution path — limb
+    tiles, uint64 below 2^32, object arrays — down to a single pair,
+    and the per-pair reference's."""
     field = PrimeField(p, check_prime=False)
     sb, be = ScalarBackend(field), VectorizedField(field)
     rng = random.Random(p % 1000)
@@ -247,12 +325,26 @@ def test_fk_messages_equal_the_scalar_backend(p):
         values = [0, p - 1] + [rng.randrange(p) for _ in range(length - 2)]
         for k in range(1, 8):
             assert fk_round_sums(be, field, be.asarray(values), k) == \
-                fk_round_sums(sb, field, values, k)
-        stack = be.pair_line_stack(be.asarray(values), [0, 1, 5, p + 1])
-        assert [be.to_list(row) for row in stack] == \
-            sb.pair_line_stack(values, [0, 1, 5, p + 1])
-        assert be.rows_pow_sums(stack, 0) == sb.rows_pow_sums(
-            sb.pair_line_stack(values, [0, 1, 5, p + 1]), 0)
+                fk_round_sums(sb, field, values, k) == \
+                moment_oracle(values, k, p)
+
+
+@needs_numpy
+@given(st.integers(1, 9), st.sampled_from([P, 97, (1 << 89) - 1]),
+       st.lists(st.tuples(st.integers(0, 1 << 89), st.integers(0, 1 << 23)),
+                min_size=1, max_size=24))
+def test_moments_agree_on_every_execution_path(k, p, pairs):
+    """Scalar lists, the Mersenne-61 tiles, uint64 below 2^32 and object
+    arrays compute one function, the per-pair reference."""
+    field = PrimeField(p, check_prime=False)
+    sb, be = ScalarBackend(field), VectorizedField(field)
+    values = [v % p for pair in pairs for v in pair]
+    want = moment_oracle(values, k, p)
+    assert fk_round_sums(sb, field, values, k) == want
+    assert fk_round_sums(be, field, be.asarray(values), k) == want
+    orders = [k, 2, max(1, k - 2)]
+    assert moment_round_sums(be, field, be.asarray(values), orders) == \
+        moment_round_sums(sb, field, values, orders)
 
 
 # -- the overflow bounds the in-place arithmetic relies on -----------------------
@@ -297,15 +389,30 @@ def test_block_totals_are_exact_for_maximal_residues(backend):
         assert backend.prefix_segment_sums(state, start, end) == (want, want)
 
 
+def test_a_moment_tile_fits_the_scratch_and_its_dots_fit_a_word():
+    """3k + 2 rows of one tile inside the 5 × 2^15 scratch entries at
+    every order, never more pairs than the other kernels' tile, and a
+    limb dot over the largest tile below 2^63."""
+    assert [vec._moment_tile(k) for k in (1, 2, 3, 5, 8, 64)] == [
+        (8, 8192), (8, 8192), (11, 7447), (17, 4818), (26, 3150), (194, 422)]
+    for k in range(1, 200):
+        rows, pairs = vec._moment_tile(k)
+        assert rows >= 3 * k + 2 and 1 <= pairs <= vec._TILE_PAIRS
+        assert rows * 2 * pairs <= 5 * TILE_ELEMENTS == 163840
+        assert ((1 << 22) - 1) ** 2 * pairs < 1 << 63
+
+
 @needs_numpy
 def test_the_prover_tiles_live_in_the_ingest_scratch():
     """No second buffer pool: the kernels carve their rows out of the one
-    1.25 MiB set of rows per thread the stacked ingest already holds."""
+    1.25 MiB set of rows per thread the stacked ingest already holds —
+    the moment kernel too, whatever its order."""
     be = BACKENDS[1]
     assert 4 * vec._TILE_PAIRS == TILE_ELEMENTS
     held = be.tile_scratch(TILE_ELEMENTS)
     values = pattern("full", 3 * TILE + 6)
     check_all_kernels(be, values, values, segments=[])
+    check_moments(be, values[: TILE + 6], [2, 3, 8, 64])
     assert be.tile_scratch(TILE_ELEMENTS) is held
     assert held.nbytes == 5 * TILE_ELEMENTS * 8 == 1280 * 1024
 
@@ -351,7 +458,7 @@ def proof_steps(prover, challenges):
 
 
 def test_interleaved_provers_and_an_ingest_between_rounds(backend):
-    """Scratch carries nothing from one call to the next: two provers
+    """Scratch carries nothing from one call to the next: three provers
     advanced round by round in turn, with a stacked verifier ingest
     (which works in the same per-thread rows) between any two rounds,
     send what each sends when run alone."""
@@ -364,20 +471,21 @@ def test_interleaved_provers_and_an_ingest_between_rounds(backend):
 
     def provers():
         return (F2Prover(F, u, backend=backend, freq=counts),
+                FkProver(F, u, 4, backend=backend, freq=full),
                 InnerProductProver(F, u, backend=backend, freq_a=full,
                                    freq_b=counts))
 
     alone = [list(proof_steps(prover, challenges)) for prover in provers()]
-    first, second = (proof_steps(prover, challenges) for prover in provers())
+    running = [proof_steps(prover, challenges) for prover in provers()]
     # The ingest runs vectorized whenever NumPy is there, whichever
     # backend proves: that is the kernel that shares the scratch.
     lde = StreamingLDE(F, u, rng=random.Random(5), backend=BACKENDS[-1])
-    together = ([], [])
+    together = [[] for _ in running]
     for _ in challenges:
-        together[0].append(next(first))
-        lde.process_stream_batched(updates)
-        together[1].append(next(second))
-    assert [together[0], together[1]] == alone
+        for steps, sent in zip(running, together):
+            sent.append(next(steps))
+            lde.process_stream_batched(updates)
+    assert together == alone
 
 
 @needs_numpy

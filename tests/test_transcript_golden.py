@@ -6,8 +6,10 @@ of them together would pass.  This file pins, per protocol and per
 backend, ``sha256(encode_transcript(...))`` of one fixed-seed run plus
 the verified value and the verifier's space — generated at commit
 a5e7b64; ``fk1``, ``fk2``, ``fk5`` and ``two-order-batch`` at e710c65,
-before the moment kernel replaced the line stack under them
-(``python tests/test_transcript_golden.py`` prints the table).
+before the moment kernel replaced the line stack under them; the two
+``gkr-*`` runs at 9472e4e, while the scalar backend still ran its own
+per-gate layer prover (``python tests/test_transcript_golden.py``
+prints the table).
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from repro.core.multiquery import (
 from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY, get_backend
+from repro.gkr.circuits import ADD, MUL, Gate, LayeredCircuit, f2_circuit
+from repro.gkr.protocol import GKRProver, StreamingGKRVerifier, run_gkr
 from repro.service import (
     ProverServer,
     ServiceClient,
@@ -192,6 +196,37 @@ def golden_mixed_batch(be, queries=MIXED, seed=8):
     return _batch(results, channel)
 
 
+def _random_add_mul_circuit(seed):
+    """Layers of 2, 4 and 8 random add/mul gates over 16 inputs, wires
+    drawn with repetition so values fan out (and a gate may read one
+    wire twice)."""
+    rng = random.Random(seed)
+    sizes = [2, 4, 8, 16]
+    return LayeredCircuit(
+        [
+            [Gate(rng.choice([ADD, MUL]), rng.randrange(sizes[li + 1]),
+                  rng.randrange(sizes[li + 1]))
+             for _ in range(width)]
+            for li, width in enumerate(sizes[:-1])
+        ],
+        input_size=16,
+    )
+
+
+def golden_gkr(be, circuit, updates, seed):
+    prover = GKRProver(F, circuit, backend=be)
+    verifier = StreamingGKRVerifier(F, circuit, rng=random.Random(seed),
+                                    backend=be)
+    _feed(updates, prover, verifier)
+    channel = Channel()
+    return _single(run_gkr(prover, verifier, channel), channel)
+
+
+def _signed_updates(seed, u, n):
+    rng = random.Random(seed)
+    return [(rng.randrange(u), rng.randrange(-9, 10)) for _ in range(n)]
+
+
 def _through_a_server(descriptors, pool_key, seed):
     handle = ProverServer(F).serve_in_thread()
     try:
@@ -234,6 +269,10 @@ SCENARIOS = {
     "range-sum": golden_range_sum,
     "general-f2-ell3": golden_general_f2,
     "frequency-based-f0": golden_frequency_based,
+    "gkr-f2": lambda be: golden_gkr(be, f2_circuit(U), UPDATES_A, seed=12),
+    "gkr-random-add-mul": lambda be: golden_gkr(
+        be, _random_add_mul_circuit(13), _signed_updates(104, 16, 60),
+        seed=14),
     "batch-range-sum": golden_batch_range_sum,
     "mixed-batch": golden_mixed_batch,
     "two-order-batch": lambda be: golden_mixed_batch(be, TWO_ORDERS, seed=11),
@@ -271,6 +310,12 @@ GOLDEN = {
     "general-f2-ell3": (
         "5a7d34b73d23f71d380c7a05bbb834b7620ad1b386909c69e5c5330b69e73187",
         2032, 12),
+    "gkr-f2": (
+        "441c179077bd17129e80cae91a5d34c742da03b7d91462c0ee6c78ae01f87f94",
+        [1510], 62),
+    "gkr-random-add-mul": (
+        "913343b2f989a14555ad0586e108274d14602d595eefff9c4b67e4d5514e498a",
+        [900, 8], 23),
     "inner-product": (
         "cb27342feb159f8218f1996ccf782cee6d52af052f58a269c1871bedc594b4e1",
         456, 13),

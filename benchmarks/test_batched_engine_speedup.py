@@ -134,8 +134,7 @@ def test_mixed_batch_vs_independent_runs(u, field,
         engine, verifier = ingest(u, updates_a, updates_b, backend, point)
         channel = Channel()
         start = time.perf_counter()
-        results = run_batched_sumcheck(engine, verifier, queries, channel,
-                                       backend=backend)
+        results = run_batched_sumcheck(engine, verifier, queries, channel)
         elapsed = time.perf_counter() - start
         assert all(r.accepted for r in results)
         return [r.value for r in results], channel, elapsed

@@ -57,14 +57,22 @@ def test_dense_prover_linear_in_u(benchmark, field, u):
 def test_sparse_beats_dense_on_sparse_data(field):
     from repro.experiments.harness import time_call
 
-    u = 1 << 18
+    # At u = 2^18 the tiled dense prover is only ≈ 5.2x slower than the
+    # sparse one (13 vs 2.5 ms on a 2-vCPU box), so the 5x bar sat on the
+    # noise; at 2^20 the gap is ≈ 18x (52 vs 2.9 ms).
+    u = 1 << 20
     stream = sparse_stream(u, N_KEYS, rng=random.Random(104))
     dense = F2Prover(field, u)
     sparse = SparseF2Prover(field, u)
     dense.process_stream(stream.updates())
     sparse.process_stream(stream.updates())
-    t_dense, _ = time_call(lambda: drive(dense, field, 105))
-    t_sparse, _ = time_call(lambda: drive(sparse, field, 105))
+    # Best of 5 alternating calls per side: with one unrepeated call each,
+    # a single descheduling under full-suite load could fail the bar.
+    t_dense = t_sparse = float("inf")
+    for _ in range(5):
+        t_dense = min(t_dense, time_call(lambda: drive(dense, field, 105))[0])
+        t_sparse = min(t_sparse,
+                       time_call(lambda: drive(sparse, field, 105))[0])
     assert t_sparse < t_dense / 5
 
 

@@ -158,8 +158,7 @@ def test_batch_multiquery_scalar_vs_vectorized(u, field,
             prover.process_a(i, delta)
         channel = Channel()
         start = time.perf_counter()
-        results = run_batch_range_sum(prover, verifier, queries, channel,
-                                      backend=backend)
+        results = run_batch_range_sum(prover, verifier, queries, channel)
         elapsed = time.perf_counter() - start
         assert all(r.accepted for r in results)
         return [r.value for r in results], channel, elapsed

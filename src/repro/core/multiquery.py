@@ -416,7 +416,6 @@ def run_batched_sumcheck(
     verifier,
     queries: Sequence[BatchQuery],
     channel: Optional[Channel] = None,
-    backend=None,
 ) -> List[VerificationResult]:
     """Verify a heterogeneous batch of queries in lockstep (Section 7).
 
@@ -426,7 +425,7 @@ def run_batched_sumcheck(
     verifier keeps one running check per query and evaluates every
     committed message at r_j through
     :func:`~repro.field.polynomial.evaluate_from_evals_batch` (one
-    stacked interpolation pass per distinct message length).  Words are
+    shared weight vector per distinct message length).  Words are
     attributed per query on the channel, so
     :meth:`~repro.comm.channel.Channel.query_cost` matches what the same
     query would pay in a standalone run plus the shared challenges.
@@ -465,9 +464,6 @@ def run_batched_sumcheck(
             "second-stream LDE (BatchedSumcheckVerifier)"
         )
     prover.receive_batch(queries)
-    eval_backend = (
-        backend if backend is not None else getattr(prover, "backend", None)
-    )
 
     # Each RANGE-SUM member's range announcement is charged to that
     # query, so Channel.query_cost stays directly comparable to a
@@ -513,9 +509,8 @@ def run_batched_sumcheck(
                 failed[idx] = "round %d: sum-check invariant violated" % j
                 continue
             deliveries[idx] = evals
-        # One shared-weight interpolation pass per distinct message
-        # length covers every live query (a stacked array pass under a
-        # vectorized backend).
+        # One shared weight vector per distinct message length covers
+        # every live query.
         by_length = {}
         for idx, evals in enumerate(deliveries):
             if evals is not None:
@@ -523,8 +518,7 @@ def run_batched_sumcheck(
         for length in sorted(by_length):
             group = by_length[length]
             evaluated = evaluate_from_evals_batch(
-                field, [deliveries[idx] for idx in group], verifier.r[j],
-                backend=eval_backend,
+                field, [deliveries[idx] for idx in group], verifier.r[j]
             )
             for idx, value in zip(group, evaluated):
                 previous[idx] = value
@@ -577,7 +571,6 @@ def run_batch_range_sum(
     verifier,
     queries: Sequence[Tuple[int, int]],
     channel: Optional[Channel] = None,
-    backend=None,
 ) -> List[VerificationResult]:
     """Verify many RANGE-SUM queries in lockstep with shared randomness.
 
@@ -589,7 +582,7 @@ def run_batch_range_sum(
     return run_batched_sumcheck(
         prover, verifier,
         [batch_range_sum(lo, hi) for lo, hi in queries],
-        channel=channel, backend=backend,
+        channel=channel,
     )
 
 

@@ -14,15 +14,14 @@ block of leaves and folding never crosses shard boundaries until the
 table is smaller than the worker count, at which point the coordinator
 takes over (the last few rounds are O(#workers) anyway).
 
-Workers ride the backend seam: under a vectorized backend every partial
-message is three array inner products over the shard and every fold one
-whole-array pass, with the coordinator reducing the partial polynomials
-as stacked arrays.  The scalar path is the bit-identical reference.
+Workers ride the backend seam: every partial message is one
+``f2_round_sums`` call over the shard and every fold one ``fold_pairs``
+pass; the coordinator's reduce is three sums of Python ints.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.base import pow2_dimension
 from repro.field.modular import PrimeField
@@ -171,13 +170,8 @@ class DistributedF2Prover:
                 self.backend, self.field, self._coordinator_table
             )
         # Map: each worker computes a partial; reduce: the coordinator
-        # sums the stacked partial polynomials column-wise.
+        # sums the partial polynomials column-wise.
         partials = [worker.partial_message() for worker in self.workers]
-        be = self.backend
-        if getattr(be, "vectorized", False):
-            return be.row_sums(
-                be.stack([[g[c] for g in partials] for c in range(3)])
-            )
         return [sum(g[c] for g in partials) % p for c in range(3)]
 
     def receive_challenge(self, r: int) -> None:

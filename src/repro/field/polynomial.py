@@ -204,15 +204,14 @@ def _interpolation_weights(field: PrimeField, m: int, x: int) -> List[int]:
 
 
 def evaluate_from_evals_batch(
-    field: PrimeField, tables: Sequence[Sequence[int]], x: int, backend=None
+    field: PrimeField, tables: Sequence[Sequence[int]], x: int
 ) -> List[int]:
     """Evaluate many same-length evaluation tables at one point ``x``.
 
     The round-lockstep batched protocols (Section 7, "Multiple Queries")
     check every query's round polynomial at the *shared* challenge r_j:
     the Lagrange weights are computed once and each table costs one O(m)
-    inner product.  With a vectorized ``backend`` the whole batch is one
-    stacked array pass.
+    weighted sum of Python ints.
     """
     if not tables:
         return []
@@ -226,8 +225,6 @@ def evaluate_from_evals_batch(
     if x < m:
         return [t[x] % p for t in tables]
     weights = _interpolation_weights(field, m, x)
-    if backend is not None and getattr(backend, "vectorized", False):
-        return backend.row_weighted_sums(backend.stack(tables), weights)
     return [
         sum(t[k] * weights[k] for k in range(m)) % p for t in tables
     ]

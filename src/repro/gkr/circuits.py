@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.field.modular import PrimeField
+from repro.field.vectorized import get_backend
 
 ADD = "add"
 MUL = "mul"
@@ -28,6 +29,22 @@ class Gate:
     def __post_init__(self):
         if self.op not in (ADD, MUL):
             raise ValueError("unknown gate op %r" % (self.op,))
+
+
+def layer_wiring(backend, gates: Sequence[Gate]):
+    """One gate layer as backend index arrays ``(left, right, add_mask,
+    add_sel, mul_sel)``: the wire columns, the 0/1 op column the
+    evaluator selects with, and the gate indices of each op — the
+    partition the layer sum-check prover gathers through."""
+    is_add = [1 if g.op == ADD else 0 for g in gates]
+    add_mask = backend.index_array(is_add)
+    return (
+        backend.index_array([g.left for g in gates]),
+        backend.index_array([g.right for g in gates]),
+        add_mask,
+        backend.nonzero(add_mask),
+        backend.nonzero([1 - a for a in is_add]),
+    )
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -51,7 +68,6 @@ class LayeredCircuit:
             raise ValueError("circuit needs at least one gate layer")
         self.layers: List[List[Gate]] = [list(layer) for layer in layers]
         self.input_size = input_size
-        self._wiring = None  # lazy per-layer (left, right, is_add) columns
         self._wiring_arrays = {}  # backend-name keyed index-array cache
         for i, layer in enumerate(self.layers):
             if not _is_power_of_two(len(layer)):
@@ -77,89 +93,33 @@ class LayeredCircuit:
             return self.input_size
         return len(self.layers[i])
 
-    def wiring_columns(self):
-        """Per-layer gate columns ``(left, right, is_add)`` as plain lists.
-
-        Computed once per circuit; the array-backed evaluation and the
-        layer sum-check prover gather through these instead of touching
-        :class:`Gate` objects per evaluation.
-        """
-        if self._wiring is None:
-            self._wiring = [
-                (
-                    [g.left for g in layer],
-                    [g.right for g in layer],
-                    [1 if g.op == ADD else 0 for g in layer],
-                )
-                for layer in self.layers
-            ]
-        return self._wiring
-
     def wiring_arrays(self, backend):
-        """Per-layer ``(left, right, add_mask, add_sel, mul_sel)`` as
-        backend index arrays, cached per backend kind.
-
-        ``add_sel``/``mul_sel`` are the gate indices of each op — the
-        one-off partition the layer sum-check prover gathers through —
-        and ``add_mask`` the 0/1 op column the evaluator selects with, so
-        repeated proofs over one circuit never re-walk the Gate objects.
-        """
+        """Per-layer :func:`layer_wiring` arrays, cached per backend kind,
+        so repeated proofs over one circuit never re-walk the Gate
+        objects."""
         key = getattr(backend, "name", "scalar")
         cached = self._wiring_arrays.get(key)
         if cached is None:
-            cached = []
-            for left, right, is_add in self.wiring_columns():
-                mask = backend.index_array(is_add)
-                cached.append(
-                    (
-                        backend.index_array(left),
-                        backend.index_array(right),
-                        mask,
-                        backend.nonzero(mask),
-                        backend.nonzero(1 - mask if hasattr(mask, "dtype")
-                                        else [1 - v for v in mask]),
-                    )
-                )
+            cached = [layer_wiring(backend, layer) for layer in self.layers]
             self._wiring_arrays[key] = cached
         return cached
 
     def evaluate(
         self, field: PrimeField, inputs: Sequence[int], backend=None
     ) -> List[List[int]]:
-        """All layer values; ``values[0]`` are outputs, ``values[depth]``
-        the (reduced) inputs.
-
-        Under a vectorized ``backend`` each layer is two gathers and one
-        masked add/mul over the whole gate array; the gate-by-gate loop is
-        the reference path and produces identical values.
-        """
-        if len(inputs) != self.input_size:
-            raise ValueError(
-                "expected %d inputs, got %d" % (self.input_size, len(inputs))
-            )
-        p = field.p
-        if backend is not None and getattr(backend, "vectorized", False):
-            return [
-                backend.to_list(arr)
-                for arr in self.evaluate_arrays(field, inputs, backend)
-            ]
-        values = [[v % p for v in inputs]]
-        for layer in reversed(self.layers):
-            below = values[0]
-            out = []
-            for gate in layer:
-                a, b = below[gate.left], below[gate.right]
-                out.append((a + b) % p if gate.op == ADD else a * b % p)
-            values.insert(0, out)
-        return values
+        """All layer values as lists; ``values[0]`` are outputs,
+        ``values[depth]`` the (reduced) inputs."""
+        be = backend if backend is not None else get_backend(field)
+        return [be.to_list(arr)
+                for arr in self.evaluate_arrays(field, inputs, be)]
 
     def evaluate_arrays(self, field: PrimeField, inputs: Sequence[int],
                         backend) -> List[object]:
-        """All layer values as canonical backend arrays (vectorized only).
+        """All layer values as canonical backend arrays: per layer two
+        gathers and one masked add/mul over the whole gate array.
 
-        The proof driver keeps layer tables in array form end to end —
-        no per-layer Python-list round trips; :meth:`evaluate` is this
-        plus one ``to_list`` per layer.
+        The proof driver keeps layer tables in this form end to end;
+        only the output layer crosses the channel as plain words.
         """
         if len(inputs) != self.input_size:
             raise ValueError(

@@ -6,16 +6,15 @@ value table on {0,1}^b at an arbitrary field point, by successive folding
 table index, matching the digit convention of :mod:`repro.lde`.
 
 Every evaluator takes an optional compute ``backend`` (see
-:func:`repro.field.vectorized.get_backend`): under a vectorized backend
-the folds run as whole-array operations, and the line restriction of
+:func:`repro.field.vectorized.get_backend`) and is written once over its
+API: :func:`mle_eval` is one ``fold_pairs`` per variable, and
 :func:`restrict_to_line` folds all ``b + 1`` line points as one stacked
-2-D pass.  The list-based code is the reference path; both produce
-identical values, so protocol transcripts never depend on the backend.
+``rows_fold`` per variable.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.field.modular import PrimeField
 from repro.field.vectorized import fold_pairs, get_backend
@@ -24,22 +23,29 @@ from repro.field.vectorized import fold_pairs, get_backend
 def pad_to_power_of_two(values: Sequence[int], backend=None):
     """Zero-pad a table to the next power-of-two length (min length 1).
 
-    Returns a plain list by default; under a vectorized ``backend`` the
-    result is a canonical backend array built without a Python-level pass
-    over the payload.
+    Returns a plain list by default; given a ``backend``, that backend's
+    canonical table (a NumPy input is reduced without a Python-level
+    pass over the payload).
     """
     n = len(values)
-    size = 1
-    while size < n:
-        size *= 2
-    if backend is not None and getattr(backend, "vectorized", False):
-        arr = backend.asarray(values)
-        if n == size and n > 0:
-            return arr
-        return backend.concat(arr, backend.zeros(size - n if n else 1))
-    out = list(values)
-    out.extend([0] * (size - len(out)))
-    return out if out else [0]
+    size = 1 << max(n - 1, 0).bit_length()
+    if backend is None:
+        return list(values) + [0] * (size - n)
+    table = backend.asarray(values)
+    if n < size:
+        table = backend.concat(table, backend.zeros(size - n))
+    return table
+
+
+def _padded_table(values: Sequence[int], num_vars: int, be):
+    """:func:`pad_to_power_of_two`, checked to have ``num_vars`` variables."""
+    table = pad_to_power_of_two(values, backend=be)
+    if len(table) != 1 << num_vars:
+        raise ValueError(
+            "table of %d values needs %d variables, got %d"
+            % (len(table), (len(table) - 1).bit_length(), num_vars)
+        )
+    return table
 
 
 def mle_eval(
@@ -49,24 +55,11 @@ def mle_eval(
     backend=None,
 ) -> int:
     """Evaluate the MLE of ``values`` (length 2^b) at ``point`` (length b)."""
-    table = pad_to_power_of_two(values, backend=backend)
-    if len(table) != 1 << len(point):
-        raise ValueError(
-            "table of %d values needs %d variables, got %d"
-            % (len(table), (len(table) - 1).bit_length(), len(point))
-        )
-    p = field.p
-    if backend is not None and getattr(backend, "vectorized", False):
-        for r in point:
-            table = fold_pairs(backend, field, table, r)
-        return int(table[0]) % p
+    be = backend if backend is not None else get_backend(field)
+    table = _padded_table(values, len(point), be)
     for r in point:  # fold out the least-significant variable each pass
-        one_minus_r = (1 - r) % p
-        table = [
-            (one_minus_r * table[t] + r * table[t + 1]) % p
-            for t in range(0, len(table), 2)
-        ]
-    return table[0] % p
+        table = fold_pairs(be, field, table, r)
+    return int(table[0]) % field.p
 
 
 def eq_eval(field: PrimeField, index: int, nbits: int, point: Sequence[int]) -> int:
@@ -124,25 +117,14 @@ def restrict_to_line(
 
     The restriction of a b-variate multilinear polynomial to a line has
     degree <= b, so ``num_points = b + 1`` determines it (the prover's
-    line-reduction message in GKR).  Under a vectorized backend all the
-    line points are folded together: one (num_points × 2^b) stack, one
-    per-row fold per variable.
+    line-reduction message in GKR).  All the line points are folded
+    together: one (num_points × 2^b) stack, one per-row fold per
+    variable.
     """
-    if backend is not None and getattr(backend, "vectorized", False):
-        table = pad_to_power_of_two(values, backend=backend)
-        if len(table) != 1 << len(start):
-            raise ValueError(
-                "table of %d values needs %d variables, got %d"
-                % (len(table), (len(table) - 1).bit_length(), len(start))
-            )
-        pts = [
-            line_points(field, start, end, t) for t in range(num_points)
-        ]
-        stack = backend.stack([table] * num_points)
-        for j in range(len(start)):
-            stack = backend.rows_fold(stack, [pt[j] for pt in pts])
-        return [int(row[0]) % field.p for row in stack]
-    return [
-        mle_eval(field, values, line_points(field, start, end, t))
-        for t in range(num_points)
-    ]
+    be = backend if backend is not None else get_backend(field)
+    table = _padded_table(values, len(start), be)
+    pts = [line_points(field, start, end, t) for t in range(num_points)]
+    stack = be.stack([table] * num_points)
+    for j in range(len(start)):
+        stack = be.rows_fold(stack, [pt[j] for pt in pts])
+    return [int(row[0]) % field.p for row in stack]

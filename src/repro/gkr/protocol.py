@@ -17,12 +17,11 @@ the final test "can be chosen at random independent of the data").
 Costs: O(depth · log u) rounds and words — the (log² u, log² u) comparison
 point for F2 quoted after Theorem 4.
 
-The prover side rides the backend seam: layer values, the per-layer
-sum-check (:class:`repro.gkr.sumcheck.LayerSumcheck`), the line
-restriction and the wiring-predicate check all run as whole-array
-operations under a vectorized backend, and the input-layer MLE is
-maintained through the batched multipoint streaming LDE.  Transcripts are
-byte-identical across backends.
+The prover side is written once over the backend seam: layer values,
+the per-layer sum-check (:class:`repro.gkr.sumcheck.LayerSumcheck`) and
+the line restriction are backend-array operations on either backend, and
+the input-layer MLE is maintained through the batched multipoint
+streaming LDE.  Transcripts are byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -80,39 +79,15 @@ def wiring_mle_at(
     z: Sequence[int],
     x: Sequence[int],
     y: Sequence[int],
-    backend=None,
 ) -> Tuple[int, int]:
-    """(add̃, mult̃) evaluated at (z, x, y).
+    """(add̃, mult̃) evaluated at (z, x, y), gate by gate.
 
-    The verifier evaluates the wiring predicates itself from the public
-    circuit description (for log-space-uniform circuits this is implicit;
-    here it is an explicit O(size) pass, which we account as verifier
-    preprocessing independent of the data).  The reference path is
-    O(G·(b_layer + 2·b_next)); a vectorized backend builds the three eq
-    indicator tables once and reduces each predicate to gate-array
-    gathers: O(2^b_layer + 2^{b_next} + G) array work.
+    The definition the layer prover's folded tables must agree with
+    (:meth:`repro.gkr.sumcheck.LayerSumcheck.wiring_values`, which the
+    protocol uses): O(G·(b_layer + 2·b_next)) from the public circuit
+    description.
     """
     p = field.p
-    if backend is not None and getattr(backend, "vectorized", False):
-        be = backend
-        eqz = eq_table(field, z, backend=be)
-        eqx = eq_table(field, x, backend=be)
-        eqy = eq_table(field, y, backend=be)
-        accs = []
-        for want_add in (True, False):
-            gidx = [
-                g
-                for g, gate in enumerate(gates)
-                if (gate.op == ADD) == want_add
-            ]
-            if not gidx:
-                accs.append(0)
-                continue
-            wz = be.take(eqz, be.index_array(gidx))
-            wx = be.take(eqx, be.index_array([gates[g].left for g in gidx]))
-            wy = be.take(eqy, be.index_array([gates[g].right for g in gidx]))
-            accs.append(be.sum(be.mul(be.mul(wz, wx), wy)))
-        return accs[0], accs[1]
     add_acc = 0
     mult_acc = 0
     for gidx, gate in enumerate(gates):
@@ -216,17 +191,12 @@ def run_gkr(
     be = getattr(prover, "backend", None)
     if be is None:
         be = get_backend(field)
-    vec = getattr(be, "vectorized", False)
     round_counter = 0
 
-    # Layer values stay backend arrays end to end on the vectorized path;
-    # only the output layer crosses the channel as plain words.
-    if vec:
-        values = circuit.evaluate_arrays(field, prover.inputs, be)
-        outputs_payload = be.to_list(values[0])
-    else:
-        values = circuit.evaluate(field, prover.inputs)
-        outputs_payload = values[0]
+    # Layer values stay backend arrays end to end; only the output layer
+    # crosses the channel as plain words.
+    values = circuit.evaluate_arrays(field, prover.inputs, be)
+    outputs_payload = be.to_list(values[0])
     claimed_outputs = ch.prover_says(round_counter, "outputs", outputs_payload)
     if len(claimed_outputs) != circuit.layer_size(0):
         return rejected(ch.transcript, "wrong number of outputs",
@@ -236,22 +206,17 @@ def run_gkr(
 
     z = coins.z0
     m = mle_eval(field, claimed_outputs, z, backend=be)
-    wiring_arrays = (
-        circuit.wiring_arrays(be) if vec else [None] * circuit.depth
-    )
+    wiring_arrays = circuit.wiring_arrays(be)
 
     for i in range(circuit.depth):
         gates = circuit.layers[i]
         b_next = num_vars(circuit.layer_size(i + 1))
         n = 2 * b_next
         chal = coins.challenges[i]
-        # pad_to_power_of_two already yields a canonical backend table
-        # (array under a vectorized backend, reduced list otherwise).
         values_next = pad_to_power_of_two(values[i + 1], backend=be)
-        table = values_next
         eq_z = eq_table(field, z, backend=be)
         layer = LayerSumcheck(
-            field, gates, b_next, eq_z, table,
+            field, gates, b_next, eq_z, values_next,
             backend=be, wiring=wiring_arrays[i],
         )
 

@@ -1,22 +1,16 @@
 """Sum-check provers for the GKR layer polynomial.
 
-Two implementations live here:
-
-* :func:`boolean_sum` / :func:`round_message` — a generic driver over an
-  evaluation closure that recomputes sums by brute force.  O(2^n)
-  evaluations per round, kept as the obviously-correct reference.
-* :class:`LayerSumcheck` — the table-folding prover for the specific GKR
+* :class:`LayerSumcheck` — the prover the protocol runs, for the GKR
   summand ``add̃(z,x,y)(W(x)+W(y)) + mult̃(z,x,y)W(x)W(y)``.  Because the
   wiring predicates are sums of per-gate indicator products, the free
   suffix variables collapse through ``Σ_b eq(bit, b) = 1``: each phase
   reduces to a two-table sum-check whose tables the gates populate once
   (O(G + 2^b) per phase) instead of the brute-force O(G · 4^b) total.
-  Under a vectorized backend the scatters are C-level bincounts and every
-  round folds whole arrays; the scalar path evaluates the same collapsed
-  formula gate by gate as the reference.
-
-Both produce identical message values (they compute the same field
-elements), so transcripts never depend on which prover ran.
+  It is written once over the backend API (scatter, fold, dot), so both
+  backends run the same algorithm and send the same words.
+* :func:`boolean_sum` / :func:`round_message` — a generic driver over an
+  evaluation closure that recomputes sums by brute force.  O(2^n)
+  evaluations per round, kept as the obviously-correct test reference.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.field.modular import PrimeField
 from repro.field.vectorized import fold_pairs, get_backend
-from repro.gkr.circuits import ADD, Gate
+from repro.gkr.circuits import Gate, layer_wiring
 
 #: A multivariate polynomial presented as an evaluation closure.
 #: The point argument is a *reused* buffer (see :func:`boolean_sum` /
@@ -94,20 +88,6 @@ def round_message(
     return out
 
 
-class _GateGroup:
-    """Per-op gate columns for the scalar reference prover."""
-
-    __slots__ = ("wl", "wr", "el", "er", "wr0", "size")
-
-    def __init__(self, wl, wr, el, wr0, size):
-        self.wl = wl
-        self.wr = wr
-        self.el = el  # eq_z[g] · Π_{t<j} eq(wl_t, r_t), updated per round
-        self.er = None  # · Π over bound wr bits, seeded from el at the flip
-        self.wr0 = wr0  # W(wr_g) on the *unfolded* layer-below table
-        self.size = size
-
-
 class LayerSumcheck:
     """Prover for one GKR layer's 2b-variable sum-check.
 
@@ -132,16 +112,6 @@ class LayerSumcheck:
     ``add̃(z, rx, ry)`` and ``mult̃(z, rx, ry)``, so the wiring check
     costs nothing extra (:meth:`wiring_values`).
 
-    Under a vectorized backend the scatters are C-level bincounts and the
-    folds whole-array operations.  The scalar path is the reference: a
-    direct per-gate evaluation of the collapsed round formula
-
-        g_j(c) = Σ_g eq_z[g] · [Π_{t<j} eq(wl_t, r_t)] · eq(wl_j, c)
-                 · C_g(W(r_{<j}, c, wl_{>j}), W(wr_g)),
-
-    one table gather per gate per round.  Both compute the same field
-    elements, so transcripts never depend on the backend.
-
     ``eq_z`` is the indicator table of z over the layer's gate indices
     (:func:`repro.gkr.mle.eq_table`); ``table`` is the padded layer-below
     value table, canonical for the chosen backend; ``wiring`` optionally
@@ -161,8 +131,7 @@ class LayerSumcheck:
     ):
         self.field = field
         self.b = b_next
-        self.be = backend if backend is not None else get_backend(field)
-        self._vec = getattr(self.be, "vectorized", False)
+        self.be = be = backend if backend is not None else get_backend(field)
         if len(table) != 1 << b_next:
             raise ValueError(
                 "layer-below table of %d values needs size %d"
@@ -175,60 +144,17 @@ class LayerSumcheck:
         self._wyf: Optional[int] = None
         self._add_v: Optional[int] = None
         self._mul_v: Optional[int] = None
-        if self._vec:
-            self._init_vec(gates, eq_z, table, wiring)
-        else:
-            self._init_scalar(gates, eq_z, table)
-
-    # -- setup ---------------------------------------------------------------
-
-    def _init_scalar(self, gates, eq_z, table) -> None:
-        p = self.field.p
-        self.groups: List[Tuple[_GateGroup, bool]] = []
-        for want_add in (True, False):
-            gidx = [
-                g
-                for g, gate in enumerate(gates)
-                if (gate.op == ADD) == want_add
-            ]
-            wl = [gates[g].left for g in gidx]
-            wr = [gates[g].right for g in gidx]
-            grp = _GateGroup(
-                wl,
-                wr,
-                [eq_z[g] % p for g in gidx],
-                [table[w] % p for w in wr],
-                len(gidx),
-            )
-            self.groups.append((grp, want_add))
-        self._wt = table
-        if self.b == 0:
-            self._wxf = int(table[0]) % p
-            self._wyf = self._wxf
-            for grp, _ in self.groups:
-                grp.er = list(grp.el)
-            self._set_wiring_from_er()
-
-    def _init_vec(self, gates, eq_z, table, wiring) -> None:
-        be = self.be
         if wiring is None:
-            left = be.index_array([g.left for g in gates])
-            right = be.index_array([g.right for g in gates])
-            mask = be.index_array([1 if g.op == ADD else 0 for g in gates])
-            sel_add = be.nonzero(mask)
-            sel_mul = be.nonzero(1 - mask)
-        else:
-            left, right, _add_mask, sel_add, sel_mul = wiring
+            wiring = layer_wiring(be, gates)
+        left, right, _add_mask, sel_add, sel_mul = wiring
         self._wl_add = be.take(left, sel_add)
         self._wr_add = be.take(right, sel_add)
         self._wl_mul = be.take(left, sel_mul)
         self._wr_mul = be.take(right, sel_mul)
         self._w_add = be.take(eq_z, sel_add)  # eq_z over the add gates
         self._w_mul = be.take(eq_z, sel_mul)
-        if self.b == 0:
-            p = self.field.p
-            self._wxf = int(table[0]) % p
-            self._wyf = self._wxf
+        if b_next == 0:
+            self._wxf = self._wyf = int(table[0]) % field.p
             self._add_v = be.sum(self._w_add)
             self._mul_v = be.sum(self._w_mul)
             return
@@ -245,7 +171,7 @@ class LayerSumcheck:
         )
         self._W = table
 
-    def _setup_y_vec(self) -> None:
+    def _setup_y(self) -> None:
         """Rebuild the (A, B) tables over wr with x bound to rx."""
         from repro.gkr.mle import eq_table
 
@@ -282,19 +208,14 @@ class LayerSumcheck:
             raise RuntimeError(
                 "all %d sum-check rounds already played" % (2 * self.b)
             )
-        x_phase = j < self.b
-        if self._vec:
-            if x_phase:
-                return self._message_vec(self._A, self._B, self._W, 1)
-            return self._message_vec(self._Ay, self._Aa, self._Wy, self._wxf)
-        return self._message_scalar(j if x_phase else j - self.b, x_phase)
+        if j < self.b:
+            return self._message(self._A, self._B, self._W, 1)
+        return self._message(self._Ay, self._Aa, self._Wy, self._wxf)
 
-    def _message_vec(self, A, B, W, lift: int) -> List[int]:
-        """Two-table round message for G = Ã·W̃ + lift·B̃.
-
-        The three inner products ride ``backend.dot`` (the fused-limb
-        path on Mersenne-61), like every other vectorized prover.
-        """
+    def _message(self, A, B, W, lift: int) -> List[int]:
+        """Two-table round message for G = Ã·W̃ + lift·B̃: three inner
+        products by ``backend.dot`` (the fused-limb path on
+        Mersenne-61), like every other prover."""
         be = self.be
         p = self.field.p
         a_even, a_odd = A[0::2], A[1::2]
@@ -308,116 +229,36 @@ class LayerSumcheck:
         g2 = (be.dot(a2, w2) + lift * (2 * sb_odd - sb_even)) % p
         return [g0, g1, g2]
 
-    def _message_scalar(self, j: int, x_phase: bool) -> List[int]:
-        p = self.field.p
-        wt = self._wt
-        g0 = g1 = g2 = 0
-        for grp, is_add in self.groups:
-            wires = grp.wl if x_phase else grp.wr
-            weights = grp.el if x_phase else grp.er
-            # For MUL gates in the y phase the partner value W(rx) is one
-            # scalar; lift it out of the per-gate products entirely.
-            lift = 1 if (is_add or x_phase) else self._wxf
-            s0 = s1 = s2 = 0
-            for t in range(grp.size):
-                w = weights[t]
-                wire = wires[t]
-                rest = wire >> (j + 1)
-                lo = wt[2 * rest]
-                hi = wt[2 * rest + 1]
-                if x_phase:
-                    other = grp.wr0[t]
-                    if is_add:
-                        u0 = w * (lo + other)
-                        u1 = w * (hi + other)
-                    else:
-                        w = w * other % p
-                        u0 = w * lo
-                        u1 = w * hi
-                elif is_add:
-                    u0 = w * (lo + self._wxf)
-                    u1 = w * (hi + self._wxf)
-                else:
-                    u0 = w * lo
-                    u1 = w * hi
-                u2 = 2 * u1 - u0  # both factors are linear in c
-                if (wire >> j) & 1:
-                    s1 += u1
-                    s2 += 2 * u2  # eq(1, 2) = 2
-                else:
-                    s0 += u0
-                    s2 -= u2  # eq(0, 2) = -1
-            g0 += lift * (s0 % p)
-            g1 += lift * (s1 % p)
-            g2 += lift * (s2 % p)
-        return [g0 % p, g1 % p, g2 % p]
-
     # -- challenges ----------------------------------------------------------
 
     def receive_challenge(self, r: int) -> None:
         field = self.field
         p = field.p
         r %= p
-        j = self._j
-        if j >= 2 * self.b:
+        if self._j >= 2 * self.b:
             raise RuntimeError(
                 "all %d sum-check rounds already played" % (2 * self.b)
             )
         be = self.be
-        x_phase = j < self.b
-        if self._vec:
-            if x_phase:
-                self._A = fold_pairs(be, field, self._A, r)
-                self._B = fold_pairs(be, field, self._B, r)
-                self._W = fold_pairs(be, field, self._W, r)
-                self._rx.append(r)
-                self._j += 1
-                if self._j == self.b:
-                    self._wxf = int(self._W[0]) % p
-                    self._setup_y_vec()
-            else:
-                self._Ay = fold_pairs(be, field, self._Ay, r)
-                self._Aa = fold_pairs(be, field, self._Aa, r)
-                self._Am = fold_pairs(be, field, self._Am, r)
-                self._Wy = fold_pairs(be, field, self._Wy, r)
-                self._j += 1
-                if self._j == 2 * self.b:
-                    self._wyf = int(self._Wy[0]) % p
-                    self._add_v = int(self._Aa[0]) % p
-                    self._mul_v = int(self._Am[0]) % p
-            return
-        jj = j if x_phase else j - self.b
-        one_minus_r = (1 - r) % p
-        for grp, _is_add in self.groups:
-            wires = grp.wl if x_phase else grp.wr
-            weights = grp.el if x_phase else grp.er
-            for t in range(grp.size):
-                weights[t] = (
-                    weights[t]
-                    * (r if (wires[t] >> jj) & 1 else one_minus_r)
-                    % p
-                )
-        self._wt = fold_pairs(be, field, self._wt, r)
-        self._j += 1
-        if x_phase:
+        if self._j < self.b:
+            self._A = fold_pairs(be, field, self._A, r)
+            self._B = fold_pairs(be, field, self._B, r)
+            self._W = fold_pairs(be, field, self._W, r)
             self._rx.append(r)
+            self._j += 1
             if self._j == self.b:
-                self._wxf = int(self._wt[0]) % p
-                self._wt = self._table0
-                for grp, _is_add in self.groups:
-                    grp.er = list(grp.el)
-        elif self._j == 2 * self.b:
-            self._wyf = int(self._wt[0]) % p
-            self._set_wiring_from_er()
-
-    def _set_wiring_from_er(self) -> None:
-        p = self.field.p
-        for grp, is_add in self.groups:
-            total = sum(grp.er) % p
-            if is_add:
-                self._add_v = total
-            else:
-                self._mul_v = total
+                self._wxf = int(self._W[0]) % p
+                self._setup_y()
+            return
+        self._Ay = fold_pairs(be, field, self._Ay, r)
+        self._Aa = fold_pairs(be, field, self._Aa, r)
+        self._Am = fold_pairs(be, field, self._Am, r)
+        self._Wy = fold_pairs(be, field, self._Wy, r)
+        self._j += 1
+        if self._j == 2 * self.b:
+            self._wyf = int(self._Wy[0]) % p
+            self._add_v = int(self._Aa[0]) % p
+            self._mul_v = int(self._Am[0]) % p
 
     # -- results -------------------------------------------------------------
 

@@ -8,7 +8,6 @@ from repro.lde.canonical import (
 )
 from repro.lde.chi import (
     chi_table,
-    chi_table_batch,
     chi_value,
     digits,
     from_digits,
@@ -21,7 +20,6 @@ __all__ = [
     "MultipointStreamingLDE",
     "StreamingLDE",
     "chi_table",
-    "chi_table_batch",
     "chi_value",
     "cover_is_partition",
     "digits",

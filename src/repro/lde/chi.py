@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from repro.field.modular import PrimeField
-from repro.field.vectorized import get_backend
 
 
 def digits(i: int, ell: int, d: int) -> List[int]:
@@ -133,45 +132,6 @@ def chi_table(field: PrimeField, ell: int, x: int) -> List[int]:
     if ell > _CHI_CACHE_MAX_ELL:
         return list(_chi_table_impl(field.p, ell, x))
     return list(_chi_table_cached(field.p, ell, x))
-
-
-def chi_table_batch(
-    field: PrimeField,
-    ell: int,
-    xs: Sequence[int],
-    backend=None,
-) -> List[List[int]]:
-    """Basis tables for many evaluation points in one shot.
-
-    Equivalent to ``[chi_table(field, ell, x) for x in xs]`` but, under a
-    vectorized backend, the prefix/suffix numerator products run across
-    the whole point axis at once (the denominators are point-independent
-    and cached).  This is how a streaming LDE builds all ``d`` of its
-    per-dimension tables together.
-    """
-    p = field.p
-    xs = [x % p for x in xs]
-    be = backend if backend is not None else get_backend(field)
-    if not getattr(be, "vectorized", False) or len(xs) < 2:
-        return [chi_table(field, ell, x) for x in xs]
-    arr = be.asarray(xs)
-    m = len(xs)
-    prefixes = [be.full(m, 1)]  # prefixes[k][t] = prod_{j<k} (xs[t] - j)
-    for k in range(1, ell):
-        prefixes.append(be.mul(prefixes[-1], be.sub(arr, k - 1)))
-    suffixes: List = [None] * ell  # suffixes[k][t] = prod_{j>k} (xs[t] - j)
-    suffixes[ell - 1] = be.full(m, 1)
-    for k in range(ell - 2, -1, -1):
-        suffixes[k] = be.mul(suffixes[k + 1], be.sub(arr, k + 1))
-    inverses = _chi_denominator_inverses(p, ell)
-    # The prefix·suffix·inv(denom) formula is exact for *every* x, including
-    # points inside the evaluation set (one factor vanishes off-index and
-    # the full numerator cancels the denominator on-index).
-    columns = [
-        be.to_list(be.mul(be.mul(prefixes[k], suffixes[k]), inverses[k]))
-        for k in range(ell)
-    ]
-    return [[columns[k][t] for k in range(ell)] for t in range(m)]
 
 
 def multilinear_chi(field: PrimeField, bits: Sequence[int], point: Sequence[int]) -> int:

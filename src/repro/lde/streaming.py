@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.field.modular import PrimeField
 from repro.field.vectorized import get_backend
-from repro.lde.chi import chi_table, chi_table_batch, digits
+from repro.lde.chi import chi_table, digits
 
 #: Default number of updates per vectorized block; large enough to
 #: amortise array construction, small enough to stay cache-resident.
@@ -510,14 +510,8 @@ class StreamingLDE(StreamSketch):
             )
         self.point = [x % field.p for x in point]
         # tables[j][k] = χ_k(r_j): all the verifier needs per update is d
-        # table lookups and d multiplications.  Under a vectorized backend
-        # all d per-dimension tables are built in one batched pass.
-        if getattr(self.backend, "vectorized", False) and self.d > 1:
-            self.tables = chi_table_batch(
-                field, ell, self.point, backend=self.backend
-            )
-        else:
-            self.tables = [chi_table(field, ell, x) for x in self.point]
+        # table lookups and d multiplications.
+        self.tables = [chi_table(field, ell, x) for x in self.point]
         self.value = 0
         self.updates_processed = 0
 
@@ -580,32 +574,10 @@ class StreamingLDE(StreamSketch):
         a: Sequence[int],
         ell: int,
         point: Sequence[int],
-        backend=None,
     ) -> int:
-        """Reference evaluation of ``f_a`` at ``point``.
-
-        Scalar backends pay O(u·d); a vectorized backend contracts one
-        grid dimension per pass (``a' [t] = Σ_k χ_k(r_j)·a[tℓ+k]``), which
-        is O(u·ℓ/(ℓ-1)) array multiplications total.
-        """
+        """Reference evaluation of ``f_a`` at ``point``: Σ_i a_i·χ_{v(i)}(r)
+        entry by entry, O(u·d)."""
         d = len(point)
-        be = backend if backend is not None else get_backend(field)
-        if getattr(be, "vectorized", False):
-            size = ell**d
-            if len(a) > size:
-                raise ValueError(
-                    "vector of length %d does not fit in [%d]^%d"
-                    % (len(a), ell, d)
-                )
-            tables = chi_table_batch(field, ell, point, backend=be)
-            arr = be.asarray(list(a) + [0] * (size - len(a)))
-            for j in range(d):
-                mat = arr.reshape(-1, ell)
-                folded = be.mul(mat[:, 0], tables[j][0])
-                for k in range(1, ell):
-                    folded = be.add(folded, be.mul(mat[:, k], tables[j][k]))
-                arr = folded
-            return int(arr[0])
         tables = [chi_table(field, ell, x) for x in point]
         p = field.p
         acc = 0

@@ -21,7 +21,7 @@ from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvecto
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY, ScalarBackend, get_backend
 from repro.gkr.sumcheck import boolean_sum, round_message
-from repro.lde.chi import chi_table, chi_table_batch
+from repro.lde.chi import chi_table
 from repro.lde.streaming import MultipointStreamingLDE, StreamingLDE
 from repro.streams.generators import uniform_frequency_stream, zipf_stream
 
@@ -104,22 +104,16 @@ def test_multipoint_batched_matches_scalar():
 @needs_numpy
 @pytest.mark.parametrize("ell", [2, 3, 4])
 def test_direct_evaluate_vectorized_matches_scalar(ell):
+    """The vectorized stacked fold of a whole vector equals the per-entry
+    reference sum."""
     rng = random.Random(13)
     d = 4
     point = [rng.randrange(F.p) for _ in range(d)]
     a = [rng.randrange(-100, 100) for _ in range(ell**d - 3)]
-    scalar_value = StreamingLDE.direct_evaluate(
-        F, a, ell, point, backend=ScalarBackend(F)
-    )
-    assert StreamingLDE.direct_evaluate(F, a, ell, point) == scalar_value
-
-
-@needs_numpy
-@pytest.mark.parametrize("ell", [2, 3, 5])
-def test_chi_table_batch_matches_chi_table(ell):
-    rng = random.Random(17)
-    xs = [rng.randrange(F.p) for _ in range(8)] + list(range(ell)) + [0]
-    assert chi_table_batch(F, ell, xs) == [chi_table(F, ell, x) for x in xs]
+    lde = StreamingLDE(F, len(a), ell=ell, point=point,
+                       backend=get_backend(F, "vectorized"))
+    lde.process_stream_batched(list(enumerate(a)))
+    assert lde.value == StreamingLDE.direct_evaluate(F, a, ell, point)
 
 
 def test_chi_table_cache_consistency():
@@ -548,14 +542,17 @@ def test_mle_helpers_identical_across_backends():
     values = [rng.randrange(-50, 50) for _ in range(13)]  # padded to 16
     point = F.rand_vector(rng, 4)
     be = get_backend(F, "vectorized")
-    assert mle_eval(F, values, point) == mle_eval(F, values, point, backend=be)
+    sb = ScalarBackend(F)
+    assert mle_eval(F, values, point, backend=sb) == \
+        mle_eval(F, values, point, backend=be)
     padded = pad_to_power_of_two(values, backend=be)
-    assert [int(v) for v in padded] == [v % F.p for v in
-                                        pad_to_power_of_two(values)]
+    assert [int(v) for v in padded] == pad_to_power_of_two(values, backend=sb)
+    assert pad_to_power_of_two(values, backend=sb) == \
+        [v % F.p for v in pad_to_power_of_two(values)]
     start = F.rand_vector(rng, 4)
     end = F.rand_vector(rng, 4)
     assert restrict_to_line(F, values, start, end, 5, backend=be) == \
-        restrict_to_line(F, values, start, end, 5)
+        restrict_to_line(F, values, start, end, 5, backend=sb)
 
 
 @needs_numpy
@@ -565,9 +562,11 @@ def test_circuit_evaluate_identical_across_backends():
     rng = random.Random(79)
     circuit = f2_circuit(32)
     inputs = [rng.randrange(-100, 100) for _ in range(32)]
-    scalar = circuit.evaluate(F, inputs)
+    scalar = circuit.evaluate(F, inputs, backend=ScalarBackend(F))
     vector = circuit.evaluate(F, inputs, backend=get_backend(F, "vectorized"))
     assert scalar == vector
+    assert scalar[-1] == [v % F.p for v in inputs]
+    assert scalar[0] == [sum(v * v for v in inputs) % F.p]
 
 
 # -- distributed (sharded) ----------------------------------------------------
@@ -618,8 +617,7 @@ def run_batch_with(backend_name):
         prover.process_a(i, delta)
     ch = Channel()
     results = run_batch_range_sum(
-        prover, verifier, [(0, 30), (31, 90), (5, 127), (64, 64)],
-        ch, backend=backend,
+        prover, verifier, [(0, 30), (31, 90), (5, 127), (64, 64)], ch
     )
     assert all(r.accepted for r in results)
     return results, ch

@@ -219,8 +219,7 @@ def test_batched_transcripts_byte_identical_to_standalone(backend_name, case):
         backend_name, u, updates_a, updates_b, point
     )
     channel = Channel()
-    results = run_batched_sumcheck(engine, verifier, queries, channel,
-                                   backend=backend)
+    results = run_batched_sumcheck(engine, verifier, queries, channel)
     assert len(results) == len(queries)
     expected = true_answers(u, updates_a, updates_b, queries)
     for idx, (query, result) in enumerate(zip(queries, results)):
@@ -255,8 +254,7 @@ def test_batched_transcripts_identical_across_backends(case):
             backend_name, u, updates_a, updates_b, point
         )
         channel = Channel()
-        results = run_batched_sumcheck(engine, verifier, queries, channel,
-                                       backend=backend)
+        results = run_batched_sumcheck(engine, verifier, queries, channel)
         transcripts[backend_name] = channel.transcript.messages
         values[backend_name] = [r.value for r in results]
     assert transcripts["scalar"] == transcripts["vectorized"]
@@ -307,8 +305,7 @@ def assert_batch_equals_the_oracle(backend_name, u, updates_a, queries,
         backend_name, u, updates_a, [], point
     )
     channel = Channel()
-    results = run_batched_sumcheck(engine, verifier, queries, channel,
-                                   backend=backend)
+    results = run_batched_sumcheck(engine, verifier, queries, channel)
     for idx, query in enumerate(queries):
         single_result, single_channel = run_standalone(
             query, backend_name, u, updates_a, [], point
@@ -364,8 +361,7 @@ def test_empty_batch_is_a_no_op(backend_name):
         backend_name, 16, [(3, 2)], [], F.rand_vector(random.Random(0), 4)
     )
     channel = Channel()
-    assert run_batched_sumcheck(engine, verifier, [], channel,
-                                backend=backend) == []
+    assert run_batched_sumcheck(engine, verifier, [], channel) == []
     assert len(channel.transcript) == 0  # nothing hit the wire
 
 
@@ -383,8 +379,7 @@ def test_single_query_batch_matches_standalone(backend_name, query):
         backend_name, u, updates_a, updates_b, point
     )
     channel = Channel()
-    result = run_batched_sumcheck(engine, verifier, [query], channel,
-                                  backend=backend)[0]
+    result = run_batched_sumcheck(engine, verifier, [query], channel)[0]
     single_result, single_channel = run_standalone(
         query, backend_name, u, updates_a, updates_b, point
     )

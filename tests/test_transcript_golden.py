@@ -166,7 +166,7 @@ def golden_batch_range_sum(be):
     _feed(UPDATES_A, prover, verifier)
     channel = Channel()
     results = run_batch_range_sum(
-        prover, verifier, [(0, 9), (10, 63), (7, 7)], channel, backend=be
+        prover, verifier, [(0, 9), (10, 63), (7, 7)], channel
     )
     return _batch(results, channel)
 
@@ -191,8 +191,7 @@ def golden_mixed_batch(be, queries=MIXED, seed=8):
         engine.process_b(i, delta)
         verifier.process_b(i, delta)
     channel = Channel()
-    results = run_batched_sumcheck(engine, verifier, queries, channel,
-                                   backend=be)
+    results = run_batched_sumcheck(engine, verifier, queries, channel)
     return _batch(results, channel)
 
 

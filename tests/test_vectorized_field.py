@@ -336,14 +336,11 @@ def test_evaluate_from_evals_batch_matches_single():
     )
 
     field = PrimeField(MERSENNE_61, check_prime=False)
-    be = VectorizedField(field)
     rng = random.Random(3)
     tables = [[rng.randrange(field.p) for _ in range(4)] for _ in range(9)]
     for x in (0, 2, 3, rng.randrange(field.p)):
         expected = [evaluate_from_evals(field, t, x) for t in tables]
         assert evaluate_from_evals_batch(field, tables, x) == expected
-        assert evaluate_from_evals_batch(field, tables, x, backend=be) == \
-            expected
     assert evaluate_from_evals_batch(field, [], 5) == []
     with pytest.raises(ValueError):
         evaluate_from_evals_batch(field, [[1, 2], [1]], 5)

@@ -8,8 +8,10 @@ the verified value and the verifier's space — generated at commit
 a5e7b64; ``fk1``, ``fk2``, ``fk5`` and ``two-order-batch`` at e710c65,
 before the moment kernel replaced the line stack under them; the two
 ``gkr-*`` runs at 9472e4e, while the scalar backend still ran its own
-per-gate layer prover (``python tests/test_transcript_golden.py``
-prints the table).
+per-gate layer prover; the five single-query ``*-wire`` rows at
+16bbfa5, while the service still proved a lone F2, Fk, INNER-PRODUCT or
+RANGE-SUM query outside the batched engine
+(``python tests/test_transcript_golden.py`` prints the table).
 """
 
 from __future__ import annotations
@@ -226,11 +228,11 @@ def _signed_updates(seed, u, n):
     return [(rng.randrange(u), rng.randrange(-9, 10)) for _ in range(n)]
 
 
-def _through_a_server(descriptors, pool_key, seed):
+def _through_a_server(descriptors, pool_key, seed, tamper=None):
     handle = ProverServer(F).serve_in_thread()
     try:
         with ServiceClient(*handle.address, F, U, dataset_id=1,
-                           rng=random.Random(seed)) as client:
+                           rng=random.Random(seed), tamper=tamper) as client:
             client.provision(pool_key, 1)
             client.send_updates(UPDATES_A)
             client.send_updates(UPDATES_B, vector=1)
@@ -257,6 +259,12 @@ def golden_range_batch_over_the_wire(be):
     )
 
 
+def golden_single_over_the_wire(descriptor, pool_key, seed, tamper=None):
+    """One lone sum-check query through a server (a rejected one pins
+    where the conversation stops)."""
+    return _through_a_server([descriptor], pool_key, seed, tamper=tamper)
+
+
 SCENARIOS = {
     "f2": golden_f2,
     "f2-tampered": golden_f2_tampered,
@@ -277,6 +285,14 @@ SCENARIOS = {
     "two-order-batch": lambda be: golden_mixed_batch(be, TWO_ORDERS, seed=11),
     "mixed-batch-wire": golden_mixed_batch_over_the_wire,
     "range-batch-wire": golden_range_batch_over_the_wire,
+    "f2-wire": lambda be: golden_single_over_the_wire(f2(), ("f2",), 15),
+    "fk3-wire": lambda be: golden_single_over_the_wire(fk(3), ("fk", 3), 16),
+    "inner-product-wire": lambda be: golden_single_over_the_wire(
+        inner_product(), ("inner-product",), 17),
+    "range-sum-wire": lambda be: golden_single_over_the_wire(
+        range_sum(5, 40), ("range-sum",), 18),
+    "f2-wire-tampered": lambda be: golden_single_over_the_wire(
+        f2(), ("f2",), 19, tamper=flip_word(2)),
 }
 
 #: name -> (sha256 of the encoded transcript, value(s), verifier words);
@@ -291,6 +307,12 @@ GOLDEN = {
     "f2-tampered": (
         "ae2f45a3756e0a11b8884ce2655f119d0c78aca200bc7f5fbc2c39731ece9ab6",
         None, 12),
+    "f2-wire": (
+        "543ac55c1cb2e0f810474b2ee3c2756a7882884fc5373c7b0c55ca339e2ad182",
+        [1510], 12),
+    "f2-wire-tampered": (
+        "dc29ac8f6504855cc7c99e2ada45dc0af1e6fa85e1621ea8341a76c801aa1b71",
+        [None], 12),
     "fk1": (
         "b5ff45ecd61f56f4a397a964034e969ffaf1a17d0b77663b2070ef89821208ae",
         230, 11),
@@ -300,6 +322,9 @@ GOLDEN = {
     "fk3": (
         "cf30a55d9a770ef25a9fb6a8f7e64b746cf617cf90e3aaa949cf6432b5506820",
         11780, 13),
+    "fk3-wire": (
+        "4a25449a0fa7bc2e8db3a84d2523d3b3470ced5ef849c0b4d65cb2b0df16a378",
+        [11780], 13),
     "fk5": (
         "adef2e34fe14676048db3da5686441e3fb27d50ac5ec7ddfaf1a128e3c980ea0",
         999260, 15),
@@ -318,6 +343,9 @@ GOLDEN = {
     "inner-product": (
         "cb27342feb159f8218f1996ccf782cee6d52af052f58a269c1871bedc594b4e1",
         456, 13),
+    "inner-product-wire": (
+        "cfe51f6c292fe3ad2dc71961d1b8541f19f708f9deb63adf2547a0a2f796042a",
+        [456], 13),
     "mixed-batch": (
         "96f1b368edd7d9382f78892582c7e285de4c1ad2058a83f658dbd3b16722646e",
         [182, 1510, 11780, 456, 230], 34),
@@ -330,6 +358,9 @@ GOLDEN = {
     "range-sum": (
         "c1ff793b21449f2b87777c69aa22983c83af63138274240cae041f82b849b9d6",
         136, 13),
+    "range-sum-wire": (
+        "6d65b59c24118198455a2dc5e0e1774d9d7b4f8ac7c3fbdfc6401f102beefea3",
+        [136], 13),
     "two-order-batch": (
         "a04589a35016cf0e5d799e8508193ca2cfb0b91e74c5adcd824faf8bdf40e499",
         [1510, 11780, 103786, 136, 456], 36),

@@ -83,12 +83,6 @@ class F2Prover:
 class F2Verifier(SingleLDEVerifier):
     """Streaming verifier: secret point ``r``, running LDE, O(log u) words."""
 
-    @property
-    def space_words(self) -> int:
-        # r (d words), f_a(r), previous round evaluation, claimed answer,
-        # and the current 3-word message being checked.
-        return self.d + 1 + 1 + 1 + 3
-
 
 def run_f2(
     prover: F2Prover,

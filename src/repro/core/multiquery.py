@@ -33,7 +33,7 @@ from repro.core.base import (
 from repro.core.fk import check_moment_order
 from repro.core.inner_product import InnerProductVerifier
 from repro.field.modular import PrimeField
-from repro.field.polynomial import evaluate_from_evals_batch
+from repro.field.polynomial import interpolation_weights
 from repro.field.vectorized import (
     canonical_table,
     fold_pairs,
@@ -423,20 +423,25 @@ def run_batched_sumcheck(
     message for F2/INNER-PRODUCT/RANGE-SUM members, k+1 evaluations for
     an Fk member — before the shared challenge r_j is revealed; the
     verifier keeps one running check per query and evaluates every
-    committed message at r_j through
-    :func:`~repro.field.polynomial.evaluate_from_evals_batch` (one
-    shared weight vector per distinct message length).  Words are
+    committed message at r_j as a weighted sum (one shared
+    :func:`~repro.field.polynomial.interpolation_weights` vector per
+    distinct message length).  Words are
     attributed per query on the channel, so
     :meth:`~repro.comm.channel.Channel.query_cost` matches what the same
-    query would pay in a standalone run plus the shared challenges.
+    query would pay in a standalone run plus the shared challenges.  A
+    batch of one *is* the standalone run, byte for byte: its messages
+    carry the standalone labels, and once every member has failed the
+    verifier stops talking, as :func:`~repro.core.sumcheck.
+    run_sumcheck_rounds` does.
 
     ``prover`` is a :class:`BatchedSumcheckEngine` (or the service
     layer's remote proxy with the same ``receive_batch`` /
     ``round_messages`` / ``receive_challenge`` interface).
-    ``verifier`` is a :class:`BatchedSumcheckVerifier` for mixed
-    batches; any single-LDE streaming verifier of the sum-check family
-    (RANGE-SUM / F2 / Fk) works for batches without INNER-PRODUCT
-    members.
+    ``verifier`` is a :class:`BatchedSumcheckVerifier` for batches with
+    INNER-PRODUCT members; any single-LDE streaming verifier
+    (:class:`~repro.core.sumcheck.SingleLDEVerifier`) works for the
+    others.  Only its field, LDEs and point (``r``, ``d``, ``size``) are
+    read.
     """
     ch = channel or Channel()
     field = verifier.field
@@ -465,13 +470,19 @@ def run_batched_sumcheck(
         )
     prover.receive_batch(queries)
 
+    # A batch of one is the single-query protocol, label for label; a
+    # member of a larger batch tags its messages with its index.
+    single = len(queries) == 1
+    prefixes = [""] if single else ["q%d-" % i for i in range(len(queries))]
+    range_label = "query" if single else "range"
     # Each RANGE-SUM member's range announcement is charged to that
     # query, so Channel.query_cost stays directly comparable to a
     # standalone run (F2/Fk/INNER-PRODUCT standalone runs carry no
     # query announcement).
     for idx, q in enumerate(queries):
         if q.kind == BATCH_KIND_RANGE_SUM:
-            ch.verifier_says(0, "q%d-range" % idx, list(q.params), query=idx)
+            ch.verifier_says(0, prefixes[idx] + range_label, list(q.params),
+                             query=idx)
 
     degrees = [q.degree for q in queries]
     # The direct-sum verifier's words: the shared point and LDE values,
@@ -486,20 +497,26 @@ def run_batched_sumcheck(
     claimed: List[Optional[int]] = [None] * len(queries)
     previous: List[Optional[int]] = [None] * len(queries)
     failed: List[Optional[str]] = [None] * len(queries)
+    live = len(queries)
 
     round_seconds = obs.histogram("repro_sumcheck_round_seconds")
     for j in range(d):
         round_t0 = time.perf_counter()
+        r_j = verifier.r[j]
+        # One Lagrange weight vector per distinct message length serves
+        # every live query of that length this round.
+        weights = {}
+        g_label = "g%d" % (j + 1)
         # The prover commits every query's round polynomial first.
-        messages = prover.round_messages()
-        deliveries: List[Optional[List[int]]] = [None] * len(queries)
-        for idx, msg in enumerate(messages):
-            delivered = ch.prover_says(j, "q%d-g%d" % (idx, j + 1), msg,
+        for idx, msg in enumerate(prover.round_messages()):
+            delivered = ch.prover_says(j, prefixes[idx] + g_label, msg,
                                        query=idx)
             if failed[idx] is not None:
                 continue
-            if len(delivered) != degrees[idx] + 1:
+            length = degrees[idx] + 1
+            if len(delivered) != length:
                 failed[idx] = "round %d: malformed message" % j
+                live -= 1
                 continue
             evals = [v % p for v in delivered]
             round_sum = (evals[0] + evals[1]) % p
@@ -507,26 +524,21 @@ def run_batched_sumcheck(
                 claimed[idx] = round_sum
             elif round_sum != previous[idx]:
                 failed[idx] = "round %d: sum-check invariant violated" % j
+                live -= 1
                 continue
-            deliveries[idx] = evals
-        # One shared weight vector per distinct message length covers
-        # every live query.
-        by_length = {}
-        for idx, evals in enumerate(deliveries):
-            if evals is not None:
-                by_length.setdefault(len(evals), []).append(idx)
-        for length in sorted(by_length):
-            group = by_length[length]
-            evaluated = evaluate_from_evals_batch(
-                field, [deliveries[idx] for idx in group], verifier.r[j]
-            )
-            for idx, value in zip(group, evaluated):
-                previous[idx] = value
-        # Reveal r_j and fold all tables; r_d stays secret.
-        if j < d - 1:
-            ch.verifier_says(j, "r%d" % (j + 1), [verifier.r[j]])
-            prover.receive_challenge(verifier.r[j])
+            w = weights.get(length)
+            if w is None:
+                w = weights[length] = interpolation_weights(field, length,
+                                                            r_j)
+            previous[idx] = sum(e * wk for e, wk in zip(evals, w)) % p
+        # Reveal r_j and fold all tables; r_d stays secret, and once
+        # every member has failed nothing more is said.
+        if live and j < d - 1:
+            ch.verifier_says(j, "r%d" % (j + 1), [r_j])
+            prover.receive_challenge(r_j)
         round_seconds.observe(time.perf_counter() - round_t0)
+        if not live:
+            break
 
     # Per-query proof telemetry, straight off the channel's own
     # accounting — the cross-check test asserts these samples equal

@@ -63,10 +63,6 @@ class RangeSumVerifier(SingleLDEVerifier):
         """``f_b(r)`` in O(log² u) — no pass over the data."""
         return range_indicator_eval(self.field, self.d, self.r, lo, hi)
 
-    @property
-    def space_words(self) -> int:
-        return self.d + 1 + 1 + 1 + 3
-
 
 def run_range_sum(
     prover: RangeSumProver,

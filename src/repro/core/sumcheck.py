@@ -28,8 +28,9 @@ class SingleLDEVerifier:
     """Streaming verifier state of the one-vector sum-check family.
 
     The secret point ``r`` and the running LDE value ``f_a(r)``:
-    O(log u) words.  Subclasses add what differs — ``space_words``, the
-    moment order, the grid base, the range-indicator evaluation.
+    O(log u) words, counted for a degree-2 message (F2, RANGE-SUM) by
+    ``space_words``; subclasses add what differs — the moment order, the
+    grid base, the range-indicator evaluation.
     """
 
     #: Grid base ℓ of the LDE.
@@ -52,6 +53,12 @@ class SingleLDEVerifier:
             point = field.rand_vector(rng, self.d)
         self.lde = StreamingLDE(field, self.size, ell=self.ell, point=point)
         self.r = self.lde.point
+
+    @property
+    def space_words(self) -> int:
+        # r (d words), f_a(r), previous round evaluation, claimed answer,
+        # and the current 3-word message being checked.
+        return self.d + 1 + 1 + 1 + 3
 
     @property
     def stream_sketches(self):

@@ -177,18 +177,19 @@ def evaluate_from_evals(field: PrimeField, evals: Sequence[int], x: int) -> int:
     x %= p
     if x < m:
         return evals[x] % p
-    weights = _interpolation_weights(field, m, x)
+    weights = interpolation_weights(field, m, x)
     return sum(evals[k] * weights[k] for k in range(m)) % p
 
 
-def _interpolation_weights(field: PrimeField, m: int, x: int) -> List[int]:
+def interpolation_weights(field: PrimeField, m: int, x: int) -> List[int]:
     """Lagrange weights w_k with interpolant(x) = Σ_k evals[k]·w_k.
 
     ``prefix[k] = Π_{j<k} (x - j)``, ``suffix[k] = Π_{j>k} (x - j)``, and
     the factorial denominators are cached.  Depends only on (m, x), so
-    one weight vector serves every message of a batched round — the basis
-    of :func:`evaluate_from_evals_batch` and of the single-message
-    :func:`evaluate_from_evals`.
+    one weight vector serves every same-length message of a batched
+    round at the shared challenge (Section 7, "Multiple Queries") — and
+    :func:`evaluate_from_evals`.  At a node ``x < m`` the weights are the
+    indicator of ``x``.
     """
     p = field.p
     prefix = [1] * m
@@ -200,31 +201,4 @@ def _interpolation_weights(field: PrimeField, m: int, x: int) -> List[int]:
     denom_inv = _denominator_inverses(field, m)
     return [
         prefix[k] * suffix[k] % p * denom_inv[k] % p for k in range(m)
-    ]
-
-
-def evaluate_from_evals_batch(
-    field: PrimeField, tables: Sequence[Sequence[int]], x: int
-) -> List[int]:
-    """Evaluate many same-length evaluation tables at one point ``x``.
-
-    The round-lockstep batched protocols (Section 7, "Multiple Queries")
-    check every query's round polynomial at the *shared* challenge r_j:
-    the Lagrange weights are computed once and each table costs one O(m)
-    weighted sum of Python ints.
-    """
-    if not tables:
-        return []
-    m = len(tables[0])
-    if m == 0:
-        raise ValueError("cannot interpolate an empty evaluation table")
-    if any(len(t) != m for t in tables):
-        raise ValueError("batched tables must share one length")
-    p = field.p
-    x %= p
-    if x < m:
-        return [t[x] % p for t in tables]
-    weights = _interpolation_weights(field, m, x)
-    return [
-        sum(t[k] * weights[k] for k in range(m)) % p for t in tables
     ]

@@ -1305,6 +1305,11 @@ def moment_round_sums(backend: Backend, field: PrimeField, table,
     inner product, and the weights are exact integers reduced once at
     the end.  Shared by the F2 / Fk provers (order 2 is F2), the shard
     workers and the batched engine, on either backend.
+
+    A request for order 2 alone on a Mersenne-61 table — every F2-only
+    round — takes three limb products directly (:func:`_f2_sums_m61`):
+    the general kernel's bookkeeping is ≈ 5 µs a call, a sixth of an F2
+    proof at u = 2^12.
     """
     orders = sorted(set(orders))
     if not orders:
@@ -1313,6 +1318,8 @@ def moment_round_sums(backend: Backend, field: PrimeField, table,
         raise ValueError("moment order k must be >= 1, got %d" % orders[0])
     table = ensure_backend_array(backend, table)
     if getattr(backend, "_is_m61", False):
+        if orders == [2]:
+            return {2: _f2_sums_m61(backend, field, table)}
         moments = _pair_moments_m61(backend, table, orders)
     else:
         powers = [None, table]
@@ -1336,19 +1343,11 @@ def moment_round_sums(backend: Backend, field: PrimeField, table,
     }
 
 
-def f2_round_sums(backend: Backend, field: PrimeField, table) -> List[int]:
-    """[g(0), g(1), g(2)] of the F2 sum-check round polynomial
-    ``g(c) = Σ_t ((1-c)·A[2t] + c·A[2t+1])²``: order 2 of
-    :func:`moment_round_sums`, for the standalone F2 prover, the shard
-    workers and the coordinator.
-
-    A Mersenne-61 table takes the three limb products directly: the
-    general kernel's bookkeeping is ≈ 5 µs a call, a sixth of an F2
-    proof at u = 2^12.
-    """
-    table = ensure_backend_array(backend, table)
-    if not getattr(backend, "_is_m61", False):
-        return moment_round_sums(backend, field, table, (2,))[2]
+def _f2_sums_m61(backend: "VectorizedField", field: PrimeField,
+                 table) -> List[int]:
+    """Order 2 of :func:`moment_round_sums` on a ``uint64`` Mersenne-61
+    table: ``g(0)``, ``g(1)`` and the cross moment as three limb
+    products per tile, ``g(2) = g(0) + 4·g(1) - 4·Σ E·O``."""
     p = field.p
     g0 = g1 = gm = 0
     pairs = table.shape[0] // 2
@@ -1359,6 +1358,14 @@ def f2_round_sums(backend: Backend, field: PrimeField, table) -> List[int]:
         g1 += _limb_products(hi, hi)
         gm += _limb_products(lo, hi)
     return [g0 % p, g1 % p, (g0 + 4 * g1 - 4 * gm) % p]
+
+
+def f2_round_sums(backend: Backend, field: PrimeField, table) -> List[int]:
+    """[g(0), g(1), g(2)] of the F2 sum-check round polynomial
+    ``g(c) = Σ_t ((1-c)·A[2t] + c·A[2t+1])²``: order 2 of
+    :func:`moment_round_sums`, for the standalone F2 prover, the shard
+    workers and the coordinator."""
+    return moment_round_sums(backend, field, table, (2,))[2]
 
 
 def fk_round_sums(backend: Backend, field: PrimeField, table, k: int) -> List[int]:

@@ -13,8 +13,10 @@ powerful server and verifying its answers):
   the async and the blocking frame link, and the listener lifecycle the
   node, the router and the chaos proxy inherit;
 * :mod:`repro.service.router` — declarative query descriptors routed
-  onto the matching ``core/`` protocol, with single-shot vs batched
-  (direct-sum) planning; ``f2(workers=w)`` runs the Section 7 sharded
+  onto the matching ``core/`` protocol: every sum-check descriptor of a
+  request (F2, Fk, INNER-PRODUCT, RANGE-SUM — a lone one as a batch of
+  one) runs on the direct-sum batched engine, every other kind
+  single-shot; ``f2(workers=w)`` runs the Section 7 sharded
   coordinator (:mod:`repro.distributed.sharded`) over ``w`` slices of
   the dataset's table, transcript equal to plain ``f2()``;
 * :mod:`repro.service.registry` — server-side datasets shared across

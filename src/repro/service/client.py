@@ -45,7 +45,6 @@ from repro.lde.streaming import (
 )
 from repro.service import protocol as sp
 from repro.service.router import (
-    KIND_FK,
     PlanUnit,
     QueryDescriptor,
     QueryRouter,
@@ -201,8 +200,6 @@ class RemoteProver:
         self._ref = ref
         self._steps = sp.steps_for_kind(descriptor.kind)
         self.d = client.d
-        if descriptor.kind == KIND_FK:
-            self.k = descriptor.params[0]
         self._deferred: List[Tuple[int, Sequence[int]]] = []
 
     def _defer(self, method: int, args: Sequence[int] = ()) -> None:
@@ -693,11 +690,12 @@ class ServiceClient:
     def query(self, *descriptors: QueryDescriptor) -> List[QueryOutcome]:
         """Run verified queries; returns one outcome per descriptor.
 
-        The router plans the descriptors first: two or more sum-check
-        descriptors (RANGE-SUM, F2, Fk, INNER-PRODUCT, in any mix) share
-        one batched direct-sum execution (and one verifier copy);
-        everything else runs single-shot, each consuming one copy from
-        its provisioned pool.
+        The router plans the descriptors first: every sum-check
+        descriptor (RANGE-SUM, F2, Fk, INNER-PRODUCT, in any mix, a lone
+        one included) runs in one batched direct-sum execution on the
+        engine (and one verifier copy); everything else — sharded F2
+        too — runs single-shot, each consuming one copy from its
+        provisioned pool.
         """
         if not descriptors:
             return []

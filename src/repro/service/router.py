@@ -22,18 +22,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.comm.channel import Channel
-from repro.core.base import VerificationResult
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
-from repro.core.fk import FkProver, FkVerifier, check_moment_order, run_fk
+from repro.core.f2 import run_f2
+from repro.core.fk import check_moment_order
 from repro.core.heavy_hitters import (
     HeavyHittersProver,
     HeavyHittersVerifier,
     run_heavy_hitters,
-)
-from repro.core.inner_product import (
-    InnerProductProver,
-    InnerProductVerifier,
-    run_inner_product,
 )
 from repro.core.k_largest import KLargestProver, k_largest_query
 from repro.core.multiquery import (
@@ -46,7 +40,6 @@ from repro.core.multiquery import (
     batch_range_sum as core_batch_range_sum,
     run_batched_sumcheck,
 )
-from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
 from repro.core.reporting import (
     ReportingProver,
     index_query,
@@ -55,6 +48,7 @@ from repro.core.reporting import (
     successor_query,
 )
 from repro.core.subvector import TreeHashVerifier
+from repro.core.sumcheck import SingleLDEVerifier
 from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import PrimeField
 
@@ -104,9 +98,10 @@ TREE_KINDS = frozenset(
      KIND_PREDECESSOR, KIND_SUCCESSOR]
 )
 
-#: The sum-check family: descriptors of these kinds share one
-#: heterogeneous direct-sum execution (Section 7) through the
-#: :class:`~repro.core.multiquery.BatchedSumcheckEngine` — except an F2
+#: The sum-check family: every descriptor of these kinds in a request
+#: runs in one direct-sum execution (Section 7) on the
+#: :class:`~repro.core.multiquery.BatchedSumcheckEngine` — a lone one as
+#: a batch of one, which is the single-query protocol — except an F2
 #: descriptor that names a worker count, which keeps its own (sharded)
 #: prover.  There is no batch-size ceiling in the plan: RANGE-SUM
 #: members cost the engine O(log² u) per round each (the dyadic fold),
@@ -241,7 +236,8 @@ def successor(q: int) -> QueryDescriptor:
 
 @dataclass(frozen=True)
 class PlanUnit:
-    """One protocol execution: a sum-check batch or a single query."""
+    """One protocol execution: every sum-check descriptor of a request
+    as one engine batch (``batched``), or one other query."""
 
     batched: bool
     descriptors: Tuple[QueryDescriptor, ...]
@@ -250,9 +246,9 @@ class PlanUnit:
     def pool_key(self) -> Tuple:
         """The verifier pool this unit consumes one copy from.
 
-        A homogeneous batch keeps its family's pool (one RANGE-SUM
-        verifier serves an all-RANGE-SUM batch); a mixed batch draws
-        from the ``("batch",)`` pool of two-LDE
+        A lone query or a homogeneous batch keeps its family's pool (one
+        RANGE-SUM verifier serves an all-RANGE-SUM batch); a mixed batch
+        draws from the ``("batch",)`` pool of two-LDE
         :class:`~repro.core.multiquery.BatchedSumcheckVerifier` copies.
         """
         keys = {
@@ -272,26 +268,25 @@ class QueryRouter:
     def plan(descriptors: Sequence[QueryDescriptor]) -> List[PlanUnit]:
         """Group descriptors into executions.
 
-        Two or more sum-check descriptors — RANGE-SUM, F2, Fk,
-        INNER-PRODUCT, in any mix — share one direct-sum batched run
-        (one verifier copy, one dataset digitisation, shared challenges
-        — Section 7) on the
+        Every sum-check descriptor — RANGE-SUM, F2, Fk, INNER-PRODUCT,
+        in any mix, one or many — joins one direct-sum batched run (one
+        verifier copy, one dataset digitisation, shared challenges —
+        Section 7) on the
         :class:`~repro.core.multiquery.BatchedSumcheckEngine`; every
         other descriptor (and sharded F2) is a single-shot unit.
         Order of the returned units follows first appearance, so results
         can be re-matched to the request order via the units'
         descriptors.
         """
-        batchable = [q for q in descriptors if _batchable(q)]
+        batchable = tuple(q for q in descriptors if _batchable(q))
         units: List[PlanUnit] = []
         batched_emitted = False
         for q in descriptors:
-            if _batchable(q) and len(batchable) > 1:
-                if not batched_emitted:
-                    units.append(PlanUnit(True, tuple(batchable)))
-                    batched_emitted = True
-                continue
-            units.append(PlanUnit(False, (q,)))
+            if not _batchable(q):
+                units.append(PlanUnit(False, (q,)))
+            elif not batched_emitted:
+                units.append(PlanUnit(True, batchable))
+                batched_emitted = True
         return units
 
     # -- verifier side -------------------------------------------------------
@@ -319,20 +314,19 @@ class QueryRouter:
     def make_verifier(pool_key: Tuple, field: PrimeField, u: int,
                       rng: random.Random):
         """A fresh streaming verifier for one pool key (drawn *before*
-        the stream, as Definition 1 requires)."""
+        the stream, as Definition 1 requires).
+
+        The sum-check pools hold what the engine's driver reads — the
+        LDEs at the secret point, ``r`` and ``d``: one LDE where every
+        member reads ``f_a(r)`` only, two where an INNER-PRODUCT member
+        may read ``f_b(r)``."""
         family = pool_key[0]
         if family == "tree":
             return TreeHashVerifier(field, u, rng=rng)
-        if family == "batch":
+        if family in ("f2", "fk", "range-sum"):
+            return SingleLDEVerifier(field, u, rng=rng)
+        if family in ("inner-product", "batch"):
             return BatchedSumcheckVerifier(field, u, rng=rng)
-        if family == "range-sum":
-            return RangeSumVerifier(field, u, rng=rng)
-        if family == "f2":
-            return F2Verifier(field, u, rng=rng)
-        if family == "fk":
-            return FkVerifier(field, u, pool_key[1], rng=rng)
-        if family == "inner-product":
-            return InnerProductVerifier(field, u, rng=rng)
         if family == "heavy-hitters":
             num, den = pool_key[1], pool_key[2]
             if den == 0 or not 0 < num / den <= 1:
@@ -353,36 +347,37 @@ class QueryRouter:
         sessions keep streaming; ``f2(workers=w)`` runs the Section 7
         coordinator over ``w`` slices of that table.  Heavy hitters needs
         raw counts, not residues: it takes a copy of the count column.
+
+        A unit off the wire is checked, not trusted, before anything is
+        built: a batched unit is one or more descriptors the engine runs,
+        a single-shot unit exactly one it does not (an oversized moment
+        order is named first).
         """
+        count = len(unit.descriptors)
+        members = [to_batch_query(q) for q in unit.descriptors
+                   if _batchable(q)]
+        if not (0 < len(members) == count if unit.batched
+                else count == 1 and not members):
+            raise RoutingError(
+                "a batched unit carries one or more descriptors the engine "
+                "runs, a single-shot unit exactly one it does not")
         field, u, table = dataset.field, dataset.u, dataset.canonical_table
-        descriptor = unit.descriptors[0]
-        kind = descriptor.kind
         if unit.batched:
-            for q in unit.descriptors:
-                to_batch_query(q)  # raises RoutingError on a bad mix
             return BatchedSumcheckEngine(
                 field, u, freq_a=table(0),
                 freq_b=table(1) if any(
                     q.kind == KIND_INNER_PRODUCT for q in unit.descriptors
                 ) else None,
             )
-        if kind == KIND_RANGE_SUM:
-            return RangeSumProver(field, u, freq_a=table(0))
+        descriptor = unit.descriptors[0]
+        kind = descriptor.kind
         if kind in TREE_KINDS:
             cls = KLargestProver if kind == KIND_K_LARGEST else ReportingProver
             return cls(field, u, freq=table(0))
         if kind == KIND_F2:
-            workers = descriptor.params[0] if descriptor.params else 0
-            if workers:
-                return DistributedF2Prover(field, u, num_workers=workers,
-                                           freq=table(0))
-            return F2Prover(field, u, freq=table(0))
-        if kind == KIND_FK:
-            return FkProver(field, u, check_moment_order(descriptor.params[0]),
-                            freq=table(0))
-        if kind == KIND_INNER_PRODUCT:
-            return InnerProductProver(field, u, freq_a=table(0),
-                                      freq_b=table(1))
+            return DistributedF2Prover(field, u,
+                                       num_workers=descriptor.params[0],
+                                       freq=table(0))
         if kind == KIND_HEAVY_HITTERS:
             num, den = descriptor.params
             if den == 0 or not 0 < num / den <= 1:
@@ -403,8 +398,9 @@ class QueryRouter:
 
         ``prover`` may be a local object or the client's remote proxy —
         the drivers only see the protocol interface.  Returns one
-        :class:`VerificationResult` for a single-shot unit, a list (one
-        per descriptor, in batch order) for a batched unit.
+        :class:`~repro.core.base.VerificationResult` for a single-shot
+        unit, a list (one per descriptor, in batch order) for a batched
+        unit — a batch of one included.
         """
         ch = channel or Channel()
         descriptor = unit.descriptors[0]
@@ -417,15 +413,8 @@ class QueryRouter:
         if kind == KIND_RANGE_SCAN:
             lo, hi = descriptor.params
             return range_query(prover, verifier, lo, hi, ch)
-        if kind == KIND_RANGE_SUM:
-            lo, hi = descriptor.params
-            return run_range_sum(prover, verifier, lo, hi, ch)
         if kind == KIND_F2:
-            return run_f2(prover, verifier, ch)
-        if kind == KIND_FK:
-            return run_fk(prover, verifier, ch)
-        if kind == KIND_INNER_PRODUCT:
-            return run_inner_product(prover, verifier, ch)
+            return run_f2(prover, verifier, ch)  # f2(workers=w)
         if kind == KIND_HEAVY_HITTERS:
             return run_heavy_hitters(prover, verifier, ch)
         if kind == KIND_K_LARGEST:

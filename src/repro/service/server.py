@@ -444,15 +444,9 @@ class ProverServer(FrameListener):
                     QueryDescriptor.from_words(words[cursor:end])
                 )
                 cursor = end
-            if not descriptors:
-                raise ServiceError("query open carried no descriptors")
-            if batched and len(descriptors) < 2:
-                raise ServiceError("a batched unit needs >= 2 descriptors")
-            if not batched and len(descriptors) > 1:
-                raise ServiceError(
-                    "a single-shot unit carries one descriptor, got %d"
-                    % len(descriptors)
-                )
+            # The plan's shape rule (QueryRouter.make_prover) refuses a
+            # unit the client's router would never make, before any
+            # prover is built.
             active = self.registry.open_query(session_id, descriptors,
                                               batched)
             if batched:

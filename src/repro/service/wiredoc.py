@@ -23,6 +23,14 @@ supervisor's resync loop and metrics scrapers: sessionless (session id
 0), exempt from rate limits, answered before any registry lookup so a
 node reports its health even when it refuses new sessions.
 
+A `T_QUERY_OPEN` payload is a flag word, then the unit's descriptors
+(`kind, nparams, params...` each).  Flag 1 opens one or more F2, Fk,
+INNER-PRODUCT or RANGE-SUM descriptors (not `f2(workers=w)`) on the
+batched sum-check engine and announces them to it — a lone query is a
+batch of one, the single-query protocol byte for byte; flag 0 opens
+exactly one descriptor of any other kind.  Any other open is a
+`T_ERROR` on a connection that stays up, and no prover is built.
+
 ## Error codes
 
 A structured refusal beats a bare connection reset: a `T_ERROR` payload

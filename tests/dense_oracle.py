@@ -21,3 +21,14 @@ class DenseRangeSumProver(InnerProductProver):
         b = [0] * self.size
         b[lo : hi + 1] = [1] * (hi - lo + 1)
         self.set_b_vector(b)
+
+    # The engine's interface for a batch of one RANGE-SUM member — what
+    # the service drives a lone RANGE-SUM query through.
+
+    def receive_batch(self, queries) -> None:
+        (query,) = queries
+        self.receive_query(*query.params)
+        self.begin_proof()
+
+    def round_messages(self):
+        return [self.round_message()]

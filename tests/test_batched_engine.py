@@ -154,8 +154,10 @@ def per_query_view(channel, idx):
     Keeps the member's own messages (``q{idx}-range`` -> ``query``,
     ``q{idx}-g{j}`` -> ``g{j}``) and the shared revealed challenges, in
     transcript order — exactly the sequence a standalone run of that
-    query produces.
+    query produces.  A batch of one already speaks the standalone labels.
     """
+    if not any("-" in m.label for m in channel.transcript.messages):
+        return standalone_view(channel)
     prefix = "q%d" % idx
     view = []
     for message in channel.transcript.messages:

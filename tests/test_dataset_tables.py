@@ -19,6 +19,7 @@ from repro.comm.channel import Channel
 from repro.core.f2 import F2Prover
 from repro.core.fk import FkProver
 from repro.core.inner_product import InnerProductProver
+from repro.core.multiquery import batch_f2, batch_fk
 from repro.core.range_sum import RangeSumProver
 from repro.core.subvector import SubVectorAnswer
 from repro.distributed.sharded import DistributedF2Prover
@@ -87,6 +88,12 @@ class Client:
         return unit, active.prover
 
 
+def run_one(unit, prover, verifier, channel=None):
+    """The result of a one-descriptor unit (a batch of one included)."""
+    outcome = QueryRouter.run(unit, prover, verifier, channel)
+    return outcome[0] if unit.batched else outcome
+
+
 # -- (a) snapshot semantics ----------------------------------------------------
 
 
@@ -109,8 +116,8 @@ def test_updates_mid_proof_do_not_reach_the_proof_in_flight(
         undisturbed.apply(UPDATES)
         unit, prover = undisturbed.open(query)
         channel = Channel()
-        result = QueryRouter.run(unit, prover, undisturbed.verifier(unit, 5),
-                                 channel)
+        result = run_one(unit, prover, undisturbed.verifier(unit, 5),
+                         channel)
         assert result.accepted
 
         client = Client()
@@ -119,13 +126,13 @@ def test_updates_mid_proof_do_not_reach_the_proof_in_flight(
         verifier = client.verifier(unit, 5)  # saw exactly what the proof did
         client.apply([(4, 1000), (39, -3)])  # the dataset moves on mid-proof
         disturbed = Channel()
-        result = QueryRouter.run(unit, prover, verifier, disturbed)
+        result = run_one(unit, prover, verifier, disturbed)
         assert result.accepted, result.reason
         assert transcript_of(disturbed) == transcript_of(channel)
 
         # The next query proves the new data.
         unit, prover = client.open(query)
-        result = QueryRouter.run(unit, prover, client.verifier(unit, 6))
+        result = run_one(unit, prover, client.verifier(unit, 6))
         assert result.accepted, result.reason
         assert result.value == oracle(client.dataset.freq_a)
 
@@ -158,18 +165,20 @@ def test_an_aliasing_write_raises(backend_name, monkeypatch):
     client.apply(UPDATES)
     _unit, first = client.open(f2())
     _unit, second = client.open(fk(3))
-    assert first.freq is second.freq  # no copies were made
+    assert first.freq_a is second.freq_a  # no copies were made
     with pytest.raises((ValueError, TypeError)):
         first.process(2, 1)
     with pytest.raises((ValueError, TypeError)):
-        first.freq[2] = 7
-    first.begin_proof()
+        first.freq_a[2] = 7
+    # The server announces the batch at the open; here the test does.
+    first.receive_batch([batch_f2()])
+    assert first._a_table is client.dataset.canonical_table(0)
     with pytest.raises((ValueError, TypeError)):
-        first._table[2] = 7  # round 0 still *is* the shared table
-    first.round_message()
+        first._a_table[2] = 7  # round 0 still *is* the shared table
+    first.round_messages()
     first.receive_challenge(12345)
-    second.begin_proof()
-    assert second._table is client.dataset.canonical_table(0)
+    second.receive_batch([batch_fk(3)])
+    assert second._a_table is client.dataset.canonical_table(0)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

@@ -29,8 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary.cheating_provers import ModifiedStreamF2Prover
 from repro.comm.wire import encode_transcript
+from repro.core.multiquery import BatchedSumcheckEngine
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.service import protocol as sp
 from repro.service import (
@@ -231,9 +231,10 @@ def test_soundness_survives_the_faulty_wire():
     def corrupt_f2(unit, prover, dataset):
         if unit.descriptors[0].kind != f2().kind:
             return None
-        cheat = ModifiedStreamF2Prover(F, dataset.u, corrupt_key=3)
-        cheat.freq = list(prover.freq)
-        return cheat
+        # A perfectly formed proof for a stream one update off.
+        freq = dataset.freq_a
+        freq[3] += 1
+        return BatchedSumcheckEngine(F, dataset.u, freq_a=freq)
 
     srv = ProverServer(F, prover_wrapper=corrupt_f2)
     server_handle = srv.serve_in_thread()
@@ -341,7 +342,7 @@ def test_inflight_query_cap_is_per_session():
         with client:
             client.provision(("f2",), 1)
             client.send_updates(UPDATES)
-            open_words = sp.words_payload(F, [0, *f2().to_words()])
+            open_words = sp.words_payload(F, [1, *f2().to_words()])
             client._request(sp.T_QUERY_OPEN, client.session_id,
                             open_words, expect=sp.T_QUERY_ACK)
             with pytest.raises(ServiceBusyError):

@@ -274,9 +274,9 @@ def test_words_histograms_equal_query_cost_batched(registry, monkeypatch,
 def test_words_histograms_equal_query_cost_single_shot(registry,
                                                        monkeypatch,
                                                        backend):
-    """Single-shot path (one descriptor per query call, no batching):
-    the client-side histogram equals ``transcript.total_words``.  (The
-    engine-side histogram is batched-only, so it is not checked here.)"""
+    """One descriptor per query call — a batch of one on the engine: the
+    client-side and engine-side histograms both equal
+    ``transcript.total_words``."""
     monkeypatch.setenv("REPRO_BACKEND", backend)
     srv = ProverServer(F)
     handle = srv.serve_in_thread()
@@ -302,9 +302,10 @@ def test_words_histograms_equal_query_cost_single_shot(registry,
         assert outcome.result.accepted
         words = outcome.cost.transcript_words
         assert outcome.transcript.total_words == words
-        client_h = registry.histogram("repro_client_query_words",
-                                      kind=outcome.descriptor.name)
-        assert client_h.samples() == [words]
+        for name in ("repro_client_query_words",
+                     "repro_sumcheck_query_words"):
+            histogram = registry.histogram(name, kind=outcome.descriptor.name)
+            assert histogram.samples() == [words]
 
 
 # -- the H_STATS wire frame ----------------------------------------------------

@@ -161,7 +161,7 @@ def _served_transcript(prover_wrapper, u, updates, lo, hi):
 
 
 def test_served_transcript_equals_the_dense_oracle():
-    """Through the wire: the router's prover over the dataset's shared
+    """Through the wire: the router's engine over the dataset's shared
     table, against a server whose prover is swapped for the dense one."""
     u, lo, hi = 100, 1, 126
     updates = [(key, delta) for key, delta in turnstile_updates(u, seed=5)

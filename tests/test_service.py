@@ -23,16 +23,15 @@ import time
 import pytest
 
 from repro.adversary.cheating_provers import (
-    AdaptiveF2Cheater,
     ConcealingHeavyHittersProver,
-    ModifiedStreamF2Prover,
     OmittingSubVectorProver,
+    PerQueryCheatingBatchEngine,
 )
 from repro.comm.channel import flip_word
 from repro.comm.wire import MAX_MESSAGE_WORDS, encode_transcript
 from repro.core.base import pow2_dimension
 from repro.core.fk import MAX_MOMENT_ORDER
-from repro.core.multiquery import batch_fk
+from repro.core.multiquery import BatchedSumcheckEngine, batch_fk
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.modular import PrimeField
 from repro.field.vectorized import HAVE_NUMPY
@@ -161,14 +160,20 @@ def test_plan_batches_the_sumcheck_family():
     assert [u.batched for u in units] == [True, False]
     assert units[0].descriptors == (range_sum(0, 5), f2(), range_sum(2, 9))
     assert units[0].pool_key == ("batch",)
-    # A homogeneous batch keeps its family pool (and the legacy engine).
+    # A homogeneous batch keeps its family pool.
     units = QueryRouter.plan([range_sum(0, 5), range_sum(2, 9),
                               k_largest(1)])
     assert [u.batched for u in units] == [True, False]
     assert units[0].pool_key == ("range-sum",)
-    # A lone sum-check descriptor stays single-shot...
+    # A lone sum-check descriptor is a batch of one drawing from its
+    # family's pool...
     units = QueryRouter.plan([range_sum(0, 5), heavy_hitters(1, 8)])
-    assert [u.batched for u in units] == [False, False]
+    assert [u.batched for u in units] == [True, False]
+    for lone, key in ((range_sum(0, 5), ("range-sum",)), (f2(), ("f2",)),
+                      (fk(3), ("fk", 3)),
+                      (inner_product(), ("inner-product",))):
+        (unit,) = QueryRouter.plan([lone])
+        assert unit.batched and unit.pool_key == key
     # ...and sharded F2 keeps its own prover, outside any batch.
     units = QueryRouter.plan([f2(workers=4), range_sum(0, 5), fk(3)])
     assert [u.batched for u in units] == [False, True]
@@ -214,6 +219,8 @@ def test_router_runs_every_kind_in_process():
             verifier.process_stream(updates)
         prover = QueryRouter.make_prover(unit, dataset)
         result = QueryRouter.run(unit, prover, verifier)
+        if unit.batched:
+            (result,) = result
         assert result.accepted, (q.name, result.reason)
 
 
@@ -264,7 +271,7 @@ def test_registry_query_lifecycle_and_stats():
     registry = SessionRegistry(F)
     session = registry.connect(64, 5)
     unit_desc = [range_sum(0, 9)]
-    active = registry.open_query(session.session_id, unit_desc, False)
+    active = registry.open_query(session.session_id, unit_desc, True)
     assert registry.stats()["open_queries"] == 1
     session.close_query(active.ref)
     assert registry.stats()["open_queries"] == 0
@@ -478,8 +485,6 @@ def test_batched_cheating_prover_rejected_per_query_over_the_wire():
     """A service prover cheating on exactly one member of a mixed batch
     is rejected for that member — the honest members of the same batch
     still verify behind the real wire."""
-    from repro.adversary.cheating_provers import PerQueryCheatingBatchEngine
-
     updates = [(i % 32, 1 + i % 4) for i in range(96)]
 
     def cheat_on_f2_member(unit, prover, dataset):
@@ -635,21 +640,28 @@ def heavy_stream(u):
     return updates
 
 
+def modified_stream_engine(dataset, corrupt_key):
+    """A perfectly formed proof for a stream one update off: the engine
+    over a perturbed copy of the dataset's counts."""
+    freq = dataset.freq_a
+    freq[corrupt_key] += 1
+    return BatchedSumcheckEngine(F, dataset.u, freq_a=freq)
+
+
 def test_cheating_f2_provers_rejected_over_the_wire():
     updates = [(i % 16, 1) for i in range(64)]
 
     def modified_stream(unit, prover, dataset):
         if unit.descriptors[0].kind != f2().kind:
             return None
-        cheat = ModifiedStreamF2Prover(F, dataset.u, corrupt_key=3)
-        cheat.freq = list(prover.freq)
-        return cheat
+        return modified_stream_engine(dataset, 3)
 
     def adaptive(unit, prover, dataset):
         if unit.descriptors[0].kind != f2().kind:
             return None
-        cheat = AdaptiveF2Cheater(F, dataset.u, offset=5)
-        cheat.freq = list(prover.freq)
+        cheat = PerQueryCheatingBatchEngine(F, dataset.u, cheat_query=0,
+                                            offset=5)
+        cheat.freq_a = prover.freq_a
         return cheat
 
     for wrapper in (modified_stream, adaptive):
@@ -745,12 +757,12 @@ def test_service_sharded_f2_matches_plain_f2(server, monkeypatch):
 
 
 class _FailsAfterAck:
-    """A prover that opens fine and dies on its first round."""
+    """An engine that opens fine and dies on its first round."""
 
-    def begin_proof(self):
+    def receive_batch(self, queries):
         pass
 
-    def round_message(self):
+    def round_messages(self):
         raise RuntimeError("injected: prover lost after the ack")
 
 
@@ -787,7 +799,7 @@ def test_refused_open_returns_the_verifier_copy():
             # Refused by admission control: one raw open holds the slot.
             _t, _s, payload = client._request(
                 sp.T_QUERY_OPEN, client.session_id,
-                sp.words_payload(F, [0, *f2().to_words()]),
+                sp.words_payload(F, [1, *f2().to_words()]),
                 expect=sp.T_QUERY_ACK)
             with pytest.raises(ServiceBusyError):
                 client.query(f2())
@@ -1003,10 +1015,7 @@ def test_end_to_end_kvstore_demo_over_the_wire(server):
     def corrupt_f2(unit, prover, dataset):
         if unit.descriptors[0].kind != f2().kind:
             return None
-        cheat = ModifiedStreamF2Prover(F, dataset.u,
-                                       corrupt_key=some_key)
-        cheat.freq = list(prover.freq)
-        return cheat
+        return modified_stream_engine(dataset, some_key)
 
     small_updates = [(k, v + 1) for k, v in pairs[:200]]
     outcome = run_against_cheating_server(

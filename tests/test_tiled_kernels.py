@@ -296,6 +296,30 @@ def test_moments_at_the_limb_edges(backend, k):
     check_moments(backend, pattern("tilewise", 3 * TILE + 6), [k])
 
 
+def test_order_two_alone_is_the_direct_f2_body_at_the_limb_edges(
+        backend, monkeypatch):
+    """An ``orders == [2]`` request — every F2-only engine round — takes
+    the three direct limb products on a Mersenne-61 table, never the
+    general moment pass, and equals the scalar reference at every limb
+    edge, one tile and across tiles."""
+
+    def general_pass(*_args):
+        raise AssertionError("order 2 alone took the general moment pass")
+
+    monkeypatch.setattr(vec, "_pair_moments_m61", general_pass)
+    reference = ScalarBackend(F)
+    cases = [pattern("tilewise", 3 * TILE + 6),
+             pattern("limb_edges", TILE + 2, seed=5)]
+    for top in LIMB_EDGES:
+        cases += [[top] * 6, [top, 0, 1, top, top - 1 if top else 0, 2]]
+    for values in cases:
+        got = moment_round_sums(backend, F, frozen_table(backend, F, values),
+                                [2])[2]
+        assert got == moment_round_sums(reference, F, values, [2])[2] \
+            == moment_oracle(values, 2)
+        assert all(type(word) is int for word in got)
+
+
 def test_a_set_of_orders_is_the_one_order_calls(backend):
     """The engine's one pass per round: shared powers and limb splits
     change nothing, in any order, with repeats, down to no order."""

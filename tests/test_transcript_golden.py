@@ -358,9 +358,11 @@ GOLDEN = {
     "range-sum": (
         "c1ff793b21449f2b87777c69aa22983c83af63138274240cae041f82b849b9d6",
         136, 13),
+    # 13 verifier words when pinned: an INNER-PRODUCT verifier stood in
+    # for the RANGE-SUM one; the engine reports RangeSumVerifier's d + 6.
     "range-sum-wire": (
         "6d65b59c24118198455a2dc5e0e1774d9d7b4f8ac7c3fbdfc6401f102beefea3",
-        [136], 13),
+        [136], 12),
     "two-order-batch": (
         "a04589a35016cf0e5d799e8508193ca2cfb0b91e74c5adcd824faf8bdf40e499",
         [1510, 11780, 103786, 136, 456], 36),

@@ -329,21 +329,24 @@ def test_fold_pairs_fast_path_edges():
             fold_pairs(sb, field, list(table), r, zero_weight=1)
 
 
-def test_evaluate_from_evals_batch_matches_single():
+def test_interpolation_weights_match_single_evaluation():
+    """One weight vector per (length, point) evaluates every message of
+    that length — the batched driver's shared check — and at a node
+    x < m it is the indicator of x."""
     from repro.field.polynomial import (
         evaluate_from_evals,
-        evaluate_from_evals_batch,
+        interpolation_weights,
     )
 
     field = PrimeField(MERSENNE_61, check_prime=False)
     rng = random.Random(3)
     tables = [[rng.randrange(field.p) for _ in range(4)] for _ in range(9)]
     for x in (0, 2, 3, rng.randrange(field.p)):
-        expected = [evaluate_from_evals(field, t, x) for t in tables]
-        assert evaluate_from_evals_batch(field, tables, x) == expected
-    assert evaluate_from_evals_batch(field, [], 5) == []
-    with pytest.raises(ValueError):
-        evaluate_from_evals_batch(field, [[1, 2], [1]], 5)
+        weights = interpolation_weights(field, 4, x)
+        assert [sum(e * w for e, w in zip(t, weights)) % field.p
+                for t in tables] \
+            == [evaluate_from_evals(field, t, x) for t in tables]
+    assert interpolation_weights(field, 4, 2) == [0, 0, 1, 0]
 
 
 def _reference_pair_sums(field, table, start, end):

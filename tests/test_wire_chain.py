@@ -280,12 +280,9 @@ def test_parse_calls_reads_a_plain_call_and_a_chain():
 
 
 def open_raw_query(client, descriptor):
-    _t, _s, payload = client._request(
-        sp.T_QUERY_OPEN, client.session_id,
-        sp.words_payload(F, [0, *descriptor.to_words()]),
-        expect=sp.T_QUERY_ACK,
-    )
-    return sp.parse_words(F, payload)[0]
+    """Open one descriptor as the client's router plans it (a sum-check
+    one as a batch of one, announced to its engine by the open)."""
+    return open_raw_unit(client, [descriptor])
 
 
 def raw_call(client, words):
@@ -315,9 +312,10 @@ def test_malformed_chain_is_a_typed_error_and_runs_nothing(recording, name):
     with open_session(recording.handle.address, [f2()], retry=NO_RETRY,
                       op_timeout=5.0) as client:
         ref = open_raw_query(client, f2())
+        opened = list(recording.logs[client.dataset_id])
         with pytest.raises(ServiceClientError):
             raw_call(client, [ref, *REFUSED_WHOLE[name]])
-        assert recording.logs[client.dataset_id] == []
+        assert recording.logs[client.dataset_id] == opened
         # Same connection, same session: the next query verifies.
         assert client.query(f2())[0].result.accepted
         assert client.reconnects == 0
@@ -347,7 +345,8 @@ def test_unknown_last_opcode_and_bad_arity_are_typed_errors(recording):
 
 #: Opens whose shape the server must refuse: (batched flag, descriptors).
 REFUSED_OPENS = {
-    "batched with one descriptor": (1, [range_sum(0, 9)]),
+    "single-shot sum-check descriptor": (0, [f2()]),
+    "batched heavy-hitters": (1, [heavy_hitters(1, 8)]),
     "single-shot with several": (0, [range_sum(0, 9), range_sum(10, 63)]),
     "batched with a worker-pool f2": (1, [range_sum(0, 9), f2(2)]),
     "batched with a non-sum-check kind": (1, [f2(), point_lookup(7)]),
@@ -481,7 +480,8 @@ def test_step_table_names_the_prover_steps_and_the_void_set():
 
 
 def open_raw_unit(client, descriptors):
-    words = [1 if len(descriptors) > 1 else 0]
+    (unit,) = QueryRouter.plan(descriptors)
+    words = [int(unit.batched)]
     for q in descriptors:
         words.extend(q.to_words())
     _t, _s, payload = client._request(
@@ -502,6 +502,7 @@ def test_wrong_arity_is_a_typed_error_on_a_live_connection(recording, opcode):
     with open_session(recording.handle.address, [f2()], retry=NO_RETRY,
                       op_timeout=5.0) as client:
         ref = open_raw_query(client, f2())
+        opened = list(recording.logs[client.dataset_id])
         for count in {step.arity + 1, step.arity + 3, max(step.arity - 1, 0)}:
             if count == step.arity:
                 continue
@@ -510,7 +511,7 @@ def test_wrong_arity_is_a_typed_error_on_a_live_connection(recording, opcode):
                 with pytest.raises(ServiceClientError, match="takes %d words"
                                    % step.arity):
                     raw_call(client, [ref, *words])
-        assert recording.logs[client.dataset_id] == []
+        assert recording.logs[client.dataset_id] == opened
         assert client.query(f2())[0].result.accepted
         assert client.reconnects == 0
 
@@ -523,12 +524,13 @@ def test_opcodes_outside_the_table_are_unknown_methods(recording, opcode):
                       op_timeout=5.0) as client:
         ref = open_raw_query(client, f2())
         for words in ([opcode], [opcode, 1, 2],
-                      [sp.M_CHAIN, sp.M_BEGIN_PROOF, 0, opcode, 0]):
+                      [sp.M_CHAIN, sp.M_RECEIVE_CHALLENGE, 1, 5, opcode, 0]):
             with pytest.raises(ServiceClientError,
                                match="unknown prover method"):
                 raw_call(client, [ref, *words])
-        # The chain was refused on its last call, after begin_proof ran:
-        # that is the documented order, and the query is still there.
+        # The chain was refused on its last call, after the challenge was
+        # folded in: that is the documented order, and the query is
+        # still there.
         close_raw_query(client, ref)
         assert client.query(f2())[0].result.accepted
         assert client.reconnects == 0

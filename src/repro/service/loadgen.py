@@ -73,6 +73,8 @@ class LoadReport:
     failovers: int = 0
     resyncs: int = 0
     node_kills: int = 0
+    #: Scheduled kills that had landed by the time the load returned.
+    kills_mid_run: int = 0
     #: The host's core count, so the perf trajectory in
     #: BENCH_service.json distinguishes 1-core from multicore hosts.
     cores: int = 0
@@ -356,28 +358,40 @@ def run_cluster_load(
 
     ``kill_schedule`` is a list of ``(delay_seconds, action)`` pairs;
     each ``action`` (e.g. a proxy blackout, a ``manager.kill``) fires on
-    its own timer ``delay_seconds`` after the workload starts.  The
-    caller stamps router/supervisor tallies (``failovers``/``resyncs``)
-    onto the returned report afterwards — the load generator itself
-    stays ignorant of cluster internals.
+    its own timer ``delay_seconds`` after the workload starts, and
+    ``kills_mid_run`` counts those that returned before the load did.
+    The caller stamps router/supervisor tallies (``failovers``/
+    ``resyncs``) onto the returned report afterwards — the load
+    generator itself stays ignorant of cluster internals.
     """
     kill_schedule = list(kill_schedule or [])
+    landed: List[int] = []  # list.append is atomic across the timers
+
+    def fire(index: int, action) -> None:
+        action()
+        landed.append(index)
+
     timers = [
-        threading.Timer(delay, action) for delay, action in kill_schedule
+        threading.Timer(delay, fire, (index, action))
+        for index, (delay, action) in enumerate(kill_schedule)
     ]
     for timer in timers:
         timer.start()
     try:
         report = run_load(host, port, field, u, **load_kwargs)
+        kills_mid_run = len(landed)
     finally:
+        # A timer cancelled before it is due never fires; one already
+        # firing is waited for.  A run that finishes early still
+        # executes every kill the scenario promised.
         for timer in timers:
-            # A run that finishes early still executes every kill the
-            # scenario promised (the counts feed the benchmark record).
-            if timer.is_alive():
-                timer.cancel()
-                timer.function()
+            timer.cancel()
             timer.join()
+        for index, (_delay, action) in enumerate(kill_schedule):
+            if index not in landed:
+                action()
     report.nodes = nodes
     report.replication_factor = replication_factor
     report.node_kills = len(kill_schedule)
+    report.kills_mid_run = kills_mid_run
     return report

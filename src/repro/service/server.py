@@ -195,11 +195,6 @@ class ProverServer(FrameListener):
 
     # -- connection handling -------------------------------------------------
 
-    def _link(self, reader, writer) -> FrameLink:
-        return FrameLink(reader, writer, idle_timeout=self.idle_timeout,
-                         frame_timeout=self.frame_timeout,
-                         max_payload=self.max_payload)
-
     def _allow_frame(self, session_id: int) -> bool:
         """Token bucket of the session born on the calling connection
         (never the id a frame header claims, which the peer chooses);

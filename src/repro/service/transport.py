@@ -28,9 +28,10 @@ damage).  After any of them the stream position is not worth reading on.
 from __future__ import annotations
 
 import asyncio
+import collections
 import socket
 import threading
-from typing import Optional, Set, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
 from repro.service import protocol as sp
 
@@ -69,72 +70,218 @@ def frame_trace(header: bytes) -> Optional[Tuple[int, int]]:
 
 # -- the async link ------------------------------------------------------------
 
+#: Queued, unread frames at which a link stops reading its socket; it
+#: reads on once :meth:`FrameLink.read_frame` has drained half of them.
+READ_HIGH_WATER = 64
 
-class FrameLink:
-    """One framed asyncio connection.
 
-    ``idle_timeout`` bounds the wait for a frame's header,
-    ``frame_timeout`` the wait for the rest of it, ``send_timeout`` a
-    drain; ``None`` means no deadline *and no* ``wait_for``.
-    :meth:`dial` puts one deadline on all three and on the connect.
+def _settle(future: asyncio.Future, result) -> None:
+    if not future.done():
+        future.set_result(result)
+
+
+class FrameLink(asyncio.Protocol):
+    """One framed asyncio connection: the protocol of its transport.
+
+    :meth:`data_received` cuts frames off the stream as bytes arrive —
+    a header is checked against ``max_payload`` the moment its 12 bytes
+    are in, before any payload byte is kept — and queues them;
+    :meth:`read_frame` returns a queued frame without yielding to the
+    loop, or else waits on one future.  ``idle_timeout`` bounds a read
+    until a frame's header is in, ``frame_timeout`` the rest of that
+    frame: one timer per waiting read, which *resolves* the waiter with
+    the :class:`LinkTimeout` to raise, so an outside ``cancel()`` stays a
+    ``CancelledError``.  :meth:`send` is a plain ``transport.write`` that
+    waits only while the transport has paused writing, at most
+    ``send_timeout``.  ``None`` means no deadline; :meth:`dial` puts one
+    deadline on all three and on the connect.
     """
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter,
-                 idle_timeout: Optional[float] = None,
+    def __init__(self, idle_timeout: Optional[float] = None,
                  frame_timeout: Optional[float] = None,
                  send_timeout: Optional[float] = None,
                  max_payload: int = sp.MAX_PAYLOAD):
-        self._reader = reader
-        self._writer = writer
         self.idle_timeout = idle_timeout
         self.frame_timeout = frame_timeout
         self.send_timeout = send_timeout
         self.max_payload = max_payload
+        self._transport: Optional[asyncio.Transport] = None
+        self._closed: Optional[asyncio.Future] = None
+        self._frames: Deque[Frame] = collections.deque()
+        #: The bytes of the frame under way, a partial header included.
+        self._buffer = bytearray()
+        #: ``(type, session id, header length, frame length)`` of the
+        #: buffered frame, once its header is in and checked.
+        self._head: Optional[Tuple[int, int, int, int]] = None
+        #: What the stream ends in after the queued frames: LinkClosed
+        #: or the framing damage that stopped the parse.
+        self._ending: Optional[Exception] = None
+        self._waiter: Optional[asyncio.Future] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._reading_paused = False
+        self._writing_paused = False
+        self._drain_waiters: List[asyncio.Future] = []
 
     @classmethod
     async def dial(cls, host: str, port: int,
                    timeout: Optional[float] = None) -> "FrameLink":
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout
+        loop = asyncio.get_running_loop()
+        _transport, link = await asyncio.wait_for(
+            loop.create_connection(lambda: cls(timeout, timeout, timeout),
+                                   host, port),
+            timeout,
         )
-        return cls(reader, writer, timeout, timeout, timeout)
+        return link
+
+    # -- the protocol side (called by the transport) ---------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self._closed = asyncio.get_running_loop().create_future()
+
+    def data_received(self, data: bytes) -> None:
+        if self._ending is not None:
+            return  # past framing damage nothing is a frame
+        buffer, head = self._buffer, self._head
+        if buffer:
+            buffer += data
+            if len(buffer) < (sp.HEADER_LEN if head is None else head[3]):
+                return
+            data = bytes(buffer)
+            buffer.clear()
+        frames = self._frames
+        queued = len(frames)
+        pos, end = 0, len(data)
+        while True:
+            if head is None:
+                if end - pos < sp.HEADER_LEN:
+                    break
+                header = data[pos:pos + sp.HEADER_LEN]
+                try:
+                    frame_type, session_id, length = sp.unpack_header(
+                        header, self.max_payload)
+                except sp.ServiceProtocolError as exc:
+                    self._end(exc)
+                    return
+                header_len = sp.HEADER_LEN + sp.header_ext_len(header)
+                head = (frame_type, session_id, header_len,
+                        header_len + length)
+            frame_type, session_id, header_len, frame_len = head
+            if end - pos < frame_len:
+                if self._waiter is not None and self._head is None \
+                        and len(frames) == queued:
+                    # The header a read was idle for is in: the rest of
+                    # its frame runs on the frame deadline.
+                    self._head = head
+                    self._arm()
+                break
+            frames.append((frame_type, session_id,
+                           data[pos:pos + header_len],
+                           data[pos + header_len:pos + frame_len]))
+            pos += frame_len
+            head = None
+        if pos < end:
+            buffer += memoryview(data)[pos:]
+        self._head = head
+        if len(frames) > queued:
+            if self._waiter is not None:
+                _settle(self._waiter, None)
+            if len(frames) >= READ_HIGH_WATER and not self._reading_paused:
+                self._reading_paused = True
+                self._transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._end(LinkClosed(mid_frame=bool(self._buffer)))
+        return True  # the write side stays open until the owner closes
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._end(LinkClosed(mid_frame=bool(self._buffer)))
+        self.resume_writing()  # a waiting send finds the transport closed
+        if not self._closed.done():
+            self._closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._writing_paused = True
+
+    def resume_writing(self) -> None:
+        self._writing_paused = False
+        for waiter in self._drain_waiters:
+            _settle(waiter, True)
+
+    # -- the owner's side ------------------------------------------------------
+
+    def _end(self, ending: Exception) -> None:
+        if self._ending is None:
+            self._ending = ending
+            if self._waiter is not None:
+                _settle(self._waiter, None)
+
+    def _arm(self) -> None:
+        """(Re)start the waiting read's deadline: idle until a header is
+        in, then the frame deadline."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        timeout = (self.idle_timeout if self._head is None
+                   else self.frame_timeout)
+        if timeout is not None:
+            self._timer = self._waiter.get_loop().call_later(
+                timeout, self._expire)
+
+    def _expire(self) -> None:
+        """The deadline resolves the waiter with what the read raises."""
+        head = self._head
+        _settle(self._waiter, LinkTimeout(mid_frame=False) if head is None
+                else LinkTimeout(mid_frame=True, session_id=head[1]))
 
     async def read_frame(self) -> Frame:
-        # The per-frame path: no helper call, and no ``wait_for`` (a
-        # task per read) where there is no deadline.
-        read, idle, rest = (self._reader.readexactly, self.idle_timeout,
-                            self.frame_timeout)
-        try:
-            header = await (read(sp.HEADER_LEN) if idle is None else
-                            asyncio.wait_for(read(sp.HEADER_LEN), idle))
-        except asyncio.IncompleteReadError as exc:
-            raise LinkClosed(mid_frame=bool(exc.partial)) from None
-        except asyncio.TimeoutError:
-            raise LinkTimeout(mid_frame=False) from None
-        frame_type, session_id, length = sp.unpack_header(
-            header, self.max_payload
-        )
-        try:
-            ext_len = sp.header_ext_len(header)
-            if ext_len:
-                header += await (read(ext_len) if rest is None else
-                                 asyncio.wait_for(read(ext_len), rest))
-            payload = b"" if not length else await (
-                read(length) if rest is None else
-                asyncio.wait_for(read(length), rest))
-        except asyncio.IncompleteReadError:
-            raise LinkClosed(mid_frame=True) from None
-        except asyncio.TimeoutError:
-            raise LinkTimeout(mid_frame=True, session_id=session_id) from None
-        return frame_type, session_id, header, payload
+        frames = self._frames
+        if not frames:
+            if self._ending is not None:
+                raise self._ending
+            waiter = self._waiter = \
+                asyncio.get_running_loop().create_future()
+            self._arm()
+            try:
+                expired = await waiter
+            finally:
+                self._waiter = None
+                if self._timer is not None:
+                    self._timer.cancel()
+                    self._timer = None
+            # A frame that made the queue wins over the deadline.
+            if not frames:
+                raise self._ending if self._ending is not None else expired
+        frame = frames.popleft()
+        if self._reading_paused and len(frames) <= READ_HIGH_WATER // 2:
+            self._reading_paused = False
+            self._transport.resume_reading()
+        return frame
 
     async def send(self, data: bytes) -> None:
-        """Write one frame (or several, joined) and drain."""
-        self._writer.write(data)
-        drain = self._writer.drain()
-        await (drain if self.send_timeout is None else
-               asyncio.wait_for(drain, self.send_timeout))
+        """Write one frame (or several, joined); waits only while the
+        transport has paused writing, at most ``send_timeout``."""
+        transport = self._transport
+        if transport.is_closing():
+            raise ConnectionResetError("connection closed")
+        transport.write(data)
+        if not self._writing_paused:
+            return
+        waiter = asyncio.get_running_loop().create_future()
+        self._drain_waiters.append(waiter)
+        timer = None if self.send_timeout is None else \
+            waiter.get_loop().call_later(self.send_timeout, _settle,
+                                         waiter, False)
+        try:
+            resumed = await waiter
+        finally:
+            self._drain_waiters.remove(waiter)
+            if timer is not None:
+                timer.cancel()
+        if not resumed:
+            raise asyncio.TimeoutError("send outlived its deadline")
+        if transport.is_closing():
+            raise ConnectionResetError("connection closed")
 
     async def request(self, frame: bytes) -> Frame:
         await self.send(frame)
@@ -154,17 +301,14 @@ class FrameLink:
         # RuntimeError: the loop may already be closed when a link is
         # dropped during interpreter/test teardown.
         try:
-            self._writer.close()
-        except (ConnectionError, OSError, RuntimeError):
+            self._transport.close()
+        except RuntimeError:
             pass
 
     async def aclose(self) -> None:
         """Close and wait until the transport is gone."""
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
+        self.close()
+        await asyncio.shield(self._closed)
 
 
 # -- the blocking link ---------------------------------------------------------
@@ -237,6 +381,20 @@ class BlockingFrameLink:
 # -- the listener lifecycle ----------------------------------------------------
 
 
+class _AcceptedLink(FrameLink):
+    """A connection a :class:`FrameListener` accepted: its conversation
+    task starts, tracked, with the connection."""
+
+    def __init__(self, listener: "FrameListener"):
+        super().__init__(listener.idle_timeout, listener.frame_timeout,
+                         max_payload=listener.max_payload)
+        self._listener = listener
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        super().connection_made(transport)
+        self._listener._spawn(self._listener._accept(self))
+
+
 class FrameListener:
     """A TCP listener whose accepted connections are :class:`FrameLink`s.
 
@@ -251,6 +409,10 @@ class FrameListener:
     #: The handle :meth:`serve_in_thread` returns, and its thread's name.
     handle_class: type
     thread_name = "repro-listener"
+    #: Deadlines and payload cap of every accepted link.
+    idle_timeout: Optional[float] = None
+    frame_timeout: Optional[float] = None
+    max_payload = sp.MAX_PAYLOAD
 
     def __init__(self, host: str, port: int):
         self.host = host
@@ -258,58 +420,47 @@ class FrameListener:
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set["asyncio.Task"] = set()
 
-    def _link(self, reader: asyncio.StreamReader,
-              writer: asyncio.StreamWriter) -> FrameLink:
-        """The link for one accepted connection (no deadlines)."""
-        return FrameLink(reader, writer)
-
     async def _serve(self, link: FrameLink) -> None:
         raise NotImplementedError
 
-    async def _accept(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        self._track(asyncio.current_task())
-        link = self._link(reader, writer)
+    async def _accept(self, link: FrameLink) -> None:
         try:
-            try:
-                await self._serve(link)
-            except sp.ServiceProtocolError as exc:
-                # Framing damage: tell the peer once, then hang up (the
-                # stream position is unrecoverable).
-                await link.send_error(0, str(exc), sp.E_TRANSPORT)
-            except (ConnectionError, OSError):
-                pass
-            finally:
-                await link.aclose()
-        except asyncio.CancelledError:
-            # Only :meth:`stop` cancels this task, wherever it stands —
-            # serving or already winding down.  It ends normally: on
-            # Python < 3.12 asyncio's own done-callback for this
-            # coroutine calls ``task.exception()``, which on a cancelled
-            # task raises into the loop's exception handler.
-            link.close()
+            await self._serve(link)
+        except sp.ServiceProtocolError as exc:
+            # Framing damage: tell the peer once, then hang up (the
+            # stream position is unrecoverable).
+            await link.send_error(0, str(exc), sp.E_TRANSPORT)
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            await link.aclose()
 
-    def _track(self, task: "asyncio.Task") -> None:
+    def _spawn(self, coro) -> None:
+        """A task that lives until it ends or :meth:`stop`."""
+        task = asyncio.ensure_future(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    def _spawn(self, coro) -> None:
-        """A background task that lives until it ends or :meth:`stop`."""
-        self._track(asyncio.ensure_future(coro))
-
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._accept, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _AcceptedLink(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
-            tasks = list(self._tasks)
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
+            # A connection accepted just before the close reaches the
+            # protocol factory on the next loop turn and is made on the
+            # one after (callbacks run in order); its conversation is
+            # stopped with the rest.
+            for _turn in range(2):
+                await asyncio.sleep(0)
+            while self._tasks:
+                tasks = list(self._tasks)
+                for task in tasks:
+                    task.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 

@@ -5,12 +5,17 @@
 in ``service/`` goes through one of them.  This suite feeds the *same*
 byte strings, cut into the same chunks, to both and holds them to one
 contract: the 4-tuple they return, where they stop, and how they tell a
-clean hang-up from a cut frame from framing damage.
+clean hang-up from a cut frame from framing damage.  The async link is
+an ``asyncio.Protocol``; it is fed the way its transport feeds it,
+``data_received`` one chunk per loop turn and then ``eof_received``, and
+the cases after the shared ones hold what only it has: deadlines,
+cancellation, and flow control in both directions.
 """
 
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 from hypothesis import given
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.service import protocol as sp
 from repro.service.transport import (
+    READ_HIGH_WATER,
     BlockingFrameLink,
     FrameLink,
     FrameListener,
@@ -75,19 +81,66 @@ def read_blocking(chunks, max_payload=sp.MAX_PAYLOAD):
             return frames, exc
 
 
+class FakeTransport:
+    """What a :class:`FrameLink` asks of its transport, recorded; ``close``
+    reports the connection lost on the next loop turn, as asyncio does."""
+
+    def __init__(self, link):
+        self.link = link
+        self.written = []
+        self.reading = True
+        self.closing = False
+
+    def write(self, data):
+        self.written.append(bytes(data))
+
+    def pause_reading(self):
+        assert self.reading
+        self.reading = False
+
+    def resume_reading(self):
+        assert not self.reading
+        self.reading = True
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        if not self.closing:
+            self.closing = True
+            asyncio.get_running_loop().call_soon(self.link.connection_lost,
+                                                 None)
+
+
+def connected(**kwargs):
+    """A link on a :class:`FakeTransport` (call on a running loop)."""
+    link = FrameLink(**kwargs)
+    link.connection_made(FakeTransport(link))
+    return link
+
+
+def run_now(coro):
+    """The coroutine's result, asserting it never yielded to the loop."""
+    try:
+        coro.send(None)
+    except StopIteration as done:
+        return done.value
+    coro.close()
+    raise AssertionError("the coroutine waited for the loop")
+
+
 def read_async(chunks, max_payload=sp.MAX_PAYLOAD):
     async def main():
-        reader = asyncio.StreamReader()
-        link = FrameLink(reader, None, max_payload=max_payload)
+        link = connected(max_payload=max_payload)
 
         async def feed():
             # One chunk per loop turn: the reader really does wake up on
             # a partial frame and go back to sleep.
             for chunk in chunks:
                 if chunk:
-                    reader.feed_data(bytes(chunk))
+                    link.data_received(bytes(chunk))
                 await asyncio.sleep(0)
-            reader.feed_eof()
+            link.eof_received()
 
         feeder = asyncio.ensure_future(feed())
         frames = []
@@ -227,18 +280,163 @@ def test_async_deadlines_tell_idle_from_a_stalled_frame():
     raw = FRAMES["v2"][0]
 
     async def main(fed):
-        reader = asyncio.StreamReader()
-        reader.feed_data(fed)
-        link = FrameLink(reader, None, idle_timeout=0.05, frame_timeout=0.05)
+        link = connected(idle_timeout=0.05, frame_timeout=0.05)
+        link.data_received(fed)
         with pytest.raises(LinkTimeout) as info:
             await link.read_frame()
         return info.value
 
     idle = asyncio.run(main(b""))
     assert idle.mid_frame is False
+    # A partial header is still the idle wait: no session id to claim.
+    assert asyncio.run(main(raw[: sp.HEADER_LEN - 1])).mid_frame is False
     for fed in (raw[: sp.HEADER_LEN], raw[: sp.HEADER_LEN + 20]):
         stalled = asyncio.run(main(fed))
         assert stalled.mid_frame is True and stalled.session_id == 7
+
+
+def test_a_header_moves_a_waiting_read_onto_the_frame_deadline():
+    """The read waits under ``idle_timeout`` until a header is in, then
+    under ``frame_timeout`` for the rest of that frame."""
+    raw = FRAMES["v2"][0]
+
+    async def main():
+        link = connected(idle_timeout=30.0, frame_timeout=0.02)
+        read = asyncio.ensure_future(link.read_frame())
+        await asyncio.sleep(0)
+        link.data_received(raw[: sp.HEADER_LEN + 3])
+        with pytest.raises(LinkTimeout) as info:
+            await asyncio.wait_for(read, 5.0)
+        return info.value
+
+    stalled = asyncio.run(main())
+    assert stalled.mid_frame is True and stalled.session_id == 7
+
+
+def test_two_frames_in_one_chunk_need_no_loop_turn_for_the_second():
+    raw_a, frame_a = FRAMES["v1"]
+    raw_b, frame_b = FRAMES["v2"]
+
+    async def main():
+        link = connected()
+        read = asyncio.ensure_future(link.read_frame())
+        await asyncio.sleep(0)
+        link.data_received(raw_a + raw_b + raw_a[:5])
+        assert await read == frame_a
+        assert run_now(link.read_frame()) == frame_b
+        # The partial third frame is not a frame yet: that read waits.
+        third = asyncio.ensure_future(link.read_frame())
+        await asyncio.sleep(0)
+        assert not third.done()
+        link.data_received(raw_a[5:])
+        assert await third == frame_a
+
+    asyncio.run(main())
+
+
+def _due_after_the_deadline(loop, callback, *args):
+    """Run ``callback`` in the same loop turn as a deadline that is
+    already due, after it and before the waiting task resumes: both are
+    timers, and due timers run in deadline order."""
+    time.sleep(0.002)
+    loop.call_at(loop.time(), callback, *args)
+
+
+def test_a_deadline_never_drops_or_reorders_a_queued_frame():
+    raw_a, frame_a = FRAMES["v1"]
+    raw_b, frame_b = FRAMES["v2"]
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        link = connected(idle_timeout=0.001)
+        # The deadline resolves the waiter, then the frame arrives, both
+        # before the read resumes: the read returns the frame.
+        read = asyncio.ensure_future(link.read_frame())
+        await asyncio.sleep(0)
+        _due_after_the_deadline(loop, link.data_received, raw_a + raw_b)
+        assert await read == frame_a
+        assert run_now(link.read_frame()) == frame_b
+        # A read that did time out took nothing with it.
+        with pytest.raises(LinkTimeout):
+            await link.read_frame()
+        link.data_received(raw_b + raw_a)
+        assert run_now(link.read_frame()) == frame_b
+        assert run_now(link.read_frame()) == frame_a
+
+    asyncio.run(main())
+
+
+def test_an_outside_cancel_is_a_cancel_not_a_timeout():
+    """The deadline resolves the waiter instead of cancelling it, so a
+    ``task.cancel()`` from outside stays ``CancelledError`` — also when
+    it lands in the turn the deadline fired — and the link reads on."""
+    raw, frame = FRAMES["v1"]
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        link = connected(idle_timeout=5.0)
+        read = asyncio.ensure_future(link.read_frame())
+        await asyncio.sleep(0)
+        read.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await read
+        link.idle_timeout = 0.001
+        read = asyncio.ensure_future(link.read_frame())
+        await asyncio.sleep(0)
+        _due_after_the_deadline(loop, read.cancel)
+        with pytest.raises(asyncio.CancelledError):
+            await read
+        link.data_received(raw)
+        assert run_now(link.read_frame()) == frame
+
+    asyncio.run(main())
+
+
+def test_reading_pauses_at_the_high_water_mark_and_resumes_on_drain():
+    raw, frame = FRAMES["v1"]
+
+    async def main():
+        link = connected()
+        transport = link._transport
+        link.data_received(raw * (READ_HIGH_WATER - 1))
+        assert transport.reading
+        link.data_received(raw)
+        assert not transport.reading
+        for left in range(READ_HIGH_WATER - 1, -1, -1):
+            assert run_now(link.read_frame()) == frame
+            assert transport.reading is (left <= READ_HIGH_WATER // 2)
+
+    asyncio.run(main())
+
+
+def test_send_waits_only_while_writing_is_paused():
+    frame = FRAMES["v1"][0]
+
+    async def main():
+        link = connected(send_timeout=0.02)
+        transport = link._transport
+        run_now(link.send(frame))  # no backpressure: no loop turn
+        link.pause_writing()
+        sending = asyncio.ensure_future(link.send(frame))
+        await asyncio.sleep(0)
+        assert not sending.done()
+        link.resume_writing()
+        await sending
+        assert transport.written == [frame, frame]
+        link.pause_writing()
+        with pytest.raises(asyncio.TimeoutError):
+            await link.send(frame)
+        # A connection lost under backpressure fails the waiting send.
+        sending = asyncio.ensure_future(link.send(frame))
+        await asyncio.sleep(0)
+        transport.close()
+        with pytest.raises(ConnectionResetError):
+            await sending
+        with pytest.raises(ConnectionResetError):
+            await link.send(frame)
+        await link.aclose()
+
+    asyncio.run(main())
 
 
 # -- the listener lifecycle -----------------------------------------------------

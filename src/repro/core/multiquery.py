@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -40,6 +41,7 @@ from repro.field.vectorized import (
     get_backend,
     inner_product_round_sums,
     moment_round_sums,
+    small_tables,
 )
 from repro.lde.canonical import chi_at, dyadic_cover, range_indicator_eval
 from repro.lde.streaming import DEFAULT_BLOCK, SketchStack
@@ -139,9 +141,10 @@ class _DyadicIndicator:
     * While round ``j < L`` the node is *wide*: its contribution to the
       round polynomial is independent of past challenges — the plain
       even/odd segment sums of the folded a-table over the node's
-      surviving block, answered in O(1) from the round's shared
-      prefix-sum pass (:meth:`~repro.field.vectorized.VectorizedField.
-      pair_prefix_sums`).
+      surviving block.  The cover runs left to right with levels that
+      rise and then fall, so the nodes still wide at round ``j`` are
+      adjacent and their blocks one contiguous run of pairs
+      (:meth:`wide_run`): one segment sum per member per round.
     * From round ``j = L`` on the node is a *point*: all its remaining
       dimensions are pinned by ``m``, so it selects a single a-table
       pair, weighted by ``coeff = Π_{k=L..j-1} χ_{bit_{k-L}(m)}(r_k)`` —
@@ -153,32 +156,33 @@ class _DyadicIndicator:
     test suite's explicit-b oracle pins the transcripts byte-identical.
     """
 
-    __slots__ = ("nodes", "max_level")
+    __slots__ = ("nodes",)
 
     def __init__(self, lo: int, hi: int):
         # Mutable per-node state: [level, index, coeff].
         self.nodes = [
             [level, index, 1] for level, index in dyadic_cover(lo, hi)
         ]
-        self.max_level = max(node[0] for node in self.nodes)
 
-    def round_message(self, backend, p: int, a_table, j: int,
-                      prefix) -> List[int]:
-        """``[g(0), g(1), g(2)]`` of this member's round-``j`` polynomial."""
+    def wide_run(self, j: int) -> Optional[Tuple[int, int]]:
+        """Pair indices ``[start, end)`` of round ``j``'s table under the
+        wide nodes, or None once every node is a point.  A node ``(L, m)``
+        spans pairs ``[m·2^(L-j-1), (m+1)·2^(L-j-1))``, and each wide
+        node's block starts where the previous one's ends."""
+        wide = [node for node in self.nodes if node[0] > j]
+        if not wide:
+            return None
+        (l_first, m_first, _), (l_last, m_last, _) = wide[0], wide[-1]
+        return m_first << (l_first - j - 1), (m_last + 1) << (l_last - j - 1)
+
+    def round_message(self, p: int, a_table, j: int,
+                      wide_sums: Optional[Tuple[int, int]]) -> List[int]:
+        """``[g(0), g(1), g(2)]`` of this member's round-``j`` polynomial,
+        given the even/odd sums over its :meth:`wide_run` (None when
+        there is none)."""
         g0 = g1 = g2 = 0
         for level, index, coeff in self.nodes:
-            if level > j:
-                # Wide node: its block spans pair indices
-                # [m·2^(L-j-1), (m+1)·2^(L-j-1)) of the current table;
-                # the indicator contributes 1 at z = 0, 1 and 2 alike.
-                width = level - j - 1
-                s0, s1 = backend.prefix_segment_sums(
-                    prefix, index << width, (index + 1) << width
-                )
-                g0 += s0
-                g1 += s1
-                g2 += 2 * s1 - s0
-            else:
+            if level <= j:
                 # Point node: dimensions j..d-1 are pinned by m's bits;
                 # χ_bit(0/1) selects one half of one pair, χ_bit(2) is
                 # 2 (bit set) or -1 (bit clear) against the pair's
@@ -193,16 +197,23 @@ class _DyadicIndicator:
                 else:
                     g0 += coeff * a_even
                     g2 += coeff * (a_even - 2 * a_odd)
+        if wide_sums is not None:
+            # The wide run: the indicator is 1 at z = 0, 1 and 2 alike.
+            s0, s1 = wide_sums
+            g0 += s0
+            g1 += s1
+            g2 += 2 * s1 - s0
         return [g0 % p, g1 % p, g2 % p]
 
     def fold(self, field, j: int, r: int) -> None:
         """Absorb round ``j``'s challenge: one χ factor per point node."""
         p = field.p
+        chis = (chi_at(field, 0, r), chi_at(field, 1, r))
         for node in self.nodes:
             level = node[0]
             if level <= j:
                 bit = (node[1] >> (j - level)) & 1
-                node[2] = node[2] * chi_at(field, bit, r) % p
+                node[2] = node[2] * chis[bit] % p
 
 
 class BatchedSumcheckEngine:
@@ -218,16 +229,21 @@ class BatchedSumcheckEngine:
     (:meth:`receive_challenge`) — at most one fused pass per query
     family, however many queries share it.
 
-    RANGE-SUM indicator work per round is ~Q·log² u: one shared
-    even/odd prefix-sum pass over the folded a-table plus O(log u)
-    closed-form node terms per query (products of χ factors against
-    a-table segments), mirroring the verifier's O(log² u)
-    canonical-interval evaluation; no dense indicator is ever built.
-    The F2 and Fk members share one pair-moment pass
+    RANGE-SUM indicator work per round is ~Q·log u plus at most about two
+    reads of the folded a-table: per query the even/odd sums over its
+    wide nodes' one run of pairs — read directly, or looked up in one
+    shared prefix-sum pass once the runs together cover more pairs than
+    the table has entries —
+    and O(log u) closed-form point terms (χ factors against single
+    a-table pairs), mirroring the verifier's canonical-interval
+    evaluation; no dense indicator is ever built.  The F2 and Fk members
+    share one pair-moment pass
     (:func:`~repro.field.vectorized.moment_round_sums`, F2 as order 2)
-    whatever their orders.  Transcripts are identical whichever backend
-    — and identical to the standalone one-query provers, message for
-    message.
+    whatever their orders.  Once the tables are down to
+    :data:`~repro.field.vectorized.SMALL_TABLE` entries a proof finishes
+    on Python ints (:func:`~repro.field.vectorized.small_tables`).
+    Transcripts are identical whichever backend — and identical to the
+    standalone one-query provers, message for message.
 
     :func:`run_batched_sumcheck` drives one of these — built locally
     from the dataset's frequency vectors or standing in for a remote
@@ -247,6 +263,8 @@ class BatchedSumcheckEngine:
         self.freq_a = freq_a if freq_a is not None else [0] * self.size
         self._freq_b = freq_b
         self._queries: Optional[List[BatchQuery]] = None
+        # The backend of the proof in progress (small_tables).
+        self._be = self.backend
         self._a_table = None
         self._b_table = None
         self._moment_orders: List[int] = []
@@ -301,7 +319,7 @@ class BatchedSumcheckEngine:
                 raise ValueError(
                     "query range [%d, %d] invalid" % q.params
                 )
-        be = self.backend
+        be = self._be = self.backend
         field = self.field
         self._queries = queries
         self._a_table = canonical_table(be, field, self.freq_a)
@@ -325,21 +343,29 @@ class BatchedSumcheckEngine:
         self._round_index = 0
 
     def _range_round_messages(self) -> List[List[int]]:
-        """The RANGE-SUM members' committed round polynomials: one
-        shared even/odd prefix-sum pass over the current a-table (only
-        while some query still has wide nodes), then O(log u)
-        closed-form node terms per query."""
-        be = self.backend
+        """The RANGE-SUM members' committed round polynomials: per query
+        the even/odd sums over its wide run and O(log u) closed-form
+        point terms.  Runs that together cover no more pairs than the
+        a-table has entries are read directly; longer ones are each a
+        lookup in one shared prefix-sum pass, so a round reads at most
+        about two tables' worth.  The pass starts to pay at 1.5–3 times
+        the table's pairs, measured from 2^6 to 2^19 pairs (README,
+        *Small proof tables*)."""
+        be = self._be
         a_table = self._a_table
         j = self._round_index
-        prefix = (
-            be.pair_prefix_sums(a_table)
-            if any(state.max_level > j for state in self._dyadic)
-            else None
-        )
+        runs = [state.wide_run(j) for state in self._dyadic]
+        if sum(end - start for start, end in filter(None, runs)) \
+                <= len(a_table):
+            segment_sums = partial(be.pair_segment_sums, a_table)
+        else:
+            segment_sums = partial(be.prefix_segment_sums,
+                                   be.pair_prefix_sums(a_table))
         return [
-            state.round_message(be, self.field.p, a_table, j, prefix)
-            for state in self._dyadic
+            state.round_message(
+                self.field.p, a_table, j,
+                None if run is None else segment_sums(*run))
+            for state, run in zip(self._dyadic, runs)
         ]
 
     def round_messages(self) -> List[List[int]]:
@@ -348,11 +374,11 @@ class BatchedSumcheckEngine:
         Queries of one family share the committed computation: the F2
         and Fk members one pair-moment pass (F2 is order 2), the
         INNER-PRODUCT members one two-table pass, and the RANGE-SUM
-        members one prefix-sum pass.
+        members at most one prefix-sum pass.
         """
         if self._queries is None:
             raise RuntimeError("receive_batch() must be called first")
-        be = self.backend
+        be = self._be
         field = self.field
         a_table = self._a_table
         messages: List[Optional[List[int]]] = [None] * len(self._queries)
@@ -378,11 +404,14 @@ class BatchedSumcheckEngine:
         """Fold the shared tables and every indicator's nodes with ``r``."""
         if self._queries is None:
             raise RuntimeError("receive_batch() must be called first")
-        be = self.backend
+        be = self._be
         field = self.field
-        self._a_table = fold_pairs(be, field, self._a_table, r)
-        if self._b_table is not None:
-            self._b_table = fold_pairs(be, field, self._b_table, r)
+        self._be, self._a_table, self._b_table = small_tables(
+            be, field,
+            fold_pairs(be, field, self._a_table, r),
+            None if self._b_table is None
+            else fold_pairs(be, field, self._b_table, r),
+        )
         for state in self._dyadic:
             state.fold(field, self._round_index, r)
         self._round_index += 1

@@ -31,7 +31,12 @@ from repro.core.base import (
     rejected,
 )
 from repro.field.modular import PrimeField
-from repro.field.vectorized import canonical_table, fold_pairs, get_backend
+from repro.field.vectorized import (
+    canonical_table,
+    fold_pairs,
+    get_backend,
+    small_tables,
+)
 from repro.lde.canonical import dyadic_cover
 from repro.lde.streaming import (
     DEFAULT_BLOCK,
@@ -169,7 +174,9 @@ class TreeHashVerifier(StreamSketch):
 
 
 class SubVectorProver:
-    """Honest prover: stores the vector, folds level hashes as r_j arrive."""
+    """Honest prover: stores the vector, folds level hashes as r_j arrive
+    (on Python ints once a level is down to
+    :data:`~repro.field.vectorized.SMALL_TABLE` entries)."""
 
     def __init__(
         self,
@@ -186,6 +193,8 @@ class SubVectorProver:
         self.normalized = normalized
         self.backend = backend if backend is not None else get_backend(field)
         self.freq = freq if freq is not None else [0] * self.size
+        # The backend of the proof in progress (small_tables).
+        self._be = self.backend
         self._level = None
         self._level_index = 0
         self._plan: Optional[List[List[int]]] = None
@@ -222,6 +231,7 @@ class SubVectorProver:
             raise ValueError("query range [%d, %d] invalid" % (lo, hi))
         self._query = (lo, hi)
         self._plan = sibling_plan(lo, hi, self.d)
+        self._be = self.backend
         self._level = canonical_table(self.backend, self.field, self.freq)
         self._level_index = 0
 
@@ -242,10 +252,10 @@ class SubVectorProver:
         """Fold one level with ``r_j``; return the next level's siblings."""
         if self._plan is None or self._level is None:
             raise RuntimeError("receive_query() must be called first")
-        self._level = fold_pairs(
-            self.backend, self.field, self._level, r_j,
-            zero_weight=None if self.normalized else 1,
-        )
+        self._be, self._level = small_tables(
+            self._be, self.field,
+            fold_pairs(self._be, self.field, self._level, r_j,
+                       zero_weight=None if self.normalized else 1))
         self._level_index += 1
         j = self._level_index
         if j < self.d:

@@ -86,6 +86,21 @@ _TILE_PAIRS = 1 << 13
 #: 2^31 pairs stay below 2^63 in ``uint64`` whatever the block.
 _PREFIX_BLOCK = 1 << 7
 
+#: Pairs from which :func:`_word_column_sums` reduces a run's four word
+#: columns one strided sum each instead of in one widening 2-D reduce.
+#: NumPy buffers the widening 2-D reduce: ≈ 1.4 µs + 15.6 ns a pair,
+#: against ≈ 5.9 µs + 2.7 ns for four column sums (best of 30 timings a
+#: size, 128 to 768 pairs, one pinned Xeon CPU): they meet at ≈ 350.
+_COLUMN_SUM_PAIRS = 350
+
+#: Entries at or below which a proof's tables are Python ints
+#: (:func:`small_tables`).  From here down no NumPy kernel call beats the
+#: scalar mirror's walk over the whole table: at 64 entries a fold is
+#: 8 µs against 17, an Fk(3) message 34 against 45, an INNER-PRODUCT
+#: message 13 against 24 and an F2 message ties at 17; at 128 the F2 and
+#: Fk(3) messages already lose by 10–15 µs (README, *Small proof tables*).
+SMALL_TABLE = 1 << 6
+
 #: Which 32-bit word of a ``uint64`` viewed as two ``uint32`` is the low one.
 _LOW_WORD = 0 if sys.byteorder == "little" else 1
 
@@ -93,6 +108,16 @@ _LOW_WORD = 0 if sys.byteorder == "little" else 1
 def _limbs22(arr):
     """Split canonical Mersenne-61 residues into three 22-bit limbs."""
     return (arr & _MASK22, (arr >> _U22) & _MASK22, arr >> _U44)
+
+
+def _word_column_sums(words):
+    """``uint64`` totals of the four 32-bit word columns (even low, even
+    high, odd low, odd high) of a run of pairs: exact for up to 2^32
+    pairs."""
+    if words.shape[0] < _COLUMN_SUM_PAIRS:
+        return _np.add.reduce(words, axis=0, dtype=_np.uint64)
+    return _np.array([words[:, column].sum(dtype=_np.uint64)
+                      for column in range(4)])
 
 
 def _limb_dot(a_limbs, b_limbs, symmetric: bool) -> int:
@@ -411,8 +436,9 @@ class ScalarBackend:
     #
     # The structured (dyadic) RANGE-SUM fold needs, per round, the sum of
     # the even entries and the sum of the odd entries of the folded proof
-    # table over O(Q·log u) canonical-node segments.  One shared prefix-sum
-    # pass per round makes every segment an O(1) lookup.
+    # table over one segment per query: read directly, or O(1) lookups in
+    # one shared prefix-sum pass once the segments together cover more
+    # pairs than the table has entries.
 
     def pair_prefix_sums(self, table: Sequence[int]):
         """Running sums of the even and odd entries of a proof table.
@@ -438,6 +464,14 @@ class ScalarBackend:
         even, odd = state
         p = self.p
         return (even[end] - even[start]) % p, (odd[end] - odd[start]) % p
+
+    def pair_segment_sums(self, table: Sequence[int], start: int,
+                          end: int) -> Tuple[int, int]:
+        """:meth:`prefix_segment_sums` read straight off the table, with
+        no prefix pass."""
+        p = self.p
+        return (sum(table[2 * start : 2 * end : 2]) % p,
+                sum(table[2 * start + 1 : 2 * end : 2]) % p)
 
     # -- aggregates ----------------------------------------------------------
 
@@ -957,12 +991,11 @@ class VectorizedField:
 
         Whole blocks come from the running totals; the ragged ends — or
         a segment inside one block — are summed directly, fewer than
-        :data:`_PREFIX_BLOCK` pairs each.  A dyadic node is block-aligned
-        or lies inside one block, so it costs one or the other.
+        :data:`_PREFIX_BLOCK` pairs each.
         """
-        p = self.p
         if self.dtype is object:
             even, odd = state
+            p = self.p
             return (
                 int(even[end] - even[start]) % p,
                 int(odd[end] - odd[start]) % p,
@@ -971,15 +1004,34 @@ class VectorizedField:
         first = -(-start // _PREFIX_BLOCK)
         last = end // _PREFIX_BLOCK
         if first > last:
-            sums = _np.add.reduce(words[start:end], axis=0, dtype=_np.uint64)
-        else:
-            sums = totals[last] - totals[first]
-            for piece in (words[start : first * _PREFIX_BLOCK],
-                          words[last * _PREFIX_BLOCK : end]):
-                if piece.shape[0]:
-                    sums += _np.add.reduce(piece, axis=0, dtype=_np.uint64)
-        low, high = _LOW_WORD, 1 - _LOW_WORD
+            return self._pair_word_sums(_word_column_sums(words[start:end]))
+        sums = totals[last] - totals[first]
+        for piece in (words[start : first * _PREFIX_BLOCK],
+                      words[last * _PREFIX_BLOCK : end]):
+            if piece.shape[0]:
+                sums += _word_column_sums(piece)
+        return self._pair_word_sums(sums)
+
+    def pair_segment_sums(self, table, start: int, end: int) -> Tuple[int, int]:
+        """:meth:`prefix_segment_sums` read straight off the table, with
+        no prefix pass: its 32-bit word columns summed in ``uint64``
+        (:func:`_word_column_sums`)."""
+        table = (
+            table if isinstance(table, _np.ndarray) else self.asarray(table)
+        )
+        if self.dtype is object:
+            p = self.p
+            return (int(_np.sum(table[2 * start : 2 * end : 2])) % p,
+                    int(_np.sum(table[2 * start + 1 : 2 * end : 2])) % p)
+        return self._pair_word_sums(_word_column_sums(_np.ascontiguousarray(
+            table[2 * start : 2 * end]).view(_np.uint32).reshape(-1, 4)))
+
+    def _pair_word_sums(self, sums) -> Tuple[int, int]:
+        """``(Σ even, Σ odd)`` mod p from the four ``uint64`` word-column
+        totals (:func:`_word_column_sums`) of a run of pairs."""
         sums = sums.tolist()
+        p = self.p
+        low, high = _LOW_WORD, 1 - _LOW_WORD
         return (
             ((sums[high] << 32) + sums[low]) % p,
             ((sums[2 + high] << 32) + sums[2 + low]) % p,
@@ -1102,6 +1154,26 @@ def frozen_table(backend: Backend, field: PrimeField, values) -> object:
         table.flags.writeable = False
         return table
     return tuple(table)
+
+
+def small_tables(backend: Backend, field: PrimeField, *tables):
+    """``(backend, *tables)`` a proof continues on: as given while the
+    first table has more than :data:`SMALL_TABLE` entries, else the
+    :class:`ScalarBackend` and the tables as lists of Python ints (None
+    stays None).
+
+    A table-folding prover calls this on every fold's output and keeps
+    the result for that proof only: its own ``backend`` is never
+    replaced, so the next proof starts on it — and on the shared
+    canonical table, uncopied — again.  Every kernel has a byte-identical
+    scalar mirror, so the switch changes no transcript word.
+    """
+    if (not getattr(backend, "vectorized", False)
+            or len(tables[0]) > SMALL_TABLE):
+        return (backend,) + tables
+    return (ScalarBackend(field),) + tuple(
+        None if table is None else backend.to_list(table)
+        for table in tables)
 
 
 def _split_limbs(values, bound: int, rows):

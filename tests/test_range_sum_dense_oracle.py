@@ -78,6 +78,28 @@ def test_round_messages_equal_the_dense_oracle(backend_name, u, case):
         dense.receive_challenge(challenge)
 
 
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_random_ranges_at_the_service_universe(backend_name):
+    """u = 2^12: every round of twelve random ranges — each crossing
+    from NumPy tables to Python ints on the vectorized backend, its wide
+    nodes read as one segment — equals the dense oracle's."""
+    u = 1 << 12
+    updates = turnstile_updates(u, seed=12)
+    dyadic = loaded(RangeSumProver, backend_name, u, updates)
+    dense = loaded(DenseRangeSumProver, backend_name, u, updates)
+    rng = random.Random(12)
+    for _ in range(12):
+        lo, hi = sorted(rng.randrange(u) for _ in range(2))
+        for prover in (dyadic, dense):
+            prover.receive_query(lo, hi)
+            prover.begin_proof()
+        for _ in range(dyadic.d):
+            assert dyadic.round_message() == dense.round_message(), (lo, hi)
+            challenge = rng.randrange(F.p)
+            dyadic.receive_challenge(challenge)
+            dense.receive_challenge(challenge)
+
+
 @pytest.mark.parametrize("backend_name,u,case", CASES)
 def test_transcripts_equal_the_dense_oracle(backend_name, u, case):
     updates = turnstile_updates(u, seed=u + 1)

@@ -125,12 +125,15 @@ def check_all_kernels(backend, values, other, challenges=CHALLENGES[-1:],
         cuts = sorted({0, 1, pairs // 2, pairs - 1, pairs,
                        *(k for k in (vec._PREFIX_BLOCK - 1,
                                      vec._PREFIX_BLOCK,
+                                     vec._COLUMN_SUM_PAIRS - 1,
+                                     vec._COLUMN_SUM_PAIRS,
                                      vec._TILE_PAIRS,
                                      vec._TILE_PAIRS + 1) if k <= pairs)})
         segments = [(s, e) for s in cuts for e in cuts if s <= e]
     for start, end in segments:
-        assert backend.prefix_segment_sums(state, start, end) == (
-            (even[end] - even[start]) % P, (odd[end] - odd[start]) % P)
+        want = (even[end] - even[start]) % P, (odd[end] - odd[start]) % P
+        assert backend.prefix_segment_sums(state, start, end) == want
+        assert backend.pair_segment_sums(table, start, end) == want
     assert backend.to_list(table) == values
     assert backend.to_list(table_b) == other
 
@@ -230,7 +233,9 @@ def test_vectorized_kernels_equal_the_scalar_backend(pairs, more, r):
     for start in range(len(pairs) + 1):
         for end in range(start, len(pairs) + 1):
             assert be.prefix_segment_sums(v_state, start, end) == \
-                sb.prefix_segment_sums(s_state, start, end)
+                sb.prefix_segment_sums(s_state, start, end) == \
+                be.pair_segment_sums(be.asarray(values), start, end) == \
+                sb.pair_segment_sums(values, start, end)
     for k in range(1, 8):
         assert fk_round_sums(be, F, be.asarray(values), k) == \
             fk_round_sums(sb, F, values, k)
@@ -411,6 +416,7 @@ def test_block_totals_are_exact_for_maximal_residues(backend):
                        (vec._PREFIX_BLOCK, 2 * vec._PREFIX_BLOCK)):
         want = (end - start) * (P - 1) % P
         assert backend.prefix_segment_sums(state, start, end) == (want, want)
+        assert backend.pair_segment_sums(table, start, end) == (want, want)
 
 
 def test_a_moment_tile_fits_the_scratch_and_its_dots_fit_a_word():

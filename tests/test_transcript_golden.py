@@ -10,8 +10,11 @@ before the moment kernel replaced the line stack under them; the two
 ``gkr-*`` runs at 9472e4e, while the scalar backend still ran its own
 per-gate layer prover; the five single-query ``*-wire`` rows at
 16bbfa5, while the service still proved a lone F2, Fk, INNER-PRODUCT or
-RANGE-SUM query outside the batched engine
-(``python tests/test_transcript_golden.py`` prints the table).
+RANGE-SUM query outside the batched engine; the two ``*-u1024`` runs at
+37705d0, while every round of a vectorized proof still ran on NumPy —
+their folds reach ``SMALL_TABLE`` mid-proof, where a ``U = 64`` run's
+first fold already does (``python tests/test_transcript_golden.py``
+prints the table).
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from repro.core.multiquery import (
     run_batched_sumcheck,
 )
 from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
+from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY, get_backend
 from repro.gkr.circuits import ADD, MUL, Gate, LayeredCircuit, f2_circuit
@@ -77,6 +81,11 @@ def _updates(seed, u=U, n=80):
 
 UPDATES_A = _updates(101)
 UPDATES_B = _updates(102, n=40)
+
+#: A universe whose proof tables shrink past ``SMALL_TABLE`` mid-proof.
+U_LARGE = 1 << 10
+LARGE_A = _updates(105, u=U_LARGE, n=600)
+LARGE_B = _updates(106, u=U_LARGE, n=300)
 
 
 def _digest(transcript) -> str:
@@ -183,18 +192,29 @@ TWO_ORDERS = [batch_f2(), batch_fk(3), batch_fk(4), batch_range_sum(5, 40),
               batch_inner_product()]
 
 
-def golden_mixed_batch(be, queries=MIXED, seed=8):
-    engine = BatchedSumcheckEngine(F, U, backend=be)
-    verifier = BatchedSumcheckVerifier(F, U, rng=random.Random(seed))
-    for i, delta in UPDATES_A:
+def golden_mixed_batch(be, queries=MIXED, seed=8, u=U,
+                       updates=(UPDATES_A, UPDATES_B)):
+    engine = BatchedSumcheckEngine(F, u, backend=be)
+    verifier = BatchedSumcheckVerifier(F, u, rng=random.Random(seed))
+    for i, delta in updates[0]:
         engine.process(i, delta)
         verifier.process_a(i, delta)
-    for i, delta in UPDATES_B:
+    for i, delta in updates[1]:
         engine.process_b(i, delta)
         verifier.process_b(i, delta)
     channel = Channel()
     results = run_batched_sumcheck(engine, verifier, queries, channel)
     return _batch(results, channel)
+
+
+def golden_range_query(be):
+    prover = SubVectorProver(F, U_LARGE, backend=be)
+    verifier = TreeHashVerifier(F, U_LARGE, rng=random.Random(21))
+    _feed(LARGE_A, prover, verifier)
+    channel = Channel()
+    result = run_subvector(prover, verifier, 100, 160, channel)
+    return (_digest(channel.transcript), result.value.k,
+            result.verifier_space_words)
 
 
 def _random_add_mul_circuit(seed):
@@ -283,6 +303,11 @@ SCENARIOS = {
     "batch-range-sum": golden_batch_range_sum,
     "mixed-batch": golden_mixed_batch,
     "two-order-batch": lambda be: golden_mixed_batch(be, TWO_ORDERS, seed=11),
+    "mixed-batch-u1024": lambda be: golden_mixed_batch(
+        be, [batch_range_sum(2, 500), batch_f2(), batch_fk(3),
+             batch_inner_product(), batch_range_sum(37, 1023)],
+        seed=20, u=U_LARGE, updates=(LARGE_A, LARGE_B)),
+    "range-query-u1024": golden_range_query,
     "mixed-batch-wire": golden_mixed_batch_over_the_wire,
     "range-batch-wire": golden_range_batch_over_the_wire,
     "f2-wire": lambda be: golden_single_over_the_wire(f2(), ("f2",), 15),
@@ -349,12 +374,18 @@ GOLDEN = {
     "mixed-batch": (
         "96f1b368edd7d9382f78892582c7e285de4c1ad2058a83f658dbd3b16722646e",
         [182, 1510, 11780, 456, 230], 34),
+    "mixed-batch-u1024": (
+        "09943f0e3ac83727a35cf517845db59ffcdc6a1b0eed4e87f14710a16f84c529",
+        [935, 10057, 67273, 1678, 1804], 38),
     "mixed-batch-wire": (
         "e7b8e2e02aadc3958c8fb6966c11f07ca3b582c09d73ef6a3b4bdf48c39e812e",
         [182, 1510, 11780, 456, 230], 34),
     "range-batch-wire": (
         "b6f6acbf14f50be6da48a69f9f3c8b93e41b7be954a955e3880ed4fd54039325",
         [43, 187, 7], 22),
+    "range-query-u1024": (
+        "db92fa5896419cea1cd682cdde25063da85a9b4801da8eeb7fcd61306669de5b",
+        26, 51),
     "range-sum": (
         "c1ff793b21449f2b87777c69aa22983c83af63138274240cae041f82b849b9d6",
         136, 13),

@@ -368,6 +368,7 @@ def test_pair_prefix_sums_segments_match_reference(setup):
     segments += [tuple(sorted(rng.sample(range(pairs + 1), 2))) for _ in range(20)]
     for start, end in segments:
         assert be.prefix_segment_sums(prefix, start, end) == \
+            be.pair_segment_sums(table, start, end) == \
             _reference_pair_sums(field, table_vals, start, end)
 
 
@@ -395,4 +396,5 @@ def test_pair_prefix_sums_uint64_path_is_exact_at_scale():
     prefix = be.pair_prefix_sums(be.asarray(table_vals))
     pairs = n // 2
     assert be.prefix_segment_sums(prefix, 0, pairs) == \
+        be.pair_segment_sums(be.asarray(table_vals), 0, pairs) == \
         ((pairs * (p - 1)) % p, (pairs * (p - 1)) % p)

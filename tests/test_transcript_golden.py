@@ -13,8 +13,10 @@ per-gate layer prover; the five single-query ``*-wire`` rows at
 RANGE-SUM query outside the batched engine; the two ``*-u1024`` runs at
 37705d0, while every round of a vectorized proof still ran on NumPy —
 their folds reach ``SMALL_TABLE`` mid-proof, where a ``U = 64`` run's
-first fold already does (``python tests/test_transcript_golden.py``
-prints the table).
+first fold already does; the two ``*-u65536`` runs at 2835c7d, while
+every proof still folded its whole dense table from round 0 — a few
+hundred Zipf keys in 2^16, so a proof whose early rounds touch few pairs
+(``python tests/test_transcript_golden.py`` prints the table).
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from repro.service import (
     inner_product,
     range_sum,
 )
+from repro.streams.generators import zipf_stream
 
 BACKENDS = ["scalar"] + (["vectorized"] if HAVE_NUMPY else [])
 
@@ -86,6 +89,14 @@ UPDATES_B = _updates(102, n=40)
 U_LARGE = 1 << 10
 LARGE_A = _updates(105, u=U_LARGE, n=600)
 LARGE_B = _updates(106, u=U_LARGE, n=300)
+
+
+#: A universe a few hundred Zipf keys leave almost empty: most pairs of a
+#: proof's early rounds hold two zeros.
+U_SPARSE = 1 << 16
+SPARSE_A = list(zipf_stream(U_SPARSE, 600, rng=random.Random(107)).updates())
+SPARSE_B = SPARSE_A[:200] + list(
+    zipf_stream(U_SPARSE, 200, rng=random.Random(108)).updates())
 
 
 def _digest(transcript) -> str:
@@ -217,6 +228,22 @@ def golden_range_query(be):
             result.verifier_space_words)
 
 
+def golden_lookup_and_scan(be):
+    """A point lookup and a range scan, one after the other on one
+    prover."""
+    prover = SubVectorProver(F, U_SPARSE, backend=be)
+    verifier = TreeHashVerifier(F, U_SPARSE, rng=random.Random(22))
+    _feed(SPARSE_A, prover, verifier)
+    key = SPARSE_A[0][0]
+    digests, counts = [], []
+    for lo, hi in ((key, key), (1000, 21000)):
+        channel = Channel()
+        result = run_subvector(prover, verifier, lo, hi, channel)
+        digests.append(_digest(channel.transcript))
+        counts.append(result.value.k)
+    return digests, counts, result.verifier_space_words
+
+
 def _random_add_mul_circuit(seed):
     """Layers of 2, 4 and 8 random add/mul gates over 16 inputs, wires
     drawn with repetition so values fan out (and a gate may read one
@@ -308,6 +335,12 @@ SCENARIOS = {
              batch_inner_product(), batch_range_sum(37, 1023)],
         seed=20, u=U_LARGE, updates=(LARGE_A, LARGE_B)),
     "range-query-u1024": golden_range_query,
+    "mixed-batch-u65536": lambda be: golden_mixed_batch(
+        be, [batch_f2(), batch_range_sum(3300, 3400), batch_fk(3),
+             batch_range_sum(5000, 30000), batch_inner_product(),
+             batch_range_sum(1, U_SPARSE - 2)],
+        seed=23, u=U_SPARSE, updates=(SPARSE_A, SPARSE_B)),
+    "lookup-and-scan-u65536": golden_lookup_and_scan,
     "mixed-batch-wire": golden_mixed_batch_over_the_wire,
     "range-batch-wire": golden_range_batch_over_the_wire,
     "f2-wire": lambda be: golden_single_over_the_wire(f2(), ("f2",), 15),
@@ -371,12 +404,19 @@ GOLDEN = {
     "inner-product-wire": (
         "cfe51f6c292fe3ad2dc71961d1b8541f19f708f9deb63adf2547a0a2f796042a",
         [456], 13),
+    "lookup-and-scan-u65536": (
+        ["f5f09ce0d754f8341724871451c69204dd50ce767fbe79cf1e184c484e6c74f1",
+         "2a52d279bb12aa0bc08ee907ee0ab60ed96cc699e93fad3c5d1a7abb85e05c43"],
+        [1, 84], 81),
     "mixed-batch": (
         "96f1b368edd7d9382f78892582c7e285de4c1ad2058a83f658dbd3b16722646e",
         [182, 1510, 11780, 456, 230], 34),
     "mixed-batch-u1024": (
         "09943f0e3ac83727a35cf517845db59ffcdc6a1b0eed4e87f14710a16f84c529",
         [935, 10057, 67273, 1678, 1804], 38),
+    "mixed-batch-u65536": (
+        "f3252249c73f3cb7202c3f365e1624b9824b3f9b22c974a11425835cd263c030",
+        [10758, 3, 589506, 163, 3536, 600], 49),
     "mixed-batch-wire": (
         "e7b8e2e02aadc3958c8fb6966c11f07ca3b582c09d73ef6a3b4bdf48c39e812e",
         [182, 1510, 11780, 456, 230], 34),

@@ -37,11 +37,14 @@ from repro.field.modular import PrimeField
 from repro.field.polynomial import interpolation_weights
 from repro.field.vectorized import (
     canonical_table,
+    compact_tables,
     fold_pairs,
     get_backend,
     inner_product_round_sums,
     moment_round_sums,
-    small_tables,
+    pair_runs,
+    table_entries,
+    refold_tables,
 )
 from repro.lde.canonical import chi_at, dyadic_cover, range_indicator_eval
 from repro.lde.streaming import DEFAULT_BLOCK, SketchStack
@@ -175,23 +178,32 @@ class _DyadicIndicator:
         (l_first, m_first, _), (l_last, m_last, _) = wide[0], wide[-1]
         return m_first << (l_first - j - 1), (m_last + 1) << (l_last - j - 1)
 
-    def round_message(self, p: int, a_table, j: int,
+    def point_entries(self, j: int) -> List[int]:
+        """Round ``j``'s a-table entries under the point nodes: the even
+        and odd entry of each one's pair, in node order (a point node's
+        dimensions j..d-1 are pinned by m's bits)."""
+        entries = []
+        for level, index, _ in self.nodes:
+            if level <= j:
+                even = (index >> (j - level)) & ~1
+                entries += (even, even + 1)
+        return entries
+
+    def round_message(self, p: int, j: int, entries,
                       wide_sums: Optional[Tuple[int, int]]) -> List[int]:
         """``[g(0), g(1), g(2)]`` of this member's round-``j`` polynomial,
-        given the even/odd sums over its :meth:`wide_run` (None when
-        there is none)."""
+        given an iterator over the values of its :meth:`point_entries`
+        and the even/odd sums over its :meth:`wide_run` (None when there
+        is none)."""
         g0 = g1 = g2 = 0
         for level, index, coeff in self.nodes:
             if level <= j:
-                # Point node: dimensions j..d-1 are pinned by m's bits;
-                # χ_bit(0/1) selects one half of one pair, χ_bit(2) is
-                # 2 (bit set) or -1 (bit clear) against the pair's
+                # χ_bit(0/1) selects one half of the node's pair, χ_bit(2)
+                # is 2 (bit set) or -1 (bit clear) against the pair's
                 # degree-1 extension 2·a_odd - a_even.
-                shift = j - level
-                pair = index >> (shift + 1)
-                a_even = int(a_table[2 * pair])
-                a_odd = int(a_table[2 * pair + 1])
-                if (index >> shift) & 1:
+                a_even = next(entries)
+                a_odd = next(entries)
+                if (index >> (j - level)) & 1:
                     g1 += coeff * a_odd
                     g2 += coeff * (4 * a_odd - 2 * a_even)
                 else:
@@ -239,11 +251,23 @@ class BatchedSumcheckEngine:
     evaluation; no dense indicator is ever built.  The F2 and Fk members
     share one pair-moment pass
     (:func:`~repro.field.vectorized.moment_round_sums`, F2 as order 2)
-    whatever their orders.  Once the tables are down to
-    :data:`~repro.field.vectorized.SMALL_TABLE` entries a proof finishes
-    on Python ints (:func:`~repro.field.vectorized.small_tables`).
-    Transcripts are identical whichever backend — and identical to the
-    standalone one-query provers, message for message.
+    whatever their orders.
+
+    A proof's tables take up to three forms, chosen by fixed rules in
+    :mod:`repro.field.vectorized`.  While the pairs they touch (for an
+    INNER-PRODUCT batch, the union of the a- and b-supports) are at most
+    :data:`~repro.field.vectorized.COMPACT_SHARE` of the pairs, only
+    those pairs are kept (:func:`~repro.field.vectorized.compact_tables`,
+    re-paired after each fold by :func:`~repro.field.vectorized.
+    refold_tables`), so n keys cost O(n) a round until the table fills
+    in — the paper's O(n·log(u/n)) prover term; a RANGE-SUM member's run
+    and point terms are read through the same layout.  Then the dense
+    table; once it is down to :data:`~repro.field.vectorized.SMALL_TABLE`
+    entries the proof finishes on Python ints
+    (:func:`~repro.field.vectorized.small_tables`).  Every proof starts
+    again from the shared canonical table, which none of this writes.
+    Transcripts are identical whichever backend and form — and
+    identical to the standalone one-query provers, message for message.
 
     :func:`run_batched_sumcheck` drives one of these — built locally
     from the dataset's frequency vectors or standing in for a remote
@@ -263,8 +287,10 @@ class BatchedSumcheckEngine:
         self.freq_a = freq_a if freq_a is not None else [0] * self.size
         self._freq_b = freq_b
         self._queries: Optional[List[BatchQuery]] = None
-        # The backend of the proof in progress (small_tables).
+        # The backend and table layout of the proof in progress
+        # (compact_tables, refold_tables).
         self._be = self.backend
+        self._layout = None
         self._a_table = None
         self._b_table = None
         self._moment_orders: List[int] = []
@@ -322,12 +348,11 @@ class BatchedSumcheckEngine:
         be = self._be = self.backend
         field = self.field
         self._queries = queries
-        self._a_table = canonical_table(be, field, self.freq_a)
-        self._b_table = (
+        self._layout, self._a_table, self._b_table = compact_tables(
+            be, field, canonical_table(be, field, self.freq_a),
             canonical_table(be, field, self.freq_b)
             if any(q.kind == BATCH_KIND_INNER_PRODUCT for q in queries)
-            else None
-        )
+            else None)
         self._moment_orders = sorted({
             q.degree for q in queries
             if q.kind in (BATCH_KIND_F2, BATCH_KIND_FK)
@@ -353,17 +378,21 @@ class BatchedSumcheckEngine:
         *Small proof tables*)."""
         be = self._be
         a_table = self._a_table
+        layout = self._layout
         j = self._round_index
-        runs = [state.wide_run(j) for state in self._dyadic]
+        runs = pair_runs(layout, [state.wide_run(j) for state in self._dyadic])
         if sum(end - start for start, end in filter(None, runs)) \
                 <= len(a_table):
             segment_sums = partial(be.pair_segment_sums, a_table)
         else:
             segment_sums = partial(be.prefix_segment_sums,
                                    be.pair_prefix_sums(a_table))
+        entries = iter(table_entries(
+            a_table, layout,
+            [i for state in self._dyadic for i in state.point_entries(j)]))
         return [
             state.round_message(
-                self.field.p, a_table, j,
+                self.field.p, j, entries,
                 None if run is None else segment_sums(*run))
             for state, run in zip(self._dyadic, runs)
         ]
@@ -406,8 +435,8 @@ class BatchedSumcheckEngine:
             raise RuntimeError("receive_batch() must be called first")
         be = self._be
         field = self.field
-        self._be, self._a_table, self._b_table = small_tables(
-            be, field,
+        self._layout, self._be, self._a_table, self._b_table = refold_tables(
+            be, field, self._layout,
             fold_pairs(be, field, self._a_table, r),
             None if self._b_table is None
             else fold_pairs(be, field, self._b_table, r),

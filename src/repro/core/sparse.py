@@ -1,9 +1,15 @@
 """Sparse provers: the ``O(min(u, n log(u/n)))`` bound of Theorems 4 & 5.
 
-The dense provers in :mod:`repro.core.f2` / :mod:`repro.core.subvector`
-cost Θ(u) regardless of how much data arrived.  When the stream touches
-only n ≪ u distinct keys, the folded tables stay sparse for the first
-~log(u/n) rounds; these provers keep them as dictionaries, touching
+When the stream touches only n ≪ u distinct keys, the folded tables
+stay sparse for the first ~log(u/n) rounds.  The standalone dense
+provers (:mod:`repro.core.f2`, :mod:`repro.core.fk`,
+:mod:`repro.core.inner_product`) still fold all u entries every round;
+the batched engine (:mod:`repro.core.multiquery`) and the tree prover
+(:mod:`repro.core.subvector`) keep only the touched pairs until they
+pass :data:`~repro.field.vectorized.COMPACT_SHARE` of a dense table of
+at most 2^d entries (:func:`~repro.field.vectorized.compact_tables`).
+The provers here go further: they hold a frequency *dictionary*, so no
+dense vector of the universe ever exists (u = 2^24 and beyond), touching
 O(n) entries per round until the table densifies — exactly the
 ``n·log(u/n)`` term in the paper's prover bounds.  They produce messages
 *identical* to the dense provers' (tested), so they are drop-in

@@ -33,9 +33,11 @@ from repro.core.base import (
 from repro.field.modular import PrimeField
 from repro.field.vectorized import (
     canonical_table,
+    compact_tables,
     fold_pairs,
     get_backend,
-    small_tables,
+    table_entries,
+    refold_tables,
 )
 from repro.lde.canonical import dyadic_cover
 from repro.lde.streaming import (
@@ -174,9 +176,15 @@ class TreeHashVerifier(StreamSketch):
 
 
 class SubVectorProver:
-    """Honest prover: stores the vector, folds level hashes as r_j arrive
-    (on Python ints once a level is down to
-    :data:`~repro.field.vectorized.SMALL_TABLE` entries)."""
+    """Honest prover: stores the vector, folds level hashes as r_j arrive.
+
+    A level is kept as the pairs it touches while they are at most
+    :data:`~repro.field.vectorized.COMPACT_SHARE` of its pairs
+    (:func:`~repro.field.vectorized.compact_tables` /
+    :func:`~repro.field.vectorized.refold_tables`; an absent sibling
+    reads 0), then dense, and on Python ints once it is down to
+    :data:`~repro.field.vectorized.SMALL_TABLE` entries.  Each query
+    starts again from ``freq``, which no level writes."""
 
     def __init__(
         self,
@@ -193,8 +201,10 @@ class SubVectorProver:
         self.normalized = normalized
         self.backend = backend if backend is not None else get_backend(field)
         self.freq = freq if freq is not None else [0] * self.size
-        # The backend of the proof in progress (small_tables).
+        # The backend and level layout of the proof in progress
+        # (compact_tables, refold_tables).
         self._be = self.backend
+        self._layout = None
         self._level = None
         self._level_index = 0
         self._plan: Optional[List[List[int]]] = None
@@ -232,7 +242,9 @@ class SubVectorProver:
         self._query = (lo, hi)
         self._plan = sibling_plan(lo, hi, self.d)
         self._be = self.backend
-        self._level = canonical_table(self.backend, self.field, self.freq)
+        self._layout, self._level = compact_tables(
+            self.backend, self.field,
+            canonical_table(self.backend, self.field, self.freq))
         self._level_index = 0
 
     def answer_entries(self) -> List[Tuple[int, int]]:
@@ -246,21 +258,24 @@ class SubVectorProver:
         """(leaf index, value) pairs for the level-0 plan entries."""
         if self._plan is None or self._level is None:
             raise RuntimeError("receive_query() must be called first")
-        return [(idx, int(self._level[idx])) for idx in self._plan[0]]
+        return self._siblings(0)
+
+    def _siblings(self, j: int) -> List[Tuple[int, int]]:
+        """(node index, hash) of level ``j``'s plan entries."""
+        plan = self._plan[j]
+        return list(zip(plan, table_entries(self._level, self._layout, plan)))
 
     def receive_challenge(self, r_j: int) -> List[Tuple[int, int]]:
         """Fold one level with ``r_j``; return the next level's siblings."""
         if self._plan is None or self._level is None:
             raise RuntimeError("receive_query() must be called first")
-        self._be, self._level = small_tables(
-            self._be, self.field,
+        self._layout, self._be, self._level = refold_tables(
+            self._be, self.field, self._layout,
             fold_pairs(self._be, self.field, self._level, r_j,
                        zero_weight=None if self.normalized else 1))
         self._level_index += 1
         j = self._level_index
-        if j < self.d:
-            return [(idx, int(self._level[idx])) for idx in self._plan[j]]
-        return []
+        return self._siblings(j) if j < self.d else []
 
 
 def run_subvector(

@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import chain
 from math import comb
 from operator import index
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.field.modular import PrimeField
 
@@ -100,6 +100,16 @@ _COLUMN_SUM_PAIRS = 350
 #: message 13 against 24 and an F2 message ties at 17; at 128 the F2 and
 #: Fk(3) messages already lose by 10–15 µs (README, *Small proof tables*).
 SMALL_TABLE = 1 << 6
+
+#: Share of a table's pairs up to which a proof keeps only the pairs its
+#: tables touch (:func:`compact_tables`, :func:`refold_tables`).  A
+#: compact round — messages, fold and re-pairing — costs ≈ 1.3 × the
+#: share of a dense one from 2^14 entries up and meets it at ≈ 5/8; at
+#: 2^12 it meets it at 1/2.  Up to 3/8 it saves ≥ 13 % at every size
+#: from 2^12 to 2^20, which pays for the start and the hand-over (F2,
+#: Fk(3) and INNER-PRODUCT rounds, one pinned Xeon CPU; README, *Sparse
+#: early rounds*).
+COMPACT_SHARE = 3 / 8
 
 #: Which 32-bit word of a ``uint64`` viewed as two ``uint32`` is the low one.
 _LOW_WORD = 0 if sys.byteorder == "little" else 1
@@ -1174,6 +1184,135 @@ def small_tables(backend: Backend, field: PrimeField, *tables):
     return (ScalarBackend(field),) + tuple(
         None if table is None else backend.to_list(table)
         for table in tables)
+
+
+class CompactPairs(NamedTuple):
+    """Where a compact proof table's pairs sit in the dense one: ``ids``,
+    the sorted ids of the pairs the proof's tables touch, out of
+    ``pairs``.  A compact table is those pairs' entries, interleaved
+    ``E, O, E, O, …`` like a dense one's, so every pair kernel
+    (:func:`fold_pairs`, :func:`moment_round_sums`,
+    :func:`inner_product_round_sums`, the segment sums) runs on it
+    unchanged: a pair of zeros adds nothing to any moment of order
+    >= 1, inner product or segment sum, and folds to zero."""
+
+    ids: object
+    pairs: int
+
+
+def compact_tables(backend: Backend, field: PrimeField, *tables):
+    """``(layout, *tables)`` a proof starts on: a :class:`CompactPairs`
+    and the tables cut down to the pairs any of them touches while those
+    are at most :data:`COMPACT_SHARE` of the pairs, else None and the
+    tables as given (None stays None).
+
+    Only NumPy tables above :data:`SMALL_TABLE` entries go compact.  The
+    tables are read, never written: a shared canonical table stays
+    whole for the next proof.
+    """
+    first = tables[0]
+    if not getattr(backend, "vectorized", False) or len(first) <= SMALL_TABLE:
+        return (None,) + tables
+    # A pair is touched where its two entries' "is nonzero" bytes, seen
+    # as one 16-bit word, are not both zero.
+    touched = None
+    for table in tables:
+        if table is not None:
+            nonzero = _np.not_equal(table, 0).view(_np.uint16)
+            touched = nonzero if touched is None else touched | nonzero
+    if _np.count_nonzero(touched) > COMPACT_SHARE * (len(first) // 2):
+        return (None,) + tables
+    ids = _np.flatnonzero(_np.not_equal(touched, 0))
+    return (CompactPairs(ids, len(first) // 2),) + tuple(
+        None if table is None else _take_pairs(table, ids)
+        for table in tables)
+
+
+def _take_pairs(table, ids):
+    """Pairs ``ids`` of ``table``, interleaved as in the table; a
+    ``uint64`` pair is copied as one 16-byte element (4× a 2-D take)."""
+    if table.dtype == _np.uint64:
+        return table.view("V16")[ids].view(_np.uint64)
+    return table.reshape(-1, 2)[ids].reshape(-1)
+
+
+def refold_tables(backend: Backend, field: PrimeField, layout, *folded):
+    """``(layout, backend, *tables)`` a proof continues on after a fold
+    of its tables laid out as ``layout``.
+
+    A dense fold goes to :func:`small_tables`.  A compact fold holds one
+    entry per touched pair; the entries of pairs ``2s`` and ``2s + 1``
+    become pair ``s``'s even and odd entries.  Once the pairs touched are
+    more than :data:`COMPACT_SHARE` of the pairs, or the table is down to
+    :data:`SMALL_TABLE` entries, the entries are scattered into a dense
+    table instead and :func:`small_tables` takes over from there.
+    """
+    if layout is not None:
+        ids, size = layout
+        if size > SMALL_TABLE:
+            halves = ids >> 1
+            starts = _np.ones(len(ids), dtype=bool)
+            _np.not_equal(halves[1:], halves[:-1], out=starts[1:])
+            kept = _np.count_nonzero(starts)
+            if kept <= COMPACT_SHARE * (size // 2):
+                return (CompactPairs(halves[starts], size // 2), backend,
+                        *_repaired(backend, ids, starts, kept, folded))
+        # The fold's entry for pair t belongs at entry t of a dense fold.
+        dense = []
+        for table in folded:
+            if table is not None:
+                entries, table = table, backend.zeros(size)
+                table[ids] = entries
+            dense.append(table)
+        folded = dense
+    return (None,) + small_tables(backend, field, *folded)
+
+
+def _repaired(backend: "VectorizedField", ids, starts, kept: int, folded):
+    """Compact folds re-paired into ``kept`` pairs: the entry of old pair
+    ``ids[i]`` goes to slot ``ids[i] & 1`` of new pair ``ids[i] >> 1``,
+    whose place is the number of ``starts`` (of a new pair) before
+    ``i``."""
+    slots = _np.cumsum(starts)
+    slots -= 1
+    slots <<= 1
+    slots += ids & 1
+    tables = []
+    for table in folded:
+        if table is not None:
+            entries, table = table, backend.zeros(2 * kept)
+            table[slots] = entries
+        tables.append(table)
+    return tables
+
+
+def table_entries(table, layout, indices: Sequence[int]) -> List[int]:
+    """Entries ``indices`` of the dense table, as Python ints, read from a
+    table laid out as ``layout``; an entry of an absent pair reads 0."""
+    if layout is None:
+        return list(map(table.__getitem__ if isinstance(table, (list, tuple))
+                        else table.item, indices))
+    ids = layout.ids
+    if not len(ids):
+        return [0] * len(indices)
+    indices = _np.asarray(indices, dtype=ids.dtype)
+    pairs = indices >> 1
+    at = _np.searchsorted(ids, pairs)
+    _np.minimum(at, len(ids) - 1, out=at)
+    values = table[2 * at + (indices & 1)]
+    values[ids[at] != pairs] = 0
+    return values.tolist()
+
+
+def pair_runs(layout, runs):
+    """Runs ``(start, end)`` of a dense table's pairs (None stays None) as
+    runs of a table laid out as ``layout``: the same runs when it is
+    dense, else each run's touched pairs, all found by one search."""
+    if layout is None:
+        return runs
+    mapped = iter(_np.searchsorted(
+        layout.ids, [end for run in runs if run for end in run]).tolist())
+    return [run and (next(mapped), next(mapped)) for run in runs]
 
 
 def _split_limbs(values, bound: int, rows):

@@ -38,12 +38,12 @@ from repro.field.polynomial import interpolation_weights
 from repro.field.vectorized import (
     canonical_table,
     compact_tables,
+    entry_reader,
     fold_pairs,
     get_backend,
     inner_product_round_sums,
     moment_round_sums,
     pair_runs,
-    table_entries,
     refold_tables,
 )
 from repro.lde.canonical import chi_at, dyadic_cover, range_indicator_eval
@@ -178,32 +178,32 @@ class _DyadicIndicator:
         (l_first, m_first, _), (l_last, m_last, _) = wide[0], wide[-1]
         return m_first << (l_first - j - 1), (m_last + 1) << (l_last - j - 1)
 
-    def point_entries(self, j: int) -> List[int]:
+    def point_entries(self, j: int):
         """Round ``j``'s a-table entries under the point nodes: the even
-        and odd entry of each one's pair, in node order (a point node's
-        dimensions j..d-1 are pinned by m's bits)."""
-        entries = []
+        and odd entry of each one's pair (a point node's dimensions
+        j..d-1 are pinned by m's bits)."""
         for level, index, _ in self.nodes:
             if level <= j:
-                even = (index >> (j - level)) & ~1
-                entries += (even, even + 1)
-        return entries
+                shifted = index >> (j - level)
+                yield shifted & ~1
+                yield shifted | 1
 
-    def round_message(self, p: int, j: int, entries,
+    def round_message(self, p: int, j: int, read,
                       wide_sums: Optional[Tuple[int, int]]) -> List[int]:
         """``[g(0), g(1), g(2)]`` of this member's round-``j`` polynomial,
-        given an iterator over the values of its :meth:`point_entries`
-        and the even/odd sums over its :meth:`wide_run` (None when there
-        is none)."""
+        given ``read(i)``, the value of a-table entry i (one of its
+        :meth:`point_entries`), and the even/odd sums over its
+        :meth:`wide_run` (None when there is none)."""
         g0 = g1 = g2 = 0
         for level, index, coeff in self.nodes:
             if level <= j:
                 # χ_bit(0/1) selects one half of the node's pair, χ_bit(2)
                 # is 2 (bit set) or -1 (bit clear) against the pair's
                 # degree-1 extension 2·a_odd - a_even.
-                a_even = next(entries)
-                a_odd = next(entries)
-                if (index >> (j - level)) & 1:
+                shifted = index >> (j - level)
+                a_even = read(shifted & ~1)
+                a_odd = read(shifted | 1)
+                if shifted & 1:
                     g1 += coeff * a_odd
                     g2 += coeff * (4 * a_odd - 2 * a_even)
                 else:
@@ -387,12 +387,12 @@ class BatchedSumcheckEngine:
         else:
             segment_sums = partial(be.prefix_segment_sums,
                                    be.pair_prefix_sums(a_table))
-        entries = iter(table_entries(
+        read = entry_reader(
             a_table, layout,
-            [i for state in self._dyadic for i in state.point_entries(j)]))
+            (i for state in self._dyadic for i in state.point_entries(j)))
         return [
             state.round_message(
-                self.field.p, j, entries,
+                self.field.p, j, read,
                 None if run is None else segment_sums(*run))
             for state, run in zip(self._dyadic, runs)
         ]

@@ -34,9 +34,9 @@ from repro.field.modular import PrimeField
 from repro.field.vectorized import (
     canonical_table,
     compact_tables,
+    entry_reader,
     fold_pairs,
     get_backend,
-    table_entries,
     refold_tables,
 )
 from repro.lde.canonical import dyadic_cover
@@ -263,7 +263,8 @@ class SubVectorProver:
     def _siblings(self, j: int) -> List[Tuple[int, int]]:
         """(node index, hash) of level ``j``'s plan entries."""
         plan = self._plan[j]
-        return list(zip(plan, table_entries(self._level, self._layout, plan)))
+        read = entry_reader(self._level, self._layout, plan)
+        return [(idx, read(idx)) for idx in plan]
 
     def receive_challenge(self, r_j: int) -> List[Tuple[int, int]]:
         """Fold one level with ``r_j``; return the next level's siblings."""

@@ -1286,22 +1286,26 @@ def _repaired(backend: "VectorizedField", ids, starts, kept: int, folded):
     return tables
 
 
-def table_entries(table, layout, indices: Sequence[int]) -> List[int]:
-    """Entries ``indices`` of the dense table, as Python ints, read from a
-    table laid out as ``layout``; an entry of an absent pair reads 0."""
+def entry_reader(table, layout, indices):
+    """``read(i)``: entry ``i`` of the dense table, a Python int, read
+    from a table laid out as ``layout`` — 0 for an entry of an absent
+    pair.  A compact table is searched once, for every entry of
+    ``indices`` (any iterable, consumed only then); a dense one is read
+    in place."""
     if layout is None:
-        return list(map(table.__getitem__ if isinstance(table, (list, tuple))
-                        else table.item, indices))
+        return (table.__getitem__ if isinstance(table, (list, tuple))
+                else table.item)
+    indices = list(indices)
     ids = layout.ids
-    if not len(ids):
-        return [0] * len(indices)
-    indices = _np.asarray(indices, dtype=ids.dtype)
-    pairs = indices >> 1
+    if not indices or not len(ids):
+        return dict.fromkeys(indices, 0).__getitem__
+    wanted = _np.asarray(indices, dtype=ids.dtype)
+    pairs = wanted >> 1
     at = _np.searchsorted(ids, pairs)
     _np.minimum(at, len(ids) - 1, out=at)
-    values = table[2 * at + (indices & 1)]
+    values = table[2 * at + (wanted & 1)]
     values[ids[at] != pairs] = 0
-    return values.tolist()
+    return dict(zip(indices, values.tolist())).__getitem__
 
 
 def pair_runs(layout, runs):

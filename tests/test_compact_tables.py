@@ -279,13 +279,12 @@ def test_a_dense_table_reaches_the_kernels_at_todays_sizes(
     assert set(kernel_entries) == dense
 
 
-def _table_touching(pairs, touched, both=False):
+def _table_touching(pairs, touched):
+    """A table whose first ``touched`` pairs at an even spacing hold one
+    nonzero entry each, in alternating halves."""
     table = V.get_backend(F, "vectorized").zeros(2 * pairs)
     for t in range(touched):
-        pair = t * (pairs // touched)
-        table[2 * pair + (t % 2)] = 5
-        if both:
-            table[2 * pair + 1 - (t % 2)] = 6
+        table[2 * t * (pairs // touched) + t % 2] = 5
     return table
 
 
@@ -305,14 +304,22 @@ def test_a_proof_starts_compact_up_to_the_cut_and_no_further():
     past = _table_touching(pairs, limit + 1)
     layout, dense = V.compact_tables(backend, F, past)
     assert layout is None and dense is past
-    # Two tables go compact on the union of their touched pairs.
-    half = _table_touching(pairs, limit // 2)
-    other = V.get_backend(F, "vectorized").zeros(2 * pairs)
-    other[1::2][: limit - limit // 2] = 3
-    layout, a, b = V.compact_tables(backend, F, half, other)
-    assert len(layout.ids) == len(set(layout.ids.tolist())) <= limit
-    other[1::2][: limit] = 3
-    assert V.compact_tables(backend, F, half, other)[0] is None
+    # Two tables go compact on the union of their touched pairs: a's on
+    # even pair ids, b's on odd ones, and one pair both touch.
+    for union, compact in ((limit, True), (limit + 1, False)):
+        a = backend.zeros(2 * pairs)
+        b = backend.zeros(2 * pairs)
+        a[0 : 2 * union : 4] = 1
+        b[2 : 2 * union : 4] = 2
+        b[0] = 3
+        layout, a_compact, b_compact = V.compact_tables(backend, F, a, b)
+        if compact:
+            assert layout.ids.tolist() == list(range(union))
+            assert a_compact.tolist() == [1, 0, 0, 0] * (union // 2)
+            assert b_compact.tolist() == [3, 0, 2, 0] + [0, 0, 2, 0] * (
+                union // 2 - 1)
+        else:
+            assert layout is None and a_compact is a and b_compact is b
 
 
 def test_a_fold_hands_over_once_the_touched_pairs_pass_the_cut():
@@ -341,12 +348,14 @@ def test_compact_reads_return_zero_for_an_absent_pair():
     backend = V.get_backend(F, "vectorized")
     layout = V.CompactPairs(backend.index_array([1, 4, 9]), 16)
     table = backend.asarray([10, 11, 40, 41, 90, 91])
-    assert V.table_entries(table, layout, [8, 9, 1, 18, 19, 31, 2, 3]) == [
-        40, 41, 0, 90, 91, 0, 10, 11]
+    wanted = [8, 9, 1, 18, 19, 31, 2, 3]
+    read = V.entry_reader(table, layout, iter(wanted))
+    assert [read(i) for i in wanted] == [40, 41, 0, 90, 91, 0, 10, 11]
     assert V.pair_runs(layout, [(0, 16), None, (2, 9), (5, 9)]) == [
         (0, 3), None, (1, 2), (2, 2)]
     empty = V.CompactPairs(backend.index_array([]), 16)
-    assert V.table_entries(backend.zeros(0), empty, [3, 6]) == [0, 0]
+    read = V.entry_reader(backend.zeros(0), empty, [3, 6])
+    assert (read(3), read(6)) == (0, 0)
 
 
 def test_a_reused_prover_starts_again_from_the_shared_table(monkeypatch):

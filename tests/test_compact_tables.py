@@ -98,19 +98,10 @@ def _engine(backend_name, u, updates_a, updates_b):
     return engine
 
 
-class _Alone:
-    """A one-query prover with its own message and fold calls, read
-    beside the engine's member ``index``."""
-
-    def __init__(self, index, prover):
-        self.index = index
-        self.prover = prover
-        prover.begin_proof()
-
-
 def _standalone(queries, u, updates_a, updates_b):
-    """The standalone dense provers, and ``core/sparse.py``'s sparse
-    ones, for every F2 / Fk / INNER-PRODUCT member of a batch."""
+    """``(member index, prover)`` of the standalone dense provers, and
+    ``core/sparse.py``'s sparse ones, for every F2 / Fk / INNER-PRODUCT
+    member of a batch, each with its proof begun."""
     vectorized = V.get_backend(F, "vectorized")
     provers = []
     for index, q in enumerate(queries):
@@ -130,7 +121,8 @@ def _standalone(queries, u, updates_a, updates_b):
             if hasattr(prover, "process_b"):
                 for key, delta in updates_b:
                     prover.process_b(key, delta)
-            provers.append(_Alone(index, prover))
+            prover.begin_proof()
+            provers.append((index, prover))
     return provers
 
 
@@ -158,12 +150,12 @@ def _check_engine_rounds(u, kind_a, kind_b, seed, queries):
     for j in range(engines[0].d):
         messages = [engine.round_messages() for engine in engines]
         assert messages[0] == messages[1], (j, u, kind_a)
-        for one in alone:
-            assert one.prover.round_message() == messages[0][one.index], \
-                (j, type(one.prover).__name__)
+        for index, prover in alone:
+            assert prover.round_message() == messages[0][index], \
+                (j, type(prover).__name__)
         if j < engines[0].d - 1:
             r = rng.randrange(F.p)
-            for party in engines + [one.prover for one in alone]:
+            for party in engines + [prover for _, prover in alone]:
                 party.receive_challenge(r)
 
 

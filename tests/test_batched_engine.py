@@ -9,9 +9,10 @@ byte, so this suite is the engine's spec:
   a transcript byte-identical to the corresponding standalone one-query
   run (same verifier point, same challenges), on both the scalar and the
   vectorized backend, including the empty-batch and single-query
-  degenerate paths.  The standalone reference of a RANGE-SUM member is
-  the dense-indicator oracle (``dense_oracle.DenseRangeSumProver``), not
-  the library's own range prover — that one *is* this engine;
+  degenerate paths.  The standalone run is the query alone, proved by
+  ``reference_sumcheck.ReferenceProver`` — the paper's prover written
+  out on dense Python-int tables, a RANGE-SUM member's b the explicit
+  indicator — not by the library's own kernels;
 * *adversarial* — a prover cheating on exactly one query inside a mixed
   batch is rejected for that query while the honest members of the same
   batch still verify (the Section 7 direct-sum guarantee, per query).
@@ -25,16 +26,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import DenseRangeSumProver
+from reference_sumcheck import ReferenceProver
 from repro.adversary.cheating_provers import PerQueryCheatingBatchEngine
 from repro.comm.channel import Channel
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
-from repro.core.fk import FkProver, FkVerifier, run_fk
-from repro.core.inner_product import (
-    InnerProductProver,
-    InnerProductVerifier,
-    run_inner_product,
-)
+from repro.core.f2 import F2Verifier
+from repro.core.fk import FkVerifier
+from repro.core.inner_product import InnerProductVerifier
 from repro.core.multiquery import (
     BATCH_KIND_F2,
     BATCH_KIND_FK,
@@ -50,7 +47,7 @@ from repro.core.multiquery import (
     run_batch_range_sum,
     run_batched_sumcheck,
 )
-from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
+from repro.core.range_sum import RangeSumProver, RangeSumVerifier
 from repro.field.modular import DEFAULT_FIELD
 from repro.field.vectorized import HAVE_NUMPY, get_backend
 
@@ -111,41 +108,26 @@ def build_batch_session(backend_name, u, updates_a, updates_b, point):
 
 
 def run_standalone(query, backend_name, u, updates_a, updates_b, point):
-    """The corresponding one-query protocol run, same point/challenges."""
-    backend = get_backend(F, backend_name)
-    channel = Channel()
-    if query.kind == BATCH_KIND_F2:
-        prover = F2Prover(F, u, backend=backend)
-        verifier = F2Verifier(F, u, point=point)
-        for i, delta in updates_a:
-            prover.process(i, delta)
-            verifier.process(i, delta)
-        return run_f2(prover, verifier, channel), channel
-    if query.kind == BATCH_KIND_FK:
-        prover = FkProver(F, u, query.params[0], backend=backend)
-        verifier = FkVerifier(F, u, query.params[0], point=point)
-        for i, delta in updates_a:
-            prover.process(i, delta)
-            verifier.process(i, delta)
-        return run_fk(prover, verifier, channel), channel
+    """The query alone, same point/challenges, proved by the reference
+    prover against the verifier of its own kind."""
+    prover = ReferenceProver(F, u, updates_a, updates_b)
     if query.kind == BATCH_KIND_INNER_PRODUCT:
-        prover = InnerProductProver(F, u, backend=backend)
         verifier = InnerProductVerifier(F, u, point=point)
         for i, delta in updates_a:
-            prover.process_a(i, delta)
             verifier.process_a(i, delta)
         for i, delta in updates_b:
-            prover.process_b(i, delta)
             verifier.process_b(i, delta)
-        return run_inner_product(prover, verifier, channel), channel
-    # RANGE-SUM: explicit b + the inner-product prover, not the engine.
-    prover = DenseRangeSumProver(F, u, backend=backend)
-    verifier = RangeSumVerifier(F, u, point=point)
-    for i, delta in updates_a:
-        prover.process(i, delta)
-        verifier.process(i, delta)
-    lo, hi = query.params
-    return run_range_sum(prover, verifier, lo, hi, channel), channel
+    else:
+        if query.kind == BATCH_KIND_F2:
+            verifier = F2Verifier(F, u, point=point)
+        elif query.kind == BATCH_KIND_FK:
+            verifier = FkVerifier(F, u, query.params[0], point=point)
+        else:
+            verifier = RangeSumVerifier(F, u, point=point)
+        verifier.process_stream(updates_a)
+    channel = Channel()
+    return run_batched_sumcheck(prover, verifier, [query], channel)[0], \
+        channel
 
 
 def per_query_view(channel, idx):
@@ -302,7 +284,7 @@ def range_heavy_case():
 def assert_batch_equals_the_oracle(backend_name, u, updates_a, queries,
                                    point):
     """Every member of the batch sends what its standalone run sends —
-    for a RANGE-SUM member that is the dense oracle's run."""
+    for a RANGE-SUM member the reference's, over the dense indicator."""
     engine, verifier, backend = build_batch_session(
         backend_name, u, updates_a, [], point
     )

@@ -5,8 +5,9 @@ the pairs, the engine and the tree prover keep only those pairs
 (:func:`~repro.field.vectorized.compact_tables`) and re-pair them after
 every fold (:func:`~repro.field.vectorized.refold_tables`) until the
 table fills in.  The contract is the transcript: every round's messages
-equal the scalar backend's (which keeps dense lists), the standalone
-dense provers' and ``core/sparse.py``'s sparse provers' on the same
+equal the scalar backend's (which keeps dense lists), the reference
+prover's (``reference_sumcheck``: the paper's provers on dense
+Python-int tables) and ``core/sparse.py``'s sparse provers' on the same
 streams.  The mechanism is pinned too: the NumPy kernels see
 O(n·log(u/n) + n) entries for n keys, exactly today's sizes for a dense
 table, the cut sits where the constant says, and a reused prover starts
@@ -22,10 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_sumcheck import ReferenceProver
 from repro.comm.channel import Channel
-from repro.core.f2 import F2Prover
-from repro.core.fk import FkProver
-from repro.core.inner_product import InnerProductProver
 from repro.core.k_largest import KLargestProver, k_largest_query
 from repro.core.multiquery import (
     BatchedSumcheckEngine,
@@ -98,31 +97,24 @@ def _engine(backend_name, u, updates_a, updates_b):
     return engine
 
 
-def _standalone(queries, u, updates_a, updates_b):
-    """``(member index, prover)`` of the standalone dense provers, and
-    ``core/sparse.py``'s sparse ones, for every F2 / Fk / INNER-PRODUCT
-    member of a batch, each with its proof begun."""
-    vectorized = V.get_backend(F, "vectorized")
+def _sparse(queries, u, updates_a, updates_b):
+    """``(member index, prover)`` of ``core/sparse.py``'s sparse provers
+    for every F2 / INNER-PRODUCT member of a batch, proofs begun."""
     provers = []
     for index, q in enumerate(queries):
         if q.name == "f2":
-            made = [F2Prover(F, u, backend=vectorized), SparseF2Prover(F, u)]
-        elif q.name == "fk":
-            made = [FkProver(F, u, q.params[0], backend=vectorized)]
+            prover = SparseF2Prover(F, u)
+            prover.process_stream(updates_a)
         elif q.name == "inner-product":
-            made = [InnerProductProver(F, u, backend=vectorized),
-                    SparseInnerProductProver(F, u)]
+            prover = SparseInnerProductProver(F, u)
+            for key, delta in updates_a:
+                prover.process_a(key, delta)
+            for key, delta in updates_b:
+                prover.process_b(key, delta)
         else:
             continue
-        for prover in made:
-            for key, delta in updates_a:
-                (prover.process_a if hasattr(prover, "process_a")
-                 else prover.process)(key, delta)
-            if hasattr(prover, "process_b"):
-                for key, delta in updates_b:
-                    prover.process_b(key, delta)
-            prover.begin_proof()
-            provers.append((index, prover))
+        prover.begin_proof()
+        provers.append((index, prover))
     return provers
 
 
@@ -143,19 +135,21 @@ def _check_engine_rounds(u, kind_a, kind_b, seed, queries):
     updates_b = sparse_updates(kind_b, u, seed + 1)
     engines = [_engine(name, u, updates_a, updates_b)
                for name in ("vectorized", "scalar")]
-    alone = _standalone(queries, u, updates_a, updates_b)
-    for engine in engines:
-        engine.receive_batch(queries)
+    reference = ReferenceProver(F, u, updates_a, updates_b)
+    sparse = _sparse(queries, u, updates_a, updates_b)
+    for party in engines + [reference]:
+        party.receive_batch(queries)
     rng = random.Random(seed)
     for j in range(engines[0].d):
         messages = [engine.round_messages() for engine in engines]
         assert messages[0] == messages[1], (j, u, kind_a)
-        for index, prover in alone:
+        assert reference.round_messages() == messages[0], (j, u, kind_a)
+        for index, prover in sparse:
             assert prover.round_message() == messages[0][index], \
                 (j, type(prover).__name__)
         if j < engines[0].d - 1:
             r = rng.randrange(F.p)
-            for party in engines + [prover for _, prover in alone]:
+            for party in engines + [reference] + [p for _, p in sparse]:
                 party.receive_challenge(r)
 
 

@@ -1,9 +1,10 @@
-"""The standalone RANGE-SUM prover against the dense-indicator oracle.
+"""RANGE-SUM on the dyadic fold against the dense-indicator oracle.
 
-Until :class:`~repro.core.range_sum.RangeSumProver` moved onto the
-dyadic fold it *was* ``dense_oracle.DenseRangeSumProver``.  The dyadic
-prover must send the same words — every round message, every
-transcript, on both backends and through the service wire.
+The oracle is ``reference_sumcheck.ReferenceProver``: the textbook
+inner-product prover with b the explicit u-entry indicator of the query
+range, on Python ints.  The dyadic prover must send the same words —
+every round message, every transcript, on both backends and through the
+service wire.
 """
 
 from __future__ import annotations
@@ -13,9 +14,13 @@ import tracemalloc
 
 import pytest
 
-from dense_oracle import DenseRangeSumProver
+from reference_sumcheck import ReferenceProver
 from repro.comm.channel import Channel
-from repro.core.multiquery import BatchedSumcheckEngine, batch_range_sum
+from repro.core.multiquery import (
+    BatchedSumcheckEngine,
+    batch_range_sum,
+    run_batched_sumcheck,
+)
 from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY, get_backend
@@ -44,8 +49,8 @@ def turnstile_updates(u, seed):
     return updates + [(3, F.p + 11), (u - 1, -7)]
 
 
-def loaded(cls, backend_name, u, updates):
-    prover = cls(F, u, backend=get_backend(F, backend_name))
+def loaded(backend_name, u, updates):
+    prover = RangeSumProver(F, u, backend=get_backend(F, backend_name))
     for key, delta in updates:
         prover.process(key, delta)
     return prover
@@ -62,16 +67,16 @@ CASES = [
 @pytest.mark.parametrize("backend_name,u,case", CASES)
 def test_round_messages_equal_the_dense_oracle(backend_name, u, case):
     updates = turnstile_updates(u, seed=u)
-    dyadic = loaded(RangeSumProver, backend_name, u, updates)
-    dense = loaded(DenseRangeSumProver, backend_name, u, updates)
+    dyadic = loaded(backend_name, u, updates)
+    dense = ReferenceProver(F, u, updates)
     lo, hi = range_cases(dyadic.size)[case]
     rng = random.Random(7)
-    for prover in (dyadic, dense):
-        prover.receive_query(lo, hi)
-        prover.begin_proof()
+    dyadic.receive_query(lo, hi)
+    dyadic.begin_proof()
+    dense.receive_batch([batch_range_sum(lo, hi)])
     for _ in range(dyadic.d):
         message = dyadic.round_message()
-        assert message == dense.round_message()
+        assert [message] == dense.round_messages()
         assert all(type(word) is int for word in message)
         challenge = rng.randrange(F.p)
         dyadic.receive_challenge(challenge)
@@ -85,16 +90,17 @@ def test_random_ranges_at_the_service_universe(backend_name):
     nodes read as one segment — equals the dense oracle's."""
     u = 1 << 12
     updates = turnstile_updates(u, seed=12)
-    dyadic = loaded(RangeSumProver, backend_name, u, updates)
-    dense = loaded(DenseRangeSumProver, backend_name, u, updates)
+    dyadic = loaded(backend_name, u, updates)
+    dense = ReferenceProver(F, u, updates)
     rng = random.Random(12)
     for _ in range(12):
         lo, hi = sorted(rng.randrange(u) for _ in range(2))
-        for prover in (dyadic, dense):
-            prover.receive_query(lo, hi)
-            prover.begin_proof()
+        dyadic.receive_query(lo, hi)
+        dyadic.begin_proof()
+        dense.receive_batch([batch_range_sum(lo, hi)])
         for _ in range(dyadic.d):
-            assert dyadic.round_message() == dense.round_message(), (lo, hi)
+            assert [dyadic.round_message()] == dense.round_messages(), \
+                (lo, hi)
             challenge = rng.randrange(F.p)
             dyadic.receive_challenge(challenge)
             dense.receive_challenge(challenge)
@@ -104,14 +110,19 @@ def test_random_ranges_at_the_service_universe(backend_name):
 def test_transcripts_equal_the_dense_oracle(backend_name, u, case):
     updates = turnstile_updates(u, seed=u + 1)
     point = F.rand_vector(random.Random(u), RangeSumVerifier(F, u).d)
+    lo, hi = range_cases(1 << (u - 1).bit_length())[case]
     transcripts = []
-    for cls in (RangeSumProver, DenseRangeSumProver):
-        prover = loaded(cls, backend_name, u, updates)
+    for dyadic in (True, False):
         verifier = RangeSumVerifier(F, u, point=point)
         verifier.process_stream(updates)
-        lo, hi = range_cases(prover.size)[case]
         channel = Channel()
-        result = run_range_sum(prover, verifier, lo, hi, channel)
+        if dyadic:
+            result = run_range_sum(loaded(backend_name, u, updates),
+                                   verifier, lo, hi, channel)
+        else:
+            (result,) = run_batched_sumcheck(
+                ReferenceProver(F, u, updates), verifier,
+                [batch_range_sum(lo, hi)], channel)
         assert result.accepted, result.reason
         # The oracle answer, straight from the stream.
         assert result.value == sum(
@@ -190,11 +201,9 @@ def test_served_transcript_equals_the_dense_oracle():
                if abs(delta) < 100]  # the wire carries small signed deltas
 
     def dense(unit, prover, dataset):
-        oracle = DenseRangeSumProver(F, dataset.u)
-        oracle.process_streams(
-            ((key, delta) for vector, key, delta in dataset.log
-             if vector == 0), ())
-        return oracle
+        return ReferenceProver(F, dataset.u, (
+            (key, delta) for vector, key, delta in dataset.log
+            if vector == 0))
 
     assert (_served_transcript(None, u, updates, lo, hi)
             == _served_transcript(dense, u, updates, lo, hi))

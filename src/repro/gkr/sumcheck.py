@@ -18,7 +18,11 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.field.modular import PrimeField
-from repro.field.vectorized import fold_pairs, get_backend
+from repro.field.vectorized import (
+    fold_pairs,
+    get_backend,
+    inner_product_round_sums,
+)
 from repro.gkr.circuits import Gate, layer_wiring
 
 #: A multivariate polynomial presented as an evaluation closure.
@@ -213,21 +217,16 @@ class LayerSumcheck:
         return self._message(self._Ay, self._Aa, self._Wy, self._wxf)
 
     def _message(self, A, B, W, lift: int) -> List[int]:
-        """Two-table round message for G = Ã·W̃ + lift·B̃: three inner
-        products by ``backend.dot`` (the fused-limb path on
-        Mersenne-61), like every other prover."""
+        """Two-table round message for G = Ã·W̃ + lift·B̃: the shared
+        inner-product kernel over (A, W), plus lift times B's even/odd
+        sums."""
         be = self.be
         p = self.field.p
-        a_even, a_odd = A[0::2], A[1::2]
-        w_even, w_odd = W[0::2], W[1::2]
+        g0, g1, g2 = inner_product_round_sums(be, self.field, A, W)
         sb_even = be.sum(B[0::2])
         sb_odd = be.sum(B[1::2])
-        g0 = (be.dot(a_even, w_even) + lift * sb_even) % p
-        g1 = (be.dot(a_odd, w_odd) + lift * sb_odd) % p
-        a2 = be.sub(be.add(a_odd, a_odd), a_even)
-        w2 = be.sub(be.add(w_odd, w_odd), w_even)
-        g2 = (be.dot(a2, w2) + lift * (2 * sb_odd - sb_even)) % p
-        return [g0, g1, g2]
+        return [(g0 + lift * sb_even) % p, (g1 + lift * sb_odd) % p,
+                (g2 + lift * (2 * sb_odd - sb_even)) % p]
 
     # -- challenges ----------------------------------------------------------
 

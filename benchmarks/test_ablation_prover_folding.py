@@ -14,42 +14,53 @@ from typing import List
 import pytest
 
 from benchmarks.conftest import section5_stream
-from repro.core.f2 import F2Prover
+from repro.core.base import pow2_dimension
+from repro.core.multiquery import BatchedSumcheckEngine, batch_f2
+from repro.field.vectorized import f2_round_sums, get_backend
 
 U = 1 << 13
 
 
-class NaiveRefoldF2Prover(F2Prover):
+class NaiveRefoldF2Prover:
     """Appendix B.1 *without* the incremental folding: each round re-folds
-    the table from scratch using all challenges received so far."""
+    the table from scratch using all challenges received so far.  Speaks
+    the engine's interface for an F2 batch of one."""
 
-    def begin_proof(self) -> None:
-        super().begin_proof()
+    def __init__(self, field, u):
+        self.field = field
+        self.d = pow2_dimension(u)
+        self.freq = [0] * (1 << self.d)
+        self.backend = get_backend(field)
         self._challenges: List[int] = []
-        # Plain ints regardless of backend: this naive fold is Python-level.
-        self._base = [int(v) for v in self._table]
 
-    def round_message(self) -> List[int]:
+    def process_stream(self, updates) -> None:
+        for i, delta in updates:
+            self.freq[i] += delta
+
+    def receive_batch(self, queries) -> None:
+        self._challenges = []
+
+    def round_messages(self) -> List[List[int]]:
         p = self.field.p
-        table = list(self._base)
+        # Plain ints regardless of backend: this naive fold is Python-level.
+        table = [f % p for f in self.freq]
         for r in self._challenges:  # re-fold everything, every round
             one_minus_r = (1 - r) % p
             table = [
                 (one_minus_r * table[t] + r * table[t + 1]) % p
                 for t in range(0, len(table), 2)
             ]
-        self._table = table
-        return super().round_message()
+        return [f2_round_sums(self.backend, self.field, table)]
 
     def receive_challenge(self, r: int) -> None:
         self._challenges.append(r)
 
 
 def drive(prover, challenges):
-    prover.begin_proof()
+    prover.receive_batch([batch_f2()])
     messages = []
     for j in range(prover.d):
-        messages.append(prover.round_message())
+        messages.append(prover.round_messages())
         if j < prover.d - 1:
             prover.receive_challenge(challenges[j])
     return messages
@@ -64,7 +75,7 @@ def setup(field):
 
 def test_folding_prover(benchmark, field, setup):
     stream, challenges = setup
-    prover = F2Prover(field, U)
+    prover = BatchedSumcheckEngine(field, U)
     prover.process_stream(stream.updates())
     benchmark.pedantic(lambda: drive(prover, challenges), rounds=2,
                        iterations=1)
@@ -85,7 +96,7 @@ def test_naive_refold_prover(benchmark, field, setup):
 def test_identical_messages(field, setup):
     """The optimisation is cost-only: message streams must be identical."""
     stream, challenges = setup
-    fast = F2Prover(field, U)
+    fast = BatchedSumcheckEngine(field, U)
     slow = NaiveRefoldF2Prover(field, U)
     fast.process_stream(stream.updates())
     slow.process_stream(stream.updates())
@@ -96,7 +107,7 @@ def test_folding_is_faster(field, setup):
     from repro.experiments.harness import time_call
 
     stream, challenges = setup
-    fast = F2Prover(field, U)
+    fast = BatchedSumcheckEngine(field, U)
     slow = NaiveRefoldF2Prover(field, U)
     fast.process_stream(stream.updates())
     slow.process_stream(stream.updates())

@@ -26,13 +26,9 @@ import pytest
 
 from benchmarks.conftest import bench_sizes, bench_smoke, section5_stream
 from repro.comm.channel import Channel
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
-from repro.core.fk import FkProver, FkVerifier, run_fk
-from repro.core.inner_product import (
-    InnerProductProver,
-    InnerProductVerifier,
-    run_inner_product,
-)
+from repro.core.f2 import F2Verifier, run_f2
+from repro.core.fk import FkVerifier, run_fk
+from repro.core.inner_product import InnerProductVerifier, run_inner_product
 from repro.core.multiquery import (
     BATCH_KIND_F2,
     BATCH_KIND_FK,
@@ -45,7 +41,7 @@ from repro.core.multiquery import (
     batch_range_sum,
     run_batched_sumcheck,
 )
-from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
+from repro.core.range_sum import RangeSumVerifier, run_range_sum
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY, get_backend
 
@@ -87,31 +83,24 @@ def ingest(u, updates_a, updates_b, backend, point):
 def run_one_standalone(query, u, freq_a, freq_b, point, fa_value, fb_value,
                        backend):
     """One independent protocol run (proof phase only — the prover's
-    vector and the verifier's streamed LDE value are handed over, as the
-    stream phase is shared by every run)."""
+    vectors and the verifier's streamed LDE values are handed over, as
+    the stream phase is shared by every run)."""
     channel = Channel()
+    prover = BatchedSumcheckEngine(F, u, backend=backend,
+                                   freq_a=list(freq_a), freq_b=list(freq_b))
     if query.kind == BATCH_KIND_F2:
-        prover = F2Prover(F, u, backend=backend)
-        prover.freq = list(freq_a)
         verifier = F2Verifier(F, u, point=point)
         verifier.lde.value = fa_value
         return run_f2(prover, verifier, channel)
     if query.kind == BATCH_KIND_FK:
-        prover = FkProver(F, u, query.params[0], backend=backend)
-        prover.freq = list(freq_a)
         verifier = FkVerifier(F, u, query.params[0], point=point)
         verifier.lde.value = fa_value
         return run_fk(prover, verifier, channel)
     if query.kind == BATCH_KIND_INNER_PRODUCT:
-        prover = InnerProductProver(F, u, backend=backend)
-        prover.freq_a = list(freq_a)
-        prover.freq_b = list(freq_b)
         verifier = InnerProductVerifier(F, u, point=point)
         verifier.lde_a.value = fa_value
         verifier.lde_b.value = fb_value
         return run_inner_product(prover, verifier, channel)
-    prover = RangeSumProver(F, u, backend=backend)
-    prover.freq_a = list(freq_a)
     verifier = RangeSumVerifier(F, u, point=point)
     verifier.lde.value = fa_value
     lo, hi = query.params

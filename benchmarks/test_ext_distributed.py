@@ -8,8 +8,8 @@ import random
 import pytest
 
 from benchmarks.conftest import section5_stream
-from repro.core.f2 import F2Verifier, run_f2
-from repro.distributed.sharded import DistributedF2Prover
+from repro.core.f2 import F2Verifier
+from repro.distributed.sharded import DistributedF2Prover, run_distributed_f2
 
 U = 1 << 13
 WORKERS = [1, 4, 16]
@@ -45,7 +45,7 @@ def test_distributed_accepted_end_to_end(field):
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process(i, delta)
-    result = run_f2(prover, verifier)
+    result = run_distributed_f2(prover, verifier)
     assert result.accepted
     assert result.value == stream.self_join_size() % field.p
 

@@ -8,7 +8,8 @@ import random
 import pytest
 
 from benchmarks.conftest import section5_stream
-from repro.core.fk import FkProver, FkVerifier, run_fk
+from repro.core.fk import FkVerifier, run_fk
+from repro.core.multiquery import BatchedSumcheckEngine
 
 U = 1 << 12
 ORDERS = [2, 3, 4, 6]
@@ -18,7 +19,7 @@ ORDERS = [2, 3, 4, 6]
 def test_fk_proof_generation(benchmark, field, k):
     stream = section5_stream(U, seed=k)
     verifier = FkVerifier(field, U, k, rng=random.Random(30 + k))
-    prover = FkProver(field, U, k)
+    prover = BatchedSumcheckEngine(field, U)
     verifier.process_stream(stream.updates())
     prover.process_stream(stream.updates())
 
@@ -37,7 +38,7 @@ def test_fk_communication_linear_in_k(field):
     words = []
     for k in ORDERS:
         verifier = FkVerifier(field, U, k, rng=random.Random(40 + k))
-        prover = FkProver(field, U, k)
+        prover = BatchedSumcheckEngine(field, U)
         verifier.process_stream(stream.updates())
         prover.process_stream(stream.updates())
         result = run_fk(prover, verifier)

@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
+from repro.core.f2 import F2Verifier, run_f2
+from repro.core.multiquery import BatchedSumcheckEngine
 from repro.gkr.circuits import f2_circuit
 from repro.gkr.protocol import GKRProver, StreamingGKRVerifier, run_gkr
 from repro.streams.model import Stream
@@ -51,7 +52,7 @@ def test_gkr_f2_bench(benchmark, field, u):
 def test_specialised_f2_bench(benchmark, field, u):
     stream = make_stream(u, 70 + u)
     verifier = F2Verifier(field, u, rng=random.Random(72))
-    prover = F2Prover(field, u)
+    prover = BatchedSumcheckEngine(field, u)
     verifier.process_stream(stream.updates())
     prover.process_stream(stream.updates())
 
@@ -75,7 +76,7 @@ def test_quadratic_improvement_shape(field):
                                             rng=random.Random(74))
         gkr_prover = GKRProver(field, circuit)
         f2_verifier = F2Verifier(field, u, rng=random.Random(75))
-        f2_prover = F2Prover(field, u)
+        f2_prover = BatchedSumcheckEngine(field, u)
         for i, delta in stream.updates():
             gkr_verifier.process(i, delta)
             gkr_prover.process(i, delta)

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from benchmarks.conftest import section5_stream
-from repro.core.f2 import F2Prover
+from repro.core.multiquery import BatchedSumcheckEngine, batch_f2
 from repro.core.single_round import SingleRoundF2Prover
 
 MULTI_SIZES = [1 << 10, 1 << 12, 1 << 14]
@@ -21,14 +21,14 @@ SINGLE_SIZES = [1 << 8, 1 << 10, 1 << 12]  # u^1.5 forbids going further
 
 @pytest.mark.parametrize("u", MULTI_SIZES)
 def test_multi_round_prover_proof(benchmark, field, u):
-    prover = F2Prover(field, u)
+    prover = BatchedSumcheckEngine(field, u)
     prover.process_stream(section5_stream(u).updates())
     challenges = field.rand_vector(random.Random(2), prover.d)
 
     def produce_proof():
-        prover.begin_proof()
+        prover.receive_batch([batch_f2()])
         for j in range(prover.d):
-            prover.round_message()
+            prover.round_messages()
             if j < prover.d - 1:
                 prover.receive_challenge(challenges[j])
 
@@ -57,14 +57,14 @@ def test_prover_crossover_shape(field):
     sizes = [1 << 8, 1 << 10, 1 << 12]
     for u in sizes:
         stream = section5_stream(u)
-        prover = F2Prover(field, u)
+        prover = BatchedSumcheckEngine(field, u)
         prover.process_stream(stream.updates())
         challenges = field.rand_vector(random.Random(3), prover.d)
 
         def produce():
-            prover.begin_proof()
+            prover.receive_batch([batch_f2()])
             for j in range(prover.d):
-                prover.round_message()
+                prover.round_messages()
                 if j < prover.d - 1:
                     prover.receive_challenge(challenges[j])
 

@@ -12,7 +12,8 @@ import random
 import pytest
 
 from benchmarks.conftest import section5_stream
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
+from repro.core.f2 import F2Verifier, run_f2
+from repro.core.multiquery import BatchedSumcheckEngine
 from repro.core.single_round import (
     SingleRoundF2Prover,
     SingleRoundF2Verifier,
@@ -26,7 +27,7 @@ SIZES = [1 << 10, 1 << 12, 1 << 14]
 def test_multi_round_space_comm(benchmark, field, u):
     stream = section5_stream(u)
     verifier = F2Verifier(field, u, rng=random.Random(4))
-    prover = F2Prover(field, u)
+    prover = BatchedSumcheckEngine(field, u)
     verifier.process_stream(stream.updates())
     prover.process_stream(stream.updates())
 
@@ -82,7 +83,7 @@ def test_gap_grows_with_u(field):
     for u in SIZES:
         stream = section5_stream(u)
         mv = F2Verifier(field, u, rng=random.Random(6))
-        mp = F2Prover(field, u)
+        mp = BatchedSumcheckEngine(field, u)
         mv.process_stream(stream.updates())
         mp.process_stream(stream.updates())
         multi = run_f2(mp, mv)

@@ -12,8 +12,11 @@ import random
 
 import pytest
 
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
+from repro.comm.channel import Channel
+from repro.core.f2 import F2Verifier
+from repro.core.multiquery import BatchedSumcheckEngine, batch_f2
 from repro.core.sparse import SparseF2Prover
+from repro.core.sumcheck import run_sumcheck_rounds
 from repro.streams.generators import sparse_stream
 
 N_KEYS = 256
@@ -21,10 +24,17 @@ SIZES = [1 << 14, 1 << 18, 1 << 22]
 
 
 def drive(prover, field, seed):
+    """One F2 proof's prover side: the engine's batch of one, or the
+    sparse prover's begin_proof / round_message rounds."""
     challenges = field.rand_vector(random.Random(seed), prover.d)
-    prover.begin_proof()
+    if isinstance(prover, BatchedSumcheckEngine):
+        prover.receive_batch([batch_f2()])
+        round_message = prover.round_messages
+    else:
+        prover.begin_proof()
+        round_message = prover.round_message
     for j in range(prover.d):
-        prover.round_message()
+        round_message()
         if j < prover.d - 1:
             prover.receive_challenge(challenges[j])
 
@@ -45,7 +55,7 @@ def test_sparse_prover_flat_in_u(benchmark, field, u):
 @pytest.mark.parametrize("u", [1 << 14, 1 << 16])
 def test_dense_prover_linear_in_u(benchmark, field, u):
     stream = sparse_stream(u, N_KEYS, rng=random.Random(102))
-    prover = F2Prover(field, u)
+    prover = BatchedSumcheckEngine(field, u)
     prover.process_stream(stream.updates())
 
     benchmark.pedantic(lambda: drive(prover, field, 103), rounds=3,
@@ -62,7 +72,7 @@ def test_sparse_beats_dense_on_sparse_data(field):
     # noise; at 2^20 the gap is ≈ 18x (52 vs 2.9 ms).
     u = 1 << 20
     stream = sparse_stream(u, N_KEYS, rng=random.Random(104))
-    dense = F2Prover(field, u)
+    dense = BatchedSumcheckEngine(field, u)
     sparse = SparseF2Prover(field, u)
     dense.process_stream(stream.updates())
     sparse.process_stream(stream.updates())
@@ -86,7 +96,10 @@ def test_sparse_prover_verified_at_large_u(field):
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process(i, delta)
-    result = run_f2(prover, verifier)
+    prover.begin_proof()
+    result = run_sumcheck_rounds(prover, verifier, Channel(), message_len=3,
+                                 target=verifier.lde.value ** 2,
+                                 target_name="f_a(r)^2")
     assert result.accepted
     assert result.value == stream.self_join_size() % field.p
     assert result.transcript.rounds == 22

@@ -11,7 +11,7 @@ import random
 from repro.experiments.figures import ipv6_extrapolation, tamper_study
 from repro.experiments.harness import throughput, time_call
 from benchmarks.conftest import section5_stream
-from repro.core.f2 import F2Prover
+from repro.core.multiquery import BatchedSumcheckEngine, batch_f2
 
 
 def test_tamper_study_bench(benchmark):
@@ -31,14 +31,14 @@ def test_ipv6_extrapolation_bench(benchmark, field):
     """Measure our multi-round prover throughput and extrapolate to 1TB of
     IPv6 addresses, mirroring the paper's closing arithmetic."""
     u = 1 << 14
-    prover = F2Prover(field, u)
+    prover = BatchedSumcheckEngine(field, u)
     prover.process_stream(section5_stream(u).updates())
     challenges = field.rand_vector(random.Random(20), prover.d)
 
     def produce():
-        prover.begin_proof()
+        prover.receive_batch([batch_f2()])
         for j in range(prover.d):
-            prover.round_message()
+            prover.round_messages()
             if j < prover.d - 1:
                 prover.receive_challenge(challenges[j])
 

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from benchmarks.conftest import bench_sizes, bench_smoke, section5_stream
-from repro.core.f2 import F2Prover
+from repro.core.multiquery import BatchedSumcheckEngine, batch_f2
 from repro.field.vectorized import HAVE_NUMPY, ScalarBackend, get_backend
 from repro.lde.streaming import DEFAULT_BLOCK, StreamingLDE
 
@@ -85,10 +85,11 @@ def test_verifier_updates_scalar_vs_vectorized(u, field,
 
 
 def _drive_prover(prover, challenges):
-    prover.begin_proof()
+    prover.receive_batch([batch_f2()])
     messages = []
     for j in range(prover.d):
-        messages.append([int(v) for v in prover.round_message()])
+        (message,) = prover.round_messages()
+        messages.append([int(v) for v in message])
         if j < prover.d - 1:
             prover.receive_challenge(challenges[j])
     return messages
@@ -101,7 +102,7 @@ def test_f2_prover_scalar_vs_vectorized(u, field, vectorized_bench_recorder):
     d = u.bit_length() - 1
     challenges = field.rand_vector(random.Random(u + 1), d)
 
-    scalar = F2Prover(field, u, backend=ScalarBackend(field))
+    scalar = BatchedSumcheckEngine(field, u, backend=ScalarBackend(field))
     scalar.process_stream(stream.updates())
     t_scalar, scalar_messages = _timed(
         lambda: _drive_prover(scalar, challenges)
@@ -115,7 +116,8 @@ def test_f2_prover_scalar_vs_vectorized(u, field, vectorized_bench_recorder):
         "scalar_seconds": t_scalar,
     }
     if HAVE_NUMPY:
-        vector = F2Prover(field, u, backend=get_backend(field, "vectorized"))
+        vector = BatchedSumcheckEngine(field, u,
+                                       backend=get_backend(field, "vectorized"))
         vector.process_stream(stream.updates())
         t_vector, vector_messages = _timed(
             lambda: _drive_prover(vector, challenges)
@@ -141,7 +143,7 @@ def test_batch_multiquery_scalar_vs_vectorized(u, field,
                                                vectorized_bench_recorder):
     from repro.comm.channel import Channel
     from repro.core.multiquery import run_batch_range_sum
-    from repro.core.range_sum import RangeSumProver, RangeSumVerifier
+    from repro.core.range_sum import RangeSumVerifier
 
     stream = section5_stream(u)
     nq = min(NUM_QUERIES, u // 2)
@@ -152,7 +154,7 @@ def test_batch_multiquery_scalar_vs_vectorized(u, field,
     def run(backend_name):
         backend = get_backend(field, backend_name)
         verifier = RangeSumVerifier(field, u, rng=random.Random(u + 7))
-        prover = RangeSumProver(field, u, backend=backend)
+        prover = BatchedSumcheckEngine(field, u, backend=backend)
         for i, delta in stream.updates():
             verifier.process(i, delta)
             prover.process_a(i, delta)

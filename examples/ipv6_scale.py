@@ -12,9 +12,11 @@ Run:  python examples/ipv6_scale.py
 
 import random
 
-from repro import DEFAULT_FIELD, F2Verifier, TreeHashVerifier, run_f2
+from repro import DEFAULT_FIELD, F2Verifier, TreeHashVerifier
+from repro.comm.channel import Channel
 from repro.core.sparse import SparseF2Prover, SparseSubVectorProver
 from repro.core.subvector import run_subvector
+from repro.core.sumcheck import run_sumcheck_rounds
 from repro.streams.model import Stream
 
 
@@ -32,7 +34,10 @@ def main():
     for key, delta in stream.updates():
         verifier.process(key, delta)
         prover.process(key, delta)
-    result = run_f2(prover, verifier)
+    prover.begin_proof()
+    result = run_sumcheck_rounds(prover, verifier, Channel(), message_len=3,
+                                 target=verifier.lde.value ** 2,
+                                 target_name="f_a(r)^2")
     assert result.accepted and result.value == stream.self_join_size()
     print("F2 = %d  [verified]" % result.value)
     print("   verifier space : %d words (%d bytes)"

@@ -10,7 +10,13 @@ Run:  python examples/quickstart.py
 
 import random
 
-from repro import DEFAULT_FIELD, F2Prover, F2Verifier, Stream, run_f2
+from repro import (
+    DEFAULT_FIELD,
+    BatchedSumcheckEngine,
+    F2Verifier,
+    Stream,
+    run_f2,
+)
 from repro.adversary import ModifiedStreamF2Prover
 
 
@@ -26,7 +32,7 @@ def main():
     # The verifier draws its secret point *before* the stream and keeps
     # only O(log u) words while streaming.
     verifier = F2Verifier(DEFAULT_FIELD, u, rng=rng)
-    prover = F2Prover(DEFAULT_FIELD, u)
+    prover = BatchedSumcheckEngine(DEFAULT_FIELD, u)
     for key, delta in stream.updates():
         verifier.process(key, delta)
         prover.process(key, delta)

@@ -13,12 +13,8 @@ import random
 
 from repro import DEFAULT_FIELD
 from repro.core.inner_product import inner_product_protocol
-from repro.core.multiquery import run_batch_range_sum
-from repro.core.range_sum import (
-    RangeSumProver,
-    RangeSumVerifier,
-    range_sum_protocol,
-)
+from repro.core.multiquery import BatchedSumcheckEngine, run_batch_range_sum
+from repro.core.range_sum import RangeSumVerifier, range_sum_protocol
 from repro.streams.generators import paired_streams_for_join
 from repro.streams.model import Stream
 
@@ -43,7 +39,7 @@ def main():
     # the prover commits every round polynomial before each challenge.
     queries = [(0, 511), (512, 1023), (1024, 2047), (2048, 4095)]
     verifier = RangeSumVerifier(DEFAULT_FIELD, u, rng=random.Random(2))
-    prover = RangeSumProver(DEFAULT_FIELD, u)
+    prover = BatchedSumcheckEngine(DEFAULT_FIELD, u)
     for key, delta in ledger.updates():
         verifier.process(key, delta)
         prover.process_a(key, delta)

@@ -26,15 +26,11 @@ from repro.core import (
     BatchedSumcheckEngine,
     BatchedSumcheckVerifier,
     DictionaryAnswer,
-    F2Prover,
     F2Verifier,
-    FkProver,
     FkVerifier,
     IndependentCopies,
-    InnerProductProver,
     InnerProductVerifier,
     KLargestProver,
-    RangeSumProver,
     RangeSumVerifier,
     ReportingProver,
     SingleRoundF2Prover,
@@ -92,15 +88,12 @@ __all__ = [
     "Channel",
     "DEFAULT_FIELD",
     "DictionaryAnswer",
-    "F2Prover",
     "F2Verifier",
-    "FkProver",
     "FkVerifier",
     "BatchQuery",
     "BatchedSumcheckEngine",
     "BatchedSumcheckVerifier",
     "IndependentCopies",
-    "InnerProductProver",
     "InnerProductVerifier",
     "KLargestProver",
     "KVStreamEncoder",
@@ -108,7 +101,6 @@ __all__ = [
     "MERSENNE_127",
     "OutsourcedKVStore",
     "PrimeField",
-    "RangeSumProver",
     "RangeSumVerifier",
     "ReportingProver",
     "SingleRoundF2Prover",

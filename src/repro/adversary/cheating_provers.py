@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.f2 import F2Prover
 from repro.core.heavy_hitters import HeavyHittersProver
 from repro.core.multiquery import BatchedSumcheckEngine
 from repro.core.subvector import SubVectorProver
 from repro.field.modular import PrimeField
 
 
-class ModifiedStreamF2Prover(F2Prover):
+class ModifiedStreamF2Prover(BatchedSumcheckEngine):
     """Computes a perfectly-formed proof — for a *different* stream.
 
     Models a cloud that lost or corrupted one update: a single frequency
@@ -32,14 +31,14 @@ class ModifiedStreamF2Prover(F2Prover):
         self.corrupt_key = corrupt_key
         self.offset = offset
 
-    def begin_proof(self) -> None:
-        p = self.field.p
-        corrupted = list(self.freq)
-        corrupted[self.corrupt_key] += self.offset
-        self._table = [f % p for f in corrupted]
+    def receive_batch(self, queries) -> None:
+        honest, self.freq_a = self.freq_a, list(self.freq_a)
+        self.freq_a[self.corrupt_key] += self.offset
+        super().receive_batch(queries)
+        self.freq_a = honest
 
 
-class OffsetClaimF2Prover(F2Prover):
+class OffsetClaimF2Prover(BatchedSumcheckEngine):
     """Shifts the first message to inflate the claimed F2, then plays
     honestly — caught by the round-2 consistency check."""
 
@@ -48,19 +47,20 @@ class OffsetClaimF2Prover(F2Prover):
         self.offset = offset
         self._first = True
 
-    def begin_proof(self) -> None:
-        super().begin_proof()
+    def receive_batch(self, queries) -> None:
+        super().receive_batch(queries)
         self._first = True
 
-    def round_message(self) -> List[int]:
-        msg = super().round_message()
+    def round_messages(self) -> List[List[int]]:
+        messages = super().round_messages()
         if self._first:
             self._first = False
-            msg[0] = (msg[0] + self.offset) % self.field.p
-        return msg
+            for msg in messages:
+                msg[0] = (msg[0] + self.offset) % self.field.p
+        return messages
 
 
-class AdaptiveF2Cheater(F2Prover):
+class AdaptiveF2Cheater(BatchedSumcheckEngine):
     """The strongest lying strategy available without knowing r.
 
     Inflates the claim by δ and then *keeps every consistency check
@@ -76,17 +76,16 @@ class AdaptiveF2Cheater(F2Prover):
         self.offset = offset % field.p
         self._half = field.inv(2)
 
-    def begin_proof(self) -> None:
-        super().begin_proof()
+    def receive_batch(self, queries) -> None:
+        super().receive_batch(queries)
         self._drift = self.offset * self._half % self.field.p
 
-    def round_message(self) -> List[int]:
-        msg = super().round_message()
+    def round_messages(self) -> List[List[int]]:
         p = self.field.p
         drift = self._drift
-        shifted = [(v + drift) % p for v in msg]
         self._drift = drift * self._half % p
-        return shifted
+        return [[(v + drift) % p for v in msg]
+                for msg in super().round_messages()]
 
 
 class OmittingSubVectorProver(SubVectorProver):

@@ -31,8 +31,7 @@ from repro.core.base import (
     pow2_dimension,
     rejected,
 )
-from repro.core.fk import check_moment_order
-from repro.core.inner_product import InnerProductVerifier
+from repro.core.sumcheck import InnerProductVerifier
 from repro.field.modular import PrimeField
 from repro.field.polynomial import interpolation_weights
 from repro.field.vectorized import (
@@ -56,6 +55,23 @@ def range_fold_mode() -> str:
 
 
 # -- batch query descriptors ---------------------------------------------------
+
+#: Largest moment order the service and the batch constructors accept.
+#: A proof is (k + 1)·d words and the prover's weights (k + 1)² integers
+#: of k·log k bits, so the order is a resource an open must bound before
+#: it allocates; 64 is (k + 1)·d <= 1300 words at d = 20, and the
+#: soundness error d·k/p stays below 2^-50.
+MAX_MOMENT_ORDER = 64
+
+
+def check_moment_order(k: int) -> int:
+    """``k`` if a request may name it as a moment order, else ValueError."""
+    if not 1 <= k <= MAX_MOMENT_ORDER:
+        raise ValueError(
+            "moment order k must be in 1..%d, got %d" % (MAX_MOMENT_ORDER, k)
+        )
+    return k
+
 
 #: Engine-level kind codes for heterogeneous batches, deliberately
 #: distinct from the service-layer query kinds in
@@ -267,7 +283,10 @@ class BatchedSumcheckEngine:
     (:func:`~repro.field.vectorized.small_tables`).  Every proof starts
     again from the shared canonical table, which none of this writes.
     Transcripts are identical whichever backend and form — and
-    identical to the standalone one-query provers, message for message.
+    identical, message for message, to the paper's provers on dense
+    tables (``tests/reference_sumcheck.py``).  It is the library's only
+    prover for these four kinds: the one-query drivers
+    (:func:`~repro.core.f2.run_f2` and its siblings) run a batch of one.
 
     :func:`run_batched_sumcheck` drives one of these — built locally
     from the dataset's frequency vectors or standing in for a remote
@@ -464,10 +483,6 @@ class BatchedSumcheckVerifier(InnerProductVerifier):
         for i, delta in updates:
             self.process_a(i, delta)
 
-    def indicator_lde_at_r(self, lo: int, hi: int) -> int:
-        """``f_b(r)`` of a range indicator in O(log² u) (Section 3.2)."""
-        return range_indicator_eval(self.field, self.d, self.r, lo, hi)
-
 
 def run_batched_sumcheck(
     prover,
@@ -487,14 +502,19 @@ def run_batched_sumcheck(
     attributed per query on the channel, so
     :meth:`~repro.comm.channel.Channel.query_cost` matches what the same
     query would pay in a standalone run plus the shared challenges.  A
-    batch of one *is* the standalone run, byte for byte: its messages
-    carry the standalone labels, and once every member has failed the
-    verifier stops talking, as :func:`~repro.core.sumcheck.
+    batch of one *is* the standalone run, byte for byte — the one-query
+    drivers (:func:`~repro.core.f2.run_f2`, :func:`~repro.core.fk.run_fk`,
+    :func:`~repro.core.inner_product.run_inner_product`,
+    :func:`~repro.core.range_sum.run_range_sum`) are this call: its
+    messages carry the standalone labels, and once every member has
+    failed the verifier stops talking, as :func:`~repro.core.sumcheck.
     run_sumcheck_rounds` does.
 
     ``prover`` is a :class:`BatchedSumcheckEngine` (or the service
-    layer's remote proxy with the same ``receive_batch`` /
-    ``round_messages`` / ``receive_challenge`` interface).
+    layer's remote proxy with the same ``d`` and ``receive_batch`` /
+    ``round_messages`` / ``receive_challenge`` interface); one over
+    another dimension than the verifier's is rejected on every member
+    before it sees the batch.
     ``verifier`` is a :class:`BatchedSumcheckVerifier` for batches with
     INNER-PRODUCT members; any single-LDE streaming verifier
     (:class:`~repro.core.sumcheck.SingleLDEVerifier`) works for the
@@ -526,6 +546,9 @@ def run_batched_sumcheck(
             "INNER-PRODUCT batch members need a verifier with a "
             "second-stream LDE (BatchedSumcheckVerifier)"
         )
+    if prover.d != d:
+        return [rejected(ch.transcript, "prover/verifier dimension mismatch")
+                for _ in queries]
     prover.receive_batch(queries)
 
     # A batch of one is the single-query protocol, label for label; a
@@ -546,7 +569,7 @@ def run_batched_sumcheck(
     # The direct-sum verifier's words: the shared point and LDE values,
     # plus — per query — the claimed answer, the running check and the
     # committed (degree+1)-word message.  For a single-query batch this
-    # reduces exactly to the standalone verifier's space_words formula.
+    # reduces exactly to the one-query verifier's space_words formula.
     space_words = (
         d
         + (2 if lde_b is not None else 1)
@@ -573,7 +596,10 @@ def run_batched_sumcheck(
                 continue
             length = degrees[idx] + 1
             if len(delivered) != length:
-                failed[idx] = "round %d: malformed message" % j
+                failed[idx] = (
+                    "round %d: message has %d words, a degree-%d "
+                    "polynomial needs %d"
+                    % (j, len(delivered), length - 1, length))
                 live -= 1
                 continue
             evals = [v % p for v in delivered]
@@ -646,8 +672,7 @@ def run_batch_range_sum(
 
     :func:`run_batched_sumcheck` over an all-RANGE-SUM batch given as
     ``(lo, hi)`` pairs: 3·|queries| words per round plus the shared
-    challenges.  ``prover`` is any batch engine — a
-    :class:`~repro.core.range_sum.RangeSumProver` is one.
+    challenges.
     """
     return run_batched_sumcheck(
         prover, verifier,

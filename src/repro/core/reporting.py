@@ -218,8 +218,9 @@ def counted_range_query(
     """RANGE QUERY with a pre-verified answer bound (Appendix B.2 remark).
 
     First verifies the range count S = Σ_{lo..hi} a_i with the RANGE-SUM
-    protocol (``count_prover``/``count_verifier`` from
-    :mod:`repro.core.range_sum`, fed the same stream), then runs
+    protocol (``count_prover`` a batched engine, ``count_verifier`` a
+    :class:`~repro.core.range_sum.RangeSumVerifier`, fed the same
+    stream), then runs
     SUB-VECTOR refusing more than S entries — since every reported entry
     has frequency >= 1, the number of distinct entries cannot exceed S.
     This guarantees O(log u + k) communication against any prover.

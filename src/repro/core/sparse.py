@@ -168,7 +168,7 @@ class SparseF2Prover:
         self._table = {i: f % p for i, f in self.freq.items() if f % p}
 
     def round_message(self) -> List[int]:
-        """Same message as ``F2Prover.round_message`` — computed by
+        """Same message as the batched engine's F2 member — computed by
         visiting only the pairs containing a nonzero entry."""
         if self._table is None:
             raise RuntimeError("begin_proof() must be called first")
@@ -216,9 +216,9 @@ class SparseF2Prover:
 class SparseInnerProductProver:
     """Inner-product prover over dictionary tables: O((n_a + n_b)·d) work.
 
-    Message-identical to :class:`repro.core.inner_product
-    .InnerProductProver`; pairs where both vectors vanish contribute
-    nothing and are never touched.
+    Message-identical to the batched engine's INNER-PRODUCT member;
+    pairs where both vectors vanish contribute nothing and are never
+    touched.
     """
 
     def __init__(self, field: PrimeField, u: int):

@@ -7,18 +7,28 @@ polynomial ``g_j`` as evaluations at 0, 1, 2, ...; the verifier checks
     g_{j-1}(r_{j-1}) = Σ_{x∈[ℓ]} g_j(x)      and finally      g_d(r_d) = target
 
 and reveals ``r_j`` only after ``g_j`` arrived — ``r_d`` never.  The
-soundness error 2dℓ/p of Lemma 1 rests on exactly these checks, so they
-live here and nowhere else: the protocol modules supply the message
-length, how many leading evaluations sum to the claim, and the target.
+soundness error 2dℓ/p of Lemma 1 rests on exactly these checks.  Two
+drivers make them: :func:`~repro.core.multiquery.run_batched_sumcheck`
+for F2, Fk, INNER-PRODUCT and RANGE-SUM (a batch of one is the
+one-query protocol) and :func:`run_sumcheck_rounds` below for base-ℓ
+F2, the frequency-based second phase and the sharded F2 prover; the
+protocol modules supply the message length, how many leading
+evaluations sum to the claim, and the target.  The streaming verifier
+states live here too: one LDE (:class:`SingleLDEVerifier`) or two at
+one point (:class:`InnerProductVerifier`).
 """
-
 from __future__ import annotations
 
 import random
 from typing import Optional, Sequence
 
 from repro.comm.channel import Channel
-from repro.core.base import VerificationResult, accepted, rejected
+from repro.core.base import (
+    VerificationResult,
+    accepted,
+    pow2_dimension,
+    rejected,
+)
 from repro.field.modular import PrimeField
 from repro.field.polynomial import evaluate_from_evals
 from repro.lde.streaming import StreamingLDE, dimension_for
@@ -29,8 +39,8 @@ class SingleLDEVerifier:
 
     The secret point ``r`` and the running LDE value ``f_a(r)``:
     O(log u) words, counted for a degree-2 message (F2, RANGE-SUM) by
-    ``space_words``; subclasses add what differs — the moment order, the
-    grid base, the range-indicator evaluation.
+    ``space_words``; subclasses add what differs — the moment order or
+    the grid base.
     """
 
     #: Grid base ℓ of the LDE.
@@ -75,6 +85,53 @@ class SingleLDEVerifier:
     def process_stream(self, updates) -> None:
         for i, delta in updates:
             self.process(i, delta)
+
+
+class InnerProductVerifier:
+    """Tracks LDEs of two streams at one secret point (2d+2 words).
+
+    INNER-PRODUCT's verifier (Section 3.2); the batched verifier of
+    :mod:`repro.core.multiquery` is one too.
+    """
+
+    def __init__(
+        self,
+        field: PrimeField,
+        u: int,
+        rng: Optional[random.Random] = None,
+        point: Optional[Sequence[int]] = None,
+    ):
+        self.field = field
+        self.u = u
+        self.d = pow2_dimension(u)
+        self.size = 1 << self.d
+        if point is None:
+            if rng is None:
+                rng = random.Random()
+            point = field.rand_vector(rng, self.d)
+        self.lde_a = StreamingLDE(field, self.size, ell=2, point=point)
+        self.lde_b = StreamingLDE(field, self.size, ell=2, point=point)
+        self.r = self.lde_a.point
+
+    @property
+    def stream_sketches(self):
+        """Vector 0 streams into ``lde_a``, vector 1 into ``lde_b``."""
+        return (self.lde_a, self.lde_b)
+
+    def process_a(self, i: int, delta: int) -> None:
+        if not 0 <= i < self.u:
+            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
+        self.lde_a.update(i, delta)
+
+    def process_b(self, i: int, delta: int) -> None:
+        if not 0 <= i < self.u:
+            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
+        self.lde_b.update(i, delta)
+
+    @property
+    def space_words(self) -> int:
+        # r is shared between the two LDEs: d + two running values + checks.
+        return self.d + 2 + 1 + 1 + 3
 
 
 def run_sumcheck_rounds(

@@ -17,13 +17,19 @@ takes over (the last few rounds are O(#workers) anyway).
 Workers ride the backend seam: every partial message is one
 ``f2_round_sums`` call over the shard and every fold one ``fold_pairs``
 pass; the coordinator's reduce is three sums of Python ints.
+:func:`run_distributed_f2` drives it: over the service wire
+``f2(workers=w)`` is a begin_proof / round_message unit of its own, not
+a batch.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.base import pow2_dimension
+from repro.comm.channel import Channel
+from repro.core.base import VerificationResult, pow2_dimension, rejected
+from repro.core.f2 import F2Verifier
+from repro.core.sumcheck import run_sumcheck_rounds
 from repro.field.modular import PrimeField
 from repro.field.vectorized import (
     canonical_table,
@@ -88,18 +94,19 @@ class F2ShardWorker:
 
 
 class DistributedF2Prover:
-    """Coordinator + workers; a drop-in replacement for ``F2Prover``.
+    """Coordinator + workers for the F2 protocol.
 
-    Produces messages identical to the centralised prover (tested), so
-    the standard :func:`repro.core.f2.run_f2` verifier accepts it
-    unchanged.  ``num_workers`` must be a power of two that divides the
+    Produces messages identical to the centralised prover's (tested
+    against the batched engine's F2 member and the reference prover), so
+    the standard :class:`~repro.core.f2.F2Verifier` accepts it unchanged.
+    ``num_workers`` must be a power of two that divides the
     padded universe into shards of at least two entries; anything else is
     rejected up front — a shard count that does not divide the padded
     dimension would silently route keys to the wrong worker.
 
     ``freq`` is the padded frequency table to prove over, adopted like
-    ``F2Prover``'s: worker ``w`` takes the slice ``freq[w·s:(w+1)·s]``
-    (a view of a frozen table, not a copy).
+    the engine's ``freq_a``: worker ``w`` takes the slice
+    ``freq[w·s:(w+1)·s]`` (a view of a frozen table, not a copy).
     """
 
     def __init__(self, field: PrimeField, u: int, num_workers: int = 4,
@@ -155,7 +162,7 @@ class DistributedF2Prover:
             f * f for worker in self.workers for f in worker.freq
         )
 
-    # -- the F2Prover protocol interface ------------------------------------
+    # -- the proof interface of run_distributed_f2 ---------------------------
 
     def begin_proof(self) -> None:
         for worker in self.workers:
@@ -195,3 +202,20 @@ class DistributedF2Prover:
     def max_worker_keys(self) -> int:
         """Peak per-worker storage — the Map-Reduce balance statistic."""
         return max(len(w.freq) for w in self.workers)
+
+
+def run_distributed_f2(
+    prover: DistributedF2Prover,
+    verifier: F2Verifier,
+    channel: Optional[Channel] = None,
+) -> VerificationResult:
+    """Run the d-round F2 protocol against the sharded prover; returns the
+    verified self-join size (mod p)."""
+    ch = channel or Channel()
+    if prover.d != verifier.d:
+        return rejected(ch.transcript, "prover/verifier dimension mismatch")
+    prover.begin_proof()
+    return run_sumcheck_rounds(
+        prover, verifier, ch, message_len=3,
+        target=verifier.lde.value**2, target_name="f_a(r)^2",
+    )

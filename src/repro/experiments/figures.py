@@ -32,8 +32,9 @@ from repro.adversary import (
     flip_word,
 )
 from repro.comm.channel import Channel
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
+from repro.core.f2 import F2Verifier, run_f2
 from repro.core.heavy_hitters import HeavyHittersVerifier, run_heavy_hitters
+from repro.core.multiquery import BatchedSumcheckEngine, batch_f2
 from repro.core.single_round import (
     SingleRoundF2Prover,
     SingleRoundF2Verifier,
@@ -81,15 +82,15 @@ def figure_2a(
 
 def _time_multi_round_prover(field: PrimeField, u: int, stream,
                              seed: int) -> float:
-    prover = F2Prover(field, u)
+    prover = BatchedSumcheckEngine(field, u)
     prover.process_stream(stream.updates())
     rng = random.Random(seed)
     challenges = field.rand_vector(rng, prover.d)
 
     def produce_proof():
-        prover.begin_proof()
+        prover.receive_batch([batch_f2()])
         for j in range(prover.d):
-            prover.round_message()
+            prover.round_messages()
             if j < prover.d - 1:
                 prover.receive_challenge(challenges[j])
 
@@ -144,7 +145,7 @@ def figure_2c(
         rng = random.Random(seed + 3)
 
         verifier = F2Verifier(field, u, rng=rng)
-        prover = F2Prover(field, u)
+        prover = BatchedSumcheckEngine(field, u)
         verifier.process_stream(stream.updates())
         prover.process_stream(stream.updates())
         result = run_f2(prover, verifier)
@@ -257,7 +258,7 @@ def tamper_study(
         prover.process_stream(stream.updates())
         return not run_f2(prover, verifier).accepted
 
-    outcomes["honest"] = f2_run(F2Prover)
+    outcomes["honest"] = f2_run(BatchedSumcheckEngine)
     outcomes["f2-modified-stream"] = f2_run(ModifiedStreamF2Prover,
                                             corrupt_key=3)
     outcomes["f2-offset-claim"] = f2_run(OffsetClaimF2Prover)
@@ -265,7 +266,7 @@ def tamper_study(
 
     rng = random.Random(seed + 7)
     verifier = F2Verifier(field, u, rng=rng)
-    prover = F2Prover(field, u)
+    prover = BatchedSumcheckEngine(field, u)
     verifier.process_stream(stream.updates())
     prover.process_stream(stream.updates())
     channel = Channel(tamper=flip_word(round_index=2, position=1))

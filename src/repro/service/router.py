@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.comm.channel import Channel
-from repro.core.f2 import run_f2
-from repro.core.fk import check_moment_order
 from repro.core.heavy_hitters import (
     HeavyHittersProver,
     HeavyHittersVerifier,
@@ -38,6 +36,7 @@ from repro.core.multiquery import (
     batch_fk,
     batch_inner_product,
     batch_range_sum as core_batch_range_sum,
+    check_moment_order,
     run_batched_sumcheck,
 )
 from repro.core.reporting import (
@@ -49,7 +48,7 @@ from repro.core.reporting import (
 )
 from repro.core.subvector import TreeHashVerifier
 from repro.core.sumcheck import SingleLDEVerifier
-from repro.distributed.sharded import DistributedF2Prover
+from repro.distributed.sharded import DistributedF2Prover, run_distributed_f2
 from repro.field.modular import PrimeField
 
 # -- query kinds ---------------------------------------------------------------
@@ -414,7 +413,7 @@ class QueryRouter:
             lo, hi = descriptor.params
             return range_query(prover, verifier, lo, hi, ch)
         if kind == KIND_F2:
-            return run_f2(prover, verifier, ch)  # f2(workers=w)
+            return run_distributed_f2(prover, verifier, ch)  # f2(workers=w)
         if kind == KIND_HEAVY_HITTERS:
             return run_heavy_hitters(prover, verifier, ch)
         if kind == KIND_K_LARGEST:

@@ -21,8 +21,9 @@ from repro.adversary import (
     OmittingSubVectorProver,
     corrupted_copy,
 )
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
+from repro.core.f2 import F2Verifier, run_f2
 from repro.core.heavy_hitters import HeavyHittersVerifier, run_heavy_hitters
+from repro.core.multiquery import BatchedSumcheckEngine, batch_f2
 from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field.modular import DEFAULT_FIELD
 from repro.streams.generators import sparse_stream, uniform_frequency_stream
@@ -57,6 +58,7 @@ def test_modified_stream_prover_rejected(stream):
 def test_offset_claim_prover_rejected(stream):
     result = f2_run(stream, OffsetClaimF2Prover(F, U, offset=7))
     assert not result.accepted
+    assert "round 1" in result.reason
 
 
 def test_adaptive_cheater_survives_until_final_check(stream):
@@ -69,14 +71,14 @@ def test_adaptive_cheater_would_claim_wrong_value(stream):
     """Verify the cheater actually inflates the claim before being caught."""
     prover = AdaptiveF2Cheater(F, U, offset=5)
     prover.process_stream(stream.updates())
-    prover.begin_proof()
-    msg = prover.round_message()
+    prover.receive_batch([batch_f2()])
+    (msg,) = prover.round_messages()
     claimed = (msg[0] + msg[1]) % F.p
     assert claimed == (stream.self_join_size() + 5) % F.p
 
 
 def test_honest_control_accepted(stream):
-    assert f2_run(stream, F2Prover(F, U)).accepted
+    assert f2_run(stream, BatchedSumcheckEngine(F, U)).accepted
 
 
 def test_corrupted_copy_helper(stream):
@@ -84,7 +86,7 @@ def test_corrupted_copy_helper(stream):
     assert len(copy) == len(stream) + 1
     assert copy.frequency_vector()[3] == stream.frequency_vector()[3] + 2
     # Proof built from the corrupted copy fails against the true stream.
-    prover = F2Prover(F, U)
+    prover = BatchedSumcheckEngine(F, U)
     verifier = F2Verifier(F, U, rng=random.Random(2))
     verifier.process_stream(stream.updates())
     prover.process_stream(copy.updates())

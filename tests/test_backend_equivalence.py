@@ -14,8 +14,10 @@ import random
 import pytest
 
 from repro.comm.channel import Channel
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
-from repro.core.fk import FkProver, FkVerifier, run_fk
+from repro.core.f2 import F2Verifier, run_f2
+from repro.core.fk import FkVerifier, run_fk
+from repro.core.multiquery import BatchedSumcheckEngine
+from repro.core.sumcheck import run_sumcheck_rounds
 from repro.core.frequency_based import f0_protocol
 from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field.modular import DEFAULT_FIELD as F
@@ -133,7 +135,7 @@ def run_f2_with(backend_name):
     stream = uniform_frequency_stream(200, rng=random.Random(23))
     point = F.rand_vector(random.Random(29), 8)
     verifier = F2Verifier(F, 256, point=point)
-    prover = F2Prover(F, 256, backend=get_backend(F, backend_name))
+    prover = BatchedSumcheckEngine(F, 256, backend=get_backend(F, backend_name))
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process(i, delta)
@@ -156,7 +158,7 @@ def run_fk_with(backend_name, k=4):
                                       rng=random.Random(31))
     point = F.rand_vector(random.Random(37), 7)
     verifier = FkVerifier(F, 128, k, point=point)
-    prover = FkProver(F, 128, k, backend=get_backend(F, backend_name))
+    prover = BatchedSumcheckEngine(F, 128, backend=get_backend(F, backend_name))
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process(i, delta)
@@ -303,7 +305,10 @@ def run_sparse_f2_with(backend_name, monkeypatch=None):
         verifier.process(i, delta)
         prover.process(i, delta)
     ch = Channel()
-    result = run_f2(prover, verifier, ch)
+    prover.begin_proof()
+    result = run_sumcheck_rounds(prover, verifier, ch, message_len=3,
+                                 target=verifier.lde.value ** 2,
+                                 target_name="f_a(r)^2")
     assert result.accepted
     return result, ch.transcript
 
@@ -573,7 +578,10 @@ def test_circuit_evaluate_identical_across_backends():
 
 
 def run_sharded_with(backend_name, workers=4):
-    from repro.distributed.sharded import DistributedF2Prover
+    from repro.distributed.sharded import (
+        DistributedF2Prover,
+        run_distributed_f2,
+    )
 
     stream = uniform_frequency_stream(200, max_frequency=40,
                                       rng=random.Random(83))
@@ -585,7 +593,7 @@ def run_sharded_with(backend_name, workers=4):
         verifier.process(i, delta)
         prover.process(i, delta)
     ch = Channel()
-    result = run_f2(prover, verifier, ch)
+    result = run_distributed_f2(prover, verifier, ch)
     assert result.accepted
     return result, ch.transcript
 
@@ -604,14 +612,14 @@ def test_sharded_transcript_identical_across_backends(workers):
 
 def run_batch_with(backend_name):
     from repro.core.multiquery import run_batch_range_sum
-    from repro.core.range_sum import RangeSumProver, RangeSumVerifier
+    from repro.core.range_sum import RangeSumVerifier
 
     stream = uniform_frequency_stream(128, max_frequency=25,
                                       rng=random.Random(97))
     point = F.rand_vector(random.Random(101), 7)
     backend = get_backend(F, backend_name)
     verifier = RangeSumVerifier(F, 128, point=point)
-    prover = RangeSumProver(F, 128, backend=backend)
+    prover = BatchedSumcheckEngine(F, 128, backend=backend)
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process_a(i, delta)

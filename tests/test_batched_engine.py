@@ -29,9 +29,9 @@ from hypothesis import strategies as st
 from reference_sumcheck import ReferenceProver
 from repro.adversary.cheating_provers import PerQueryCheatingBatchEngine
 from repro.comm.channel import Channel
-from repro.core.f2 import F2Verifier
-from repro.core.fk import FkVerifier
-from repro.core.inner_product import InnerProductVerifier
+from repro.core.f2 import F2Verifier, run_f2
+from repro.core.fk import FkVerifier, run_fk
+from repro.core.inner_product import InnerProductVerifier, run_inner_product
 from repro.core.multiquery import (
     BATCH_KIND_F2,
     BATCH_KIND_FK,
@@ -47,7 +47,7 @@ from repro.core.multiquery import (
     run_batch_range_sum,
     run_batched_sumcheck,
 )
-from repro.core.range_sum import RangeSumProver, RangeSumVerifier
+from repro.core.range_sum import RangeSumVerifier, run_range_sum
 from repro.field.modular import DEFAULT_FIELD
 from repro.field.vectorized import HAVE_NUMPY, get_backend
 
@@ -108,26 +108,28 @@ def build_batch_session(backend_name, u, updates_a, updates_b, point):
 
 
 def run_standalone(query, backend_name, u, updates_a, updates_b, point):
-    """The query alone, same point/challenges, proved by the reference
-    prover against the verifier of its own kind."""
+    """The query alone through its one-query driver, same point and
+    challenges, proved by the reference prover."""
     prover = ReferenceProver(F, u, updates_a, updates_b)
+    channel = Channel()
     if query.kind == BATCH_KIND_INNER_PRODUCT:
         verifier = InnerProductVerifier(F, u, point=point)
         for i, delta in updates_a:
             verifier.process_a(i, delta)
         for i, delta in updates_b:
             verifier.process_b(i, delta)
-    else:
-        if query.kind == BATCH_KIND_F2:
-            verifier = F2Verifier(F, u, point=point)
-        elif query.kind == BATCH_KIND_FK:
-            verifier = FkVerifier(F, u, query.params[0], point=point)
-        else:
-            verifier = RangeSumVerifier(F, u, point=point)
+        return run_inner_product(prover, verifier, channel), channel
+    if query.kind == BATCH_KIND_F2:
+        verifier = F2Verifier(F, u, point=point)
         verifier.process_stream(updates_a)
-    channel = Channel()
-    return run_batched_sumcheck(prover, verifier, [query], channel)[0], \
-        channel
+        return run_f2(prover, verifier, channel), channel
+    if query.kind == BATCH_KIND_FK:
+        verifier = FkVerifier(F, u, query.params[0], point=point)
+        verifier.process_stream(updates_a)
+        return run_fk(prover, verifier, channel), channel
+    verifier = RangeSumVerifier(F, u, point=point)
+    verifier.process_stream(updates_a)
+    return run_range_sum(prover, verifier, *query.params, channel), channel
 
 
 def per_query_view(channel, idx):
@@ -373,33 +375,39 @@ def test_single_query_batch_matches_standalone(backend_name, query):
 
 
 def test_range_sum_prover_is_a_batch_engine():
-    """run_batch_range_sum drives a plain RangeSumProver as the engine it
-    is — same transcript as announcing the members to a bare engine."""
+    """run_batch_range_sum and run_range_sum drive the engine: the same
+    transcript as announcing the members to it directly."""
     u = 64
     rng = random.Random(9)
     updates = [(rng.randrange(u), rng.randrange(1, 5)) for _ in range(50)]
     point = F.rand_vector(random.Random(10), 6)
-    prover = RangeSumProver(F, u)
-    verifier = RangeSumVerifier(F, u, point=point)
-    for i, delta in updates:
-        prover.process(i, delta)
-        verifier.process(i, delta)
-    channel = Channel()
-    results = run_batch_range_sum(prover, verifier, [(0, 9), (10, 63)],
+
+    def session():
+        engine = BatchedSumcheckEngine(F, u)
+        engine.process_stream(updates)
+        verifier = RangeSumVerifier(F, u, point=point)
+        verifier.process_stream(updates)
+        return engine, verifier, Channel()
+
+    engine, verifier, channel = session()
+    results = run_batch_range_sum(engine, verifier, [(0, 9), (10, 63)],
                                   channel)
     assert all(r.accepted for r in results)
-
-    engine = BatchedSumcheckEngine(F, u)
-    engine.process_stream(updates)
-    verifier2 = RangeSumVerifier(F, u, point=point)
-    verifier2.process_stream(updates)
-    channel2 = Channel()
+    engine, verifier, channel2 = session()
     direct = run_batched_sumcheck(
-        engine, verifier2, [batch_range_sum(0, 9), batch_range_sum(10, 63)],
+        engine, verifier, [batch_range_sum(0, 9), batch_range_sum(10, 63)],
         channel2,
     )
     assert channel.transcript.messages == channel2.transcript.messages
     assert [r.value for r in results] == [r.value for r in direct]
+
+    engine, verifier, channel = session()
+    alone = run_range_sum(engine, verifier, 10, 63, channel)
+    engine, verifier, channel2 = session()
+    (batch_of_one,) = run_batch_range_sum(engine, verifier, [(10, 63)],
+                                          channel2)
+    assert channel.transcript.messages == channel2.transcript.messages
+    assert alone.value == batch_of_one.value == results[1].value
 
 
 def test_driver_never_reveals_the_last_challenge():
@@ -422,6 +430,25 @@ def test_driver_never_reveals_the_last_challenge():
 
 
 # -- validation ----------------------------------------------------------------
+
+
+def test_driver_rejects_a_prover_of_another_dimension():
+    """A larger engine than the verifier's universe was accepted and a
+    smaller one crashed a kernel; both are now rejected on every member
+    before the prover sees the batch."""
+    for prover_u in (128, 32):
+        engine = BatchedSumcheckEngine(F, prover_u)
+        engine.process_stream([(3, 2), (9, 1)])
+        verifier = F2Verifier(F, 64, rng=random.Random(prover_u))
+        verifier.process_stream([(3, 2), (9, 1)])
+        seen = []
+        engine.receive_batch = seen.append
+        channel = Channel()
+        results = run_batched_sumcheck(
+            engine, verifier, [batch_f2(), batch_range_sum(0, 9)], channel)
+        assert [(r.accepted, r.reason) for r in results] == \
+            [(False, "prover/verifier dimension mismatch")] * 2
+        assert not seen and len(channel.transcript) == 0
 
 
 def test_batch_query_validation():

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.core import (
-    F2Prover,
+    BatchedSumcheckEngine,
     F2Verifier,
-    FkProver,
     FkVerifier,
+    InnerProductVerifier,
+    RangeSumVerifier,
     build_reporting_session,
     run_f2,
     run_fk,
+    run_inner_product,
+    run_range_sum,
     run_subvector,
     self_join_size_protocol,
     single_round_f2_protocol,
@@ -50,7 +55,7 @@ def test_fk_exact_words():
     stream = Stream(u, [(1, 2)])
     for k in (1, 3, 7):
         verifier = FkVerifier(F, u, k, rng=random.Random(2))
-        prover = FkProver(F, u, k)
+        prover = BatchedSumcheckEngine(F, u)
         verifier.process_stream(stream.updates())
         prover.process_stream(stream.updates())
         result = run_fk(prover, verifier)
@@ -103,7 +108,7 @@ def test_f2_verifier_space_independent_of_stream_length():
     spaces = []
     for stream in (short, long):
         verifier = F2Verifier(F, u, rng=random.Random(7))
-        prover = F2Prover(F, u)
+        prover = BatchedSumcheckEngine(F, u)
         verifier.process_stream(stream.updates())
         prover.process_stream(stream.updates())
         result = run_f2(prover, verifier)
@@ -112,14 +117,30 @@ def test_f2_verifier_space_independent_of_stream_length():
     assert spaces[0] == spaces[1]
 
 
-def test_space_words_property_matches_result():
+@pytest.mark.parametrize("kind", ["f2", "fk3", "inner-product",
+                                  "range-sum"])
+def test_space_words_property_matches_result(kind):
+    """A one-query run reports its verifier's own space_words: RANGE-SUM
+    streams one LDE, so d + 6, like F2."""
     u = 1 << 7
     stream = Stream(u, [(3, 4)])
-    verifier = F2Verifier(F, u, rng=random.Random(8))
-    prover = F2Prover(F, u)
-    verifier.process_stream(stream.updates())
+    prover = BatchedSumcheckEngine(F, u)
     prover.process_stream(stream.updates())
-    result = run_f2(prover, verifier)
+    rng = random.Random(8)
+    if kind == "inner-product":
+        verifier = InnerProductVerifier(F, u, rng=rng)
+        for i, delta in stream.updates():
+            verifier.process_a(i, delta)
+        result = run_inner_product(prover, verifier)
+    else:
+        verifier = {"f2": F2Verifier(F, u, rng=rng),
+                    "fk3": FkVerifier(F, u, 3, rng=rng),
+                    "range-sum": RangeSumVerifier(F, u, rng=rng)}[kind]
+        verifier.process_stream(stream.updates())
+        result = (run_f2(prover, verifier) if kind == "f2"
+                  else run_fk(prover, verifier) if kind == "fk3"
+                  else run_range_sum(prover, verifier, 2, 90))
+    assert result.accepted
     assert result.verifier_space_words == verifier.space_words
 
 

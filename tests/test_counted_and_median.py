@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from repro.core.range_sum import RangeSumProver, RangeSumVerifier
+from repro.core.multiquery import BatchedSumcheckEngine
+from repro.core.range_sum import RangeSumVerifier
 from repro.core.reporting import counted_range_query
 from repro.core.frequency_based import (
     inverse_distribution_median_protocol,
@@ -24,7 +25,7 @@ def build_counted_session(stream, seed=0):
     tree_verifier = TreeHashVerifier(F, stream.u, rng=random.Random(seed))
     sub_prover = SubVectorProver(F, stream.u)
     rs_verifier = RangeSumVerifier(F, stream.u, rng=random.Random(seed + 1))
-    rs_prover = RangeSumProver(F, stream.u)
+    rs_prover = BatchedSumcheckEngine(F, stream.u)
     for i, d in stream.updates():
         tree_verifier.process(i, d)
         sub_prover.process(i, d)
@@ -53,7 +54,7 @@ def test_counted_range_query_blocks_overlong_answers():
     tree_verifier = TreeHashVerifier(F, 64, rng=random.Random(2))
     flooder = FloodingProver(F, 64)
     rs_verifier = RangeSumVerifier(F, 64, rng=random.Random(3))
-    rs_prover = RangeSumProver(F, 64)
+    rs_prover = BatchedSumcheckEngine(F, 64)
     for i, d in stream.updates():
         tree_verifier.process(i, d)
         flooder.process(i, d)

@@ -16,11 +16,15 @@ import random
 import pytest
 
 from repro.comm.channel import Channel
-from repro.core.f2 import F2Prover
-from repro.core.fk import FkProver
-from repro.core.inner_product import InnerProductProver
-from repro.core.multiquery import batch_f2, batch_fk
-from repro.core.range_sum import RangeSumProver
+from repro.core.multiquery import (
+    BatchedSumcheckEngine,
+    BatchedSumcheckVerifier,
+    batch_f2,
+    batch_fk,
+    batch_inner_product,
+    batch_range_sum,
+    run_batched_sumcheck,
+)
 from repro.core.subvector import SubVectorAnswer
 from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import DEFAULT_FIELD as F
@@ -260,24 +264,27 @@ def test_every_transcript_word_is_a_python_int(descriptors, monkeypatch):
 @pytest.mark.parametrize("count", [1 << 22, 3 * 10 ** 6, 1 << 32, F.p - 1])
 def test_true_answers_on_a_shared_table_are_exact_python_ints(backend_name,
                                                               count):
-    """A ``freq=`` table is a uint64 array under NumPy: summing its
-    entries as they come wrapped mod 2^64 from counts of 2^32 (F2,
-    INNER-PRODUCT) or 3·10^6 (F3) up, and handed back ``numpy.uint64``."""
+    """A shared table is a uint64 array under NumPy: the engine proves
+    over it the exact answers, as Python ints, for counts whose powers
+    pass 2^64 from 2^32 (F2, INNER-PRODUCT) or 3·10^6 (F3) up."""
     backend = get_backend(F, backend_name)
-    table = frozen_table(backend, F, [count, 7] + [0] * 14)
-    other = frozen_table(backend, F, [count, 2] + [1] * 14)
-    answers = [
-        (F2Prover(F, 16, backend=backend, freq=table).true_answer(),
-         count ** 2 + 49),
-        (FkProver(F, 16, 3, backend=backend, freq=table).true_answer(),
-         count ** 3 + 343),
-        (InnerProductProver(F, 16, backend=backend, freq_a=table,
-                            freq_b=other).true_answer(), count ** 2 + 14),
-        (RangeSumProver(F, 16, backend=backend,
-                        freq_a=other).true_answer(0, 9), count + 10),
-    ]
-    for got, want in answers:
-        assert type(got) is int and got == want
+    a = [count, 7] + [0] * 14
+    b = [count, 2] + [1] * 14
+    engine = BatchedSumcheckEngine(F, 16, backend=backend,
+                                   freq_a=frozen_table(backend, F, a),
+                                   freq_b=frozen_table(backend, F, b))
+    verifier = BatchedSumcheckVerifier(F, 16, rng=random.Random(count))
+    for key in range(16):
+        verifier.process_a(key, a[key])
+        verifier.process_b(key, b[key])
+    results = run_batched_sumcheck(engine, verifier, [
+        batch_f2(), batch_fk(3), batch_inner_product(),
+        batch_range_sum(0, 9)])
+    wants = [count ** 2 + 49, count ** 3 + 343, count ** 2 + 14,
+             count + 7]
+    for result, want in zip(results, wants):
+        assert result.accepted
+        assert type(result.value) is int and result.value == want % F.p
 
 
 # -- all-or-nothing apply ------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
-from repro.distributed.sharded import DistributedF2Prover
+from repro.core.f2 import F2Verifier
+from repro.core.multiquery import BatchedSumcheckEngine, batch_f2
+from repro.distributed.sharded import DistributedF2Prover, run_distributed_f2
 from repro.field.modular import DEFAULT_FIELD
 from repro.streams.generators import uniform_frequency_stream
 from repro.streams.model import Stream
@@ -27,16 +28,16 @@ updates_strategy = st.lists(
 def test_messages_identical_to_centralised(updates, workers):
     """The paper's parallelisation claim: each round message is a sum of
     per-shard inner products, so map-reduce changes nothing on the wire."""
-    central = F2Prover(F, 64)
+    central = BatchedSumcheckEngine(F, 64)
     distributed = DistributedF2Prover(F, 64, num_workers=workers)
     for i, d in updates:
         central.process(i, d)
         distributed.process(i, d)
-    central.begin_proof()
+    central.receive_batch([batch_f2()])
     distributed.begin_proof()
     rng = random.Random(1)
     for j in range(central.d):
-        assert central.round_message() == distributed.round_message()
+        assert central.round_messages() == [distributed.round_message()]
         if j < central.d - 1:
             r = F.rand(rng)
             central.receive_challenge(r)
@@ -51,7 +52,7 @@ def test_accepted_by_standard_verifier(updates):
     for i, d in stream.updates():
         verifier.process(i, d)
         prover.process(i, d)
-    result = run_f2(prover, verifier)
+    result = run_distributed_f2(prover, verifier)
     assert result.accepted
     assert result.value == stream.self_join_size() % F.p
 
@@ -64,7 +65,7 @@ def test_end_to_end_medium_scale():
     for i, d in stream.updates():
         verifier.process(i, d)
         prover.process(i, d)
-    result = run_f2(prover, verifier)
+    result = run_distributed_f2(prover, verifier)
     assert result.accepted
     assert result.value == stream.self_join_size() % F.p
 
@@ -135,18 +136,16 @@ def test_worker_count_error_messages_are_clear():
 
 
 def test_single_worker_degenerates_to_central():
-    from repro.core.f2 import F2Prover
-
-    central = F2Prover(F, 32)
+    central = BatchedSumcheckEngine(F, 32)
     solo = DistributedF2Prover(F, 32, num_workers=1)
     for i, d in [(0, 3), (7, -2), (31, 5)]:
         central.process(i, d)
         solo.process(i, d)
-    central.begin_proof()
+    central.receive_batch([batch_f2()])
     solo.begin_proof()
     rng = random.Random(40)
     for j in range(central.d):
-        assert list(central.round_message()) == list(solo.round_message())
+        assert central.round_messages() == [list(solo.round_message())]
         if j < central.d - 1:
             r = F.rand(rng)
             central.receive_challenge(r)

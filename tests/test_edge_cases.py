@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.core import (
-    F2Prover,
+    BatchedSumcheckEngine,
     F2Verifier,
     build_reporting_session,
     predecessor_query,
@@ -113,12 +113,12 @@ def test_successor_of_last_key():
 
 
 def test_prover_reusable_across_proof_attempts():
-    """begin_proof resets state: running the proof twice from the same
-    prover yields identical messages."""
+    """Every proof starts again from the stored vector: running the
+    proof twice from the same prover yields identical messages."""
     stream = Stream.from_items(32, [5, 5, 9])
     verifier1 = F2Verifier(F, 32, rng=random.Random(13))
     verifier2 = F2Verifier(F, 32, rng=random.Random(14))
-    prover = F2Prover(F, 32)
+    prover = BatchedSumcheckEngine(F, 32)
     for i, d in stream.updates():
         verifier1.process(i, d)
         verifier2.process(i, d)
@@ -144,7 +144,7 @@ def test_verification_result_reason_only_on_rejection():
     assert good.reason is None
 
     verifier = F2Verifier(F, 16, rng=random.Random(17))
-    prover = F2Prover(F, 32)
+    prover = BatchedSumcheckEngine(F, 32)
     bad = run_f2(prover, verifier)
     assert not bad.accepted and bad.reason
 
@@ -154,7 +154,7 @@ def test_updates_after_protocol_would_need_fresh_randomness():
     but a verified query then needs a fresh session — document by test."""
     stream = Stream.from_items(16, [3])
     verifier = F2Verifier(F, 16, rng=random.Random(18))
-    prover = F2Prover(F, 16)
+    prover = BatchedSumcheckEngine(F, 16)
     for i, d in stream.updates():
         verifier.process(i, d)
         prover.process(i, d)

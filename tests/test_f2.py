@@ -9,12 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.comm.channel import Channel, drop_last_word, flip_word
-from repro.core.f2 import (
-    F2Prover,
-    F2Verifier,
-    run_f2,
-    self_join_size_protocol,
-)
+from repro.core.f2 import F2Verifier, run_f2, self_join_size_protocol
+from repro.core.multiquery import BatchedSumcheckEngine, batch_f2
 from repro.field.modular import DEFAULT_FIELD
 from repro.streams.generators import turnstile_stream, uniform_frequency_stream
 from repro.streams.model import Stream
@@ -30,7 +26,7 @@ updates_strategy = st.lists(
 
 def run_on(stream, seed=0, channel=None):
     verifier = F2Verifier(F, stream.u, rng=random.Random(seed))
-    prover = F2Prover(F, stream.u)
+    prover = BatchedSumcheckEngine(F, stream.u)
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process(i, delta)
@@ -98,7 +94,7 @@ def test_challenge_rd_never_revealed():
     """The final coordinate r_d stays private (soundness hinges on it)."""
     stream = uniform_frequency_stream(64, rng=random.Random(4))
     verifier = F2Verifier(F, 64, rng=random.Random(5))
-    prover = F2Prover(F, 64)
+    prover = BatchedSumcheckEngine(F, 64)
     verifier.process_stream(stream.updates())
     prover.process_stream(stream.updates())
     result = run_f2(prover, verifier)
@@ -131,41 +127,43 @@ def test_truncated_message_rejected_for_degree():
 
 def test_dimension_mismatch_rejected():
     verifier = F2Verifier(F, 64, rng=random.Random(10))
-    prover = F2Prover(F, 128)
+    prover = BatchedSumcheckEngine(F, 128)
     result = run_f2(prover, verifier)
     assert not result.accepted
 
 
 def test_prover_requires_begin_proof():
-    prover = F2Prover(F, 8)
+    """No round message and no fold before the prover has the query."""
+    prover = BatchedSumcheckEngine(F, 8)
     with pytest.raises(RuntimeError):
-        prover.round_message()
+        prover.round_messages()
     with pytest.raises(RuntimeError):
         prover.receive_challenge(1)
 
 
 def test_prover_true_answer_is_integer_f2():
-    prover = F2Prover(F, 8)
-    prover.process_stream([(0, 3), (1, -2)])
-    assert prover.true_answer() == 9 + 4
+    """A deletion below zero still squares: the verified answer is the
+    integer F2, not a sum of wrapped counts."""
+    result = run_on(Stream(8, [(0, 3), (1, -2)]))
+    assert result.accepted and result.value == 9 + 4
 
 
 def test_prover_table_folding_preserves_sum_identity():
     """Internal invariant of Appendix B.1: after folding with r, the round
     polynomial evaluated at r equals the next round's g(0)+g(1)."""
     rng = random.Random(11)
-    prover = F2Prover(F, 32)
+    prover = BatchedSumcheckEngine(F, 32)
     for _ in range(40):
         prover.process(rng.randrange(32), rng.randint(-5, 5))
-    prover.begin_proof()
+    prover.receive_batch([batch_f2()])
     from repro.field.polynomial import evaluate_from_evals
 
     for _ in range(prover.d - 1):
-        msg = prover.round_message()
+        (msg,) = prover.round_messages()
         r = F.rand(rng)
         expected = evaluate_from_evals(F, msg, r)
         prover.receive_challenge(r)
-        nxt = prover.round_message()
+        (nxt,) = prover.round_messages()
         assert (nxt[0] + nxt[1]) % F.p == expected
 
 

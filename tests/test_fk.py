@@ -9,13 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.comm.channel import Channel, flip_word
-from repro.core.f2 import F2Verifier, F2Prover, run_f2
-from repro.core.fk import (
-    FkProver,
-    FkVerifier,
-    frequency_moment_protocol,
-    run_fk,
-)
+from repro.core.f2 import F2Verifier, run_f2
+from repro.core.fk import FkVerifier, frequency_moment_protocol, run_fk
+from repro.core.multiquery import BatchedSumcheckEngine, batch_fk
 from repro.field.modular import DEFAULT_FIELD
 from repro.streams.generators import uniform_frequency_stream
 from repro.streams.model import Stream
@@ -25,7 +21,7 @@ F = DEFAULT_FIELD
 
 def run_on(stream, k, seed=0, channel=None):
     verifier = FkVerifier(F, stream.u, k, rng=random.Random(seed))
-    prover = FkProver(F, stream.u, k)
+    prover = BatchedSumcheckEngine(F, stream.u)
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process(i, delta)
@@ -87,7 +83,7 @@ def test_f2_consistency_with_specialised_protocol():
     fk_result = run_on(stream, 2, seed=10)
 
     verifier = F2Verifier(F, stream.u, rng=random.Random(11))
-    prover = F2Prover(F, stream.u)
+    prover = BatchedSumcheckEngine(F, stream.u)
     verifier.process_stream(stream.updates())
     prover.process_stream(stream.updates())
     f2_result = run_f2(prover, verifier)
@@ -105,14 +101,15 @@ def test_tampering_rejected():
 
 def test_k_validation():
     with pytest.raises(ValueError):
-        FkProver(F, 8, 0)
+        batch_fk(0)
     with pytest.raises(ValueError):
         FkVerifier(F, 8, 0, rng=random.Random(0))
 
 
 def test_parameter_mismatch_rejected():
+    """The order is the verifier's; the prover's universe must match."""
     verifier = FkVerifier(F, 64, 3, rng=random.Random(13))
-    prover = FkProver(F, 64, 2)
+    prover = BatchedSumcheckEngine(F, 128)
     assert not run_fk(prover, verifier).accepted
 
 

@@ -240,13 +240,14 @@ def test_gkr_lying_input_claims_rejected():
 def test_gkr_cost_shape_log_squared():
     """GKR costs ~d·log u rounds vs log u for the specialised protocol —
     the quadratic-improvement claim after Theorem 4."""
-    from repro.core.f2 import F2Prover, F2Verifier, run_f2
+    from repro.core.f2 import F2Verifier, run_f2
+    from repro.core.multiquery import BatchedSumcheckEngine
 
     size = 16
     stream = Stream(size, [(3, 2), (9, 5)])
     gkr_result = run_on(f2_circuit(size), stream, seed=7)
     verifier = F2Verifier(F, size, rng=random.Random(8))
-    prover = F2Prover(F, size)
+    prover = BatchedSumcheckEngine(F, size)
     verifier.process_stream(stream.updates())
     prover.process_stream(stream.updates())
     f2_result = run_f2(prover, verifier)

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from repro.comm.channel import Channel, flip_word
 from repro.core.inner_product import (
-    InnerProductProver,
     InnerProductVerifier,
     inner_product_protocol,
     run_inner_product,
 )
+from repro.core.multiquery import BatchedSumcheckEngine
 from repro.field.modular import DEFAULT_FIELD
 from repro.streams.generators import paired_streams_for_join
 from repro.streams.model import Stream
@@ -30,7 +30,7 @@ updates_strategy = st.lists(
 
 def run_on(stream_a, stream_b, seed=0, channel=None):
     verifier = InnerProductVerifier(F, stream_a.u, rng=random.Random(seed))
-    prover = InnerProductProver(F, stream_a.u)
+    prover = BatchedSumcheckEngine(F, stream_a.u)
     for i, delta in stream_a.updates():
         verifier.process_a(i, delta)
         prover.process_a(i, delta)
@@ -114,40 +114,9 @@ def test_tampering_rejected():
     assert not result.accepted
 
 
-def test_expected_final_override():
-    """RANGE-SUM's hook: an explicit final-check target."""
-    a = Stream.from_items(16, [1, 2])
-    verifier = InnerProductVerifier(F, 16, rng=random.Random(5))
-    prover = InnerProductProver(F, 16)
-    for i, d in a.updates():
-        verifier.process_a(i, d)
-        prover.process_a(i, d)
-    # b left all-zero: inner product 0, expected final f_a(r)*0 = 0.
-    result = run_inner_product(prover, verifier, expected_final=0)
-    assert result.accepted
-    assert result.value == 0
-
-
-def test_wrong_expected_final_rejects():
-    a = Stream.from_items(16, [1, 2])
-    verifier = InnerProductVerifier(F, 16, rng=random.Random(6))
-    prover = InnerProductProver(F, 16)
-    for i, d in a.updates():
-        verifier.process_a(i, d)
-        prover.process_a(i, d)
-    result = run_inner_product(prover, verifier, expected_final=12345)
-    assert not result.accepted
-
-
-def test_set_b_vector_length_check():
-    prover = InnerProductProver(F, 16)
-    with pytest.raises(ValueError):
-        prover.set_b_vector([0] * 17)
-
-
 def test_dimension_mismatch_rejected():
     verifier = InnerProductVerifier(F, 16, rng=random.Random(7))
-    prover = InnerProductProver(F, 64)
+    prover = BatchedSumcheckEngine(F, 64)
     assert not run_inner_product(prover, verifier).accepted
 
 

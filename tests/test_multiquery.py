@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from reference_sumcheck import ReferenceProver
 from repro.comm.channel import Channel, flip_word
 from repro.core.f2 import F2Verifier
 from repro.core.multiquery import (
@@ -14,7 +15,7 @@ from repro.core.multiquery import (
     batch_range_sum,
     run_batch_range_sum,
 )
-from repro.core.range_sum import RangeSumProver, RangeSumVerifier
+from repro.core.range_sum import RangeSumVerifier
 from repro.field.modular import DEFAULT_FIELD
 from repro.streams.generators import uniform_frequency_stream
 from repro.streams.model import Stream
@@ -24,7 +25,7 @@ F = DEFAULT_FIELD
 
 def batch_session(stream, seed=0):
     verifier = RangeSumVerifier(F, stream.u, rng=random.Random(seed))
-    prover = RangeSumProver(F, stream.u)
+    prover = BatchedSumcheckEngine(F, stream.u)
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process_a(i, delta)
@@ -44,13 +45,15 @@ def test_batch_all_queries_verified():
 
 
 def test_batch_engine_prover_matches_range_sum_prover_run():
-    """Driving a streamed bare engine produces the same transcript as
-    driving a RangeSumProver — the seam the service's remote proxy
-    stands behind."""
+    """Driving the engine produces the same transcript as driving the
+    reference RANGE-SUM prover (dense indicators, Python ints) through
+    the same three methods — the seam the service's remote proxy stands
+    behind."""
     stream = uniform_frequency_stream(64, max_frequency=9,
                                       rng=random.Random(4))
     queries = [(0, 10), (5, 40), (63, 63)]
-    prover, verifier = batch_session(stream, seed=9)
+    _, verifier = batch_session(stream, seed=9)
+    prover = ReferenceProver(F, stream.u, stream.updates())
     ch_wrapped = Channel()
     wrapped = run_batch_range_sum(prover, verifier, queries, ch_wrapped)
 
@@ -154,7 +157,7 @@ def test_independent_copies_lifecycle():
 
 
 def test_independent_copies_usable_for_repeated_queries():
-    from repro.core.f2 import F2Prover, run_f2
+    from repro.core.f2 import run_f2
 
     stream = uniform_frequency_stream(32, max_frequency=4,
                                       rng=random.Random(8))
@@ -163,7 +166,7 @@ def test_independent_copies_usable_for_repeated_queries():
         lambda rng: F2Verifier(F, 32, rng=rng),
         rng=random.Random(9),
     )
-    prover = F2Prover(F, 32)
+    prover = BatchedSumcheckEngine(F, 32)
     for i, d in stream.updates():
         copies.process(i, d)
         prover.process(i, d)
@@ -208,13 +211,13 @@ def _f2_run_once_factory(stream, prover_cls):
 
 
 def test_amplified_honest_accepted():
-    from repro.core.f2 import F2Prover
     from repro.core.multiquery import amplified_protocol
 
     stream = uniform_frequency_stream(32, max_frequency=5,
                                       rng=random.Random(20))
     result = amplified_protocol(
-        _f2_run_once_factory(stream, F2Prover), 3, random.Random(21)
+        _f2_run_once_factory(stream, BatchedSumcheckEngine), 3,
+        random.Random(21)
     )
     assert result.accepted
     assert result.value == stream.self_join_size() % F.p

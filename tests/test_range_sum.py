@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.baselines.trivial import LocalStateVerifier
 from repro.comm.channel import Channel, flip_word
+from repro.core.multiquery import BatchedSumcheckEngine, batch_range_sum
 from repro.core.range_sum import (
-    RangeSumProver,
     RangeSumVerifier,
     range_count_protocol,
     range_sum_protocol,
@@ -25,7 +26,7 @@ F = DEFAULT_FIELD
 
 def run_on(stream, lo, hi, seed=0, channel=None):
     verifier = RangeSumVerifier(F, stream.u, rng=random.Random(seed))
-    prover = RangeSumProver(F, stream.u)
+    prover = BatchedSumcheckEngine(F, stream.u)
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process_a(i, delta)
@@ -78,7 +79,7 @@ def test_query_after_stream_semantics():
     any later range (the point of the canonical-interval evaluation)."""
     stream = Stream(64, [(i, i) for i in range(0, 64, 3)])
     verifier = RangeSumVerifier(F, 64, rng=random.Random(1))
-    prover = RangeSumProver(F, 64)
+    prover = BatchedSumcheckEngine(F, 64)
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process_a(i, delta)
@@ -86,7 +87,7 @@ def test_query_after_stream_semantics():
     # here we check the state supports computing any indicator LDE.
     for lo, hi in [(0, 5), (10, 40), (63, 63)]:
         expected = sum(i for i in range(0, 64, 3) if lo <= i <= hi)
-        fresh_prover = RangeSumProver(F, 64)
+        fresh_prover = BatchedSumcheckEngine(F, 64)
         fresh_prover.process_stream(stream.updates())
         fresh_verifier = RangeSumVerifier(F, 64, rng=random.Random(hi))
         fresh_verifier.process_stream(stream.updates())
@@ -133,7 +134,7 @@ def test_dishonest_value_rejected():
     f_a(r)·f_b(r) check."""
     stream = Stream(32, [(4, 10), (8, 20)])
     verifier = RangeSumVerifier(F, 32, rng=random.Random(2))
-    prover = RangeSumProver(F, 32)
+    prover = BatchedSumcheckEngine(F, 32)
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process_a(i, delta)
@@ -143,15 +144,21 @@ def test_dishonest_value_rejected():
 
 
 def test_prover_receive_query_validation():
-    prover = RangeSumProver(F, 16)
+    prover = BatchedSumcheckEngine(F, 16)
     with pytest.raises(ValueError):
-        prover.receive_query(9, 8)
+        prover.receive_batch([batch_range_sum(9, 8)])
+    with pytest.raises(ValueError):
+        prover.receive_batch([batch_range_sum(3, 16)])
 
 
 def test_prover_true_answer():
-    prover = RangeSumProver(F, 16)
-    prover.process_stream([(3, 10), (5, 20)])
-    assert prover.true_answer(0, 4) == 10
+    """The verified answer is the true one: what the (n, 1) baseline,
+    which stores everything, computes itself."""
+    updates = [(3, 10), (5, 20)]
+    local = LocalStateVerifier(16)
+    local.process_stream(updates)
+    result = run_on(Stream(16, updates), 0, 4)
+    assert result.accepted and result.value == local.range_sum(0, 4) == 10
 
 
 def test_end_to_end_helpers():

@@ -16,12 +16,8 @@ import pytest
 
 from reference_sumcheck import ReferenceProver
 from repro.comm.channel import Channel
-from repro.core.multiquery import (
-    BatchedSumcheckEngine,
-    batch_range_sum,
-    run_batched_sumcheck,
-)
-from repro.core.range_sum import RangeSumProver, RangeSumVerifier, run_range_sum
+from repro.core.multiquery import BatchedSumcheckEngine, batch_range_sum
+from repro.core.range_sum import RangeSumVerifier, run_range_sum
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY, get_backend
 from repro.service import ProverServer, ServiceClient, range_sum
@@ -50,7 +46,7 @@ def turnstile_updates(u, seed):
 
 
 def loaded(backend_name, u, updates):
-    prover = RangeSumProver(F, u, backend=get_backend(F, backend_name))
+    prover = BatchedSumcheckEngine(F, u, backend=get_backend(F, backend_name))
     for key, delta in updates:
         prover.process(key, delta)
     return prover
@@ -71,11 +67,10 @@ def test_round_messages_equal_the_dense_oracle(backend_name, u, case):
     dense = ReferenceProver(F, u, updates)
     lo, hi = range_cases(dyadic.size)[case]
     rng = random.Random(7)
-    dyadic.receive_query(lo, hi)
-    dyadic.begin_proof()
-    dense.receive_batch([batch_range_sum(lo, hi)])
+    for prover in (dyadic, dense):
+        prover.receive_batch([batch_range_sum(lo, hi)])
     for _ in range(dyadic.d):
-        message = dyadic.round_message()
+        (message,) = dyadic.round_messages()
         assert [message] == dense.round_messages()
         assert all(type(word) is int for word in message)
         challenge = rng.randrange(F.p)
@@ -95,12 +90,10 @@ def test_random_ranges_at_the_service_universe(backend_name):
     rng = random.Random(12)
     for _ in range(12):
         lo, hi = sorted(rng.randrange(u) for _ in range(2))
-        dyadic.receive_query(lo, hi)
-        dyadic.begin_proof()
-        dense.receive_batch([batch_range_sum(lo, hi)])
+        for prover in (dyadic, dense):
+            prover.receive_batch([batch_range_sum(lo, hi)])
         for _ in range(dyadic.d):
-            assert [dyadic.round_message()] == dense.round_messages(), \
-                (lo, hi)
+            assert dyadic.round_messages() == dense.round_messages(), (lo, hi)
             challenge = rng.randrange(F.p)
             dyadic.receive_challenge(challenge)
             dense.receive_challenge(challenge)
@@ -116,13 +109,9 @@ def test_transcripts_equal_the_dense_oracle(backend_name, u, case):
         verifier = RangeSumVerifier(F, u, point=point)
         verifier.process_stream(updates)
         channel = Channel()
-        if dyadic:
-            result = run_range_sum(loaded(backend_name, u, updates),
-                                   verifier, lo, hi, channel)
-        else:
-            (result,) = run_batched_sumcheck(
-                ReferenceProver(F, u, updates), verifier,
-                [batch_range_sum(lo, hi)], channel)
+        prover = (loaded(backend_name, u, updates) if dyadic
+                  else ReferenceProver(F, u, updates))
+        result = run_range_sum(prover, verifier, lo, hi, channel)
         assert result.accepted, result.reason
         # The oracle answer, straight from the stream.
         assert result.value == sum(
@@ -135,17 +124,16 @@ def test_transcripts_equal_the_dense_oracle(backend_name, u, case):
 
 
 def test_the_indicator_is_never_materialised():
-    """Not at receive_query, not at begin_proof, and not by a batched
-    unit either: nothing of size u is allocated for a range."""
+    """Not in the query, not when the proof begins, and not by a batch
+    either: nothing of size u is allocated for a range."""
     size = 1 << 12
-    prover = RangeSumProver(F, size)
     tracemalloc.start()
-    prover.receive_query(1, size - 2)
+    query = batch_range_sum(1, size - 2)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < size  # bytes: nothing of size u, not even briefly
-    assert prover._a_table is None
-    prover.begin_proof()
+    prover = BatchedSumcheckEngine(F, size)
+    prover.receive_batch([query])
     assert prover._b_table is None and prover._freq_b is None
     (indicator,) = prover._dyadic
     assert len(indicator.nodes) <= 2 * prover.d
@@ -170,9 +158,9 @@ def test_the_indicator_is_never_materialised():
 
 
 def test_proof_needs_a_query_first():
-    prover = RangeSumProver(F, 16)
+    prover = BatchedSumcheckEngine(F, 16)
     with pytest.raises(RuntimeError):
-        prover.begin_proof()
+        prover.round_messages()
 
 
 def _served_transcript(prover_wrapper, u, updates, lo, hi):

@@ -30,7 +30,7 @@ from repro.adversary.cheating_provers import (
 from repro.comm.channel import flip_word
 from repro.comm.wire import MAX_MESSAGE_WORDS, encode_transcript
 from repro.core.base import pow2_dimension
-from repro.core.fk import MAX_MOMENT_ORDER
+from repro.core.multiquery import MAX_MOMENT_ORDER
 from repro.core.multiquery import BatchedSumcheckEngine, batch_fk
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.modular import PrimeField

@@ -86,13 +86,14 @@ def test_sqrt_u_costs():
 
 
 def test_space_grows_against_multi_round():
-    from repro.core.f2 import F2Prover, F2Verifier, run_f2
+    from repro.core.f2 import F2Verifier, run_f2
+    from repro.core.multiquery import BatchedSumcheckEngine
 
     u = 1 << 12
     stream = Stream.from_items(u, [1, 2, 3])
     single = run_on(stream)
     verifier = F2Verifier(F, u, rng=random.Random(5))
-    prover = F2Prover(F, u)
+    prover = BatchedSumcheckEngine(F, u)
     verifier.process_stream(stream.updates())
     prover.process_stream(stream.updates())
     multi = run_f2(prover, verifier)

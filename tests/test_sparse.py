@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.f2 import F2Prover, F2Verifier, run_f2
+from repro.comm.channel import Channel
+from repro.core.f2 import F2Verifier
+from repro.core.multiquery import (
+    BatchedSumcheckEngine,
+    batch_f2,
+    batch_inner_product,
+)
 from repro.core.sparse import SparseF2Prover, SparseSubVectorProver
+from repro.core.sumcheck import run_sumcheck_rounds
 from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field.modular import DEFAULT_FIELD
 from repro.streams.generators import sparse_stream
@@ -24,19 +31,31 @@ updates_strategy = st.lists(
 )
 
 
+def run_rounds(prover, verifier, target):
+    """The one-query sum-check against a begin_proof / round_message
+    prover: d degree-2 messages, then ``g_d(r_d) = target``."""
+    prover.begin_proof()
+    return run_sumcheck_rounds(prover, verifier, Channel(), message_len=3,
+                               target=target, target_name="the target")
+
+
+def run_f2(prover, verifier):
+    return run_rounds(prover, verifier, verifier.lde.value ** 2)
+
+
 @given(updates_strategy)
 def test_sparse_f2_messages_identical_to_dense(updates):
     """Drop-in equivalence: byte-identical messages at every round."""
-    dense = F2Prover(F, 64)
+    dense = BatchedSumcheckEngine(F, 64)
     sparse = SparseF2Prover(F, 64)
     for i, d in updates:
         dense.process(i, d)
         sparse.process(i, d)
-    dense.begin_proof()
+    dense.receive_batch([batch_f2()])
     sparse.begin_proof()
     rng = random.Random(1)
     for j in range(dense.d):
-        assert dense.round_message() == sparse.round_message()
+        assert dense.round_messages() == [sparse.round_message()]
         if j < dense.d - 1:
             r = F.rand(rng)
             dense.receive_challenge(r)
@@ -155,10 +174,9 @@ def test_sparse_subvector_requires_query():
 
 @given(updates_strategy, updates_strategy)
 def test_sparse_inner_product_matches_dense(ua, ub):
-    from repro.core.inner_product import InnerProductProver
     from repro.core.sparse import SparseInnerProductProver
 
-    dense = InnerProductProver(F, 64)
+    dense = BatchedSumcheckEngine(F, 64)
     sparse = SparseInnerProductProver(F, 64)
     for i, d in ua:
         dense.process_a(i, d)
@@ -166,12 +184,12 @@ def test_sparse_inner_product_matches_dense(ua, ub):
     for i, d in ub:
         dense.process_b(i, d)
         sparse.process_b(i, d)
-    assert dense.true_answer() == sparse.true_answer()
-    dense.begin_proof()
+    assert sparse.true_answer() == Stream(64, ua).inner_product(Stream(64, ub))
+    dense.receive_batch([batch_inner_product()])
     sparse.begin_proof()
     rng = random.Random(10)
     for j in range(dense.d):
-        assert dense.round_message() == sparse.round_message()
+        assert dense.round_messages() == [sparse.round_message()]
         if j < dense.d - 1:
             r = F.rand(rng)
             dense.receive_challenge(r)
@@ -179,7 +197,7 @@ def test_sparse_inner_product_matches_dense(ua, ub):
 
 
 def test_sparse_inner_product_accepted_by_verifier():
-    from repro.core.inner_product import InnerProductVerifier, run_inner_product
+    from repro.core.inner_product import InnerProductVerifier
     from repro.core.sparse import SparseInnerProductProver
 
     u = 1 << 20
@@ -193,7 +211,8 @@ def test_sparse_inner_product_accepted_by_verifier():
     for i, d in b.updates():
         verifier.process_b(i, d)
         prover.process_b(i, d)
-    result = run_inner_product(prover, verifier)
+    result = run_rounds(prover, verifier,
+                        verifier.lde_a.value * verifier.lde_b.value)
     assert result.accepted
     assert result.value == 6
 

@@ -21,9 +21,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.f2 import F2Prover
-from repro.core.fk import FkProver
-from repro.core.inner_product import InnerProductProver
+from repro.core.multiquery import (
+    BatchedSumcheckEngine,
+    batch_f2,
+    batch_fk,
+    batch_inner_product,
+)
 from repro.core.subvector import SubVectorProver
 from repro.field import vectorized as vec
 from repro.field.modular import DEFAULT_FIELD as F
@@ -478,11 +481,12 @@ def test_a_frozen_table_is_never_written(backend, name):
     assert backend.to_list(table) == values
 
 
-def proof_steps(prover, challenges):
-    """The prover's side of a sum-check, one generator step per round."""
-    prover.begin_proof()
+def proof_steps(prover, query, challenges):
+    """The prover's side of a one-query sum-check, one generator step per
+    round."""
+    prover.receive_batch([query])
     for r in challenges:
-        message = prover.round_message()
+        (message,) = prover.round_messages()
         prover.receive_challenge(r)
         yield [int(word) for word in message]
 
@@ -500,13 +504,18 @@ def test_interleaved_provers_and_an_ingest_between_rounds(backend):
     updates = [(rng.randrange(u), rng.randrange(-3, 4)) for _ in range(3000)]
 
     def provers():
-        return (F2Prover(F, u, backend=backend, freq=counts),
-                FkProver(F, u, 4, backend=backend, freq=full),
-                InnerProductProver(F, u, backend=backend, freq_a=full,
-                                   freq_b=counts))
+        return ((BatchedSumcheckEngine(F, u, backend=backend, freq_a=counts),
+                 batch_f2()),
+                (BatchedSumcheckEngine(F, u, backend=backend, freq_a=full),
+                 batch_fk(4)),
+                (BatchedSumcheckEngine(F, u, backend=backend, freq_a=full,
+                                       freq_b=counts),
+                 batch_inner_product()))
 
-    alone = [list(proof_steps(prover, challenges)) for prover in provers()]
-    running = [proof_steps(prover, challenges) for prover in provers()]
+    alone = [list(proof_steps(prover, query, challenges))
+             for prover, query in provers()]
+    running = [proof_steps(prover, query, challenges)
+               for prover, query in provers()]
     # The ingest runs vectorized whenever NumPy is there, whichever
     # backend proves: that is the kernel that shares the scratch.
     lde = StreamingLDE(F, u, rng=random.Random(5), backend=BACKENDS[-1])
@@ -529,7 +538,9 @@ def test_two_threads_proving_at_once_do_not_share_scratch():
     u = 4 * TILE
     challenges = [random.Random(3).randrange(P) for _ in range(u.bit_length() - 1)]
     tables = [frozen_table(be, F, pattern("full", u, seed=s)) for s in range(4)]
-    want = [list(proof_steps(F2Prover(F, u, backend=be, freq=t), challenges))
+    want = [list(proof_steps(BatchedSumcheckEngine(F, u, backend=be,
+                                                   freq_a=t),
+                             batch_f2(), challenges))
             for t in tables]
     got = [None] * len(tables)
     held = [None] * len(tables)
@@ -540,7 +551,8 @@ def test_two_threads_proving_at_once_do_not_share_scratch():
         rounds = None
         for _ in range(3):
             rounds = list(proof_steps(
-                F2Prover(F, u, backend=be, freq=tables[k]), challenges))
+                BatchedSumcheckEngine(F, u, backend=be, freq_a=tables[k]),
+                batch_f2(), challenges))
         got[k] = rounds
         held[k] = be.tile_scratch(TILE_ELEMENTS)
 

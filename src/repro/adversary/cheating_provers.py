@@ -38,56 +38,6 @@ class ModifiedStreamF2Prover(BatchedSumcheckEngine):
         self.freq_a = honest
 
 
-class OffsetClaimF2Prover(BatchedSumcheckEngine):
-    """Shifts the first message to inflate the claimed F2, then plays
-    honestly — caught by the round-2 consistency check."""
-
-    def __init__(self, field: PrimeField, u: int, offset: int = 1):
-        super().__init__(field, u)
-        self.offset = offset
-        self._first = True
-
-    def receive_batch(self, queries) -> None:
-        super().receive_batch(queries)
-        self._first = True
-
-    def round_messages(self) -> List[List[int]]:
-        messages = super().round_messages()
-        if self._first:
-            self._first = False
-            for msg in messages:
-                msg[0] = (msg[0] + self.offset) % self.field.p
-        return messages
-
-
-class AdaptiveF2Cheater(BatchedSumcheckEngine):
-    """The strongest lying strategy available without knowing r.
-
-    Inflates the claim by δ and then *keeps every consistency check
-    satisfied* by smearing the lie: sending g'_j = g_j + δ_j with constant
-    δ_j = δ / 2^j (so g'_j(0) + g'_j(1) = g'_{j-1}(r_{j-1}) holds exactly).
-    Only the final check against f_a(r)² — private to the verifier — can
-    catch it, and it does: g'_d(r_d) differs from the honest value by
-    δ / 2^d ≠ 0.
-    """
-
-    def __init__(self, field: PrimeField, u: int, offset: int = 1):
-        super().__init__(field, u)
-        self.offset = offset % field.p
-        self._half = field.inv(2)
-
-    def receive_batch(self, queries) -> None:
-        super().receive_batch(queries)
-        self._drift = self.offset * self._half % self.field.p
-
-    def round_messages(self) -> List[List[int]]:
-        p = self.field.p
-        drift = self._drift
-        self._drift = drift * self._half % p
-        return [[(v + drift) % p for v in msg]
-                for msg in super().round_messages()]
-
-
 class OmittingSubVectorProver(SubVectorProver):
     """Hides one present key from the reported sub-vector (an incomplete
     range scan) — root reconstruction then misses its hash contribution."""
@@ -236,6 +186,29 @@ class PerQueryCheatingBatchEngine(BatchedSumcheckEngine):
             self._drift = self._drift * self._half % p
         self._round += 1
         return messages
+
+
+class OffsetClaimF2Prover(PerQueryCheatingBatchEngine):
+    """Shifts the first message to inflate the claimed F2, then plays
+    honestly — caught by the round-2 consistency check."""
+
+    def __init__(self, field: PrimeField, u: int, offset: int = 1):
+        super().__init__(field, u, offset=offset, style="claim")
+
+
+class AdaptiveF2Cheater(PerQueryCheatingBatchEngine):
+    """The strongest lying strategy available without knowing r.
+
+    Inflates the claim by δ and then *keeps every consistency check
+    satisfied* by smearing the lie: sending g'_j = g_j + δ_j with constant
+    δ_j = δ / 2^j (so g'_j(0) + g'_j(1) = g'_{j-1}(r_{j-1}) holds exactly).
+    Only the final check against f_a(r)² — private to the verifier — can
+    catch it, and it does: g'_d(r_d) differs from the honest value by
+    δ / 2^d ≠ 0.
+    """
+
+    def __init__(self, field: PrimeField, u: int, offset: int = 1):
+        super().__init__(field, u, offset=offset, style="adaptive")
 
 
 def corrupted_copy(stream, key: int, offset: int = 1):

@@ -502,13 +502,11 @@ def run_batched_sumcheck(
     attributed per query on the channel, so
     :meth:`~repro.comm.channel.Channel.query_cost` matches what the same
     query would pay in a standalone run plus the shared challenges.  A
-    batch of one *is* the standalone run, byte for byte — the one-query
-    drivers (:func:`~repro.core.f2.run_f2`, :func:`~repro.core.fk.run_fk`,
-    :func:`~repro.core.inner_product.run_inner_product`,
-    :func:`~repro.core.range_sum.run_range_sum`) are this call: its
-    messages carry the standalone labels, and once every member has
-    failed the verifier stops talking, as :func:`~repro.core.sumcheck.
-    run_sumcheck_rounds` does.
+    batch of one *is* the standalone run, byte for byte: its messages
+    carry the standalone labels, and once every member has failed the
+    verifier stops talking, as :func:`~repro.core.sumcheck.
+    run_sumcheck_rounds` does.  The one-query drivers
+    (:func:`~repro.core.f2.run_f2` and its siblings) are this call.
 
     ``prover`` is a :class:`BatchedSumcheckEngine` (or the service
     layer's remote proxy with the same ``d`` and ``receive_batch`` /

@@ -17,6 +17,7 @@ evaluations sum to the claim, and the target.  The streaming verifier
 states live here too: one LDE (:class:`SingleLDEVerifier`) or two at
 one point (:class:`InnerProductVerifier`).
 """
+
 from __future__ import annotations
 
 import random

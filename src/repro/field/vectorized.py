@@ -1578,15 +1578,9 @@ def _f2_sums_m61(backend: "VectorizedField", field: PrimeField,
 def f2_round_sums(backend: Backend, field: PrimeField, table) -> List[int]:
     """[g(0), g(1), g(2)] of the F2 sum-check round polynomial
     ``g(c) = Σ_t ((1-c)·A[2t] + c·A[2t+1])²``: order 2 of
-    :func:`moment_round_sums`, for the standalone F2 prover, the shard
-    workers and the coordinator."""
+    :func:`moment_round_sums`, for the shard workers and the
+    coordinator."""
     return moment_round_sums(backend, field, table, (2,))[2]
-
-
-def fk_round_sums(backend: Backend, field: PrimeField, table, k: int) -> List[int]:
-    """[g(0), ..., g(k)] of the degree-k sum-check round polynomial:
-    order k of :func:`moment_round_sums`."""
-    return moment_round_sums(backend, field, table, (k,))[k]
 
 
 def inner_product_round_sums(

@@ -107,7 +107,7 @@ def build_batch_session(backend_name, u, updates_a, updates_b, point):
     return engine, verifier, backend
 
 
-def run_standalone(query, backend_name, u, updates_a, updates_b, point):
+def run_standalone(query, u, updates_a, updates_b, point):
     """The query alone through its one-query driver, same point and
     challenges, proved by the reference prover."""
     prover = ReferenceProver(F, u, updates_a, updates_b)
@@ -212,7 +212,7 @@ def test_batched_transcripts_byte_identical_to_standalone(backend_name, case):
         assert result.accepted, (query.name, result.reason)
         assert result.value == expected[idx]
         single_result, single_channel = run_standalone(
-            query, backend_name, u, updates_a, updates_b, point
+            query, u, updates_a, updates_b, point
         )
         assert single_result.accepted
         assert single_result.value == result.value
@@ -294,7 +294,7 @@ def assert_batch_equals_the_oracle(backend_name, u, updates_a, queries,
     results = run_batched_sumcheck(engine, verifier, queries, channel)
     for idx, query in enumerate(queries):
         single_result, single_channel = run_standalone(
-            query, backend_name, u, updates_a, [], point
+            query, u, updates_a, [], point
         )
         assert single_result.accepted and results[idx].accepted
         assert single_result.value == results[idx].value
@@ -367,7 +367,7 @@ def test_single_query_batch_matches_standalone(backend_name, query):
     channel = Channel()
     result = run_batched_sumcheck(engine, verifier, [query], channel)[0]
     single_result, single_channel = run_standalone(
-        query, backend_name, u, updates_a, updates_b, point
+        query, u, updates_a, updates_b, point
     )
     assert result.accepted and single_result.accepted
     assert result.value == single_result.value
@@ -433,9 +433,9 @@ def test_driver_never_reveals_the_last_challenge():
 
 
 def test_driver_rejects_a_prover_of_another_dimension():
-    """A larger engine than the verifier's universe was accepted and a
-    smaller one crashed a kernel; both are now rejected on every member
-    before the prover sees the batch."""
+    """An engine over a larger or a smaller universe than the verifier's
+    is rejected on every member before it sees the batch (a larger one
+    would otherwise prove, a smaller one crash in a kernel)."""
     for prover_u in (128, 32):
         engine = BatchedSumcheckEngine(F, prover_u)
         engine.process_stream([(3, 2), (9, 1)])

@@ -36,7 +36,6 @@ from repro.field.vectorized import (
     ScalarBackend,
     VectorizedField,
     f2_round_sums,
-    fk_round_sums,
     fold_pairs,
     frozen_table,
     inner_product_round_sums,
@@ -240,8 +239,8 @@ def test_vectorized_kernels_equal_the_scalar_backend(pairs, more, r):
                 be.pair_segment_sums(be.asarray(values), start, end) == \
                 sb.pair_segment_sums(values, start, end)
     for k in range(1, 8):
-        assert fk_round_sums(be, F, be.asarray(values), k) == \
-            fk_round_sums(sb, F, values, k)
+        assert moment_round_sums(be, F, be.asarray(values), (k,))[k] == \
+            moment_round_sums(sb, F, values, (k,))[k]
 
 
 # -- round messages from pair moments --------------------------------------------
@@ -336,7 +335,8 @@ def test_a_set_of_orders_is_the_one_order_calls(backend):
         table = backend.asarray(values)
         together = moment_round_sums(backend, F, table, [5, 2, 3, 2])
         assert together == {
-            k: fk_round_sums(backend, F, table, k) for k in (2, 3, 5)}
+            k: moment_round_sums(backend, F, table, (k,))[k]
+            for k in (2, 3, 5)}
         assert together[2] == f2_round_sums(backend, F, table)
         check_moments(backend, values, [2, 3, 5])
     assert moment_round_sums(backend, F, table, []) == {}
@@ -356,8 +356,9 @@ def test_fk_messages_equal_the_scalar_backend(p):
     for length in (2, 4, 64):
         values = [0, p - 1] + [rng.randrange(p) for _ in range(length - 2)]
         for k in range(1, 8):
-            assert fk_round_sums(be, field, be.asarray(values), k) == \
-                fk_round_sums(sb, field, values, k) == \
+            assert moment_round_sums(be, field, be.asarray(values),
+                                     (k,))[k] == \
+                moment_round_sums(sb, field, values, (k,))[k] == \
                 moment_oracle(values, k, p)
 
 
@@ -372,8 +373,8 @@ def test_moments_agree_on_every_execution_path(k, p, pairs):
     sb, be = ScalarBackend(field), VectorizedField(field)
     values = [v % p for pair in pairs for v in pair]
     want = moment_oracle(values, k, p)
-    assert fk_round_sums(sb, field, values, k) == want
-    assert fk_round_sums(be, field, be.asarray(values), k) == want
+    assert moment_round_sums(sb, field, values, (k,))[k] == want
+    assert moment_round_sums(be, field, be.asarray(values), (k,))[k] == want
     orders = [k, 2, max(1, k - 2)]
     assert moment_round_sums(be, field, be.asarray(values), orders) == \
         moment_round_sums(sb, field, values, orders)
@@ -471,7 +472,7 @@ def test_a_frozen_table_is_never_written(backend, name):
     inner_product_round_sums(backend, F, other, table)
     state = backend.pair_prefix_sums(table)
     backend.prefix_segment_sums(state, 3, len(values) // 2 - 1)
-    fk_round_sums(backend, F, table, 3)
+    moment_round_sums(backend, F, table, (3,))[3]
     assert backend.to_list(table) == values
     if backend.vectorized:
         assert not table.flags.writeable

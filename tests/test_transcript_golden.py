@@ -15,7 +15,11 @@ RANGE-SUM query outside the batched engine; the two ``*-u1024`` runs at
 their folds reach ``SMALL_TABLE`` mid-proof, where a ``U = 64`` run's
 first fold already does; the two ``*-u65536`` runs at 2835c7d, while
 every proof still folded its whole dense table from round 0 — a few
-hundred Zipf keys in 2^16, so a proof whose early rounds touch few pairs
+hundred Zipf keys in 2^16, so a proof whose early rounds touch few pairs;
+the three ``heavy-hitters*`` rows and the two ``sparse-*-u2^48`` rows at
+52b13e8, while heavy hitters still built its own count pyramid and the
+sparse provers their own scatter-pass tables — 2 355 keys in 2^48, above
+the sparse provers' NumPy cut-over then
 (``python tests/test_transcript_golden.py`` prints the table).
 """
 
@@ -41,6 +45,11 @@ from repro.core.frequency_based import (
     default_phi,
     run_frequency_based,
 )
+from repro.core.heavy_hitters import (
+    HeavyHittersProver,
+    HeavyHittersVerifier,
+    run_heavy_hitters,
+)
 from repro.core.inner_product import (
     InnerProductVerifier,
     run_inner_product,
@@ -56,6 +65,8 @@ from repro.core.multiquery import (
     run_batched_sumcheck,
 )
 from repro.core.range_sum import RangeSumVerifier, run_range_sum
+from repro.core.sparse import SparseF2Prover, SparseSubVectorProver
+from repro.core.sumcheck import run_sumcheck_rounds
 from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY, get_backend
@@ -66,6 +77,7 @@ from repro.service import (
     ServiceClient,
     f2,
     fk,
+    heavy_hitters,
     inner_product,
     range_sum,
 )
@@ -96,6 +108,20 @@ U_SPARSE = 1 << 16
 SPARSE_A = list(zipf_stream(U_SPARSE, 600, rng=random.Random(107)).updates())
 SPARSE_B = SPARSE_A[:200] + list(
     zipf_stream(U_SPARSE, 200, rng=random.Random(108)).updates())
+
+#: A strict Zipf stream over ``U_LARGE``: a few heavy keys, and heavy
+#: parents on every level down to the leaves.
+HEAVY_A = list(zipf_stream(U_LARGE, 2000, rng=random.Random(109)).updates())
+
+#: More keys than the sparse provers' NumPy cut-over, in a universe no
+#: dense table fits: most scattered, a run of them packed close enough
+#: that their pairs share ids from round 0.
+U_HUGE = 1 << 48
+_HUGE_RNG = random.Random(110)
+HUGE_A = [(_HUGE_RNG.randrange(U_HUGE), _HUGE_RNG.randrange(1, 6))
+          for _ in range(1800)] + [
+    ((1 << 40) + _HUGE_RNG.randrange(1000), _HUGE_RNG.randrange(1, 6))
+    for _ in range(800)]
 
 
 def _digest(transcript) -> str:
@@ -243,6 +269,39 @@ def golden_lookup_and_scan(be):
     return digests, counts, result.verifier_space_words
 
 
+def golden_heavy_hitters(be, low_space=False, seed=24):
+    phi = 0.02
+    prover = HeavyHittersProver(F, U_LARGE, phi, backend=be)
+    verifier = HeavyHittersVerifier(F, U_LARGE, phi, rng=random.Random(seed))
+    _feed(HEAVY_A, prover, verifier)
+    channel = Channel()
+    result = run_heavy_hitters(prover, verifier, channel, low_space=low_space)
+    return _single(result, channel)
+
+
+def golden_sparse_f2(be):
+    prover = SparseF2Prover(F, U_HUGE, backend=be)
+    verifier = F2Verifier(F, U_HUGE, rng=random.Random(26))
+    _feed(HUGE_A, prover, verifier)
+    channel = Channel()
+    prover.begin_proof()
+    result = run_sumcheck_rounds(prover, verifier, channel, message_len=3,
+                                 target=verifier.lde.value ** 2,
+                                 target_name="f_a(r)^2")
+    return _single(result, channel)
+
+
+def golden_sparse_range_query(be):
+    prover = SparseSubVectorProver(F, U_HUGE, backend=be)
+    verifier = TreeHashVerifier(F, U_HUGE, rng=random.Random(27))
+    _feed(HUGE_A, prover, verifier)
+    channel = Channel()
+    result = run_subvector(prover, verifier, (1 << 40) + 100,
+                           (1 << 40) + 700, channel)
+    return (_digest(channel.transcript), result.value.k,
+            result.verifier_space_words)
+
+
 def _random_add_mul_circuit(seed):
     """Layers of 2, 4 and 8 random add/mul gates over 16 inputs, wires
     drawn with repetition so values fan out (and a gate may read one
@@ -350,6 +409,13 @@ SCENARIOS = {
         range_sum(5, 40), ("range-sum",), 18),
     "f2-wire-tampered": lambda be: golden_single_over_the_wire(
         f2(), ("f2",), 19, tamper=flip_word(2)),
+    "heavy-hitters": golden_heavy_hitters,
+    "heavy-hitters-low-space": lambda be: golden_heavy_hitters(
+        be, low_space=True, seed=25),
+    "heavy-hitters-wire": lambda be: golden_single_over_the_wire(
+        heavy_hitters(1, 32), ("heavy-hitters", 1, 32), 28),
+    "sparse-f2-u2^48": golden_sparse_f2,
+    "sparse-range-query-u2^48": golden_sparse_range_query,
 }
 
 #: name -> (sha256 of the encoded transcript, value(s), verifier words);
@@ -388,6 +454,15 @@ GOLDEN = {
     "frequency-based-f0": (
         "fd9b8dbdd10cd67b06a138dfbf3cc5ff518d7c699e71224ea5890a2b495e0060",
         46, 103),
+    "heavy-hitters": (
+        "0040cab425061b32151e739e2501f3e502fa650794ab8f0be7f0ceb6c0812b4e",
+        {194: 365, 415: 164, 483: 54, 566: 76, 570: 47, 710: 111}, 172),
+    "heavy-hitters-low-space": (
+        "8a14ce80236ae1a898d48f48ad3b3aab17f2475b3e9c2d5b45199c4e42d975be",
+        {194: 365, 415: 164, 483: 54, 566: 76, 570: 47, 710: 111}, 172),
+    "heavy-hitters-wire": (
+        "95467bb4c85ddb1a5ee7685842e79e234de4421244672ea42e23d63df38bc5ce",
+        [{19: 8, 28: 8, 30: 11, 40: 8, 44: 9, 46: 12, 58: 12}], 110),
     "general-f2-ell3": (
         "5a7d34b73d23f71d380c7a05bbb834b7620ad1b386909c69e5c5330b69e73187",
         2032, 12),
@@ -435,6 +510,12 @@ GOLDEN = {
     "range-sum-wire": (
         "6d65b59c24118198455a2dc5e0e1774d9d7b4f8ac7c3fbdfc6401f102beefea3",
         [136], 12),
+    "sparse-f2-u2^48": (
+        "5dc7d9a13a9b661a6ca03a44174305706ac79edbd607f7eb37c9e4ab00ebfac8",
+        33692, 54),
+    "sparse-range-query-u2^48": (
+        "e25e4dfe813ae1ece88f1b288d2e9d41df765520efa61a56ac4fde35f325269a",
+        332, 241),
     "two-order-batch": (
         "a04589a35016cf0e5d799e8508193ca2cfb0b91e74c5adcd824faf8bdf40e499",
         [1510, 11780, 103786, 136, 456], 36),

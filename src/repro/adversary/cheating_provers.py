@@ -101,12 +101,11 @@ class ConcealingHeavyHittersProver(HeavyHittersProver):
 
     def begin_proof(self) -> None:
         super().begin_proof()
-        # Reduce the concealed leaf's count to 0 along its whole root path.
-        removed = self._counts[0][self.conceal_key]
-        idx = self.conceal_key
-        for level in range(len(self._counts)):
-            self._counts[level][idx] -= removed
-            idx >>= 1
+        # Zero the concealed leaf's count, in a copy of the leaf counts:
+        # every ancestor's count folds from it.
+        counts = self._be.to_list(self._counts)
+        counts[self.conceal_key] = 0
+        self._counts = self._be.asarray(counts)
 
 
 class InflatingHeavyHittersProver(HeavyHittersProver):
@@ -120,10 +119,9 @@ class InflatingHeavyHittersProver(HeavyHittersProver):
 
     def begin_proof(self) -> None:
         super().begin_proof()
-        idx = self.inflate_key
-        for level in range(len(self._counts)):
-            self._counts[level][idx] += self.amount
-            idx >>= 1
+        counts = self._be.to_list(self._counts)
+        counts[self.inflate_key] += self.amount
+        self._counts = self._be.asarray(counts)
 
 
 class PerQueryCheatingBatchEngine(BatchedSumcheckEngine):

@@ -15,7 +15,10 @@ heavy node's record from its children and finally compares the root with
 ``(t, n)``.
 
 Proof size O(1/φ · log u): at most O(1/φ) nodes per level have a heavy
-parent.  Streams must be strict (non-negative frequencies).
+parent.  The protocol answers strict streams (non-negative frequencies),
+where every subtree count lies in [0, n]: the verifier rejects any record
+whose count exceeds n, so a stream whose counts went negative gets a
+rejection, never a residue near p passed off as a heavy count.
 """
 
 from __future__ import annotations
@@ -34,7 +37,13 @@ from repro.core.base import (
     rejected,
 )
 from repro.field.modular import PrimeField
-from repro.field.vectorized import canonical_table, get_backend
+from repro.field.vectorized import (
+    canonical_table,
+    fold_pairs,
+    get_backend,
+    indices_within,
+    small_tables,
+)
 from repro.lde.streaming import (
     DEFAULT_BLOCK,
     FUSE_LIMIT,
@@ -42,11 +51,6 @@ from repro.lde.streaming import (
     UpdateBlock,
     iter_blocks,
 )
-
-try:  # NumPy is optional; the scalar reference path needs none of this.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 
 def heavy_threshold(phi: float, n: int) -> int:
@@ -67,23 +71,28 @@ class NodeRecord:
 
 
 class HeavyHittersProver:
-    """Stores the vector; builds per-level counts and folds hashes.
+    """Stores the vector; folds subtree counts and hashes level by level.
 
-    Under a vectorized backend the count pyramid is built with adjacent-
-    pair array adds (exact int64 subtree counts), each level's heavy
-    parents are selected with one comparison + ``nonzero`` pass, and the
-    per-level hash fold runs as whole-array operations — no per-node
-    Python lists.  The scalar path below is the bit-identical reference.
+    Counts and hashes are residue tables, each level one
+    :func:`~repro.field.vectorized.fold_pairs` of the level below: a
+    count is ``E + O`` (r = 1, ``zero_weight=1``), a hash ``E + r_l·O``
+    plus ``s_l`` times the folded count.  On a strict stream every
+    subtree count lies in [0, n] and n < p, so the residues are the exact
+    counts.  A proof starts from ``freq``, which no fold writes, and
+    finishes on Python ints once a level is down to
+    :data:`~repro.field.vectorized.SMALL_TABLE` entries
+    (:func:`~repro.field.vectorized.small_tables`).
     """
 
-    def __init__(self, field: PrimeField, u: int, phi: float, backend=None):
+    def __init__(self, field: PrimeField, u: int, phi: float, backend=None,
+                 freq=None):
         self.field = field
         self.u = u
         self.phi = phi
         self.d = pow2_dimension(u)
         self.size = 1 << self.d
         self.backend = backend if backend is not None else get_backend(field)
-        self.freq: List[int] = [0] * self.size
+        self.freq = freq if freq is not None else [0] * self.size
 
     def process(self, i: int, delta: int) -> None:
         self.freq[i] += delta
@@ -100,96 +109,37 @@ class HeavyHittersProver:
     # -- proof phase ---------------------------------------------------------
 
     def begin_proof(self) -> None:
-        p = self.field.p
-        be = self.backend
-        self._vectorized = False
-        if getattr(be, "vectorized", False) and _np is not None:
-            counts0 = self.freq  # a dataset hands over its int64 column
-            if getattr(counts0, "dtype", None) != _np.int64:
-                try:
-                    counts0 = _np.fromiter(
-                        counts0, dtype=_np.int64, count=self.size
-                    )
-                except (OverflowError, TypeError):
-                    counts0 = None  # does not fit int64: scalar path
-            if counts0 is not None:
-                # Exact int64 subtree counts (strict streams keep every
-                # count in [0, n], far below 2^63), canonical hash array.
-                self._counts = [counts0]
-                while len(self._counts[-1]) > 1:
-                    lower = self._counts[-1]
-                    self._counts.append(lower[0::2] + lower[1::2])
-                self._n = int(self._counts[-1][0])
-                self._tau = heavy_threshold(self.phi, self._n)
-                self._hashes = canonical_table(be, self.field, self.freq)
-                self._level = 0
-                self._vectorized = True
-                return
-        # Counts for every level, built bottom-up (integers, exact).
-        self._counts = [list(self.freq)]
-        while len(self._counts[-1]) > 1:
-            lower = self._counts[-1]
-            self._counts.append(
-                [lower[t] + lower[t + 1] for t in range(0, len(lower), 2)]
-            )
-        self._n = self._counts[-1][0]
+        leaves = canonical_table(self.backend, self.field, self.freq)
+        self._n = self.backend.sum(leaves)
         self._tau = heavy_threshold(self.phi, self._n)
-        self._hashes = [f % p for f in self.freq]
-        self._level = 0
+        self._be, self._counts, self._hashes = small_tables(
+            self.backend, self.field, leaves, leaves)
 
     def round_message(self) -> List[NodeRecord]:
-        """Level-l records for all nodes whose parent is heavy."""
-        l = self._level
-        parent_counts = self._counts[l + 1]
-        counts = self._counts[l]
-        hashes = self._hashes
-        p = self.field.p
-        if self._vectorized:
-            # One comparison pass selects the heavy parents; their
-            # children are gathered pairwise (index order matches the
-            # scalar loop: parents ascending, left child then right).
-            parents = _np.nonzero(parent_counts >= self._tau)[0]
-            children = _np.empty(2 * parents.shape[0], dtype=_np.int64)
-            children[0::2] = 2 * parents
-            children[1::2] = 2 * parents + 1
-            child_hashes = self.backend.take(hashes, children)
-            child_counts = counts[children] % p
-            return [
-                NodeRecord(int(idx), int(h), int(c))
-                for idx, h, c in zip(
-                    children.tolist(),
-                    child_hashes.tolist(),
-                    child_counts.tolist(),
-                )
-            ]
-        out = []
-        for parent_idx, parent_count in enumerate(parent_counts):
-            if parent_count < self._tau:
-                continue
-            for child in (2 * parent_idx, 2 * parent_idx + 1):
-                out.append(
-                    NodeRecord(child, hashes[child], counts[child] % p)
-                )
-        return out
+        """Level-l records for all nodes whose parent is heavy: counted
+        in [τ, n], parents ascending, left child then right."""
+        be = self._be
+        self._parents = fold_pairs(be, self.field, self._counts, 1,
+                                   zero_weight=1)
+        children = [
+            child
+            for parent in indices_within(self._parents, self._tau, self._n)
+            for child in (2 * parent, 2 * parent + 1)
+        ]
+        ids = be.index_array(children)
+        return list(map(NodeRecord, children,
+                        be.to_list(be.take(self._hashes, ids)),
+                        be.to_list(be.take(self._counts, ids))))
 
     def receive_randomness(self, r_l: int, s_l: int) -> None:
-        """Fold the hash array one level up with the revealed (r_l, s_l)."""
-        p = self.field.p
-        hashes = self._hashes
-        counts_up = self._counts[self._level + 1]
-        if self._vectorized:
-            be = self.backend
-            self._hashes = be.add(
-                be.add(hashes[0::2], be.mul(r_l, hashes[1::2])),
-                be.mul(s_l, be.asarray(counts_up)),
-            )
-            self._level += 1
-            return
-        self._hashes = [
-            (hashes[2 * t] + r_l * hashes[2 * t + 1] + s_l * (counts_up[t] % p)) % p
-            for t in range(len(counts_up))
-        ]
-        self._level += 1
+        """Fold the hashes one level up with the revealed (r_l, s_l)."""
+        be = self._be
+        hashes = be.add(
+            fold_pairs(be, self.field, self._hashes, r_l, zero_weight=1),
+            be.mul(s_l, self._parents),
+        )
+        self._be, self._counts, self._hashes = small_tables(
+            be, self.field, self._parents, hashes)
 
 
 class HeavyHittersVerifier(StreamSketch):
@@ -350,9 +300,11 @@ def run_heavy_hitters(
     channel: Optional[Channel] = None,
     low_space: bool = False,
 ) -> VerificationResult:
-    """Run the d-round heavy-hitters protocol.
+    """Run the d-round heavy-hitters protocol over a strict stream.
 
     On acceptance the value is ``{key: frequency}`` for every φ-heavy key.
+    A record counting more than the stream's mass n is rejected: no
+    subtree of a strict stream holds more.
 
     With ``low_space=True`` the verifier runs the improved
     (log u, 1/φ·log u) variant from the end of Section 6.1: instead of
@@ -397,6 +349,14 @@ def run_heavy_hitters(
             return rejected(
                 ch.transcript,
                 "level %d: indices not sorted/unique/in-range" % l,
+                verifier.space_words,
+            )
+        over = [rec.index for rec in records if rec.count > verifier.n]
+        if over:
+            return rejected(
+                ch.transcript,
+                "level %d: node %d counts more than the stream's mass n"
+                % (l, over[0]),
                 verifier.space_words,
             )
         by_index = {rec.index: rec for rec in records}

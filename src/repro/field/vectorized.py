@@ -1228,6 +1228,36 @@ def compact_tables(backend: Backend, field: PrimeField, *tables):
         for table in tables)
 
 
+def compact_entries(backend: Backend, field: PrimeField, entries, size: int):
+    """``(layout, backend, table)`` a proof over a dense table of ``size``
+    entries starts on, built from ``entries`` — its nonzero entries as an
+    ``{index: value}`` dictionary, every index below 2^64 — without the
+    dense table: laid out as :func:`compact_tables` would leave it while
+    the pairs touched are at most :data:`COMPACT_SHARE` of the pairs,
+    else dense (then at most 16/3 entries a key) and through
+    :func:`small_tables`.  None on the scalar backend, whose provers
+    keep the dictionary.
+    """
+    if not getattr(backend, "vectorized", False):
+        return None
+    keys = _np.fromiter(entries, dtype=_np.uint64, count=len(entries))
+    order = _np.argsort(keys)
+    keys = keys[order]
+    values = backend.asarray(list(entries.values()))[order]
+    # Pair ids are below 2^63 and a key's low bit survives the view.
+    halves = (keys >> _np.uint64(1)).view(_np.int64)
+    starts = _np.ones(len(keys), dtype=bool)
+    _np.not_equal(halves[1:], halves[:-1], out=starts[1:])
+    kept = _np.count_nonzero(starts)
+    if size > SMALL_TABLE and kept <= COMPACT_SHARE * (size // 2):
+        return (CompactPairs(halves[starts], size // 2), backend,
+                *_repaired(backend, keys.view(_np.int64), starts, kept,
+                           (values,)))
+    table = backend.zeros(size)
+    table[keys] = values
+    return (None,) + small_tables(backend, field, table)
+
+
 def _take_pairs(table, ids):
     """Pairs ``ids`` of ``table``, interleaved as in the table; a
     ``uint64`` pair is copied as one 16-byte element (4× a 2-D take)."""
@@ -1299,13 +1329,21 @@ def entry_reader(table, layout, indices):
     ids = layout.ids
     if not indices or not len(ids):
         return dict.fromkeys(indices, 0).__getitem__
-    wanted = _np.asarray(indices, dtype=ids.dtype)
-    pairs = wanted >> 1
+    # Split in Python: an entry index may pass 2^63, its pair id never.
+    pairs = _np.asarray([i >> 1 for i in indices], dtype=ids.dtype)
     at = _np.searchsorted(ids, pairs)
     _np.minimum(at, len(ids) - 1, out=at)
-    values = table[2 * at + (wanted & 1)]
+    values = table[2 * at + [i & 1 for i in indices]]
     values[ids[at] != pairs] = 0
     return dict(zip(indices, values.tolist())).__getitem__
+
+
+def indices_within(table, low: int, high: int) -> List[int]:
+    """Ascending indices of a dense table's entries inside
+    ``[low, high]``, as Python ints."""
+    if isinstance(table, (list, tuple)):
+        return [i for i, value in enumerate(table) if low <= value <= high]
+    return _np.flatnonzero((table >= low) & (table <= high)).tolist()
 
 
 def pair_runs(layout, runs):

@@ -148,11 +148,6 @@ class Dataset:
             self._tables[vector] = table
         return table
 
-    def raw_counts(self, vector: int):
-        """A private copy of one vector's exact count column (heavy
-        hitters needs signed counts, not residues)."""
-        return self._counts[vector].copy()
-
     def _log_columns(self, start: int, count: int):
         """Log entries ``[start, start + count)`` as three columns."""
         if start < 0:

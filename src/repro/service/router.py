@@ -344,8 +344,9 @@ class QueryRouter:
         canonical tables of ``dataset`` (a registry ``Dataset``) without
         a copy, so an in-flight proof stays consistent while other
         sessions keep streaming; ``f2(workers=w)`` runs the Section 7
-        coordinator over ``w`` slices of that table.  Heavy hitters needs
-        raw counts, not residues: it takes a copy of the count column.
+        coordinator over ``w`` slices of that table.  Heavy hitters folds
+        it too: on the strict stream it answers, the residues are the
+        exact subtree counts.
 
         A unit off the wire is checked, not trusted, before anything is
         built: a batched unit is one or more descriptors the engine runs,
@@ -382,10 +383,9 @@ class QueryRouter:
             if den == 0 or not 0 < num / den <= 1:
                 raise RoutingError("heavy-hitters phi %d/%d invalid"
                                    % (num, den))
-            prover = HeavyHittersProver(field, u, num / den,
-                                        backend=dataset.backend)
-            prover.freq = dataset.raw_counts(0)
-            return prover
+            return HeavyHittersProver(field, u, num / den,
+                                      backend=dataset.backend,
+                                      freq=table(0))
         raise RoutingError("unroutable kind %r" % (kind,))
 
     # -- drivers -------------------------------------------------------------

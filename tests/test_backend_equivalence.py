@@ -291,16 +291,16 @@ def test_tree_hash_batched_ingest_matches_loop(normalized):
 
 
 def run_sparse_f2_with(backend_name, monkeypatch=None):
-    from repro.core.sparse import SparseF2Prover
+    from repro.core import sparse
 
     if monkeypatch is not None:
-        # Force the scatter path even below the size crossover.
-        monkeypatch.setattr(SparseF2Prover, "VECTOR_MIN_KEYS", 0)
+        # Force the kernel path even below the size crossover.
+        monkeypatch.setattr(sparse, "VECTOR_MIN_KEYS", 0)
     u = 1 << 12
     updates = mixed_updates(u, 400, seed=87)
     point = F.rand_vector(random.Random(89), 12)
     verifier = F2Verifier(F, u, point=point)
-    prover = SparseF2Prover(F, u, backend=get_backend(F, backend_name))
+    prover = sparse.SparseF2Prover(F, u, backend=get_backend(F, backend_name))
     for i, delta in updates:
         verifier.process(i, delta)
         prover.process(i, delta)
@@ -322,17 +322,17 @@ def test_sparse_f2_transcript_identical_across_backends(monkeypatch):
 
 
 def run_sparse_subvector_with(backend_name, normalized, monkeypatch=None):
-    from repro.core.sparse import SparseF2Prover, SparseSubVectorProver
+    from repro.core import sparse
 
     if monkeypatch is not None:
-        monkeypatch.setattr(SparseF2Prover, "VECTOR_MIN_KEYS", 0)
+        monkeypatch.setattr(sparse, "VECTOR_MIN_KEYS", 0)
     u = 1 << 11
     rng = random.Random(91)
     updates = [(rng.randrange(u), rng.randrange(1, 50)) for _ in range(120)]
     point = F.rand_vector(random.Random(93), 11)
     verifier = TreeHashVerifier(F, u, point=point, normalized=normalized)
-    prover = SparseSubVectorProver(F, u, normalized=normalized,
-                                   backend=get_backend(F, backend_name))
+    prover = sparse.SparseSubVectorProver(
+        F, u, normalized=normalized, backend=get_backend(F, backend_name))
     for i, delta in updates:
         verifier.process(i, delta)
         prover.process(i, delta)

@@ -344,6 +344,34 @@ def test_compact_reads_return_zero_for_an_absent_pair():
     assert (read(3), read(6)) == (0, 0)
 
 
+def test_a_key_dictionary_starts_as_its_dense_table_would():
+    """``compact_entries`` lays a dictionary out as ``compact_tables``
+    lays out the dense table, on both sides of the cut, keys past 2^63
+    included; on the scalar backend the dictionary stays."""
+    backend = V.get_backend(F, "vectorized")
+    pairs = 1 << 12
+    limit = CUT[0] * pairs // CUT[1]
+    for touched, compact in ((limit, True), (limit + 1, False)):
+        dense = _table_touching(pairs, touched)
+        entries = {i: v for i, v in enumerate(dense.tolist()) if v}
+        layout, be, table = V.compact_entries(backend, F, entries, 2 * pairs)
+        want_layout, want = V.compact_tables(backend, F, dense)
+        assert be is backend and table.tolist() == want.tolist()
+        if compact:
+            assert layout.ids.tolist() == want_layout.ids.tolist()
+            assert layout.pairs == pairs
+        else:
+            assert layout is None and want_layout is None
+    top = 1 << 64
+    layout, _be, table = V.compact_entries(
+        backend, F, {top - 1: 5, 1 << 63: -1, top - 2: 3}, top)
+    assert layout.ids.tolist() == [1 << 62, (1 << 63) - 1]
+    assert table.tolist() == [F.p - 1, 0, 3, 5]
+    read = V.entry_reader(table, layout, [top - 1, top - 3, 1 << 63])
+    assert (read(top - 1), read(top - 3), read(1 << 63)) == (5, 0, F.p - 1)
+    assert V.compact_entries(V.ScalarBackend(F), F, {3: 1}, 8) is None
+
+
 def test_a_reused_prover_starts_again_from_the_shared_table(monkeypatch):
     """Each proof derives its compact form afresh from the one shared
     canonical table, which no proof writes."""

@@ -168,8 +168,8 @@ def test_counts_stay_exact_past_int64(backend_name):
     assert dataset.freq_a[5] == 12 * HALF + 1 > 1 << 63
     assert dataset.freq_a[7] == -12 * HALF + 1 < -(1 << 63)
     if backend_name == "vectorized":
-        assert dataset.raw_counts(0).dtype == object
-        assert dataset.raw_counts(1).dtype == "int64"
+        assert dataset._counts[0].dtype == object
+        assert dataset._counts[1].dtype == "int64"
     # A delta that does not fit a machine word is exact too, in the
     # counts, the log and what a snapshot would write.
     wide = [(3, 1 << 70), (3, -(1 << 64)), (4, 2)]

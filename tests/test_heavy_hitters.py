@@ -17,10 +17,12 @@ from repro.core.heavy_hitters import (
     run_heavy_hitters,
 )
 from repro.field.modular import DEFAULT_FIELD
+from repro.field.vectorized import HAVE_NUMPY, get_backend, indices_within
 from repro.streams.generators import zipf_stream
 from repro.streams.model import Stream
 
 F = DEFAULT_FIELD
+BACKENDS = ["scalar"] + (["vectorized"] if HAVE_NUMPY else [])
 
 
 def run_on(stream, phi, seed=0, channel=None):
@@ -175,3 +177,37 @@ def test_witness_structure_present():
     level0 = [m for m in result.transcript.messages if m.label == "level0"][0]
     listed_keys = list(level0.payload[0::3])
     assert 0 in listed_keys and 1 in listed_keys  # witness sibling listed
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_heavy_parents_are_the_entries_within_tau_and_n(backend_name):
+    table = get_backend(F, backend_name).asarray([5, 0, 7, 3, F.p - 2, 4])
+    assert indices_within(table, 3, 5) == [0, 3, 5]
+    assert indices_within(table, 6, 5) == []
+
+
+#: Streams whose counts went negative, so some subtree holds more than n
+#: or a residue near p: the first once passed a count of p - 3 off as a
+#: heavy hitter, the second rejected the honest prover for a node whose
+#: count, 40, exceeds n = 12.
+OVER_THE_MASS = [
+    [(1, 5), (2, 10), (3, -3), (4, 6)],
+    [(0, 1), (2, 1), (3, -30), (8, 40)],
+]
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("low_space", [False, True])
+@pytest.mark.parametrize("updates", OVER_THE_MASS)
+def test_counts_above_the_mass_are_rejected(updates, low_space,
+                                            backend_name):
+    be = get_backend(F, backend_name)
+    verifier = HeavyHittersVerifier(F, 16, 0.3, rng=random.Random(1),
+                                    backend=be)
+    prover = HeavyHittersProver(F, 16, 0.3, backend=be)
+    for i, delta in updates:
+        verifier.process(i, delta)
+        prover.process(i, delta)
+    result = run_heavy_hitters(prover, verifier, low_space=low_space)
+    assert not result.accepted
+    assert "more than the stream's mass n" in result.reason

@@ -705,6 +705,17 @@ def test_concealing_heavy_hitters_prover_rejected_over_the_wire():
     assert not outcome.result.accepted
 
 
+def test_heavy_hitters_over_a_negative_column_rejected_over_the_wire(server):
+    """Heavy hitters answers strict streams: once a count went negative,
+    a proof needing a subtree count above n is refused."""
+    with connect(server, 16, fresh_dataset_id(), seed=56) as client:
+        client.provision(("heavy-hitters", 3, 10), 1)
+        client.send_updates([(1, 5), (2, 10), (3, -3), (4, 6)])
+        (outcome,) = client.query(heavy_hitters(3, 10))
+    assert not outcome.result.accepted
+    assert "more than the stream's mass n" in outcome.result.reason
+
+
 def test_tampered_network_rejected_over_the_wire(server):
     """A corrupted frame payload (channel tamper) is caught like any
     dishonest prover — the wire adds no trust."""

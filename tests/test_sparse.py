@@ -15,14 +15,20 @@ from repro.core.multiquery import (
     batch_f2,
     batch_inner_product,
 )
-from repro.core.sparse import SparseF2Prover, SparseSubVectorProver
+from repro.core.sparse import (
+    VECTOR_MIN_KEYS,
+    SparseF2Prover,
+    SparseSubVectorProver,
+)
 from repro.core.sumcheck import run_sumcheck_rounds
 from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field.modular import DEFAULT_FIELD
+from repro.field.vectorized import HAVE_NUMPY, get_backend
 from repro.streams.generators import sparse_stream
 from repro.streams.model import Stream
 
 F = DEFAULT_FIELD
+BACKENDS = ["scalar"] + (["vectorized"] if HAVE_NUMPY else [])
 
 updates_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=63),
@@ -244,3 +250,50 @@ def test_sparse_prover_work_scales_with_n_not_u():
         if j < prover.d - 1:
             prover.receive_challenge(F.rand(rng))
     assert max_table <= 32
+
+
+U_IPV6 = 1 << 64
+
+
+@pytest.mark.parametrize("query", ["f2", "range-scan"])
+def test_sparse_provers_at_u_2_64(monkeypatch, query):
+    """The universe the sparse bound exists for: keys up to 2^64 - 1,
+    more of them than the NumPy cut-over, on both backends — equal
+    transcripts, accepted."""
+    rng = random.Random(11)
+    keys = [rng.randrange(U_IPV6) for _ in range(2 * VECTOR_MIN_KEYS)]
+    keys += [U_IPV6 - 1 - rng.randrange(300)
+             for _ in range(VECTOR_MIN_KEYS)]
+    updates = [(key, rng.randrange(1, 9)) for key in keys]
+    transcripts = []
+    for backend_name in BACKENDS:
+        monkeypatch.setenv("REPRO_BACKEND", backend_name)
+        be = get_backend(F, backend_name)
+        channel = Channel()
+        if query == "f2":
+            verifier = F2Verifier(F, U_IPV6, rng=random.Random(12))
+            prover = SparseF2Prover(F, U_IPV6, backend=be)
+            for i, d in updates:
+                verifier.process(i, d)
+                prover.process(i, d)
+            prover.begin_proof()
+            result = run_sumcheck_rounds(
+                prover, verifier, channel, message_len=3,
+                target=verifier.lde.value ** 2, target_name="the target")
+            answer = result.value
+            expected = sum(f * f for f in prover.freq.values()) % F.p
+        else:
+            verifier = TreeHashVerifier(F, U_IPV6, rng=random.Random(13))
+            prover = SparseSubVectorProver(F, U_IPV6, backend=be)
+            for i, d in updates:
+                verifier.process(i, d)
+                prover.process(i, d)
+            lo = U_IPV6 - 200
+            result = run_subvector(prover, verifier, lo, U_IPV6 - 1, channel)
+            answer = list(result.value.entries)
+            expected = sorted((k, f) for k, f in prover.freq.items()
+                              if k >= lo)
+        assert result.accepted, result.reason
+        assert answer == expected
+        transcripts.append(channel.transcript.messages)
+    assert all(t == transcripts[0] for t in transcripts)

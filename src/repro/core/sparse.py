@@ -8,14 +8,15 @@ entries and keep only its touched pairs until they pass
 :data:`~repro.field.vectorized.COMPACT_SHARE` of it
 (:func:`~repro.field.vectorized.compact_tables`).  The provers here hold
 a frequency *dictionary* instead, so no dense vector of the universe
-ever exists (u up to 2^64), touching O(n) entries per round until the
+ever exists (any u works), touching O(n) entries per round until the
 table densifies — exactly the ``n·log(u/n)`` term in the paper's prover
-bounds.  Under NumPy, from :data:`VECTOR_MIN_KEYS` keys on, a proof
-starts on the same compact layout, built straight from the dictionary
-(:func:`~repro.field.vectorized.compact_entries`), and runs the shared
-kernels from there; below that, and without NumPy, the dictionary loops
-run.  Messages are *identical* to the dense provers' (tested), so these
-are drop-in replacements accepted by the same verifiers.
+bounds.  Under NumPy, from :data:`VECTOR_MIN_KEYS` keys on and while
+u ≤ 2^64, a proof starts on the same compact layout, built straight
+from the dictionary (:func:`~repro.field.vectorized.compact_entries`),
+and runs the shared kernels from there; below that, past 2^64 and
+without NumPy, the dictionary loops run.  Messages are *identical* to
+the dense provers' (tested), so these are drop-in replacements accepted
+by the same verifiers.
 """
 
 from __future__ import annotations

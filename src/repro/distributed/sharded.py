@@ -16,7 +16,9 @@ takes over (the last few rounds are O(#workers) anyway).
 
 Workers ride the backend seam: every partial message is one
 ``f2_round_sums`` call over the shard and every fold one ``fold_pairs``
-pass; the coordinator's reduce is three sums of Python ints.
+pass, on Python ints once a fold leaves a small table
+(:func:`~repro.field.vectorized.small_tables`), as in the engine; the
+coordinator's reduce is three sums of Python ints.
 :func:`run_distributed_f2` drives it: over the service wire
 ``f2(workers=w)`` is a begin_proof / round_message unit of its own, not
 a batch.
@@ -36,6 +38,7 @@ from repro.field.vectorized import (
     f2_round_sums,
     fold_pairs,
     get_backend,
+    small_tables,
 )
 
 
@@ -55,6 +58,9 @@ class F2ShardWorker:
         self.backend = backend if backend is not None else get_backend(field)
         self.freq = freq if freq is not None else [0] * shard_size
         self._table = None
+        # The backend the folded shard is on: ``backend`` until a fold
+        # leaves it small (small_tables), never replacing ``backend``.
+        self._be = self.backend
         self._partial = None
 
     def process(self, i: int, delta: int) -> None:
@@ -62,6 +68,7 @@ class F2ShardWorker:
 
     def begin_proof(self) -> None:
         self._table = canonical_table(self.backend, self.field, self.freq)
+        self._be = self.backend
         self._partial = None
 
     def partial_message(self) -> Tuple[int, int, int]:
@@ -69,18 +76,19 @@ class F2ShardWorker:
         if self._table is None:
             raise RuntimeError("begin_proof() must be called first")
         if self._partial is None:
-            self._partial = f2_round_sums(self.backend, self.field, self._table)
+            self._partial = f2_round_sums(self._be, self.field, self._table)
         return tuple(self._partial)
 
     def fold(self, r: int) -> None:
         if self._table is None:
             raise RuntimeError("begin_proof() must be called first")
-        self._table = fold_pairs(self.backend, self.field, self._table, r)
+        self._be, self._table = small_tables(self._be, self.field, fold_pairs(
+            self._be, self.field, self._table, r))
         # Compute the next round's partial immediately, while the folded
         # shard is still cache-resident — halves the memory traffic of a
         # fold-all-then-message-all round trip over every shard.
         self._partial = (
-            f2_round_sums(self.backend, self.field, self._table)
+            f2_round_sums(self._be, self.field, self._table)
             if len(self._table) >= 2
             else None
         )
@@ -143,6 +151,7 @@ class DistributedF2Prover:
         # After the workers fold their shards to single values, the
         # coordinator runs the last log(num_workers) rounds locally.
         self._coordinator_table = None
+        self._coordinator_be = self.backend
         self._rounds_done = 0
 
     def _worker_for(self, i: int) -> F2ShardWorker:
@@ -174,7 +183,7 @@ class DistributedF2Prover:
         p = self.field.p
         if self._coordinator_table is not None:
             return f2_round_sums(
-                self.backend, self.field, self._coordinator_table
+                self._coordinator_be, self.field, self._coordinator_table
             )
         # Map: each worker computes a partial; reduce: the coordinator
         # sums the partial polynomials column-wise.
@@ -183,15 +192,17 @@ class DistributedF2Prover:
 
     def receive_challenge(self, r: int) -> None:
         if self._coordinator_table is not None:
-            self._coordinator_table = fold_pairs(
-                self.backend, self.field, self._coordinator_table, r
-            )
+            be = self._coordinator_be
+            self._coordinator_be, self._coordinator_table = small_tables(
+                be, self.field,
+                fold_pairs(be, self.field, self._coordinator_table, r))
             return
         for worker in self.workers:
             worker.fold(r)
         self._rounds_done += 1
         if self._rounds_done == self._shard_bits:
             # Shards are single values now: gather them at the coordinator.
+            self._coordinator_be = self.backend
             self._coordinator_table = canonical_table(
                 self.backend,
                 self.field,

@@ -8,22 +8,19 @@ whole ``numpy.uint64`` arrays at once, and a :class:`ScalarBackend` with
 the same API over plain Python lists so every caller can be written once
 and degrade gracefully when NumPy is absent.
 
-Three execution paths, chosen per modulus:
-
-* ``p = 2^61 - 1`` (the paper's experimental field): products of two
-  61-bit residues are computed exactly in ``uint64`` by splitting each
-  operand into 32-bit limbs and reducing with the Mersenne identities
-  ``2^61 ≡ 1`` and ``2^64 ≡ 8 (mod p)``.  No intermediate ever reaches
-  ``2^63``, so the arithmetic is overflow-free.
-* ``p < 2^32``: a product of two residues fits in ``uint64`` directly.
-* any other odd prime (e.g. ``2^127 - 1``): ``object``-dtype arrays of
-  Python ints — still one NumPy ufunc call per vector op, just without
-  the machine-word speedup.
+NumPy has one path, for ``p = 2^61 - 1`` (the paper's experimental
+field): products of two 61-bit residues are computed exactly in
+``uint64`` by splitting each operand into limbs and reducing with the
+Mersenne identities ``2^61 ≡ 1`` and ``2^64 ≡ 8 (mod p)``.  No
+intermediate ever reaches ``2^64``, so the arithmetic is overflow-free.
+Every other modulus runs on :class:`ScalarBackend`, which computes the
+same residues.
 
 Backend selection is exposed through :func:`get_backend`; the
 ``REPRO_BACKEND`` environment variable (``auto`` / ``vectorized`` /
 ``scalar``) overrides the default, which is "vectorized whenever NumPy
-imports".  NumPy remains an optional dependency.
+imports and the field is ``2^61 - 1``".  NumPy remains an optional
+dependency.
 """
 
 from __future__ import annotations
@@ -230,8 +227,8 @@ class ScalarBackend:
 
     Mirrors the :class:`VectorizedField` API one-for-one so protocol code
     written against the backend seam runs unchanged when NumPy is not
-    installed (or when ``REPRO_BACKEND=scalar`` forces the reference
-    path).
+    installed, when ``REPRO_BACKEND=scalar`` forces the reference path,
+    and for every modulus other than ``2^61 - 1``.
     """
 
     name = "scalar"
@@ -286,10 +283,6 @@ class ScalarBackend:
     def sub(self, a, b) -> List[int]:
         p = self.p
         return [(x - y) % p for x, y in self._pairs(a, b)]
-
-    def neg(self, arr: Sequence[int]) -> List[int]:
-        p = self.p
-        return [(-v) % p for v in arr]
 
     def mul(self, a, b) -> List[int]:
         p = self.p
@@ -403,10 +396,6 @@ class ScalarBackend:
         p = self.p
         return [[int(v) % p for v in row] for row in rows]
 
-    def row_sums(self, stack: Sequence[Sequence[int]]) -> List[int]:
-        p = self.p
-        return [sum(row) % p for row in stack]
-
     def row_fold(self, stack, r: int, zero_weight: int = None):
         """Fold every row's column pairs with the *same* challenge ``r``."""
         p = self.p
@@ -436,11 +425,6 @@ class ScalarBackend:
                 ]
             )
         return out
-
-    def row_weighted_sums(self, stack, weights: Sequence[int]) -> List[int]:
-        """Per-row inner product with a shared weight vector."""
-        field = self.field
-        return [field.dot(row, weights) for row in stack]
 
     # -- pair prefix sums ----------------------------------------------------
     #
@@ -488,9 +472,6 @@ class ScalarBackend:
     def sum(self, arr: Sequence[int]) -> int:
         return sum(arr) % self.p
 
-    def prod(self, arr: Sequence[int]) -> int:
-        return self.field.prod(arr)
-
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         return self.field.dot(xs, ys)
 
@@ -507,12 +488,14 @@ class ScalarBackend:
 
 
 class VectorizedField:
-    """NumPy-backed ``Z_p`` arithmetic on whole arrays.
+    """NumPy-backed ``Z_p`` arithmetic on whole arrays, for
+    ``p = 2^61 - 1`` only (:func:`get_backend` serves every other modulus
+    from :class:`ScalarBackend`).
 
     Arrays handed between methods are always *canonical*: every element in
-    ``[0, p)``, dtype ``uint64`` (or ``object`` for primes that do not fit
-    the machine-word paths).  Scalar operands may be arbitrary Python ints
-    (negative values are reduced, which is how stream deletions enter).
+    ``[0, p)``, dtype ``uint64``.  Scalar operands may be arbitrary Python
+    ints (negative values are reduced, which is how stream deletions
+    enter).
     """
 
     name = "vectorized"
@@ -524,27 +507,22 @@ class VectorizedField:
                 "VectorizedField requires numpy; install it or use "
                 "ScalarBackend / REPRO_BACKEND=scalar"
             )
+        if field.p != _MERSENNE_61:
+            raise ValueError(
+                "VectorizedField has no path for p = %d, only for 2^61 - 1; "
+                "use ScalarBackend (get_backend selects it)" % field.p
+            )
         self.field = field
         self.p = field.p
-        self._is_m61 = field.p == _MERSENNE_61
-        if self._is_m61 or field.p < (1 << 32):
-            self.dtype = _np.uint64
-        else:
-            self.dtype = object
 
     # -- array construction -------------------------------------------------
 
     def asarray(self, values):
         """Canonical array from any mix of Python ints / NumPy arrays."""
         p = self.p
-        if self.dtype is object:
-            seq = [int(v) % p for v in values]
-            out = _np.empty(len(seq), dtype=object)
-            out[:] = seq
-            return out
         if isinstance(values, _np.ndarray):
             if values.dtype == _np.uint64:
-                return _np.mod(values, _np.uint64(p))
+                return _np.mod(values, _M61)
             if values.dtype.kind == "i":
                 v = values.astype(_np.int64, copy=False)
                 return _np.mod(v, _np.int64(p)).astype(_np.uint64)
@@ -569,19 +547,10 @@ class VectorizedField:
         return [int(v) for v in arr]
 
     def zeros(self, n: int):
-        if self.dtype is object:
-            out = _np.empty(n, dtype=object)
-            out[:] = 0
-            return out
         return _np.zeros(n, dtype=_np.uint64)
 
     def full(self, n: int, value: int):
-        value = int(value) % self.p
-        if self.dtype is object:
-            out = _np.empty(n, dtype=object)
-            out[:] = value
-            return out
-        return _np.full(n, value, dtype=_np.uint64)
+        return _np.full(n, int(value) % self.p, dtype=_np.uint64)
 
     def index_array(self, values):
         """Signed index array for table gathers (keys, digit vectors)."""
@@ -593,16 +562,12 @@ class VectorizedField:
         """Coerce a scalar operand to a canonical residue; pass arrays."""
         if isinstance(x, _np.ndarray):
             return x
-        if self.dtype is object:
-            return int(x) % self.p
         return _np.uint64(int(x) % self.p)
 
     # -- elementwise arithmetic --------------------------------------------
 
     def reduce(self, arr):
-        if self.dtype is object:
-            return arr % self.p
-        return _np.mod(arr, _np.uint64(self.p))
+        return _np.mod(arr, _M61)
 
     def _both_scalars(self, a, b) -> bool:
         # numpy 2.x scalar integer ops emit overflow RuntimeWarnings (the
@@ -616,42 +581,21 @@ class VectorizedField:
             return self._norm((int(a) + int(b)) % self.p)
         a = self._norm(a)
         b = self._norm(b)
-        if self.dtype is object:
-            return (a + b) % self.p
-        p = _np.uint64(self.p)
         s = a + b  # both < p < 2^61, no overflow
-        return _np.where(s >= p, s - p, s)
+        return _np.where(s >= _M61, s - _M61, s)
 
     def sub(self, a, b):
         if self._both_scalars(a, b):
             return self._norm((int(a) - int(b)) % self.p)
         a = self._norm(a)
         b = self._norm(b)
-        if self.dtype is object:
-            return (a - b) % self.p
-        p = _np.uint64(self.p)
-        s = a + (p - b)  # in (0, 2p)
-        return _np.where(s >= p, s - p, s)
-
-    def neg(self, arr):
-        if not isinstance(arr, _np.ndarray):
-            return self._norm((-int(arr)) % self.p)
-        arr = self._norm(arr)
-        if self.dtype is object:
-            return (-arr) % self.p
-        p = _np.uint64(self.p)
-        return _np.where(arr == 0, arr, p - arr)
+        s = a + (_M61 - b)  # in (0, 2p)
+        return _np.where(s >= _M61, s - _M61, s)
 
     def mul(self, a, b):
         if self._both_scalars(a, b):
             return self._norm(int(a) * int(b) % self.p)
-        a = self._norm(a)
-        b = self._norm(b)
-        if self.dtype is object:
-            return (a * b) % self.p
-        if self._is_m61:
-            return _mul_m61(a, b)
-        return (a * b) % _np.uint64(self.p)  # p < 2^32: product is exact
+        return _mul_m61(self._norm(a), self._norm(b))
 
     def pow(self, arr, e: int):
         """Elementwise ``arr**e mod p`` by square-and-multiply."""
@@ -703,10 +647,6 @@ class VectorizedField:
             if isinstance(weights, _np.ndarray)
             else self.asarray(weights)
         )
-        if self.dtype is object:
-            out = self.zeros(size)
-            _np.add.at(out, idx, w)
-            return out % self.p
         out = self.zeros(size)
         two32 = (1 << 32) % self.p
         for start in range(0, idx.shape[0], self._SCATTER_CHUNK):
@@ -832,22 +772,8 @@ class VectorizedField:
             r if isinstance(r, _np.ndarray) else self.asarray(r) for r in rows
         ]
         if not arrs:
-            return _np.zeros((0, 0), dtype=self.dtype)
+            return _np.zeros((0, 0), dtype=_np.uint64)
         return _np.stack(arrs)
-
-    def row_sums(self, stack) -> List[int]:
-        """Exact per-row sums mod p of a canonical 2-D array."""
-        if stack.shape[1] == 0:
-            return [0] * stack.shape[0]
-        if self.dtype is object:
-            return [int(v) % self.p for v in _np.sum(stack, axis=1)]
-        # Split 32-bit halves so neither uint64 accumulator can overflow.
-        hi = _np.sum(stack >> _U32, axis=1, dtype=_np.uint64)
-        lo = _np.sum(stack & _MASK32, axis=1, dtype=_np.uint64)
-        p = self.p
-        return [
-            ((int(h) << 32) + int(l)) % p for h, l in zip(hi, lo)
-        ]
 
     def row_fold(self, stack, r: int, zero_weight: int = None):
         """Fold every row's column pairs with the *same* challenge ``r``."""
@@ -871,15 +797,6 @@ class VectorizedField:
         odd = stack[:, 1::2]
         return self.add(even, self.mul(self.sub(odd, even), col))
 
-    def row_weighted_sums(self, stack, weights) -> List[int]:
-        """Per-row inner product with a shared weight vector."""
-        weights = (
-            weights
-            if isinstance(weights, _np.ndarray)
-            else self.asarray(weights)
-        )
-        return self.row_sums(self.mul(stack, weights))
-
     # -- in-place tile kernels ----------------------------------------------
     #
     # The stacked ingest kernel (repro.lde.streaming.SketchStack) works a
@@ -902,34 +819,27 @@ class VectorizedField:
         threshold for the whole process).
         """
         held = getattr(_TILE_SCRATCH, "rows", None)
-        if (held is None or held.shape[1] < elements
-                or held.dtype != self.dtype):
+        if held is None or held.shape[1] < elements:
             held = self.zeros(5 * elements).reshape(5, elements)
             _TILE_SCRATCH.rows = held
         return held
 
     def mul_into(self, a, b, work) -> None:
         """``a ← a·b (mod p)`` for canonical arrays of one shape; ``b`` and
-        ``work`` (three more arrays of that shape) may be clobbered.  The
-        Mersenne-61 path allocates nothing."""
-        if self._is_m61:
-            _mul_m61_into(a, b, *work)
-        else:
-            a[...] = self.mul(a, b)
+        ``work`` (three more arrays of that shape) may be clobbered.
+        Allocates nothing."""
+        _mul_m61_into(a, b, *work)
 
     def row_int_dots(self, stack, ints, work=None) -> List[int]:
         """Per-row ``Σ_t stack[q, t] · ints[t] mod p`` against integers
         that are *not* residues: signed stream deltas.
 
-        For the Mersenne-61 field the rows are split into 22-bit limbs
-        once (into ``work``, three arrays of the stack's shape, when
-        given) and dotted, in int64, with the signed 22-bit limbs of
-        ``ints`` — exact by the :data:`_DOT_CHUNK` bound — skipping the
-        limbs no entry reaches, so small deltas cost three fused passes.
-        Other moduli reduce ``ints`` and take :meth:`row_weighted_sums`.
+        The rows are split into 22-bit limbs once (into ``work``, three
+        arrays of the stack's shape, when given) and dotted, in int64,
+        with the signed 22-bit limbs of ``ints`` — exact by the
+        :data:`_DOT_CHUNK` bound — skipping the limbs no entry reaches, so
+        small deltas cost three fused passes.
         """
-        if not self._is_m61:
-            return self.row_weighted_sums(stack, self.asarray(ints))
         if ints.dtype != _np.int64 or (
                 ints.size and int(ints.min()) < -(1 << 62)):
             # Canonical residues, or magnitudes np.abs cannot represent.
@@ -978,13 +888,6 @@ class VectorizedField:
         table = (
             table if isinstance(table, _np.ndarray) else self.asarray(table)
         )
-        if self.dtype is object:
-            # Arbitrary-precision cumsum; exact as-is.
-            zero = _np.zeros(1, dtype=object)
-            return (
-                _np.concatenate([zero, _np.cumsum(table[0::2])]),
-                _np.concatenate([zero, _np.cumsum(table[1::2])]),
-            )
         words = _np.ascontiguousarray(table).view(_np.uint32).reshape(-1, 4)
         blocks = words.shape[0] // _PREFIX_BLOCK
         totals = _np.zeros((blocks + 1, 4), dtype=_np.uint64)
@@ -1003,13 +906,6 @@ class VectorizedField:
         a segment inside one block — are summed directly, fewer than
         :data:`_PREFIX_BLOCK` pairs each.
         """
-        if self.dtype is object:
-            even, odd = state
-            p = self.p
-            return (
-                int(even[end] - even[start]) % p,
-                int(odd[end] - odd[start]) % p,
-            )
         words, totals = state
         first = -(-start // _PREFIX_BLOCK)
         last = end // _PREFIX_BLOCK
@@ -1029,10 +925,6 @@ class VectorizedField:
         table = (
             table if isinstance(table, _np.ndarray) else self.asarray(table)
         )
-        if self.dtype is object:
-            p = self.p
-            return (int(_np.sum(table[2 * start : 2 * end : 2])) % p,
-                    int(_np.sum(table[2 * start + 1 : 2 * end : 2])) % p)
         return self._pair_word_sums(_word_column_sums(_np.ascontiguousarray(
             table[2 * start : 2 * end]).view(_np.uint32).reshape(-1, 4)))
 
@@ -1051,8 +943,6 @@ class VectorizedField:
 
     def sum(self, arr) -> int:
         """Exact sum mod p of a canonical array (any length < 2^32)."""
-        if self.dtype is object:
-            return int(_np.sum(arr)) % self.p if arr.size else 0
         a = arr if isinstance(arr, _np.ndarray) else self.asarray(arr)
         # Elements are < 2^61: summing the 32-bit halves separately keeps
         # both accumulators far from uint64 overflow.
@@ -1061,13 +951,12 @@ class VectorizedField:
         return ((hi << 32) + lo) % self.p
 
     def dot(self, xs, ys) -> int:
-        """Exact ``Σ xs·ys mod p``.
+        """Exact ``Σ xs·ys mod p`` of two vectors.
 
-        For the Mersenne-61 field the products are computed as nine
-        22-bit-limb inner products per chunk (six when ``xs is ys``) —
-        fused ``np.dot`` passes with no canonical-residue temporaries —
-        and recombined exactly in Python integers.  Other moduli fall
-        back to elementwise multiply-and-sum.
+        The products are computed as nine 22-bit-limb inner products per
+        chunk (six when ``xs is ys``) — fused ``np.dot`` passes with no
+        canonical-residue temporaries — and recombined exactly in Python
+        integers.
         """
         symmetric = xs is ys
         xs = xs if isinstance(xs, _np.ndarray) else self.asarray(xs)
@@ -1076,27 +965,12 @@ class VectorizedField:
         )
         if xs.shape != ys.shape:
             raise ValueError("dot of vectors with different lengths")
-        if not self._is_m61 or xs.ndim != 1:
-            return self.sum(self.mul(xs, ys))
         total = 0
         for start in range(0, xs.shape[0], _DOT_CHUNK):
             xc = _limbs22(xs[start : start + _DOT_CHUNK])
             yc = xc if symmetric else _limbs22(ys[start : start + _DOT_CHUNK])
             total += _limb_dot(xc, yc, symmetric)
         return total % self.p
-
-    def prod(self, arr) -> int:
-        a = arr if isinstance(arr, _np.ndarray) else self.asarray(arr)
-        acc = 1
-        p = self.p
-        while a.size > 1:
-            if a.size & 1:
-                acc = acc * int(a[-1]) % p
-                a = a[:-1]
-            a = self.mul(a[0::2], a[1::2])
-        if a.size:
-            acc = acc * int(a[0]) % p
-        return acc
 
     def batch_inv(self, arr):
         """Elementwise inverses via one vectorized ``a^(p-2)`` ladder.
@@ -1105,7 +979,7 @@ class VectorizedField:
         steps than the sequential Montgomery trick for large arrays.
         """
         a = arr if isinstance(arr, _np.ndarray) else self.asarray(arr)
-        if a.size and bool(_np.any(a == (0 if self.dtype is object else _np.uint64(0)))):
+        if a.size and bool(_np.any(a == 0)):
             raise ZeroDivisionError("batch_inv of a zero element")
         return self.pow(a, self.p - 2)
 
@@ -1116,10 +990,7 @@ class VectorizedField:
         return self.asarray([rng.randrange(self.p) for _ in range(length)])
 
     def __repr__(self) -> str:
-        return "VectorizedField(p=%d, dtype=%s)" % (
-            self.p,
-            "object" if self.dtype is object else "uint64",
-        )
+        return "VectorizedField(p=%d)" % self.p
 
 
 Backend = Union[ScalarBackend, VectorizedField]
@@ -1146,7 +1017,7 @@ def canonical_table(backend: Backend, field: PrimeField, values) -> object:
     to its input, so any number of provers can start from one.
     """
     if getattr(backend, "vectorized", False):
-        if (isinstance(values, _np.ndarray) and values.dtype == backend.dtype
+        if (isinstance(values, _np.ndarray) and values.dtype == _np.uint64
                 and not values.flags.writeable):
             return values
         return backend.asarray(values)
@@ -1223,22 +1094,23 @@ def compact_tables(backend: Backend, field: PrimeField, *tables):
     if _np.count_nonzero(touched) > COMPACT_SHARE * (len(first) // 2):
         return (None,) + tables
     ids = _np.flatnonzero(_np.not_equal(touched, 0))
+    # A pair is copied as one 16-byte element (4× a 2-D take).
     return (CompactPairs(ids, len(first) // 2),) + tuple(
-        None if table is None else _take_pairs(table, ids)
+        None if table is None else table.view("V16")[ids].view(_np.uint64)
         for table in tables)
 
 
 def compact_entries(backend: Backend, field: PrimeField, entries, size: int):
     """``(layout, backend, table)`` a proof over a dense table of ``size``
     entries starts on, built from ``entries`` — its nonzero entries as an
-    ``{index: value}`` dictionary, every index below 2^64 — without the
-    dense table: laid out as :func:`compact_tables` would leave it while
-    the pairs touched are at most :data:`COMPACT_SHARE` of the pairs,
-    else dense (then at most 16/3 entries a key) and through
-    :func:`small_tables`.  None on the scalar backend, whose provers
-    keep the dictionary.
+    ``{index: value}`` dictionary — without the dense table: laid out as
+    :func:`compact_tables` would leave it while the pairs touched are at
+    most :data:`COMPACT_SHARE` of the pairs, else dense (then at most
+    16/3 entries a key) and through :func:`small_tables`.  None on the
+    scalar backend and past 2^64 entries, where an index leaves
+    ``uint64``: the provers keep the dictionary.
     """
-    if not getattr(backend, "vectorized", False):
+    if not getattr(backend, "vectorized", False) or size > 1 << 64:
         return None
     keys = _np.fromiter(entries, dtype=_np.uint64, count=len(entries))
     order = _np.argsort(keys)
@@ -1256,14 +1128,6 @@ def compact_entries(backend: Backend, field: PrimeField, entries, size: int):
     table = backend.zeros(size)
     table[keys] = values
     return (None,) + small_tables(backend, field, table)
-
-
-def _take_pairs(table, ids):
-    """Pairs ``ids`` of ``table``, interleaved as in the table; a
-    ``uint64`` pair is copied as one 16-byte element (4× a 2-D take)."""
-    if table.dtype == _np.uint64:
-        return table.view("V16")[ids].view(_np.uint64)
-    return table.reshape(-1, 2)[ids].reshape(-1)
 
 
 def refold_tables(backend: Backend, field: PrimeField, layout, *folded):
@@ -1447,19 +1311,10 @@ def fold_pairs(backend: Backend, field: PrimeField, table, r: int,
     r %= p
     w0 = (1 - r) % p if zero_weight is None else zero_weight % p
     table = ensure_backend_array(backend, table)
-    if getattr(backend, "_is_m61", False):
+    if getattr(backend, "vectorized", False):
         return _fold_pairs_m61(
             backend, table, r, None if zero_weight is None else w0
         )
-    if getattr(backend, "vectorized", False):
-        even = table[0::2]
-        odd = table[1::2]
-        if zero_weight is None:
-            # (1-r)·E + r·O = E + r·(O - E): one modular multiply per fold.
-            return backend.add(even, backend.mul(r, backend.sub(odd, even)))
-        if w0 == 1:
-            return backend.add(even, backend.mul(odd, r))
-        return backend.add(backend.mul(even, w0), backend.mul(odd, r))
     return [
         (w0 * table[t] + r * table[t + 1]) % p
         for t in range(0, len(table), 2)
@@ -1570,7 +1425,7 @@ def moment_round_sums(backend: Backend, field: PrimeField, table,
     if orders[0] < 1:
         raise ValueError("moment order k must be >= 1, got %d" % orders[0])
     table = ensure_backend_array(backend, table)
-    if getattr(backend, "_is_m61", False):
+    if getattr(backend, "vectorized", False):
         if orders == [2]:
             return {2: _f2_sums_m61(backend, field, table)}
         moments = _pair_moments_m61(backend, table, orders)
@@ -1634,7 +1489,7 @@ def inner_product_round_sums(
     p = field.p
     table_a = ensure_backend_array(backend, table_a)
     table_b = ensure_backend_array(backend, table_b)
-    if getattr(backend, "_is_m61", False):
+    if getattr(backend, "vectorized", False):
         # g(2) = Σ (2·Oa - Ea)(2·Ob - Eb) from the four even/odd cross
         # dots; the limbs are split once per tile and, as in
         # f2_round_sums, only those the entries reach.
@@ -1650,16 +1505,6 @@ def inner_product_round_sums(
             oo += _limb_products(a_hi, b_hi)
             cross += _limb_products(a_lo, b_hi) + _limb_products(a_hi, b_lo)
         return [ee % p, oo % p, (ee + 4 * oo - 2 * cross) % p]
-    if getattr(backend, "vectorized", False):
-        a_lo, a_hi = table_a[0::2], table_a[1::2]
-        b_lo, b_hi = table_b[0::2], table_b[1::2]
-        a_at2 = backend.sub(backend.add(a_hi, a_hi), a_lo)
-        b_at2 = backend.sub(backend.add(b_hi, b_hi), b_lo)
-        return [
-            backend.dot(a_lo, b_lo),
-            backend.dot(a_hi, b_hi),
-            backend.dot(a_at2, b_at2),
-        ]
     g0 = g1 = g2 = 0
     for t in range(0, len(table_a), 2):
         a_lo, a_hi = table_a[t], table_a[t + 1]
@@ -1675,25 +1520,22 @@ def get_backend(field: PrimeField, name: str = None) -> Backend:
 
     ``name`` is ``"auto"``, ``"vectorized"`` or ``"scalar"``; when omitted
     it is read from the ``REPRO_BACKEND`` environment variable (default
-    ``auto``).  ``auto`` picks :class:`VectorizedField` whenever NumPy is
-    importable and falls back to :class:`ScalarBackend` otherwise;
-    requesting ``vectorized`` without NumPy is an error.
+    ``auto``).  ``auto`` and ``vectorized`` pick :class:`VectorizedField`
+    when NumPy is importable and ``field`` is ``2^61 - 1``, and
+    :class:`ScalarBackend` otherwise: NumPy has no path for any other
+    modulus.  Requesting ``vectorized`` without NumPy is an error.
     """
     if name is None:
         name = os.environ.get(BACKEND_ENV_VAR, "auto").strip().lower() or "auto"
-    if name == "scalar":
-        return ScalarBackend(field)
-    if name == "vectorized":
-        if not HAVE_NUMPY:
-            raise RuntimeError(
-                "the vectorized backend was requested but numpy is not "
-                "installed (unset %s or install numpy)" % BACKEND_ENV_VAR
-            )
-        return VectorizedField(field)
-    if name != "auto":
+    if name not in ("auto", "vectorized", "scalar"):
         raise ValueError(
             "unknown backend %r (expected auto, vectorized or scalar)" % name
         )
-    if HAVE_NUMPY:
-        return VectorizedField(field)
-    return ScalarBackend(field)
+    if name == "vectorized" and not HAVE_NUMPY:
+        raise RuntimeError(
+            "the vectorized backend was requested but numpy is not "
+            "installed (unset %s or install numpy)" % BACKEND_ENV_VAR
+        )
+    if name == "scalar" or not HAVE_NUMPY or field.p != _MERSENNE_61:
+        return ScalarBackend(field)
+    return VectorizedField(field)

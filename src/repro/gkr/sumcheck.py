@@ -7,7 +7,9 @@
   reduces to a two-table sum-check whose tables the gates populate once
   (O(G + 2^b) per phase) instead of the brute-force O(G · 4^b) total.
   It is written once over the backend API (scatter, fold, dot), so both
-  backends run the same algorithm and send the same words.
+  backends run the same algorithm and send the same words; a fold that
+  leaves a small table hands the phase to Python ints
+  (:func:`~repro.field.vectorized.small_tables`), as in the engine.
 * :func:`boolean_sum` / :func:`round_message` — a generic driver over an
   evaluation closure that recomputes sums by brute force.  O(2^n)
   evaluations per round, kept as the obviously-correct test reference.
@@ -22,6 +24,7 @@ from repro.field.vectorized import (
     fold_pairs,
     get_backend,
     inner_product_round_sums,
+    small_tables,
 )
 from repro.gkr.circuits import Gate, layer_wiring
 
@@ -142,6 +145,9 @@ class LayerSumcheck:
                 % (len(table), 1 << b_next)
             )
         self._table0 = table
+        # The backend this phase's tables are on: ``be`` until a fold
+        # leaves them small (small_tables), ``be`` again for the y phase.
+        self._fold_be = be
         self._j = 0
         self._rx: List[int] = []
         self._wxf: Optional[int] = None
@@ -194,6 +200,7 @@ class LayerSumcheck:
         )
         self._Ay = be.add(self._Aa, be.mul(self._Am, self._wxf))
         self._Wy = self._table0
+        self._fold_be = be
 
     @property
     def num_rounds(self) -> int:
@@ -220,7 +227,7 @@ class LayerSumcheck:
         """Two-table round message for G = Ã·W̃ + lift·B̃: the shared
         inner-product kernel over (A, W), plus lift times B's even/odd
         sums."""
-        be = self.be
+        be = self._fold_be
         p = self.field.p
         g0, g1, g2 = inner_product_round_sums(be, self.field, A, W)
         sb_even = be.sum(B[0::2])
@@ -238,21 +245,23 @@ class LayerSumcheck:
             raise RuntimeError(
                 "all %d sum-check rounds already played" % (2 * self.b)
             )
-        be = self.be
+        be = self._fold_be
         if self._j < self.b:
-            self._A = fold_pairs(be, field, self._A, r)
-            self._B = fold_pairs(be, field, self._B, r)
-            self._W = fold_pairs(be, field, self._W, r)
+            self._fold_be, self._A, self._B, self._W = small_tables(
+                be, field, fold_pairs(be, field, self._A, r),
+                fold_pairs(be, field, self._B, r),
+                fold_pairs(be, field, self._W, r))
             self._rx.append(r)
             self._j += 1
             if self._j == self.b:
                 self._wxf = int(self._W[0]) % p
                 self._setup_y()
             return
-        self._Ay = fold_pairs(be, field, self._Ay, r)
-        self._Aa = fold_pairs(be, field, self._Aa, r)
-        self._Am = fold_pairs(be, field, self._Am, r)
-        self._Wy = fold_pairs(be, field, self._Wy, r)
+        self._fold_be, self._Ay, self._Aa, self._Am, self._Wy = small_tables(
+            be, field, fold_pairs(be, field, self._Ay, r),
+            fold_pairs(be, field, self._Aa, r),
+            fold_pairs(be, field, self._Am, r),
+            fold_pairs(be, field, self._Wy, r))
         self._j += 1
         if self._j == 2 * self.b:
             self._wyf = int(self._Wy[0]) % p

@@ -255,15 +255,20 @@ def test_sparse_prover_work_scales_with_n_not_u():
 U_IPV6 = 1 << 64
 
 
-@pytest.mark.parametrize("query", ["f2", "range-scan"])
-def test_sparse_provers_at_u_2_64(monkeypatch, query):
-    """The universe the sparse bound exists for: keys up to 2^64 - 1,
-    more of them than the NumPy cut-over, on both backends — equal
-    transcripts, accepted."""
+@pytest.mark.parametrize("query,u", [
+    pytest.param("f2", U_IPV6, id="f2"),
+    pytest.param("range-scan", U_IPV6, id="range-scan"),
+    pytest.param("f2", 1 << 70, id="f2-u2^70"),
+    pytest.param("range-scan", 1 << 70, id="range-scan-u2^70"),
+])
+def test_sparse_provers_at_u_2_64(monkeypatch, query, u):
+    """The universe the sparse bound exists for, u = 2^64, and one whose
+    keys leave uint64, u = 2^70 (the dictionary loops answer there on
+    NumPy too): keys up to u - 1, more of them than the NumPy cut-over,
+    on both backends — equal transcripts, accepted."""
     rng = random.Random(11)
-    keys = [rng.randrange(U_IPV6) for _ in range(2 * VECTOR_MIN_KEYS)]
-    keys += [U_IPV6 - 1 - rng.randrange(300)
-             for _ in range(VECTOR_MIN_KEYS)]
+    keys = [rng.randrange(u) for _ in range(2 * VECTOR_MIN_KEYS)]
+    keys += [u - 1 - rng.randrange(300) for _ in range(VECTOR_MIN_KEYS)]
     updates = [(key, rng.randrange(1, 9)) for key in keys]
     transcripts = []
     for backend_name in BACKENDS:
@@ -271,8 +276,8 @@ def test_sparse_provers_at_u_2_64(monkeypatch, query):
         be = get_backend(F, backend_name)
         channel = Channel()
         if query == "f2":
-            verifier = F2Verifier(F, U_IPV6, rng=random.Random(12))
-            prover = SparseF2Prover(F, U_IPV6, backend=be)
+            verifier = F2Verifier(F, u, rng=random.Random(12))
+            prover = SparseF2Prover(F, u, backend=be)
             for i, d in updates:
                 verifier.process(i, d)
                 prover.process(i, d)
@@ -283,13 +288,13 @@ def test_sparse_provers_at_u_2_64(monkeypatch, query):
             answer = result.value
             expected = sum(f * f for f in prover.freq.values()) % F.p
         else:
-            verifier = TreeHashVerifier(F, U_IPV6, rng=random.Random(13))
-            prover = SparseSubVectorProver(F, U_IPV6, backend=be)
+            verifier = TreeHashVerifier(F, u, rng=random.Random(13))
+            prover = SparseSubVectorProver(F, u, backend=be)
             for i, d in updates:
                 verifier.process(i, d)
                 prover.process(i, d)
-            lo = U_IPV6 - 200
-            result = run_subvector(prover, verifier, lo, U_IPV6 - 1, channel)
+            lo = u - 200
+            result = run_subvector(prover, verifier, lo, u - 1, channel)
             answer = list(result.value.entries)
             expected = sorted((k, f) for k, f in prover.freq.items()
                               if k >= lo)

@@ -308,8 +308,8 @@ def test_aggregation_switches_itself_off_beyond_int64(delta):
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 @pytest.mark.parametrize("field,ell,u", [
-    (PrimeField(2_147_483_647), 2, 300),    # p < 2^32: direct products
-    (PrimeField(MERSENNE_127), 2, 300),     # object dtype
+    (PrimeField(2_147_483_647), 2, 300),    # p < 2^32: scalar backend
+    (PrimeField(MERSENNE_127), 2, 300),     # p > 2^64: scalar backend
     (F, 3, 100), (F, 5, 625), (F, 64, 4096), (F, 2, 1 << 13),
 ])
 def test_other_fields_and_grids(field, ell, u):

@@ -38,6 +38,7 @@ from repro.field.vectorized import (
     f2_round_sums,
     fold_pairs,
     frozen_table,
+    get_backend,
     inner_product_round_sums,
     moment_round_sums,
 )
@@ -344,14 +345,13 @@ def test_a_set_of_orders_is_the_one_order_calls(backend):
         moment_round_sums(backend, F, table, [3, 0])
 
 
-@needs_numpy
 @pytest.mark.parametrize("p", [P, 97, (1 << 89) - 1])
 def test_fk_messages_equal_the_scalar_backend(p):
-    """Same values mod p for k = 1..7 on every execution path — limb
-    tiles, uint64 below 2^32, object arrays — down to a single pair,
+    """Same values mod p for k = 1..7 on both bodies — limb tiles at
+    2^61 - 1, the scalar loop at every modulus — down to a single pair,
     and the per-pair reference's."""
     field = PrimeField(p, check_prime=False)
-    sb, be = ScalarBackend(field), VectorizedField(field)
+    sb, be = ScalarBackend(field), get_backend(field)
     rng = random.Random(p % 1000)
     for length in (2, 4, 64):
         values = [0, p - 1] + [rng.randrange(p) for _ in range(length - 2)]
@@ -362,15 +362,14 @@ def test_fk_messages_equal_the_scalar_backend(p):
                 moment_oracle(values, k, p)
 
 
-@needs_numpy
 @given(st.integers(1, 9), st.sampled_from([P, 97, (1 << 89) - 1]),
        st.lists(st.tuples(st.integers(0, 1 << 89), st.integers(0, 1 << 23)),
                 min_size=1, max_size=24))
 def test_moments_agree_on_every_execution_path(k, p, pairs):
-    """Scalar lists, the Mersenne-61 tiles, uint64 below 2^32 and object
-    arrays compute one function, the per-pair reference."""
+    """The scalar loop and the Mersenne-61 tiles — the backend each
+    modulus gets — compute one function, the per-pair reference."""
     field = PrimeField(p, check_prime=False)
-    sb, be = ScalarBackend(field), VectorizedField(field)
+    sb, be = ScalarBackend(field), get_backend(field)
     values = [v % p for pair in pairs for v in pair]
     want = moment_oracle(values, k, p)
     assert moment_round_sums(sb, field, values, (k,))[k] == want

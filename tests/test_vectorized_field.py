@@ -1,10 +1,14 @@
-"""Property-style equivalence: VectorizedField agrees with PrimeField.
+"""Property-style equivalence: the backend of every modulus agrees with
+PrimeField.
 
 Every backend op is checked against the scalar reference on random
 batches — including negative values (stream deletions), values >= p, and
-the edge residues {0, 1, p-1} — for each of the three execution paths:
-the Mersenne-61 limb arithmetic, the direct uint64 path (p < 2^32), and
-the object-dtype fallback (p >= 2^32, not 2^61 - 1).
+the edge residues {0, 1, p-1} — on the backend ``get_backend`` picks for
+each prime: the Mersenne-61 limb arithmetic of :class:`VectorizedField`
+for 2^61 - 1, :class:`ScalarBackend` for every other modulus.  What only
+:class:`VectorizedField` has (the in-place tile kernels, ``net_columns``,
+the limb dot's chunking and the prefix sums' word path) runs at
+2^61 - 1.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from repro.field.vectorized import (
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
-#: One prime per execution path: Mersenne-61, small (direct uint64),
-#: mid-size object-dtype, and the Section 5 footnote field 2^127 - 1.
+#: Mersenne-61 (the NumPy backend), then moduli the scalar backend
+#: serves: small, 32-bit, mid-size and the Section 5 footnote field
+#: 2^127 - 1.
 PRIMES = [MERSENNE_61, 97, (1 << 31) - 1, (1 << 89) - 1, MERSENNE_127]
 
 
@@ -35,14 +40,22 @@ def sample_values(p: int, rng: random.Random, n: int = 400):
     return edge + body
 
 
-@pytest.fixture(params=PRIMES, ids=lambda p: "p=%d" % p)
+def prime_id(p: int) -> str:
+    return "p=%d" % p
+
+
+#: The cases of what only VectorizedField has: 2^61 - 1 alone.
+m61_only = pytest.mark.parametrize("p", [MERSENNE_61], ids=prime_id)
+
+
+@pytest.fixture(params=PRIMES, ids=prime_id)
 def setup(request):
     p = request.param
     field = PrimeField(p, check_prime=False)
     rng = random.Random(p % 1009)
     xs = sample_values(p, rng)
     ys = sample_values(p, random.Random(p % 2003 + 1))
-    return field, VectorizedField(field), xs, ys
+    return field, get_backend(field), xs, ys
 
 
 def test_asarray_canonicalizes(setup):
@@ -56,7 +69,6 @@ def test_elementwise_ops_match_scalar(setup):
     assert be.to_list(be.add(ax, ay)) == [field.add(x, y) for x, y in zip(xs, ys)]
     assert be.to_list(be.sub(ax, ay)) == [field.sub(x, y) for x, y in zip(xs, ys)]
     assert be.to_list(be.mul(ax, ay)) == [field.mul(x, y) for x, y in zip(xs, ys)]
-    assert be.to_list(be.neg(ax)) == [field.neg(x) for x in xs]
 
 
 def test_scalar_broadcast_operands(setup):
@@ -73,7 +85,6 @@ def test_aggregates_match_scalar(setup):
     ax, ay = be.asarray(xs), be.asarray(ys)
     assert be.sum(ax) == field.sum(xs)
     assert be.dot(ax, ay) == field.dot(xs, ys)
-    assert be.prod(ax) == field.prod(xs)
 
 
 def test_pow_matches_scalar(setup):
@@ -141,6 +152,15 @@ def test_get_backend_selection(monkeypatch):
     assert get_backend(field).vectorized is True
     with pytest.raises(ValueError):
         get_backend(field, "no-such-backend")
+    # NumPy has no path for any other modulus, whatever is asked for.
+    for p in (97, (1 << 31) - 1, MERSENNE_127):
+        other = PrimeField(p, check_prime=False)
+        for name in ("scalar", "vectorized", "auto"):
+            assert type(get_backend(other, name)) is ScalarBackend
+            monkeypatch.setenv("REPRO_BACKEND", name)
+            assert type(get_backend(other)) is ScalarBackend
+    with pytest.raises(ValueError, match="p = 97"):
+        VectorizedField(PrimeField(97))
 
 
 def test_prime_field_batch_inv_empty_and_single():
@@ -205,32 +225,36 @@ def test_scatter_sum_chunking(monkeypatch):
 def test_stack_row_ops_match_scalar(setup):
     field, be, xs, ys = setup
     sb = ScalarBackend(field)
-    rows = [
-        [x % field.p for x in xs[k * 16:(k + 1) * 16]] for k in range(4)
-    ]
-    weights = [y % field.p for y in ys[:16]]
-    r = xs[7] % field.p
-    rs = [y % field.p for y in ys[:4]]
-    assert be.row_sums(be.stack(rows)) == sb.row_sums(sb.stack(rows))
+    p = field.p
+    rows = [[x % p for x in xs[k * 16:(k + 1) * 16]] for k in range(4)]
+    r = xs[7] % p
+    rs = [y % p for y in ys[:4]]
+
+    def fold(w0, r):
+        return [[(w0 * row[t] + r * row[t + 1]) % p
+                 for t in range(0, len(row), 2)] for row in rows]
+
     assert [be.to_list(row) for row in be.row_fold(be.stack(rows), r)] == \
-        sb.row_fold(sb.stack(rows), r)
+        sb.row_fold(sb.stack(rows), r) == fold(1 - r, r)
     assert [be.to_list(row) for row in be.row_fold(be.stack(rows), r,
                                                    zero_weight=1)] == \
-        sb.row_fold(sb.stack(rows), r, zero_weight=1)
+        sb.row_fold(sb.stack(rows), r, zero_weight=1) == fold(1, r)
     assert [be.to_list(row) for row in be.rows_fold(be.stack(rows), rs)] == \
-        sb.rows_fold(sb.stack(rows), rs)
-    assert be.row_weighted_sums(be.stack(rows), be.asarray(weights)) == \
-        sb.row_weighted_sums(sb.stack(rows), weights)
+        sb.rows_fold(sb.stack(rows), rs) == [
+            fold(1 - q, q)[k] for k, q in enumerate(rs)]
 
 
-def test_in_place_tile_kernels_match_python_ints(setup):
+@m61_only
+def test_in_place_tile_kernels_match_python_ints(p):
     """mul_into and row_int_dots — the stacked ingest kernel's two
     passes — against exact integer arithmetic, with and without the
     shared scratch rows, for signed int64 and for canonical operands."""
     import numpy as np
 
-    field, be, xs, ys = setup
-    p = field.p
+    field = PrimeField(p, check_prime=False)
+    be = VectorizedField(field)
+    xs = sample_values(p, random.Random(p % 1009))
+    ys = sample_values(p, random.Random(p % 2003 + 1))
     rows = [[x % p for x in xs[k * 40:(k + 1) * 40]] for k in range(5)]
     other = [[y % p for y in ys[k * 40:(k + 1) * 40]] for k in range(5)]
     scratch = be.tile_scratch(5 * 40)
@@ -256,10 +280,11 @@ def test_in_place_tile_kernels_match_python_ints(setup):
         assert be.row_int_dots(stack, ints, work) == want
 
 
-def test_net_columns_sums_runs_exactly(setup):
+@m61_only
+def test_net_columns_sums_runs_exactly(p):
     import numpy as np
 
-    _field, be, _xs, _ys = setup
+    be = VectorizedField(PrimeField(p, check_prime=False))
     rng = random.Random(5)
     keys = [rng.randrange(12) for _ in range(300)] + [40, 40, 41]
     deltas = [rng.randrange(-(1 << 50), 1 << 50) for _ in range(300)]
@@ -306,9 +331,12 @@ def test_f2_round_sums_matches_scalar(setup):
 
     field, be, xs, _ = setup
     sb = ScalarBackend(field)
-    table = [x % field.p for x in xs[:64]]
+    p = field.p
+    table = [x % p for x in xs[:64]]
+    want = [sum(((1 - c) * table[t] + c * table[t + 1]) ** 2
+                for t in range(0, 64, 2)) % p for c in range(3)]
     assert f2_round_sums(be, field, be.asarray(table)) == \
-        f2_round_sums(sb, field, table)
+        f2_round_sums(sb, field, table) == want
 
 
 def test_fold_pairs_fast_path_edges():
@@ -382,13 +410,15 @@ def test_pair_prefix_sums_scalar_backend_matches(setup):
     for start in range(n // 2 + 1):
         for end in range(start, n // 2 + 1):
             assert be.prefix_segment_sums(v_prefix, start, end) == \
-                sb.prefix_segment_sums(s_prefix, start, end)
+                sb.prefix_segment_sums(s_prefix, start, end) == \
+                _reference_pair_sums(field, table_vals, start, end)
 
 
 def test_pair_prefix_sums_uint64_path_is_exact_at_scale():
-    # The uint64 path splits hi/lo 32-bit cumsums to dodge overflow;
-    # stress it with every entry at p-1 so the raw cumsum would wrap.
-    p = (1 << 31) - 1
+    # The word path sums 32-bit word columns in uint64 to dodge
+    # overflow; stress it with every entry at p-1, all words but the
+    # top one full, so a raw residue cumsum would wrap.
+    p = MERSENNE_61
     field = PrimeField(p, check_prime=False)
     be = VectorizedField(field)
     n = 1 << 12

@@ -396,9 +396,10 @@ def test_updates_frame_from_columns_equals_the_per_pair_reference(field):
     empty = np.array([], dtype=np.int64)
     assert sp.updates_payload_columns(field, 0, empty, empty) == \
         sp.updates_payload(field, 0, [])
-    # The columns are the ones the block split produced; a delta outside
-    # int64 leaves none, and the client falls back to the pair loop.
-    be = get_backend(field, "vectorized")
+    # The columns are the ones the block split produced (NumPy splits at
+    # 2^61 - 1, whatever field encodes them); a delta outside int64
+    # leaves none, and the client falls back to the pair loop.
+    be = get_backend(DEFAULT_FIELD, "vectorized")
     block = prepare_block(be, u, pairs, copies=8)
     assert sp.updates_payload_columns(field, 0, *block.columns) == \
         sp.updates_payload(field, 0, pairs)

@@ -15,6 +15,9 @@ from repro.adversary.cheating_provers import (
     OffsetClaimF2Prover,
     OmittingSubVectorProver,
     PerQueryCheatingBatchEngine,
+    RetryAdaptiveCheater,
+    RetryAdaptiveF2Cheater,
+    RetryAdaptiveLookupCheater,
     corrupted_copy,
 )
 from repro.comm.channel import drop_last_word, flip_word, replace_payload
@@ -29,6 +32,9 @@ __all__ = [
     "OffsetClaimF2Prover",
     "OmittingSubVectorProver",
     "PerQueryCheatingBatchEngine",
+    "RetryAdaptiveCheater",
+    "RetryAdaptiveF2Cheater",
+    "RetryAdaptiveLookupCheater",
     "corrupted_copy",
     "drop_last_word",
     "flip_word",

@@ -5,6 +5,11 @@ some pieces of the proof, or computing the proof for a slightly modified
 stream.  In all cases, the protocols caught the error."  Each class here
 is one such strategy; tests and benchmarks assert that every one of them
 is rejected (up to the negligible O(log u / p) soundness error).
+
+The last two classes are service-side ``prover_wrapper`` hooks rather
+than provers: they watch one conversation's challenges and cheat in the
+next one over the same dataset, which only a client that re-presents a
+spent secret point would accept.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from repro.core.heavy_hitters import HeavyHittersProver
 from repro.core.multiquery import BatchedSumcheckEngine
 from repro.core.subvector import SubVectorProver
 from repro.field.modular import PrimeField
+from repro.service.router import KIND_POINT_LOOKUP
 
 
 class ModifiedStreamF2Prover(BatchedSumcheckEngine):
@@ -207,6 +213,143 @@ class AdaptiveF2Cheater(PerQueryCheatingBatchEngine):
 
     def __init__(self, field: PrimeField, u: int, offset: int = 1):
         super().__init__(field, u, offset=offset, style="adaptive")
+
+
+class _Delegate:
+    """A materialised prover whose steps pass straight through, but for
+    the ones a subclass overrides."""
+
+    def __init__(self, prover):
+        self._prover = prover
+
+    def __getattr__(self, name):
+        return getattr(self._prover, name)
+
+
+class _Recorder(_Delegate):
+    """An honest prover that logs each challenge it receives."""
+
+    def __init__(self, prover, seen: List[int]):
+        super().__init__(prover)
+        self._seen = seen
+
+    def receive_challenge(self, r: int):
+        self._seen.append(r)
+        return self._prover.receive_challenge(r)
+
+
+class RetryAdaptiveCheater:
+    """A ``prover_wrapper`` that learns r_1 in one conversation and uses
+    it in the next.
+
+    Every prover the service materialises for a matching unit logs the
+    challenges it receives, per dataset id (so one instance can sit on
+    every node of a cluster).  Once some conversation over a dataset has
+    revealed r_1, every later materialisation over it is
+    :meth:`exploit`'s cheat, whose lie is invisible exactly at that r_1.
+    A client that retries with a fresh verifier copy catches it except
+    with probability O(1/p); one that restores its spent copy accepts it
+    with probability 1.
+    """
+
+    def __init__(self, field: PrimeField):
+        self.field = field
+        #: dataset id -> challenges its first learning prover received.
+        self.challenges: Dict[int, List[int]] = {}
+        self.cheats = 0
+
+    def targets(self, unit) -> bool:
+        raise NotImplementedError
+
+    def exploit(self, unit, prover, r_1: int):
+        raise NotImplementedError
+
+    def __call__(self, unit, prover, dataset):
+        if not self.targets(unit):
+            return None
+        seen = self.challenges.setdefault(dataset.dataset_id, [])
+        if not seen:
+            return _Recorder(prover, seen)
+        self.cheats += 1
+        return self.exploit(unit, prover, seen[0])
+
+
+class _ShiftedFirstRound(_Delegate):
+    """The engine, honest but for member 0's first round polynomial,
+    which gains h(X) = (X − r_1)/(1 − 2r_1): h(0) + h(1) = 1 inflates
+    the claim by one, and h(r_1) = 0 leaves every later round honest."""
+
+    def __init__(self, prover, field: PrimeField, r_1: int):
+        super().__init__(prover)
+        self._p = field.p
+        self._r_1 = r_1
+        self._scale = field.inv(1 - 2 * r_1)
+        self._first = True
+
+    def round_messages(self):
+        messages = [list(m) for m in self._prover.round_messages()]
+        if self._first:
+            self._first = False
+            p = self._p
+            messages[0] = [
+                (v + (x - self._r_1) * self._scale) % p
+                for x, v in enumerate(messages[0])
+            ]
+        return messages
+
+
+class RetryAdaptiveF2Cheater(RetryAdaptiveCheater):
+    """Inflates an engine batch's first member (F2 in the tests) by one,
+    using the r_1 an earlier conversation revealed."""
+
+    def targets(self, unit) -> bool:
+        return unit.batched
+
+    def exploit(self, unit, prover, r_1: int):
+        if (1 - 2 * r_1) % self.field.p == 0:
+            return None
+        return _ShiftedFirstRound(prover, self.field, r_1)
+
+
+class _ShiftedLookup(_Delegate):
+    """A point lookup of ``key`` answered with a_key + 1, the level-0
+    sibling lowered so that their parent's hash a_L + r_1·a_R is the
+    honest one."""
+
+    def __init__(self, prover, field: PrimeField, key: int, r_1: int):
+        super().__init__(prover)
+        self._field = field
+        self._key = key
+        # The key is the right child (weight r_1) when odd, else the left.
+        self._sibling_shift = r_1 if key & 1 else field.inv(r_1)
+
+    def answer_entries(self):
+        p = self._field.p
+        entries = dict(self._prover.answer_entries())
+        entries[self._key] = (entries.get(self._key, 0) + 1) % p
+        return sorted(entries.items())
+
+    def level0_siblings(self):
+        p = self._field.p
+        return [
+            (idx, (v - self._sibling_shift) % p if idx == self._key ^ 1
+             else v)
+            for idx, v in self._prover.level0_siblings()
+        ]
+
+
+class RetryAdaptiveLookupCheater(RetryAdaptiveCheater):
+    """Reports a point lookup's value one too high, using the r_1 an
+    earlier conversation revealed."""
+
+    def targets(self, unit) -> bool:
+        return unit.descriptors[0].kind == KIND_POINT_LOOKUP
+
+    def exploit(self, unit, prover, r_1: int):
+        if r_1 == 0:
+            return None
+        return _ShiftedLookup(prover, self.field,
+                              unit.descriptors[0].params[0], r_1)
 
 
 def corrupted_copy(stream, key: int, offset: int = 1):

@@ -18,6 +18,7 @@ repro.service`` subprocesses.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import random
 import socket
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import RetryAdaptiveF2Cheater, RetryAdaptiveLookupCheater
 from repro.comm.wire import encode_transcript
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.service import protocol as sp
@@ -47,6 +49,7 @@ from repro.service import (
     ServiceUnavailableError,
     ThreadNodeManager,
     f2,
+    point_lookup,
     run_cluster_load,
 )
 from repro.service.ring import DEFAULT_VNODES
@@ -358,15 +361,17 @@ def test_stopped_listener_hangs_up_on_its_clients(single_node, front):
 # -- the tentpole: kill the primary at every frame boundary --------------------
 
 
-@pytest.fixture()
-def proxied_cluster(tmp_path):
+@contextlib.contextmanager
+def proxied_cluster_of(tmp_path, **server_kwargs):
     """The frame-precise harness: the router reaches each node only
     through that node's :class:`ChaosProxy` (carrying a
     :class:`BlackoutSchedule`), while the supervisor keeps the real
     address — so a test can kill a node at an exact frame boundary and
     the repair path still reaches the live process behind the curtain.
+    ``server_kwargs`` go to every node's :class:`ProverServer`.
     """
-    manager = ThreadNodeManager(F, snapshot_dir=str(tmp_path))
+    manager = ThreadNodeManager(F, snapshot_dir=str(tmp_path),
+                                server_kwargs=server_kwargs)
     proxies = {}
     schedules = {}
     nodes = []
@@ -383,19 +388,48 @@ def proxied_cluster(tmp_path):
     handle = router.serve_in_thread()
     supervisor = NodeSupervisor(handle, manager, F,
                                 update_router_address=False)
-    yield {
-        "manager": manager,
-        "router": router,
-        "handle": handle,
-        "supervisor": supervisor,
-        "proxies": proxies,
-        "schedules": schedules,
-    }
-    supervisor.stop()
-    handle.stop()
-    for proxy_handle in proxies.values():
-        proxy_handle.stop()
-    manager.stop_all()
+    try:
+        yield {
+            "manager": manager,
+            "router": router,
+            "handle": handle,
+            "supervisor": supervisor,
+            "proxies": proxies,
+            "schedules": schedules,
+        }
+    finally:
+        supervisor.stop()
+        handle.stop()
+        for proxy_handle in proxies.values():
+            proxy_handle.stop()
+        manager.stop_all()
+
+
+@pytest.fixture()
+def proxied_cluster(tmp_path):
+    with proxied_cluster_of(tmp_path) as harness:
+        yield harness
+
+
+def kill_primary_at(harness, dataset, index, run):
+    """Black out ``dataset``'s primary at its ``index``-th frame from now,
+    call ``run()``, then bring the node back and heal the cluster."""
+    primary = harness["router"].replicas(dataset)[0]
+    schedule = harness["schedules"][primary]
+    proxy = harness["proxies"][primary].proxy
+    schedule.after = proxy.global_frames + index
+    schedule.active = False
+    try:
+        return run()
+    finally:
+        schedule.restore()
+        # Heal before the next round so every iteration starts from a
+        # fully alive cluster (and the blacked-out node catches up on
+        # the updates it missed).
+        healed = harness["supervisor"].check_once()
+        assert all(healed.values()), (index, healed)
+        assert set(harness["handle"].health_view().values()) == \
+            {"alive"}, index
 
 
 def test_kill_primary_at_every_frame_boundary_byte_identical(
@@ -446,6 +480,51 @@ def test_kill_primary_at_every_frame_boundary_byte_identical(
         assert set(handle.health_view().values()) == {"alive"}, index
     assert failovers_seen > 0
     assert handle.stats()["failovers"] > 0
+
+
+def _truth():
+    counts = [0] * U
+    for key, delta in UPDATES:
+        counts[key] += delta
+    return counts
+
+
+@pytest.mark.parametrize("cheater_class, descriptor, truth", [
+    (RetryAdaptiveF2Cheater, f2(), sum(a * a for a in _truth())),
+    (RetryAdaptiveLookupCheater, point_lookup(5), _truth()[5]),
+])
+def test_adaptive_cheater_rejected_after_a_primary_kill_at_every_frame(
+        tmp_path, cheater_class, descriptor, truth):
+    """Every node is on the prover's side: one cheater instance serves all
+    three, so the replica a failover lands on knows the r_1 the primary
+    saw.  With a spare copy provisioned, no kill point may turn its lie
+    into an accepted answer."""
+    cheater = cheater_class(F)
+    with proxied_cluster_of(tmp_path, prover_wrapper=cheater) as harness:
+        address = harness["handle"].address
+
+        def run(dataset):
+            client = ServiceClient(*address, F, U, dataset_id=dataset,
+                                   rng=random.Random(23), retry=FAST_RETRY,
+                                   op_timeout=5.0)
+            with client:
+                client.provision(descriptor, 2)
+                client.send_updates(UPDATES)
+                return client.query(descriptor)[0]
+
+        calibration = fresh_dataset_id()
+        primary = harness["router"].replicas(calibration)[0]
+        proxy = harness["proxies"][primary].proxy
+        base = proxy.global_frames
+        clean = run(calibration)
+        assert clean.result.accepted and clean.result.value == truth
+        for index in range(proxy.global_frames - base):
+            dataset = fresh_dataset_id()
+            outcome = kill_primary_at(harness, dataset, index,
+                                      lambda: run(dataset))
+            assert not outcome.result.accepted \
+                or outcome.result.value == truth, index
+        assert cheater.cheats > 0
 
 
 def test_restart_from_stale_snapshot_resyncs_missed_tail(single_node,

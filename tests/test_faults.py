@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import RetryAdaptiveF2Cheater, RetryAdaptiveLookupCheater
 from repro.comm.wire import encode_transcript
 from repro.core.multiquery import BatchedSumcheckEngine
 from repro.field.modular import DEFAULT_FIELD as F
@@ -38,12 +39,20 @@ from repro.service import (
     FaultSchedule,
     NO_RETRY,
     ProverServer,
+    QueryRouter,
     RetryPolicy,
     ServiceBusyError,
     ServiceClient,
     ServiceUnavailableError,
     f2,
+    heavy_hitters,
+    k_largest,
+    point_lookup,
+    predecessor,
+    range_scan,
+    range_sum,
     run_load,
+    successor,
 )
 from repro.service.faults import (
     Fault,
@@ -253,6 +262,143 @@ def test_soundness_survives_the_faulty_wire():
             assert outcomes[0].result.reason
         finally:
             handle.stop()
+    finally:
+        server_handle.stop()
+
+
+# -- a retried conversation never reuses a secret point ------------------------
+
+
+def _truth():
+    counts = [0] * U
+    for key, delta in UPDATES:
+        counts[key] += delta
+    return counts
+
+
+@pytest.mark.parametrize("cheater_class, descriptor, truth", [
+    (RetryAdaptiveF2Cheater, f2(), sum(a * a for a in _truth())),
+    (RetryAdaptiveLookupCheater, point_lookup(5), _truth()[5]),
+])
+def test_adaptive_cheater_rejected_after_a_drop_at_every_frame(
+        cheater_class, descriptor, truth):
+    """A prover that saw r_1 before the link dropped cheats on the retry
+    with a lie invisible at that r_1.  With a spare copy provisioned, no
+    drop index may turn the lie into an accepted answer."""
+    cheater = cheater_class(F)
+    srv = ProverServer(F, prover_wrapper=cheater)
+    server_handle = srv.serve_in_thread()
+
+    def run(schedule):
+        proxy = ChaosProxy(*server_handle.address, schedule=schedule)
+        handle = proxy.serve_in_thread()
+        try:
+            client = ServiceClient(*handle.address, F, U,
+                                   dataset_id=fresh_dataset_id(),
+                                   rng=random.Random(0), retry=FAST_RETRY,
+                                   op_timeout=5.0)
+            with client:
+                client.provision(descriptor, 2)
+                client.send_updates(UPDATES)
+                return client.query(descriptor)[0], proxy
+        finally:
+            handle.stop()
+
+    try:
+        clean, proxy = run(FaultSchedule())
+        assert clean.result.accepted and clean.result.value == truth
+        for index in range(proxy.global_frames):
+            outcome, _proxy = run(FaultSchedule.scripted({index: KIND_DROP}))
+            assert not outcome.result.accepted \
+                or outcome.result.value == truth, index
+        assert cheater.cheats > 0
+    finally:
+        server_handle.stop()
+
+
+class ChallengeSpy:
+    """A ``prover_wrapper`` logging the challenge words each materialised
+    prover receives, one list per materialisation."""
+
+    def __init__(self):
+        self.log = []
+
+    def __call__(self, unit, prover, dataset):
+        words = []
+        self.log.append(words)
+        return _SpiedProver(prover, words)
+
+
+class _SpiedProver:
+    def __init__(self, prover, words):
+        self._prover = prover
+        self._words = words
+
+    def __getattr__(self, name):
+        return getattr(self._prover, name)
+
+    def receive_challenge(self, r):
+        self._words.append(r)
+        return self._prover.receive_challenge(r)
+
+    def receive_randomness(self, r, s):
+        self._words.extend((r, s))
+        return self._prover.receive_randomness(r, s)
+
+
+class FrameLog(FaultSchedule):
+    """Passes every frame and records its type by global index."""
+
+    def __init__(self):
+        self.types = []
+
+    def decide(self, direction, index, global_index, frame_type):
+        self.types.append(frame_type)
+        return None
+
+
+@pytest.mark.parametrize("descriptors", [
+    (point_lookup(5),), (range_scan(3, 40),), (k_largest(2),),
+    (predecessor(30),), (successor(30),), (heavy_hitters(1, 8),),
+    (f2(workers=2),), (f2(),), (f2(), range_sum(2, 50)),
+], ids=lambda ds: "+".join(q.name + "".join("-%d" % w for w in q.params)
+                           for q in ds))
+def test_retry_after_a_challenge_uses_fresh_challenges(descriptors):
+    """Every kind the router plans: drop the reply to the last prover
+    call, after the server's prover has received challenges.  The retried
+    conversation must not be shown the same ones."""
+    spy = ChallengeSpy()
+    server_handle = ProverServer(F, prover_wrapper=spy).serve_in_thread()
+
+    def run(schedule):
+        proxy = ChaosProxy(*server_handle.address, schedule=schedule)
+        handle = proxy.serve_in_thread()
+        try:
+            client = ServiceClient(*handle.address, F, U,
+                                   dataset_id=fresh_dataset_id(),
+                                   rng=random.Random(9), retry=FAST_RETRY,
+                                   op_timeout=5.0)
+            with client:
+                (unit,) = QueryRouter.plan(descriptors)
+                client.provision(unit.pool_key, 2)
+                client.send_updates(UPDATES)
+                return client.query(*descriptors), client
+        finally:
+            handle.stop()
+
+    try:
+        log = FrameLog()
+        run(log)
+        last_reply = log.types.index(sp.T_QUERY_CLOSE) - 1
+        assert log.types[last_reply] == sp.T_P_REPLY
+        spy.log.clear()
+        outcomes, client = run(
+            FaultSchedule.scripted({last_reply: KIND_DROP}))
+        assert all(o.result.accepted for o in outcomes)
+        assert client.retries == 1
+        first, retried = spy.log
+        assert first and retried
+        assert first[0] != retried[0]
     finally:
         server_handle.stop()
 

@@ -21,7 +21,6 @@ query (:class:`QueryOutcome.cost`).
 
 from __future__ import annotations
 
-import copy
 import json
 import random
 import socket
@@ -140,7 +139,8 @@ class QueryOutcome:
 
     ``transcript`` is the conversation that produced the verdict — the
     byte-identity anchor of the chaos tests: a query retried across
-    connection drops must reproduce the fault-free transcript exactly.
+    connection drops must reproduce the fault-free transcript of the
+    verifier copy it ended on exactly.
     """
 
     descriptor: QueryDescriptor
@@ -269,11 +269,13 @@ class _Pool:
 
     A segment of the client's :class:`SketchStack` — which streams
     vector 0 into every copy and vector 1 into the second LDE of the
-    two-vector families — consumed from the tail, one copy per query.
+    two-vector families — consumed from the tail, one copy per query
+    conversation.
     """
 
     def __init__(self, copies: int, pool_key: Tuple, field: PrimeField,
                  u: int, rng: random.Random, stack: SketchStack):
+        self.key = pool_key
         self._fresh = [
             QueryRouter.make_verifier(
                 pool_key, field, u, random.Random(rng.getrandbits(64))
@@ -284,7 +286,9 @@ class _Pool:
 
     def take(self):
         if not self._fresh:
-            raise LookupError("all independent protocol copies were consumed")
+            raise LookupError(
+                "all independent protocol copies of pool %r were consumed"
+                % (self.key,))
         return self._fresh.pop()
 
     def put_back(self, verifier) -> None:
@@ -390,9 +394,10 @@ class ServiceClient:
         self.retry = retry or RetryPolicy()
         self.max_payload = max_payload
         #: Jitter draws come from a derived RNG, not ``self._rng``: a
-        #: retry must never shift the verifier-pool seed sequence, or a
-        #: faulted run's pools would diverge from a fault-free run's and
-        #: byte-identical recovery would be unfalsifiable.
+        #: retry must never shift the verifier-pool seed sequence, or the
+        #: copy a retried query takes would differ from the same copy in
+        #: a fault-free run and byte-identical recovery would be
+        #: unfalsifiable.
         self._retry_rng = random.Random(self._rng.getrandbits(64))
         #: Transport retries performed (reconnect + replay of an op).
         self.retries = 0
@@ -714,20 +719,19 @@ class ServiceClient:
             )
         sent0, recv0 = self.bytes_sent, self.bytes_received
         frames0 = self.frames_sent + self.frames_received
-        verifier = pool.take()
-        # Snapshot the copy's full state (LDE fingerprints + drawn
-        # randomness) before any frame flies: a query retried after a
-        # transport fault restores this snapshot and re-runs against a
-        # freshly materialised prover over the same dataset, so the
-        # retried conversation is byte-identical to an undisturbed one.
-        pristine = copy.deepcopy(verifier)
-
-        state = {"verifier": verifier, "channel": None, "result": None}
+        # One copy per conversation.  An open never acked showed the
+        # service only the descriptor, so a retry keeps the copy; once
+        # the open is acked the copy is spent and a retry takes the next
+        # one: a prover never meets the same secret point twice.
+        state = {"verifier": pool.take(), "opened": False,
+                 "channel": None, "result": None}
 
         def attempt() -> None:
-            open_words: List[int] = [1 if unit.batched else 0]
-            for q in unit.descriptors:
-                open_words.extend(q.to_words())
+            if state["opened"]:
+                state["verifier"] = pool.take()
+                state["opened"] = False
+            open_words = [1 if unit.batched else 0] + [
+                word for q in unit.descriptors for word in q.to_words()]
             _t, _s, payload = self._request(
                 sp.T_QUERY_OPEN,
                 self.session_id,
@@ -736,24 +740,22 @@ class ServiceClient:
             )
             ref = sp.parse_words(self.field, payload)[0]
             self._last_acked = "query-open#%d" % ref
+            state["opened"] = True
 
-            proxy = self._make_proxy(unit, ref)
-            channel = Channel(tamper=self.tamper)
-            state["channel"] = channel
-            completed = False
+            channel = state["channel"] = Channel(tamper=self.tamper)
             try:
                 # The interactive verification — every proof round and
                 # the final accept/reject decision — runs inside this
                 # span; the per-round spans nest under it.
                 with self._tracer.span("client.verify"):
                     state["result"] = QueryRouter.run(
-                        unit, proxy, state["verifier"], channel
+                        unit, self._make_proxy(unit, ref),
+                        state["verifier"], channel,
                     )
-                completed = True
             finally:
-                # Best-effort close: if the transport just died the
-                # server's disconnect cleanup already released the
-                # prover, and the close must not mask the real error.
+                # Best-effort close: a verdict that is in is never re-run
+                # for it, and if the transport died the server's
+                # disconnect cleanup already released the prover.
                 try:
                     self._request(
                         sp.T_QUERY_CLOSE,
@@ -762,25 +764,19 @@ class ServiceClient:
                         expect=sp.T_QUERY_CLOSE_ACK,
                     )
                 except ServiceUnavailableError:
-                    if completed:
-                        raise
-
-        def on_retry() -> None:
-            state["verifier"] = copy.deepcopy(pristine)
+                    pass
 
         with self._tracer.span(
             "client.query", batched=unit.batched,
             kinds=[q.name for q in unit.descriptors],
         ):
             try:
-                self._with_retries(attempt, "query", on_retry=on_retry)
+                self._with_retries(attempt, "query")
             except Exception:
-                if state["channel"] is None:
-                    # No open was ever acked, and T_QUERY_OPEN carries
-                    # only the descriptor: nothing about this copy left
-                    # the client, and copies cannot be re-provisioned
-                    # once the stream has started.
-                    pool.put_back(verifier)
+                if not state["opened"]:
+                    # Copies cannot be re-provisioned once the stream
+                    # has started, and this one is still unspent.
+                    pool.put_back(state["verifier"])
                 raise
         result = state["result"]
         channel = state["channel"]
@@ -980,8 +976,8 @@ class ServiceClient:
     # -- retry engine --------------------------------------------------------
 
     def _with_retries(self, attempt: Callable[[], None], op: str,
-                      already_done: Optional[Callable[[], bool]] = None,
-                      on_retry: Optional[Callable[[], None]] = None) -> None:
+                      already_done: Optional[Callable[[], bool]] = None
+                      ) -> None:
         """Run ``attempt`` under the retry policy.
 
         Transport faults reconnect before retrying (busy refusals are
@@ -989,8 +985,7 @@ class ServiceClient:
         position-safe).  ``already_done`` is consulted after a reconnect
         — an operation the server provably applied (its effect is
         visible in the fresh HELLO state) is not replayed, which is what
-        makes resends idempotent.  ``on_retry`` restores caller state
-        (e.g. a verifier snapshot) before the next attempt.
+        makes resends idempotent.
         """
         failures = 0
         while True:
@@ -1013,8 +1008,3 @@ class ServiceClient:
                 else:
                     if already_done is not None and already_done():
                         return
-                # Restore caller state before *every* retry, even after
-                # a failed dial — a half-advanced verifier must never
-                # meet a fresh prover.
-                if on_retry is not None:
-                    on_retry()

@@ -6,8 +6,9 @@ ring.HashRing` over the backend :class:`~repro.service.server.
 ProverServer` nodes and speaks the ordinary service frame protocol to
 clients — a :class:`~repro.service.client.ServiceClient` pointed at the
 router cannot tell it from a single server, which is the point: every
-client-side recovery behaviour (retries, reconnects, pristine-verifier
-query re-runs, replay resume) composes unchanged with cluster failover.
+client-side recovery behaviour (retries, reconnects, query re-runs on a
+fresh verifier copy, replay resume) composes unchanged with cluster
+failover.
 
 Placement and replication follow the partitioned-keyspace idiom: a
 dataset id hashes onto the ring and is assigned to ``replication_factor``
@@ -25,8 +26,9 @@ Failure handling:
   misses or any relay error mark it *dead*;
 * a dead primary mid-conversation aborts the client's connection — the
   client's retry layer reconnects, lands on the next replica in ring
-  order, and re-runs its query from the pristine verifier snapshot, so
-  the recovered transcript is byte-identical to a fault-free run;
+  order, and re-runs its query on the next copy of its verifier pool
+  (never the copy whose challenges the dead node saw), so the recovered
+  transcript is byte-identical to a fault-free run on that copy;
 * a dead node stops receiving the update fan-out, so its data goes
   stale; it is **not** readmitted by a mere successful probe.  The
   :class:`~repro.service.supervisor.NodeSupervisor` restarts it from its

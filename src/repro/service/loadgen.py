@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional
 
 from repro.field.modular import PrimeField
-from repro.service.client import ServiceClient
+from repro.service.client import RetryPolicy, ServiceClient
 from repro.service.router import QueryDescriptor, QueryRouter
 from repro.streams.generators import key_value_pairs
 
@@ -241,11 +241,12 @@ def run_load(
     extra_kwargs = dict(client_kwargs or {})
     # Pools follow the *plan*, not the raw descriptors: a mixed
     # sum-check batch consumes one copy from the ("batch",) pool
-    # instead of one per family.
-    plan_units = QueryRouter.plan(queries)
+    # instead of one per family.  A retried conversation takes a new
+    # copy, so each unit gets one per attempt its retry policy allows.
+    attempts = (extra_kwargs.get("retry") or RetryPolicy()).max_attempts
     pool_spec: Dict = {}
-    for unit in plan_units:
-        pool_spec[unit.pool_key] = pool_spec.get(unit.pool_key, 0) + 1
+    for unit in QueryRouter.plan(queries):
+        pool_spec[unit.pool_key] = pool_spec.get(unit.pool_key, 0) + attempts
 
     def one_session(index: int) -> None:
         rng = random.Random(seed * 10007 + index)
@@ -265,7 +266,6 @@ def run_load(
             )
             with client:
                 for key, copies in pool_spec.items():
-                    # One copy per plan unit drawing from this pool.
                     client.provision(key, copies)
                 if shared_dataset and client.missed_updates:
                     client.replay_missed()

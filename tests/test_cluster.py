@@ -2,12 +2,16 @@
 
 The acceptance bar carries over from the chaos suite: recovery is only
 recovery if the transcript is *byte-identical* to a fault-free
-single-node run.  Sum-check transcripts are deterministic given data +
-verifier randomness, the router fans every update to every in-sync
-replica before acking, and the client re-runs a faulted query from its
-pristine verifier snapshot — so killing the primary at any frame
-boundary, or restarting a node from a stale snapshot and resyncing its
-missed tail from a peer, must reproduce the reference bytes exactly.
+single-node run.  Transcripts are deterministic given data + verifier
+randomness, and the router fans every update to every in-sync replica
+before acking.  A failover is the client's retry: a conversation whose
+open was acked spent its copy, so the retry runs on the next copy of the
+same seeded pool.  Killing the primary at any frame boundary must
+reproduce the single-node bytes of the copy the query ended on, and
+restarting a node from a stale snapshot and resyncing its missed tail
+from a peer must reproduce the reference bytes exactly.  Every node may
+be on the prover's side: a replica that learned the primary's challenges
+is still caught.
 
 ``REPRO_CLUSTER_SEED`` (default 0) seeds the node-kill choices of the
 cluster load run so the CI cluster-smoke leg can sweep a seed matrix;
@@ -71,17 +75,23 @@ def fresh_dataset_id():
     return next(_DATASET_COUNTER)
 
 
+#: Copies each run provisions: the first one, and the one a conversation
+#: retried after its open was acked takes.
+COPIES = 2
+
+
 def run_workload(host, port, dataset_id, seed=0, retry=FAST_RETRY,
-                 updates=UPDATES, copies=1):
+                 updates=UPDATES, copies=COPIES, queries=1):
     """The canonical workload (same as the chaos suite's): provision,
-    stream, verify one F2.  Same seed + same data = same bytes."""
+    stream, verify F2 ``queries`` times.  Same seed + same pool size +
+    same data = same bytes for the k-th copy taken."""
     client = ServiceClient(host, port, F, U, dataset_id=dataset_id,
                            rng=random.Random(seed), retry=retry,
                            op_timeout=5.0)
     with client:
         client.provision(("f2",), copies)
         client.send_updates(updates)
-        outcomes = client.query(f2())
+        outcomes = [o for _ in range(queries) for o in client.query(f2())]
     return outcomes, client
 
 
@@ -361,6 +371,19 @@ def test_stopped_listener_hangs_up_on_its_clients(single_node, front):
 # -- the tentpole: kill the primary at every frame boundary --------------------
 
 
+class LoggedBlackout(BlackoutSchedule):
+    """A :class:`BlackoutSchedule` that records each frame's type by the
+    proxy's global index."""
+
+    def __init__(self):
+        super().__init__()
+        self.types = []
+
+    def decide(self, direction, index, global_index, frame_type):
+        self.types.append(frame_type)
+        return super().decide(direction, index, global_index, frame_type)
+
+
 @contextlib.contextmanager
 def proxied_cluster_of(tmp_path, **server_kwargs):
     """The frame-precise harness: the router reaches each node only
@@ -377,7 +400,7 @@ def proxied_cluster_of(tmp_path, **server_kwargs):
     nodes = []
     for node_id in ("n0", "n1", "n2"):
         host, port = manager.add_node(node_id)
-        schedule = BlackoutSchedule()
+        schedule = LoggedBlackout()
         proxy = ChaosProxy(host, port, schedule=schedule)
         proxy_handle = proxy.serve_in_thread()
         proxies[node_id] = proxy_handle
@@ -420,64 +443,58 @@ def kill_primary_at(harness, dataset, index, run):
     schedule.after = proxy.global_frames + index
     schedule.active = False
     try:
-        return run()
+        result = run()
     finally:
         schedule.restore()
-        # Heal before the next round so every iteration starts from a
-        # fully alive cluster (and the blacked-out node catches up on
-        # the updates it missed).
-        healed = harness["supervisor"].check_once()
-        assert all(healed.values()), (index, healed)
-        assert set(harness["handle"].health_view().values()) == \
-            {"alive"}, index
+    # Heal before the next round so every iteration starts from a fully
+    # alive cluster (and the blacked-out node catches up on the updates
+    # it missed).
+    healed = harness["supervisor"].check_once()
+    assert all(healed.values()), (index, healed)
+    assert set(harness["handle"].health_view().values()) == {"alive"}, index
+    return result
 
 
 def test_kill_primary_at_every_frame_boundary_byte_identical(
     single_node, proxied_cluster
 ):
     """The headline sweep: black out the dataset's primary at *every*
-    frame of the conversation in turn.  Each time, the client's retry
-    fails over to the replica and must land the exact single-node
-    reference bytes; the supervisor then heals the blacked-out node
-    (tail resync from the surviving replica) before the next round."""
+    frame of the conversation in turn.  A kill up to and including the
+    open's ack, or from the close on, must land the exact single-node
+    bytes of the first copy.  A kill in between aborts the conversation;
+    the client's retry fails over to the replica on the next copy and
+    must land that copy's exact single-node bytes.  The supervisor then
+    heals the blacked-out node (tail resync from the surviving replica)
+    before the next round."""
     reference, _ = run_workload(*single_node.address, fresh_dataset_id(),
-                                seed=23)
-    want = transcript_bytes(reference)
+                                seed=23, queries=COPIES)
+    want = transcript_bytes(reference)  # one per copy, in the order taken
     handle = proxied_cluster["handle"]
     router = proxied_cluster["router"]
-    supervisor = proxied_cluster["supervisor"]
 
-    # Fault-free cluster pass establishes the frame budget one primary
-    # proxy carries for this workload.
+    # Fault-free cluster pass establishes the frames one primary proxy
+    # carries for this workload, and which of them opens and closes.
     calibration = fresh_dataset_id()
     primary = router.replicas(calibration)[0]
     base = proxied_cluster["proxies"][primary].proxy.global_frames
     got, _ = run_workload(*handle.address, calibration, seed=23)
-    assert transcript_bytes(got) == want
-    frames = proxied_cluster["proxies"][primary].proxy.global_frames - base
-    assert frames > 10
+    assert transcript_bytes(got) == want[:1]
+    types = proxied_cluster["schedules"][primary].types[base:]
+    assert len(types) > 10
+    opened = types.index(sp.T_QUERY_ACK)
+    closing = types.index(sp.T_QUERY_CLOSE)
 
     failovers_seen = 0
-    for index in range(frames):
+    for index in range(len(types)):
         dataset = fresh_dataset_id()
-        primary = router.replicas(dataset)[0]
-        schedule = proxied_cluster["schedules"][primary]
-        proxy = proxied_cluster["proxies"][primary].proxy
-        schedule.after = proxy.global_frames + index
-        schedule.active = False
-        try:
-            got, client = run_workload(*handle.address, dataset, seed=23)
-        finally:
-            schedule.restore()
+        got, client = kill_primary_at(
+            proxied_cluster, dataset, index,
+            lambda: run_workload(*handle.address, dataset, seed=23))
+        spent = COPIES - client.pool_remaining(("f2",))
+        assert spent == (2 if opened < index < closing else 1), index
         assert all(o.result.accepted for o in got), index
-        assert transcript_bytes(got) == want, index
+        assert transcript_bytes(got) == [want[spent - 1]], index
         failovers_seen += client.retries
-        # Heal before the next round so every iteration starts from a
-        # fully alive cluster (and the blacked-out node catches up on
-        # the updates it missed).
-        healed = supervisor.check_once()
-        assert all(healed.values()), (index, healed)
-        assert set(handle.health_view().values()) == {"alive"}, index
     assert failovers_seen > 0
     assert handle.stats()["failovers"] > 0
 

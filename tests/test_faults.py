@@ -1,17 +1,23 @@
 """Chaos tests: the verified-query service under injected faults.
 
-The acceptance bar is stronger than "it still works": because sum-check
+The acceptance bar is stronger than "it still works": because
 transcripts are deterministic given the data and the verifier's
 randomness, every recovery path — retry, reconnect, replay catch-up,
-snapshot/restore — must reproduce the *byte identical* transcript of
-an undisturbed run.  These tests drive a real server and a real client
-through a :class:`ChaosProxy` under scheduled connection drops, frame
+server snapshot/restore — must reproduce the *byte identical* transcript
+of an undisturbed run.  One verified conversation consumes one verifier
+copy: a fault before the open's ack, or on the close after the verdict,
+keeps the first copy's bytes; a fault in between spends it, and the
+retry must reproduce the fault-free bytes of the *next* copy of the same
+seeded pool.  These tests drive a real server and a real client through
+a :class:`ChaosProxy` under scheduled connection drops, frame
 truncation/corruption, delays and stalls, and compare
-``encode_transcript`` bytes against a fault-free reference.
+``encode_transcript`` bytes against those fault-free references.
 
 Soundness must survive too: structural transport damage is retried, but
 a *cheating prover* behind the same faulty wire is still rejected — the
-retry layer must never convert a semantic rejection into a retry.
+retry layer must never convert a semantic rejection into a retry, and a
+prover that saw a challenge before the wire broke never sees the same
+secret point again.
 
 ``REPRO_CHAOS_SEED`` (default 0) offsets every seeded schedule so the CI
 chaos leg can sweep a seed matrix over the same assertions.
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import socket
 import threading
 import time
@@ -87,13 +94,20 @@ def server():
     handle.stop()
 
 
-def run_workload(host, port, dataset_id, seed=0, retry=FAST_RETRY,
-                 op_timeout=5.0, copies=1):
-    """The canonical chaos workload: provision, stream, verify one F2.
+#: Copies each run provisions: the first one, and the one a conversation
+#: retried after its open was acked takes.
+COPIES = 2
 
-    Identical seeds produce identical verifier randomness, so two runs
-    of this function against equal datasets must produce byte-identical
-    transcripts no matter what the wire did in between.
+
+def run_workload(host, port, dataset_id, seed=0, retry=FAST_RETRY,
+                 op_timeout=5.0, copies=COPIES, queries=1):
+    """The canonical chaos workload: provision, stream, verify F2
+    ``queries`` times.
+
+    Identical seeds and pool sizes produce identical verifier copies, so
+    the k-th copy a client takes has the same secret point in every such
+    run, and its conversation over equal datasets is byte-identical no
+    matter what the wire did in between.
     """
     client = ServiceClient(host, port, F, U, dataset_id=dataset_id,
                            rng=random.Random(seed), retry=retry,
@@ -101,7 +115,7 @@ def run_workload(host, port, dataset_id, seed=0, retry=FAST_RETRY,
     with client:
         client.provision(("f2",), copies)
         client.send_updates(UPDATES)
-        outcomes = client.query(f2())
+        outcomes = [o for _ in range(queries) for o in client.query(f2())]
     return outcomes, client
 
 
@@ -117,41 +131,97 @@ def run_via_proxy(server, schedule, **kwargs):
         handle.stop()
 
 
+class FrameLog(FaultSchedule):
+    """Passes every frame and records its type by global index."""
+
+    def __init__(self):
+        self.types = []
+
+    def decide(self, direction, index, global_index, frame_type):
+        self.types.append(frame_type)
+        return None
+
+
 @pytest.fixture(scope="module")
 def reference(server):
-    """The fault-free run every recovery path must byte-match."""
-    outcomes, client, proxy = run_via_proxy(server, FaultSchedule())
+    """The fault-free runs every recovery path must byte-match.
+
+    ``types`` are the frame types of one conversation by global index;
+    ``copy_bytes(copies)`` are the transcripts of every copy of a pool of
+    ``copies``, in the order the client takes them.
+    """
+    log = FrameLog()
+    outcomes, client, proxy = run_via_proxy(server, log)
     assert all(o.result.accepted for o in outcomes)
     assert client.retries == 0 and client.reconnects == 0
+    pools = {}
+
+    def copy_bytes(copies):
+        if copies not in pools:
+            runs, _client, _proxy = run_via_proxy(
+                server, FaultSchedule(), copies=copies, queries=copies)
+            assert all(o.result.accepted for o in runs)
+            pools[copies] = [encode_transcript(F, o.transcript)
+                             for o in runs]
+        return pools[copies]
+
     return {
-        "bytes": [encode_transcript(F, o.transcript) for o in outcomes],
         "frames": proxy.global_frames,
+        "types": log.types,
         "values": [o.result.value for o in outcomes],
+        "copy_bytes": copy_bytes,
     }
 
 
-def assert_matches_reference(outcomes, reference):
+def assert_matches_reference(outcomes, reference, client, copies=COPIES):
+    """Accepted, with the reference answer and the exact fault-free bytes
+    of the copy the query ran on — the last one the client took.  Returns
+    how many copies the query spent."""
+    spent = copies - client.pool_remaining(("f2",))
     assert all(o.result.accepted for o in outcomes), [
         o.result.reason for o in outcomes
     ]
     assert [o.result.value for o in outcomes] == reference["values"]
-    assert [
-        encode_transcript(F, o.transcript) for o in outcomes
-    ] == reference["bytes"]
+    assert [encode_transcript(F, o.transcript) for o in outcomes] == \
+        [reference["copy_bytes"](copies)[spent - 1]]
+    return spent
 
 
 # -- the tentpole: byte-identity across every failure point --------------------
 
 
 def test_connection_drop_at_every_frame_boundary(server, reference):
-    """Kill the connection at *every* frame of the conversation in turn;
-    the client must recover each time with the exact reference bytes."""
+    """Kill the connection at *every* frame of the conversation in turn.
+
+    Up to and including the open's ack nothing about the copy has left
+    the client, and from the close on the verdict is in: either way the
+    query ends on the first copy's exact bytes.  In between, the retried
+    conversation must run on the next copy and end on its exact bytes."""
+    types = reference["types"]
+    opened = types.index(sp.T_QUERY_ACK)
+    closing = types.index(sp.T_QUERY_CLOSE)
     for index in range(reference["frames"]):
         outcomes, client, proxy = run_via_proxy(
             server, FaultSchedule.scripted({index: KIND_DROP})
         )
         assert proxy.faults_injected == 1, index
-        assert_matches_reference(outcomes, reference)
+        spent = assert_matches_reference(outcomes, reference, client)
+        assert spent == (2 if opened < index < closing else 1), index
+        assert client.retries == (1 if index < closing else 0), index
+
+
+@pytest.mark.parametrize("frame", [sp.T_QUERY_CLOSE, sp.T_QUERY_CLOSE_ACK])
+def test_drop_on_the_close_keeps_the_verdict(server, reference, frame):
+    """The verdict is decided before T_QUERY_CLOSE: a fault on the close
+    round trip neither re-runs the query nor spends a second copy."""
+    index = reference["types"].index(frame)
+    outcomes, client, proxy = run_via_proxy(
+        server, FaultSchedule.scripted({index: KIND_DROP})
+    )
+    assert proxy.faults_injected == 1
+    assert client.retries == 0
+    assert client.pool_remaining(("f2",)) == COPIES - 1
+    assert_matches_reference(outcomes, reference, client)
 
 
 @pytest.mark.parametrize("kind", [KIND_CORRUPT, KIND_TRUNCATE, KIND_STALL])
@@ -163,7 +233,7 @@ def test_structural_damage_mid_query_recovered(server, reference, kind):
     )
     assert proxy.faults_injected == 1
     assert client.retries >= 1
-    assert_matches_reference(outcomes, reference)
+    assert assert_matches_reference(outcomes, reference, client) == 2
 
 
 def test_pure_delays_need_no_recovery(server, reference):
@@ -173,7 +243,7 @@ def test_pure_delays_need_no_recovery(server, reference):
     )
     assert proxy.faults_injected == 3
     assert client.retries == 0 and client.reconnects == 0
-    assert_matches_reference(outcomes, reference)
+    assert assert_matches_reference(outcomes, reference, client) == 1
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -182,18 +252,19 @@ def test_seeded_fault_schedules_recover_byte_identical(server, reference,
                                                        seed):
     """Hypothesis sweep (satellite): pseudo-random drop/corrupt/truncate/
     delay schedules at a small rate — every surviving query must carry
-    the reference transcript bytes and verdict."""
+    the reference verdict and the exact bytes of the copy it ended on.
+    One copy per attempt: every retry may be a post-open one."""
     schedule = SeededSchedule(
         seed ^ (CHAOS_SEED << 20), rate=0.02,
         kinds=(KIND_DROP, KIND_CORRUPT, KIND_TRUNCATE, KIND_DELAY),
         delay=0.002, stall=0.05,
     )
+    retry = RetryPolicy(max_attempts=16, base_delay=0.002, max_delay=0.02)
     outcomes, client, proxy = run_via_proxy(
-        server, schedule,
-        retry=RetryPolicy(max_attempts=16, base_delay=0.002,
-                          max_delay=0.02),
+        server, schedule, retry=retry, copies=retry.max_attempts,
     )
-    assert_matches_reference(outcomes, reference)
+    assert_matches_reference(outcomes, reference, client,
+                             copies=retry.max_attempts)
 
 
 def test_mid_replay_disconnect_resumes_from_last_block(server):
@@ -346,17 +417,6 @@ class _SpiedProver:
         return self._prover.receive_randomness(r, s)
 
 
-class FrameLog(FaultSchedule):
-    """Passes every frame and records its type by global index."""
-
-    def __init__(self):
-        self.types = []
-
-    def decide(self, direction, index, global_index, frame_type):
-        self.types.append(frame_type)
-        return None
-
-
 @pytest.mark.parametrize("descriptors", [
     (point_lookup(5),), (range_scan(3, 40),), (k_largest(2),),
     (predecessor(30),), (successor(30),), (heavy_hitters(1, 8),),
@@ -403,6 +463,37 @@ def test_retry_after_a_challenge_uses_fresh_challenges(descriptors):
         server_handle.stop()
 
 
+def test_retry_with_an_empty_pool_raises_and_never_reuses_the_copy(
+        reference):
+    """One copy, and a drop after the open's ack: the retry needs a new
+    copy, finds none, and says which pool ran dry — the spent copy never
+    meets a second prover."""
+    spy = ChallengeSpy()
+    server_handle = ProverServer(F, prover_wrapper=spy).serve_in_thread()
+    index = reference["types"].index(sp.T_P_REPLY)
+    proxy = ChaosProxy(*server_handle.address,
+                       schedule=FaultSchedule.scripted({index: KIND_DROP}))
+    handle = proxy.serve_in_thread()
+    try:
+        client = ServiceClient(*handle.address, F, U,
+                               dataset_id=fresh_dataset_id(),
+                               rng=random.Random(0), retry=FAST_RETRY,
+                               op_timeout=5.0)
+        with client:
+            client.provision(("f2",), 1)
+            client.send_updates(UPDATES)
+            with pytest.raises(LookupError, match=re.escape("('f2',)")):
+                client.query(f2())
+            assert client.pool_remaining(("f2",)) == 0
+            with pytest.raises(LookupError):
+                client.query(f2())
+        assert proxy.faults_injected == 1
+        assert len(spy.log) == 1
+    finally:
+        handle.stop()
+        server_handle.stop()
+
+
 # -- typed transport errors (satellite) ----------------------------------------
 
 
@@ -427,17 +518,18 @@ def test_dead_service_surfaces_typed_unavailable_error():
 def test_unavailable_error_reports_last_acked_step(server, reference):
     """Mid-query transport death names the last acknowledged protocol
     step, so operators can see where the conversation died."""
-    # Drop every frame from mid-query onward: retries burn out.
+    # Drop every frame from mid-query onward: retries burn out.  One
+    # copy per attempt, so the transport error is what surfaces.
     plan = {index: Fault(KIND_DROP)
             for index in range(10, 10 + 4 * reference["frames"])}
     proxy = ChaosProxy(*server.address,
                        schedule=FaultSchedule.scripted(plan))
     handle = proxy.serve_in_thread()
+    retry = RetryPolicy(max_attempts=2, base_delay=0.005)
     try:
         with pytest.raises(ServiceUnavailableError) as excinfo:
-            run_workload(*handle.address, fresh_dataset_id(),
-                         retry=RetryPolicy(max_attempts=2,
-                                           base_delay=0.005))
+            run_workload(*handle.address, fresh_dataset_id(), retry=retry,
+                         copies=retry.max_attempts)
         assert excinfo.value.last_acked
     finally:
         handle.stop()
@@ -515,7 +607,7 @@ def test_rate_limited_session_backs_off_and_completes(reference):
         assert srv.rate_limited >= 1
         assert client.refusals >= 1
         assert client.reconnects == 0  # backoff in place, no resync
-        assert_matches_reference(outcomes, reference)
+        assert assert_matches_reference(outcomes, reference, client) == 1
     finally:
         handle.stop()
 

@@ -14,6 +14,7 @@ from typing import Optional
 
 from repro.comm.channel import Channel
 from repro.core.base import VerificationResult, rejected
+from repro.core.reporting import read_claim
 from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field.modular import PrimeField
 
@@ -39,9 +40,12 @@ def k_largest_query(
     if k < 1:
         raise ValueError("k must be >= 1, got %d" % k)
     ch = channel or Channel()
-    flag, claimed = ch.prover_says(0, "claim", prover.claim_kth_largest(k))[:2]
+    claim = read_claim(ch.prover_says(0, "claim", prover.claim_kth_largest(k)))
+    if claim is None:
+        return rejected(ch.transcript, "malformed k-largest claim")
+    found, claimed = claim
     hi = verifier.size - 1
-    if flag == 0:
+    if not found:
         # Claim: fewer than k distinct keys in the whole universe.  Verify
         # with a full-range sub-vector (expensive in communication but
         # sound; used only in this degenerate case).

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.comm.channel import Channel
 from repro.core.base import VerificationResult, accepted, rejected
@@ -28,6 +28,16 @@ from repro.field.modular import PrimeField
 
 #: Claim encoding for maybe-absent keys: (found flag, key).
 _NOT_FOUND = (0, 0)
+
+
+def read_claim(words: Sequence[int]) -> Optional[Tuple[bool, int]]:
+    """A ``(flag, key)`` claim as ``(found, key)``; None unless it is
+    canonical — two words, flag 0 or 1, key 0 beside flag 0 — so that one
+    answer has exactly one accepted claim."""
+    words = tuple(words)
+    if len(words) == 2 and (words[0] == 1 or words == _NOT_FOUND):
+        return words[0] == 1, words[1]
+    return None
 
 
 @dataclass(frozen=True)
@@ -121,8 +131,11 @@ def predecessor_query(
     checked with SUB-VECTOR over [0, q] expecting an empty answer.
     """
     ch = channel or Channel()
-    flag, claimed = ch.prover_says(0, "claim", prover.claim_predecessor(q))[:2]
-    if flag == 0:
+    claim = read_claim(ch.prover_says(0, "claim", prover.claim_predecessor(q)))
+    if claim is None:
+        return rejected(ch.transcript, "malformed predecessor claim")
+    found, claimed = claim
+    if not found:
         result = run_subvector(prover, verifier, 0, min(q, verifier.size - 1), ch)
         if not result.accepted:
             return result
@@ -167,9 +180,12 @@ def successor_query(
 ) -> VerificationResult:
     """SUCCESSOR: smallest present key ``>= q`` (symmetric to predecessor)."""
     ch = channel or Channel()
-    flag, claimed = ch.prover_says(0, "claim", prover.claim_successor(q))[:2]
+    claim = read_claim(ch.prover_says(0, "claim", prover.claim_successor(q)))
+    if claim is None:
+        return rejected(ch.transcript, "malformed successor claim")
+    found, claimed = claim
     hi = verifier.size - 1
-    if flag == 0:
+    if not found:
         result = run_subvector(prover, verifier, max(q, 0), hi, ch)
         if not result.accepted:
             return result

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.k_largest import KLargestProver, k_largest_query
 from repro.core.reporting import (
     ReportingProver,
     build_reporting_session,
@@ -161,6 +163,28 @@ def test_predecessor_false_none_claim_rejected():
     prover.claim_predecessor = lambda q: (0, 0)
     result = predecessor_query(prover, verifier, 25)
     assert not result.accepted
+
+
+@pytest.mark.parametrize("query, method, q, claim", [
+    (predecessor_query, "claim_predecessor", 25, (2, 20)),  # truth (1, 20)
+    (successor_query, "claim_successor", 15, (2, 20)),      # truth (1, 20)
+    (predecessor_query, "claim_predecessor", 5, (0, 7)),    # truth (0, 0)
+    (k_largest_query, "claim_kth_largest", 1, (2, 20)),     # truth (1, 20)
+])
+def test_non_canonical_claim_rejected(query, method, q, claim):
+    """A claim flag is 0 or 1, and a "none" claim carries key 0: any
+    other word pair would let two transcripts carry one answer."""
+    stream = Stream.from_items(64, [10, 20])
+    verifier = TreeHashVerifier(F, 64, rng=random.Random(0))
+    cls = KLargestProver if query is k_largest_query else ReportingProver
+    prover = cls(F, 64)
+    for i, delta in stream.updates():
+        verifier.process(i, delta)
+        prover.process(i, delta)
+    honest = getattr(prover, method)(q)
+    assert honest != claim and honest[0] == min(claim[0], 1)
+    setattr(prover, method, lambda _q: claim)
+    assert not query(prover, verifier, q).accepted
 
 
 def test_successor_lying_rejected():

@@ -38,6 +38,9 @@ is a 2-byte code, then a UTF-8 message, and the code lets a client
 decide between retrying after a backoff (the request was fine, the
 service was busy), reconnecting and resuming (the server lost this
 conversation) and giving up (a semantic rejection that will repeat).
+A query resumed after its `T_QUERY_ACK` reruns on a fresh verifier
+copy, since the lost conversation may have shown the prover challenges;
+before the ack, the same copy is safe to reuse.
 $error_codes
 ## Prover steps
 

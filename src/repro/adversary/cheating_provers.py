@@ -270,8 +270,9 @@ class RetryAdaptiveCheater:
         seen = self.challenges.setdefault(dataset.dataset_id, [])
         if not seen:
             return _Recorder(prover, seen)
-        self.cheats += 1
-        return self.exploit(unit, prover, seen[0])
+        cheat = self.exploit(unit, prover, seen[0])
+        self.cheats += cheat is not None
+        return cheat
 
 
 class _ShiftedFirstRound(_Delegate):

@@ -81,17 +81,19 @@ COPIES = 2
 
 
 def run_workload(host, port, dataset_id, seed=0, retry=FAST_RETRY,
-                 updates=UPDATES, copies=COPIES, queries=1):
+                 updates=UPDATES, copies=COPIES, queries=1, descriptor=f2()):
     """The canonical workload (same as the chaos suite's): provision,
-    stream, verify F2 ``queries`` times.  Same seed + same pool size +
-    same data = same bytes for the k-th copy taken."""
+    stream, verify ``descriptor`` (F2 by default) ``queries`` times.
+    Same seed + same pool size + same data = same bytes for the k-th
+    copy taken."""
     client = ServiceClient(host, port, F, U, dataset_id=dataset_id,
                            rng=random.Random(seed), retry=retry,
                            op_timeout=5.0)
     with client:
-        client.provision(("f2",), copies)
+        client.provision(descriptor, copies)
         client.send_updates(updates)
-        outcomes = [o for _ in range(queries) for o in client.query(f2())]
+        outcomes = [o for _ in range(queries)
+                    for o in client.query(descriptor)]
     return outcomes, client
 
 
@@ -509,7 +511,7 @@ def _truth():
 @pytest.mark.parametrize("cheater_class, descriptor, truth", [
     (RetryAdaptiveF2Cheater, f2(), sum(a * a for a in _truth())),
     (RetryAdaptiveLookupCheater, point_lookup(5), _truth()[5]),
-])
+], ids=["f2", "point-lookup"])
 def test_adaptive_cheater_rejected_after_a_primary_kill_at_every_frame(
         tmp_path, cheater_class, descriptor, truth):
     """Every node is on the prover's side: one cheater instance serves all
@@ -521,13 +523,9 @@ def test_adaptive_cheater_rejected_after_a_primary_kill_at_every_frame(
         address = harness["handle"].address
 
         def run(dataset):
-            client = ServiceClient(*address, F, U, dataset_id=dataset,
-                                   rng=random.Random(23), retry=FAST_RETRY,
-                                   op_timeout=5.0)
-            with client:
-                client.provision(descriptor, 2)
-                client.send_updates(UPDATES)
-                return client.query(descriptor)[0]
+            outcomes, _client = run_workload(*address, dataset, seed=23,
+                                             descriptor=descriptor)
+            return outcomes[0]
 
         calibration = fresh_dataset_id()
         primary = harness["router"].replicas(calibration)[0]

@@ -100,9 +100,10 @@ COPIES = 2
 
 
 def run_workload(host, port, dataset_id, seed=0, retry=FAST_RETRY,
-                 op_timeout=5.0, copies=COPIES, queries=1):
-    """The canonical chaos workload: provision, stream, verify F2
-    ``queries`` times.
+                 op_timeout=5.0, copies=COPIES, queries=1,
+                 descriptors=(f2(),)):
+    """The canonical chaos workload: provision, stream, run the one plan
+    unit of ``descriptors`` (F2 by default) ``queries`` times.
 
     Identical seeds and pool sizes produce identical verifier copies, so
     the k-th copy a client takes has the same secret point in every such
@@ -112,10 +113,12 @@ def run_workload(host, port, dataset_id, seed=0, retry=FAST_RETRY,
     client = ServiceClient(host, port, F, U, dataset_id=dataset_id,
                            rng=random.Random(seed), retry=retry,
                            op_timeout=op_timeout)
+    (unit,) = QueryRouter.plan(descriptors)
     with client:
-        client.provision(("f2",), copies)
+        client.provision(unit.pool_key, copies)
         client.send_updates(UPDATES)
-        outcomes = [o for _ in range(queries) for o in client.query(f2())]
+        outcomes = [o for _ in range(queries)
+                    for o in client.query(*descriptors)]
     return outcomes, client
 
 
@@ -210,7 +213,8 @@ def test_connection_drop_at_every_frame_boundary(server, reference):
         assert client.retries == (1 if index < closing else 0), index
 
 
-@pytest.mark.parametrize("frame", [sp.T_QUERY_CLOSE, sp.T_QUERY_CLOSE_ACK])
+@pytest.mark.parametrize("frame", [sp.T_QUERY_CLOSE, sp.T_QUERY_CLOSE_ACK],
+                         ids=["close", "close-ack"])
 def test_drop_on_the_close_keeps_the_verdict(server, reference, frame):
     """The verdict is decided before T_QUERY_CLOSE: a fault on the close
     round trip neither re-runs the query nor spends a second copy."""
@@ -350,36 +354,22 @@ def _truth():
 @pytest.mark.parametrize("cheater_class, descriptor, truth", [
     (RetryAdaptiveF2Cheater, f2(), sum(a * a for a in _truth())),
     (RetryAdaptiveLookupCheater, point_lookup(5), _truth()[5]),
-])
+], ids=["f2", "point-lookup"])
 def test_adaptive_cheater_rejected_after_a_drop_at_every_frame(
         cheater_class, descriptor, truth):
     """A prover that saw r_1 before the link dropped cheats on the retry
     with a lie invisible at that r_1.  With a spare copy provisioned, no
     drop index may turn the lie into an accepted answer."""
     cheater = cheater_class(F)
-    srv = ProverServer(F, prover_wrapper=cheater)
-    server_handle = srv.serve_in_thread()
-
-    def run(schedule):
-        proxy = ChaosProxy(*server_handle.address, schedule=schedule)
-        handle = proxy.serve_in_thread()
-        try:
-            client = ServiceClient(*handle.address, F, U,
-                                   dataset_id=fresh_dataset_id(),
-                                   rng=random.Random(0), retry=FAST_RETRY,
-                                   op_timeout=5.0)
-            with client:
-                client.provision(descriptor, 2)
-                client.send_updates(UPDATES)
-                return client.query(descriptor)[0], proxy
-        finally:
-            handle.stop()
-
+    server_handle = ProverServer(F, prover_wrapper=cheater).serve_in_thread()
     try:
-        clean, proxy = run(FaultSchedule())
+        (clean,), _client, proxy = run_via_proxy(
+            server_handle, FaultSchedule(), descriptors=(descriptor,))
         assert clean.result.accepted and clean.result.value == truth
         for index in range(proxy.global_frames):
-            outcome, _proxy = run(FaultSchedule.scripted({index: KIND_DROP}))
+            (outcome,), _client, _proxy = run_via_proxy(
+                server_handle, FaultSchedule.scripted({index: KIND_DROP}),
+                descriptors=(descriptor,))
             assert not outcome.result.accepted \
                 or outcome.result.value == truth, index
         assert cheater.cheats > 0
@@ -429,31 +419,15 @@ def test_retry_after_a_challenge_uses_fresh_challenges(descriptors):
     conversation must not be shown the same ones."""
     spy = ChallengeSpy()
     server_handle = ProverServer(F, prover_wrapper=spy).serve_in_thread()
-
-    def run(schedule):
-        proxy = ChaosProxy(*server_handle.address, schedule=schedule)
-        handle = proxy.serve_in_thread()
-        try:
-            client = ServiceClient(*handle.address, F, U,
-                                   dataset_id=fresh_dataset_id(),
-                                   rng=random.Random(9), retry=FAST_RETRY,
-                                   op_timeout=5.0)
-            with client:
-                (unit,) = QueryRouter.plan(descriptors)
-                client.provision(unit.pool_key, 2)
-                client.send_updates(UPDATES)
-                return client.query(*descriptors), client
-        finally:
-            handle.stop()
-
     try:
         log = FrameLog()
-        run(log)
+        run_via_proxy(server_handle, log, descriptors=descriptors)
         last_reply = log.types.index(sp.T_QUERY_CLOSE) - 1
         assert log.types[last_reply] == sp.T_P_REPLY
         spy.log.clear()
-        outcomes, client = run(
-            FaultSchedule.scripted({last_reply: KIND_DROP}))
+        outcomes, client, _proxy = run_via_proxy(
+            server_handle, FaultSchedule.scripted({last_reply: KIND_DROP}),
+            descriptors=descriptors)
         assert all(o.result.accepted for o in outcomes)
         assert client.retries == 1
         first, retried = spy.log

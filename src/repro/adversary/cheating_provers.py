@@ -20,7 +20,6 @@ from repro.core.heavy_hitters import HeavyHittersProver
 from repro.core.multiquery import BatchedSumcheckEngine
 from repro.core.subvector import SubVectorProver
 from repro.field.modular import PrimeField
-from repro.service.router import KIND_POINT_LOOKUP
 
 
 class ModifiedStreamF2Prover(BatchedSumcheckEngine):
@@ -227,7 +226,8 @@ class _Delegate:
 
 
 class _Recorder(_Delegate):
-    """An honest prover that logs each challenge it receives."""
+    """An honest prover that logs each challenge it receives (heavy
+    hitters' as its (r, s) pair)."""
 
     def __init__(self, prover, seen: List[int]):
         super().__init__(prover)
@@ -236,6 +236,10 @@ class _Recorder(_Delegate):
     def receive_challenge(self, r: int):
         self._seen.append(r)
         return self._prover.receive_challenge(r)
+
+    def receive_randomness(self, r: int, s: int):
+        self._seen.extend((r, s))
+        return self._prover.receive_randomness(r, s)
 
 
 class RetryAdaptiveCheater:
@@ -344,7 +348,7 @@ class RetryAdaptiveLookupCheater(RetryAdaptiveCheater):
     earlier conversation revealed."""
 
     def targets(self, unit) -> bool:
-        return unit.descriptors[0].kind == KIND_POINT_LOOKUP
+        return unit.descriptors[0].name == "point-lookup"
 
     def exploit(self, unit, prover, r_1: int):
         if r_1 == 0:

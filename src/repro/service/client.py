@@ -301,6 +301,13 @@ class _Pool:
         return len(self._fresh)
 
 
+def _pool_key(what) -> Tuple:
+    """A descriptor's verifier pool key; a key passes through."""
+    if isinstance(what, QueryDescriptor):
+        return QueryRouter.verifier_pool_key(what)
+    return tuple(what)
+
+
 # -- the client ----------------------------------------------------------------
 
 
@@ -514,11 +521,7 @@ class ServiceClient:
         """Create ``copies`` independent verifiers for a query family."""
         if copies < 1:
             raise ValueError("need at least one copy")
-        key = (
-            QueryRouter.verifier_pool_key(what)
-            if isinstance(what, QueryDescriptor)
-            else tuple(what)
-        )
+        key = _pool_key(what)
         if key in self._pools:
             raise ValueError("pool %r is already provisioned" % (key,))
         if self.updates_streamed:
@@ -531,12 +534,7 @@ class ServiceClient:
         return key
 
     def pool_remaining(self, what) -> int:
-        key = (
-            QueryRouter.verifier_pool_key(what)
-            if isinstance(what, QueryDescriptor)
-            else tuple(what)
-        )
-        return self._pools[key].remaining
+        return self._pools[_pool_key(what)].remaining
 
     # -- streaming -----------------------------------------------------------
 
@@ -723,15 +721,20 @@ class ServiceClient:
         # service only the descriptor, so a retry keeps the copy; once
         # the open is acked the copy is spent and a retry takes the next
         # one: a prover never meets the same secret point twice.
-        state = {"verifier": pool.take(), "opened": False,
+        state = {"verifier": pool.take(), "opened": False, "fault": None,
                  "channel": None, "result": None}
 
         def attempt() -> None:
             if state["opened"]:
-                state["verifier"] = pool.take()
+                try:
+                    state["verifier"] = pool.take()
+                except LookupError as exc:
+                    # Name the fault that spent the last copy.
+                    raise exc from state["fault"]
                 state["opened"] = False
-            open_words = [1 if unit.batched else 0] + [
-                word for q in unit.descriptors for word in q.to_words()]
+            open_words: List[int] = [1 if unit.batched else 0]
+            for q in unit.descriptors:
+                open_words.extend(q.to_words())
             _t, _s, payload = self._request(
                 sp.T_QUERY_OPEN,
                 self.session_id,
@@ -742,16 +745,20 @@ class ServiceClient:
             self._last_acked = "query-open#%d" % ref
             state["opened"] = True
 
-            channel = state["channel"] = Channel(tamper=self.tamper)
+            proxy = self._make_proxy(unit, ref)
+            channel = Channel(tamper=self.tamper)
+            state["channel"] = channel
             try:
                 # The interactive verification — every proof round and
                 # the final accept/reject decision — runs inside this
                 # span; the per-round spans nest under it.
                 with self._tracer.span("client.verify"):
                     state["result"] = QueryRouter.run(
-                        unit, self._make_proxy(unit, ref),
-                        state["verifier"], channel,
+                        unit, proxy, state["verifier"], channel
                     )
+            except ServiceUnavailableError as exc:
+                state["fault"] = exc
+                raise
             finally:
                 # Best-effort close: a verdict that is in is never re-run
                 # for it, and if the transport died the server's
@@ -763,8 +770,12 @@ class ServiceClient:
                         sp.words_payload(self.field, [ref]),
                         expect=sp.T_QUERY_CLOSE_ACK,
                     )
-                except ServiceUnavailableError:
-                    pass
+                except ServiceClientError:
+                    # A late or damaged reply may still be on the link:
+                    # drop it, so the next operation re-dials instead of
+                    # reading those bytes as its own reply.
+                    self._link.close()
+                    self._link = None
 
         with self._tracer.span(
             "client.query", batched=unit.batched,
@@ -782,40 +793,29 @@ class ServiceClient:
         channel = state["channel"]
 
         cost_frames = (self.frames_sent + self.frames_received) - frames0
-        if unit.batched:
-            # Per-query channel accounting; wire bytes are shared.
-            out = []
-            for index, (descriptor, res) in enumerate(
-                zip(unit.descriptors, result)
-            ):
-                cost = QueryCost(
-                    transcript_words=channel.query_cost(index),
-                    bytes_sent=self.bytes_sent - sent0,
-                    bytes_received=self.bytes_received - recv0,
-                    frames=cost_frames,
-                )
-                # The live mirror of the paper's accounting: the
-                # metrics-vs-accounting cross-check asserts these
-                # observations equal Channel.query_cost exactly.
-                obs.histogram("repro_client_query_words",
-                              kind=descriptor.name).observe(
-                    cost.transcript_words)
-                out.append((descriptor, QueryOutcome(
-                    descriptor, res, cost, transcript=channel.transcript
-                )))
-            return out
-        cost = QueryCost(
-            transcript_words=channel.transcript.total_words,
-            bytes_sent=self.bytes_sent - sent0,
-            bytes_received=self.bytes_received - recv0,
-            frames=cost_frames,
-        )
-        descriptor = unit.descriptors[0]
-        obs.histogram("repro_client_query_words",
-                      kind=descriptor.name).observe(cost.transcript_words)
-        return [(descriptor, QueryOutcome(
-            descriptor, result, cost, transcript=channel.transcript
-        ))]
+        out = []
+        for index, (descriptor, res) in enumerate(
+            zip(unit.descriptors, result if unit.batched else [result])
+        ):
+            cost = QueryCost(
+                # A batch's words are accounted per query; wire bytes
+                # are shared.
+                transcript_words=channel.query_cost(index) if unit.batched
+                else channel.transcript.total_words,
+                bytes_sent=self.bytes_sent - sent0,
+                bytes_received=self.bytes_received - recv0,
+                frames=cost_frames,
+            )
+            # The live mirror of the paper's accounting: the
+            # metrics-vs-accounting cross-check asserts these
+            # observations equal Channel.query_cost exactly.
+            obs.histogram("repro_client_query_words",
+                          kind=descriptor.name).observe(
+                cost.transcript_words)
+            out.append((descriptor, QueryOutcome(
+                descriptor, res, cost, transcript=channel.transcript
+            )))
+        return out
 
     def _make_proxy(self, unit: PlanUnit, ref: int) -> RemoteProver:
         if unit.batched:

@@ -37,7 +37,6 @@ from repro.comm.wire import encode_transcript
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.service import protocol as sp
 from repro.service import (
-    BlackoutSchedule,
     ChaosProxy,
     ClusterNode,
     ClusterRouter,
@@ -58,14 +57,13 @@ from repro.service import (
 )
 from repro.service.ring import DEFAULT_VNODES
 from repro.service.supervisor import probe_node
+from retry_workload import COUNTS, FrameLog, U, UPDATES
 
 CLUSTER_SEED = int(os.environ.get("REPRO_CLUSTER_SEED", "0"))
 CLUSTER_SMOKE = bool(os.environ.get("REPRO_CLUSTER_SMOKE"))
 
 FAST_RETRY = RetryPolicy(max_attempts=10, base_delay=0.005, max_delay=0.03)
 
-U = 64
-UPDATES = [(i % U, 1 + i % 3) for i in range(40)]
 MORE_UPDATES = [(i % U, 2 + i % 5) for i in range(25)]
 
 _DATASET_COUNTER = iter(range(100_000, 140_000))
@@ -373,25 +371,13 @@ def test_stopped_listener_hangs_up_on_its_clients(single_node, front):
 # -- the tentpole: kill the primary at every frame boundary --------------------
 
 
-class LoggedBlackout(BlackoutSchedule):
-    """A :class:`BlackoutSchedule` that records each frame's type by the
-    proxy's global index."""
-
-    def __init__(self):
-        super().__init__()
-        self.types = []
-
-    def decide(self, direction, index, global_index, frame_type):
-        self.types.append(frame_type)
-        return super().decide(direction, index, global_index, frame_type)
-
-
 @contextlib.contextmanager
 def proxied_cluster_of(tmp_path, **server_kwargs):
     """The frame-precise harness: the router reaches each node only
     through that node's :class:`ChaosProxy` (carrying a
-    :class:`BlackoutSchedule`), while the supervisor keeps the real
-    address — so a test can kill a node at an exact frame boundary and
+    :class:`FrameLog`, a logging :class:`BlackoutSchedule`), while the
+    supervisor keeps the real address — so a test can kill a node at an
+    exact frame boundary and
     the repair path still reaches the live process behind the curtain.
     ``server_kwargs`` go to every node's :class:`ProverServer`.
     """
@@ -402,7 +388,7 @@ def proxied_cluster_of(tmp_path, **server_kwargs):
     nodes = []
     for node_id in ("n0", "n1", "n2"):
         host, port = manager.add_node(node_id)
-        schedule = LoggedBlackout()
+        schedule = FrameLog()
         proxy = ChaosProxy(host, port, schedule=schedule)
         proxy_handle = proxy.serve_in_thread()
         proxies[node_id] = proxy_handle
@@ -501,16 +487,9 @@ def test_kill_primary_at_every_frame_boundary_byte_identical(
     assert handle.stats()["failovers"] > 0
 
 
-def _truth():
-    counts = [0] * U
-    for key, delta in UPDATES:
-        counts[key] += delta
-    return counts
-
-
 @pytest.mark.parametrize("cheater_class, descriptor, truth", [
-    (RetryAdaptiveF2Cheater, f2(), sum(a * a for a in _truth())),
-    (RetryAdaptiveLookupCheater, point_lookup(5), _truth()[5]),
+    (RetryAdaptiveF2Cheater, f2(), sum(a * a for a in COUNTS)),
+    (RetryAdaptiveLookupCheater, point_lookup(5), COUNTS[5]),
 ], ids=["f2", "point-lookup"])
 def test_adaptive_cheater_rejected_after_a_primary_kill_at_every_frame(
         tmp_path, cheater_class, descriptor, truth):

@@ -37,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary import RetryAdaptiveF2Cheater, RetryAdaptiveLookupCheater
+from repro.adversary.cheating_provers import _Recorder
 from repro.comm.wire import encode_transcript
 from repro.core.multiquery import BatchedSumcheckEngine
 from repro.field.modular import DEFAULT_FIELD as F
@@ -70,15 +71,13 @@ from repro.service.faults import (
     KIND_TRUNCATE,
     SeededSchedule,
 )
+from retry_workload import COUNTS, FrameLog, U, UPDATES
 
 #: Seed offset for the CI chaos matrix (three fixed seeds in the leg).
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
 #: Tight backoff so injected outages cost milliseconds, not seconds.
 FAST_RETRY = RetryPolicy(max_attempts=8, base_delay=0.005, max_delay=0.03)
-
-U = 64
-UPDATES = [(i % U, 1 + i % 3) for i in range(40)]
 
 _DATASET_COUNTER = iter(range(50_000, 90_000))
 
@@ -132,17 +131,6 @@ def run_via_proxy(server, schedule, **kwargs):
         return outcomes, client, proxy
     finally:
         handle.stop()
-
-
-class FrameLog(FaultSchedule):
-    """Passes every frame and records its type by global index."""
-
-    def __init__(self):
-        self.types = []
-
-    def decide(self, direction, index, global_index, frame_type):
-        self.types.append(frame_type)
-        return None
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +214,40 @@ def test_drop_on_the_close_keeps_the_verdict(server, reference, frame):
     assert client.retries == 0
     assert client.pool_remaining(("f2",)) == COPIES - 1
     assert_matches_reference(outcomes, reference, client)
+
+
+@pytest.mark.parametrize("fault", [Fault(KIND_DELAY, 0.45),
+                                   Fault(KIND_CORRUPT)],
+                         ids=["late", "damaged"])
+def test_a_failed_close_leaves_the_next_query_whole(server, reference,
+                                                    fault):
+    """A close-ack that comes too late, or damaged, fails the close after
+    the verdict is in.  What it leaves on the link must not be read as
+    the next query's reply: the next query re-dials and runs on the next
+    copy, each ending on its copy's fault-free bytes."""
+    index = reference["types"].index(sp.T_QUERY_CLOSE_ACK)
+    outcomes, client, proxy = run_via_proxy(
+        server, FaultSchedule.scripted({index: fault}), queries=COPIES,
+        op_timeout=0.3)
+    assert proxy.faults_injected == 1
+    assert client.pool_remaining(("f2",)) == 0
+    assert all(o.result.accepted for o in outcomes)
+    assert [encode_transcript(F, o.transcript) for o in outcomes] == \
+        reference["copy_bytes"](COPIES)
+
+
+def test_a_late_round_reply_is_retried(server, reference):
+    """A prover reply that comes after the client's deadline fails its
+    round.  The close behind it must not take that reply for its own ack
+    and turn the transport fault into a hard error: the query is retried
+    on the next copy."""
+    index = reference["types"].index(sp.T_P_REPLY)
+    outcomes, client, proxy = run_via_proxy(
+        server, FaultSchedule.scripted({index: Fault(KIND_DELAY, 0.45)}),
+        op_timeout=0.3)
+    assert proxy.faults_injected == 1
+    assert client.retries == 1
+    assert assert_matches_reference(outcomes, reference, client) == 2
 
 
 @pytest.mark.parametrize("kind", [KIND_CORRUPT, KIND_TRUNCATE, KIND_STALL])
@@ -344,16 +366,9 @@ def test_soundness_survives_the_faulty_wire():
 # -- a retried conversation never reuses a secret point ------------------------
 
 
-def _truth():
-    counts = [0] * U
-    for key, delta in UPDATES:
-        counts[key] += delta
-    return counts
-
-
 @pytest.mark.parametrize("cheater_class, descriptor, truth", [
-    (RetryAdaptiveF2Cheater, f2(), sum(a * a for a in _truth())),
-    (RetryAdaptiveLookupCheater, point_lookup(5), _truth()[5]),
+    (RetryAdaptiveF2Cheater, f2(), sum(a * a for a in COUNTS)),
+    (RetryAdaptiveLookupCheater, point_lookup(5), COUNTS[5]),
 ], ids=["f2", "point-lookup"])
 def test_adaptive_cheater_rejected_after_a_drop_at_every_frame(
         cheater_class, descriptor, truth):
@@ -385,26 +400,8 @@ class ChallengeSpy:
         self.log = []
 
     def __call__(self, unit, prover, dataset):
-        words = []
-        self.log.append(words)
-        return _SpiedProver(prover, words)
-
-
-class _SpiedProver:
-    def __init__(self, prover, words):
-        self._prover = prover
-        self._words = words
-
-    def __getattr__(self, name):
-        return getattr(self._prover, name)
-
-    def receive_challenge(self, r):
-        self._words.append(r)
-        return self._prover.receive_challenge(r)
-
-    def receive_randomness(self, r, s):
-        self._words.extend((r, s))
-        return self._prover.receive_randomness(r, s)
+        self.log.append([])
+        return _Recorder(prover, self.log[-1])
 
 
 @pytest.mark.parametrize("descriptors", [
@@ -456,8 +453,13 @@ def test_retry_with_an_empty_pool_raises_and_never_reuses_the_copy(
         with client:
             client.provision(("f2",), 1)
             client.send_updates(UPDATES)
-            with pytest.raises(LookupError, match=re.escape("('f2',)")):
+            with pytest.raises(LookupError,
+                               match=re.escape("('f2',)")) as raised:
                 client.query(f2())
+            # Chained to the transport fault that spent the copy.
+            fault = raised.value.__cause__
+            assert isinstance(fault, ServiceUnavailableError)
+            assert fault.last_acked.startswith("query-open#")
             assert client.pool_remaining(("f2",)) == 0
             with pytest.raises(LookupError):
                 client.query(f2())

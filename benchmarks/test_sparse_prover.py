@@ -1,40 +1,38 @@
 """Theorem 4/5 prover bound: O(min(u, n·log(u/n))).
 
-The dense prover costs Θ(u) however sparse the data; the sparse prover
-tracks only the touched keys, so at fixed n its cost stays flat as the
-universe grows — that is what lets the paper contemplate 128-bit (IPv6)
-key spaces.
+The dense prover costs Θ(u) however sparse the data; handed its counts
+as a ``Counter``, the same engine tracks only the touched keys, so at
+fixed n its cost stays flat as the universe grows — that is what lets
+the paper contemplate 128-bit (IPv6) key spaces.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.comm.channel import Channel
-from repro.core.f2 import F2Verifier
+from repro.core.f2 import F2Verifier, run_f2
 from repro.core.multiquery import BatchedSumcheckEngine, batch_f2
-from repro.core.sparse import SparseF2Prover
-from repro.core.sumcheck import run_sumcheck_rounds
 from repro.streams.generators import sparse_stream
 
 N_KEYS = 256
 SIZES = [1 << 14, 1 << 18, 1 << 22]
 
 
+def sparse_prover(field, u):
+    """The engine over a key ``Counter``: no table of the universe."""
+    return BatchedSumcheckEngine(field, u, freq_a=Counter())
+
+
 def drive(prover, field, seed):
-    """One F2 proof's prover side: the engine's batch of one, or the
-    sparse prover's begin_proof / round_message rounds."""
+    """One F2 proof's prover side: the engine's batch of one."""
     challenges = field.rand_vector(random.Random(seed), prover.d)
-    if isinstance(prover, BatchedSumcheckEngine):
-        prover.receive_batch([batch_f2()])
-        round_message = prover.round_messages
-    else:
-        prover.begin_proof()
-        round_message = prover.round_message
+    prover.receive_batch([batch_f2()])
     for j in range(prover.d):
-        round_message()
+        prover.round_messages()
         if j < prover.d - 1:
             prover.receive_challenge(challenges[j])
 
@@ -42,7 +40,7 @@ def drive(prover, field, seed):
 @pytest.mark.parametrize("u", SIZES)
 def test_sparse_prover_flat_in_u(benchmark, field, u):
     stream = sparse_stream(u, N_KEYS, rng=random.Random(100))
-    prover = SparseF2Prover(field, u)
+    prover = sparse_prover(field, u)
     prover.process_stream(stream.updates())
 
     benchmark.pedantic(lambda: drive(prover, field, 101), rounds=3,
@@ -73,7 +71,7 @@ def test_sparse_beats_dense_on_sparse_data(field):
     u = 1 << 20
     stream = sparse_stream(u, N_KEYS, rng=random.Random(104))
     dense = BatchedSumcheckEngine(field, u)
-    sparse = SparseF2Prover(field, u)
+    sparse = sparse_prover(field, u)
     dense.process_stream(stream.updates())
     sparse.process_stream(stream.updates())
     # Best of 5 alternating calls per side: with one unrepeated call each,
@@ -92,14 +90,11 @@ def test_sparse_prover_verified_at_large_u(field):
     u = 1 << 22
     stream = sparse_stream(u, N_KEYS, rng=random.Random(106))
     verifier = F2Verifier(field, u, rng=random.Random(107))
-    prover = SparseF2Prover(field, u)
+    prover = sparse_prover(field, u)
     for i, delta in stream.updates():
         verifier.process(i, delta)
         prover.process(i, delta)
-    prover.begin_proof()
-    result = run_sumcheck_rounds(prover, verifier, Channel(), message_len=3,
-                                 target=verifier.lde.value ** 2,
-                                 target_name="f_a(r)^2")
+    result = run_f2(prover, verifier, Channel())
     assert result.accepted
     assert result.value == stream.self_join_size() % field.p
     assert result.transcript.rounds == 22

@@ -2,52 +2,51 @@
 
 The paper's closing example contemplates 1TB of IPv6 addresses — a
 128-bit key universe.  The verifier's costs depend on u only through
-log u, and the *sparse* provers (Theorem 4/5's O(n log(u/n)) bound) depend
-on the data size, not the universe.  Here we run real protocols over
-u = 2^48 with a few hundred active keys: the verifier state is ~50 words
-and every proof is a few hundred bytes.
+log u, and the prover's, on sparse data, on n·log(u/n) for n keys
+(Theorems 4 & 5): handed its counts as a ``Counter``, the prover never
+builds a table of the universe, only the pairs its keys touch.  Here we
+run real protocols over u = 2^128 with a few hundred active keys: the
+verifier state is ~130 words and every proof is a few KB.
 
 Run:  python examples/ipv6_scale.py
 """
 
 import random
+from collections import Counter
 
 from repro import DEFAULT_FIELD, F2Verifier, TreeHashVerifier
-from repro.comm.channel import Channel
-from repro.core.sparse import SparseF2Prover, SparseSubVectorProver
-from repro.core.subvector import run_subvector
-from repro.core.sumcheck import run_sumcheck_rounds
+from repro.core.f2 import run_f2
+from repro.core.multiquery import BatchedSumcheckEngine
+from repro.core.subvector import SubVectorProver, run_subvector
 from repro.streams.model import Stream
 
 
 def main():
-    u = 1 << 48  # a 48-bit address space; log u drives every cost
+    u = 1 << 128  # the IPv6 address space; log u drives every cost
     rng = random.Random(2012)
-    keys = sorted(rng.sample(range(u), 300))
+    # range(2**128) is too long for rng.sample; distinct draws suffice.
+    keys = sorted({rng.getrandbits(128) for _ in range(300)})
     stream = Stream(u, [(k, rng.randint(1, 50)) for k in keys])
-    print("universe 2^48, %d active keys, %d updates" % (len(keys),
-                                                         len(stream)))
+    print("universe 2^128, %d active keys, %d updates" % (len(keys),
+                                                          len(stream)))
 
-    # Exact F2 with a 49-round conversation.
+    # Exact F2 with a 128-round conversation.
     verifier = F2Verifier(DEFAULT_FIELD, u, rng=rng)
-    prover = SparseF2Prover(DEFAULT_FIELD, u)
+    prover = BatchedSumcheckEngine(DEFAULT_FIELD, u, freq_a=Counter())
     for key, delta in stream.updates():
         verifier.process(key, delta)
         prover.process(key, delta)
-    prover.begin_proof()
-    result = run_sumcheck_rounds(prover, verifier, Channel(), message_len=3,
-                                 target=verifier.lde.value ** 2,
-                                 target_name="f_a(r)^2")
+    result = run_f2(prover, verifier)
     assert result.accepted and result.value == stream.self_join_size()
     print("F2 = %d  [verified]" % result.value)
     print("   verifier space : %d words (%d bytes)"
           % (result.verifier_space_words, result.verifier_space_words * 8))
     print("   communication  : %s" % result.transcript.summary())
 
-    # A verified range scan over a trillion-key slice.
+    # A verified range scan over an astronomically wide slice.
     lo, hi = keys[100], keys[199]
     tree_verifier = TreeHashVerifier(DEFAULT_FIELD, u, rng=rng)
-    sub_prover = SparseSubVectorProver(DEFAULT_FIELD, u)
+    sub_prover = SubVectorProver(DEFAULT_FIELD, u, freq=Counter())
     for key, delta in stream.updates():
         tree_verifier.process(key, delta)
         sub_prover.process(key, delta)

@@ -95,11 +95,13 @@ class HeavyHittersProver:
         self.freq = freq if freq is not None else [0] * self.size
 
     def process(self, i: int, delta: int) -> None:
+        if not 0 <= i < self.u:
+            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
         self.freq[i] += delta
 
     def process_stream(self, updates) -> None:
         for i, delta in updates:
-            self.freq[i] += delta
+            self.process(i, delta)
 
     def true_heavy_hitters(self) -> Dict[int, int]:
         n = sum(self.freq)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -36,6 +38,7 @@ from repro.field.modular import PrimeField
 from repro.field.polynomial import interpolation_weights
 from repro.field.vectorized import (
     canonical_table,
+    compact_entries,
     compact_tables,
     entry_reader,
     fold_pairs,
@@ -279,9 +282,14 @@ class BatchedSumcheckEngine:
     in — the paper's O(n·log(u/n)) prover term; a RANGE-SUM member's run
     and point terms are read through the same layout.  Then the dense
     table; once it is down to :data:`~repro.field.vectorized.SMALL_TABLE`
-    entries the proof finishes on Python ints
-    (:func:`~repro.field.vectorized.small_tables`).  Every proof starts
-    again from the shared canonical table, which none of this writes.
+    entries (a compact one to as many pairs) the proof finishes on
+    Python ints (:func:`~repro.field.vectorized.small_tables`).  Every
+    proof starts again from the shared canonical table, which none of
+    this writes.  Vectors given as mappings — a ``collections.Counter``
+    as ``freq_a`` (``freq_b`` is then an empty one unless given) — start
+    from their keys' compact layout
+    (:func:`~repro.field.vectorized.compact_entries`), so no table of the
+    universe ever exists and any u works, 2^128 included.
     Transcripts are identical whichever backend and form — and
     identical, message for message, to the paper's provers on dense
     tables (``tests/reference_sumcheck.py``).  It is the library's only
@@ -319,9 +327,11 @@ class BatchedSumcheckEngine:
 
     @property
     def freq_b(self):
-        """The second vector; zeros, made on first use, if none was given."""
+        """The second vector, made on first use if none was given: an
+        empty Counter beside a mapping ``freq_a``, else zeros."""
         if self._freq_b is None:
-            self._freq_b = [0] * self.size
+            self._freq_b = (Counter() if isinstance(self.freq_a, Mapping)
+                            else [0] * self.size)
         return self._freq_b
 
     @freq_b.setter
@@ -364,14 +374,19 @@ class BatchedSumcheckEngine:
                 raise ValueError(
                     "query range [%d, %d] invalid" % q.params
                 )
-        be = self._be = self.backend
+        be = self.backend
         field = self.field
         self._queries = queries
-        self._layout, self._a_table, self._b_table = compact_tables(
-            be, field, canonical_table(be, field, self.freq_a),
-            canonical_table(be, field, self.freq_b)
-            if any(q.kind == BATCH_KIND_INNER_PRODUCT for q in queries)
-            else None)
+        freq_b = (self.freq_b if any(
+            q.kind == BATCH_KIND_INNER_PRODUCT for q in queries) else None)
+        if isinstance(self.freq_a, Mapping):
+            start = compact_entries(be, field, self.freq_a, freq_b,
+                                    size=self.size)
+        else:
+            start = compact_tables(
+                be, field, canonical_table(be, field, self.freq_a),
+                None if freq_b is None else canonical_table(be, field, freq_b))
+        self._layout, self._be, self._a_table, self._b_table = start
         self._moment_orders = sorted({
             q.degree for q in queries
             if q.kind in (BATCH_KIND_F2, BATCH_KIND_FK)

@@ -45,11 +45,13 @@ class SingleRoundF2Prover:
         self.freq: List[int] = [0] * (self.ell * self.ell)
 
     def process(self, i: int, delta: int) -> None:
+        if not 0 <= i < self.u:
+            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
         self.freq[i] += delta
 
     def process_stream(self, updates) -> None:
         for i, delta in updates:
-            self.freq[i] += delta
+            self.process(i, delta)
 
     def true_answer(self) -> int:
         return sum(f * f for f in self.freq)

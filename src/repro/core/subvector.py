@@ -20,6 +20,7 @@ root exactly the LDE ``f_a(r)`` — is available via ``normalized=True``.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,6 +34,7 @@ from repro.core.base import (
 from repro.field.modular import PrimeField
 from repro.field.vectorized import (
     canonical_table,
+    compact_entries,
     compact_tables,
     entry_reader,
     fold_pairs,
@@ -183,8 +185,12 @@ class SubVectorProver:
     (:func:`~repro.field.vectorized.compact_tables` /
     :func:`~repro.field.vectorized.refold_tables`; an absent sibling
     reads 0), then dense, and on Python ints once it is down to
-    :data:`~repro.field.vectorized.SMALL_TABLE` entries.  Each query
-    starts again from ``freq``, which no level writes."""
+    :data:`~repro.field.vectorized.SMALL_TABLE` entries (a compact level
+    to as many pairs).  Each query starts again from ``freq``, which no
+    level writes.  A mapping ``freq`` — a ``collections.Counter`` —
+    starts each query from its keys' compact layout
+    (:func:`~repro.field.vectorized.compact_entries`): no table of the
+    universe, so any u works."""
 
     def __init__(
         self,
@@ -211,18 +217,27 @@ class SubVectorProver:
         self._query: Optional[Tuple[int, int]] = None
 
     def process(self, i: int, delta: int) -> None:
+        if not 0 <= i < self.u:
+            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
         self.freq[i] += delta
 
     def process_stream(self, updates) -> None:
         for i, delta in updates:
-            self.freq[i] += delta
+            self.process(i, delta)
 
     def present(self, keys: range):
         """``(key, frequency mod p)`` of each present key, lazily, in the
-        order of ``keys`` (ascending or descending).  Read block-wise
+        order of ``keys`` (ascending or descending).  A mapping ``freq``
+        is walked by its keys inside ``keys``; a table is read block-wise
         through the backend: Python ints even when ``freq`` is an array
         (NumPy scalars overflow in the verifier's arithmetic)."""
         p = self.field.p
+        if isinstance(self.freq, Mapping):
+            low, high = sorted((keys[0], keys[-1])) if keys else (1, 0)
+            yield from sorted(
+                ((key, value % p) for key, value in self.freq.items()
+                 if low <= key <= high and value % p), reverse=keys.step < 0)
+            return
         for start in range(0, len(keys), _SCAN_BLOCK):
             block = keys[start : start + _SCAN_BLOCK]
             low = min(block[0], block[-1])
@@ -241,10 +256,13 @@ class SubVectorProver:
             raise ValueError("query range [%d, %d] invalid" % (lo, hi))
         self._query = (lo, hi)
         self._plan = sibling_plan(lo, hi, self.d)
-        self._be = self.backend
-        self._layout, self._level = compact_tables(
-            self.backend, self.field,
-            canonical_table(self.backend, self.field, self.freq))
+        if isinstance(self.freq, Mapping):
+            start = compact_entries(self.backend, self.field, self.freq,
+                                    size=self.size)
+        else:
+            start = compact_tables(self.backend, self.field, canonical_table(
+                self.backend, self.field, self.freq))
+        self._layout, self._be, self._level = start
         self._level_index = 0
 
     def answer_entries(self) -> List[Tuple[int, int]]:

@@ -29,10 +29,11 @@ import os
 import random
 import sys
 import threading
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress, count, repeat
 from math import comb
-from operator import index
+from operator import index, mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.field.modular import PrimeField
@@ -1060,9 +1061,10 @@ def small_tables(backend: Backend, field: PrimeField, *tables):
 class CompactPairs(NamedTuple):
     """Where a compact proof table's pairs sit in the dense one: ``ids``,
     the sorted ids of the pairs the proof's tables touch, out of
-    ``pairs``.  A compact table is those pairs' entries, interleaved
-    ``E, O, E, O, …`` like a dense one's, so every pair kernel
-    (:func:`fold_pairs`, :func:`moment_round_sums`,
+    ``pairs`` — an integer array under NumPy, a list of Python ints (of
+    any size) on the :class:`ScalarBackend`.  A compact table is those
+    pairs' entries, interleaved ``E, O, E, O, …`` like a dense one's, so
+    every pair kernel (:func:`fold_pairs`, :func:`moment_round_sums`,
     :func:`inner_product_round_sums`, the segment sums) runs on it
     unchanged: a pair of zeros adds nothing to any moment of order
     >= 1, inner product or segment sum, and folds to zero."""
@@ -1071,19 +1073,47 @@ class CompactPairs(NamedTuple):
     pairs: int
 
 
-def compact_tables(backend: Backend, field: PrimeField, *tables):
-    """``(layout, *tables)`` a proof starts on: a :class:`CompactPairs`
-    and the tables cut down to the pairs any of them touches while those
-    are at most :data:`COMPACT_SHARE` of the pairs, else None and the
-    tables as given (None stays None).
+def _onward(backend: Backend, field: PrimeField, layout, tables):
+    """``(layout, backend, *tables)``: a dense proof through
+    :func:`small_tables`, a compact one on :class:`ScalarBackend` lists,
+    its pair ids Python ints, once it holds at most :data:`SMALL_TABLE`
+    pairs — a compact round re-pairs and searches besides, which the
+    scalar mirror does faster up to there (README, *Sparse early
+    rounds*)."""
+    if layout is None:
+        return (None,) + small_tables(backend, field, *tables)
+    if not getattr(backend, "vectorized", False) or len(layout.ids) > SMALL_TABLE:
+        return (layout, backend, *tables)
+    return (CompactPairs(layout.ids.tolist(), layout.pairs),
+            ScalarBackend(field),
+            *(None if table is None else table.tolist() for table in tables))
 
-    Only NumPy tables above :data:`SMALL_TABLE` entries go compact.  The
-    tables are read, never written: a shared canonical table stays
+
+def compact_tables(backend: Backend, field: PrimeField, *tables):
+    """``(layout, backend, *tables)`` a proof starts on: a
+    :class:`CompactPairs` and the tables cut down to the pairs any of
+    them touches while those are at most :data:`COMPACT_SHARE` of the
+    pairs, else None, ``backend`` and the tables as given (None stays
+    None).
+
+    Only tables above :data:`SMALL_TABLE` entries go compact; a compact
+    one of at most :data:`SMALL_TABLE` pairs goes on as scalar lists.
+    The tables are read, never written: a shared canonical table stays
     whole for the next proof.
     """
     first = tables[0]
-    if not getattr(backend, "vectorized", False) or len(first) <= SMALL_TABLE:
-        return (None,) + tables
+    pairs = len(first) // 2
+    if len(first) <= SMALL_TABLE:
+        return (None, backend) + tables
+    if not getattr(backend, "vectorized", False):
+        ids = sorted({i >> 1 for table in tables if table is not None
+                      for i in compress(count(), table)})
+        if len(ids) > COMPACT_SHARE * pairs:
+            return (None, backend) + tables
+        return _onward(backend, field, CompactPairs(ids, pairs), [
+            None if table is None
+            else [v for t in ids for v in table[2 * t : 2 * t + 2]]
+            for table in tables])
     # A pair is touched where its two entries' "is nonzero" bytes, seen
     # as one 16-bit word, are not both zero.
     touched = None
@@ -1091,43 +1121,48 @@ def compact_tables(backend: Backend, field: PrimeField, *tables):
         if table is not None:
             nonzero = _np.not_equal(table, 0).view(_np.uint16)
             touched = nonzero if touched is None else touched | nonzero
-    if _np.count_nonzero(touched) > COMPACT_SHARE * (len(first) // 2):
-        return (None,) + tables
+    if _np.count_nonzero(touched) > COMPACT_SHARE * pairs:
+        return (None, backend) + tables
     ids = _np.flatnonzero(_np.not_equal(touched, 0))
     # A pair is copied as one 16-byte element (4× a 2-D take).
-    return (CompactPairs(ids, len(first) // 2),) + tuple(
+    return _onward(backend, field, CompactPairs(ids, pairs), [
         None if table is None else table.view("V16")[ids].view(_np.uint64)
-        for table in tables)
+        for table in tables])
 
 
-def compact_entries(backend: Backend, field: PrimeField, entries, size: int):
-    """``(layout, backend, table)`` a proof over a dense table of ``size``
-    entries starts on, built from ``entries`` — its nonzero entries as an
-    ``{index: value}`` dictionary — without the dense table: laid out as
-    :func:`compact_tables` would leave it while the pairs touched are at
-    most :data:`COMPACT_SHARE` of the pairs, else dense (then at most
-    16/3 entries a key) and through :func:`small_tables`.  None on the
-    scalar backend and past 2^64 entries, where an index leaves
-    ``uint64``: the provers keep the dictionary.
+def compact_entries(backend: Backend, field: PrimeField, *entries,
+                    size: int):
+    """``(layout, backend, *tables)`` a proof over dense tables of
+    ``size`` entries starts on, built from ``entries`` — each a mapping
+    ``{index: value}`` of a table's entries, None for no table — without
+    the dense tables: laid out on the union of their supports as
+    :func:`compact_tables` would leave them, entries ≡ 0 (mod p)
+    dropped.  The proof goes on the :class:`ScalarBackend` from the
+    start with at most :data:`SMALL_TABLE` keys, so pairs, and past
+    2^64 entries, where an index leaves ``uint64``; otherwise the keys
+    are sorted and placed by NumPy.
     """
-    if not getattr(backend, "vectorized", False) or size > 1 << 64:
-        return None
-    keys = _np.fromiter(entries, dtype=_np.uint64, count=len(entries))
-    order = _np.argsort(keys)
-    keys = keys[order]
-    values = backend.asarray(list(entries.values()))[order]
-    # Pair ids are below 2^63 and a key's low bit survives the view.
-    halves = (keys >> _np.uint64(1)).view(_np.int64)
-    starts = _np.ones(len(keys), dtype=bool)
-    _np.not_equal(halves[1:], halves[:-1], out=starts[1:])
-    kept = _np.count_nonzero(starts)
-    if size > SMALL_TABLE and kept <= COMPACT_SHARE * (size // 2):
-        return (CompactPairs(halves[starts], size // 2), backend,
-                *_repaired(backend, keys.view(_np.int64), starts, kept,
-                           (values,)))
-    table = backend.zeros(size)
-    table[keys] = values
-    return (None,) + small_tables(backend, field, table)
+    present = [e for e in entries if e is not None]
+    # The entries are the fold of a table of ``size`` pairs, one per key.
+    if (getattr(backend, "vectorized", False) and size <= 1 << 64
+            and sum(map(len, present)) > SMALL_TABLE):
+        union = present[0] if len(present) == 1 else set().union(*present)
+        keys = _np.fromiter(union, dtype=_np.uint64, count=len(union))
+        order = _np.argsort(keys)
+        tables = [None if e is None else backend.asarray(
+            list(map(e.get, union, repeat(0))))[order] for e in entries]
+        kept = _np.logical_or.reduce([t != 0 for t in tables if t is not None])
+        return refold_tables(
+            backend, field, CompactPairs(keys[order][kept], size),
+            *(t if t is None else t[kept] for t in tables))
+    if getattr(backend, "vectorized", False):
+        backend = ScalarBackend(field)
+    p = field.p
+    residues = [None if e is None else {i: v % p for i, v in e.items() if v % p}
+                for e in entries]
+    keys = sorted(set().union(*filter(None, residues)))
+    return refold_tables(backend, field, CompactPairs(keys, size), *(
+        None if r is None else [r.get(i, 0) for i in keys] for r in residues))
 
 
 def refold_tables(backend: Backend, field: PrimeField, layout, *folded):
@@ -1139,58 +1174,82 @@ def refold_tables(backend: Backend, field: PrimeField, layout, *folded):
     become pair ``s``'s even and odd entries.  Once the pairs touched are
     more than :data:`COMPACT_SHARE` of the pairs, or the table is down to
     :data:`SMALL_TABLE` entries, the entries are scattered into a dense
-    table instead and :func:`small_tables` takes over from there.
+    table instead, and :func:`small_tables` takes over from there; a
+    compact table of at most :data:`SMALL_TABLE` pairs goes on as scalar
+    lists.
     """
     if layout is not None:
         ids, size = layout
-        if size > SMALL_TABLE:
-            halves = ids >> 1
-            starts = _np.ones(len(ids), dtype=bool)
-            _np.not_equal(halves[1:], halves[:-1], out=starts[1:])
-            kept = _np.count_nonzero(starts)
-            if kept <= COMPACT_SHARE * (size // 2):
-                return (CompactPairs(halves[starts], size // 2), backend,
-                        *_repaired(backend, ids, starts, kept, folded))
+        paired = size > SMALL_TABLE and _pairing(
+            ids, COMPACT_SHARE * (size // 2))
+        if paired:
+            pair_ids, slots = paired
+            return _onward(
+                backend, field, CompactPairs(pair_ids, size // 2),
+                _scattered(backend, slots, folded, 2 * len(pair_ids)))
         # The fold's entry for pair t belongs at entry t of a dense fold.
-        dense = []
-        for table in folded:
-            if table is not None:
-                entries, table = table, backend.zeros(size)
-                table[ids] = entries
-            dense.append(table)
-        folded = dense
-    return (None,) + small_tables(backend, field, *folded)
+        folded = _scattered(backend, ids, folded, size)
+    return _onward(backend, field, None, folded)
 
 
-def _repaired(backend: "VectorizedField", ids, starts, kept: int, folded):
-    """Compact folds re-paired into ``kept`` pairs: the entry of old pair
-    ``ids[i]`` goes to slot ``ids[i] & 1`` of new pair ``ids[i] >> 1``,
-    whose place is the number of ``starts`` (of a new pair) before
+def _pairing(ids, limit: float):
+    """``(pair_ids, slots)`` of a compact fold laid out by ``ids``, or
+    None when it makes more than ``limit`` new pairs: the entry of old
+    pair ``ids[i]`` goes to slot ``ids[i] & 1`` of new pair
+    ``ids[i] >> 1``, whose place is the number of new pairs begun before
     ``i``."""
+    if isinstance(ids, list):
+        place = {}
+        slots = [2 * place.setdefault(i >> 1, len(place)) + (i & 1)
+                 for i in ids]
+        return (list(place), slots) if len(place) <= limit else None
+    halves = ids >> 1
+    starts = _np.ones(len(ids), dtype=bool)
+    _np.not_equal(halves[1:], halves[:-1], out=starts[1:])
+    if _np.count_nonzero(starts) > limit:
+        return None
     slots = _np.cumsum(starts)
     slots -= 1
     slots <<= 1
-    slots += ids & 1
-    tables = []
-    for table in folded:
-        if table is not None:
-            entries, table = table, backend.zeros(2 * kept)
-            table[slots] = entries
-        tables.append(table)
-    return tables
+    slots += (ids & 1).view(_np.int64)  # compact_entries' keys are uint64
+    return halves[starts], slots
+
+
+def _scattered(backend: Backend, at, tables, length: int):
+    """Each table's entries (None stays None) written at ``at`` of a zero
+    table of ``length`` entries, of the table's kind."""
+    out = []
+    for entries in tables:
+        table = entries
+        if isinstance(entries, list):
+            table = [0] * length
+            for i, value in zip(at, entries):
+                table[i] = value
+        elif entries is not None:
+            table = backend.zeros(length)
+            table[at] = entries
+        out.append(table)
+    return out
 
 
 def entry_reader(table, layout, indices):
     """``read(i)``: entry ``i`` of the dense table, a Python int, read
     from a table laid out as ``layout`` — 0 for an entry of an absent
-    pair.  A compact table is searched once, for every entry of
-    ``indices`` (any iterable, consumed only then); a dense one is read
-    in place."""
+    pair.  A compact NumPy table is searched once, for every entry of
+    ``indices`` (any iterable, consumed only then); a compact list is
+    bisected per read, a dense table read in place."""
     if layout is None:
         return (table.__getitem__ if isinstance(table, (list, tuple))
                 else table.item)
-    indices = list(indices)
     ids = layout.ids
+    if isinstance(ids, list):
+        def read(i):
+            at = bisect_left(ids, i >> 1)
+            if at < len(ids) and ids[at] == i >> 1:
+                return table[2 * at + (i & 1)]
+            return 0
+        return read
+    indices = list(indices)
     if not indices or not len(ids):
         return dict.fromkeys(indices, 0).__getitem__
     # Split in Python: an entry index may pass 2^63, its pair id never.
@@ -1216,8 +1275,13 @@ def pair_runs(layout, runs):
     dense, else each run's touched pairs, all found by one search."""
     if layout is None:
         return runs
-    mapped = iter(_np.searchsorted(
-        layout.ids, [end for run in runs if run for end in run]).tolist())
+    ids = layout.ids
+    ends = [end for run in runs if run for end in run]
+    if isinstance(ids, list):
+        mapped = iter([bisect_left(ids, end) for end in ends])
+    else:
+        mapped = iter(_np.searchsorted(
+            ids, _np.asarray(ends, dtype=ids.dtype)).tolist())
     return [run and (next(mapped), next(mapped)) for run in runs]
 
 
@@ -1310,15 +1374,11 @@ def fold_pairs(backend: Backend, field: PrimeField, table, r: int,
     p = field.p
     r %= p
     w0 = (1 - r) % p if zero_weight is None else zero_weight % p
-    table = ensure_backend_array(backend, table)
     if getattr(backend, "vectorized", False):
-        return _fold_pairs_m61(
-            backend, table, r, None if zero_weight is None else w0
-        )
-    return [
-        (w0 * table[t] + r * table[t + 1]) % p
-        for t in range(0, len(table), 2)
-    ]
+        return _fold_pairs_m61(backend, ensure_backend_array(backend, table),
+                               r, None if zero_weight is None else w0)
+    return [(w0 * even + r * odd) % p
+            for even, odd in zip(table[0::2], table[1::2])]
 
 
 def _moment_tile(top_order: int) -> Tuple[int, int]:
@@ -1414,10 +1474,10 @@ def moment_round_sums(backend: Backend, field: PrimeField, table,
     the end.  Shared by the F2 / Fk provers (order 2 is F2), the shard
     workers and the batched engine, on either backend.
 
-    A request for order 2 alone on a Mersenne-61 table — every F2-only
-    round — takes three limb products directly (:func:`_f2_sums_m61`):
-    the general kernel's bookkeeping is ≈ 5 µs a call, a sixth of an F2
-    proof at u = 2^12.
+    A request for order 2 alone — every F2-only round — takes the three
+    products ``g(0)``, ``g(1)`` and ``Σ E·O`` directly, as limb products
+    on a Mersenne-61 table (:func:`_f2_sums_m61`): the general kernel's
+    bookkeeping is ≈ 5 µs a call, a sixth of an F2 proof at u = 2^12.
     """
     orders = sorted(set(orders))
     if not orders:
@@ -1425,9 +1485,15 @@ def moment_round_sums(backend: Backend, field: PrimeField, table,
     if orders[0] < 1:
         raise ValueError("moment order k must be >= 1, got %d" % orders[0])
     table = ensure_backend_array(backend, table)
-    if getattr(backend, "vectorized", False):
-        if orders == [2]:
+    p = field.p
+    if orders == [2]:
+        if getattr(backend, "vectorized", False):
             return {2: _f2_sums_m61(backend, field, table)}
+        even, odd = table[0::2], table[1::2]
+        g0, g1, gm = (sum(map(mul, x, y)) for x, y in (
+            (even, even), (odd, odd), (even, odd)))
+        return {2: [g0 % p, g1 % p, (g0 + 4 * g1 - 4 * gm) % p]}
+    if getattr(backend, "vectorized", False):
         moments = _pair_moments_m61(backend, table, orders)
     else:
         powers = [None, table]
@@ -1442,7 +1508,6 @@ def moment_round_sums(backend: Backend, field: PrimeField, table,
             + [backend.dot(odd[k - 1], odd[1])]
             for k in orders
         }
-    p = field.p
     return {
         k: [sums[0] % p, sums[-1] % p] + [
             sum(w * m for w, m in zip(row, sums)) % p

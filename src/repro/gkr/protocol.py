@@ -121,11 +121,14 @@ class GKRProver:
         self.inputs: List[int] = [0] * circuit.input_size
 
     def process(self, i: int, delta: int) -> None:
+        size = self.circuit.input_size
+        if not 0 <= i < size:
+            raise ValueError("key %d outside universe [0, %d)" % (i, size))
         self.inputs[i] += delta
 
     def process_stream(self, updates) -> None:
         for i, delta in updates:
-            self.inputs[i] += delta
+            self.process(i, delta)
 
     def set_inputs(self, inputs: Sequence[int]) -> None:
         if len(inputs) != self.circuit.input_size:

@@ -10,6 +10,7 @@ and the scalar reference still exercises the shared API.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,11 +18,15 @@ from repro.comm.channel import Channel
 from repro.core.f2 import F2Verifier, run_f2
 from repro.core.fk import FkVerifier, run_fk
 from repro.core.multiquery import BatchedSumcheckEngine
-from repro.core.sumcheck import run_sumcheck_rounds
 from repro.core.frequency_based import f0_protocol
 from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field.modular import DEFAULT_FIELD as F
-from repro.field.vectorized import HAVE_NUMPY, ScalarBackend, get_backend
+from repro.field.vectorized import (
+    HAVE_NUMPY,
+    SMALL_TABLE,
+    ScalarBackend,
+    get_backend,
+)
 from repro.gkr.sumcheck import boolean_sum, round_message
 from repro.lde.chi import chi_table
 from repro.lde.streaming import MultipointStreamingLDE, StreamingLDE
@@ -290,49 +295,46 @@ def test_tree_hash_batched_ingest_matches_loop(normalized):
         batched.process_stream_batched([(205, 1)])
 
 
-def run_sparse_f2_with(backend_name, monkeypatch=None):
-    from repro.core import sparse
+#: Update counts on both sides of SMALL_TABLE: a proof over at most
+#: SMALL_TABLE keys runs on scalar lists from the start, a larger one on
+#: the NumPy kernels.
+SPARSE_SIZES = (SMALL_TABLE // 4, 400)
 
-    if monkeypatch is not None:
-        # Force the kernel path even below the size crossover.
-        monkeypatch.setattr(sparse, "VECTOR_MIN_KEYS", 0)
+
+def run_sparse_f2_with(backend_name, n):
     u = 1 << 12
-    updates = mixed_updates(u, 400, seed=87)
+    updates = mixed_updates(u, n, seed=87)
     point = F.rand_vector(random.Random(89), 12)
     verifier = F2Verifier(F, u, point=point)
-    prover = sparse.SparseF2Prover(F, u, backend=get_backend(F, backend_name))
+    prover = BatchedSumcheckEngine(F, u, backend=get_backend(F, backend_name),
+                                   freq_a=Counter())
     for i, delta in updates:
         verifier.process(i, delta)
         prover.process(i, delta)
     ch = Channel()
-    prover.begin_proof()
-    result = run_sumcheck_rounds(prover, verifier, ch, message_len=3,
-                                 target=verifier.lde.value ** 2,
-                                 target_name="f_a(r)^2")
+    result = run_f2(prover, verifier, ch)
     assert result.accepted
     return result, ch.transcript
 
 
 @needs_numpy
-def test_sparse_f2_transcript_identical_across_backends(monkeypatch):
-    scalar_result, scalar_tx = run_sparse_f2_with("scalar")
-    vector_result, vector_tx = run_sparse_f2_with("vectorized", monkeypatch)
-    assert scalar_result.value == vector_result.value
-    assert scalar_tx.messages == vector_tx.messages
+def test_sparse_f2_transcript_identical_across_backends():
+    for n in SPARSE_SIZES:
+        scalar_result, scalar_tx = run_sparse_f2_with("scalar", n)
+        vector_result, vector_tx = run_sparse_f2_with("vectorized", n)
+        assert scalar_result.value == vector_result.value
+        assert scalar_tx.messages == vector_tx.messages
 
 
-def run_sparse_subvector_with(backend_name, normalized, monkeypatch=None):
-    from repro.core import sparse
-
-    if monkeypatch is not None:
-        monkeypatch.setattr(sparse, "VECTOR_MIN_KEYS", 0)
+def run_sparse_subvector_with(backend_name, normalized, n):
     u = 1 << 11
     rng = random.Random(91)
-    updates = [(rng.randrange(u), rng.randrange(1, 50)) for _ in range(120)]
+    updates = [(rng.randrange(u), rng.randrange(1, 50)) for _ in range(n)]
     point = F.rand_vector(random.Random(93), 11)
     verifier = TreeHashVerifier(F, u, point=point, normalized=normalized)
-    prover = sparse.SparseSubVectorProver(
-        F, u, normalized=normalized, backend=get_backend(F, backend_name))
+    prover = SubVectorProver(F, u, normalized=normalized,
+                             backend=get_backend(F, backend_name),
+                             freq=Counter())
     for i, delta in updates:
         verifier.process(i, delta)
         prover.process(i, delta)
@@ -344,15 +346,14 @@ def run_sparse_subvector_with(backend_name, normalized, monkeypatch=None):
 
 @needs_numpy
 @pytest.mark.parametrize("normalized", [False, True])
-def test_sparse_subvector_transcript_identical_across_backends(
-    normalized, monkeypatch
-):
-    scalar_result, scalar_tx = run_sparse_subvector_with("scalar", normalized)
-    vector_result, vector_tx = run_sparse_subvector_with(
-        "vectorized", normalized, monkeypatch
-    )
-    assert scalar_result.value.entries == vector_result.value.entries
-    assert scalar_tx.messages == vector_tx.messages
+def test_sparse_subvector_transcript_identical_across_backends(normalized):
+    for n in SPARSE_SIZES:
+        scalar_result, scalar_tx = run_sparse_subvector_with(
+            "scalar", normalized, n)
+        vector_result, vector_tx = run_sparse_subvector_with(
+            "vectorized", normalized, n)
+        assert scalar_result.value.entries == vector_result.value.entries
+        assert scalar_tx.messages == vector_tx.messages
 
 
 # -- sum-check point-buffer refactor ----------------------------------------

@@ -2,16 +2,18 @@
 
 While the pairs a proof's tables touch are at most ``COMPACT_SHARE`` of
 the pairs, the engine and the tree prover keep only those pairs
-(:func:`~repro.field.vectorized.compact_tables`) and re-pair them after
-every fold (:func:`~repro.field.vectorized.refold_tables`) until the
-table fills in.  The contract is the transcript: every round's messages
-equal the scalar backend's (which keeps dense lists), the reference
-prover's (``reference_sumcheck``: the paper's provers on dense
-Python-int tables) and ``core/sparse.py``'s sparse provers' on the same
-streams.  The mechanism is pinned too: the NumPy kernels see
-O(n·log(u/n) + n) entries for n keys, exactly today's sizes for a dense
-table, the cut sits where the constant says, and a reused prover starts
-again from the shared canonical table.
+(:func:`~repro.field.vectorized.compact_tables`, or
+:func:`~repro.field.vectorized.compact_entries` from a key ``Counter``)
+and re-pair them after every fold
+(:func:`~repro.field.vectorized.refold_tables`) until the table fills
+in — on NumPy arrays or, on the scalar backend and past 2^64, on lists.
+The contract is the transcript: every round's messages equal the scalar
+backend's, the reference prover's (``reference_sumcheck``: the paper's
+provers on dense Python-int tables) and those of engines handed the same
+streams as ``Counter``s.  The mechanism is pinned too: the NumPy kernels
+see O(n·log(u/n) + n) entries for n keys, exactly today's sizes for a
+dense table, the cut sits where the constant says, and a reused prover
+starts again from the shared canonical table.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.core.multiquery import (
     batch_range_sum,
 )
 from repro.core.reporting import ReportingProver, predecessor_query
-from repro.core.sparse import SparseF2Prover, SparseInnerProductProver
 from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field import vectorized as V
 from repro.field.modular import DEFAULT_FIELD as F
@@ -88,8 +89,9 @@ def members(u):
         min_size=1, max_size=6)
 
 
-def _engine(backend_name, u, updates_a, updates_b):
-    engine = BatchedSumcheckEngine(F, u, backend=V.get_backend(F, backend_name))
+def _engine(backend_name, u, updates_a, updates_b, freq_a=None):
+    engine = BatchedSumcheckEngine(F, u, backend=V.get_backend(F, backend_name),
+                                   freq_a=freq_a)
     for key, delta in updates_a:
         engine.process(key, delta)
     for key, delta in updates_b:
@@ -97,25 +99,11 @@ def _engine(backend_name, u, updates_a, updates_b):
     return engine
 
 
-def _sparse(queries, u, updates_a, updates_b):
-    """``(member index, prover)`` of ``core/sparse.py``'s sparse provers
-    for every F2 / INNER-PRODUCT member of a batch, proofs begun."""
-    provers = []
-    for index, q in enumerate(queries):
-        if q.name == "f2":
-            prover = SparseF2Prover(F, u)
-            prover.process_stream(updates_a)
-        elif q.name == "inner-product":
-            prover = SparseInnerProductProver(F, u)
-            for key, delta in updates_a:
-                prover.process_a(key, delta)
-            for key, delta in updates_b:
-                prover.process_b(key, delta)
-        else:
-            continue
-        prover.begin_proof()
-        provers.append((index, prover))
-    return provers
+def _sparse(u, updates_a, updates_b):
+    """Engines on both backends handed the streams as ``Counter``s: every
+    member of a batch starts from the keys' compact layout."""
+    return [_engine(name, u, updates_a, updates_b, freq_a=Counter())
+            for name in ("vectorized", "scalar")]
 
 
 @settings(max_examples=30, deadline=None,
@@ -136,20 +124,20 @@ def _check_engine_rounds(u, kind_a, kind_b, seed, queries):
     engines = [_engine(name, u, updates_a, updates_b)
                for name in ("vectorized", "scalar")]
     reference = ReferenceProver(F, u, updates_a, updates_b)
-    sparse = _sparse(queries, u, updates_a, updates_b)
-    for party in engines + [reference]:
+    sparse = _sparse(u, updates_a, updates_b)
+    for party in engines + [reference] + sparse:
         party.receive_batch(queries)
     rng = random.Random(seed)
     for j in range(engines[0].d):
         messages = [engine.round_messages() for engine in engines]
         assert messages[0] == messages[1], (j, u, kind_a)
         assert reference.round_messages() == messages[0], (j, u, kind_a)
-        for index, prover in sparse:
-            assert prover.round_message() == messages[0][index], \
-                (j, type(prover).__name__)
+        for engine in sparse:
+            assert engine.round_messages() == messages[0], \
+                (j, u, kind_a, engine.backend.name)
         if j < engines[0].d - 1:
             r = rng.randrange(F.p)
-            for party in engines + [reference] + [p for _, p in sparse]:
+            for party in engines + [reference] + sparse:
                 party.receive_challenge(r)
 
 
@@ -284,12 +272,12 @@ def test_a_proof_starts_compact_up_to_the_cut_and_no_further():
     pairs = 1 << 15
     limit = CUT[0] * pairs // CUT[1]
     at_cut = _table_touching(pairs, limit)
-    layout, compact = V.compact_tables(backend, F, at_cut)
+    layout, be, compact = V.compact_tables(backend, F, at_cut)
     assert len(layout.ids) == limit and layout.pairs == pairs
-    assert len(compact) == 2 * limit
+    assert len(compact) == 2 * limit and be is backend
     past = _table_touching(pairs, limit + 1)
-    layout, dense = V.compact_tables(backend, F, past)
-    assert layout is None and dense is past
+    layout, be, dense = V.compact_tables(backend, F, past)
+    assert layout is None and dense is past and be is backend
     # Two tables go compact on the union of their touched pairs: a's on
     # even pair ids, b's on odd ones, and one pair both touch.
     for union, compact in ((limit, True), (limit + 1, False)):
@@ -298,7 +286,7 @@ def test_a_proof_starts_compact_up_to_the_cut_and_no_further():
         a[0 : 2 * union : 4] = 1
         b[2 : 2 * union : 4] = 2
         b[0] = 3
-        layout, a_compact, b_compact = V.compact_tables(backend, F, a, b)
+        layout, _be, a_compact, b_compact = V.compact_tables(backend, F, a, b)
         if compact:
             assert layout.ids.tolist() == list(range(union))
             assert a_compact.tolist() == [1, 0, 0, 0] * (union // 2)
@@ -331,45 +319,69 @@ def test_a_fold_hands_over_once_the_touched_pairs_pass_the_cut():
 
 
 def test_compact_reads_return_zero_for_an_absent_pair():
-    backend = V.get_backend(F, "vectorized")
-    layout = V.CompactPairs(backend.index_array([1, 4, 9]), 16)
-    table = backend.asarray([10, 11, 40, 41, 90, 91])
-    wanted = [8, 9, 1, 18, 19, 31, 2, 3]
-    read = V.entry_reader(table, layout, iter(wanted))
-    assert [read(i) for i in wanted] == [40, 41, 0, 90, 91, 0, 10, 11]
-    assert V.pair_runs(layout, [(0, 16), None, (2, 9), (5, 9)]) == [
-        (0, 3), None, (1, 2), (2, 2)]
-    empty = V.CompactPairs(backend.index_array([]), 16)
-    read = V.entry_reader(backend.zeros(0), empty, [3, 6])
-    assert (read(3), read(6)) == (0, 0)
+    """The same reads from a NumPy layout and a scalar one (a list of
+    pair ids, searched by bisection)."""
+    numpy = V.get_backend(F, "vectorized")
+    for layout, table in (
+            (V.CompactPairs(numpy.index_array([1, 4, 9]), 16),
+             numpy.asarray([10, 11, 40, 41, 90, 91])),
+            (V.CompactPairs([1, 4, 9], 16), [10, 11, 40, 41, 90, 91])):
+        wanted = [8, 9, 1, 18, 19, 31, 2, 3]
+        read = V.entry_reader(table, layout, iter(wanted))
+        assert [read(i) for i in wanted] == [40, 41, 0, 90, 91, 0, 10, 11]
+        assert V.pair_runs(layout, [(0, 16), None, (2, 9), (5, 9)]) == [
+            (0, 3), None, (1, 2), (2, 2)]
+    for empty, table in ((V.CompactPairs(numpy.index_array([]), 16),
+                          numpy.zeros(0)), (V.CompactPairs([], 16), [])):
+        read = V.entry_reader(table, empty, [3, 6])
+        assert (read(3), read(6)) == (0, 0)
 
 
 def test_a_key_dictionary_starts_as_its_dense_table_would():
     """``compact_entries`` lays a dictionary out as ``compact_tables``
-    lays out the dense table, on both sides of the cut, keys past 2^63
-    included; on the scalar backend the dictionary stays."""
-    backend = V.get_backend(F, "vectorized")
+    lays out the dense table, on both sides of the cut and on both
+    backends; keys past 2^63 stay on NumPy, keys past 2^64 and tables of
+    at most SMALL_TABLE entries go on as scalar lists."""
     pairs = 1 << 12
     limit = CUT[0] * pairs // CUT[1]
-    for touched, compact in ((limit, True), (limit + 1, False)):
-        dense = _table_touching(pairs, touched)
-        entries = {i: v for i, v in enumerate(dense.tolist()) if v}
-        layout, be, table = V.compact_entries(backend, F, entries, 2 * pairs)
-        want_layout, want = V.compact_tables(backend, F, dense)
-        assert be is backend and table.tolist() == want.tolist()
-        if compact:
-            assert layout.ids.tolist() == want_layout.ids.tolist()
-            assert layout.pairs == pairs
-        else:
-            assert layout is None and want_layout is None
+    for name in ("vectorized", "scalar"):
+        backend = V.get_backend(F, name)
+        for touched, compact in ((limit, True), (limit + 1, False)):
+            dense = _table_touching(pairs, touched)
+            entries = {i: v for i, v in enumerate(dense.tolist()) if v}
+            layout, be, table = V.compact_entries(backend, F, entries,
+                                                  size=2 * pairs)
+            want_layout, _be, want = V.compact_tables(
+                backend, F, backend.asarray(dense.tolist()))
+            assert be is backend and list(table) == list(want)
+            if compact:
+                assert list(layout.ids) == list(want_layout.ids)
+                assert layout.pairs == pairs
+            else:
+                assert layout is None and want_layout is None
+    backend = V.get_backend(F, "vectorized")
     top = 1 << 64
-    layout, _be, table = V.compact_entries(
-        backend, F, {top - 1: 5, 1 << 63: -1, top - 2: 3}, top)
-    assert layout.ids.tolist() == [1 << 62, (1 << 63) - 1]
-    assert table.tolist() == [F.p - 1, 0, 3, 5]
+    keys = {(1 << 63) + 4 * t: 1 + t for t in range(V.SMALL_TABLE)}
+    keys.update({top - 1: 5, 1 << 63: -1, top - 2: 3})
+    layout, be, table = V.compact_entries(backend, F, keys, size=top)
+    assert be is backend and len(table) == 2 * len(layout.ids)
+    assert layout.ids.tolist()[:2] == [1 << 62, (1 << 62) + 2]
+    assert layout.ids.tolist()[-1] == (1 << 63) - 1
+    assert table.tolist()[:2] == [F.p - 1, 0] and table.tolist()[-2:] == [3, 5]
     read = V.entry_reader(table, layout, [top - 1, top - 3, 1 << 63])
     assert (read(top - 1), read(top - 3), read(1 << 63)) == (5, 0, F.p - 1)
-    assert V.compact_entries(V.ScalarBackend(F), F, {3: 1}, 8) is None
+    few = {top - 1: 5, 1 << 63: -1, top - 2: 3}
+    for size in (top, top << 6):
+        layout, be, table = V.compact_entries(backend, F, few, size=size)
+        assert be.name == "scalar"
+        assert layout.ids == [1 << 62, (1 << 63) - 1]
+        assert table == [F.p - 1, 0, 3, 5]
+        read = V.entry_reader(table, layout, ())
+        assert (read(top - 1), read(top - 3), read(1 << 63)) == (5, 0, F.p - 1)
+    # Two vectors are laid out on the union of their supports.
+    layout, be, a, b = V.compact_entries(
+        V.ScalarBackend(F), F, {3: 1, 80: 2}, {81: 7, 500: F.p}, size=1024)
+    assert layout.ids == [1, 40] and a == [0, 1, 2, 0] and b == [0, 0, 0, 7]
 
 
 def test_a_reused_prover_starts_again_from_the_shared_table(monkeypatch):

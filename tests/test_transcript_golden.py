@@ -19,14 +19,16 @@ hundred Zipf keys in 2^16, so a proof whose early rounds touch few pairs;
 the three ``heavy-hitters*`` rows and the two ``sparse-*-u2^48`` rows at
 52b13e8, while heavy hitters still built its own count pyramid and the
 sparse provers their own scatter-pass tables — 2 355 keys in 2^48, above
-the sparse provers' NumPy cut-over then
-(``python tests/test_transcript_golden.py`` prints the table).
+the sparse provers' NumPy cut-over then; since those dictionary provers
+went they are the engine's and the tree prover's proofs from a key
+``Counter`` (``python tests/test_transcript_golden.py`` prints the table).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -65,8 +67,6 @@ from repro.core.multiquery import (
     run_batched_sumcheck,
 )
 from repro.core.range_sum import RangeSumVerifier, run_range_sum
-from repro.core.sparse import SparseF2Prover, SparseSubVectorProver
-from repro.core.sumcheck import run_sumcheck_rounds
 from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY, get_backend
@@ -113,8 +113,8 @@ SPARSE_B = SPARSE_A[:200] + list(
 #: parents on every level down to the leaves.
 HEAVY_A = list(zipf_stream(U_LARGE, 2000, rng=random.Random(109)).updates())
 
-#: More keys than the sparse provers' NumPy cut-over, in a universe no
-#: dense table fits: most scattered, a run of them packed close enough
+#: Keys enough that their compact tables pass ``SMALL_TABLE`` entries
+#: and run on NumPy, in a universe no dense table fits: most scattered, a run of them packed close enough
 #: that their pairs share ids from round 0.
 U_HUGE = 1 << 48
 _HUGE_RNG = random.Random(110)
@@ -280,19 +280,15 @@ def golden_heavy_hitters(be, low_space=False, seed=24):
 
 
 def golden_sparse_f2(be):
-    prover = SparseF2Prover(F, U_HUGE, backend=be)
+    prover = BatchedSumcheckEngine(F, U_HUGE, backend=be, freq_a=Counter())
     verifier = F2Verifier(F, U_HUGE, rng=random.Random(26))
     _feed(HUGE_A, prover, verifier)
     channel = Channel()
-    prover.begin_proof()
-    result = run_sumcheck_rounds(prover, verifier, channel, message_len=3,
-                                 target=verifier.lde.value ** 2,
-                                 target_name="f_a(r)^2")
-    return _single(result, channel)
+    return _single(run_f2(prover, verifier, channel), channel)
 
 
 def golden_sparse_range_query(be):
-    prover = SparseSubVectorProver(F, U_HUGE, backend=be)
+    prover = SubVectorProver(F, U_HUGE, backend=be, freq=Counter())
     verifier = TreeHashVerifier(F, U_HUGE, rng=random.Random(27))
     _feed(HUGE_A, prover, verifier)
     channel = Channel()

@@ -16,6 +16,7 @@ able to crash the verifier.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -79,3 +80,13 @@ def pow2_dimension(u: int) -> int:
     while (1 << d) < u:
         d += 1
     return max(d, 1)
+
+
+def add_update(vector, u: int, i: int, delta: int) -> None:
+    """``vector[i] += delta`` for a key of [0, u).  A mapping drops a key
+    whose count comes to 0, so it holds only the live support."""
+    if not 0 <= i < u:
+        raise ValueError("key %d outside universe [0, %d)" % (i, u))
+    vector[i] += delta
+    if not vector[i] and isinstance(vector, Mapping):
+        del vector[i]

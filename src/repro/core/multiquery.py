@@ -30,6 +30,7 @@ from repro.comm.channel import Channel
 from repro.core.base import (
     VerificationResult,
     accepted,
+    add_update,
     pow2_dimension,
     rejected,
 )
@@ -341,16 +342,12 @@ class BatchedSumcheckEngine:
     # -- stream phase -------------------------------------------------------
 
     def process(self, i: int, delta: int) -> None:
-        if not 0 <= i < self.u:
-            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
-        self.freq_a[i] += delta
+        add_update(self.freq_a, self.u, i, delta)
 
     process_a = process
 
     def process_b(self, i: int, delta: int) -> None:
-        if not 0 <= i < self.u:
-            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
-        self.freq_b[i] += delta
+        add_update(self.freq_b, self.u, i, delta)
 
     def process_stream(self, updates) -> None:
         for i, delta in updates:
@@ -379,6 +376,10 @@ class BatchedSumcheckEngine:
         self._queries = queries
         freq_b = (self.freq_b if any(
             q.kind == BATCH_KIND_INNER_PRODUCT for q in queries) else None)
+        if freq_b is not None and (isinstance(freq_b, Mapping)
+                                   != isinstance(self.freq_a, Mapping)):
+            raise ValueError("freq_a and freq_b must both be mappings "
+                             "or both be tables")
         if isinstance(self.freq_a, Mapping):
             start = compact_entries(be, field, self.freq_a, freq_b,
                                     size=self.size)

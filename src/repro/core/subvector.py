@@ -28,6 +28,7 @@ from repro.comm.channel import Channel
 from repro.core.base import (
     VerificationResult,
     accepted,
+    add_update,
     pow2_dimension,
     rejected,
 )
@@ -217,9 +218,7 @@ class SubVectorProver:
         self._query: Optional[Tuple[int, int]] = None
 
     def process(self, i: int, delta: int) -> None:
-        if not 0 <= i < self.u:
-            raise ValueError("key %d outside universe [0, %d)" % (i, self.u))
-        self.freq[i] += delta
+        add_update(self.freq, self.u, i, delta)
 
     def process_stream(self, updates) -> None:
         for i, delta in updates:

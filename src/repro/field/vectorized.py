@@ -30,10 +30,10 @@ import random
 import sys
 import threading
 from bisect import bisect_left
-from functools import lru_cache
-from itertools import chain, compress, count, repeat
+from functools import lru_cache, partial, reduce
+from itertools import chain, compress, count, islice, repeat
 from math import comb
-from operator import index, mul
+from operator import index, mul, or_
 from typing import Dict, List, NamedTuple, Sequence, Tuple, Union
 
 from repro.field.modular import PrimeField
@@ -106,7 +106,8 @@ SMALL_TABLE = 1 << 6
 #: 2^12 it meets it at 1/2.  Up to 3/8 it saves ≥ 13 % at every size
 #: from 2^12 to 2^20, which pays for the start and the hand-over (F2,
 #: Fk(3) and INNER-PRODUCT rounds, one pinned Xeon CPU; README, *Sparse
-#: early rounds*).
+#: early rounds*).  A dense table on scalar lists starts compact only up
+#: to half of it (:func:`compact_tables`).
 COMPACT_SHARE = 3 / 8
 
 #: Which 32-bit word of a ``uint64`` viewed as two ``uint32`` is the low one.
@@ -1096,23 +1097,36 @@ def compact_tables(backend: Backend, field: PrimeField, *tables):
     pairs, else None, ``backend`` and the tables as given (None stays
     None).
 
-    Only tables above :data:`SMALL_TABLE` entries go compact; a compact
-    one of at most :data:`SMALL_TABLE` pairs goes on as scalar lists.
-    The tables are read, never written: a shared canonical table stays
-    whole for the next proof.
+    Only tables above :data:`SMALL_TABLE` entries go compact, and tables
+    on the :class:`ScalarBackend` only up to half the cut; a compact one
+    of at most :data:`SMALL_TABLE` pairs goes on as scalar lists.  The
+    tables are read, never written: a shared canonical table stays whole
+    for the next proof.
     """
     first = tables[0]
     pairs = len(first) // 2
     if len(first) <= SMALL_TABLE:
         return (None, backend) + tables
     if not getattr(backend, "vectorized", False):
-        ids = sorted({i >> 1 for table in tables if table is not None
-                      for i in compress(count(), table)})
-        if len(ids) > COMPACT_SHARE * pairs:
+        # On lists the start costs about one dense fold, which a
+        # fold-only proof wins back only if the layout outlives its first
+        # fold, which about doubles the share touched: so half the cut.
+        cut = int(COMPACT_SHARE * pairs / 2)
+        present = [table for table in tables if table is not None]
+        # More than 2·cut nonzero entries touch more than cut pairs.
+        if any(len(table) - table.count(0) > 2 * cut for table in present):
+            return (None, backend) + tables
+        # A pair is touched where its entries or-ed are nonzero; touched
+        # pairs are counted only up to one past the cut.
+        ids = list(islice(compress(count(), reduce(partial(map, or_), [
+            map(or_, table[0::2], table[1::2]) for table in present])),
+            cut + 1))
+        if len(ids) > cut:
             return (None, backend) + tables
         return _onward(backend, field, CompactPairs(ids, pairs), [
-            None if table is None
-            else [v for t in ids for v in table[2 * t : 2 * t + 2]]
+            None if table is None else list(chain.from_iterable(zip(
+                map(table[0::2].__getitem__, ids),
+                map(table[1::2].__getitem__, ids))))
             for table in tables])
     # A pair is touched where its two entries' "is nonzero" bytes, seen
     # as one 16-bit word, are not both zero.
@@ -1137,16 +1151,22 @@ def compact_entries(backend: Backend, field: PrimeField, *entries,
     ``{index: value}`` of a table's entries, None for no table — without
     the dense tables: laid out on the union of their supports as
     :func:`compact_tables` would leave them, entries ≡ 0 (mod p)
-    dropped.  The proof goes on the :class:`ScalarBackend` from the
-    start with at most :data:`SMALL_TABLE` keys, so pairs, and past
-    2^64 entries, where an index leaves ``uint64``; otherwise the keys
-    are sorted and placed by NumPy.
+    dropped.  The keys are the pair ids of the table these entries are
+    the fold of, so the proof's first pairs are the distinct
+    ``key >> 1``: with at most :data:`SMALL_TABLE` of them it starts on
+    :class:`ScalarBackend` lists, as :func:`refold_tables` would move
+    it, and past 2^64 entries too, where a key leaves ``uint64``;
+    otherwise NumPy sorts and places the keys, and
+    :func:`refold_tables` moves it to lists if the entries ≡ 0 it drops
+    leave too few pairs (a mapping fed through a prover's ``process``
+    keeps no key at 0).
     """
     present = [e for e in entries if e is not None]
-    # The entries are the fold of a table of ``size`` pairs, one per key.
+    union = present[0] if len(present) == 1 else set().union(*present)
+    # At most two keys share a pair: 2·SMALL_TABLE + 1 keys settle it.
     if (getattr(backend, "vectorized", False) and size <= 1 << 64
-            and sum(map(len, present)) > SMALL_TABLE):
-        union = present[0] if len(present) == 1 else set().union(*present)
+            and len({i >> 1 for i in islice(union, 2 * SMALL_TABLE + 1)})
+            > SMALL_TABLE):
         keys = _np.fromiter(union, dtype=_np.uint64, count=len(union))
         order = _np.argsort(keys)
         tables = [None if e is None else backend.asarray(

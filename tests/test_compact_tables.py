@@ -294,6 +294,20 @@ def test_a_proof_starts_compact_up_to_the_cut_and_no_further():
                 union // 2 - 1)
         else:
             assert layout is None and a_compact is a and b_compact is b
+    # On lists a dense table starts compact only up to half the cut: the
+    # pass over it costs about one dense fold.
+    scalar = V.ScalarBackend(F)
+    half = CUT[0] * pairs // (2 * CUT[1])
+    for touched, compact in ((half, True), (half + 1, False)):
+        table = _table_touching(pairs, touched).tolist()
+        layout, be, out = V.compact_tables(scalar, F, table)
+        assert be is scalar
+        if compact:
+            assert len(layout.ids) == half and layout.pairs == pairs
+            assert out == [v for t in layout.ids for v in table[2 * t : 2 * t + 2]]
+            assert all(out[2 * k] or out[2 * k + 1] for k in range(half))
+        else:
+            assert layout is None and out is table
 
 
 def test_a_fold_hands_over_once_the_touched_pairs_pass_the_cut():
@@ -338,21 +352,22 @@ def test_compact_reads_return_zero_for_an_absent_pair():
 
 
 def test_a_key_dictionary_starts_as_its_dense_table_would():
-    """``compact_entries`` lays a dictionary out as ``compact_tables``
-    lays out the dense table, on both sides of the cut and on both
-    backends; keys past 2^63 stay on NumPy, keys past 2^64 and tables of
-    at most SMALL_TABLE entries go on as scalar lists."""
+    """``compact_entries`` lays a dictionary out on either backend as
+    ``compact_tables`` lays out the dense table under NumPy, on both
+    sides of the cut (no dense table is passed over, so lists take the
+    whole cut too); keys past 2^63 stay on NumPy, keys past 2^64 and
+    tables of at most SMALL_TABLE pairs go on as scalar lists."""
     pairs = 1 << 12
     limit = CUT[0] * pairs // CUT[1]
-    for name in ("vectorized", "scalar"):
-        backend = V.get_backend(F, name)
-        for touched, compact in ((limit, True), (limit + 1, False)):
-            dense = _table_touching(pairs, touched)
-            entries = {i: v for i, v in enumerate(dense.tolist()) if v}
+    numpy = V.get_backend(F, "vectorized")
+    for touched, compact in ((limit, True), (limit + 1, False)):
+        dense = _table_touching(pairs, touched)
+        want_layout, _be, want = V.compact_tables(numpy, F, dense)
+        entries = {i: v for i, v in enumerate(dense.tolist()) if v}
+        for name in ("vectorized", "scalar"):
+            backend = V.get_backend(F, name)
             layout, be, table = V.compact_entries(backend, F, entries,
                                                   size=2 * pairs)
-            want_layout, _be, want = V.compact_tables(
-                backend, F, backend.asarray(dense.tolist()))
             assert be is backend and list(table) == list(want)
             if compact:
                 assert list(layout.ids) == list(want_layout.ids)

@@ -107,15 +107,19 @@ def test_sparse_f2_huge_universe():
 
 
 def test_sparse_f2_cancellation_removes_keys():
-    """A key whose count cancels, or is ≡ 0 (mod p), leaves the proof's
-    tables on either backend, however many such keys there are: nothing
-    of them is laid out."""
+    """A key whose count cancels leaves the vector, so the prover's state
+    is the live support, not every key seen; one ≡ 0 (mod p) stays
+    there but leaves the proof's tables on either backend, however many
+    such keys there are: nothing of them is laid out."""
     cancelled = [(k, 1) for k in range(100, 300)] + [
         (k, -1) for k in range(100, 300)]
+    tree = sparse_tree_prover(1 << 10, [(3, 5), (3, -5)] + cancelled)
+    assert tree.freq == {}
     for backend_name in BACKENDS:
         prover = sparse_engine(1 << 10, [(3, 5), (3, -5), (700, F.p)]
-                               + cancelled,
+                               + cancelled, cancelled,
                                backend=get_backend(F, backend_name))
+        assert prover.freq_a == {700: F.p} and prover.freq_b == {}
         prover.receive_batch([batch_f2()])
         assert list(prover._layout.ids) == []
         assert list(prover._a_table) == []
@@ -262,6 +266,12 @@ def test_sparse_inner_product_validation():
     # Beside a Counter, the second vector is a Counter too: no dense
     # table of the universe is ever made.
     assert isinstance(sparse_engine(1 << 48).freq_b, Counter)
+    # A mapping beside a table, either way round, is refused up front.
+    for freq_a, freq_b in ((Counter({1: 2}), [0] * 16),
+                           ([0] * 16, Counter({1: 2}))):
+        prover = BatchedSumcheckEngine(F, 16, freq_a=freq_a, freq_b=freq_b)
+        with pytest.raises(ValueError, match="both be mappings"):
+            prover.receive_batch([batch_inner_product()])
 
 
 def test_sparse_prover_work_scales_with_n_not_u():

@@ -21,7 +21,10 @@ the three ``heavy-hitters*`` rows and the two ``sparse-*-u2^48`` rows at
 sparse provers their own scatter-pass tables — 2 355 keys in 2^48, above
 the sparse provers' NumPy cut-over then; since those dictionary provers
 went they are the engine's and the tree prover's proofs from a key
-``Counter`` (``python tests/test_transcript_golden.py`` prints the table).
+``Counter``; the ``predecessor`` and ``successor`` rows, a found and a
+"none" claim each, at 3cef41c, while the two drivers were still two
+mirrored bodies (``python tests/test_transcript_golden.py`` prints the
+table).
 """
 
 from __future__ import annotations
@@ -67,6 +70,11 @@ from repro.core.multiquery import (
     run_batched_sumcheck,
 )
 from repro.core.range_sum import RangeSumVerifier, run_range_sum
+from repro.core.reporting import (
+    ReportingProver,
+    predecessor_query,
+    successor_query,
+)
 from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvector
 from repro.field.modular import DEFAULT_FIELD as F
 from repro.field.vectorized import HAVE_NUMPY, get_backend
@@ -269,6 +277,25 @@ def golden_lookup_and_scan(be):
     return digests, counts, result.verifier_space_words
 
 
+#: Six keys inside ``U``, none at either end: each neighbour query has a
+#: found and a "none" answer.
+NEIGHBOUR_A = _updates(117, n=6)
+
+
+def golden_neighbour(be, query, found_q, none_q, seed):
+    """A found claim, then a "none" claim, on one prover."""
+    prover = ReportingProver(F, U, backend=be)
+    verifier = TreeHashVerifier(F, U, rng=random.Random(seed))
+    _feed(NEIGHBOUR_A, prover, verifier)
+    digests, values = [], []
+    for q in (found_q, none_q):
+        channel = Channel()
+        result = query(prover, verifier, q, channel)
+        digests.append(_digest(channel.transcript))
+        values.append(result.value)
+    return digests, values, result.verifier_space_words
+
+
 def golden_heavy_hitters(be, low_space=False, seed=24):
     phi = 0.02
     prover = HeavyHittersProver(F, U_LARGE, phi, backend=be)
@@ -410,6 +437,10 @@ SCENARIOS = {
         be, low_space=True, seed=25),
     "heavy-hitters-wire": lambda be: golden_single_over_the_wire(
         heavy_hitters(1, 32), ("heavy-hitters", 1, 32), 28),
+    "predecessor": lambda be: golden_neighbour(
+        be, predecessor_query, 45, 20, seed=29),
+    "successor": lambda be: golden_neighbour(
+        be, successor_query, 43, 59, seed=30),
     "sparse-f2-u2^48": golden_sparse_f2,
     "sparse-range-query-u2^48": golden_sparse_range_query,
 }
@@ -490,6 +521,10 @@ GOLDEN = {
     "mixed-batch-wire": (
         "e7b8e2e02aadc3958c8fb6966c11f07ca3b582c09d73ef6a3b4bdf48c39e812e",
         [182, 1510, 11780, 456, 230], 34),
+    "predecessor": (
+        ["ff32af78510faef15ad02579ee8de824edd7b587d7a7fcca05486ad3470b726c",
+         "368ef34b2e66be17b060fd541bc46b6928e2752979415102b61af578c0e9ebf8"],
+        [42, None], 31),
     "range-batch-wire": (
         "b6f6acbf14f50be6da48a69f9f3c8b93e41b7be954a955e3880ed4fd54039325",
         [43, 187, 7], 22),
@@ -512,6 +547,10 @@ GOLDEN = {
     "sparse-range-query-u2^48": (
         "e25e4dfe813ae1ece88f1b288d2e9d41df765520efa61a56ac4fde35f325269a",
         332, 241),
+    "successor": (
+        ["ae2182507c6851fc7141be603399007ddfe442b959c7ce0e3b7c987e73cde7eb",
+         "a5740f1303d82a22c6f75f1b2037f5d9645f793c8cac08d9b08cfaf160ed89c5"],
+        [51, None], 31),
     "two-order-batch": (
         "a04589a35016cf0e5d799e8508193ca2cfb0b91e74c5adcd824faf8bdf40e499",
         [1510, 11780, 103786, 136, 456], 36),

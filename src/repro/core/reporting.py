@@ -118,58 +118,73 @@ def dictionary_get(
     )
 
 
-def predecessor_query(
+def _neighbour_query(
+    claim_words: Sequence[int],
     prover: ReportingProver,
     verifier: TreeHashVerifier,
     q: int,
-    channel: Optional[Channel] = None,
+    ch: Channel,
+    label: str,
+    below: bool,
 ) -> VerificationResult:
-    """PREDECESSOR: largest present key ``<= q``.
+    """The present key nearest ``q`` on one side: at most q when
+    ``below``, at least q otherwise.
 
-    The prover claims q'; SUB-VECTOR over [q', q] then proves both that q'
-    is present and that nothing else in (q', q] is.  A "none" claim is
-    checked with SUB-VECTOR over [0, q] expecting an empty answer.
+    The prover claims q'; SUB-VECTOR over the keys between q' and q then
+    proves both that q' is present and that no other key between them
+    is.  A "none" claim is checked with SUB-VECTOR over every key on that
+    side of q, expecting an empty answer; when no key of the universe
+    lies on that side, the claim is accepted without one.
     """
-    ch = channel or Channel()
-    claim = read_claim(ch.prover_says(0, "claim", prover.claim_predecessor(q)))
+    size = verifier.size
+    lo, hi = (0, min(q, size - 1)) if below else (max(q, 0), size - 1)
+    claim = read_claim(ch.prover_says(0, "claim", claim_words))
     if claim is None:
-        return rejected(ch.transcript, "malformed predecessor claim")
+        return rejected(ch.transcript, "malformed %s claim" % label)
     found, claimed = claim
     if not found:
-        result = run_subvector(prover, verifier, 0, min(q, verifier.size - 1), ch)
+        if lo > hi:
+            return accepted(ch.transcript, None, verifier.space_words)
+        result = run_subvector(prover, verifier, lo, hi, ch)
         if not result.accepted:
             return result
         if result.value.entries:
             return rejected(
                 ch.transcript,
-                "prover claimed no predecessor but keys are present",
+                "prover claimed no %s but keys are present" % label,
                 result.verifier_space_words,
             )
-        return VerificationResult(
-            accepted=True,
-            value=None,
-            transcript=ch.transcript,
-            verifier_space_words=result.verifier_space_words,
-        )
-    if not 0 <= claimed <= q or claimed >= verifier.size:
-        return rejected(ch.transcript, "claimed predecessor out of range")
-    result = run_subvector(prover, verifier, claimed, min(q, verifier.size - 1), ch)
+        return accepted(ch.transcript, None, result.verifier_space_words)
+    if not lo <= claimed <= hi:
+        return rejected(ch.transcript, "claimed %s out of range" % label)
+    if below:
+        lo = claimed
+    else:
+        hi = claimed
+    result = run_subvector(prover, verifier, lo, hi, ch)
     if not result.accepted:
         return result
     entries = result.value.entries
     if len(entries) != 1 or entries[0][0] != claimed:
         return rejected(
             ch.transcript,
-            "claimed predecessor %d is not the largest present key <= %d"
-            % (claimed, q),
+            "claimed %s %d is not the %s %d"
+            % (label, claimed, "largest present key <=" if below
+               else "smallest present key >=", q),
             result.verifier_space_words,
         )
-    return VerificationResult(
-        accepted=True,
-        value=claimed,
-        transcript=ch.transcript,
-        verifier_space_words=result.verifier_space_words,
-    )
+    return accepted(ch.transcript, claimed, result.verifier_space_words)
+
+
+def predecessor_query(
+    prover: ReportingProver,
+    verifier: TreeHashVerifier,
+    q: int,
+    channel: Optional[Channel] = None,
+) -> VerificationResult:
+    """PREDECESSOR: largest present key ``<= q``, or None."""
+    return _neighbour_query(prover.claim_predecessor(q), prover, verifier,
+                            q, channel or Channel(), "predecessor", True)
 
 
 def successor_query(
@@ -178,48 +193,9 @@ def successor_query(
     q: int,
     channel: Optional[Channel] = None,
 ) -> VerificationResult:
-    """SUCCESSOR: smallest present key ``>= q`` (symmetric to predecessor)."""
-    ch = channel or Channel()
-    claim = read_claim(ch.prover_says(0, "claim", prover.claim_successor(q)))
-    if claim is None:
-        return rejected(ch.transcript, "malformed successor claim")
-    found, claimed = claim
-    hi = verifier.size - 1
-    if not found:
-        result = run_subvector(prover, verifier, max(q, 0), hi, ch)
-        if not result.accepted:
-            return result
-        if result.value.entries:
-            return rejected(
-                ch.transcript,
-                "prover claimed no successor but keys are present",
-                result.verifier_space_words,
-            )
-        return VerificationResult(
-            accepted=True,
-            value=None,
-            transcript=ch.transcript,
-            verifier_space_words=result.verifier_space_words,
-        )
-    if not q <= claimed <= hi:
-        return rejected(ch.transcript, "claimed successor out of range")
-    result = run_subvector(prover, verifier, max(q, 0), claimed, ch)
-    if not result.accepted:
-        return result
-    entries = result.value.entries
-    if len(entries) != 1 or entries[0][0] != claimed:
-        return rejected(
-            ch.transcript,
-            "claimed successor %d is not the smallest present key >= %d"
-            % (claimed, q),
-            result.verifier_space_words,
-        )
-    return VerificationResult(
-        accepted=True,
-        value=claimed,
-        transcript=ch.transcript,
-        verifier_space_words=result.verifier_space_words,
-    )
+    """SUCCESSOR: smallest present key ``>= q``, or None."""
+    return _neighbour_query(prover.claim_successor(q), prover, verifier,
+                            q, channel or Channel(), "successor", False)
 
 
 def counted_range_query(

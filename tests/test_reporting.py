@@ -187,6 +187,34 @@ def test_non_canonical_claim_rejected(query, method, q, claim):
     assert not query(prover, verifier, q).accepted
 
 
+@pytest.mark.parametrize("q", [-1, 16, 20])  # -1, size, size + 4
+def test_neighbours_at_the_edges_of_the_universe(q):
+    """A query point outside [0, size) still has an answer: "none" on the
+    side no key can lie on, the nearest key on the other."""
+    keys = [3, 9]
+    stream = Stream.from_items(16, keys)
+    prover, verifier = session(stream)
+    result = predecessor_query(prover, verifier, q)
+    assert result.accepted, result.reason
+    assert result.value == max((k for k in keys if k <= q), default=None)
+    prover, verifier = session(stream, seed=1)
+    result = successor_query(prover, verifier, q)
+    assert result.accepted, result.reason
+    assert result.value == min((k for k in keys if k >= q), default=None)
+
+
+@pytest.mark.parametrize("query, method, q", [
+    (predecessor_query, "claim_predecessor", -1),
+    (successor_query, "claim_successor", 16),
+])
+def test_found_claim_beyond_the_universe_rejected(query, method, q):
+    stream = Stream.from_items(16, [3, 9])
+    prover, verifier = session(stream)
+    setattr(prover, method, lambda _q: (1, 9))
+    result = query(prover, verifier, q)
+    assert not result.accepted and "out of range" in result.reason
+
+
 def test_successor_lying_rejected():
     stream = Stream.from_items(64, [10, 20])
     prover, verifier = session(stream)

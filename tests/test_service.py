@@ -320,6 +320,22 @@ def test_session_lifecycle_connect_stream_query_verify(server):
         assert client.stats()["queries_served"] >= 4
 
 
+def test_successor_past_the_padded_universe_over_the_wire(server):
+    """A descriptor refuses only negative parameters, so ``successor(q)``
+    with q at or past the padded size reaches the driver: "none", and
+    the session answers the next query as usual."""
+    u = 12  # padded to 16
+    client = connect(server, u, fresh_dataset_id(), seed=22)
+    with client:
+        client.provision(("tree",), 4)
+        client.send_updates([(3, 1), (9, 2)])
+        outcomes = client.query(successor(16), successor(20),
+                                predecessor(20), point_lookup(9))
+        for outcome in outcomes:
+            assert outcome.result.accepted, outcome.result.reason
+        assert [o.result.value for o in outcomes] == [None, None, 9, 2]
+
+
 def test_field_mismatch_refused(server):
     host, port = server.address
     small = PrimeField((1 << 31) - 1)

@@ -23,10 +23,6 @@ from typing import Any, Optional
 from repro.comm.transcript import Transcript
 
 
-class ProtocolError(RuntimeError):
-    """Internal misuse of the protocol API (a bug, not a cheating prover)."""
-
-
 @dataclass
 class VerificationResult:
     """Outcome of one protocol run.

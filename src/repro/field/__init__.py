@@ -1,6 +1,6 @@
 """Finite-field substrate: primes, ``Z_p`` arithmetic, polynomials."""
 
-from repro.field.modular import DEFAULT_FIELD, FieldMismatchError, PrimeField
+from repro.field.modular import DEFAULT_FIELD, PrimeField
 from repro.field.polynomial import Polynomial, evaluate_from_evals
 from repro.field.vectorized import (
     HAVE_NUMPY,
@@ -19,7 +19,6 @@ from repro.field.primes import (
 
 __all__ = [
     "DEFAULT_FIELD",
-    "FieldMismatchError",
     "HAVE_NUMPY",
     "MERSENNE_61",
     "MERSENNE_127",

@@ -14,10 +14,6 @@ from typing import Iterable, List, Sequence
 from repro.field.primes import MERSENNE_61, is_prime
 
 
-class FieldMismatchError(ValueError):
-    """Raised when combining values from two different fields."""
-
-
 class PrimeField:
     """The finite field ``Z_p`` for a prime ``p``.
 

@@ -26,7 +26,6 @@ dependency.
 from __future__ import annotations
 
 import os
-import random
 import sys
 import threading
 from bisect import bisect_left
@@ -274,10 +273,6 @@ class ScalarBackend:
             return ((a, y) for y in b)
         return iter([(a, b)])
 
-    def reduce(self, arr: Sequence[int]) -> List[int]:
-        p = self.p
-        return [int(v) % p for v in arr]
-
     def add(self, a, b) -> List[int]:
         p = self.p
         return [(x + y) % p for x, y in self._pairs(a, b)]
@@ -289,10 +284,6 @@ class ScalarBackend:
     def mul(self, a, b) -> List[int]:
         p = self.p
         return [x * y % p for x, y in self._pairs(a, b)]
-
-    def pow(self, arr: Sequence[int], e: int) -> List[int]:
-        field = self.field
-        return [field.pow(v, e) for v in arr]
 
     def take(self, arr: Sequence[int], idx: Sequence[int]) -> List[int]:
         return [arr[i] for i in idx]
@@ -400,33 +391,15 @@ class ScalarBackend:
 
     def row_fold(self, stack, r: int, zero_weight: int = None):
         """Fold every row's column pairs with the *same* challenge ``r``."""
-        p = self.p
-        r %= p
-        w0 = (1 - r) % p if zero_weight is None else zero_weight % p
-        return [
-            [
-                (w0 * row[t] + r * row[t + 1]) % p
-                for t in range(0, len(row), 2)
-            ]
-            for row in stack
-        ]
+        return [fold_pairs(self, self.field, row, r, zero_weight)
+                for row in stack]
 
     def rows_fold(self, stack, rs: Sequence[int]):
         """Fold each row with its *own* challenge ``rs[q]`` (stacked fold)."""
         if len(stack) != len(rs):
             raise ValueError("one challenge per row required")
-        p = self.p
-        out = []
-        for row, r in zip(stack, rs):
-            r %= p
-            w0 = (1 - r) % p
-            out.append(
-                [
-                    (w0 * row[t] + r * row[t + 1]) % p
-                    for t in range(0, len(row), 2)
-                ]
-            )
-        return out
+        return [fold_pairs(self, self.field, row, r)
+                for row, r in zip(stack, rs)]
 
     # -- pair prefix sums ----------------------------------------------------
     #
@@ -476,14 +449,6 @@ class ScalarBackend:
 
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         return self.field.dot(xs, ys)
-
-    def batch_inv(self, arr: Sequence[int]) -> List[int]:
-        return self.field.batch_inv(list(arr))
-
-    # -- randomness ----------------------------------------------------------
-
-    def rand_vector(self, rng: random.Random, length: int) -> List[int]:
-        return self.field.rand_vector(rng, length)
 
     def __repr__(self) -> str:
         return "ScalarBackend(p=%d)" % self.p
@@ -568,9 +533,6 @@ class VectorizedField:
 
     # -- elementwise arithmetic --------------------------------------------
 
-    def reduce(self, arr):
-        return _np.mod(arr, _M61)
-
     def _both_scalars(self, a, b) -> bool:
         # numpy 2.x scalar integer ops emit overflow RuntimeWarnings (the
         # np.where wraparound branch is evaluated eagerly); plain ints are
@@ -598,21 +560,6 @@ class VectorizedField:
         if self._both_scalars(a, b):
             return self._norm(int(a) * int(b) % self.p)
         return _mul_m61(self._norm(a), self._norm(b))
-
-    def pow(self, arr, e: int):
-        """Elementwise ``arr**e mod p`` by square-and-multiply."""
-        a = arr if isinstance(arr, _np.ndarray) else self.asarray(arr)
-        if e < 0:
-            return self.pow(self.batch_inv(a), -e)
-        result = self.full(a.shape[0], 1)
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return result
 
     def take(self, arr, idx):
         return arr[idx]
@@ -664,7 +611,8 @@ class VectorizedField:
             # re-entering the canonical-residue arithmetic.
             out = self.add(
                 out,
-                self.add(self.mul(self.reduce(hi), two32), self.reduce(lo)),
+                self.add(self.mul(_np.mod(hi, _M61), two32),
+                         _np.mod(lo, _M61)),
             )
         return out
 
@@ -973,23 +921,6 @@ class VectorizedField:
             yc = xc if symmetric else _limbs22(ys[start : start + _DOT_CHUNK])
             total += _limb_dot(xc, yc, symmetric)
         return total % self.p
-
-    def batch_inv(self, arr):
-        """Elementwise inverses via one vectorized ``a^(p-2)`` ladder.
-
-        ~2·log2(p) whole-array multiplications — far fewer Python-level
-        steps than the sequential Montgomery trick for large arrays.
-        """
-        a = arr if isinstance(arr, _np.ndarray) else self.asarray(arr)
-        if a.size and bool(_np.any(a == 0)):
-            raise ZeroDivisionError("batch_inv of a zero element")
-        return self.pow(a, self.p - 2)
-
-    # -- randomness ----------------------------------------------------------
-
-    def rand_vector(self, rng: random.Random, length: int):
-        """Same draw sequence as :meth:`PrimeField.rand_vector`."""
-        return self.asarray([rng.randrange(self.p) for _ in range(length)])
 
     def __repr__(self) -> str:
         return "VectorizedField(p=%d)" % self.p

@@ -202,14 +202,6 @@ class LayerSumcheck:
         self._Wy = self._table0
         self._fold_be = be
 
-    @property
-    def num_rounds(self) -> int:
-        return 2 * self.b
-
-    @property
-    def rounds_done(self) -> int:
-        return self._j
-
     # -- round messages ------------------------------------------------------
 
     def round_message(self) -> List[int]:

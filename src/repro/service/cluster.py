@@ -71,6 +71,12 @@ NODE_ALIVE = "alive"      # routable, receives fan-out
 NODE_SUSPECT = "suspect"  # receives fan-out, but no *new* conversations
 NODE_DEAD = "dead"        # out of everything until supervisor readmission
 
+#: Seconds a heartbeat probe waits for a node to dial and answer.
+PROBE_TIMEOUT = 2.0
+#: Missed probes before a suspect node is declared dead.  Any relay
+#: error or refused dial kills it immediately.
+DEAD_AFTER = 2
+
 #: Errors that mean "this backend just failed us".
 _BACKEND_ERRORS = (
     asyncio.TimeoutError,
@@ -194,10 +200,8 @@ class ClusterRouter(FrameListener):
     heartbeat_interval:
         Seconds between ``H_PING`` probe rounds; ``None`` disables the
         prober (tests that want deterministic frame counts detect death
-        through relay errors alone).
-    dead_after:
-        Missed probes before a suspect node is declared dead.  Any relay
-        error or refused dial kills it immediately.
+        through relay errors alone).  ``DEAD_AFTER`` missed probes
+        declare a suspect node dead.
     backend_timeout:
         Deadline on every router-to-backend operation.
     """
@@ -209,8 +213,6 @@ class ClusterRouter(FrameListener):
                  replication_factor: int = 2,
                  vnodes: int = DEFAULT_VNODES,
                  heartbeat_interval: Optional[float] = 0.25,
-                 probe_timeout: float = 2.0,
-                 dead_after: int = 2,
                  backend_timeout: float = 10.0,
                  host: str = "127.0.0.1", port: int = 0):
         if not nodes:
@@ -237,8 +239,6 @@ class ClusterRouter(FrameListener):
         }
         self.datasets: Dict[int, _DatasetMeta] = {}
         self.heartbeat_interval = heartbeat_interval
-        self.probe_timeout = probe_timeout
-        self.dead_after = dead_after
         self.backend_timeout = backend_timeout
         #: Client conversations aborted by a primary failure (each one
         #: is a mid-conversation failover: the client's retry lands on a
@@ -306,7 +306,7 @@ class ClusterRouter(FrameListener):
         health = self.health[node_id]
         if health.state != NODE_DEAD:
             health.state = NODE_DEAD
-            health.missed = self.dead_after
+            health.missed = DEAD_AFTER
             # Out of the fan-out, so its data goes stale immediately:
             # forget every sync mark; only readmission restores them.
             self.synced[node_id].clear()
@@ -317,7 +317,7 @@ class ClusterRouter(FrameListener):
     async def _probe(self, node: ClusterNode) -> bool:
         try:
             link = await FrameLink.dial(node.host, node.port,
-                                        self.probe_timeout)
+                                        PROBE_TIMEOUT)
         except _BACKEND_ERRORS:
             return False
         try:
@@ -351,7 +351,7 @@ class ClusterRouter(FrameListener):
                 else:
                     health.probes_failed += 1
                     health.missed += 1
-                    if health.missed >= self.dead_after:
+                    if health.missed >= DEAD_AFTER:
                         self._node_failed(node_id)
                     else:
                         if health.state != NODE_SUSPECT:

@@ -60,13 +60,10 @@ class Fault:
 class FaultSchedule:
     """Decides, deterministically, the fate of every relayed frame.
 
-    Base class passes everything; subclass or use the constructors:
-
-    * :meth:`scripted` — explicit ``{global frame index: Fault}`` plan
-      (each entry fires **once**, so a retried frame passes);
-    * :meth:`seeded` — pseudo-random faults at ``rate`` drawn from a
-      seed, independent per (direction, index) so decisions do not shift
-      with interleaving.
+    Base class passes everything; subclass it, or use :meth:`scripted`
+    for an explicit ``{global frame index: Fault}`` plan (each entry
+    fires **once**, so a retried frame passes) or
+    :class:`SeededSchedule` for pseudo-random faults at a rate.
     """
 
     def decide(self, direction: str, index: int, global_index: int,
@@ -85,14 +82,6 @@ class FaultSchedule:
     @staticmethod
     def scripted(plan: Dict[int, Union[Fault, str]]) -> "ScriptedSchedule":
         return ScriptedSchedule(plan)
-
-    @staticmethod
-    def seeded(seed: int, rate: float,
-               kinds: Tuple[str, ...] = (KIND_DROP, KIND_TRUNCATE,
-                                         KIND_CORRUPT, KIND_DELAY),
-               delay: float = 0.02, stall: float = 1.0,
-               skip_first: int = 0) -> "SeededSchedule":
-        return SeededSchedule(seed, rate, kinds, delay, stall, skip_first)
 
 
 class ScriptedSchedule(FaultSchedule):
@@ -113,13 +102,11 @@ class SeededSchedule(FaultSchedule):
 
     Every decision draws from ``hash(seed, direction, index)`` so the
     schedule is a pure function of the frame's coordinates — retries and
-    concurrent sessions cannot shift it.  ``skip_first`` exempts each
-    direction's opening frames (lets a session at least get through
-    HELLO under high rates).
+    concurrent sessions cannot shift it.
     """
 
     def __init__(self, seed: int, rate: float, kinds: Tuple[str, ...],
-                 delay: float, stall: float, skip_first: int = 0):
+                 delay: float, stall: float):
         if not kinds:
             raise ValueError("a seeded schedule needs at least one kind")
         self.seed = seed
@@ -127,11 +114,8 @@ class SeededSchedule(FaultSchedule):
         self.kinds = tuple(kinds)
         self.delay = delay
         self.stall = stall
-        self.skip_first = skip_first
 
     def decide(self, direction, index, global_index, frame_type):
-        if index < self.skip_first:
-            return None
         rng = random.Random(
             (self.seed << 24) ^ (index << 1) ^ (direction == S2C)
         )
@@ -191,12 +175,9 @@ class ProxyHandle(ListenerHandle):
     def proxy(self) -> "ChaosProxy":
         return self.listener
 
-    def retarget(self, upstream_port: int,
-                 upstream_host: Optional[str] = None) -> None:
-        """Point new upstream connections at a different server (the
+    def retarget(self, upstream_port: int) -> None:
+        """Point new upstream connections at a different port (the
         restart-behind-a-stable-address scenario)."""
-        if upstream_host is not None:
-            self.proxy.upstream_host = upstream_host
         self.proxy.upstream_port = upstream_port
 
 

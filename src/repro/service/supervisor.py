@@ -43,6 +43,12 @@ from repro.service.transport import BlockingFrameLink
 #: Tail entries pulled per resync round-trip.
 RESYNC_BLOCK = 4096
 
+#: Resync-then-readmit attempts per heal before giving up (a busy writer
+#: can keep a node lagging for a round or two; it cannot starve it
+#: forever because each round closes the whole gap observed at its
+#: start).
+HEAL_ROUNDS = 20
+
 _log = obs.get_logger("service.supervisor")
 
 
@@ -349,24 +355,15 @@ class NodeSupervisor:
         ``address/running/restart/snapshot_path``).
     field:
         The cluster field (resync frames are word-encoded in it).
-    max_rounds:
-        Resync-then-readmit attempts per heal before giving up (a busy
-        writer can keep a node lagging for a round or two; it cannot
-        starve it forever because each round closes the whole gap
-        observed at its start).
     """
 
     def __init__(self, router, manager, field: PrimeField,
                  poll_interval: float = 0.2,
-                 probe_timeout: float = 2.0,
-                 max_rounds: int = 20,
                  update_router_address: bool = True):
         self.router = router
         self.manager = manager
         self.field = field
         self.poll_interval = poll_interval
-        self.probe_timeout = probe_timeout
-        self.max_rounds = max_rounds
         #: When the router dials nodes directly, a restarted node's new
         #: port must propagate into the routing table at readmission.
         #: Set False when the router routes through stable per-node
@@ -419,9 +416,8 @@ class NodeSupervisor:
             _log.info("node.restarted", node=node_id)
         address = manager.address(node_id)
 
-        for _round in range(self.max_rounds):
-            probed = probe_node(address, self.field,
-                                timeout=self.probe_timeout)
+        for _round in range(HEAL_ROUNDS):
+            probed = probe_node(address, self.field)
             if probed is None:
                 return False  # restarted and still unreachable
             _counters, inventory = probed
@@ -455,7 +451,7 @@ class NodeSupervisor:
                 return True
             # Updates landed while this round ran; go around again.
         _log.warning("node.heal_incomplete", node=node_id,
-                     rounds=self.max_rounds)
+                     rounds=HEAL_ROUNDS)
         return False
 
     def _resync_dataset(self, node_id: str, address: Tuple[str, int],

@@ -38,7 +38,6 @@ def test_subpackages_importable():
     import repro.field
     import repro.gkr
     import repro.lde
-    import repro.merkle
     import repro.streams
 
     for module in (
@@ -49,7 +48,6 @@ def test_subpackages_importable():
         repro.field,
         repro.gkr,
         repro.lde,
-        repro.merkle,
         repro.streams,
     ):
         assert module.__doc__

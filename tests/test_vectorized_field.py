@@ -87,34 +87,6 @@ def test_aggregates_match_scalar(setup):
     assert be.dot(ax, ay) == field.dot(xs, ys)
 
 
-def test_pow_matches_scalar(setup):
-    field, be, xs, _ = setup
-    ax = be.asarray(xs)
-    for e in [0, 1, 2, 3, 7, 61]:
-        assert be.to_list(be.pow(ax, e)) == [field.pow(x, e) for x in xs]
-
-
-def test_batch_inv_matches_scalar(setup):
-    field, be, xs, _ = setup
-    nonzero = [x for x in xs if x % field.p != 0]
-    assert be.to_list(be.batch_inv(be.asarray(nonzero))) == field.batch_inv(
-        nonzero
-    )
-
-
-def test_batch_inv_rejects_zero(setup):
-    field, be, _, _ = setup
-    with pytest.raises(ZeroDivisionError):
-        be.batch_inv(be.asarray([1, 0, 2]))
-
-
-def test_rand_vector_matches_scalar_draws(setup):
-    field, be, _, _ = setup
-    assert be.to_list(be.rand_vector(random.Random(42), 50)) == (
-        field.rand_vector(random.Random(42), 50)
-    )
-
-
 def test_mersenne_mul_exhaustive_near_boundary():
     """Dense check of the limb arithmetic around the 32-bit split points."""
     p = MERSENNE_61
@@ -137,7 +109,6 @@ def test_scalar_backend_mirror_api():
     assert sb.mul(xs[:3], 7) == [field.mul(x, 7) for x in xs[:3]]
     assert sb.sum(xs) == field.sum(xs)
     assert sb.take([10, 20, 30], [2, 0]) == [30, 10]
-    assert sb.pow([2, 3], 5) == [32, 243]
 
 
 def test_get_backend_selection(monkeypatch):

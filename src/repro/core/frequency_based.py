@@ -109,7 +109,7 @@ class FrequencyBasedProver:
         # Two bodies on purpose.  One Horner body over backend primitives
         # held every golden transcript, but on ScalarBackend it builds a
         # list per coefficient: F0 at u = 2^10 (Zipf 1.1, 4u updates,
-        # best of 3, one pinned CPU) took 10.8-11.0 s against 6.1-6.3 s
+        # best of 3, one pinned CPU) took 7.2-11.0 s against 4.3-6.3 s
         # for the per-pair loop below, and that loop on NumPy is a
         # Python loop over every pair.
         if getattr(be, "vectorized", False):

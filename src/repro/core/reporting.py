@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.comm.channel import Channel
 from repro.core.base import VerificationResult, accepted, rejected
@@ -119,12 +119,10 @@ def dictionary_get(
 
 
 def _neighbour_query(
-    claim_words: Sequence[int],
     prover: ReportingProver,
     verifier: TreeHashVerifier,
     q: int,
-    ch: Channel,
-    label: str,
+    channel: Optional[Channel],
     below: bool,
 ) -> VerificationResult:
     """The present key nearest ``q`` on one side: at most q when
@@ -136,9 +134,12 @@ def _neighbour_query(
     side of q, expecting an empty answer; when no key of the universe
     lies on that side, the claim is accepted without one.
     """
+    ch = channel or Channel()
+    label = "predecessor" if below else "successor"
+    claim_of = prover.claim_predecessor if below else prover.claim_successor
     size = verifier.size
     lo, hi = (0, min(q, size - 1)) if below else (max(q, 0), size - 1)
-    claim = read_claim(ch.prover_says(0, "claim", claim_words))
+    claim = read_claim(ch.prover_says(0, "claim", claim_of(q)))
     if claim is None:
         return rejected(ch.transcript, "malformed %s claim" % label)
     found, claimed = claim
@@ -183,8 +184,7 @@ def predecessor_query(
     channel: Optional[Channel] = None,
 ) -> VerificationResult:
     """PREDECESSOR: largest present key ``<= q``, or None."""
-    return _neighbour_query(prover.claim_predecessor(q), prover, verifier,
-                            q, channel or Channel(), "predecessor", True)
+    return _neighbour_query(prover, verifier, q, channel, below=True)
 
 
 def successor_query(
@@ -194,8 +194,7 @@ def successor_query(
     channel: Optional[Channel] = None,
 ) -> VerificationResult:
     """SUCCESSOR: smallest present key ``>= q``, or None."""
-    return _neighbour_query(prover.claim_successor(q), prover, verifier,
-                            q, channel or Channel(), "successor", False)
+    return _neighbour_query(prover, verifier, q, channel, below=False)
 
 
 def counted_range_query(

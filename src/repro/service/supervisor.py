@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.field.modular import PrimeField
 from repro.service import protocol as sp
+from repro.service.cluster import PROBE_TIMEOUT
 from repro.service.server import ProverServer
 from repro.service.transport import BlockingFrameLink
 
@@ -62,13 +63,12 @@ class SupervisorError(RuntimeError):
 # budget worth an event loop): dial, speak, hang up.
 
 
-def probe_node(address: Tuple[str, int], field: PrimeField,
-               timeout: float = 2.0
+def probe_node(address: Tuple[str, int], field: PrimeField
                ) -> Optional[Tuple[Dict[str, int], Dict[int, Tuple[int, int]]]]:
     """One H_PING round-trip: ``(counters, {dataset: (u, n_updates)})``,
     or ``None`` if the node is unreachable or answers garbage."""
     try:
-        with BlockingFrameLink.dial(address, timeout) as link:
+        with BlockingFrameLink.dial(address, PROBE_TIMEOUT) as link:
             frame_type, _s, _h, payload = link.request(
                 sp.pack_frame(sp.H_PING, 0)
             )

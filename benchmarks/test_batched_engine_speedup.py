@@ -73,7 +73,8 @@ def mixed_queries(u, nq):
 def ingest(u, updates_a, updates_b, backend, point):
     engine = BatchedSumcheckEngine(F, u, backend=backend)
     engine.process_stream(updates_a)
-    engine.process_stream_b(updates_b)
+    for i, delta in updates_b:
+        engine.process_b(i, delta)
     verifier = BatchedSumcheckVerifier(F, u, point=point)
     verifier.lde_a.process_stream_batched(updates_a)
     verifier.lde_b.process_stream_batched(updates_b)

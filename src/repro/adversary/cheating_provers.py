@@ -14,7 +14,7 @@ spent secret point would accept.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.heavy_hitters import HeavyHittersProver
 from repro.core.multiquery import BatchedSumcheckEngine

@@ -46,10 +46,6 @@ class SequenceFingerprint:
         for w in words:
             self.absorb(w)
 
-    def copy_empty(self) -> "SequenceFingerprint":
-        """A fresh accumulator under the same key."""
-        return SequenceFingerprint(self.field, z=self.z)
-
     @property
     def space_words(self) -> int:
         return 3  # z, value, current power (length is a machine counter)

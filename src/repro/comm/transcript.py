@@ -11,7 +11,7 @@ Figures 2(c) and 3(b).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 PROVER = "prover"
 VERIFIER = "verifier"
@@ -77,12 +77,6 @@ class Transcript:
 
     def total_bytes(self, word_bytes: int) -> int:
         return self.total_words * word_bytes
-
-    def words_by_label(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for m in self.messages:
-            out[m.label] = out.get(m.label, 0) + m.payload_words
-        return out
 
     def messages_from(self, sender: str) -> List[Message]:
         return [m for m in self.messages if m.sender == sender]

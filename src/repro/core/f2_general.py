@@ -48,9 +48,6 @@ class GeneralF2Prover:
         for i, delta in updates:
             self.process(i, delta)
 
-    def true_answer(self) -> int:
-        return sum(f * f for f in self.freq)
-
     def begin_proof(self) -> None:
         p = self.field.p
         self._table = [f % p for f in self.freq]

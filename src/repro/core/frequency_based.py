@@ -84,9 +84,6 @@ class FrequencyBasedProver:
     def freq(self) -> List[int]:
         return self.hh.freq
 
-    def true_answer(self, h: Callable[[int], int]) -> int:
-        return sum(h(f) for f in self.freq[: self.u])
-
     # -- sum-check phase ------------------------------------------------------
 
     def begin_sumcheck(self, h_tilde: Polynomial, heavy: Dict[int, int],

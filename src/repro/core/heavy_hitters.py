@@ -103,11 +103,6 @@ class HeavyHittersProver:
         for i, delta in updates:
             self.process(i, delta)
 
-    def true_heavy_hitters(self) -> Dict[int, int]:
-        n = sum(self.freq)
-        tau = heavy_threshold(self.phi, n)
-        return {i: f for i, f in enumerate(self.freq) if f >= tau}
-
     # -- proof phase ---------------------------------------------------------
 
     def begin_proof(self) -> None:

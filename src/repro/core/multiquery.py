@@ -353,10 +353,6 @@ class BatchedSumcheckEngine:
         for i, delta in updates:
             self.process(i, delta)
 
-    def process_stream_b(self, updates) -> None:
-        for i, delta in updates:
-            self.process_b(i, delta)
-
     # -- proof phase ---------------------------------------------------------
 
     def receive_batch(self, queries: Sequence[BatchQuery]) -> None:

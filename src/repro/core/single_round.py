@@ -53,9 +53,6 @@ class SingleRoundF2Prover:
         for i, delta in updates:
             self.process(i, delta)
 
-    def true_answer(self) -> int:
-        return sum(f * f for f in self.freq)
-
     def proof_message(self) -> List[int]:
         """Evaluations of g at 0..2ℓ-2 — Θ(u^{3/2}) work.
 

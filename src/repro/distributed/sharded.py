@@ -166,11 +166,6 @@ class DistributedF2Prover:
         for i, delta in updates:
             self.process(i, delta)
 
-    def true_answer(self) -> int:
-        return sum(
-            f * f for worker in self.workers for f in worker.freq
-        )
-
     # -- the proof interface of run_distributed_f2 ---------------------------
 
     def begin_proof(self) -> None:

@@ -17,7 +17,6 @@ from repro.experiments.harness import (
     FigureData,
     Series,
     format_table,
-    geometric_sizes,
     loglog_slope,
     throughput,
     time_call,
@@ -35,7 +34,6 @@ __all__ = [
     "figure_3b",
     "figure_vectorized",
     "format_table",
-    "geometric_sizes",
     "ipv6_extrapolation",
     "loglog_slope",
     "run_all",

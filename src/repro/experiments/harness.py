@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
 def time_call(fn: Callable[[], object]) -> Tuple[float, object]:
@@ -115,23 +115,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     out = [fmt(headers), fmt(["-" * w for w in widths])]
     out.extend(fmt(row) for row in rows)
     return "\n".join(out)
-
-
-def geometric_sizes(
-    start: int, stop: int, factor: int = 4, power_of_two: bool = True
-) -> List[int]:
-    """Geometric sweep of universe sizes, optionally snapped to 2^k."""
-    sizes = []
-    size = start
-    while size <= stop:
-        if power_of_two:
-            snapped = 1 << (size - 1).bit_length()
-        else:
-            snapped = size
-        if not sizes or snapped != sizes[-1]:
-            sizes.append(snapped)
-        size *= factor
-    return sizes
 
 
 def throughput(updates: int, seconds: float) -> float:

@@ -11,7 +11,6 @@ from repro.field.vectorized import (
 from repro.field.primes import (
     MERSENNE_61,
     MERSENNE_127,
-    bertrand_prime,
     field_prime_for,
     is_prime,
     next_prime,
@@ -26,7 +25,6 @@ __all__ = [
     "PrimeField",
     "ScalarBackend",
     "VectorizedField",
-    "bertrand_prime",
     "evaluate_from_evals",
     "field_prime_for",
     "get_backend",

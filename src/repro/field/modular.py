@@ -45,9 +45,6 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def pow(self, a: int, e: int) -> int:
         """``a**e mod p``; negative exponents use the inverse."""
         if e < 0:
@@ -61,9 +58,6 @@ class PrimeField:
             raise ZeroDivisionError("0 has no inverse in Z_%d" % self.p)
         # Fermat's little theorem; pow() is the fastest route in CPython.
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
 
     # -- aggregate helpers ---------------------------------------------------
 
@@ -121,9 +115,6 @@ class PrimeField:
     def word_bytes(self) -> int:
         """Bytes needed to store one field element ("word" in the paper)."""
         return self._word_bytes
-
-    def words_to_bytes(self, words: int) -> int:
-        return words * self._word_bytes
 
     # -- dunder conveniences ---------------------------------------------------
 

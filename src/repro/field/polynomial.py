@@ -83,9 +83,6 @@ class Polynomial:
             acc = (acc * x + c) % p
         return acc
 
-    def evaluations(self, xs: Sequence[int]) -> List[int]:
-        return [self(x) for x in xs]
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check_field(self, other: "Polynomial") -> None:

@@ -63,22 +63,6 @@ def next_prime(n: int) -> int:
     return candidate
 
 
-def bertrand_prime(u: int) -> int:
-    """Return a prime ``p`` with ``u <= p <= 2u`` (Bertrand's postulate).
-
-    This is the prime-size rule used throughout Sections 3 and 4 of the
-    paper.  Raises ValueError for ``u < 1``.
-    """
-    if u < 1:
-        raise ValueError("universe size must be positive, got %r" % (u,))
-    if u <= 2:
-        return 2
-    p = next_prime(u)
-    if p > 2 * u:  # cannot happen by Bertrand's postulate; defensive
-        raise AssertionError("Bertrand's postulate violated for u=%d" % u)
-    return p
-
-
 def field_prime_for(u: int, error_exponent: int = 1) -> int:
     """Pick a protocol prime for universe size ``u``.
 

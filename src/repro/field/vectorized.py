@@ -371,12 +371,11 @@ class ScalarBackend:
                        else [column] * count)
         return table
 
-    def int_where(self, selector, value: int, columns):
-        """Each of ``columns`` where the aligned ``selector`` is ``value``."""
-        return [
-            [entry for flag, entry in zip(selector, column) if flag == value]
-            for column in columns
-        ]
+    def int_runs(self, column) -> List[int]:
+        """Where each run of equal entries of ``column`` starts, then
+        its length: run t is ``column[bounds[t]:bounds[t + 1]]``."""
+        return [0, *(t for t in range(1, len(column))
+                     if column[t] != column[t - 1]), len(column)]
 
     # -- stacked (2-D) operations --------------------------------------------
     #
@@ -710,9 +709,9 @@ class VectorizedField:
             row[used:end] = column
         return table
 
-    def int_where(self, selector, value: int, columns):
-        mask = selector == value
-        return [column[mask] for column in columns]
+    def int_runs(self, column) -> List[int]:
+        cuts = _np.flatnonzero(column[1:] != column[:-1]) + 1
+        return [0, *cuts.tolist(), column.shape[0]]
 
     # -- stacked (2-D) operations --------------------------------------------
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.field.modular import PrimeField
-from repro.field.vectorized import get_backend
 
 ADD = "add"
 MUL = "mul"
@@ -104,15 +103,6 @@ class LayeredCircuit:
             self._wiring_arrays[key] = cached
         return cached
 
-    def evaluate(
-        self, field: PrimeField, inputs: Sequence[int], backend=None
-    ) -> List[List[int]]:
-        """All layer values as lists; ``values[0]`` are outputs,
-        ``values[depth]`` the (reduced) inputs."""
-        be = backend if backend is not None else get_backend(field)
-        return [be.to_list(arr)
-                for arr in self.evaluate_arrays(field, inputs, be)]
-
     def evaluate_arrays(self, field: PrimeField, inputs: Sequence[int],
                         backend) -> List[object]:
         """All layer values as canonical backend arrays: per layer two
@@ -134,11 +124,6 @@ class LayeredCircuit:
             b = be.take(arrays[0], right)
             arrays.insert(0, be.select(add_mask, be.add(a, b), be.mul(a, b)))
         return arrays
-
-    def output(
-        self, field: PrimeField, inputs: Sequence[int], backend=None
-    ) -> List[int]:
-        return self.evaluate(field, inputs, backend=backend)[0]
 
 
 def sum_tree_layers(width: int) -> List[List[Gate]]:

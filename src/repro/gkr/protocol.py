@@ -130,11 +130,6 @@ class GKRProver:
         for i, delta in updates:
             self.process(i, delta)
 
-    def set_inputs(self, inputs: Sequence[int]) -> None:
-        if len(inputs) != self.circuit.input_size:
-            raise ValueError("wrong input length")
-        self.inputs = list(inputs)
-
 
 class StreamingGKRVerifier:
     """Pre-draws the coin tape, streams the input MLE at the two points the

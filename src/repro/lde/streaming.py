@@ -556,15 +556,10 @@ class StreamingLDE(StreamSketch):
     def space_words(self) -> int:
         """Words of *persistent* verifier state: r, the running value.
 
-        The χ lookup tables are a time optimisation; the strict Theorem 1
-        accounting (d+1 words) excludes them, and `space_words_with_tables`
-        includes them.
+        The χ lookup tables (d·ℓ words) are a time optimisation; the
+        strict Theorem 1 accounting (d+1 words) excludes them.
         """
         return self.d + 1
-
-    @property
-    def space_words_with_tables(self) -> int:
-        return self.d + 1 + self.d * self.ell
 
     # -- reference implementations (for tests / the honest prover) ----------
 

@@ -135,9 +135,6 @@ class StructuredLogger:
     def warning(self, event: str, **fields: object) -> None:
         self._emit("warning", event, fields)
 
-    def error(self, event: str, **fields: object) -> None:
-        self._emit("error", event, fields)
-
 
 _loggers: Dict[str, StructuredLogger] = {}
 _loggers_lock = threading.Lock()

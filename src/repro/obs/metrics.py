@@ -199,10 +199,6 @@ class Histogram(_Instrument):
                 return list(self._samples)
             return self._samples[self._next:] + self._samples[: self._next]
 
-    def quantile(self, q: float) -> float:
-        with self._lock:
-            return nearest_rank(self._samples, q)
-
     def summary(self) -> Dict[str, float]:
         with self._lock:
             out = {

@@ -35,7 +35,7 @@ powerful server and verifying its answers):
   tails from peers before readmitting them.
 
 Observability (:mod:`repro.obs`) threads through every layer: trace ids
-ride a negotiated version-2 frame-header extension end to end, a
+ride a version-2 frame-header extension end to end, a
 process-wide metrics registry counts retries/failovers/refusals and
 times proof rounds, and every recovery decision point emits a structured
 JSON log line — with the transcript bytes provably unchanged whether

@@ -349,13 +349,6 @@ class ServiceClient:
     max_payload:
         Frame-size knob enforced on every received header before
         allocating (mirrors the server's).
-    addresses:
-        Optional bootstrap list of additional ``(host, port)`` service
-        endpoints (cluster routers, standby servers).  When a dial
-        fails, the client rotates to the next address before the retry
-        — so a fleet configured with every router's address rides out a
-        router outage without reconfiguration.  ``(host, port)`` is
-        always tried first.
     """
 
     def __init__(
@@ -372,7 +365,6 @@ class ServiceClient:
         op_timeout: float = 30.0,
         retry: Optional[RetryPolicy] = None,
         max_payload: int = sp.MAX_PAYLOAD,
-        addresses: Optional[Sequence[Tuple[str, int]]] = None,
     ):
         self.field = field
         self.u = u
@@ -391,11 +383,6 @@ class ServiceClient:
         self.updates_streamed = 0
         self._host = host
         self._port = port
-        #: Bootstrap rotation: every endpoint this client may dial, the
-        #: primary first.  A failed dial advances to the next one.
-        self._addresses: List[Tuple[str, int]] = [(host, port)]
-        self._addresses.extend(addresses or [])
-        self._address_index = 0
         self._connect_timeout = timeout
         self.op_timeout = op_timeout
         self.retry = retry or RetryPolicy()
@@ -422,14 +409,12 @@ class ServiceClient:
         #: the idempotence anchor: a resent block whose updates the
         #: server already counted is skipped, not double-applied.
         self._server_updates = 0
-        #: Trace propagation: ids ride in version-2 frames only after
-        #: the server's HELLO_ACK advertises TRACE_CAPABLE, so an old
-        #: server never sees a frame version it cannot parse.  Span and
-        #: trace ids come from ``os.urandom`` (via the tracer) — never
-        #: from ``self._rng``/``self._retry_rng``, whose draw sequences
-        #: the transcript-equality invariant depends on.
+        #: Trace propagation: ids ride in version-2 frames whenever the
+        #: tracer is on.  Span and trace ids come from ``os.urandom``
+        #: (via the tracer) — never from ``self._rng``/``self._retry_rng``,
+        #: whose draw sequences the transcript-equality invariant
+        #: depends on.
         self._tracer = obs.get_tracer()
-        self._trace_capable = False
         #: One client session = one trace: the root span under which
         #: every update block, query, round and server-side span nests.
         self._session_span = self._tracer.span(
@@ -472,13 +457,6 @@ class ServiceClient:
                 self.op_timeout, self.max_payload,
             )
         except OSError as exc:
-            if len(self._addresses) > 1:
-                # Rotate to the next bootstrap endpoint so the retry
-                # (ours or a caller's) dials somewhere else.
-                self._address_index = \
-                    (self._address_index + 1) % len(self._addresses)
-                self._host, self._port = \
-                    self._addresses[self._address_index]
             raise self._unavailable("dial failed: %s" % exc) from exc
         with self._tracer.span("client.session.open",
                                host=self._host, port=self._port):
@@ -490,27 +468,15 @@ class ServiceClient:
         self.session_id = session_id
         words = sp.parse_words(self.field, payload)
         self._server_updates = words[0] if words else 0
-        # Word 3 (when present) is the server's TRACE_CAPABLE
-        # advertisement: only then may this connection carry version-2
-        # frames.  Re-checked on every (re)connect, so a failover onto
-        # an older server quietly falls back to plain frames.
-        self._trace_capable = (
-            len(words) >= 3 and words[2] == sp.TRACE_CAPABLE
-        )
         self._last_acked = "hello"
 
-    def reconnect(self, host: Optional[str] = None,
-                  port: Optional[int] = None) -> None:
-        """Re-dial (optionally a new address) and resume this session.
+    def reconnect(self) -> None:
+        """Re-dial and resume this session.
 
         The new connection gets a fresh server-side session id attached
         to the *same dataset*; verifier pools, streamed state and
         fingerprints all live client-side, so nothing else changes.
         """
-        if host is not None:
-            self._host = host
-        if port is not None:
-            self._port = port
         self._connect()
         self.reconnects += 1
         obs.counter("repro_client_reconnects_total").inc()
@@ -895,8 +861,8 @@ class ServiceClient:
     def _frame(self, frame_type: int, session_id: int,
                payload: bytes = b"") -> bytes:
         """Pack a frame, stamping the current trace context when the
-        server negotiated version-2 support and a span is open."""
-        if self._trace_capable and self._tracer.enabled:
+        tracer is on and a span is open."""
+        if self._tracer.enabled:
             ctx = obs.current()
             if ctx is not None:
                 return sp.pack_frame(frame_type, session_id, payload,

@@ -23,11 +23,8 @@ header and payload: the sender's 64-bit trace id and 64-bit span id.
 The payload — the transcript bytes the channel accounts for — is
 identical under both versions, which is how observability stays off the
 transcript path, and a relay forwards the extension byte for byte.
-Traced frames are *negotiated*: a server that understands them appends
-the capability word `TRACE_CAPABLE` to its HELLO_ACK (old clients read
-only the leading words and never notice), and a client only stamps
-version 2 on the wire after seeing that word — so old clients and old
-servers keep speaking plain version 1 to everything.
+Every peer parses both versions; a client stamps version 2 while its
+tracer is on.
 
 Decoding validates everything — magic, version, type, and the declared
 length against `MAX_PAYLOAD` (2^26) and the receiver's own `max_payload`
@@ -81,10 +78,6 @@ HEADER_LEN = 12
 
 #: Length of the version-2 trace extension that follows the header.
 TRACE_EXT_LEN = 16
-
-#: Capability word a trace-aware server appends to its HELLO_ACK words;
-#: clients that see it may send version-2 frames on this connection.
-TRACE_CAPABLE = 1
 
 #: Hard cap on one frame's payload (64 MiB): a declared length beyond
 #: this is damage or abuse, not data.

@@ -162,14 +162,13 @@ class Dataset:
                         self._log_columns(start, count)))
 
     def replay_columns(self, start: int, count: int):
-        """The same block as ``(vector, keys, deltas)`` per vector that
-        occurs in it, ascending: one replay frame each."""
-        vectors, *columns = self._log_columns(start, count)
-        groups = [
-            (vector, *self.backend.int_where(vectors, vector, columns))
-            for vector in (0, 1)
-        ]
-        return [group for group in groups if len(group[1])]
+        """The same block as ``(vector, keys, deltas)`` runs of a single
+        vector, in log order: one replay frame each, so every frame
+        ends on a log index a replay can resume from."""
+        vectors, keys, deltas = self._log_columns(start, count)
+        bounds = self.backend.int_runs(vectors)
+        return [(int(vectors[lo]), keys[lo:hi], deltas[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
     # Read-only views for tests and debugging: fresh lists of Python
     # ints, built on every access — nothing is stored for them.

@@ -82,13 +82,6 @@ class HashRing:
             bisect.insort(self._ring, (pos, node_id))
         self._nodes[node_id] = positions
 
-    def remove_node(self, node_id: str) -> None:
-        positions = self._nodes.pop(node_id, None)
-        if positions is None:
-            raise KeyError("node %r is not on the ring" % node_id)
-        remove = {(pos, node_id) for pos in positions}
-        self._ring = [entry for entry in self._ring if entry not in remove]
-
     # -- placement -----------------------------------------------------------
 
     def key_position(self, key: str) -> int:

@@ -373,7 +373,17 @@ class QueryRouter:
         kind = descriptor.kind
         if kind in TREE_KINDS:
             cls = KLargestProver if kind == KIND_K_LARGEST else ReportingProver
-            return cls(field, u, freq=table(0))
+            prover = cls(field, u, freq=table(0))
+            # Refused here, the open is never acked and the client's
+            # verifier copy stays unspent (as RANGE-SUM's receive_batch).
+            params = descriptor.params
+            if (kind == KIND_POINT_LOOKUP and params[0] >= prover.size
+                    or kind == KIND_RANGE_SCAN
+                    and not params[0] <= params[1] < prover.size
+                    or kind == KIND_K_LARGEST and params[0] == 0):
+                raise RoutingError("%s%r invalid over %d keys"
+                                   % (descriptor.name, params, prover.size))
+            return prover
         if kind == KIND_F2:
             return DistributedF2Prover(field, u,
                                        num_workers=descriptor.params[0],

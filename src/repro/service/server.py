@@ -331,15 +331,7 @@ class ProverServer(FrameListener):
                     % (field.p, p)
                 )
             session = self.registry.connect(u, dataset_id)
-            # The trailing TRACE_CAPABLE word advertises version-2
-            # (traced) frame support; old clients read only the leading
-            # words and keep speaking version 1.
-            ack = sp.words_payload(
-                field,
-                [session.dataset.n_updates,
-                 session.dataset.sessions_attached,
-                 sp.TRACE_CAPABLE],
-            )
+            ack = sp.words_payload(field, [session.dataset.n_updates])
             return [sp.pack_frame(sp.T_HELLO_ACK, session.session_id, ack)]
 
         if frame_type == sp.H_PING:
@@ -402,7 +394,7 @@ class ProverServer(FrameListener):
             if len(words) != 1:
                 raise ServiceError("replay request takes one start index")
             # Each block of the log is cut column to column into one
-            # frame per vector, ascending.
+            # frame per run of a single vector, in log order.
             frames = [
                 sp.pack_frame(
                     sp.T_REPLAY_DATA, session_id,

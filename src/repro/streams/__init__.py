@@ -1,8 +1,6 @@
 """Stream model, synthetic workloads and the key-value-store scenario."""
 
 from repro.streams.generators import (
-    adversarial_collision_stream,
-    frequency_histogram,
     key_value_pairs,
     paired_streams_for_join,
     sparse_stream,
@@ -25,8 +23,6 @@ __all__ = [
     "StreamStats",
     "UniverseError",
     "Update",
-    "adversarial_collision_stream",
-    "frequency_histogram",
     "key_value_pairs",
     "paired_streams_for_join",
     "sparse_stream",

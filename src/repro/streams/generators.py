@@ -9,7 +9,7 @@ key-value workloads for the Dynamo-style scenarios of Section 1.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.streams.model import Stream
 
@@ -130,15 +130,6 @@ def key_value_pairs(
     return [(k, rng.randrange(u)) for k in keys]
 
 
-def adversarial_collision_stream(u: int, heavy_key: int, n: int) -> Stream:
-    """All mass on one key: the worst case for naive F2 sketches."""
-    if not 0 <= heavy_key < u:
-        raise ValueError("heavy key outside universe")
-    stream = Stream(u)
-    stream.append(heavy_key, n)
-    return stream
-
-
 def paired_streams_for_join(
     u: int,
     n_each: int,
@@ -161,12 +152,3 @@ def paired_streams_for_join(
         a.append(rng.randrange(u), rng.randint(1, 10))
         b.append(rng.randrange(u), rng.randint(1, 10))
     return a, b
-
-
-def frequency_histogram(stream: Stream) -> Dict[int, int]:
-    """Map frequency -> number of keys with that frequency (freq > 0)."""
-    hist: Dict[int, int] = {}
-    for f in stream.sparse_frequencies().values():
-        if f > 0:
-            hist[f] = hist.get(f, 0) + 1
-    return hist

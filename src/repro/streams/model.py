@@ -9,7 +9,7 @@ frequencies are non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 Update = Tuple[int, int]

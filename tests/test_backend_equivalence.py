@@ -404,6 +404,11 @@ def test_round_message_full_prefix():
 # -- GKR (layer sum-check engine + full protocol) ----------------------------
 
 
+def _layer_values(circuit, inputs, be):
+    """Every layer of ``circuit`` on ``inputs`` as lists, outputs first."""
+    return [be.to_list(a) for a in circuit.evaluate_arrays(F, inputs, be)]
+
+
 def _random_layered_circuit(seed):
     """A small irregular circuit exercising add/mul mixes and fan-out."""
     from repro.gkr.circuits import ADD, MUL, Gate, LayeredCircuit
@@ -436,7 +441,7 @@ def test_layer_sumcheck_matches_bruteforce_reference(seed):
     rng = random.Random(100 + seed)
     circuit = _random_layered_circuit(seed)
     inputs = [rng.randrange(50) for _ in range(16)]
-    values = circuit.evaluate(F, inputs)
+    values = _layer_values(circuit, inputs, get_backend(F))
     i = rng.randrange(circuit.depth)
     gates = circuit.layers[i]
     b_next = num_vars(circuit.layer_size(i + 1))
@@ -568,8 +573,8 @@ def test_circuit_evaluate_identical_across_backends():
     rng = random.Random(79)
     circuit = f2_circuit(32)
     inputs = [rng.randrange(-100, 100) for _ in range(32)]
-    scalar = circuit.evaluate(F, inputs, backend=ScalarBackend(F))
-    vector = circuit.evaluate(F, inputs, backend=get_backend(F, "vectorized"))
+    scalar = _layer_values(circuit, inputs, ScalarBackend(F))
+    vector = _layer_values(circuit, inputs, get_backend(F, "vectorized"))
     assert scalar == vector
     assert scalar[-1] == [v % F.p for v in inputs]
     assert scalar[0] == [sum(v * v for v in inputs) % F.p]

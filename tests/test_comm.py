@@ -36,14 +36,6 @@ def test_transcript_rejects_unknown_sender():
         Transcript().record("eavesdropper", 0, "x", [])
 
 
-def test_words_by_label():
-    t = Transcript()
-    t.record(PROVER, 0, "g", [1, 2])
-    t.record(PROVER, 1, "g", [3])
-    t.record(VERIFIER, 0, "r", [4])
-    assert t.words_by_label() == {"g": 3, "r": 1}
-
-
 def test_messages_from():
     t = Transcript()
     t.record(PROVER, 0, "a", [1])

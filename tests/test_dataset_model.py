@@ -5,13 +5,14 @@ of the compute backend and moves a block through them without a Python
 object per update.  What it must *be* is the fifteen lines of
 :class:`Model` below — the per-pair loop it replaced — on every backend:
 same counts, same log, same refusals, and a refused block changes
-nothing, the cached table object included.  The replay frames and the
-snapshot file are pinned to the bytes the list-based tree produced.
+nothing, the cached table object included.  The replay frames are held
+to the list encoder over the model's log, and the snapshot file to the
+bytes the list-based tree wrote.
 """
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import os
 import random
 from unittest import mock
@@ -46,6 +47,12 @@ class Model:
             self.counts[vector][key] = self.counts[vector].get(key, 0) + delta
             self.log.append((vector, key, delta))
         return len(self.log)
+
+
+def runs(log):
+    """``(vector, pairs)`` per same-vector run of ``log``, in order."""
+    return [(vector, [(key, delta) for _v, key, delta in run])
+            for vector, run in itertools.groupby(log, key=lambda e: e[0])]
 
 
 def dataset_on(backend_name, u, dataset_id=0):
@@ -98,15 +105,12 @@ def test_dataset_is_the_per_pair_model(backend_name, stream):
         for count in (0, 1, 3, n, n + 5):
             assert list(dataset.replay_slice(start, count)) == \
                 model.log[start:start + count]
-            by_vector = {}
-            for vector, key, delta in model.log[start:start + count]:
-                by_vector.setdefault(vector, []).append((key, delta))
             assert [
                 (vector, list(zip(dataset.backend.to_list(keys),
                                   dataset.backend.to_list(deltas))))
                 for vector, keys, deltas in dataset.replay_columns(start,
                                                                    count)
-            ] == sorted(by_vector.items())
+            ] == runs(model.log[start:start + count])
     with pytest.raises(RegistryError):
         dataset.replay_slice(-1, 5)
     with pytest.raises(RegistryError):
@@ -179,17 +183,9 @@ def test_counts_stay_exact_past_int64(backend_name):
     assert dataset.freq_b[3] == (1 << 70) - (1 << 64)
 
 
-# -- replay frames and snapshots: the bytes of the list-based tree ---------------
+# -- replay frames and snapshots: the bytes of the list-based path --------------
 
 U = 1000
-
-#: sha256 over the T_REPLAY_DATA / T_REPLAY_END frames the PR 22 tree (a
-#: list of 3-tuples regrouped per pair) answered for `interleaved_blocks`,
-#: replayed from update 0 and from update 4090.
-REPLAY_FROM_0 = (
-    6, "d7b4580242838c6c61146418c4db360ad10c50808c8ae8190806977f5d25ef86")
-REPLAY_FROM_4090 = (
-    4, "f5bc483903680c2149f30aeb73296e6b5b5175d5ab40785b1d9725a14e08f4e3")
 
 #: A version-1 snapshot file as the PR 22 tree wrote it.
 PARENT_SNAPSHOT = (
@@ -214,10 +210,17 @@ def interleaved_blocks(total, seed=23):
     return blocks
 
 
-def replay_digest(server, session, start):
-    frames = server._dispatch(sp.T_REPLAY_REQUEST, session.session_id,
-                              sp.words_payload(F, [start]))
-    return len(frames), hashlib.sha256(b"".join(frames)).hexdigest()
+def model_replay(log, session_id, start):
+    """The replay from ``start``, encoded pair by pair from the model's
+    log: per REPLAY_BLOCK updates, one frame per same-vector run."""
+    frames = [
+        sp.pack_frame(sp.T_REPLAY_DATA, session_id,
+                      sp.updates_payload(F, vector, pairs))
+        for cursor in range(start, len(log), REPLAY_BLOCK)
+        for vector, pairs in runs(log[cursor:cursor + REPLAY_BLOCK])
+    ]
+    return frames + [sp.pack_frame(sp.T_REPLAY_END, session_id,
+                                   sp.words_payload(F, [len(log)]))]
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -232,14 +235,12 @@ def test_replay_frames_and_snapshot_are_byte_identical(backend_name,
         dataset.apply(vector, pairs)
         model.apply(vector, pairs)
     assert dataset.n_updates == 2 * REPLAY_BLOCK + 5
-    assert replay_digest(server, session, 0) == REPLAY_FROM_0
-    assert replay_digest(server, session, 4090) == REPLAY_FROM_4090
-    # Past the end: just the END frame, carrying the total.
-    frames = server._dispatch(sp.T_REPLAY_REQUEST, session.session_id,
-                              sp.words_payload(F, [dataset.n_updates]))
-    assert frames == [sp.pack_frame(
-        sp.T_REPLAY_END, session.session_id,
-        sp.words_payload(F, [dataset.n_updates]))]
+    # From the start, mid-log and past the end (just the END frame).
+    for start in (0, 4090, dataset.n_updates):
+        assert server._dispatch(
+            sp.T_REPLAY_REQUEST, session.session_id,
+            sp.words_payload(F, [start]),
+        ) == model_replay(model.log, session.session_id, start)
 
     path = server.snapshot(tmp_path / "snapshot.json")
     restored = SessionRegistry.restore(path, F).datasets[1]

@@ -88,9 +88,14 @@ def test_keys_routed_to_correct_shard():
 
 
 def test_true_answer():
+    """Keys on different shards: the verified answer is the true F2."""
+    verifier = F2Verifier(F, 16, rng=random.Random(5))
     prover = DistributedF2Prover(F, 16, num_workers=2)
-    prover.process_stream([(1, 3), (9, 4)])
-    assert prover.true_answer() == 25
+    for i, d in [(1, 3), (9, 4)]:
+        verifier.process(i, d)
+        prover.process(i, d)
+    result = run_distributed_f2(prover, verifier)
+    assert result.accepted and result.value == 3 * 3 + 4 * 4
 
 
 def test_worker_count_validation():

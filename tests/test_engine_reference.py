@@ -86,7 +86,8 @@ def test_engine_rounds_equal_the_reference(data):
     for name in BACKENDS:
         engine = BatchedSumcheckEngine(F, u, backend=get_backend(F, name))
         engine.process_stream(updates_a)
-        engine.process_stream_b(updates_b)
+        for i, delta in updates_b:
+            engine.process_b(i, delta)
         engines.append(engine)
     for party in [reference] + engines:
         party.receive_batch(queries)

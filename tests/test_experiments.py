@@ -19,7 +19,6 @@ from repro.experiments.harness import (
     FigureData,
     Series,
     format_table,
-    geometric_sizes,
     loglog_slope,
     throughput,
     time_call,
@@ -65,12 +64,6 @@ def test_format_table_alignment():
     lines = table.splitlines()
     assert len(lines) == 4
     assert all(len(line) == len(lines[0]) for line in lines)
-
-
-def test_geometric_sizes():
-    sizes = geometric_sizes(256, 16384, factor=4)
-    assert sizes == [256, 1024, 4096, 16384]
-    assert geometric_sizes(100, 1000, power_of_two=True) == [128, 512]
 
 
 def test_throughput_guards_zero():

@@ -54,6 +54,7 @@ from repro.service import (
     ServiceUnavailableError,
     f2,
     heavy_hitters,
+    inner_product,
     k_largest,
     point_lookup,
     predecessor,
@@ -326,6 +327,42 @@ def test_mid_replay_disconnect_resumes_from_last_block(server):
             got = reader.query(f2())[0]
             assert got.result.accepted
             assert got.result.value == want.result.value
+    finally:
+        handle.stop()
+
+
+def test_replay_cut_between_two_vectors_resumes_in_log_order(server):
+    """Replay frames are runs of the log in order: a joiner cut after
+    the first run resumes at its log index.  Frames grouped by vector
+    (vector 0 first) would make that count no log index, so the resumed
+    replay fed the vector-0 run twice and vector 1 never."""
+    u = 64
+    dataset = fresh_dataset_id()
+    host, port = server.address
+    writer = ServiceClient(host, port, F, u, dataset_id=dataset,
+                           rng=random.Random(33))
+    with writer:
+        writer.provision(("inner-product",), 1)
+        writer.send_updates([(1, 2), (5, 3), (9, 4)], vector=1)
+        writer.send_updates([(1, 5), (5, 7), (40, 1)], vector=0)
+        want = writer.query(inner_product())[0]
+        assert want.result.accepted and want.result.value == 31
+
+    # HELLO(0) ACK(1) REQUEST(2) DATA(3) DATA(4) END(5): drop the
+    # second run.
+    proxy = ChaosProxy(host, port,
+                       schedule=FaultSchedule.scripted({4: KIND_DROP}))
+    handle = proxy.serve_in_thread()
+    try:
+        joiner = ServiceClient(*handle.address, F, u, dataset_id=dataset,
+                               rng=random.Random(34), retry=FAST_RETRY)
+        with joiner:
+            joiner.provision(("inner-product",), 1)
+            assert joiner.replay_missed() == 6
+            assert joiner.retries >= 1
+            got = joiner.query(inner_product())[0]
+            assert got.result.accepted, got.result.reason
+            assert got.result.value == 31
     finally:
         handle.stop()
 

@@ -58,13 +58,6 @@ def test_sequence_order_matters():
     assert fingerprint_words(F, z, [1, 2]) != fingerprint_words(F, z, [2, 1])
 
 
-def test_copy_empty_shares_key():
-    fp = SequenceFingerprint(F, z=7)
-    fp.absorb(9)
-    fresh = fp.copy_empty()
-    assert fresh.z == 7 and fresh.value == 0 and fresh.length == 0
-
-
 def test_requires_key_or_rng():
     with pytest.raises(ValueError):
         SequenceFingerprint(F)

@@ -7,8 +7,6 @@ import random
 import pytest
 
 from repro.streams.generators import (
-    adversarial_collision_stream,
-    frequency_histogram,
     key_value_pairs,
     paired_streams_for_join,
     sparse_stream,
@@ -81,14 +79,6 @@ def test_key_value_pairs_overflow():
         key_value_pairs(5, 6)
 
 
-def test_adversarial_collision_stream():
-    s = adversarial_collision_stream(16, 3, 100)
-    assert s.frequency_vector()[3] == 100
-    assert s.self_join_size() == 100 * 100
-    with pytest.raises(ValueError):
-        adversarial_collision_stream(16, 16, 1)
-
-
 def test_paired_streams_overlap():
     a, b = paired_streams_for_join(256, 100, overlap=1.0,
                                    rng=random.Random(7))
@@ -105,10 +95,3 @@ def test_paired_streams_overlap_validation():
         paired_streams_for_join(16, 4, overlap=1.5)
 
 
-def test_frequency_histogram():
-    s = uniform_frequency_stream(40, max_frequency=4, rng=random.Random(9))
-    hist = frequency_histogram(s)
-    dense = s.frequency_vector()
-    for freq, count in hist.items():
-        assert count == sum(1 for f in dense if f == freq)
-    assert sum(hist.values()) == s.distinct_count()

@@ -145,9 +145,11 @@ def test_dimension_mismatch_rejected():
 
 
 def test_prover_true_heavy_hitters_oracle():
-    prover = HeavyHittersProver(F, 16, 0.5)
-    prover.process_stream([(3, 6), (4, 3), (5, 1)])
-    assert prover.true_heavy_hitters() == {3: 6}
+    """At the threshold's edge the verified answer is the stream model's."""
+    stream = Stream(16, [(3, 6), (4, 3), (5, 1)])
+    result = run_on(stream, 0.5)
+    assert result.accepted
+    assert result.value == stream.heavy_hitters(0.5) == {3: 6}
 
 
 def test_verifier_tracks_n():

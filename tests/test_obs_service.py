@@ -138,7 +138,7 @@ def test_bytes_received_counts_a_traced_replys_extension():
     listener = socket.create_server(("127.0.0.1", 0))
     replies = {
         sp.T_HELLO: (sp.T_HELLO_ACK,
-                     sp.words_payload(F, [0, 1, sp.TRACE_CAPABLE])),
+                     sp.words_payload(F, [0])),
         sp.T_STATS: (sp.T_STATS_REPLY, sp.words_payload(F, [1, 2, 3, 4, 5])),
         sp.T_BYE: (sp.T_BYE_ACK, b""),
     }

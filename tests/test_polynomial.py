@@ -109,11 +109,6 @@ def test_equality_and_hash():
     assert poly([1]) != poly([2])
 
 
-def test_evaluations_helper():
-    p = poly([1, 1])  # 1 + x
-    assert p.evaluations([0, 1, 2]) == [1, 2, 3]
-
-
 # -- evaluate_from_evals: the protocol message format -------------------------
 
 

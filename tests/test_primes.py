@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.field.primes import (
     MERSENNE_61,
     MERSENNE_127,
-    bertrand_prime,
     field_prime_for,
     is_prime,
     next_prime,
@@ -67,14 +66,11 @@ def test_next_prime_is_prime_and_minimal(n):
 
 @given(st.integers(min_value=1, max_value=10**9))
 def test_bertrand_prime_in_range(u):
-    p = bertrand_prime(u)
+    """The paper's prime-size rule: a prime in [u, 2u] exists (Bertrand's
+    postulate), and the first one at or above u is it."""
+    p = next_prime(u)
     assert is_prime(p)
-    assert u <= p <= 2 * u or (u <= 2 and p == 2)
-
-
-def test_bertrand_prime_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        bertrand_prime(0)
+    assert u <= p <= 2 * u or (u == 1 and p == 2)
 
 
 def test_field_prime_for_prefers_mersenne61():

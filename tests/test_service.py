@@ -336,6 +336,26 @@ def test_successor_past_the_padded_universe_over_the_wire(server):
         assert [o.result.value for o in outcomes] == [None, None, 9, 2]
 
 
+@pytest.mark.parametrize("descriptor", [
+    range_scan(0, 64), range_scan(5, 4), point_lookup(100), k_largest(0),
+    range_sum(0, 64),
+], ids=["scan-past-size", "scan-lo-above-hi", "lookup-past-size",
+        "k-largest-0", "range-sum-past-size"])
+def test_invalid_query_is_refused_at_the_open_and_keeps_its_copy(
+        server, descriptor):
+    """A query no answer can exist for is refused before the open is
+    acked, like RANGE-SUM: no verifier copy is spent on it, and no
+    "rejected" verdict suggests the prover cheated."""
+    u = 60  # padded to 64
+    client = connect(server, u, fresh_dataset_id(), seed=23)
+    with client:
+        pool = client.provision(descriptor, 2)
+        client.send_updates([(3, 1), (9, 2)])
+        with pytest.raises(ServiceClientError, match="invalid"):
+            client.query(descriptor)
+        assert client.pool_remaining(pool) == 2
+
+
 def test_field_mismatch_refused(server):
     host, port = server.address
     small = PrimeField((1 << 31) - 1)

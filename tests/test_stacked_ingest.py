@@ -525,7 +525,7 @@ class ReplayStub:
             self._read(conn, length)
             if frame_type == sp.T_HELLO:
                 conn.sendall(sp.pack_frame(
-                    sp.T_HELLO_ACK, 1, sp.words_payload(F, [total, 1, 0])))
+                    sp.T_HELLO_ACK, 1, sp.words_payload(F, [total])))
             elif frame_type == sp.T_REPLAY_REQUEST:
                 conn.sendall(b"".join(
                     [sp.pack_frame(sp.T_REPLAY_DATA, 1,

@@ -143,7 +143,6 @@ def test_requires_point_or_rng():
 def test_space_accounting():
     lde = StreamingLDE(F, 1 << 20, rng=random.Random(2))
     assert lde.space_words == 21  # d + 1 = 20 + 1
-    assert lde.space_words_with_tables == 21 + 40
 
 
 def test_updates_processed_counter():

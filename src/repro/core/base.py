@@ -78,6 +78,14 @@ def pow2_dimension(u: int) -> int:
     return max(d, 1)
 
 
+def check_range(lo: int, hi: int, size: int) -> None:
+    """Raise ``ValueError`` unless ``[lo, hi]`` is a key range of a
+    ``size``-key universe — every range, scan and lookup query's domain
+    (a lookup is ``[q, q]``)."""
+    if not 0 <= lo <= hi < size:
+        raise ValueError("query range [%d, %d] invalid" % (lo, hi))
+
+
 def add_update(vector, u: int, i: int, delta: int) -> None:
     """``vector[i] += delta`` for a key of [0, u).  A mapping drops a key
     whose count comes to 0, so it holds only the live support."""

@@ -19,6 +19,12 @@ from repro.core.subvector import SubVectorProver, TreeHashVerifier, run_subvecto
 from repro.field.modular import PrimeField
 
 
+def check_rank(k: int) -> None:
+    """Raise ``ValueError`` unless ``k`` is a rank (k >= 1)."""
+    if k < 1:
+        raise ValueError("rank k = %d invalid, must be >= 1" % k)
+
+
 class KLargestProver(SubVectorProver):
     """SUB-VECTOR prover that can claim the k-th largest present key."""
 
@@ -37,8 +43,7 @@ def k_largest_query(
     channel: Optional[Channel] = None,
 ) -> VerificationResult:
     """Verified k-th largest present key (value None when < k keys exist)."""
-    if k < 1:
-        raise ValueError("k must be >= 1, got %d" % k)
+    check_rank(k)
     ch = channel or Channel()
     claim = read_claim(ch.prover_says(0, "claim", prover.claim_kth_largest(k)))
     if claim is None:

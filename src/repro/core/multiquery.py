@@ -31,6 +31,7 @@ from repro.core.base import (
     VerificationResult,
     accepted,
     add_update,
+    check_range,
     pow2_dimension,
     rejected,
 )
@@ -361,12 +362,8 @@ class BatchedSumcheckEngine:
         for q in queries:
             if not isinstance(q, BatchQuery):
                 raise TypeError("receive_batch expects BatchQuery members")
-            if q.kind == BATCH_KIND_RANGE_SUM and not (
-                0 <= q.params[0] <= q.params[1] < self.size
-            ):
-                raise ValueError(
-                    "query range [%d, %d] invalid" % q.params
-                )
+            if q.kind == BATCH_KIND_RANGE_SUM:
+                check_range(*q.params, self.size)
         be = self.backend
         field = self.field
         self._queries = queries
@@ -539,10 +536,8 @@ def run_batched_sumcheck(
     for q in queries:
         if not isinstance(q, BatchQuery):
             raise TypeError("run_batched_sumcheck expects BatchQuery members")
-        if q.kind == BATCH_KIND_RANGE_SUM and not (
-            0 <= q.params[0] <= q.params[1] < verifier.size
-        ):
-            raise ValueError("query range [%d, %d] invalid" % q.params)
+        if q.kind == BATCH_KIND_RANGE_SUM:
+            check_range(*q.params, verifier.size)
     if not queries:
         return []
     lde_a = getattr(verifier, "lde_a", None)

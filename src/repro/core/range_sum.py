@@ -19,7 +19,7 @@ import random
 from typing import Optional
 
 from repro.comm.channel import Channel
-from repro.core.base import VerificationResult, rejected
+from repro.core.base import VerificationResult, check_range, rejected
 from repro.core.multiquery import (
     BatchedSumcheckEngine,
     batch_range_sum,
@@ -47,9 +47,10 @@ def run_range_sum(
     the inner-product rounds run with the final check target
     ``f_a(r) · f_b(r)``.
     """
-    if not 0 <= lo <= hi < verifier.size:
-        return rejected((channel or Channel()).transcript,
-                        "query range [%d, %d] invalid" % (lo, hi))
+    try:
+        check_range(lo, hi, verifier.size)
+    except ValueError as exc:
+        return rejected((channel or Channel()).transcript, str(exc))
     return run_batched_sumcheck(prover, verifier, [batch_range_sum(lo, hi)],
                                 channel)[0]
 

@@ -29,6 +29,7 @@ from repro.core.base import (
     VerificationResult,
     accepted,
     add_update,
+    check_range,
     pow2_dimension,
     rejected,
 )
@@ -251,8 +252,7 @@ class SubVectorProver:
     # -- protocol ----------------------------------------------------------
 
     def receive_query(self, lo: int, hi: int) -> None:
-        if not 0 <= lo <= hi < self.size:
-            raise ValueError("query range [%d, %d] invalid" % (lo, hi))
+        check_range(lo, hi, self.size)
         self._query = (lo, hi)
         self._plan = sibling_plan(lo, hi, self.d)
         if isinstance(self.freq, Mapping):
@@ -322,8 +322,10 @@ def run_subvector(
     d = verifier.d
     if prover.d != d or prover.normalized != verifier.normalized:
         return rejected(ch.transcript, "prover/verifier parameter mismatch")
-    if not 0 <= lo <= hi < verifier.size:
-        return rejected(ch.transcript, "query range [%d, %d] invalid" % (lo, hi))
+    try:
+        check_range(lo, hi, verifier.size)
+    except ValueError as exc:
+        return rejected(ch.transcript, str(exc))
 
     plan = sibling_plan(lo, hi, d)
     ch.verifier_says(0, "query", [lo, hi])

@@ -22,12 +22,17 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.comm.channel import Channel
+from repro.core.base import check_range
 from repro.core.heavy_hitters import (
     HeavyHittersProver,
     HeavyHittersVerifier,
     run_heavy_hitters,
 )
-from repro.core.k_largest import KLargestProver, k_largest_query
+from repro.core.k_largest import (
+    KLargestProver,
+    check_rank,
+    k_largest_query,
+)
 from repro.core.multiquery import (
     BatchQuery,
     BatchedSumcheckEngine,
@@ -376,13 +381,15 @@ class QueryRouter:
             prover = cls(field, u, freq=table(0))
             # Refused here, the open is never acked and the client's
             # verifier copy stays unspent (as RANGE-SUM's receive_batch).
+            # Predecessor and successor answer at the edges.
             params = descriptor.params
-            if (kind == KIND_POINT_LOOKUP and params[0] >= prover.size
-                    or kind == KIND_RANGE_SCAN
-                    and not params[0] <= params[1] < prover.size
-                    or kind == KIND_K_LARGEST and params[0] == 0):
-                raise RoutingError("%s%r invalid over %d keys"
-                                   % (descriptor.name, params, prover.size))
+            try:
+                if kind == KIND_K_LARGEST:
+                    check_rank(params[0])
+                elif kind in (KIND_POINT_LOOKUP, KIND_RANGE_SCAN):
+                    check_range(params[0], params[-1], prover.size)
+            except ValueError as exc:
+                raise RoutingError("%s: %s" % (descriptor.name, exc)) from None
             return prover
         if kind == KIND_F2:
             return DistributedF2Prover(field, u,

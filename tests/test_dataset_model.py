@@ -231,16 +231,23 @@ def test_replay_frames_and_snapshot_are_byte_identical(backend_name,
     server = ProverServer(F)
     session = server.registry.connect(U, 1)
     dataset, model = session.dataset, Model(U)
-    for vector, pairs in interleaved_blocks(2 * REPLAY_BLOCK + 5):
+    blocks = interleaved_blocks(2 * REPLAY_BLOCK + 5)
+    for vector, pairs in blocks:
         dataset.apply(vector, pairs)
         model.apply(vector, pairs)
     assert dataset.n_updates == 2 * REPLAY_BLOCK + 5
     # From the start, mid-log and past the end (just the END frame).
-    for start in (0, 4090, dataset.n_updates):
-        assert server._dispatch(
-            sp.T_REPLAY_REQUEST, session.session_id,
-            sp.words_payload(F, [start]),
-        ) == model_replay(model.log, session.session_id, start)
+    replays = [server._dispatch(sp.T_REPLAY_REQUEST, session.session_id,
+                                sp.words_payload(F, [start]))
+               for start in (0, 4090, dataset.n_updates)]
+    assert replays == [model_replay(model.log, session.session_id, start)
+                       for start in (0, 4090, dataset.n_updates)]
+    # A replay frame is a same-vector run of one REPLAY_BLOCK, so a full
+    # replay sends at most the writer's own update frames plus one per
+    # block cut: 21 writer blocks in 7 runs, cut twice, replay as 9 data
+    # frames and the END frame.
+    assert len(blocks) == 21
+    assert [len(frames) for frames in replays] == [10, 5, 1]
 
     path = server.snapshot(tmp_path / "snapshot.json")
     restored = SessionRegistry.restore(path, F).datasets[1]

@@ -23,7 +23,10 @@ the sparse provers' NumPy cut-over then; since those dictionary provers
 went they are the engine's and the tree prover's proofs from a key
 ``Counter``; the ``predecessor`` and ``successor`` rows, a found and a
 "none" claim each, at 3cef41c, while the two drivers were still two
-mirrored bodies (``python tests/test_transcript_golden.py`` prints the
+mirrored bodies; ``frequency-based-f0-heavy``, ``fmax`` and
+``inverse-distribution-3`` at f8d7dcf, while the frequency-based prover
+still interpolated h̃ into coefficients and kept one round-message body
+per backend (``python tests/test_transcript_golden.py`` prints the
 table).
 """
 
@@ -48,6 +51,8 @@ from repro.core.frequency_based import (
     FrequencyBasedProver,
     FrequencyBasedVerifier,
     default_phi,
+    fmax_protocol,
+    inverse_distribution_protocol,
     run_frequency_based,
 )
 from repro.core.heavy_hitters import (
@@ -90,6 +95,7 @@ from repro.service import (
     range_sum,
 )
 from repro.streams.generators import zipf_stream
+from repro.streams.model import Stream
 
 BACKENDS = ["scalar"] + (["vectorized"] if HAVE_NUMPY else [])
 
@@ -203,15 +209,36 @@ def golden_general_f2(be):
     return _single(run_general_f2(prover, verifier, channel), channel)
 
 
-def golden_frequency_based(be):
+#: ``UPDATES_A`` and one key well above the φ = 1/8 heaviness threshold,
+#: so the verifier removes a heavy key and the prover zeroes its slot.
+F0_HEAVY_A = UPDATES_A + [(17, 60)]
+
+
+def golden_frequency_based(be, updates=UPDATES_A, seed=6):
     phi = default_phi(U)
     prover = FrequencyBasedProver(F, U, phi, backend=be)
-    verifier = FrequencyBasedVerifier(F, U, phi, rng=random.Random(6))
-    _feed(UPDATES_A, prover, verifier)
+    verifier = FrequencyBasedVerifier(F, U, phi, rng=random.Random(seed))
+    _feed(updates, prover, verifier)
     channel = Channel()
     result = run_frequency_based(
         prover, verifier, lambda x: 0 if x == 0 else 1, channel
     )
+    return _single(result, channel)
+
+
+def golden_fmax(be):
+    """INDEX on the witness, then the frequency-based count of keys
+    above it (the frequency-based provers pick their backend from
+    ``REPRO_BACKEND``)."""
+    result = fmax_protocol(Stream(U, UPDATES_A), F, rng=random.Random(31))
+    return _digest(result.transcript), result.value, \
+        result.verifier_space_words
+
+
+def golden_inverse_distribution(be):
+    channel = Channel()
+    result = inverse_distribution_protocol(
+        Stream(U, UPDATES_A), 3, F, rng=random.Random(32), channel=channel)
     return _single(result, channel)
 
 
@@ -404,6 +431,10 @@ SCENARIOS = {
     "range-sum": golden_range_sum,
     "general-f2-ell3": golden_general_f2,
     "frequency-based-f0": golden_frequency_based,
+    "frequency-based-f0-heavy": lambda be: golden_frequency_based(
+        be, F0_HEAVY_A, seed=33),
+    "fmax": golden_fmax,
+    "inverse-distribution-3": golden_inverse_distribution,
     "gkr-f2": lambda be: golden_gkr(be, f2_circuit(U), UPDATES_A, seed=12),
     "gkr-random-add-mul": lambda be: golden_gkr(
         be, _random_add_mul_circuit(13), _signed_updates(104, 16, 60),
@@ -478,9 +509,15 @@ GOLDEN = {
     "fk5": (
         "adef2e34fe14676048db3da5686441e3fb27d50ac5ec7ddfaf1a128e3c980ea0",
         999260, 15),
+    "fmax": (
+        "638e987405a4319367ddbcf8f6bc09f2fe4c6a8a2906f4512a73f33dc68eb49f",
+        12, 103),
     "frequency-based-f0": (
         "fd9b8dbdd10cd67b06a138dfbf3cc5ff518d7c699e71224ea5890a2b495e0060",
         46, 103),
+    "frequency-based-f0-heavy": (
+        "79237a935e9ca27f06bac1c6e3441052b33e5f41ae861f3cd2a23fd7933b5da8",
+        47, 119),
     "heavy-hitters": (
         "0040cab425061b32151e739e2501f3e502fa650794ab8f0be7f0ceb6c0812b4e",
         {194: 365, 415: 164, 483: 54, 566: 76, 570: 47, 710: 111}, 172),
@@ -505,6 +542,9 @@ GOLDEN = {
     "inner-product-wire": (
         "cfe51f6c292fe3ad2dc71961d1b8541f19f708f9deb63adf2547a0a2f796042a",
         [456], 13),
+    "inverse-distribution-3": (
+        "fd712df5a0bbb9843f48fd0ea45eb907caea5953526862b93a95d36bb331cb97",
+        6, 103),
     "lookup-and-scan-u65536": (
         ["f5f09ce0d754f8341724871451c69204dd50ce767fbe79cf1e184c484e6c74f1",
          "2a52d279bb12aa0bc08ee907ee0ab60ed96cc699e93fad3c5d1a7abb85e05c43"],

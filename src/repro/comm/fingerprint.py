@@ -1,4 +1,4 @@
-"""Polynomial fingerprints of sequences over ``Z_p``.
+"""Fingerprints of sequences over ``Z_p``: a polynomial in a secret key.
 
 A fingerprint of the sequence ``w_1..w_m`` under a secret key ``z`` is
 ``Σ_k w_k · z^k mod p``.  Two distinct sequences of length ≤ m collide

@@ -7,7 +7,9 @@ for the heavy keys directly (F' = Σ_{i∈H} h(a_i)) and *remove* them from
 its streamed LDE value (f̃_a(r) = f_a(r) − Σ_{v∈H} a_v χ_v(r)); then run
 the sum-check against ``h̃ ∘ f̃_a`` where ``h̃`` is the degree-(τ-1)
 interpolant of h on {0..τ-1} and τ = φ-heaviness threshold bounds every
-remaining frequency.
+remaining frequency.  Both parties hold h̃ as its τ values h(0..τ-1): the
+verifier evaluates that table at f̃_a(r), the prover turns it into
+coefficients once per proof.
 
 Total: log u rounds, O(√u log u) communication, O(log u) verifier space.
 Applications (Corollary 2): F0, Fmax, inverse-distribution point queries.
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Optional
+from math import comb
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.comm.channel import Channel
 from repro.core.base import (
@@ -37,12 +40,13 @@ from repro.core.reporting import index_query
 from repro.core.subvector import SubVectorProver, TreeHashVerifier
 from repro.core.sumcheck import run_sumcheck_rounds
 from repro.field.modular import PrimeField
-from repro.field.polynomial import Polynomial
+from repro.field.polynomial import coefficients_from_evals, evaluate_from_evals
 from repro.field.vectorized import (
     canonical_table,
-    ensure_backend_array,
     fold_pairs,
     get_backend,
+    pair_moments,
+    small_tables,
 )
 from repro.lde.chi import multilinear_chi
 from repro.lde.streaming import StreamingLDE
@@ -51,14 +55,6 @@ from repro.lde.streaming import StreamingLDE
 def default_phi(u: int) -> float:
     """The paper's choice φ = u^(-1/2) (assuming n = Θ(u))."""
     return 1.0 / math.sqrt(max(u, 1))
-
-
-def _interpolant(field: PrimeField, h: Callable[[int], int], degree_bound: int
-                 ) -> Polynomial:
-    """The unique polynomial h̃ of degree < degree_bound with
-    h̃(i) = h(i) for i in 0..degree_bound-1."""
-    points = [(i, h(i) % field.p) for i in range(degree_bound)]
-    return Polynomial.interpolate(field, points)
 
 
 class FrequencyBasedProver:
@@ -86,57 +82,62 @@ class FrequencyBasedProver:
 
     # -- sum-check phase ------------------------------------------------------
 
-    def begin_sumcheck(self, h_tilde: Polynomial, heavy: Dict[int, int],
+    def begin_sumcheck(self, evals: Sequence[int], heavy: Dict[int, int],
                        num_evals: int) -> None:
-        self._h_tilde = h_tilde
+        """Start the h̃ ∘ f̃_a sum-check: h̃ given as ``evals`` = h(0..τ-1),
+        the heavy keys' slots zeroed."""
+        p = self.field.p
+        coeffs = coefficients_from_evals(self.field, evals)
+        # weights[b][a] = coef_(a+b)·C(a+b, b), the weight of the pair
+        # moment S_(a,b) in the coefficient of c^b (round_message).
+        self._weights = [
+            [coeffs[a + b] * comb(a + b, b) % p
+             for a in range(len(coeffs) - b)]
+            for b in range(len(coeffs))
+        ]
         self._num_evals = num_evals
         table = canonical_table(self.backend, self.field, self.freq)
         for idx in heavy:
             table[idx] = 0
-        self._table = table
+        # This proof's backend: small_tables moves it to the scalar
+        # mirror once the table is small; self.backend never changes.
+        self._be, self._table = self.backend, table
 
     def round_message(self) -> List[int]:
         """[g(0), ..., g(num_evals-1)] with
-        g(c) = Σ_t h̃((1-c)·A[2t] + c·A[2t+1])."""
+        g(c) = Σ_t h̃((1-c)·A[2t] + c·A[2t+1]).
+
+        With E_t = A[2t] and Δ_t = A[2t+1] - E_t the line is E_t + c·Δ_t,
+        so g(c) = Σ_b c^b·Σ_(m>=b) coef_m·C(m,b)·S_(m-b,b) over the pair
+        moments S_(a,b) = Σ_t E_t^a·Δ_t^b of the interleaved (E, Δ)
+        table: one :func:`pair_moments` pass on either backend.
+        """
         p = self.field.p
-        num_evals = self._num_evals
-        h_tilde = self._h_tilde
-        be = self.backend
-        table = self._table = ensure_backend_array(be, self._table)
-        # Two bodies on purpose.  One Horner body over backend primitives
-        # held every golden transcript, but on ScalarBackend it builds a
-        # list per coefficient: F0 at u = 2^10 (Zipf 1.1, 4u updates,
-        # best of 3, one pinned CPU) took 7.2-11.0 s against 4.3-6.3 s
-        # for the per-pair loop below, and that loop on NumPy is a
-        # Python loop over every pair.
-        if getattr(be, "vectorized", False):
-            lo = table[0::2]
-            hi = table[1::2]
-            coeffs = h_tilde.coeffs
-            out = []
-            for c in range(num_evals):
-                if not coeffs:
-                    out.append(0)
-                    continue
-                line = be.add(be.mul(lo, (1 - c) % p), be.mul(hi, c % p))
-                # Horner over the interpolant's coefficient vector.
-                acc = be.full(len(lo), coeffs[-1])
-                for coef in reversed(coeffs[:-1]):
-                    acc = be.add(be.mul(acc, line), coef)
-                out.append(be.sum(acc))
-            return out
+        be, table = self._be, self._table
+        even = table[0::2]
+        pairs_table = be.zeros(len(table))
+        pairs_table[0::2] = even
+        pairs_table[1::2] = be.sub(table[1::2], even)
+        top = len(self._weights) - 1
+        moments = pair_moments(be, pairs_table, range(1, top + 1)) \
+            if top else {}
+        moments[0] = [len(table) // 2]  # S_(0,0): every pair counts once
+        by_power = [
+            sum(w * moments[a + b][b] for a, w in enumerate(row)) % p
+            for b, row in enumerate(self._weights)
+        ]
         out = []
-        for c in range(num_evals):
-            one_minus_c = (1 - c) % p
+        for c in range(self._num_evals):
             acc = 0
-            for t in range(0, len(table), 2):
-                line = (one_minus_c * table[t] + c * table[t + 1]) % p
-                acc += h_tilde(line)
-            out.append(acc % p)
+            for coef in reversed(by_power):
+                acc = (acc * c + coef) % p
+            out.append(acc)
         return out
 
     def receive_challenge(self, r: int) -> None:
-        self._table = fold_pairs(self.backend, self.field, self._table, r)
+        self._be, self._table = small_tables(
+            self._be, self.field,
+            fold_pairs(self._be, self.field, self._table, r))
 
 
 class FrequencyBasedVerifier:
@@ -217,16 +218,16 @@ def run_frequency_based(
         chi = multilinear_chi(field, bits, verifier.r)
         f_tilde_at_r = (f_tilde_at_r - count * chi) % p
 
-    # h̃: degree-(τ-1) interpolant; every light frequency is in [0, τ-1].
-    h_tilde = _interpolant(field, h, tau)
+    # h̃ as its values on [0, τ-1], where every light frequency lies.
+    evals = [h(i) % p for i in range(tau)]
     num_evals = max(tau, 2)  # at least degree 1 so g(0)+g(1) is defined
 
     # Phase 2: the sum-check over h̃ ∘ f̃_a, on rounds d .. 2d-1.
-    prover.begin_sumcheck(h_tilde, heavy, num_evals)
+    prover.begin_sumcheck(evals, heavy, num_evals)
     sumcheck = run_sumcheck_rounds(
         prover, verifier, ch, message_len=num_evals,
-        target=h_tilde(f_tilde_at_r), target_name="h̃(f̃_a(r))",
-        round_offset=d,
+        target=evaluate_from_evals(field, evals, f_tilde_at_r),
+        target_name="h̃(f̃_a(r))", round_offset=d,
     )
     if not sumcheck.accepted:
         return sumcheck

@@ -1,7 +1,7 @@
 """Finite-field substrate: primes, ``Z_p`` arithmetic, polynomials."""
 
 from repro.field.modular import DEFAULT_FIELD, PrimeField
-from repro.field.polynomial import Polynomial, evaluate_from_evals
+from repro.field.polynomial import evaluate_from_evals
 from repro.field.vectorized import (
     HAVE_NUMPY,
     ScalarBackend,
@@ -21,7 +21,6 @@ __all__ = [
     "HAVE_NUMPY",
     "MERSENNE_61",
     "MERSENNE_127",
-    "Polynomial",
     "PrimeField",
     "ScalarBackend",
     "VectorizedField",

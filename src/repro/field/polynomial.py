@@ -1,13 +1,13 @@
-"""Univariate polynomials over a prime field.
+"""Univariate polynomials over a prime field, held as evaluation tables.
 
-Two representations are used by the protocols:
-
-* coefficient vectors (:class:`Polynomial`) — used by the verifier when it
-  must *store* a polynomial, e.g. the interpolant ``h~`` of Section 6.2; and
-* evaluation tables at the consecutive points ``0, 1, ..., m-1`` — the wire
-  format for every prover message (a degree-D message is the table of D+1
-  evaluations).  :func:`evaluate_from_evals` lets the verifier evaluate such
-  a message at its secret point ``r_j`` in O(m) field operations.
+A polynomial of degree < m is the table of its values at the consecutive
+points ``0, 1, ..., m-1`` — the wire format for every prover message (a
+degree-D message is the table of D+1 evaluations) and the verifier's
+form of the interpolant ``h~`` of Section 6.2.
+:func:`evaluate_from_evals` evaluates such a table at the verifier's
+secret point ``r_j`` in O(m) field operations;
+:func:`coefficients_from_evals` gives the prover the monomial
+coefficients in O(m^2).
 """
 
 from __future__ import annotations
@@ -15,123 +15,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.field.modular import PrimeField
-
-
-class Polynomial:
-    """Dense univariate polynomial with coefficients in ``Z_p``.
-
-    ``coeffs[k]`` is the coefficient of ``x**k``; trailing zeros are
-    stripped so ``degree`` is exact (the zero polynomial has degree -1).
-    """
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: PrimeField, coeffs: Sequence[int]):
-        self.field = field
-        reduced = [c % field.p for c in coeffs]
-        while reduced and reduced[-1] == 0:
-            reduced.pop()
-        self.coeffs = reduced
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, field: PrimeField) -> "Polynomial":
-        return cls(field, [])
-
-    @classmethod
-    def constant(cls, field: PrimeField, c: int) -> "Polynomial":
-        return cls(field, [c])
-
-    @classmethod
-    def interpolate(
-        cls, field: PrimeField, points: Sequence[Tuple[int, int]]
-    ) -> "Polynomial":
-        """Lagrange interpolation through ``(x, y)`` pairs with distinct x.
-
-        O(m^2) field operations; used for small m (protocol messages and
-        the ``h~`` interpolant), never on data-sized inputs.
-        """
-        xs = [x % field.p for x, _ in points]
-        if len(set(xs)) != len(xs):
-            raise ValueError("interpolation points must have distinct x")
-        result = cls.zero(field)
-        for k, (xk, yk) in enumerate(points):
-            # basis_k(x) = prod_{j != k} (x - x_j) / (x_k - x_j)
-            basis = cls.constant(field, 1)
-            denom = 1
-            for j, (xj, _) in enumerate(points):
-                if j == k:
-                    continue
-                basis = basis * cls(field, [-xj, 1])
-                denom = denom * (xk - xj) % field.p
-            scale = yk * field.inv(denom) % field.p
-            result = result + basis.scale(scale)
-        return result
-
-    # -- queries --------------------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        """Horner evaluation at ``x``."""
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def _check_field(self, other: "Polynomial") -> None:
-        if other.field.p != self.field.p:
-            raise ValueError("polynomials over different fields")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        return Polynomial(self.field, [x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_field(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [0] * (n - len(self.coeffs))
-        b = other.coeffs + [0] * (n - len(other.coeffs))
-        return Polynomial(self.field, [x - y for x, y in zip(a, b)])
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_field(other)
-        if not self.coeffs or not other.coeffs:
-            return Polynomial.zero(self.field)
-        p = self.field.p
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % p
-        return Polynomial(self.field, out)
-
-    def scale(self, c: int) -> "Polynomial":
-        p = self.field.p
-        return Polynomial(self.field, [coef * c % p for coef in self.coeffs])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and other.field.p == self.field.p
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, tuple(self.coeffs)))
-
-    def __repr__(self) -> str:
-        return "Polynomial(%r)" % (self.coeffs,)
 
 
 # Cache of factorial-product tables keyed by (p, m): for consecutive-point
@@ -199,3 +82,35 @@ def interpolation_weights(field: PrimeField, m: int, x: int) -> List[int]:
     return [
         prefix[k] * suffix[k] % p * denom_inv[k] % p for k in range(m)
     ]
+
+
+def coefficients_from_evals(field: PrimeField, evals: Sequence[int]
+                            ) -> List[int]:
+    """``[c_0, ..., c_{m-1}]`` with ``Σ_k c_k·x^k`` the degree < m
+    interpolant through ``(0, evals[0]), ..., (m-1, evals[m-1])``.
+
+    O(m^2): the forward differences give the Newton form
+    ``Σ_k Δ^k h(0)/k! · x(x-1)···(x-k+1)``, and Horner over its nested
+    factors ``(x - k)`` turns that into monomial coefficients.
+    """
+    m = len(evals)
+    if m == 0:
+        raise ValueError("cannot interpolate an empty evaluation table")
+    p = field.p
+    row = [v % p for v in evals]
+    newton = []
+    for _ in range(m):
+        newton.append(row[0])
+        row = [(b - a) % p for a, b in zip(row, row[1:])]
+    fact = 1
+    for k in range(2, m):
+        fact = fact * k % p
+    inv_fact = field.inv(fact)  # 1/(m-1)!
+    coeffs = [newton[m - 1] * inv_fact % p]
+    for k in range(m - 2, -1, -1):
+        inv_fact = inv_fact * (k + 1) % p  # 1/k!
+        # coeffs·(x - k) + Δ^k h(0)/k!
+        coeffs = [(newton[k] * inv_fact - k * coeffs[0]) % p] + [
+            (lo - k * hi) % p for lo, hi in zip(coeffs, coeffs[1:])
+        ] + [coeffs[-1]]
+    return coeffs

@@ -251,9 +251,6 @@ class ScalarBackend:
     def zeros(self, n: int) -> List[int]:
         return [0] * n
 
-    def full(self, n: int, value: int) -> List[int]:
-        return [int(value) % self.p] * n
-
     def index_array(self, values: Sequence[int]) -> List[int]:
         return [int(v) for v in values]
 
@@ -514,9 +511,6 @@ class VectorizedField:
 
     def zeros(self, n: int):
         return _np.zeros(n, dtype=_np.uint64)
-
-    def full(self, n: int, value: int):
-        return _np.full(n, int(value) % self.p, dtype=_np.uint64)
 
     def index_array(self, values):
         """Signed index array for table gathers (keys, digit vectors)."""
@@ -1443,26 +1437,37 @@ def moment_round_sums(backend: Backend, field: PrimeField, table,
         g0, g1, gm = (sum(map(mul, x, y)) for x, y in (
             (even, even), (odd, odd), (even, odd)))
         return {2: [g0 % p, g1 % p, (g0 + 4 * g1 - 4 * gm) % p]}
-    if getattr(backend, "vectorized", False):
-        moments = _pair_moments_m61(backend, table, orders)
-    else:
-        powers = [None, table]
-        for _ in range(2, orders[-1]):
-            powers.append(backend.mul(powers[-1], table))
-        even = [q if q is None else q[0::2] for q in powers]
-        odd = [q if q is None else q[1::2] for q in powers]
-        moments = {
-            k: [backend.sum(even[1]), backend.sum(odd[1])] if k == 1 else
-            [backend.dot(even[k - 1], even[1])]
-            + [backend.dot(even[k - j], odd[j]) for j in range(1, k)]
-            + [backend.dot(odd[k - 1], odd[1])]
-            for k in orders
-        }
     return {
         k: [sums[0] % p, sums[-1] % p] + [
             sum(w * m for w, m in zip(row, sums)) % p
             for row in _line_power_weights(k)]
-        for k, sums in moments.items()
+        for k, sums in pair_moments(backend, table, orders).items()
+    }
+
+
+def pair_moments(backend: Backend, table, orders) -> Dict[int, List[int]]:
+    """``{k: [Σ_t A[2t]^(k-j)·A[2t+1]^j for j = 0..k]}`` for every order
+    k >= 1 in the ascending ``orders``, as Python ints congruent to the
+    moments mod p (exact on NumPy, reduced on :class:`ScalarBackend`).
+
+    The raw pair moments under :func:`moment_round_sums` and the
+    frequency-based prover's round message; any order.  The scalar body
+    takes the powers ``A^2 .. A^(k-1)`` once and each moment as one
+    ``dot`` of an even power against an odd one.
+    """
+    if getattr(backend, "vectorized", False):
+        return _pair_moments_m61(backend, table, orders)
+    powers = [None, table]
+    for _ in range(2, orders[-1]):
+        powers.append(backend.mul(powers[-1], table))
+    even = [q if q is None else q[0::2] for q in powers]
+    odd = [q if q is None else q[1::2] for q in powers]
+    return {
+        k: [backend.sum(even[1]), backend.sum(odd[1])] if k == 1 else
+        [backend.dot(even[k - 1], even[1])]
+        + [backend.dot(even[k - j], odd[j]) for j in range(1, k)]
+        + [backend.dot(odd[k - 1], odd[1])]
+        for k in orders
     }
 
 

@@ -35,7 +35,7 @@ rejected conversation, never a crashed server.
 Frame types, error codes, the prover step table and the chaining rule
 are declared below, one declaration each; `docs/WIRE.md` is this
 docstring plus those tables, rendered by `repro.service.wiredoc`
-(`python -m repro.service.protocol > docs/WIRE.md`, diffed in CI).
+(`python -m repro.service.wiredoc > docs/WIRE.md`, diffed in CI).
 """
 
 from __future__ import annotations
@@ -579,12 +579,3 @@ def parse_error_struct(payload: bytes) -> Tuple[int, str]:
     code = int.from_bytes(payload[:2], "big")
     return code, payload[2:].decode("utf-8", errors="replace")
 
-
-if __name__ == "__main__":
-    # Imported here only: the renderer and its prose stay out of every
-    # process that merely speaks the protocol.
-    import sys
-
-    from repro.service.wiredoc import wire_doc
-
-    sys.stdout.write(wire_doc())

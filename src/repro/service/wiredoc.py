@@ -1,6 +1,6 @@
 """Renders ``docs/WIRE.md`` from :mod:`repro.service.protocol`.
 
-``python -m repro.service.protocol > docs/WIRE.md`` lands here.  The
+``python -m repro.service.wiredoc > docs/WIRE.md`` writes it.  The
 prose of the sections lives in this module; every table is filled in
 from the protocol module's declarations, so the document cannot drift
 from the code (CI regenerates it and diffs).
@@ -119,3 +119,9 @@ def wire_doc() -> str:
         void_steps=", ".join(opcodes[opcode]
                              for opcode in sorted(sp.VOID_METHODS)),
     )
+
+
+if __name__ == "__main__":
+    import sys
+
+    sys.stdout.write(wire_doc())

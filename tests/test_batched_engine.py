@@ -36,7 +36,6 @@ from repro.core.multiquery import (
     BATCH_KIND_F2,
     BATCH_KIND_FK,
     BATCH_KIND_INNER_PRODUCT,
-    BATCH_KIND_RANGE_SUM,
     BatchQuery,
     BatchedSumcheckEngine,
     BatchedSumcheckVerifier,

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.core import (
     BatchedSumcheckEngine,
     F2Verifier,

@@ -17,7 +17,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.harness import (
     FigureData,
-    Series,
     format_table,
     loglog_slope,
     throughput,

@@ -13,7 +13,7 @@ from repro.comm.fingerprint import (
     StreamFingerprint,
     fingerprint_words,
 )
-from repro.field.modular import DEFAULT_FIELD, PrimeField
+from repro.field.modular import DEFAULT_FIELD
 
 F = DEFAULT_FIELD
 

@@ -15,7 +15,6 @@ from repro.core.frequency_based import (
     default_phi,
     f0_protocol,
     fmax_protocol,
-    frequency_based_protocol,
     inverse_distribution_protocol,
     run_frequency_based,
 )

@@ -11,7 +11,6 @@ from repro.field.modular import DEFAULT_FIELD
 from repro.field.vectorized import get_backend
 from repro.gkr.circuits import (
     ADD,
-    MUL,
     Gate,
     LayeredCircuit,
     f2_circuit,

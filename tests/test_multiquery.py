@@ -7,7 +7,7 @@ import random
 import pytest
 
 from reference_sumcheck import ReferenceProver
-from repro.comm.channel import Channel, flip_word
+from repro.comm.channel import Channel
 from repro.core.f2 import F2Verifier
 from repro.core.multiquery import (
     BatchedSumcheckEngine,

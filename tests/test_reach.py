@@ -2,7 +2,7 @@
 an entry point.
 
 The import graph is read with :mod:`ast` alone (nothing is imported),
-starting from the package itself, the two ``python -m`` entry points,
+starting from the package itself, the three ``python -m`` entry points,
 ``bench/*.py`` and ``examples/*.py``.  A public top-level function or
 class, or a public method of a public class, must then be referenced
 (an ``ast.Name`` or ``ast.Attribute`` of the same name) from a reached
@@ -138,6 +138,7 @@ def _reached_files():
     entries = [SRC / "repro" / "__init__.py",
                SRC / "repro" / "service" / "__main__.py",
                SRC / "repro" / "experiments" / "__main__.py",
+               SRC / "repro" / "service" / "wiredoc.py",
                *sorted((ROOT / "bench").glob("*.py")),
                *sorted((ROOT / "examples").glob("*.py"))]
     todo = list(entries)
@@ -219,3 +220,44 @@ def test_every_public_name_is_referenced_from_a_reached_file():
     assert unlisted == []
     assert stale == []
     assert set(NAMES_ALLOWED.values()) <= REASONS
+
+
+def _imported_names(body):
+    """``(line, bound name)`` of the module-level imports in ``body``,
+    through top-level ``if`` / ``try`` blocks."""
+    for node in body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    yield node.lineno, name
+        elif isinstance(node, (ast.If, ast.Try)):
+            for block in (node.body, node.orelse,
+                          getattr(node, "finalbody", []),
+                          *(h.body for h in getattr(node, "handlers", []))):
+                yield from _imported_names(block)
+
+
+def test_no_module_level_import_goes_unused():
+    """An import nothing in its file reads is a dependency the reader
+    has to rule out.  Names in ``__all__`` and the ``__init__.py``
+    re-exports are exempt."""
+    unused = []
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = _parse(path)
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == "__all__"
+                        for t in node.targets):
+                    read |= {ast.literal_eval(e) for e in node.value.elts}
+            unused += ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+                       for line, name in _imported_names(tree.body)
+                       if name not in read]
+    assert unused == []

@@ -58,7 +58,7 @@ from repro.service import (
     successor,
 )
 from repro.service.registry import Dataset, RegistryError, SessionRegistry
-from repro.service.router import KIND_FK, KIND_RANGE_SUM, PlanUnit
+from repro.service.router import KIND_FK, KIND_RANGE_SUM
 from repro.streams.generators import key_value_pairs, uniform_frequency_stream
 from repro.streams.kvstore import OutsourcedKVStore
 
@@ -338,20 +338,23 @@ def test_successor_past_the_padded_universe_over_the_wire(server):
 
 @pytest.mark.parametrize("descriptor", [
     range_scan(0, 64), range_scan(5, 4), point_lookup(100), k_largest(0),
-    range_sum(0, 64),
+    range_sum(0, 64), f2(workers=3), f2(workers=64),
 ], ids=["scan-past-size", "scan-lo-above-hi", "lookup-past-size",
-        "k-largest-0", "range-sum-past-size"])
+        "k-largest-0", "range-sum-past-size", "f2-3-workers",
+        "f2-64-workers"])
 def test_invalid_query_is_refused_at_the_open_and_keeps_its_copy(
         server, descriptor):
     """A query no answer can exist for is refused before the open is
     acked, like RANGE-SUM: no verifier copy is spent on it, and no
-    "rejected" verdict suggests the prover cheated."""
+    "rejected" verdict suggests the prover cheated.  A shard count that
+    is not a power of two, or leaves a worker under two entries, is
+    refused by the sharded prover's constructor."""
     u = 60  # padded to 64
     client = connect(server, u, fresh_dataset_id(), seed=23)
     with client:
         pool = client.provision(descriptor, 2)
         client.send_updates([(3, 1), (9, 2)])
-        with pytest.raises(ServiceClientError, match="invalid"):
+        with pytest.raises(ServiceClientError, match="invalid|worker"):
             client.query(descriptor)
         assert client.pool_remaining(pool) == 2
 

@@ -5,10 +5,11 @@ entries (:func:`~repro.field.vectorized.small_tables`), the rest of the
 proof runs on the scalar mirror.  The contract is the transcript: every
 word equals the scalar backend's (and every ``GOLDEN`` hash in
 ``tests/test_transcript_golden.py`` holds), the NumPy kernels never see
-a small folded table, and a reused prover starts its next proof on its
-own backend again.  A RANGE-SUM member reads its wide dyadic nodes as one
-segment per round, which needs the cover's wide nodes to be one
-contiguous run — pinned here as a property of ``dyadic_cover``.
+a small folded table (the frequency-based prover's included), and a
+reused prover starts its next proof on its own backend again.  A
+RANGE-SUM member reads its wide dyadic nodes as one segment per round,
+which needs the cover's wide nodes to be one contiguous run — pinned
+here as a property of ``dyadic_cover``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.comm.channel import Channel
+from repro.core.frequency_based import (
+    FrequencyBasedProver,
+    FrequencyBasedVerifier,
+    default_phi,
+    run_frequency_based,
+)
 from repro.core.k_largest import KLargestProver, k_largest_query
 from repro.core.multiquery import (
     BatchedSumcheckEngine,
@@ -115,6 +122,25 @@ def reporting_proof(backend_name, u, kind, prover=None):
     return _words(channel)
 
 
+def frequency_based_proof(backend_name, u):
+    """An F0 proof over a strict stream in which key 0 is heavy from
+    u = 2^5 on."""
+    updates = [(key, abs(delta) + 1) for key, delta in _updates(u, u + 4, n=u)]
+    updates.append((0, u))
+    phi = default_phi(u)
+    prover = FrequencyBasedProver(F, u, phi,
+                                  backend=V.get_backend(F, backend_name))
+    verifier = FrequencyBasedVerifier(F, u, phi, rng=random.Random(u + 5))
+    for key, delta in updates:
+        prover.process(key, delta)
+        verifier.process(key, delta)
+    channel = Channel()
+    result = run_frequency_based(prover, verifier,
+                                 lambda x: 0 if x == 0 else 1, channel)
+    assert result.accepted, result.reason
+    return _words(channel)
+
+
 @needs_numpy
 @pytest.mark.parametrize("family", sorted(_families(4)))
 def test_engine_transcripts_equal_the_scalar_backend(family):
@@ -169,6 +195,21 @@ def test_numpy_kernels_never_see_a_small_folded_table(kernel_sizes):
         assert set(kernel_sizes) == {
             u >> j for j in range(log_u)
             if u >> j > V.SMALL_TABLE or j == 0}, u
+
+
+@needs_numpy
+def test_frequency_based_proofs_finish_on_the_scalar_mirror(kernel_sizes):
+    """The h̃ ∘ f̃_a sum-check folds through ``small_tables`` too: its
+    words are the scalar backend's and no NumPy kernel sees a small
+    folded table."""
+    for log_u in range(1, 9):  # τ grows as √u: 2^8 is past SMALL_TABLE
+        u = 1 << log_u
+        kernel_sizes.clear()
+        words = frequency_based_proof("vectorized", u)
+        assert set(kernel_sizes) == {
+            u >> j for j in range(log_u)
+            if u >> j > V.SMALL_TABLE or j == 0}, u
+        assert words == frequency_based_proof("scalar", u), u
 
 
 @needs_numpy

@@ -1,6 +1,6 @@
 """The tiled prover kernels against exact Python-int arithmetic.
 
-``fold_pairs``, ``f2_round_sums``, ``moment_round_sums``,
+``fold_pairs``, ``f2_round_sums``, ``moment_round_sums``, ``pair_moments``,
 ``inner_product_round_sums`` and ``pair_prefix_sums`` /
 ``prefix_segment_sums`` work a Mersenne-61 table a tile at a time in
 per-thread scratch, over only the 22-bit limbs the data reaches.  Every
@@ -41,6 +41,7 @@ from repro.field.vectorized import (
     get_backend,
     inner_product_round_sums,
     moment_round_sums,
+    pair_moments,
 )
 from repro.lde.streaming import TILE_ELEMENTS, StreamingLDE
 
@@ -278,6 +279,22 @@ def test_moments_around_the_tile_each_order_gets(backend, k):
         check_moments(backend, pattern("full", length, seed=k), [k])
     for name in ("counts", "limb_edges", "negative_counts"):
         check_moments(backend, pattern(name, 6 * tile + 10, seed=k), [k])
+
+
+def test_raw_pair_moments_take_any_order_across_tiles(backend):
+    """The raw moments the frequency-based prover combines: orders past
+    the engine's 64 in one call, over two tiles and a ragged third of
+    that top order, each ``Σ_t E_t^(k-j)·O_t^j`` mod p."""
+    orders = [1, 2, 3, 65, 100]
+    values = pattern("full", 2 * (2 * vec._moment_tile(100)[1] + 3))
+    evens, odds = values[0::2], values[1::2]
+    got = pair_moments(backend, backend.asarray(values), orders)
+    assert sorted(got) == orders
+    for k in orders:
+        assert [m % P for m in got[k]] == [
+            sum(pow(e, k - j, P) * pow(o, j, P)
+                for e, o in zip(evens, odds)) % P
+            for j in range(k + 1)], k
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])

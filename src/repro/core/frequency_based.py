@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-from math import comb
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.comm.channel import Channel
@@ -91,7 +90,7 @@ class FrequencyBasedProver:
         # weights[b][a] = coef_(a+b)·C(a+b, b), the weight of the pair
         # moment S_(a,b) in the coefficient of c^b (round_message).
         self._weights = [
-            [coeffs[a + b] * comb(a + b, b) % p
+            [coeffs[a + b] * math.comb(a + b, b) % p
              for a in range(len(coeffs) - b)]
             for b in range(len(coeffs))
         ]

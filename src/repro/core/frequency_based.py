@@ -66,7 +66,7 @@ class FrequencyBasedProver:
         self.d = pow2_dimension(u)
         self.size = 1 << self.d
         self.backend = backend if backend is not None else get_backend(field)
-        self.hh = HeavyHittersProver(field, u, phi)
+        self.hh = HeavyHittersProver(field, u, phi, backend=self.backend)
 
     def process(self, i: int, delta: int) -> None:
         self.hh.process(i, delta)

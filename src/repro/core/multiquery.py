@@ -287,9 +287,12 @@ class BatchedSumcheckEngine:
     entries (a compact one to as many pairs) the proof finishes on
     Python ints (:func:`~repro.field.vectorized.small_tables`).  Every
     proof starts again from the shared canonical table, which none of
-    this writes.  Vectors given as mappings — a ``collections.Counter``
-    as ``freq_a`` (``freq_b`` is then an empty one unless given) — start
-    from their keys' compact layout
+    this writes — or from ``start``, that table's layout and tables as
+    :func:`~repro.field.vectorized.frozen_start` keeps them, so a
+    service dataset finds its touched pairs once per version.  Vectors
+    given as mappings — a ``collections.Counter`` as ``freq_a``
+    (``freq_b`` is then an empty one unless given) — start from their
+    keys' compact layout
     (:func:`~repro.field.vectorized.compact_entries`), so no table of the
     universe ever exists and any u works, 2^128 included.
     Transcripts are identical whichever backend and form — and
@@ -305,16 +308,19 @@ class BatchedSumcheckEngine:
     """
 
     def __init__(self, field: PrimeField, u: int, backend=None,
-                 freq_a=None, freq_b=None):
+                 freq_a=None, freq_b=None, start=None):
         self.field = field
         self.u = u
         self.d = pow2_dimension(u)
         self.size = 1 << self.d
         self.backend = backend if backend is not None else get_backend(field)
         # Vectors to stream into — or adopted, not copied: the service
-        # passes shared read-only tables (b only with an INNER-PRODUCT).
+        # passes shared read-only tables (b only with an INNER-PRODUCT)
+        # and, as ``start``, their read-only compact_tables start, which
+        # it builds once per version of the data.
         self.freq_a = freq_a if freq_a is not None else [0] * self.size
         self._freq_b = freq_b
+        self._start = start
         self._queries: Optional[List[BatchQuery]] = None
         # The backend and table layout of the proof in progress
         # (compact_tables, refold_tables).
@@ -373,7 +379,10 @@ class BatchedSumcheckEngine:
                                    != isinstance(self.freq_a, Mapping)):
             raise ValueError("freq_a and freq_b must both be mappings "
                              "or both be tables")
-        if isinstance(self.freq_a, Mapping):
+        if self._start is not None:
+            # A start over vector a alone holds no b-table.
+            start = self._start + (None,) * (freq_b is None)
+        elif isinstance(self.freq_a, Mapping):
             start = compact_entries(be, field, self.freq_a, freq_b,
                                     size=self.size)
         else:

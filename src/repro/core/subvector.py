@@ -189,10 +189,11 @@ class SubVectorProver:
     reads 0), then dense, and on Python ints once it is down to
     :data:`~repro.field.vectorized.SMALL_TABLE` entries (a compact level
     to as many pairs).  Each query starts again from ``freq``, which no
-    level writes.  A mapping ``freq`` — a ``collections.Counter`` —
-    starts each query from its keys' compact layout
-    (:func:`~repro.field.vectorized.compact_entries`): no table of the
-    universe, so any u works."""
+    level writes, or from ``start``, its read-only layout and level 0
+    (:func:`~repro.field.vectorized.frozen_start`).  A mapping ``freq``
+    — a ``collections.Counter`` — starts each query from its keys'
+    compact layout (:func:`~repro.field.vectorized.compact_entries`): no
+    table of the universe, so any u works."""
 
     def __init__(
         self,
@@ -201,6 +202,7 @@ class SubVectorProver:
         normalized: bool = False,
         backend=None,
         freq=None,
+        start=None,
     ):
         self.field = field
         self.u = u
@@ -209,6 +211,9 @@ class SubVectorProver:
         self.normalized = normalized
         self.backend = backend if backend is not None else get_backend(field)
         self.freq = freq if freq is not None else [0] * self.size
+        # A shared read-only ``freq`` may come with its read-only
+        # compact_tables start, built once for every query on it.
+        self._start = start
         # The backend and level layout of the proof in progress
         # (compact_tables, refold_tables).
         self._be = self.backend
@@ -255,7 +260,9 @@ class SubVectorProver:
         check_range(lo, hi, self.size)
         self._query = (lo, hi)
         self._plan = sibling_plan(lo, hi, self.d)
-        if isinstance(self.freq, Mapping):
+        if self._start is not None:
+            start = self._start
+        elif isinstance(self.freq, Mapping):
             start = compact_entries(self.backend, self.field, self.freq,
                                     size=self.size)
         else:

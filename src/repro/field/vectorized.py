@@ -109,6 +109,13 @@ SMALL_TABLE = 1 << 6
 #: to half of it (:func:`compact_tables`).
 COMPACT_SHARE = 3 / 8
 
+#: Entries from which an int64 column is reduced mod p by its sign mask
+#: rather than ``np.mod``: below it the division's one pass beats the
+#: mask's four calls (``np.mod`` vs mask, one pinned Xeon CPU: 6.2 vs
+#: 8.2 µs at 2^10 entries, 11.5 vs 10.0 µs at 2^11, 297 vs 36 µs at
+#: 25 000, 19.8 vs 2.5 ms at 2^20).
+_MASK_REDUCE_MIN = 1 << 11
+
 #: Which 32-bit word of a ``uint64`` viewed as two ``uint32`` is the low one.
 _LOW_WORD = 0 if sys.byteorder == "little" else 1
 
@@ -487,14 +494,13 @@ class VectorizedField:
             if values.dtype == _np.uint64:
                 return _np.mod(values, _M61)
             if values.dtype.kind == "i":
-                v = values.astype(_np.int64, copy=False)
-                return _np.mod(v, _np.int64(p)).astype(_np.uint64)
+                return self._int64_residues(values.astype(_np.int64,
+                                                          copy=False))
             values = values.tolist()
         elif not isinstance(values, (list, tuple)):
             values = list(values)
         try:
-            # Fast path: machine-word ints reduce vectorized (p < 2^62, so
-            # the int64 remainder is already the canonical residue).
+            # Fast path: machine-word ints reduce vectorized.
             arr = _np.fromiter(values, dtype=_np.int64, count=len(values))
         except (OverflowError, TypeError):
             return _np.fromiter(
@@ -502,7 +508,26 @@ class VectorizedField:
                 dtype=_np.uint64,
                 count=len(values),
             )
-        return _np.mod(arr, _np.int64(p)).astype(_np.uint64)
+        return self._int64_residues(arr)
+
+    def _int64_residues(self, v):
+        """``v mod p`` of an int64 array, as a fresh canonical array.
+
+        From :data:`_MASK_REDUCE_MIN` entries on, no division: each entry
+        is cast, and p is added through the sign mask where the sign bit
+        is set (2^64 + v + p wraps to v + p), which is the residue of
+        every entry in [−p, p) — counts and update deltas.  An entry
+        outside that range leaves a result at p or above (v itself, or
+        2^64 + v + p), so one max over the result decides whether the
+        column goes through ``np.mod`` instead.
+        """
+        if len(v) >= _MASK_REDUCE_MIN:
+            out = _np.right_shift(v, 63).view(_np.uint64)
+            _np.bitwise_and(out, _M61, out=out)
+            _np.add(out, v.view(_np.uint64), out=out)
+            if _np.maximum.reduce(out) < _M61:
+                return out
+        return _np.mod(v, _np.int64(self.p)).astype(_np.uint64)
 
     def to_list(self, arr) -> List[int]:
         if isinstance(arr, _np.ndarray):
@@ -961,6 +986,20 @@ def frozen_table(backend: Backend, field: PrimeField, values) -> object:
         table.flags.writeable = False
         return table
     return tuple(table)
+
+
+def frozen_start(backend: Backend, field: PrimeField, *tables):
+    """:func:`compact_tables` of shared read-only tables, to be kept
+    beside them and handed to every proof of the same data: under NumPy
+    its pair ids and tables are made read-only too, so a write through
+    any alias raises; the lists of a compact start of at most
+    :data:`SMALL_TABLE` pairs are never written by a proof."""
+    start = compact_tables(backend, field, *tables)
+    layout = start[0]
+    for part in (layout and layout.ids,) + start[2:]:
+        if hasattr(part, "flags"):
+            part.flags.writeable = False
+    return start
 
 
 def small_tables(backend: Backend, field: PrimeField, *tables):

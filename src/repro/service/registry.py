@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.core.base import pow2_dimension
 from repro.field.modular import PrimeField
-from repro.field.vectorized import frozen_table, get_backend
+from repro.field.vectorized import frozen_start, frozen_table, get_backend
 from repro.service import protocol as sp
 from repro.service.router import PlanUnit, QueryDescriptor, QueryRouter
 
@@ -95,6 +95,9 @@ class Dataset:
         #: Per vector, the canonical table of the data as it stands;
         #: :meth:`apply` drops it and never writes it.
         self._tables: Dict[int, object] = {}
+        #: Per vector set, the proof start over those tables
+        #: (:meth:`proof_start`); dropped with any table it was made of.
+        self._starts: Dict[Tuple[int, ...], tuple] = {}
         self._log = self.backend.int_table(3)
         self._n = 0
         self.sessions_attached = 0
@@ -113,7 +116,7 @@ class Dataset:
 
         All or nothing: every check runs before anything moves, so a
         refused block — never acknowledged — leaves counts, log and
-        the cached table as they were.
+        the cached tables and starts as they were.
         """
         if vector not in (0, 1):
             raise RegistryError("unknown update vector %r" % (vector,))
@@ -134,6 +137,9 @@ class Dataset:
                                             (vector, keys, deltas))
             self._n += count
         self._tables.pop(vector, None)
+        self._starts = {vectors: start
+                        for vectors, start in self._starts.items()
+                        if vector not in vectors}
         return self._n
 
     def canonical_table(self, vector: int):
@@ -147,6 +153,21 @@ class Dataset:
                                  self._counts[vector])
             self._tables[vector] = table
         return table
+
+    def proof_start(self, vectors: Tuple[int, ...]):
+        """The read-only ``(layout, backend, *tables)`` every proof over
+        the canonical tables of ``vectors`` — ``(0,)`` or ``(0, 1)`` —
+        starts on (:func:`~repro.field.vectorized.frozen_start`): the
+        pairs those tables touch are found once per version of the data,
+        not once per proof.  Built lazily; :meth:`apply` to a vector
+        drops the starts that hold it, and a proof in flight keeps its
+        own."""
+        start = self._starts.get(vectors)
+        if start is None:
+            start = frozen_start(self.backend, self.field,
+                                 *map(self.canonical_table, vectors))
+            self._starts[vectors] = start
+        return start
 
     def _log_columns(self, start: int, count: int):
         """Log entries ``[start, start + count)`` as three columns."""

@@ -346,12 +346,12 @@ class QueryRouter:
         """Materialise the server-side prover for one plan unit.
 
         Sum-check and tree-hash provers start from the shared read-only
-        canonical tables of ``dataset`` (a registry ``Dataset``) without
-        a copy, so an in-flight proof stays consistent while other
-        sessions keep streaming; ``f2(workers=w)`` runs the Section 7
-        coordinator over ``w`` slices of that table.  Heavy hitters folds
-        it too: on the strict stream it answers, the residues are the
-        exact subtree counts.
+        canonical tables of ``dataset`` (a registry ``Dataset``) and the
+        proof start it keeps beside them, without a copy, so an in-flight
+        proof stays consistent while other sessions keep streaming;
+        ``f2(workers=w)`` runs the Section 7 coordinator over ``w``
+        slices of that table.  Heavy hitters folds it too: on the strict
+        stream it answers, the residues are the exact subtree counts.
 
         A unit off the wire is checked, not trusted, before anything is
         built: a batched unit is one or more descriptors the engine runs,
@@ -368,17 +368,20 @@ class QueryRouter:
                 "runs, a single-shot unit exactly one it does not")
         field, u, table = dataset.field, dataset.u, dataset.canonical_table
         if unit.batched:
+            vectors = (0, 1) if any(
+                q.kind == KIND_INNER_PRODUCT for q in unit.descriptors
+            ) else (0,)
             return BatchedSumcheckEngine(
                 field, u, freq_a=table(0),
-                freq_b=table(1) if any(
-                    q.kind == KIND_INNER_PRODUCT for q in unit.descriptors
-                ) else None,
+                freq_b=table(1) if 1 in vectors else None,
+                start=dataset.proof_start(vectors),
             )
         descriptor = unit.descriptors[0]
         kind = descriptor.kind
         if kind in TREE_KINDS:
             cls = KLargestProver if kind == KIND_K_LARGEST else ReportingProver
-            prover = cls(field, u, freq=table(0))
+            prover = cls(field, u, freq=table(0),
+                         start=dataset.proof_start((0,)))
             # Refused here, the open is never acked and the client's
             # verifier copy stays unspent (as RANGE-SUM's receive_batch).
             # Predecessor and successor answer at the edges.

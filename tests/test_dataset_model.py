@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.field.modular import DEFAULT_FIELD as F
-from repro.field.vectorized import HAVE_NUMPY
+from repro.field.vectorized import HAVE_NUMPY, entry_reader
 from repro.service import protocol as sp
 from repro.service.registry import Dataset, RegistryError, SessionRegistry
 from repro.service.server import REPLAY_BLOCK, ProverServer
@@ -73,6 +73,17 @@ def assert_same(dataset, model):
         assert dataset.canonical_table(vector) is table
         with pytest.raises((ValueError, TypeError)):
             table[0] = 1  # frozen
+    # Each proof start, read entry by entry through its layout, is the
+    # model's residues, whatever form it took; it is built once.
+    for vectors in ((0,), (0, 1)):
+        start = dataset.proof_start(vectors)
+        layout, _backend, *tables = start
+        for vector, table in zip(vectors, tables):
+            read = entry_reader(table, layout, range(dataset.size))
+            assert [read(key) for key in range(dataset.size)] == [
+                model.counts[vector].get(key, 0) % F.p
+                for key in range(dataset.size)]
+        assert dataset.proof_start(vectors) is start
 
 
 universes = st.sampled_from([1, 2, 3, 7, 12, 100, 129])
@@ -140,6 +151,8 @@ def test_a_refused_block_leaves_everything_untouched(backend_name, stream,
         dataset.apply(block_vector, pairs)
         model.apply(block_vector, pairs)
     tables = [dataset.canonical_table(0), dataset.canonical_table(1)]
+    starts = {vectors: dataset.proof_start(vectors)
+              for vectors in ((0,), (0, 1))}
     error, make = bad
     with pytest.raises(error):
         dataset.apply(vector, make(u))
@@ -148,12 +161,17 @@ def test_a_refused_block_leaves_everything_untouched(backend_name, stream,
     assert_same(dataset, model)
     assert dataset.canonical_table(0) is tables[0]
     assert dataset.canonical_table(1) is tables[1]
+    for vectors, start in starts.items():
+        assert dataset.proof_start(vectors) is start
     # ...and the next good block lands on exactly that state.
     dataset.apply(vector, [(u - 1, -4)])
     model.apply(vector, [(u - 1, -4)])
     assert_same(dataset, model)
     assert dataset.canonical_table(vector) is not tables[vector]
     assert dataset.canonical_table(1 - vector) is tables[1 - vector]
+    for vectors, start in starts.items():
+        assert (dataset.proof_start(vectors) is start) == (
+            vector not in vectors)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

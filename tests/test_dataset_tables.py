@@ -12,10 +12,12 @@ never told which prefix the server kept.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.comm.channel import Channel
+from repro.core import multiquery, subvector
 from repro.core.multiquery import (
     BatchedSumcheckEngine,
     BatchedSumcheckVerifier,
@@ -28,7 +30,13 @@ from repro.core.multiquery import (
 from repro.core.subvector import SubVectorAnswer
 from repro.distributed.sharded import DistributedF2Prover
 from repro.field.modular import DEFAULT_FIELD as F
-from repro.field.vectorized import HAVE_NUMPY, frozen_table, get_backend
+from repro.field import vectorized as V
+from repro.field.vectorized import (
+    HAVE_NUMPY,
+    canonical_table,
+    frozen_table,
+    get_backend,
+)
 from repro.service import (
     ProverServer,
     QueryRouter,
@@ -62,9 +70,10 @@ def transcript_of(channel):
 class Client:
     """An in-process verifier session: registry + router, no sockets."""
 
-    def __init__(self, seed=3):
+    def __init__(self, seed=3, u=U):
+        self.u = u
         self.registry = SessionRegistry(F)
-        self.session = self.registry.connect(U, 1)
+        self.session = self.registry.connect(u, 1)
         self.dataset = self.session.dataset
         self.updates = []
         self._rng = random.Random(seed)
@@ -75,7 +84,7 @@ class Client:
 
     def verifier(self, unit, seed):
         verifier = QueryRouter.make_verifier(
-            unit.pool_key, F, U, random.Random(seed))
+            unit.pool_key, F, self.u, random.Random(seed))
         for vector, pairs in self.updates:
             for key, delta in pairs:
                 if hasattr(verifier, "process_b"):
@@ -285,6 +294,226 @@ def test_true_answers_on_a_shared_table_are_exact_python_ints(backend_name,
     for result, want in zip(results, wants):
         assert result.accepted
         assert type(result.value) is int and result.value == want % F.p
+
+
+# -- (d) one proof start per version of the data ------------------------------
+
+#: A universe whose proofs start compact.  ``SPARSE`` touches 100 of its
+#: 512 pairs: NumPy arrays, while the scalar backend, whose cut is half
+#: as high, starts dense.  ``SPARSER`` touches 40: lists on both.
+WIDE = 1024
+SPARSE = [(key, 1 + key % 7) for key in range(0, 1000, 10)]
+SPARSER = [(key, 2 + key % 3) for key in range(0, 1000, 25)]
+START_QUERIES = [
+    (f2(),), (range_sum(3, 700),), (inner_product(),),
+    (fk(3), range_sum(0, 511)), (point_lookup(40),),
+    (range_scan(100, 300),), (k_largest(2),),
+]
+
+
+def count_starts(monkeypatch):
+    """``compact_tables`` calls from here on, by how many tables each
+    was handed, under every name a prover or the dataset calls it by."""
+    seen = Counter()
+    real = V.compact_tables
+
+    def counted(backend, field, *tables):
+        seen[sum(table is not None for table in tables)] += 1
+        return real(backend, field, *tables)
+
+    for module in (V, multiquery, subvector):
+        monkeypatch.setattr(module, "compact_tables", counted)
+    return seen
+
+
+def loaded_client(updates):
+    client = Client(u=WIDE)
+    client.apply(updates)
+    client.apply([(key, 1) for key, _delta in updates[::2]], vector=1)
+    return client
+
+
+def prove(unit, prover, verifier):
+    """Every value of a unit's accepted results, and its transcript."""
+    channel = Channel()
+    outcome = QueryRouter.run(unit, prover, verifier, channel)
+    results = outcome if unit.batched else [outcome]
+    assert all(r.accepted for r in results), [r.reason for r in results]
+    return [r.value for r in results], transcript_of(channel)
+
+
+def prove_on(client, descriptors):
+    unit, prover = client.open(*descriptors)
+    return prove(unit, prover, client.verifier(unit, 5))
+
+
+def fresh_like(prover, freq_a, freq_b):
+    """The same kind of prover built outside the service, on lists: it
+    finds its start itself, every proof."""
+    if isinstance(prover, BatchedSumcheckEngine):
+        return BatchedSumcheckEngine(F, WIDE, freq_a=freq_a, freq_b=freq_b)
+    return type(prover)(F, WIDE, freq=freq_a)
+
+
+def start_words(start):
+    """A start as plain ints: its layout, its backend and its tables."""
+    layout, backend, *tables = start
+    return (None if layout is None else ([int(i) for i in layout.ids],
+                                         layout.pairs),
+            backend.name, [[int(word) for word in table] for table in tables])
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_proofs_on_one_version_find_their_start_once(backend_name,
+                                                     monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", backend_name)
+    client = loaded_client(SPARSE)
+    seen = count_starts(monkeypatch)
+    first = [prove_on(client, descriptors) for descriptors in START_QUERIES]
+    for _ in range(2):
+        assert [prove_on(client, descriptors)
+                for descriptors in START_QUERIES] == first
+    assert seen == {1: 1, 2: 1}  # (0,) and (0, 1), once each
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_an_apply_drops_only_the_starts_holding_its_vector(backend_name,
+                                                           monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", backend_name)
+    client = loaded_client(SPARSE)
+    dataset = client.dataset
+    seen = count_starts(monkeypatch)
+    a, ab = dataset.proof_start((0,)), dataset.proof_start((0, 1))
+    client.apply([(2, 2)], vector=1)
+    assert dataset.proof_start((0,)) is a
+    assert dataset.proof_start((0, 1)) is not ab
+    assert seen == {1: 1, 2: 2}
+    ab = dataset.proof_start((0, 1))
+    client.apply([(3, 1)])
+    assert dataset.proof_start((0,)) is not a
+    assert dataset.proof_start((0, 1)) is not ab
+    assert seen == {1: 2, 2: 3}
+    backend = dataset.backend
+    for vectors in ((0,), (0, 1)):
+        assert start_words(dataset.proof_start(vectors)) == start_words(
+            V.compact_tables(backend, F, *(
+                canonical_table(backend, F, freq)
+                for freq in (dataset.freq_a, dataset.freq_b)[:len(vectors)])))
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_a_start_is_read_only(backend_name, monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", backend_name)
+    layout, _backend, *tables = loaded_client(SPARSE).dataset.proof_start(
+        (0, 1))
+    if backend_name == "vectorized":
+        parts = [layout.ids] + tables  # compact NumPy arrays
+    else:
+        assert layout is None  # past the scalar cut: the canonical tuples
+        parts = tables
+    for part in parts:
+        with pytest.raises((ValueError, TypeError)):
+            part[0] = 7
+
+    # Lists cannot refuse a write; no proof makes one.
+    client = loaded_client(SPARSER)
+    starts = [client.dataset.proof_start(vectors)
+              for vectors in ((0,), (0, 1))]
+    for layout, _backend, *tables in starts:
+        assert type(layout.ids) is list
+        assert all(type(table) is list for table in tables)
+    before = [start_words(start) for start in starts]
+    for _ in range(2):
+        for descriptors in START_QUERIES:
+            prove_on(client, descriptors)
+    assert [start_words(start) for start in starts] == before
+    assert [client.dataset.proof_start(vectors)
+            for vectors in ((0,), (0, 1))] == starts
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("updates", [SPARSE, SPARSER],
+                         ids=["sparse", "sparser"])
+def test_a_proof_opened_before_an_apply_keeps_its_start(backend_name,
+                                                        updates, monkeypatch):
+    monkeypatch.setenv("REPRO_BACKEND", backend_name)
+    for descriptors in START_QUERIES:
+        client = loaded_client(updates)
+        before = client.dataset.freq_a, client.dataset.freq_b
+        unit, prover = client.open(*descriptors)
+        verifiers = [client.verifier(unit, 5) for _ in range(2)]
+        client.apply([(1, 5), (512, 9)])  # both vectors move on mid-proof
+        client.apply([(2, 4)], vector=1)
+        assert prove(unit, prover, verifiers[0]) == prove(
+            unit, fresh_like(prover, *before), verifiers[1]), descriptors
+
+
+# -- (e) counts to residues ----------------------------------------------------
+
+P = F.p
+BOUNDARY = [0, 1, -1, P - 1, -(P - 1), P, -P, P + 1, -(P + 1),
+            -(1 << 63), (1 << 63) - 1]
+
+
+def delta_column(backend, values):
+    """``values`` as the delta column of an update block (an int64 view
+    under NumPy)."""
+    _keys, deltas = backend.int_columns([(0, value) for value in values])
+    return deltas
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("value", BOUNDARY)
+def test_a_boundary_value_reduces_as_python_does(backend_name, value):
+    backend = get_backend(F, backend_name)
+    # Short columns and columns past V._MASK_REDUCE_MIN = 2^11 entries.
+    for values in ([value], [value, 3, -2], [-5] * 3000 + [value],
+                   [value] * 2048, [1, value] * 1500):
+        column = delta_column(backend, values)
+        if backend.vectorized:
+            assert column.dtype == "int64"
+        assert [int(word) for word in canonical_table(backend, F, column)] \
+            == [v % P for v in values]
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_a_whole_column_reduces_as_python_does(backend_name):
+    backend = get_backend(F, backend_name)
+    rng = random.Random(7)
+    columns = {
+        "empty": [],
+        "all negative": [-rng.randrange(1, P) for _ in range(3_000)]
+                        + [-1, -(P - 1)],
+        "mixed sign": [rng.randrange(-P + 1, P) for _ in range(25_000)],
+        "mixed sign past p": [rng.randrange(-(1 << 63), 1 << 63)
+                              for _ in range(3_000)],
+    }
+    for name, values in columns.items():
+        table = canonical_table(backend, F, delta_column(backend, values))
+        assert [int(word) for word in table] == [v % P for v in values], name
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_a_column_of_python_ints_reduces_and_proves(backend_name,
+                                                    monkeypatch):
+    """Nine deltas of ±(p − 1)/2 on one key pass 2^63: the column
+    becomes Python ints, and its table, start and proofs are exact."""
+    monkeypatch.setenv("REPRO_BACKEND", backend_name)
+    half = (P - 1) // 2
+    client = Client(u=WIDE)
+    for _ in range(9):
+        client.apply([(5, half), (7, -half), (600, 1)])
+    dataset = client.dataset
+    if backend_name == "vectorized":
+        assert dataset._counts[0].dtype == object
+    freq = dataset.freq_a
+    assert freq[5] > 1 << 63 and freq[7] < -(1 << 63)
+    assert [int(word) for word in dataset.canonical_table(0)] \
+        == [count % P for count in freq]
+    (value,), _words = prove_on(client, (range_sum(0, 700),))
+    assert value == sum(freq[:701]) % P
+    (answer,), _words = prove_on(client, (range_scan(0, 10),))
+    assert list(answer.entries) == [(5, freq[5] % P), (7, freq[7] % P)]
 
 
 # -- all-or-nothing apply ------------------------------------------------------

@@ -213,6 +213,15 @@ def test_frequency_based_proofs_finish_on_the_scalar_mirror(kernel_sizes):
 
 
 @needs_numpy
+def test_a_scalar_frequency_based_proof_calls_no_numpy_kernel(kernel_sizes):
+    """Its heavy-hitters phase runs on the prover's backend too."""
+    for log_u in range(1, 9):
+        kernel_sizes.clear()
+        frequency_based_proof("scalar", 1 << log_u)
+        assert not kernel_sizes, 1 << log_u
+
+
+@needs_numpy
 def test_a_reused_prover_starts_on_its_own_backend_again(kernel_sizes):
     u = 1 << 10
     queries = _families(u)["range+ip"]

@@ -46,9 +46,9 @@ from repro.field.vectorized import (
 )
 from repro.lde.streaming import (
     DEFAULT_BLOCK,
-    FUSE_LIMIT,
     StreamSketch,
     UpdateBlock,
+    fuse_widths,
     iter_blocks,
 )
 
@@ -208,18 +208,16 @@ class HeavyHittersVerifier(StreamSketch):
 
         and a block's weights combine groups top-down as
         ``acc += A_k · tail; tail *= P_k`` with ``tail`` the product of
-        all higher groups.  Groups hold at most ``log2(FUSE_LIMIT)``
-        bits, so every table stays cache-resident.
+        all higher groups.  The groups are the stacked LDE's
+        (:func:`~repro.lde.streaming.fuse_widths`): as few as
+        ``FUSE_LIMIT`` allows, of balanced widths, so every table stays
+        cache-resident and small.
         """
         if self._fused is None:
             be = self.backend
-            g = 1
-            while (1 << (g + 1)) <= FUSE_LIMIT and g < self.d:
-                g += 1
             groups = []  # (span, P table, A table), bottom bits first
             j = 0
-            while j < self.d:
-                span = min(g, self.d - j)
+            for span in fuse_widths(2, self.d):
                 prod = be.asarray([1])
                 acc = be.asarray([0])
                 # Descending bit order puts bit t at in-group position

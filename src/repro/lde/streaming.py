@@ -29,29 +29,52 @@ from repro.lde.chi import chi_table, digits
 #: amortise array construction, small enough to stay cache-resident.
 DEFAULT_BLOCK = 4096
 
-#: Max entries per row of a fused lookup table (SketchStack._fuse):
-#: 2048 × 8 bytes stays L1-resident while collapsing up to 11 binary
-#: dimensions into a single gather.
+#: Most entries one fused lookup table may hold (16 KiB, L1-resident).
+#: It caps a group at ⌊log_ℓ FUSE_LIMIT⌋ dimensions (11 binary ones),
+#: which fixes how many groups — gathers per update — a d-dimensional
+#: grid needs; :func:`fuse_widths` then balances their widths, so most
+#: tables are far smaller (64 entries each at d = 12).
 FUSE_LIMIT = 2048
 
 #: Elements of one (rows × updates) tile of the stacked kernel, which
 #: works in five reused buffers of this size (the backend's
 #: ``tile_scratch``), so a feed's working memory is 1.25 MiB however many
-#: copies are stacked.  Measured on 120 copies × 1 000-update blocks:
-#: 1.92 / 1.54 / 1.33 / 1.32 / 1.39 ms per block at 2^12 .. 2^16 — below
-#: 2^14 the ~60 NumPy calls per tile show, above 2^15 the buffers leave
-#: the 2 MiB L2.
+#: copies are stacked.  Measured on 120 copies × 1 000-update blocks of
+#: a 60 %-repeat stream, best of 15 on one pinned Xeon CPU: 1.77 / 1.25 /
+#: 1.02 / 0.94 / 1.04 ms per block at 2^12 .. 2^16 for d = 12, and
+#: 1.88 / 1.39 / 1.20 / 1.11 / 1.20 ms for d = 17 — below 2^14 the ~60
+#: NumPy calls per tile show, above 2^15 the buffers leave the 2 MiB L2.
 TILE_ELEMENTS = 1 << 15
 
 #: Fewest copies a block must feed before its duplicate keys are summed
-#: first.  Aggregating costs a sort and a segment sum, ~27 ns per update
-#: in 4 096-update blocks, and saves ~20 ns per copy for every update
-#: that repeats a key: with the 60 % repeats of the Zipf workloads it
-#: pays from 3 copies up, and on one copy it can only lose — the
-#: all-distinct uniform stream of benchmarks/test_vectorized_speedup.py
-#: (1.05M updates, u = 2^20, one row) takes 144.5 ms at the parent,
-#: 141.8 ms through this kernel unaggregated, 168.6 ms aggregated.
+#: first.  Aggregating costs a sort and a segment sum, 10–21 ns per
+#: update in 4 096-update blocks, and saves 10–14 ns per copy per update
+#: with the 60 % repeats of the Zipf workloads: measured per update, raw
+#: / aggregated, at 1, 2, 3, 4, 6 and 10 copies, it is 128/149,
+#: 138/145, 153/150, 160/150, 188/163 and 252/178 ns at d = 12 and
+#: 123/133, 138/143, 150/152, 172/172, 189/185 and 281/208 ns at d = 17
+#: (best of 15, one pinned CPU), so it starts to pay at 3–4 copies.  On
+#: one copy it can only lose — the all-distinct uniform stream of
+#: benchmarks/test_vectorized_speedup.py (1.05M updates, u = 2^20, one
+#: row) took 144.5 ms before this kernel, 141.8 ms through it
+#: unaggregated and 168.6 ms aggregated.
 AGGREGATE_MIN_COPIES = 4
+
+
+def fuse_widths(ell: int, d: int) -> List[int]:
+    """Dimensions per fused table group, lowest digits first.
+
+    The fewest groups that ``ℓ^w <= FUSE_LIMIT`` allows — each costs an
+    update one gather and one multiply — with widths that differ by at
+    most one, so a copy holds ``Σ_g ℓ^{w_g} <= G·ℓ^⌈d/G⌉`` entries: at
+    ℓ = 2, two tables of 64 for d = 12 and of 1 024 for d = 20.
+    """
+    most = 1
+    while ell ** (most + 1) <= FUSE_LIMIT:
+        most += 1
+    groups = -(-d // most)
+    narrow, wide = divmod(d, groups)
+    return [narrow + 1] * wide + [narrow] * (groups - wide)
 
 
 class UpdateBlock:
@@ -209,9 +232,9 @@ class SketchStack:
     copy share their factor tables (the two LDEs of an inner-product
     verifier sit at one point).  Product-form segments occupy
     consecutive rows of per-group 2-D fused tables, built for all rows
-    at once on the first block — groups of up to ``g`` dimensions
-    (``ℓ^g <= FUSE_LIMIT``) collapse into one lookup over their combined
-    digit, so d = 20, ℓ = 2 is two gathers instead of twenty — and a
+    at once on the first block — the :func:`fuse_widths` groups of
+    dimensions collapse into one lookup over their combined digit, so
+    d = 20, ℓ = 2 is two gathers of 2^10 entries instead of twenty — and a
     block is folded into every live row by one gather and one multiply
     per group over a (rows × block) tile and one mat-vec against the
     deltas.  Entries are exact mod-p products, so every value equals the
@@ -326,51 +349,21 @@ class SketchStack:
                 sketch.absorb(delta * weight, 1)
 
     def _fuse(self):
-        """Per-group fused tables ``[(size, rows × size array), ...]``.
-
-        One doubling recurrence for all rows: the table of a run of
-        dimensions is the row-wise outer product of the tables of its
-        two halves, ``low[n, i]·high[n, k]`` at index ``i + len(low)·k``,
-        so the in-group digit order is the key's own.  Multiplied a tile
-        of rows at a time in five reused buffers.
-        """
+        """Per-group fused tables ``[(size, rows × size array), ...]``,
+        built for all rows at once (:func:`_row_products`)."""
         if self._fused is None:
-            be = self.backend
-            ell, d, rows = self.ell, self.d, len(self._tables)
-            factors = be.asarray([
+            ell, d = self.ell, self.d
+            factors = self.backend.asarray([
                 entry for tables in self._tables for table in tables
                 for entry in table
-            ]).reshape(rows, d, ell)
-            scratch = be.tile_scratch(TILE_ELEMENTS)
-
-            def product(j: int, span: int):
-                if span == 1:
-                    return factors[:, j].copy()
-                low = product(j, span // 2)
-                high = product(j + span // 2, span - span // 2)
-                shape = (high.shape[1], low.shape[1])
-                size = shape[0] * shape[1]
-                out = be.zeros(rows * size).reshape(rows, size)
-                step = max(1, TILE_ELEMENTS // size)
-                for a in range(0, rows, step):
-                    b = min(a + step, rows)
-                    left, right, *work = (
-                        buf[: (b - a) * size].reshape(b - a, *shape)
-                        for buf in scratch
-                    )
-                    left[...] = low[a:b, None, :]
-                    right[...] = high[a:b, :, None]
-                    be.mul_into(left, right, work)
-                    out[a:b] = left.reshape(b - a, size)
-                return out
-
-            g = 1
-            while ell ** (g + 1) <= FUSE_LIMIT and g < d:
-                g += 1
-            self._fused = [
-                (ell ** min(g, d - j), product(j, min(g, d - j)))
-                for j in range(0, d, g)
-            ]
+            ]).reshape(len(self._tables), d, ell)
+            self._fused = []
+            j = 0
+            for width in fuse_widths(ell, d):
+                self._fused.append(
+                    (ell ** width,
+                     _row_products(self.backend, factors, j, width)))
+                j += width
         return self._fused
 
     def _digitise(self, keys) -> List:
@@ -424,6 +417,38 @@ class SketchStack:
                 ):
                     sums[k] += part
         return sums
+
+
+def _row_products(be, factors, j: int, span: int):
+    """Row-wise table of dimensions ``j .. j + span - 1`` of ``factors``
+    (rows × d × ℓ factor tables).
+
+    One doubling recurrence for all rows: the table of a run of
+    dimensions is the row-wise outer product of the tables of its two
+    halves, ``low[n, i]·high[n, k]`` at index ``i + len(low)·k``, so the
+    in-group digit order is the key's own.  Multiplied a tile of rows at
+    a time in five reused buffers.
+    """
+    if span == 1:
+        return factors[:, j].copy()
+    low = _row_products(be, factors, j, span // 2)
+    high = _row_products(be, factors, j + span // 2, span - span // 2)
+    rows = factors.shape[0]
+    shape = (high.shape[1], low.shape[1])
+    size = shape[0] * shape[1]
+    scratch = be.tile_scratch(TILE_ELEMENTS)
+    out = be.zeros(rows * size).reshape(rows, size)
+    step = max(1, TILE_ELEMENTS // size)
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
+        left, right, *work = (
+            buf[: (b - a) * size].reshape(b - a, *shape) for buf in scratch
+        )
+        left[...] = low[a:b, None, :]
+        right[...] = high[a:b, :, None]
+        be.mul_into(left, right, work)
+        out[a:b] = left.reshape(b - a, size)
+    return out
 
 
 def apply_stream_batched(evaluators, updates, block: int = DEFAULT_BLOCK,

@@ -1,10 +1,12 @@
-"""Structural rules that CI states as ``git grep`` bans, checked on the
+"""Structural rules behind CI's ``git grep`` bans, checked on the
 syntax tree.
 
 Each test reads source files with :mod:`ast` alone (nothing under test
-is imported) and states the rule its CI step approximates.  A grep sees
-comments, docstrings and test names too; these tests see only the names
-the code uses or binds.
+is imported) and states the rule its grep approximates.  A grep sees
+comments, docstrings and test names too; these tests see the names the
+code uses or binds and, where a name could be looked up by a string,
+the string constants — never a comment.  Where a test is at least as
+strict as its grep on code, the CI step runs the test instead.
 """
 
 import ast
@@ -37,6 +39,23 @@ def identifiers(path):
             yield node.arg
 
 
+def strings(path):
+    """Every string constant of a module, docstrings included: what
+    ``getattr`` or ``eval`` could turn back into a name."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def imported_modules(path):
+    """Every module a module's code imports, or imports names from."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
 #: The engine, the tree prover, the dataset that keeps their proof start
 #: and the router that hands it to them.
 COMPACT_CLIENTS = ["core/multiquery.py", "core/subvector.py",
@@ -56,4 +75,40 @@ def test_provers_reach_the_compact_form_only_through_the_table_helpers():
     found = [(name, identifier) for name in COMPACT_CLIENTS
              for identifier in identifiers(SRC / name)
              if any(word in identifier for word in PAIR_SEARCHES)]
+    assert not found
+
+
+#: Where a scalar backend may be built: the backends themselves, and
+#: the figures, which time the scalar reference on purpose.
+SCALAR_BUILDERS = ("field", "experiments")
+
+
+def test_provers_reach_the_scalar_mirror_only_through_small_tables():
+    """A proof moves its tables to Python ints at ``SMALL_TABLE`` entries
+    by one helper in ``field/vectorized.py``, never by a backend built
+    in a prover, the service, GKR or the sharded workers.  No module
+    outside ``field/`` and ``experiments/`` names ``ScalarBackend`` —
+    called, imported, aliased or looked up by a string."""
+    found = [
+        str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+        if path.relative_to(SRC).parts[0] not in SCALAR_BUILDERS
+        and ("ScalarBackend" in set(identifiers(path)) or any(
+            text == "ScalarBackend" or "ScalarBackend(" in text
+            for text in strings(path)))
+    ]
+    assert not found
+
+
+def test_a_verifier_copy_is_never_snapshotted():
+    """One conversation per copy: a query retried after its open was
+    acknowledged takes the next copy of its pool, never a restored one
+    whose secret point a prover may have seen.  ``service/client.py``
+    imports nothing from ``copy``, and no name or string of it holds
+    ``deepcopy`` or ``on_retry``."""
+    path = SRC / "service" / "client.py"
+    found = sorted(
+        {module for module in imported_modules(path)
+         if module.split(".")[0] == "copy"}
+        | {banned for word in (*identifiers(path), *strings(path))
+           for banned in ("deepcopy", "on_retry") if banned in word})
     assert not found

@@ -41,6 +41,7 @@ from repro.lde.streaming import (
     SketchStack,
     StreamingLDE,
     apply_stream_batched,
+    fuse_widths,
     prepare_block,
 )
 from repro.service import ProverServer, ServiceClient
@@ -341,6 +342,76 @@ def test_a_block_wider_than_a_tile_is_cut_into_column_runs():
         want.value, len(pairs))
 
 
+# -- the fused groups: one rule for every grid -------------------------------
+
+
+def widest_group(ell):
+    """⌊log_ℓ FUSE_LIMIT⌋: the most dimensions one fused table holds."""
+    return max(w for w in range(1, 64) if ell ** w <= FUSE_LIMIT)
+
+
+def group_bound(ell, d):
+    """``G·ℓ^⌈d/G⌉``: the entries a copy's tables may hold in total."""
+    groups = -(-d // widest_group(ell))
+    return groups * ell ** -(-d // groups)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 64])
+def test_fuse_widths_are_the_fewest_balanced_groups(ell):
+    """G = ⌈d / ⌊log_ℓ FUSE_LIMIT⌋⌉ groups — no update pays a gather
+    more than it must — whose widths differ by at most one."""
+    for d in range(1, 65):
+        widths = fuse_widths(ell, d)
+        assert len(widths) == -(-d // widest_group(ell)), d
+        assert sum(widths) == d and max(widths) - min(widths) <= 1
+        assert all(ell ** w <= FUSE_LIMIT for w in widths)
+        assert sum(ell ** w for w in widths) <= group_bound(ell, d)
+
+
+def group_edges(ell):
+    """Dimensions where the group count or a width changes."""
+    most = widest_group(ell)
+    return sorted({1, 11, 12, 13, 17, 20, 22, 23, 24,
+                   most, most + 1, 2 * most, 2 * most + 1})
+
+
+@pytest.mark.parametrize("ell,d", [
+    (ell, d) for ell in (2, 3, 4) for d in group_edges(ell)])
+def test_group_edges_equal_the_per_update_loop(backend_name, ell, d):
+    """Stacked LDEs (and, on the binary grid, stacked tree hashes and a
+    heavy-hitters verifier) against their per-update loops at every
+    group count and width change, the universe's first and last keys
+    included."""
+    u = ell ** d
+    rng = random.Random(100 * ell + d)
+    keys = [0, u - 1] + [rng.randrange(u) for _ in range(40)]
+    pairs = [(key, rng.choice(BOUNDARY_DELTAS) if t % 9 == 0
+              else rng.randrange(-5, 6))
+             for t, key in enumerate(keys + keys[:20])]  # repeats
+    copies = AGGREGATE_MIN_COPIES + 1
+    pools = [[StreamingLDE(F, u, ell=ell, rng=rng) for _ in range(copies)]]
+    if ell == 2:
+        pools.append([TreeHashVerifier(F, u, rng=rng, normalized=t % 2)
+                      for t in range(copies)])
+    want = copy.deepcopy(pools)
+    hitters = [HeavyHittersVerifier(F, u, 0.1, rng=rng)] if ell == 2 else []
+    want_hitters = copy.deepcopy(hitters)
+    for pool in pools:
+        apply_stream_batched(pool, iter(pairs), block=32)
+    for verifier in hitters:
+        verifier.process_stream_batched(iter(pairs), block=32)
+    for verifier in [v for pool in want for v in pool] + want_hitters:
+        verifier.process_stream(pairs)
+
+    def seen(verifier):
+        if isinstance(verifier, StreamingLDE):
+            return verifier.value, verifier.updates_processed
+        return state(verifier)
+
+    assert [[seen(v) for v in pool] for pool in pools + [hitters]] == [
+        [seen(v) for v in pool] for pool in want + [want_hitters]]
+
+
 # -- memory: tiles, not copies --------------------------------------------------
 
 
@@ -373,15 +444,58 @@ def check_feed_memory():
         finally:
             tracemalloc.stop()
         assert peak < budget, (copies, peak)
+        # The grouping rule: ⌈12 / 11⌉ = 2 groups of 6 dimensions, one
+        # row per copy, 128 entries a copy.
         tables = pool._stack._fused
-        assert [t.shape for _size, t in tables] == [
-            (copies, FUSE_LIMIT), (copies, 2)]
+        widths = [size.bit_length() - 1 for size, _t in tables]
+        assert len(widths) == -(-12 // widest_group(2)) == 2
+        assert sum(widths) == 12 and max(widths) - min(widths) <= 1
+        assert [t.shape for size, t in tables] == [
+            (copies, size) for size, _t in tables]
+        assert sum(size for size, _t in tables) <= group_bound(2, 12)
         for verifier in pool._fresh:
             held = vars(verifier.lde)
             assert "_fused" not in held
             assert not any(
                 hasattr(value, "__len__") and len(value) >= FUSE_LIMIT
                 for value in held.values())
+
+
+#: Bytes a fed copy may add beyond its tables' entries: its new value
+#: and count (two Python ints, ~70 bytes) and its row's pointer.
+COPY_SLACK = 256
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+@pytest.mark.parametrize("log_u", [12, 17, 20])
+def test_a_fed_copy_holds_its_group_tables_and_no_more(log_u):
+    """What one more copy costs a fed stack, read by ``tracemalloc``:
+    within ``8·G·2^⌈d/G⌉`` bytes plus a fixed slack.  Its tables hold
+    1, 6 and 16 KiB at u = 2^12, 2^17 and 2^20."""
+    be = get_backend(F, "vectorized")
+    be.tile_scratch(TILE_ELEMENTS)  # per thread, not per stack
+    u = 1 << log_u
+    rng = random.Random(log_u)
+    block = prepare_block(be, u, [(rng.randrange(u), rng.randrange(1, 4))
+                                  for _ in range(1000)])
+
+    def held(copies):
+        ldes = [StreamingLDE(F, u, rng=rng, backend=be)
+                for _ in range(copies)]
+        tracemalloc.start()
+        try:
+            stack = SketchStack(be, 2, log_u)
+            stack.add(ldes)
+            stack.feed(block)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    # Four rows or more put even the 2^12 tables (512 bytes a row)
+    # above NumPy's small-allocation cache, which tracemalloc misses.
+    few, many = 4, 20
+    per_copy = (held(many) - held(few)) / (many - few)
+    assert per_copy <= 8 * group_bound(2, log_u) + COPY_SLACK, per_copy
 
 
 # -- the service client: one stack across all pools ---------------------------

@@ -73,13 +73,13 @@ class NodeRecord:
 class HeavyHittersProver:
     """Stores the vector; folds subtree counts and hashes level by level.
 
-    Counts and hashes are residue tables, each level one
-    :func:`~repro.field.vectorized.fold_pairs` of the level below: a
-    count is ``E + O`` (r = 1, ``zero_weight=1``), a hash ``E + r_l·O``
-    plus ``s_l`` times the folded count.  On a strict stream every
-    subtree count lies in [0, n] and n < p, so the residues are the exact
-    counts.  A proof starts from ``freq``, which no fold writes, and
-    finishes on Python ints once a level is down to
+    Counts and hashes are residue tables, each level one pass over the
+    pairs of the level below: a count is ``E + O`` (one add), a hash
+    ``E + r_l·O`` (:func:`~repro.field.vectorized.fold_pairs` with
+    ``zero_weight=1``) plus ``s_l`` times the folded count.  On a strict
+    stream every subtree count lies in [0, n] and n < p, so the residues
+    are the exact counts.  A proof starts from ``freq``, which no fold
+    writes, and finishes on Python ints once a level is down to
     :data:`~repro.field.vectorized.SMALL_TABLE` entries
     (:func:`~repro.field.vectorized.small_tables`).
     """
@@ -116,8 +116,7 @@ class HeavyHittersProver:
         """Level-l records for all nodes whose parent is heavy: counted
         in [τ, n], parents ascending, left child then right."""
         be = self._be
-        self._parents = fold_pairs(be, self.field, self._counts, 1,
-                                   zero_weight=1)
+        self._parents = be.add(self._counts[0::2], self._counts[1::2])
         children = [
             child
             for parent in indices_within(self._parents, self._tau, self._n)

@@ -25,9 +25,31 @@ from repro.field.modular import PrimeField
 from repro.field.vectorized import get_backend
 from repro.lde.chi import chi_table, digits
 
-#: Default number of updates per vectorized block; large enough to
-#: amortise array construction, small enough to stay cache-resident.
-DEFAULT_BLOCK = 4096
+#: Updates per block on every ingest path: one client UPDATES frame, one
+#: server replay block (``service.server.REPLAY_BLOCK``) and one
+#: in-process feed.  Each block pays one round trip, one range check, one
+#: sort for pre-aggregation and one stacked feed, so a larger block
+#: spreads those over more updates and sums more repeated keys; it costs
+#: a few transient MiB (16 wire bytes, two int64 columns and one digit
+#: array per group for each update) and a longer wait before the first
+#: copy moves.  Swept on the benchmark's traffic, client and node pinned
+#: to one CPU of a 2-vCPU Xeon VM (Python 3.11, NumPy 2.4), best of 11
+#: [median] in ms, sizes interleaved:
+#:
+#:   block  writer: 25 000 into   joiner: 4 copies,   in process:     1 000
+#:          10 copies, u = 2^17   150 000 replayed    50 000, 2^20    updates
+#:   2^12   14.35 [19.07]         26.40 [37.27]       38.66 [43.01]   1.79
+#:   2^13   12.78 [14.51]         20.02 [28.46]       35.33 [44.18]   1.83
+#:   2^14    9.71 [11.80]         17.64 [23.10]       34.58 [41.16]   1.84
+#:   2^15    8.32 [10.11]         16.41 [19.73]       32.66 [43.46]   1.75
+#:   2^16    8.08 [10.51]         16.78 [21.21]       34.38 [42.04]   1.69
+#:   2^17    8.37 [10.02]         21.63 [25.18]       35.30 [39.76]   1.66
+#:
+#: 2^15 is the smallest size within noise of the best on every shape
+#: (an earlier sweep of 7 put the writer at 13.47 / 10.82 / 9.11 / 8.15 /
+#: 7.85 / 7.60); 2^14 leaves the writer 20 % behind, and 2^17 slows the
+#: joiner.  A 1 000-update chunk is one block at every size.
+DEFAULT_BLOCK = 1 << 15
 
 #: Most entries one fused lookup table may hold (16 KiB, L1-resident).
 #: It caps a group at ⌊log_ℓ FUSE_LIMIT⌋ dimensions (11 binary ones),
@@ -44,21 +66,31 @@ FUSE_LIMIT = 2048
 #: 1.02 / 0.94 / 1.04 ms per block at 2^12 .. 2^16 for d = 12, and
 #: 1.88 / 1.39 / 1.20 / 1.11 / 1.20 ms for d = 17 — below 2^14 the ~60
 #: NumPy calls per tile show, above 2^15 the buffers leave the 2 MiB L2.
+#: Re-checked at the 2^15-update block (prepare + feed, ms per block,
+#: best of 15 and of 25, 2^12 .. 2^16): 10 copies × 25 000 at d = 17
+#: 6.11 / 4.96 / 4.67 / 3.76 / 4.86 and 4.89 / 5.49 / 5.10 / 5.50 / 5.43;
+#: 120 × 1 000 at d = 12 2.05 / 1.51 / 1.28 / 1.23 / 1.19 and 2.23 /
+#: 1.69 / 1.39 / 1.41 / 1.35; 9 × 32 768 at d = 20 8.33 / 5.89 / 5.35 /
+#: 6.21 / 6.72 and 9.62 / 8.92 / 7.97 / 7.40 / 7.38.  No size beats 2^15
+#: on both runs by more than their disagreement, so it stays.
 TILE_ELEMENTS = 1 << 15
 
 #: Fewest copies a block must feed before its duplicate keys are summed
-#: first.  Aggregating costs a sort and a segment sum, 10–21 ns per
-#: update in 4 096-update blocks, and saves 10–14 ns per copy per update
-#: with the 60 % repeats of the Zipf workloads: measured per update, raw
-#: / aggregated, at 1, 2, 3, 4, 6 and 10 copies, it is 128/149,
-#: 138/145, 153/150, 160/150, 188/163 and 252/178 ns at d = 12 and
-#: 123/133, 138/143, 150/152, 172/172, 189/185 and 281/208 ns at d = 17
-#: (best of 15, one pinned CPU), so it starts to pay at 3–4 copies.  On
-#: one copy it can only lose — the all-distinct uniform stream of
+#: first.  Aggregating costs a sort and a segment sum per block and
+#: saves a gather, a multiply and a mat-vec column per copy for every
+#: repeat it removes, and a 2^15-update block of the Zipf workloads
+#: repeats 70–91 % of its keys (3 044 distinct at u = 2^12, 8 043 at
+#: 2^17, 9 922 at 2^20).  Per update, raw / aggregated, at 1, 2, 3 and 4
+#: copies, the two timed alternately (best of 41, one pinned CPU): 153/157,
+#: 188/159, 216/151, 230/159 ns at d = 12; 159/163, 184/165, 215/171,
+#: 245/176 ns at d = 17; 156/168, 185/173, 217/180, 231/173 ns at d = 20 —
+#: it pays from 2 copies and can only lose on one.  (In 4 096-update
+#: blocks, 60 % repeats, it paid only from 3–4 copies: 138/145 and
+#: 138/143 ns at 2.)  The all-distinct uniform stream of
 #: benchmarks/test_vectorized_speedup.py (1.05M updates, u = 2^20, one
 #: row) took 144.5 ms before this kernel, 141.8 ms through it
 #: unaggregated and 168.6 ms aggregated.
-AGGREGATE_MIN_COPIES = 4
+AGGREGATE_MIN_COPIES = 2
 
 
 def fuse_widths(ell: int, d: int) -> List[int]:

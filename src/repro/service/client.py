@@ -588,11 +588,13 @@ class ServiceClient:
     def replay_missed(self) -> int:
         """Fetch and locally process updates this session never saw.
 
-        Feeds the replayed blocks through the provisioned pools exactly
-        as :meth:`send_updates` would — same range check before any copy
+        Feeds the replay through the provisioned pools exactly as
+        :meth:`send_updates` would — same range check before any copy
         moves, same stacked feed — so a late-joining verifier ends in
-        the same state as one that watched from the start.  Returns the
-        number of replayed updates.
+        the same state as one that watched from the start.  The frames
+        of one replay block (runs of one vector each, in log order) are
+        buffered and fed once per vector, however the log interleaves
+        them.  Returns the number of replayed updates.
 
         Only valid before this session has streamed anything itself: the
         replay re-serves the dataset's whole log, so a session that
@@ -607,13 +609,18 @@ class ServiceClient:
 
         def attempt() -> None:
             # Resume from the number of updates already fed through the
-            # pools: a mid-replay disconnect re-requests only the tail,
-            # so no pool ever double-counts a block.
+            # pools — always a block boundary, since a block is fed whole
+            # or not at all: a mid-replay disconnect drops the block in
+            # hand and re-requests only the tail, so no pool ever
+            # double-counts an update.
             self._send(self._frame(
                 sp.T_REPLAY_REQUEST,
                 self.session_id,
                 sp.words_payload(self.field, [self.updates_streamed]),
             ))
+            backend = self._stack.backend
+            runs: Dict[int, tuple] = {}  # vector -> (columns, used)
+            buffered = 0
             while True:
                 frame_type, _session, payload = self._recv()
                 if frame_type == sp.T_ERROR:
@@ -628,31 +635,48 @@ class ServiceClient:
                         "unexpected frame 0x%02x during replay" % frame_type
                     )
                 # Frame bytes to the columns the copies fold.
-                backend = self._stack.backend
                 vector, keys, deltas = sp.parse_updates_columns(
                     backend, self.field, payload)
                 if not len(keys):
                     continue
-                try:
-                    prepared = prepare_columns(
-                        backend, self.u, keys, deltas,
-                        self._stack.copies(vector, self._live()))
-                except ValueError as exc:
-                    # Nothing was fed.  The rest of the replay is still
-                    # in flight on this socket: close it, so the next
-                    # operation re-dials instead of reading stale frames.
-                    self._link.close()
-                    self._link = None
-                    raise ServiceClientError(
-                        "the service replayed a bad block: %s" % exc
-                    ) from exc
-                self._feed(prepared, vector)
-                replayed[0] += prepared.count
-                self._last_acked = "replay@%d" % self.updates_streamed
+                table, used = runs.get(vector, (backend.int_table(2), 0))
+                runs[vector] = (
+                    backend.int_table_append(table, used, (keys, deltas)),
+                    used + len(keys))
+                buffered += len(keys)
+                if buffered >= DEFAULT_BLOCK:
+                    replayed[0] += self._feed_runs(runs)
+                    runs, buffered = {}, 0
+            replayed[0] += self._feed_runs(runs)
 
         self._with_retries(attempt, "replay")
         self.missed_updates = 0
         return replayed[0]
+
+    def _feed_runs(self, runs) -> int:
+        """Feed one replay block's buffered runs, one stacked feed per
+        vector, once every vector's range check has passed."""
+        backend = self._stack.backend
+        try:
+            blocks = [
+                (vector, prepare_columns(
+                    backend, self.u, table[0][:used], table[1][:used],
+                    self._stack.copies(vector, self._live())))
+                for vector, (table, used) in sorted(runs.items())
+            ]
+        except ValueError as exc:
+            # Nothing was fed.  The rest of the replay is still in
+            # flight on this socket: close it, so the next operation
+            # re-dials instead of reading stale frames.
+            self._link.close()
+            self._link = None
+            raise ServiceClientError(
+                "the service replayed a bad block: %s" % exc
+            ) from exc
+        for vector, prepared in blocks:
+            self._feed(prepared, vector)
+        self._last_acked = "replay@%d" % self.updates_streamed
+        return sum(prepared.count for _vector, prepared in blocks)
 
     # -- queries -------------------------------------------------------------
 

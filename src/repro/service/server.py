@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.field.modular import PrimeField
+from repro.lde.streaming import DEFAULT_BLOCK
 from repro.service import protocol as sp
 from repro.service.registry import RegistryError, SessionRegistry
 from repro.service.router import (
@@ -41,8 +42,10 @@ from repro.service.transport import (
     frame_trace,
 )
 
-#: Replayed updates per T_REPLAY_DATA frame.
-REPLAY_BLOCK = 4096
+#: Replayed updates per block of T_REPLAY_DATA frames (one frame per
+#: same-vector run of the block): the one ingest block size, which a
+#: joiner buffers and feeds once per vector.
+REPLAY_BLOCK = DEFAULT_BLOCK
 
 
 def _flatten(rows) -> List[int]:

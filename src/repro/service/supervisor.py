@@ -41,9 +41,6 @@ from repro.service.cluster import PROBE_TIMEOUT
 from repro.service.server import ProverServer
 from repro.service.transport import BlockingFrameLink
 
-#: Tail entries pulled per resync round-trip.
-RESYNC_BLOCK = 4096
-
 #: Resync-then-readmit attempts per heal before giving up (a busy writer
 #: can keep a node lagging for a round or two; it cannot starve it
 #: forever because each round closes the whole gap observed at its

@@ -220,10 +220,9 @@ def interleaved_blocks(total, seed=23):
     blocks = []
     while total:
         count = min(total, rng.randrange(1, 700))
-        block_deltas = [rng.choice((1, 1, 2, -1, 7, -3, HALF, -HALF, 0))
-                        for _ in range(count)]
-        blocks.append((rng.randrange(2),
-                       [(rng.randrange(U), d) for d in block_deltas]))
+        blocks.append((rng.randrange(2), list(zip(
+            rng.choices(range(U), k=count),
+            rng.choices((1, 1, 2, -1, 7, -3, HALF, -HALF, 0), k=count)))))
         total -= count
     return blocks
 
@@ -253,20 +252,36 @@ def test_replay_frames_and_snapshot_are_byte_identical(backend_name,
     for vector, pairs in blocks:
         dataset.apply(vector, pairs)
         model.apply(vector, pairs)
-    assert dataset.n_updates == 2 * REPLAY_BLOCK + 5
-    # From the start, mid-log and past the end (just the END frame).
+    log = model.log
+    assert dataset.n_updates == len(log) == 2 * REPLAY_BLOCK + 5
+    # From the start (two block cuts), six updates before the end of the
+    # first block (one cut) and past the end (just the END frame).
+    starts = (0, REPLAY_BLOCK - 6, len(log))
     replays = [server._dispatch(sp.T_REPLAY_REQUEST, session.session_id,
                                 sp.words_payload(F, [start]))
-               for start in (0, 4090, dataset.n_updates)]
-    assert replays == [model_replay(model.log, session.session_id, start)
-                       for start in (0, 4090, dataset.n_updates)]
-    # A replay frame is a same-vector run of one REPLAY_BLOCK, so a full
-    # replay sends at most the writer's own update frames plus one per
-    # block cut: 21 writer blocks in 7 runs, cut twice, replay as 9 data
-    # frames and the END frame.
-    assert len(blocks) == 21
-    assert [len(frames) for frames in replays] == [10, 5, 1]
+               for start in starts]
+    assert replays == [model_replay(log, session.session_id, start)
+                       for start in starts]
+    # A replay frame is a same-vector run of one REPLAY_BLOCK, so a
+    # replay sends the log's runs from its start, plus one frame for
+    # every block cut that falls inside a run, and the END frame.
+    for start, frames, cut_count in zip(starts, replays, (2, 1, 0)):
+        cuts = range(start + REPLAY_BLOCK, len(log), REPLAY_BLOCK)
+        assert len(cuts) == cut_count
+        assert len(frames) == (len(runs(log[start:]))
+                               + sum(log[c - 1][0] == log[c][0]
+                                     for c in cuts) + 1)
+    # So a full replay sends at most the writer's own frames, one more
+    # per cut and the END frame.
+    assert len(replays[0]) <= len(blocks) + 2 + 1
 
+    # A snapshot costs JSON per logged update, so the round trip runs on
+    # a log of 8 000, which holds every delta the generator draws.
+    server = ProverServer(F)
+    dataset, model = server.registry.connect(U, 1).dataset, Model(U)
+    for vector, pairs in interleaved_blocks(8000):
+        dataset.apply(vector, pairs)
+        model.apply(vector, pairs)
     path = server.snapshot(tmp_path / "snapshot.json")
     restored = SessionRegistry.restore(path, F).datasets[1]
     assert_same(restored, model)

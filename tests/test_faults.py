@@ -72,7 +72,9 @@ from repro.service.faults import (
     KIND_TRUNCATE,
     SeededSchedule,
 )
+from repro.service.server import REPLAY_BLOCK
 from retry_workload import COUNTS, FrameLog, U, UPDATES
+from test_stacked_ingest import counted_feeds
 
 #: Seed offset for the CI chaos matrix (three fixed seeds in the leg).
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -298,7 +300,7 @@ def test_mid_replay_disconnect_resumes_from_last_block(server):
     """A late joiner whose catch-up replay is cut mid-stream re-requests
     only the tail — no pool double-counts, and the verdict matches."""
     u = 256
-    n = 5000  # > REPLAY_BLOCK, so the replay spans two data frames
+    n = REPLAY_BLOCK + 904  # so the replay spans two data frames
     updates = [(i % u, 1 + i % 5) for i in range(n)]
     dataset = fresh_dataset_id()
     host, port = server.address
@@ -365,6 +367,51 @@ def test_replay_cut_between_two_vectors_resumes_in_log_order(server):
             assert got.result.value == 31
     finally:
         handle.stop()
+
+
+def test_a_replay_cut_mid_block_refeeds_only_that_block(server,
+                                                        monkeypatch):
+    """The joiner buffers a replay block's runs and feeds them once per
+    vector: a drop inside the second block throws away the runs it
+    holds, and the resumed replay starts at the end of the first block,
+    so every update is fed exactly once."""
+    u = 256
+    run = REPLAY_BLOCK // 8
+    runs = 2 * 8 + 1  # two whole blocks of alternating runs and one more
+    dataset = fresh_dataset_id()
+    host, port = server.address
+    writer = ServiceClient(host, port, F, u, dataset_id=dataset,
+                           rng=random.Random(41))
+    with writer:
+        writer.provision(("inner-product",), 1)
+        for index in range(runs):
+            writer.send_updates(
+                [((index + 3 * t) % u, 1 + t % 4) for t in range(run)],
+                vector=index & 1)
+        want = writer.query(inner_product())[0]
+        assert want.result.accepted
+
+    # HELLO(0) ACK(1) REQUEST(2), then eight DATA frames per block: drop
+    # the fourth frame of the second block.
+    drop = 3 + 8 + 3
+    proxy = ChaosProxy(host, port,
+                       schedule=FaultSchedule.scripted({drop: KIND_DROP}))
+    handle = proxy.serve_in_thread()
+    fed = counted_feeds(monkeypatch)
+    try:
+        joiner = ServiceClient(*handle.address, F, u, dataset_id=dataset,
+                               rng=random.Random(42), retry=FAST_RETRY)
+        with joiner:
+            joiner.provision(("inner-product",), 1)
+            assert joiner.replay_missed() == runs * run
+            assert joiner.retries >= 1 and proxy.faults_injected == 1
+            got = joiner.query(inner_product())[0]
+            assert got.result.accepted, got.result.reason
+            assert got.result.value == want.result.value
+    finally:
+        handle.stop()
+    # Two feeds (one per vector) per whole block, one for the last run.
+    assert fed == [REPLAY_BLOCK // 2] * 4 + [run]
 
 
 def test_soundness_survives_the_faulty_wire():

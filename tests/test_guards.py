@@ -10,16 +10,24 @@ strict as its grep on code, the CI step runs the test instead.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+@functools.lru_cache(maxsize=1)
+def parse(path):
+    """A module's syntax tree; the helpers below ask for the same file
+    one after another, so the last one is kept."""
+    return ast.parse(path.read_text(), str(path))
 
 
 def identifiers(path):
     """Every name a module's code uses or binds: names, attributes,
     imported modules and names, definitions, parameters and keywords —
     not its comments or strings."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
@@ -42,14 +50,14 @@ def identifiers(path):
 def strings(path):
     """Every string constant of a module, docstrings included: what
     ``getattr`` or ``eval`` could turn back into a name."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             yield node.value
 
 
 def imported_modules(path):
     """Every module a module's code imports, or imports names from."""
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
@@ -111,4 +119,26 @@ def test_a_verifier_copy_is_never_snapshotted():
          if module.split(".")[0] == "copy"}
         | {banned for word in (*identifiers(path), *strings(path))
            for banned in ("deepcopy", "on_retry") if banned in word})
+    assert not found
+
+
+#: The deleted (k + 1)-row line stack of the Fk prover and its helper.
+LINE_STACK = ("pair_line_stack", "rows_pow_sums")
+
+
+def test_the_line_stack_fk_path_stays_deleted():
+    """Round messages come from pair moments at every table size
+    (``moment_round_sums`` in ``field/vectorized.py``): no fallback to
+    the (k + 1)-row stack the service could be made to allocate.  No
+    definition, name, attribute or string of ``src/`` or of ``tests/``
+    — this file aside, which must spell the names — is, or holds, one
+    of them."""
+    tests = Path(__file__).resolve().parent
+    found = [
+        (str(path), word)
+        for path in sorted([*SRC.parent.rglob("*.py"), *tests.rglob("*.py")])
+        if path != Path(__file__).resolve()
+        for word in (*identifiers(path), *strings(path))
+        if any(name in word for name in LINE_STACK)
+    ]
     assert not found

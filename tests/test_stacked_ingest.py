@@ -36,6 +36,7 @@ from repro.field.primes import MERSENNE_127
 from repro.field.vectorized import BACKEND_ENV_VAR, HAVE_NUMPY, get_backend
 from repro.lde.streaming import (
     AGGREGATE_MIN_COPIES,
+    DEFAULT_BLOCK,
     FUSE_LIMIT,
     TILE_ELEMENTS,
     SketchStack,
@@ -45,7 +46,9 @@ from repro.lde.streaming import (
     prepare_block,
 )
 from repro.service import ProverServer, ServiceClient
+from repro.service import client as service_client
 from repro.service import protocol as sp
+from repro.service.server import REPLAY_BLOCK
 from repro.service.client import (
     NO_RETRY,
     RetryPolicy,
@@ -148,7 +151,7 @@ def loop_feed(pools, pairs, vector=0):
                 step(verifier, vector, i, delta)
 
 
-def stack_feed(stack, u, pairs, vector=0, live=None, block=4096):
+def stack_feed(stack, u, pairs, vector=0, live=None, block=DEFAULT_BLOCK):
     stack.process_stream(pairs, u, block, vector=vector, live=live)
 
 
@@ -242,11 +245,15 @@ KEY_SHAPES = {
 
 
 @pytest.mark.parametrize("shape", sorted(KEY_SHAPES))
-@pytest.mark.parametrize("n", [1, 4096, 4097])
+@pytest.mark.parametrize("n", [1, DEFAULT_BLOCK // 8, DEFAULT_BLOCK // 8 + 1,
+                               DEFAULT_BLOCK, DEFAULT_BLOCK + 1])
 def test_block_edges_and_key_shapes(backend_name, shape, n):
-    """Blocks of 1, exactly one default block and one update more, as a
-    generator, through the public entry points."""
-    u = 5000  # 4 097 distinct keys fit; not a power of two
+    """Blocks of 1, of part of a default block and one update more, and
+    of exactly one default block and one update more, as a generator,
+    through the public entry points."""
+    # DEFAULT_BLOCK + 1 distinct keys 7t mod u fit; not a power of two.
+    u = DEFAULT_BLOCK + 904
+    assert u % 7 and u & (u - 1)
     if backend_name == "scalar" and n > 1:
         n = 64 + n % 2  # the reference loop is the slow one: same shapes
     rng = random.Random(n)
@@ -554,6 +561,64 @@ def test_client_feeds_every_pool_kind_like_the_loop(server, backend_name):
         assert client.updates_streamed == 500
 
 
+def test_one_block_size_serves_every_ingest_path():
+    """Client frames, replay blocks and in-process feeds share one cut."""
+    assert REPLAY_BLOCK == DEFAULT_BLOCK
+
+
+def test_a_default_block_is_one_updates_frame(server):
+    with connect(server.address, provision={("f2",): 1}) as client:
+        sent = client.frames_sent  # HELLO
+        client.send_updates([(t % U, 1) for t in range(DEFAULT_BLOCK)])
+        assert client.frames_sent == sent + 1
+        client.send_updates([(t % U, 1) for t in range(DEFAULT_BLOCK + 1)])
+        assert client.frames_sent == sent + 3
+
+
+def interleaved_log(client, u, frames=2000, size=8, seed=21):
+    """A writer that alternates vectors frame by frame, so its log
+    replays as one frame per run."""
+    rng = random.Random(seed)
+    for frame in range(frames):
+        client.send_updates(
+            [(rng.randrange(u), rng.randrange(-3, 9)) for _ in range(size)],
+            vector=frame & 1)
+
+
+def counted_feeds(monkeypatch):
+    """The update count of every ``SketchStack.feed`` from now on."""
+    fed = []
+    feed = SketchStack.feed
+
+    def counted(stack, block, vector=0, live=None):
+        fed.append(block.count)
+        feed(stack, block, vector, live)
+
+    monkeypatch.setattr(SketchStack, "feed", counted)
+    return fed
+
+
+def test_an_interleaved_replay_feeds_each_vector_once_per_block(
+        server, backend_name, monkeypatch):
+    """2 000 frames of 8 updates alternating vectors: the joiner ends
+    equal to a client that watched from the start, in at most two
+    stacked feeds (one per vector) per replay block."""
+    u = 1 << 12
+    pools = {("range-sum",): 2, ("batch",): 1, ("tree",): 1}
+    dataset = next(_DATASETS)
+    with ServiceClient(*server.address, F, u, dataset_id=dataset,
+                       rng=random.Random(5), provision=pools) as watcher:
+        interleaved_log(watcher, u)
+        fed = counted_feeds(monkeypatch)
+        with ServiceClient(*server.address, F, u, dataset_id=dataset,
+                           rng=random.Random(5), provision=pools) as joiner:
+            assert joiner.replay_missed() == 16_000
+            assert states(client_pools(joiner)) == states(
+                client_pools(watcher))
+    assert sum(fed) == 16_000
+    assert len(fed) <= 2 * -(-16_000 // DEFAULT_BLOCK)
+
+
 @pytest.mark.parametrize("block", [0, -3])
 def test_send_updates_refuses_a_non_positive_block(server, block):
     """block=-3 used to stream nothing without an error, block=0 died
@@ -656,10 +721,15 @@ class ReplayStub:
                 return
 
 
-def test_a_bad_replayed_block_is_refused_whole_and_not_retried(backend_name):
+def test_a_bad_replayed_block_is_refused_whole_and_not_retried(
+        backend_name, monkeypatch):
+    # A replay block of three updates: the good run is one block, then a
+    # vector-1 run and a vector-0 run with a bad key share the next.
+    monkeypatch.setattr(service_client, "DEFAULT_BLOCK", 3)
     good = [(1, 2), (5, -1), (1, 1)]
-    stub = ReplayStub([(0, good), (0, [(3, 1), (4, 1), (U, 9), (6, 1)]),
-                       (1, [(8, 1), (9, 2)])])
+    stub = ReplayStub([(0, good), (1, [(8, 1)]),
+                       (0, [(3, 1), (4, 1), (U, 9), (6, 1)]),
+                       (1, [(9, 2)])])
     try:
         client = connect(stub.address, provision=POOLS,
                          retry=RetryPolicy(base_delay=0.001))
@@ -672,7 +742,7 @@ def test_a_bad_replayed_block_is_refused_whole_and_not_retried(backend_name):
             assert type(info.value) is ServiceClientError  # not retryable
             assert (client.retries, stub.connections) == (0, 1)
             # The good block before it was fed; the bad one moved no
-            # copy of any pool, not even by its valid prefix.
+            # copy of any pool, not even by its valid runs.
             loop_feed(reference, good)
             assert states(pools) == states(reference)
             assert client.updates_streamed == len(good)

@@ -381,6 +381,19 @@ class ScalarBackend:
         return [0, *(t for t in range(1, len(column))
                      if column[t] != column[t - 1]), len(column)]
 
+    def int_entries(self, counts, taken=()):
+        """The nonzero entries of ``counts`` less every ``(keys, deltas)``
+        block of ``taken``: their indices, increasing, and their exact
+        values.  ``counts`` is never written, and copied only when
+        ``taken`` holds a block."""
+        if taken:
+            counts = list(counts)
+            for keys, deltas in taken:
+                for key, delta in zip(keys, deltas):
+                    counts[key] -= delta
+        keys = [t for t, count in enumerate(counts) if count]
+        return keys, [counts[t] for t in keys]
+
     # -- stacked (2-D) operations --------------------------------------------
     #
     # A "stack" is a rows × width table: one row per query / line point /
@@ -731,6 +744,20 @@ class VectorizedField:
     def int_runs(self, column) -> List[int]:
         cuts = _np.flatnonzero(column[1:] != column[:-1]) + 1
         return [0, *cuts.tolist(), column.shape[0]]
+
+    def int_entries(self, counts, taken=()):
+        """One ``subtract.at`` per taken block on a copy — of Python
+        ints when the column or a taken delta already is — then one
+        ``flatnonzero``."""
+        if taken:
+            wide = counts.dtype == object or any(
+                deltas.dtype == object for _keys, deltas in taken)
+            counts = counts.astype(object if wide else _np.int64)
+            for keys, deltas in taken:
+                _np.subtract.at(counts, keys.astype(_np.int64, copy=False),
+                                deltas.astype(counts.dtype, copy=False))
+        keys = _np.flatnonzero(counts)
+        return keys, counts[keys]
 
     # -- stacked (2-D) operations --------------------------------------------
 

@@ -112,9 +112,10 @@ def fuse_widths(ell: int, d: int) -> List[int]:
 class UpdateBlock:
     """One block of ``(key, δ)`` updates, validated and split once.
 
-    ``count`` is how many updates arrived — what ``updates_processed``
-    counts.  Under a vectorized backend ``keys`` / ``deltas`` are aligned
-    integer arrays with ``Σ_t deltas[t]·w(keys[t]) = Σ_(i,δ) δ·w(i) (mod
+    ``count`` is how many ``(key, δ)`` entries arrived — updates, or a
+    replay's net counts — what ``updates_processed`` counts.  Under a
+    vectorized backend ``keys`` / ``deltas`` are aligned integer arrays
+    with ``Σ_t deltas[t]·w(keys[t]) = Σ_(i,δ) δ·w(i) (mod
     p)`` for every weight function ``w`` — duplicate keys summed and zero
     nets dropped when the block was aggregated, the raw columns otherwise
     — ``total`` is the exact integer ``Σ δ``, and ``columns`` the
@@ -570,6 +571,11 @@ class StreamingLDE(StreamSketch):
         # table lookups and d multiplications.
         self.tables = [chi_table(field, ell, x) for x in self.point]
         self.value = 0
+        #: ``(key, δ)`` entries folded so far: every update of a stream
+        #: watched from its start, but one entry per touched key for a
+        #: late joiner fed net counts
+        #: (:meth:`~repro.service.client.ServiceClient.replay_missed`).
+        #: ``value`` depends only on the net vector; this count does not.
         self.updates_processed = 0
 
     def weight(self, i: int) -> int:

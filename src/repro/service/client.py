@@ -586,41 +586,47 @@ class ServiceClient:
         self.send_updates([(key, delta)], vector=vector)
 
     def replay_missed(self) -> int:
-        """Fetch and locally process updates this session never saw.
+        """Fetch and locally process the updates this session never saw.
 
-        Feeds the replay through the provisioned pools exactly as
-        :meth:`send_updates` would — same range check before any copy
-        moves, same stacked feed — so a late-joining verifier ends in
-        the same state as one that watched from the start.  The frames
-        of one replay block (runs of one vector each, in log order) are
-        buffered and fed once per vector, however the log interleaves
-        them.  Returns the number of replayed updates.
+        The service answers with the net counts of its log's first
+        ``stop`` updates, ``stop`` being the length this session's HELLO
+        reported (:attr:`missed_updates`): one entry per touched key of
+        each vector, however many updates built it.  That is all a copy
+        needs, since every state it keeps is linear in the net vector
+        ``a``: an LDE value f_a(r) = Σ_i a_i·χ_i(r) (Theorem 1), a tree
+        hash, heavy hitters' count-augmented root and n = Σ δ depend on
+        ``a`` alone, not on how many updates built it or in what order.
+        So a late joiner ends, mod p, where a verifier that watched from
+        the start ends (``updates_processed`` counts the entries it
+        folded).  Trust is unchanged: a joiner never saw the prefix it
+        missed, and took the server's replay of the log on trust just as
+        much as it takes these counts.
 
-        Only valid before this session has streamed anything itself: the
-        replay re-serves the dataset's whole log, so a session that
-        already fed its pools would double-count its own updates.
+        Each frame is range-checked and fed as it arrives — one
+        ``prepare_columns``, one stacked feed — so at most one frame is
+        held, and a bad key refuses its frame whole.  Until the reply
+        ends :attr:`updates_streamed` counts the entries fed, and a drop
+        resumes the reply past them (``skip``); a write landing
+        meanwhile is not folded, since the reply stands for ``stop``.
+        Returns ``stop``, which :attr:`updates_streamed` then becomes.
+
+        Only valid before this session has streamed anything itself: a
+        session that already fed its pools would double-count its own
+        updates.
         """
         if self.updates_streamed:
             raise ValueError(
                 "replay after streaming would double-count the %d updates "
                 "this session already processed" % self.updates_streamed
             )
-        replayed = [0]
+        stop = self.missed_updates
 
         def attempt() -> None:
-            # Resume from the number of updates already fed through the
-            # pools — always a block boundary, since a block is fed whole
-            # or not at all: a mid-replay disconnect drops the block in
-            # hand and re-requests only the tail, so no pool ever
-            # double-counts an update.
             self._send(self._frame(
                 sp.T_REPLAY_REQUEST,
                 self.session_id,
-                sp.words_payload(self.field, [self.updates_streamed]),
+                sp.words_payload(self.field, [stop, self.updates_streamed]),
             ))
-            backend = self._stack.backend
-            runs: Dict[int, tuple] = {}  # vector -> (columns, used)
-            buffered = 0
             while True:
                 frame_type, _session, payload = self._recv()
                 if frame_type == sp.T_ERROR:
@@ -629,41 +635,34 @@ class ServiceClient:
                         raise self._unavailable(message)
                     raise ServiceClientError(message)
                 if frame_type == sp.T_REPLAY_END:
-                    break
+                    end = sp.parse_words(self.field, payload)
+                    if end != [stop]:
+                        raise ServiceClientError(
+                            "the service ended a replay of %d updates "
+                            "at %r" % (stop, end))
+                    return
                 if frame_type != sp.T_REPLAY_DATA:
                     raise ServiceClientError(
                         "unexpected frame 0x%02x during replay" % frame_type
                     )
-                # Frame bytes to the columns the copies fold.
-                vector, keys, deltas = sp.parse_updates_columns(
-                    backend, self.field, payload)
-                if not len(keys):
-                    continue
-                table, used = runs.get(vector, (backend.int_table(2), 0))
-                runs[vector] = (
-                    backend.int_table_append(table, used, (keys, deltas)),
-                    used + len(keys))
-                buffered += len(keys)
-                if buffered >= DEFAULT_BLOCK:
-                    replayed[0] += self._feed_runs(runs)
-                    runs, buffered = {}, 0
-            replayed[0] += self._feed_runs(runs)
+                self._feed_replayed(payload)
 
         self._with_retries(attempt, "replay")
+        self.updates_streamed = stop
         self.missed_updates = 0
-        return replayed[0]
+        self._last_acked = "replay@%d" % stop
+        return stop
 
-    def _feed_runs(self, runs) -> int:
-        """Feed one replay block's buffered runs, one stacked feed per
-        vector, once every vector's range check has passed."""
+    def _feed_replayed(self, payload: bytes) -> None:
+        """Range-check one frame of replayed entries, then feed it."""
         backend = self._stack.backend
+        vector, keys, counts = sp.parse_updates_columns(
+            backend, self.field, payload)
+        if not len(keys):
+            return
         try:
-            blocks = [
-                (vector, prepare_columns(
-                    backend, self.u, table[0][:used], table[1][:used],
-                    self._stack.copies(vector, self._live())))
-                for vector, (table, used) in sorted(runs.items())
-            ]
+            # One entry per key already: nothing to sum first.
+            prepared = prepare_columns(backend, self.u, keys, counts)
         except ValueError as exc:
             # Nothing was fed.  The rest of the replay is still in
             # flight on this socket: close it, so the next operation
@@ -671,12 +670,9 @@ class ServiceClient:
             self._link.close()
             self._link = None
             raise ServiceClientError(
-                "the service replayed a bad block: %s" % exc
+                "the service replayed a bad frame: %s" % exc
             ) from exc
-        for vector, prepared in blocks:
-            self._feed(prepared, vector)
-        self._last_acked = "replay@%d" % self.updates_streamed
-        return sum(prepared.count for _vector, prepared in blocks)
+        self._feed(prepared, vector)
 
     # -- queries -------------------------------------------------------------
 

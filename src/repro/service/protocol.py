@@ -32,6 +32,19 @@ length against `MAX_PAYLOAD` (2^26) and the receiver's own `max_payload`
 (a `repro.comm.wire.WireFormatError`) on damage: a malformed frame is a
 rejected conversation, never a crashed server.
 
+A replay has two forms, told apart by the request's word count.  The
+log form `[start]` (replica resync forwards it as updates) answers the
+log from index `start` in order, one `T_REPLAY_DATA` frame per
+same-vector run of each block.  The net form `[stop, skip]` (a late
+joiner) answers the net counts of the log's first `stop` updates: each
+vector's nonzero `(key, exact count)` entries in (vector, key) order,
+less the first `skip` — so a cut reply resumes at `skip` = entries
+received — in frames of at most one block of one vector's entries; a
+`stop` beyond the log is a `T_ERROR`.  Every verifier state a client
+keeps is linear in the stream's net vector, so both forms leave it in
+the same place.  `T_REPLAY_DATA` bodies are `T_UPDATES` bodies, and
+`T_REPLAY_END` carries the log length the reply stands for.
+
 Frame types, error codes, the prover step table and the chaining rule
 are declared below, one declaration each; `docs/WIRE.md` is this
 docstring plus those tables, rendered by `repro.service.wiredoc`
@@ -100,9 +113,12 @@ T_HELLO_ACK = _frame(0x02, "server -> client", "session id + missed updates")
 T_UPDATES = _frame(0x03, "client -> server", "a block of stream updates")
 T_UPDATES_ACK = _frame(0x04, "server -> client", "total updates applied")
 T_REPLAY_REQUEST = _frame(0x05, "client -> server",
-                          "resend updates from an index")
-T_REPLAY_DATA = _frame(0x06, "server -> client", "a block of replayed updates")
-T_REPLAY_END = _frame(0x07, "server -> client", "replay complete")
+                          "`[start]`: the log from an index; "
+                          "`[stop, skip]`: the net counts of log[0:stop]")
+T_REPLAY_DATA = _frame(0x06, "server -> client",
+                       "replayed log entries, or one vector's net counts")
+T_REPLAY_END = _frame(0x07, "server -> client",
+                      "replay complete: the log length it stands for")
 T_QUERY_OPEN = _frame(0x08, "client -> server",
                       "instantiate a prover (and announce a batch to it)")
 T_QUERY_ACK = _frame(0x09, "server -> client", "query reference")

@@ -16,10 +16,12 @@ server-side:
   the query opened, so proofs stay consistent while other sessions keep
   streaming into the dataset.
 
-Late-joining sessions catch up via the dataset's replay log: a verifier
-must observe the *whole* stream, so the server re-serves the prefix it
-missed (the bytes are the same updates it already stored — no second
-pass over the data, just a second read).
+Late-joining sessions catch up on the prefix they missed: a verifier
+must observe the *whole* stream, and every state it keeps is linear in
+the stream's net vector, so the server serves each vector's net counts
+(:meth:`Dataset.net_slices`, one entry per touched key) read straight
+off its count columns.  Replica resync re-reads the log itself
+(:meth:`Dataset.replay_columns`), in arrival order.
 """
 
 from __future__ import annotations
@@ -177,8 +179,8 @@ class Dataset:
         return [row[start:stop] for row in self._log]
 
     def replay_slice(self, start: int, count: int):
-        """A block of logged updates for catch-up replay, as an iterator
-        of ``(vector, key, delta)`` triples of Python ints."""
+        """A block of logged updates, as an iterator of ``(vector, key,
+        delta)`` triples of Python ints."""
         return zip(*map(self.backend.to_list,
                         self._log_columns(start, count)))
 
@@ -190,6 +192,29 @@ class Dataset:
         bounds = self.backend.int_runs(vectors)
         return [(int(vectors[lo]), keys[lo:hi], deltas[lo:hi])
                 for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+    def net_slices(self, stop: int, skip: int, count: int):
+        """The net counts of log entries ``[0, stop)`` for catch-up
+        replay: each vector's nonzero ``(key, exact count)`` entries in
+        (vector, key) order, less the first ``skip``, as ``(vector, keys,
+        counts)`` pieces of at most ``count`` entries of one vector.
+
+        At ``stop == n_updates`` the count columns are read as they
+        stand; a smaller ``stop`` takes the log's tail off a copy."""
+        if not 0 <= stop <= self._n:
+            raise RegistryError("replay stop %d outside the log [0, %d]"
+                                % (stop, self._n))
+        if skip < 0:
+            raise RegistryError("replay skip must be non-negative")
+        tail = self.replay_columns(stop, self._n - stop)
+        pieces = []
+        for vector, counts in enumerate(self._counts):
+            keys, nets = self.backend.int_entries(
+                counts, [(k, d) for v, k, d in tail if v == vector])
+            first, skip = min(skip, len(keys)), max(skip - len(keys), 0)
+            pieces.extend((vector, keys[lo:lo + count], nets[lo:lo + count])
+                          for lo in range(first, len(keys), count))
+        return pieces
 
     # Read-only views for tests and debugging: fresh lists of Python
     # ints, built on every access — nothing is stored for them.
@@ -367,8 +392,8 @@ class SessionRegistry:
         ]
 
     def tail_slice(self, dataset_id: int, start: int, count: int):
-        """A slice of one dataset's update log, for tail resync and
-        catch-up replay: ``(vector, keys, deltas)`` columns per vector
+        """A slice of one dataset's update log, for tail resync (a
+        replay's log form): ``(vector, keys, deltas)`` columns per vector
         (see :meth:`Dataset.replay_columns`).
 
         The hinted-handoff read path: a peer replica serves the entries

@@ -42,9 +42,10 @@ from repro.service.transport import (
     frame_trace,
 )
 
-#: Replayed updates per block of T_REPLAY_DATA frames (one frame per
-#: same-vector run of the block): the one ingest block size, which a
-#: joiner buffers and feeds once per vector.
+#: Most entries of one T_REPLAY_DATA frame, the one ingest block size:
+#: a log replay cuts each block of the log into one frame per
+#: same-vector run, a net replay each vector's entries into frames of
+#: this many.
 REPLAY_BLOCK = DEFAULT_BLOCK
 
 
@@ -394,24 +395,36 @@ class ProverServer(FrameListener):
 
         if frame_type == sp.T_REPLAY_REQUEST:
             words = sp.parse_words(field, payload)
-            if len(words) != 1:
-                raise ServiceError("replay request takes one start index")
-            # Each block of the log is cut column to column into one
-            # frame per run of a single vector, in log order.
+            if len(words) == 1:
+                # The log form: each block of the log is cut column to
+                # column into one frame per run of a single vector, in
+                # log order.
+                pieces = [
+                    piece
+                    for cursor in range(words[0], dataset.n_updates,
+                                        REPLAY_BLOCK)
+                    for piece in self.registry.tail_slice(
+                        dataset.dataset_id, cursor, REPLAY_BLOCK)
+                ]
+                end = dataset.n_updates
+            elif len(words) == 2:
+                # The net form: the count columns as they stood at stop.
+                end, skip = words
+                pieces = dataset.net_slices(end, skip, REPLAY_BLOCK)
+            else:
+                raise ServiceError(
+                    "replay request takes [start] or [stop, skip]")
             frames = [
                 sp.pack_frame(
                     sp.T_REPLAY_DATA, session_id,
                     sp.updates_payload_columns(field, vector, keys, deltas))
-                for cursor in range(words[0], dataset.n_updates,
-                                    REPLAY_BLOCK)
-                for vector, keys, deltas in self.registry.tail_slice(
-                    dataset.dataset_id, cursor, REPLAY_BLOCK)
+                for vector, keys, deltas in pieces
             ]
             frames.append(
                 sp.pack_frame(
                     sp.T_REPLAY_END,
                     session_id,
-                    sp.words_payload(field, [dataset.n_updates]),
+                    sp.words_payload(field, [end]),
                 )
             )
             return frames

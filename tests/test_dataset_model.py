@@ -201,6 +201,69 @@ def test_counts_stay_exact_past_int64(backend_name):
     assert dataset.freq_b[3] == (1 << 70) - (1 << 64)
 
 
+def net_entries(log, stop):
+    """The model's net counts of ``log[:stop]``: ``(vector, key, count)``
+    for every nonzero one, in (vector, key) order."""
+    nets = ({}, {})
+    for vector, key, delta in log[:stop]:
+        nets[vector][key] = nets[vector].get(key, 0) + delta
+    return [(vector, key, nets[vector][key]) for vector in (0, 1)
+            for key in sorted(nets[vector]) if nets[vector][key]]
+
+
+@st.composite
+def wide_streams(draw):
+    """:func:`block_streams` with deltas outside int64 too, so the log
+    and the count columns both turn to Python ints."""
+    u = draw(st.sampled_from([1, 3, 12, 100]))
+    delta = st.one_of(st.integers(-3, 3), st.sampled_from(
+        [HALF, -HALF, (1 << 62) + 5, 1 << 64, -(1 << 70)]))
+    blocks = draw(st.lists(
+        st.tuples(st.integers(0, 1),
+                  st.lists(st.tuples(st.integers(0, u - 1), delta),
+                           max_size=12)),
+        max_size=8))
+    return u, blocks
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@given(stream=wide_streams())
+def test_net_slices_are_the_models_net_counts(backend_name, stream):
+    """Catch-up replay's net form: for a stop anywhere in the log, the
+    nonzero net counts of the log up to it in (vector, key) order, less
+    the first ``skip``, cut into pieces of ``count`` entries of one
+    vector — and the dataset itself unchanged."""
+    u, blocks = stream
+    dataset, model = dataset_on(backend_name, u), Model(u)
+    for vector, pairs in blocks:
+        dataset.apply(vector, pairs)
+        model.apply(vector, pairs)
+    n = len(model.log)
+    to_list = dataset.backend.to_list
+    for stop in sorted({0, 1, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+        want = net_entries(model.log, stop)
+        for skip in sorted({0, 1, len(want) // 2, len(want), len(want) + 3}):
+            for count in (1, 3):
+                pieces = dataset.net_slices(stop, skip, count)
+                assert [(vector, key, net)
+                        for vector, keys, nets in pieces
+                        for key, net in zip(to_list(keys), to_list(nets))
+                        ] == want[skip:]
+                sizes = [len(keys) for _vector, keys, _nets in pieces]
+                for vector in (0, 1):
+                    left = sum(1 for entry in want[skip:]
+                               if entry[0] == vector)
+                    assert [size for size, piece in zip(sizes, pieces)
+                            if piece[0] == vector] == (
+                        [count] * (left // count)
+                        + ([left % count] if left % count else []))
+    assert_same(dataset, model)
+    with pytest.raises(RegistryError, match="outside the log"):
+        dataset.net_slices(n + 1, 0, 3)
+    with pytest.raises(RegistryError, match="skip"):
+        dataset.net_slices(n, -1, 3)
+
+
 # -- replay frames and snapshots: the bytes of the list-based path --------------
 
 U = 1000

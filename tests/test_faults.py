@@ -299,8 +299,8 @@ def test_seeded_fault_schedules_recover_byte_identical(server, reference,
 def test_mid_replay_disconnect_resumes_from_last_block(server):
     """A late joiner whose catch-up replay is cut mid-stream re-requests
     only the tail — no pool double-counts, and the verdict matches."""
-    u = 256
-    n = REPLAY_BLOCK + 904  # so the replay spans two data frames
+    u = 1 << 16
+    n = REPLAY_BLOCK + 904  # distinct keys: the net reply is two frames
     updates = [(i % u, 1 + i % 5) for i in range(n)]
     dataset = fresh_dataset_id()
     host, port = server.address
@@ -314,7 +314,7 @@ def test_mid_replay_disconnect_resumes_from_last_block(server):
         assert want.result.accepted
 
     # Frames through a fresh proxy: HELLO(0) ACK(1) REQUEST(2) DATA(3)
-    # DATA(4) END(5) — drop the second data block.
+    # DATA(4) END(5) — drop the second data frame.
     proxy = ChaosProxy(host, port,
                        schedule=FaultSchedule.scripted({4: KIND_DROP}))
     handle = proxy.serve_in_thread()
@@ -325,7 +325,7 @@ def test_mid_replay_disconnect_resumes_from_last_block(server):
             assert reader.missed_updates == n
             reader.provision(("f2",), 1)
             assert reader.replay_missed() == n
-            assert reader.retries >= 1
+            assert reader.retries >= 1 and proxy.faults_injected == 1
             got = reader.query(f2())[0]
             assert got.result.accepted
             assert got.result.value == want.result.value
@@ -334,24 +334,26 @@ def test_mid_replay_disconnect_resumes_from_last_block(server):
 
 
 def test_replay_cut_between_two_vectors_resumes_in_log_order(server):
-    """Replay frames are runs of the log in order: a joiner cut after
-    the first run resumes at its log index.  Frames grouped by vector
-    (vector 0 first) would make that count no log index, so the resumed
-    replay fed the vector-0 run twice and vector 1 never."""
-    u = 64
+    """The net reply runs in (vector, key) order, and a joiner cut at
+    the first vector-1 frame resumes past every vector-0 entry (``skip``
+    counts entries across vectors): a skip counted per vector would feed
+    the vector-0 entries twice and vector 1 from its start never."""
+    u = 1 << 16
+    wide = REPLAY_BLOCK + 3  # vector 1's entries: two frames
     dataset = fresh_dataset_id()
     host, port = server.address
     writer = ServiceClient(host, port, F, u, dataset_id=dataset,
                            rng=random.Random(33))
     with writer:
         writer.provision(("inner-product",), 1)
-        writer.send_updates([(1, 2), (5, 3), (9, 4)], vector=1)
+        writer.send_updates([(key, 1 + key % 4) for key in range(wide)],
+                            vector=1)
         writer.send_updates([(1, 5), (5, 7), (40, 1)], vector=0)
         want = writer.query(inner_product())[0]
-        assert want.result.accepted and want.result.value == 31
+        assert want.result.accepted and want.result.value == 5 * 2 + 7 * 2 + 1
 
-    # HELLO(0) ACK(1) REQUEST(2) DATA(3) DATA(4) END(5): drop the
-    # second run.
+    # HELLO(0) ACK(1) REQUEST(2) DATA(3, vector 0) DATA(4, vector 1)
+    # DATA(5, vector 1) END(6): drop the first vector-1 frame.
     proxy = ChaosProxy(host, port,
                        schedule=FaultSchedule.scripted({4: KIND_DROP}))
     handle = proxy.serve_in_thread()
@@ -360,42 +362,41 @@ def test_replay_cut_between_two_vectors_resumes_in_log_order(server):
                                rng=random.Random(34), retry=FAST_RETRY)
         with joiner:
             joiner.provision(("inner-product",), 1)
-            assert joiner.replay_missed() == 6
-            assert joiner.retries >= 1
+            assert joiner.replay_missed() == wide + 3
+            assert joiner.retries >= 1 and proxy.faults_injected == 1
             got = joiner.query(inner_product())[0]
             assert got.result.accepted, got.result.reason
-            assert got.result.value == 31
+            assert got.result.value == want.result.value
     finally:
         handle.stop()
 
 
 def test_a_replay_cut_mid_block_refeeds_only_that_block(server,
                                                         monkeypatch):
-    """The joiner buffers a replay block's runs and feeds them once per
-    vector: a drop inside the second block throws away the runs it
-    holds, and the resumed replay starts at the end of the first block,
-    so every update is fed exactly once."""
-    u = 256
-    run = REPLAY_BLOCK // 8
-    runs = 2 * 8 + 1  # two whole blocks of alternating runs and one more
+    """The joiner feeds each frame of the net reply as it arrives: a
+    drop inside the reply loses only frames not yet fed, and the resumed
+    reply starts at ``skip`` = entries fed, so every entry is fed
+    exactly once, one stacked feed per frame."""
+    u = 1 << 17
+    wide, narrow = REPLAY_BLOCK + 100, 500  # touched keys per vector
     dataset = fresh_dataset_id()
     host, port = server.address
     writer = ServiceClient(host, port, F, u, dataset_id=dataset,
                            rng=random.Random(41))
     with writer:
         writer.provision(("inner-product",), 1)
-        for index in range(runs):
-            writer.send_updates(
-                [((index + 3 * t) % u, 1 + t % 4) for t in range(run)],
-                vector=index & 1)
+        # Runs alternate vectors, each key written three times.
+        for lap in range(3):
+            writer.send_updates([(3 * key % u, 1 + lap) for key in range(wide)])
+            writer.send_updates([(7 * key, 2 - lap) for key in range(narrow)],
+                                vector=1)
         want = writer.query(inner_product())[0]
         assert want.result.accepted
 
-    # HELLO(0) ACK(1) REQUEST(2), then eight DATA frames per block: drop
-    # the fourth frame of the second block.
-    drop = 3 + 8 + 3
+    # HELLO(0) ACK(1) REQUEST(2) DATA(3, vector 0) DATA(4, vector 0)
+    # DATA(5, vector 1) END(6): drop the second vector-0 frame.
     proxy = ChaosProxy(host, port,
-                       schedule=FaultSchedule.scripted({drop: KIND_DROP}))
+                       schedule=FaultSchedule.scripted({4: KIND_DROP}))
     handle = proxy.serve_in_thread()
     fed = counted_feeds(monkeypatch)
     try:
@@ -403,15 +404,15 @@ def test_a_replay_cut_mid_block_refeeds_only_that_block(server,
                                rng=random.Random(42), retry=FAST_RETRY)
         with joiner:
             joiner.provision(("inner-product",), 1)
-            assert joiner.replay_missed() == runs * run
+            assert joiner.replay_missed() == 3 * (wide + narrow)
             assert joiner.retries >= 1 and proxy.faults_injected == 1
             got = joiner.query(inner_product())[0]
             assert got.result.accepted, got.result.reason
             assert got.result.value == want.result.value
     finally:
         handle.stop()
-    # Two feeds (one per vector) per whole block, one for the last run.
-    assert fed == [REPLAY_BLOCK // 2] * 4 + [run]
+    # Vector 1 nets to (2 + 1 + 0) = 3 per key: every key stays touched.
+    assert fed == [REPLAY_BLOCK, 100, narrow]
 
 
 def test_soundness_survives_the_faulty_wire():

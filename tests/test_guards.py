@@ -122,6 +122,84 @@ def test_a_verifier_copy_is_never_snapshotted():
     assert not found
 
 
+#: The modules that import NumPy: the backend, and the wire codec's
+#: ``frombuffer`` decode of update frames.
+NUMPY_MODULES = {"field/vectorized.py", "service/protocol.py"}
+#: The only places above the backend seam that ask which backend they
+#: hold, as (module, function): int64 update columns exist only under
+#: NumPy, and so does the ``frombuffer`` decode.
+REPRESENTATION_SITES = {
+    ("lde/streaming.py", "prepare_block"),
+    ("lde/streaming.py", "prepare_columns"),
+    ("service/protocol.py", "parse_updates_columns"),
+}
+#: The names a backend answers "am I NumPy?" by.
+BACKEND_KIND = ("vectorized", "_vec")
+
+
+def docstrings(tree):
+    """The docstring nodes of a module and of its classes and functions."""
+    return {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def root_name(node):
+    """``a`` of an attribute chain ``a.b.c``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def backend_kind_reads(path):
+    """The function around every read of a backend's kind: an attribute
+    ``vectorized`` (not of a ``repro.`` module path) or ``_vec``, a name
+    ``_vec``, or either as a string constant — what ``getattr(backend,
+    "vectorized", False)`` reads — docstrings aside."""
+    tree = parse(path)
+    skip = docstrings(tree)
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+            if ((isinstance(child, ast.Attribute)
+                 and child.attr in BACKEND_KIND
+                 and root_name(child) != "repro")
+                    or (isinstance(child, ast.Name) and child.id == "_vec")
+                    or (isinstance(child, ast.Constant)
+                        and child.value in BACKEND_KIND
+                        and id(child) not in skip)):
+                yield function
+            yield from visit(child, inner)
+
+    return set(visit(tree, None))
+
+
+def test_no_backend_fork_above_the_seam():
+    """Both backends run one algorithm per step above
+    ``field/vectorized.py``, written over the backend API: a NumPy-only
+    "fast path" must not come back.  Across all of ``src/repro`` only
+    the backend and the wire codec import ``numpy``, and outside the
+    backend a backend's kind is read only at the three representation
+    sites, by function."""
+    importers, sites = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        if any(module.split(".")[0] == "numpy"
+               for module in imported_modules(path)):
+            importers.add(name)
+        if name != "field/vectorized.py":
+            sites |= {(name, function)
+                      for function in backend_kind_reads(path)}
+    assert importers == NUMPY_MODULES
+    assert sites == REPRESENTATION_SITES
+
+
 #: The deleted (k + 1)-row line stack of the Fk prover and its helper.
 LINE_STACK = ("pair_line_stack", "rows_pow_sums")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import itertools
 import os
 import random
 import socket
@@ -45,9 +46,9 @@ from repro.lde.streaming import (
     fuse_widths,
     prepare_block,
 )
-from repro.service import ProverServer, ServiceClient
-from repro.service import client as service_client
+from repro.service import ChaosProxy, FaultSchedule, ProverServer, ServiceClient
 from repro.service import protocol as sp
+from repro.service.faults import KIND_DROP, Fault
 from repro.service.server import REPLAY_BLOCK
 from repro.service.client import (
     NO_RETRY,
@@ -577,46 +578,202 @@ def test_a_default_block_is_one_updates_frame(server):
 
 def interleaved_log(client, u, frames=2000, size=8, seed=21):
     """A writer that alternates vectors frame by frame, so its log
-    replays as one frame per run."""
+    replays as one frame per run; returns the updates it sent."""
     rng = random.Random(seed)
+    sent = []
     for frame in range(frames):
-        client.send_updates(
-            [(rng.randrange(u), rng.randrange(-3, 9)) for _ in range(size)],
-            vector=frame & 1)
+        pairs = [(rng.randrange(u), rng.randrange(-3, 9))
+                 for _ in range(size)]
+        client.send_updates(pairs, vector=frame & 1)
+        sent.extend((frame & 1, key, delta) for key, delta in pairs)
+    return sent
 
 
-def counted_feeds(monkeypatch):
-    """The update count of every ``SketchStack.feed`` from now on."""
+def counted_feeds(monkeypatch, only=None):
+    """The update count of every ``SketchStack.feed`` from now on (of
+    the stack ``only``, when given)."""
     fed = []
     feed = SketchStack.feed
 
     def counted(stack, block, vector=0, live=None):
-        fed.append(block.count)
+        if only is None or stack is only:
+            fed.append(block.count)
         feed(stack, block, vector, live)
 
     monkeypatch.setattr(SketchStack, "feed", counted)
     return fed
 
 
+def values(pools):
+    """What a verifier keeps of its stream, mod p: a joiner folds net
+    entries, so it holds these and not the update count."""
+    out = []
+    for pool in pools:
+        for verifier in pool:
+            for sketch in verifier.stream_sketches:
+                if isinstance(sketch, StreamingLDE):
+                    out.append(sketch.value)
+                elif isinstance(sketch, HeavyHittersVerifier):
+                    out.append((sketch.root, sketch.n % P))
+                else:
+                    out.append(sketch.root)
+    return out
+
+
+def touched(log):
+    """Per vector, the keys whose net count the service holds nonzero —
+    each delta as the wire delivered it."""
+    nets = ({}, {})
+    for vector, key, delta in log:
+        nets[vector][key] = (nets[vector].get(key, 0)
+                             + sp.decode_signed(F, delta % P))
+    return [sorted(key for key, net in counts.items() if net)
+            for counts in nets]
+
+
 def test_an_interleaved_replay_feeds_each_vector_once_per_block(
         server, backend_name, monkeypatch):
-    """2 000 frames of 8 updates alternating vectors: the joiner ends
-    equal to a client that watched from the start, in at most two
-    stacked feeds (one per vector) per replay block."""
+    """Defect (k)'s log — 2 000 frames of 8 updates alternating vectors —
+    replies in at most ⌈touched keys / DEFAULT_BLOCK⌉ frames per vector,
+    one stacked feed each, and the joiner ends equal mod p to a client
+    that watched from the start."""
     u = 1 << 12
     pools = {("range-sum",): 2, ("batch",): 1, ("tree",): 1}
     dataset = next(_DATASETS)
     with ServiceClient(*server.address, F, u, dataset_id=dataset,
                        rng=random.Random(5), provision=pools) as watcher:
-        interleaved_log(watcher, u)
+        keys = touched(interleaved_log(watcher, u))
         fed = counted_feeds(monkeypatch)
         with ServiceClient(*server.address, F, u, dataset_id=dataset,
                            rng=random.Random(5), provision=pools) as joiner:
+            frames = joiner.frames_received
             assert joiner.replay_missed() == 16_000
-            assert states(client_pools(joiner)) == states(
+            assert joiner.updates_streamed == 16_000
+            assert values(client_pools(joiner)) == values(
                 client_pools(watcher))
-    assert sum(fed) == 16_000
-    assert len(fed) <= 2 * -(-16_000 // DEFAULT_BLOCK)
+            most = sum(-(-len(k) // DEFAULT_BLOCK) for k in keys)
+            assert joiner.frames_received - frames <= most + 1  # + END
+            # Each copy folded one entry per touched key of its lanes.
+            batch = client_pools(joiner)[1][0]
+            assert [lde.updates_processed
+                    for lde in batch.stream_sketches] == list(map(len, keys))
+    assert sum(fed) == sum(map(len, keys))
+    assert len(fed) <= most
+
+
+#: Per vector, a stream whose net counts hold every shape: keys that
+#: cancel to 0 (the reply leaves them out), negative nets, a delta
+#: outside int64 on the client, and a net the service holds outside
+#: int64 (its count column turns to Python ints).
+HALF_P = (P - 1) // 2
+SHAPED = [
+    (vector, key, delta)
+    for vector in (0, 1)
+    for key, delta in (
+        [(k, 5) for k in range(10)] + [(k, -5) for k in range(10)]
+        + [(10 + k, -1 - k - vector) for k in range(10)]
+        + [(40 + vector, 1 << 63)] + [(60, HALF_P)] * 10
+        + [(100 + k, 3 - k % 7) for k in range(60)])
+]
+
+
+def test_a_joiner_equals_a_watcher_for_every_pool_kind(
+        server, backend_name, monkeypatch):
+    dataset = next(_DATASETS)
+    with ServiceClient(*server.address, F, U, dataset_id=dataset,
+                       rng=random.Random(3), provision=POOLS) as watcher:
+        for vector, run in itertools.groupby(SHAPED, key=lambda e: e[0]):
+            watcher.send_updates([entry[1:] for entry in run],
+                                 vector=vector)
+        keys = touched(SHAPED)
+        assert not set(range(10)) & (set(keys[0]) | set(keys[1]))
+        held = server.listener.registry.datasets[dataset]
+        assert held.freq_a[60] == held.freq_b[60] == 10 * HALF_P >= 1 << 63
+        fed = counted_feeds(monkeypatch)
+        with ServiceClient(*server.address, F, U, dataset_id=dataset,
+                           rng=random.Random(3), provision=POOLS) as joiner:
+            assert joiner.replay_missed() == len(SHAPED)
+            assert values(client_pools(joiner)) == values(
+                client_pools(watcher))
+    assert fed == list(map(len, keys))
+
+
+class DropAfter(FaultSchedule):
+    """Drops the frame at ``index`` once, after running ``meanwhile``."""
+
+    def __init__(self, index, meanwhile):
+        self.index, self.meanwhile = index, meanwhile
+
+    def decide(self, direction, index, global_index, frame_type):
+        if global_index != self.index:
+            return None
+        self.meanwhile()
+        return Fault(KIND_DROP)
+
+
+def test_a_write_during_a_cut_replay_is_not_folded(
+        server, backend_name, monkeypatch):
+    """A drop mid-reply resumes at ``skip`` = entries fed, so each entry
+    is fed once; a write landing between the drop and the resume is not
+    folded, since the reply stands for the log as the joiner found it."""
+    u = 1 << 16
+    wide = DEFAULT_BLOCK + 7  # vector 0's entries: two frames
+    log = ([(0, key, 1 + key % 3) for key in range(wide)]
+           + [(1, 5 * key, -2) for key in range(40)])
+    pools = {("inner-product",): 1, ("tree",): 1}
+    dataset = next(_DATASETS)
+    with ServiceClient(*server.address, F, u, dataset_id=dataset,
+                       rng=random.Random(6), provision=pools) as watcher:
+        for vector, run in itertools.groupby(log, key=lambda e: e[0]):
+            watcher.send_updates([entry[1:] for entry in run],
+                                 vector=vector)
+        seen = values(client_pools(watcher))
+
+        def write():
+            watcher.send_updates([(3, 1), (u - 1, 4)])
+
+        # HELLO(0) ACK(1) REQUEST(2) DATA(3) DATA(4) DATA(5) END(6): the
+        # write lands, then the second vector-0 frame is dropped.
+        proxy = ChaosProxy(*server.address, schedule=DropAfter(4, write))
+        handle = proxy.serve_in_thread()
+        try:
+            with ServiceClient(*handle.address, F, u, dataset_id=dataset,
+                               rng=random.Random(6), provision=pools,
+                               retry=RetryPolicy(base_delay=0.001)
+                               ) as joiner:
+                fed = counted_feeds(monkeypatch, only=joiner._stack)
+                assert joiner.replay_missed() == len(log)
+                assert joiner.retries == 1 and proxy.faults_injected == 1
+                assert joiner._server_updates == len(log) + 2
+                assert values(client_pools(joiner)) == seen
+                assert seen != values(client_pools(watcher))
+        finally:
+            handle.stop()
+    assert fed == [DEFAULT_BLOCK, 7, 40]
+
+
+def test_a_replay_past_the_log_is_refused_on_a_live_connection(
+        server, backend_name):
+    with connect(server.address, provision={("f2",): 1}) as writer:
+        writer.send_updates([(1, 2), (7, -1), (1, 3)])
+        joiner = ServiceClient(*server.address, F, U,
+                               dataset_id=writer.dataset_id,
+                               rng=random.Random(3), retry=NO_RETRY,
+                               provision={("f2",): 1})
+        with joiner:
+            before = states(client_pools(joiner))
+            joiner.missed_updates = 4
+            with pytest.raises(ServiceClientError,
+                               match="replay stop 4 outside") as info:
+                joiner.replay_missed()
+            assert type(info.value) is ServiceClientError  # not retryable
+            assert states(client_pools(joiner)) == before
+            assert joiner.updates_streamed == 0
+            joiner.missed_updates = 3
+            assert joiner.replay_missed() == 3
+            assert joiner.reconnects == 0
+            assert values(client_pools(joiner)) == values(
+                client_pools(writer))
 
 
 @pytest.mark.parametrize("block", [0, -3])
@@ -661,6 +818,7 @@ class ReplayStub:
     def __init__(self, blocks):
         self.blocks = blocks
         self.connections = 0
+        self.requests = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.address = self._listener.getsockname()
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -701,11 +859,12 @@ class ReplayStub:
             header = self._read(conn, sp.HEADER_LEN)
             frame_type, _sid, length = sp.unpack_header(header)
             self._read(conn, sp.header_ext_len(header))
-            self._read(conn, length)
+            payload = self._read(conn, length)
             if frame_type == sp.T_HELLO:
                 conn.sendall(sp.pack_frame(
                     sp.T_HELLO_ACK, 1, sp.words_payload(F, [total])))
             elif frame_type == sp.T_REPLAY_REQUEST:
+                self.requests.append(sp.parse_words(F, payload))
                 conn.sendall(b"".join(
                     [sp.pack_frame(sp.T_REPLAY_DATA, 1,
                                    sp.updates_payload(F, vector, pairs))
@@ -722,11 +881,10 @@ class ReplayStub:
 
 
 def test_a_bad_replayed_block_is_refused_whole_and_not_retried(
-        backend_name, monkeypatch):
-    # A replay block of three updates: the good run is one block, then a
-    # vector-1 run and a vector-0 run with a bad key share the next.
-    monkeypatch.setattr(service_client, "DEFAULT_BLOCK", 3)
-    good = [(1, 2), (5, -1), (1, 1)]
+        backend_name):
+    # The joiner feeds each frame as it arrives: the good frames before
+    # the bad one are fed, the bad one — valid entries and all — is not.
+    good = [(1, 2), (5, -1), (2, 1)]
     stub = ReplayStub([(0, good), (1, [(8, 1)]),
                        (0, [(3, 1), (4, 1), (U, 9), (6, 1)]),
                        (1, [(9, 2)])])
@@ -741,11 +899,12 @@ def test_a_bad_replayed_block_is_refused_whole_and_not_retried(
                 client.replay_missed()
             assert type(info.value) is ServiceClientError  # not retryable
             assert (client.retries, stub.connections) == (0, 1)
-            # The good block before it was fed; the bad one moved no
-            # copy of any pool, not even by its valid runs.
+            # The net form, from the length the HELLO reported.
+            assert stub.requests == [[9, 0]]
             loop_feed(reference, good)
+            loop_feed(reference, [(8, 1)], vector=1)
             assert states(pools) == states(reference)
-            assert client.updates_streamed == len(good)
+            assert client.updates_streamed == len(good) + 1
             # The rest of that replay was still in flight, so the socket
             # is gone: the next operation re-dials instead of reading a
             # stale REPLAY_DATA frame as its reply.

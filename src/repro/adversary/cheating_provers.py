@@ -3,7 +3,7 @@
 The paper: "We also tried modifying the prover's messages, by changing
 some pieces of the proof, or computing the proof for a slightly modified
 stream.  In all cases, the protocols caught the error."  Each class here
-is one such strategy; tests and benchmarks assert that every one of them
+is one such strategy; the tests assert that every one of them
 is rejected (up to the negligible O(log u / p) soundness error).
 
 The last two classes are service-side ``prover_wrapper`` hooks rather

@@ -11,8 +11,8 @@ The paper's cost landscape for INDEX-hard problems (Section 1):
 * ``(√u, √u)`` — Chakrabarti et al. [6] (``repro.core.single_round``).
 * ``(log u, log u)`` — this paper (``repro.core.f2`` and friends).
 
-These exist so the benchmarks can place the paper's protocols on that
-landscape with measured numbers.
+These exist so the tests can place the paper's protocols on that
+landscape with measured numbers (``tests/test_baselines.py``).
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ becomes ``g_{j-1}(r_{j-1}) = Σ_{x∈[ℓ]} g_j(x)``.  Larger ℓ therefore buys
 fewer rounds at the price of more communication per round — the footnote
 instantiation ``ℓ = log^ε u`` gives O(log u / log log u) space with
 O(log^{1+ε} u) communication.  This module exists to measure that
-tradeoff (``benchmarks/test_ablation_ell_protocol.py``); ℓ = 2 recovers
-the main protocol exactly.
+tradeoff (``tests/test_f2_general.py`` pins its rounds and words per
+ℓ); ℓ = 2 recovers the main protocol exactly.
 """
 
 from __future__ import annotations

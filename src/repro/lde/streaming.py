@@ -86,9 +86,9 @@ TILE_ELEMENTS = 1 << 15
 #: 245/176 ns at d = 17; 156/168, 185/173, 217/180, 231/173 ns at d = 20 —
 #: it pays from 2 copies and can only lose on one.  (In 4 096-update
 #: blocks, 60 % repeats, it paid only from 3–4 copies: 138/145 and
-#: 138/143 ns at 2.)  The all-distinct uniform stream of
-#: benchmarks/test_vectorized_speedup.py (1.05M updates, u = 2^20, one
-#: row) took 144.5 ms before this kernel, 141.8 ms through it
+#: 138/143 ns at 2.)  The all-distinct Section 5 stream (u = n = 2^20,
+#: one update per key with a count uniform in [0, 1000]: 1.05M updates,
+#: one row) took 144.5 ms before this kernel, 141.8 ms through it
 #: unaggregated and 168.6 ms aggregated.
 AGGREGATE_MIN_COPIES = 2
 

@@ -2,7 +2,7 @@
 
 The registry is the service's live view of the paper's cost accounting:
 per-query transcript words, per-round prover wall time, retry and
-failover counts — the numbers the benchmarks record offline become
+failover counts — the numbers the benchmark records offline become
 queryable at runtime through :meth:`MetricsRegistry.snapshot` (a plain
 dict, JSON-ready for the ``H_STATS`` frame) and
 :meth:`MetricsRegistry.to_text` (Prometheus-style text exposition for

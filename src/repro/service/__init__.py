@@ -25,8 +25,8 @@ powerful server and verifying its answers):
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   asyncio prover server and the thin blocking verifier client whose
   prover proxies exchange real frames per protocol round;
-* :mod:`repro.service.loadgen` — many concurrent sessions, measured,
-  with per-phase (dial/update/query/verify) latency breakdowns;
+* :mod:`repro.service.loadgen` — many concurrent sessions, measured:
+  sessions, updates and verified queries per second, query latencies;
 * :mod:`repro.service.ring` / :mod:`repro.service.cluster` /
   :mod:`repro.service.supervisor` — the self-healing replicated
   cluster: a consistent-hash router fanning updates to every replica
@@ -60,7 +60,6 @@ from repro.service.faults import (
     FaultSchedule,
 )
 from repro.service.loadgen import (
-    PHASES,
     LoadReport,
     run_cluster_load,
     run_load,
@@ -110,7 +109,6 @@ __all__ = [
     "LoadReport",
     "NO_RETRY",
     "NodeSupervisor",
-    "PHASES",
     "ProcessNodeManager",
     "ProverServer",
     "QueryCost",

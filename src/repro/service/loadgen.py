@@ -6,13 +6,12 @@ client pairs naturally with threads; the asyncio server interleaves all
 of them on one loop), and reports service-level throughput:
 sessions/sec, updates/sec, queries/sec, words and bytes on the wire.
 
-This is both the demo workload (``examples/service_quickstart.py``) and
-the measurement harness behind ``benchmarks/BENCH_service.json``.
+This is the demo workload (``examples/service_quickstart.py``) and the
+driver of the service's load, chaos and cluster acceptance tests.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -34,20 +33,14 @@ def _percentile(samples: List[float], q: float) -> float:
     return ordered[rank]
 
 
-#: Session-lifecycle phases broken out in :meth:`LoadReport.as_record`:
-#: ``dial`` (connect + provision + replay), ``update`` (streaming),
-#: ``query`` (whole verified query call) and ``verify`` (the query call
-#: minus time spent waiting on the wire — the client-side LDE/check
-#: work).
-PHASES = ("dial", "update", "query", "verify")
-
-
 @dataclass
 class LoadReport:
     """Aggregate results of one load-generation run."""
 
     sessions: int
-    updates_per_session: int
+    #: Updates the completed sessions streamed themselves; a session that
+    #: replayed a shared dataset, or failed, adds none.
+    updates_sent: int
     elapsed_seconds: float
     queries_run: int
     queries_verified: int
@@ -58,16 +51,11 @@ class LoadReport:
     #: Wall-clock seconds per ``client.query()`` call (one sample per
     #: call, faults and retries included — tail latency is the point).
     query_latencies: List[float] = dataclass_field(default_factory=list)
-    #: Per-phase samples (:data:`PHASES`), one list per phase; empty
-    #: phases are omitted from :meth:`as_record`.
-    phase_latencies: Dict[str, List[float]] = dataclass_field(
-        default_factory=dict)
     #: Fault-tolerance tallies summed over all sessions' clients.
     retries: int = 0
     refusals: int = 0
     reconnects: int = 0
-    #: Cluster-run fields (zero on single-node runs and omitted from
-    #: :meth:`as_record`, keeping the chaos record schema unchanged).
+    #: Cluster-run fields (zero on single-node runs).
     nodes: int = 0
     replication_factor: int = 0
     failovers: int = 0
@@ -75,9 +63,6 @@ class LoadReport:
     node_kills: int = 0
     #: Scheduled kills that had landed by the time the load returned.
     kills_mid_run: int = 0
-    #: The host's core count, so the perf trajectory in
-    #: BENCH_service.json distinguishes 1-core from multicore hosts.
-    cores: int = 0
 
     @property
     def sessions_per_second(self) -> float:
@@ -85,66 +70,11 @@ class LoadReport:
 
     @property
     def updates_per_second(self) -> float:
-        return self.sessions * self.updates_per_session / self.elapsed_seconds
+        return self.updates_sent / self.elapsed_seconds
 
     @property
     def queries_per_second(self) -> float:
         return self.queries_run / self.elapsed_seconds
-
-    @property
-    def p50_latency(self) -> float:
-        return _percentile(self.query_latencies, 0.50)
-
-    @property
-    def p95_latency(self) -> float:
-        return _percentile(self.query_latencies, 0.95)
-
-    @property
-    def p99_latency(self) -> float:
-        return _percentile(self.query_latencies, 0.99)
-
-    def as_record(self) -> Dict:
-        record = {
-            "sessions": self.sessions,
-            "updates_per_session": self.updates_per_session,
-            "elapsed_seconds": self.elapsed_seconds,
-            "sessions_per_sec": self.sessions_per_second,
-            "updates_per_sec": self.updates_per_second,
-            "queries_per_sec": self.queries_per_second,
-            "queries_run": self.queries_run,
-            "queries_verified": self.queries_verified,
-            "transcript_words": self.transcript_words,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "query_p50_seconds": self.p50_latency,
-            "query_p95_seconds": self.p95_latency,
-            "query_p99_seconds": self.p99_latency,
-            "retries": self.retries,
-            "refusals": self.refusals,
-            "reconnects": self.reconnects,
-            "errors": len(self.failures),
-            "cores": self.cores or (os.cpu_count() or 1),
-        }
-        # Additive keys only: consumers of the pre-phase schema read
-        # the record unchanged.
-        for phase in PHASES:
-            samples = self.phase_latencies.get(phase) or []
-            if samples:
-                record["phase_%s_p50_seconds" % phase] = \
-                    _percentile(samples, 0.50)
-                record["phase_%s_p95_seconds" % phase] = \
-                    _percentile(samples, 0.95)
-                record["phase_%s_p99_seconds" % phase] = \
-                    _percentile(samples, 0.99)
-        if self.nodes:
-            record.update({
-                "nodes": self.nodes,
-                "replication_factor": self.replication_factor,
-                "failovers": self.failovers,
-                "resyncs": self.resyncs,
-                "node_kills": self.node_kills,
-            })
-        return record
 
 
 def session_workload(
@@ -153,7 +83,6 @@ def session_workload(
     queries: List[QueryDescriptor],
     rng: random.Random,
     latency_sink: Optional[List[float]] = None,
-    phase_sink: Optional[Dict[str, List[float]]] = None,
 ) -> List:
     """One session's life: stream a KV workload, then verify queries."""
     pairs = key_value_pairs(client.u, min(updates, client.u // 2), rng=rng)
@@ -163,27 +92,15 @@ def session_workload(
     while len(encoded) < updates:
         k, _v = pairs[rng.randrange(len(pairs))]
         encoded.append((k, 1))
-    t0 = time.perf_counter()
     client.send_updates(encoded[:updates])
-    if phase_sink is not None:
-        phase_sink.setdefault("update", []).append(
-            time.perf_counter() - t0)
-    return _timed_query(client, queries, latency_sink, phase_sink)
+    return _timed_query(client, queries, latency_sink)
 
 
-def _timed_query(client, queries, latency_sink, phase_sink=None):
-    wire0 = getattr(client, "wire_seconds", 0.0)
+def _timed_query(client, queries, latency_sink):
     t0 = time.perf_counter()
     outcomes = client.query(*queries)
-    total = time.perf_counter() - t0
     if latency_sink is not None:
-        latency_sink.append(total)
-    if phase_sink is not None:
-        phase_sink.setdefault("query", []).append(total)
-        # Verify-side work = the query call minus its wire waits: what
-        # the *client's* CPU spent interpolating, folding and checking.
-        wire = getattr(client, "wire_seconds", 0.0) - wire0
-        phase_sink.setdefault("verify", []).append(max(0.0, total - wire))
+        latency_sink.append(time.perf_counter() - t0)
     return outcomes
 
 
@@ -226,6 +143,7 @@ def run_load(
         ]
     lock = threading.Lock()
     totals = {
+        "updates": 0,
         "queries_run": 0,
         "queries_verified": 0,
         "words": 0,
@@ -237,7 +155,6 @@ def run_load(
     }
     failures: List[str] = []
     latencies: List[float] = []
-    phases: Dict[str, List[float]] = {}
     extra_kwargs = dict(client_kwargs or {})
     # Pools follow the *plan*, not the raw descriptors: a mixed
     # sum-check batch consumes one copy from the ("batch",) pool
@@ -251,9 +168,7 @@ def run_load(
     def one_session(index: int) -> None:
         rng = random.Random(seed * 10007 + index)
         session_latencies: List[float] = []
-        session_phases: Dict[str, List[float]] = {}
         try:
-            dial_t0 = time.perf_counter()
             client = ServiceClient(
                 host,
                 port,
@@ -269,21 +184,17 @@ def run_load(
                     client.provision(key, copies)
                 if shared_dataset and client.missed_updates:
                     client.replay_missed()
-                    session_phases.setdefault("dial", []).append(
-                        time.perf_counter() - dial_t0)
-                    outcomes = _timed_query(
-                        client, queries, session_latencies,
-                        session_phases,
-                    )
+                    sent = 0
+                    outcomes = _timed_query(client, queries,
+                                            session_latencies)
                 else:
-                    session_phases.setdefault("dial", []).append(
-                        time.perf_counter() - dial_t0)
                     outcomes = session_workload(
                         client, updates_per_session, queries, rng,
                         latency_sink=session_latencies,
-                        phase_sink=session_phases,
                     )
+                    sent = client.updates_streamed
             with lock:
+                totals["updates"] += sent
                 totals["queries_run"] += len(outcomes)
                 totals["queries_verified"] += sum(
                     1 for o in outcomes if o.result.accepted
@@ -297,8 +208,6 @@ def run_load(
                 totals["refusals"] += client.refusals
                 totals["reconnects"] += client.reconnects
                 latencies.extend(session_latencies)
-                for phase, samples in session_phases.items():
-                    phases.setdefault(phase, []).extend(samples)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             with lock:
                 failures.append("session %d: %r" % (index, exc))
@@ -323,7 +232,7 @@ def run_load(
 
     return LoadReport(
         sessions=sessions,
-        updates_per_session=updates_per_session,
+        updates_sent=totals["updates"],
         elapsed_seconds=elapsed,
         queries_run=totals["queries_run"],
         queries_verified=totals["queries_verified"],
@@ -332,11 +241,9 @@ def run_load(
         bytes_received=totals["received"],
         failures=failures,
         query_latencies=latencies,
-        phase_latencies=phases,
         retries=totals["retries"],
         refusals=totals["refusals"],
         reconnects=totals["reconnects"],
-        cores=os.cpu_count() or 1,
     )
 
 

@@ -137,3 +137,28 @@ def test_cost_landscape_ordering():
     assert ship.accepted and ours.accepted
     assert ship.value == ours.value
     assert ours.transcript.total_words < ship.transcript.total_words / 10
+
+
+def test_landscape_ordering():
+    """Space × communication on the Section 5 workload (u = n = 2^12,
+    counts uniform in [0, 1000]): the lower bound s·t = Ω(u) binds the
+    non-interactive protocols — local state, shipping the answer, the
+    one-round (√u, √u) protocol — and interaction breaks it."""
+    from repro.core.f2 import self_join_size_protocol
+    from repro.core.single_round import single_round_f2_protocol
+    from repro.streams.generators import uniform_frequency_stream
+
+    stream = uniform_frequency_stream(1 << 12, max_frequency=1000,
+                                      rng=random.Random(120))
+    ship = ship_and_verify_f2(stream, F, rng=random.Random(124))
+    single = single_round_f2_protocol(stream, F, rng=random.Random(125))
+    multi = self_join_size_protocol(stream, F, rng=random.Random(126))
+    assert ship.accepted and single.accepted and multi.accepted
+
+    def product(result):
+        return result.verifier_space_words * result.transcript.total_words
+
+    local = 2 * stream.stats().num_nonzero  # (n, 1): no communication
+    assert product(multi) < product(single) / 4
+    assert product(multi) < product(ship) / 4
+    assert product(multi) < local / 4

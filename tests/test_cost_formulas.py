@@ -38,7 +38,7 @@ F = DEFAULT_FIELD
 
 def test_f2_exact_words():
     """F2: d prover messages of 3 words; d-1 revealed challenges."""
-    for log_u in (3, 6, 10):
+    for log_u in (3, 6, 10, 14):
         u = 1 << log_u
         stream = Stream(u, [(1, 2)])
         result = self_join_size_protocol(stream, F, rng=random.Random(1))
@@ -53,7 +53,7 @@ def test_fk_exact_words():
     """Fk: d messages of k+1 words."""
     u, log_u = 64, 6
     stream = Stream(u, [(1, 2)])
-    for k in (1, 3, 7):
+    for k in (1, 3, 4, 6, 7):
         verifier = FkVerifier(F, u, k, rng=random.Random(2))
         prover = BatchedSumcheckEngine(F, u)
         verifier.process_stream(stream.updates())

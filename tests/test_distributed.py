@@ -75,6 +75,10 @@ def test_sharding_balance():
     assert prover.max_worker_keys == 64
     for worker in prover.workers:
         assert worker.shard_size == 64
+    # Per-worker storage is u / workers at every cluster size.
+    for workers in (1, 16):
+        prover = DistributedF2Prover(F, 1 << 8, num_workers=workers)
+        assert prover.max_worker_keys == (1 << 8) // workers
 
 
 def test_keys_routed_to_correct_shard():

@@ -76,20 +76,25 @@ def test_rounds_shrink_and_messages_grow_with_ell():
     u = 4096
     stream = Stream.from_items(u, [1, 2, 3])
     stats = {}
-    for ell in (2, 4, 8):
+    for ell in (2, 4, 8, 16):
         result = general_f2_protocol(stream, ell, F,
                                      rng=random.Random(7))
         assert result.accepted
         stats[ell] = (result.transcript.rounds,
                       result.transcript.prover_words,
-                      result.verifier_space_words)
+                      result.transcript.total_words)
     rounds = {ell: s[0] for ell, s in stats.items()}
-    assert rounds[2] > rounds[4] > rounds[8]
+    assert rounds[2] > rounds[4] > rounds[8] > rounds[16]
     assert rounds[2] == 12 and rounds[4] == 6 and rounds[8] == 4
     words_per_round = {
         ell: stats[ell][1] / rounds[ell] for ell in stats
     }
-    assert words_per_round[2] < words_per_round[4] < words_per_round[8]
+    assert (words_per_round[2] < words_per_round[4] < words_per_round[8]
+            < words_per_round[16])
+    # The §3.1 trade-off: total communication is least at the small-ℓ
+    # end of the sweep ("ℓ = 2 is probably the most economical").
+    total = {ell: s[2] for ell, s in stats.items()}
+    assert min(total.values()) in (total[2], total[4])
 
 
 def test_tampering_rejected():

@@ -28,7 +28,7 @@ def run_on(stream, k, seed=0, channel=None):
     return run_fk(prover, verifier, channel)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_completeness_all_orders(k):
     stream = uniform_frequency_stream(64, max_frequency=6,
                                       rng=random.Random(k))

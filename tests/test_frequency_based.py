@@ -134,6 +134,8 @@ def test_communication_scales_with_threshold():
         ]
         assert len(sumcheck_msgs) == 6  # d = log2(64) rounds
         assert all(m.payload_words == max(tau, 2) for m in sumcheck_msgs)
+        # Theorem 6: the HH phase and the sum-check phase, d rounds each.
+        assert result.transcript.rounds <= 2 * 6
 
 
 def test_tampering_rejected_in_sumcheck_phase():

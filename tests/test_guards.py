@@ -11,9 +11,11 @@ strict as its grep on code, the CI step runs the test instead.
 
 import ast
 import functools
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+EXAMPLES = SRC.parent.parent / "examples"
 
 
 @functools.lru_cache(maxsize=1)
@@ -56,12 +58,16 @@ def strings(path):
 
 
 def imported_modules(path):
-    """Every module a module's code imports, or imports names from."""
+    """Every module a module's code imports, or imports names from, and
+    each name imported from one, dotted (``from a import b`` gives ``a``
+    and ``a.b``: ``b`` may be a submodule)."""
     for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             yield node.module
+            yield from (node.module + "." + alias.name
+                        for alias in node.names)
 
 
 #: The engine, the tree prover, the dataset that keeps their proof start
@@ -79,10 +85,11 @@ def test_provers_reach_the_compact_form_only_through_the_table_helpers():
     ``pair_runs`` in ``field/vectorized.py``.  Whether its tables start
     from a dense table, a key ``Counter`` or a dataset's kept start,
     none of these files locates pairs itself: no name they use or bind
-    is, or contains, a pair search."""
-    found = [(name, identifier) for name in COMPACT_CLIENTS
-             for identifier in identifiers(SRC / name)
-             if any(word in identifier for word in PAIR_SEARCHES)]
+    is, or contains, a pair search, and no string does — what
+    ``getattr(backend, "searchsorted")`` would look up."""
+    found = [(name, word) for name in COMPACT_CLIENTS
+             for word in (*identifiers(SRC / name), *strings(SRC / name))
+             if any(search in word for search in PAIR_SEARCHES)]
     assert not found
 
 
@@ -218,5 +225,33 @@ def test_the_line_stack_fk_path_stays_deleted():
         if path != Path(__file__).resolve()
         for word in (*identifiers(path), *strings(path))
         if any(name in word for name in LINE_STACK)
+    ]
+    assert not found
+
+
+#: The dictionary provers of the deleted ``core/sparse.py`` and their
+#: key-count cut-over to the dense prover.
+SPARSE_MODULE = "repro.core.sparse"
+SPARSE_NAMES = re.compile(
+    r"VECTOR_MIN_KEYS|Sparse(F2|SubVector|InnerProduct)Prover")
+
+
+def test_one_sparse_representation():
+    """The compact layout serves both backends and every u: a sparse
+    proof is the engine or ``SubVectorProver`` handed a key ``Counter``.
+    The dictionary provers of ``core/sparse.py`` and their cut-over must
+    not come back beside it.  No module of ``src/``, ``tests/`` or
+    ``examples/`` — this file aside, which must spell the names —
+    imports ``repro.core.sparse`` or has a name or string that holds it
+    or one of the deleted names."""
+    tests = Path(__file__).resolve().parent
+    found = [
+        (str(path), word)
+        for path in sorted([*SRC.parent.rglob("*.py"), *tests.rglob("*.py"),
+                            *EXAMPLES.rglob("*.py")])
+        if path != Path(__file__).resolve()
+        for word in (*identifiers(path), *strings(path),
+                     *imported_modules(path))
+        if SPARSE_NAMES.search(word) or SPARSE_MODULE in word
     ]
     assert not found

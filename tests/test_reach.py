@@ -89,7 +89,6 @@ NAMES_ALLOWED = {
     "repro.service.faults.FaultSchedule.scripted": HARNESS,
     "repro.service.faults.ProxyHandle.retarget": HARNESS,
     "repro.service.faults.SeededSchedule": HARNESS,
-    "repro.service.loadgen.LoadReport.as_record": HARNESS,
     "repro.service.loadgen.run_cluster_load": HARNESS,
     "repro.service.supervisor.NodeSupervisor": HARNESS,
     "repro.service.supervisor.ProcessNodeManager": HARNESS,

@@ -101,6 +101,30 @@ def test_space_grows_against_multi_round():
     assert single.transcript.total_words > 2 * multi.transcript.total_words
 
 
+def test_gap_grows_with_u():
+    """The Figure 2(c) separation on the Section 5 workload (u = n,
+    counts uniform in [0, 1000]): the one-round / multi-round words ratio
+    widens as u grows."""
+    from repro.core.f2 import F2Verifier, run_f2
+    from repro.core.multiquery import BatchedSumcheckEngine
+
+    ratios = []
+    for u in (1 << 10, 1 << 12, 1 << 14):
+        stream = uniform_frequency_stream(u, max_frequency=1000,
+                                          rng=random.Random(0))
+        verifier = F2Verifier(F, u, rng=random.Random(6))
+        prover = BatchedSumcheckEngine(F, u)
+        verifier.process_stream(stream.updates())
+        prover.process_stream(stream.updates())
+        multi = run_f2(prover, verifier)
+        single = run_on(stream, seed=7)
+        assert multi.accepted and single.accepted
+        ratios.append(
+            single.transcript.total_words / multi.transcript.total_words
+        )
+    assert ratios[0] < ratios[1] < ratios[2]
+
+
 def test_tampered_proof_rejected():
     stream = uniform_frequency_stream(100, rng=random.Random(6))
     channel = Channel(tamper=flip_word(round_index=0, position=3))

@@ -52,7 +52,7 @@ def test_streaming_matches_direct_binary(updates):
     assert lde.value == StreamingLDE.direct_evaluate(F, a, 2, lde.point)
 
 
-@pytest.mark.parametrize("ell", [2, 3, 4])
+@pytest.mark.parametrize("ell", [2, 3, 4, 16])
 def test_streaming_matches_direct_other_bases(ell):
     rng = random.Random(6)
     u = ell**3

@@ -176,6 +176,22 @@ def test_communication_log_u_plus_k():
     assert overhead <= 2 + (12 - 1) + 4 * 12
 
 
+def test_overhead_constant_in_answer_size():
+    """Figure 3(b): widening the queried range grows only the answer part
+    of the communication, not the protocol overhead."""
+    u = 1 << 12
+    stream = uniform_frequency_stream(u, max_frequency=1000,
+                                      rng=random.Random(0))
+    overheads = []
+    for hi in (63, 255, 1023):
+        result = run_on(stream, 0, hi, seed=13)
+        assert result.accepted
+        overheads.append(
+            result.transcript.total_words - 2 * result.value.k
+        )
+    assert max(overheads) - min(overheads) <= 2 * 12  # a sibling pair a level
+
+
 def test_rounds_log_u():
     u = 1 << 10
     stream = Stream(u, [(5, 1)])

@@ -13,7 +13,9 @@ from repro.adversary.cheating_provers import (
     InjectingSubVectorProver,
     ModifiedStreamF2Prover,
     OffsetClaimF2Prover,
+    OmittingHeavyHittersProver,
     OmittingSubVectorProver,
+    OutOfRangeHeavyHittersProver,
     PerQueryCheatingBatchEngine,
     RetryAdaptiveCheater,
     RetryAdaptiveF2Cheater,
@@ -30,7 +32,9 @@ __all__ = [
     "InjectingSubVectorProver",
     "ModifiedStreamF2Prover",
     "OffsetClaimF2Prover",
+    "OmittingHeavyHittersProver",
     "OmittingSubVectorProver",
+    "OutOfRangeHeavyHittersProver",
     "PerQueryCheatingBatchEngine",
     "RetryAdaptiveCheater",
     "RetryAdaptiveF2Cheater",

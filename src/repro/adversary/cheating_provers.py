@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.heavy_hitters import HeavyHittersProver
+from repro.core.heavy_hitters import HeavyHittersProver, NodeRecord
 from repro.core.multiquery import BatchedSumcheckEngine
 from repro.core.subvector import SubVectorProver
 from repro.field.modular import PrimeField
@@ -127,6 +127,72 @@ class InflatingHeavyHittersProver(HeavyHittersProver):
         counts = self._be.to_list(self._counts)
         counts[self.inflate_key] += self.amount
         self._counts = self._be.asarray(counts)
+
+
+class OmittingHeavyHittersProver(HeavyHittersProver):
+    """Drops both children of one heavy node — the first listed — at
+    level ``omit_level`` and is honest everywhere else.  One level up it
+    lists that node, heavy and with its true record, though the verifier
+    never derived it from children: the records under it, where a heavy
+    hitter could hide, were never shown."""
+
+    def __init__(self, field: PrimeField, u: int, phi: float,
+                 omit_level: int, **kwargs):
+        super().__init__(field, u, phi, **kwargs)
+        self.omit_level = omit_level
+
+    def begin_proof(self) -> None:
+        super().begin_proof()
+        self._level = 0
+
+    def round_message(self) -> List[NodeRecord]:
+        records = super().round_message()
+        if self._level == self.omit_level and records:
+            parent = records[0].index >> 1
+            records = [rec for rec in records if rec.index >> 1 != parent]
+        self._level += 1
+        return records
+
+
+class OutOfRangeHeavyHittersProver(HeavyHittersProver):
+    """Lists, from ``level`` up, a phantom pair just past each level's
+    index range ``[0, 2^(d - l))``, and is honest everywhere else.
+
+    Where the pair first appears neither child is heavy (counts τ − 1 and
+    1, so τ ≥ 2), but their sum is; at every later level the pair is that
+    phantom parent's derived record beside an empty sibling.  Every
+    sibling, heaviness, count and replay check holds, and the phantoms
+    never reach the root or the answer: only the index bound refuses
+    them."""
+
+    def __init__(self, field: PrimeField, u: int, phi: float, level: int,
+                 **kwargs):
+        super().__init__(field, u, phi, **kwargs)
+        self.level = level
+
+    def begin_proof(self) -> None:
+        super().begin_proof()
+        self._level = 0
+        # (hash, count) of the left and the right phantom child.
+        self._phantom = ((0, self._tau - 1), (0, 1))
+
+    def round_message(self) -> List[NodeRecord]:
+        records = super().round_message()
+        if self._level >= self.level:
+            index = 1 << (self.d - self._level)
+            records += [NodeRecord(index + side, *record)
+                        for side, record in enumerate(self._phantom)]
+        self._level += 1
+        return records
+
+    def receive_randomness(self, r_l: int, s_l: int) -> None:
+        if self._level > self.level:  # a pair was listed at this level
+            p = self.field.p
+            (left, c_left), (right, c_right) = self._phantom
+            count = (c_left + c_right) % p
+            self._phantom = (((left + r_l * right + s_l * count) % p, count),
+                             (0, 0))
+        super().receive_randomness(r_l, s_l)
 
 
 class PerQueryCheatingBatchEngine(BatchedSumcheckEngine):

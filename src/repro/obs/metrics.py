@@ -54,8 +54,8 @@ def metrics_enabled(default: bool = True) -> bool:
 
 
 def nearest_rank(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile (the exact loadgen percentile definition,
-    so a metric p99 and a benchmark p99 agree on identical samples)."""
+    """Nearest-rank quantile: the sample of rank ⌈q·n⌉ (rounded half
+    up) in sorted order; 0.0 for an empty sample set."""
     if not samples:
         return 0.0
     ordered = sorted(samples)

@@ -24,15 +24,6 @@ from repro.service.router import QueryDescriptor, QueryRouter
 from repro.streams.generators import key_value_pairs
 
 
-def _percentile(samples: List[float], q: float) -> float:
-    """Nearest-rank percentile; 0.0 for an empty sample set."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
-    return ordered[rank]
-
-
 @dataclass
 class LoadReport:
     """Aggregate results of one load-generation run."""

@@ -18,9 +18,11 @@ server-side:
 
 Late-joining sessions catch up on the prefix they missed: a verifier
 must observe the *whole* stream, and every state it keeps is linear in
-the stream's net vector, so the server serves each vector's net counts
-(:meth:`Dataset.net_slices`, one entry per touched key) read straight
-off its count columns.  Replica resync re-reads the log itself
+the stream's net vector, so catch-up serves each vector's net counts,
+one entry per touched key, over the wire and in process alike
+(:meth:`Dataset.net_slices`, and its in-process twin, which yields the
+entries one by one).  Both read the net entries a dataset keeps once per
+version of its data.  Replica resync re-reads the log itself
 (:meth:`Dataset.replay_columns`), in arrival order.
 """
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import groupby
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -100,6 +102,9 @@ class Dataset:
         #: Per vector set, the proof start over those tables
         #: (:meth:`proof_start`); dropped with any table it was made of.
         self._starts: Dict[Tuple[int, ...], tuple] = {}
+        #: Per vector, the nonzero ``(keys, exact counts)`` columns of the
+        #: data as it stands (:meth:`net_slices`); dropped with its table.
+        self._nets: Dict[int, tuple] = {}
         self._log = self.backend.int_table(3)
         self._n = 0
         self.sessions_attached = 0
@@ -118,7 +123,7 @@ class Dataset:
 
         All or nothing: every check runs before anything moves, so a
         refused block — never acknowledged — leaves counts, log and
-        the cached tables and starts as they were.
+        the cached tables, starts and net entries as they were.
         """
         if vector not in (0, 1):
             raise RegistryError("unknown update vector %r" % (vector,))
@@ -139,6 +144,7 @@ class Dataset:
                                             (vector, keys, deltas))
             self._n += count
         self._tables.pop(vector, None)
+        self._nets.pop(vector, None)
         self._starts = {vectors: start
                         for vectors, start in self._starts.items()
                         if vector not in vectors}
@@ -178,12 +184,6 @@ class Dataset:
         stop = min(start + count, self._n)
         return [row[start:stop] for row in self._log]
 
-    def replay_slice(self, start: int, count: int):
-        """A block of logged updates, as an iterator of ``(vector, key,
-        delta)`` triples of Python ints."""
-        return zip(*map(self.backend.to_list,
-                        self._log_columns(start, count)))
-
     def replay_columns(self, start: int, count: int):
         """The same block as ``(vector, keys, deltas)`` runs of a single
         vector, in log order: one replay frame each, so every frame
@@ -193,28 +193,55 @@ class Dataset:
         return [(int(vectors[lo]), keys[lo:hi], deltas[lo:hi])
                 for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
+    def _net_entries(self, vector: int):
+        """One vector's nonzero keys, increasing, and their exact counts:
+        two backend columns, found once per version and never written."""
+        entries = self._nets.get(vector)
+        if entries is None:
+            entries = self.backend.int_entries(self._counts[vector])
+            self._nets[vector] = entries
+        return entries
+
     def net_slices(self, stop: int, skip: int, count: int):
         """The net counts of log entries ``[0, stop)`` for catch-up
         replay: each vector's nonzero ``(key, exact count)`` entries in
         (vector, key) order, less the first ``skip``, as ``(vector, keys,
         counts)`` pieces of at most ``count`` entries of one vector.
 
-        At ``stop == n_updates`` the count columns are read as they
-        stand; a smaller ``stop`` takes the log's tail off a copy."""
+        At ``stop == n_updates`` the pieces are cut from the entries kept
+        for this version; a smaller ``stop`` takes the log's tail off a
+        copy of the count columns."""
         if not 0 <= stop <= self._n:
             raise RegistryError("replay stop %d outside the log [0, %d]"
                                 % (stop, self._n))
         if skip < 0:
             raise RegistryError("replay skip must be non-negative")
-        tail = self.replay_columns(stop, self._n - stop)
-        pieces = []
-        for vector, counts in enumerate(self._counts):
-            keys, nets = self.backend.int_entries(
+        if stop == self._n:
+            entries = [self._net_entries(vector) for vector in (0, 1)]
+        else:
+            tail = self.replay_columns(stop, self._n - stop)
+            entries = [self.backend.int_entries(
                 counts, [(k, d) for v, k, d in tail if v == vector])
+                for vector, counts in enumerate(self._counts)]
+        pieces = []
+        for vector, (keys, nets) in enumerate(entries):
             first, skip = min(skip, len(keys)), max(skip - len(keys), 0)
             pieces.extend((vector, keys[lo:lo + count], nets[lo:lo + count])
                           for lo in range(first, len(keys), count))
         return pieces
+
+    def replay_slice(self, start: int, count: int):
+        """In-process catch-up, the twin of ``T_REPLAY_REQUEST
+        [n_updates, start]``: entries ``[start, start + count)`` of the
+        net list (:meth:`net_slices`) as an iterator of ``(vector, key,
+        exact count)`` triples of Python ints, empty past its end.  The
+        list never has more entries than ``n_updates``; a negative
+        ``start`` is refused as a negative ``skip`` is."""
+        to_list = self.backend.to_list
+        pieces = self.net_slices(self._n, start, max(count, 1))
+        return islice(chain.from_iterable(
+            zip(repeat(vector), to_list(keys), to_list(nets))
+            for vector, keys, nets in pieces), max(count, 0))
 
     # Read-only views for tests and debugging: fresh lists of Python
     # ints, built on every access — nothing is stored for them.
@@ -229,7 +256,8 @@ class Dataset:
 
     @property
     def log(self) -> List[Tuple[int, int, int]]:
-        return list(self.replay_slice(0, self._n))
+        return list(zip(*map(self.backend.to_list,
+                             self._log_columns(0, self._n))))
 
 
 class ActiveQuery:

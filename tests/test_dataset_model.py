@@ -55,6 +55,16 @@ def runs(log):
             for vector, run in itertools.groupby(log, key=lambda e: e[0])]
 
 
+def net_entries(log, stop):
+    """The model's net counts of ``log[:stop]``: ``(vector, key, count)``
+    for every nonzero one, in (vector, key) order."""
+    nets = ({}, {})
+    for vector, key, delta in log[:stop]:
+        nets[vector][key] = nets[vector].get(key, 0) + delta
+    return [(vector, key, nets[vector][key]) for vector in (0, 1)
+            for key in sorted(nets[vector]) if nets[vector][key]]
+
+
 def dataset_on(backend_name, u, dataset_id=0):
     with mock.patch.dict(os.environ, REPRO_BACKEND=backend_name):
         return Dataset(F, u, dataset_id)
@@ -112,10 +122,13 @@ def test_dataset_is_the_per_pair_model(backend_name, stream):
         assert dataset.apply(vector, pairs) == model.apply(vector, pairs)
     assert_same(dataset, model)
     n = len(model.log)
+    nets = net_entries(model.log, n)
     for start in range(n + 2):
         for count in (0, 1, 3, n, n + 5):
+            # In-process catch-up reads the net list, the log form is
+            # resync's.
             assert list(dataset.replay_slice(start, count)) == \
-                model.log[start:start + count]
+                nets[start:start + count]
             assert [
                 (vector, list(zip(dataset.backend.to_list(keys),
                                   dataset.backend.to_list(deltas))))
@@ -153,6 +166,7 @@ def test_a_refused_block_leaves_everything_untouched(backend_name, stream,
     tables = [dataset.canonical_table(0), dataset.canonical_table(1)]
     starts = {vectors: dataset.proof_start(vectors)
               for vectors in ((0,), (0, 1))}
+    nets = [dataset._net_entries(0), dataset._net_entries(1)]
     error, make = bad
     with pytest.raises(error):
         dataset.apply(vector, make(u))
@@ -163,6 +177,8 @@ def test_a_refused_block_leaves_everything_untouched(backend_name, stream,
     assert dataset.canonical_table(1) is tables[1]
     for vectors, start in starts.items():
         assert dataset.proof_start(vectors) is start
+    assert [dataset._net_entries(0), dataset._net_entries(1)] == nets
+    assert all(dataset._net_entries(v) is nets[v] for v in (0, 1))
     # ...and the next good block lands on exactly that state.
     dataset.apply(vector, [(u - 1, -4)])
     model.apply(vector, [(u - 1, -4)])
@@ -172,6 +188,8 @@ def test_a_refused_block_leaves_everything_untouched(backend_name, stream,
     for vectors, start in starts.items():
         assert (dataset.proof_start(vectors) is start) == (
             vector not in vectors)
+    assert dataset._net_entries(vector) is not nets[vector]
+    assert dataset._net_entries(1 - vector) is nets[1 - vector]
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -199,16 +217,6 @@ def test_counts_stay_exact_past_int64(backend_name):
     model.apply(1, wide)
     assert_same(dataset, model)
     assert dataset.freq_b[3] == (1 << 70) - (1 << 64)
-
-
-def net_entries(log, stop):
-    """The model's net counts of ``log[:stop]``: ``(vector, key, count)``
-    for every nonzero one, in (vector, key) order."""
-    nets = ({}, {})
-    for vector, key, delta in log[:stop]:
-        nets[vector][key] = nets[vector].get(key, 0) + delta
-    return [(vector, key, nets[vector][key]) for vector in (0, 1)
-            for key in sorted(nets[vector]) if nets[vector][key]]
 
 
 @st.composite
@@ -262,6 +270,58 @@ def test_net_slices_are_the_models_net_counts(backend_name, stream):
         dataset.net_slices(n + 1, 0, 3)
     with pytest.raises(RegistryError, match="skip"):
         dataset.net_slices(n, -1, 3)
+
+
+@st.composite
+def churn_streams(draw):
+    """:func:`block_streams` followed by a shuffle of some of its updates
+    negated, so part of the stream (all of it, often) cancels to zero."""
+    u, blocks = draw(block_streams())
+    undo = [(vector, key, -delta) for vector, pairs in blocks
+            for key, delta in pairs if draw(st.booleans())]
+    undo = draw(st.permutations(undo))
+    return u, blocks + [(vector, [(key, delta)])
+                        for vector, key, delta in undo]
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+@given(stream=churn_streams())
+def test_the_net_list_is_never_longer_than_the_log(backend_name, stream):
+    """Every nonzero net count was touched by a logged update, so the
+    list has at most ``n_updates`` entries, and stepping ``start`` over
+    ``range(0, n_updates, block)``, as an in-process joiner does, reads
+    it whole, for any block."""
+    u, blocks = stream
+    dataset, model = dataset_on(backend_name, u), Model(u)
+    for vector, pairs in blocks:
+        dataset.apply(vector, pairs)
+        model.apply(vector, pairs)
+    n = dataset.n_updates
+    nets = net_entries(model.log, n)
+    assert len(nets) <= n
+    for block in (1, 2, 5, REPLAY_BLOCK):
+        assert [entry for start in range(0, n, block)
+                for entry in dataset.replay_slice(start, block)] == nets
+    assert list(dataset.replay_slice(n, 5)) == []
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_the_first_replay_after_an_apply_serves_the_new_version(
+        backend_name):
+    dataset, model = dataset_on(backend_name, 50), Model(50)
+    for vector, pairs in ((0, [(3, 2), (9, 1)]), (1, [(4, -1)]),
+                          (0, [(3, -2), (7, 5)]), (1, [(4, 1), (0, 6)]),
+                          (0, [])):
+        before = list(dataset.replay_slice(0, 100))
+        dataset.apply(vector, pairs)
+        model.apply(vector, pairs)
+        after = list(dataset.replay_slice(0, 100))
+        assert after == net_entries(model.log, len(model.log))
+        assert before == net_entries(model.log, len(model.log) - len(pairs))
+        to_list = dataset.backend.to_list
+        assert [(vector, key, net) for vector, keys, nets
+                in dataset.net_slices(dataset.n_updates, 0, 100)
+                for key, net in zip(to_list(keys), to_list(nets))] == after
 
 
 # -- replay frames and snapshots: the bytes of the list-based path --------------

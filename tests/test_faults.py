@@ -36,6 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.adversary import RetryAdaptiveF2Cheater, RetryAdaptiveLookupCheater
 from repro.adversary.cheating_provers import _Recorder
 from repro.comm.wire import encode_transcript
@@ -72,7 +73,6 @@ from repro.service.faults import (
     KIND_TRUNCATE,
     SeededSchedule,
 )
-from repro.service.loadgen import _percentile
 from repro.service.server import REPLAY_BLOCK
 from retry_workload import COUNTS, FrameLog, U, UPDATES
 from test_stacked_ingest import counted_feeds
@@ -858,4 +858,5 @@ def test_loadgen_through_chaos_proxy_zero_visible_errors(server):
     assert report.queries_verified == report.queries_run > 0
     assert proxy.faults_injected > 0
     latencies = report.query_latencies
-    assert _percentile(latencies, 0.99) >= _percentile(latencies, 0.50) > 0
+    assert (obs.nearest_rank(latencies, 0.99)
+            >= obs.nearest_rank(latencies, 0.50) > 0)

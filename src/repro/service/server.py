@@ -452,23 +452,37 @@ class ProverServer(FrameListener):
             # prover is built.
             active = self.registry.open_query(session_id, descriptors,
                                               batched)
-            if batched:
-                # The open frame is the batch announcement: the prover
-                # (as wrapped) gets its members here, not in a later call.
-                try:
+            # The steps that need no verifier word run now; their
+            # replies ride on the ack.
+            shape = sp.unit_shape(batched, active.kind)
+            calls = []
+            if shape is not None:
+                calls = sp.opening_calls(shape, descriptors[0])
+                active.closing = shape.closing
+                active.closing_left = shape.closing_replies(dataset.d)
+            try:
+                if batched:
+                    # The open frame is the batch announcement: the
+                    # prover (as wrapped) gets its members here, not in
+                    # a later call.
                     active.prover.receive_batch(
                         [to_batch_query(q) for q in descriptors]
                     )
-                except Exception:
-                    # No ack will carry the reference: nobody could
-                    # close this query but us.
-                    session.close_query(active.ref)
-                    raise
+                results = self._run_steps(session, active, calls)
+            except Exception:
+                # No ack will carry the reference: nobody could close
+                # this query but us.
+                session.close_query(active.ref)
+                raise
+            replies = [
+                result for (method, _args), result in zip(calls, results)
+                if sp.STEPS[method].resolve(active.kind)[1] != sp.REPLY_VOID
+            ]
             return [
                 sp.pack_frame(
                     sp.T_QUERY_ACK,
                     session_id,
-                    sp.words_payload(field, [active.ref]),
+                    sp.ack_payload(field, active.ref, replies),
                 )
             ]
 
@@ -478,19 +492,12 @@ class ProverServer(FrameListener):
             active = session.queries.get(words[0])
             if active is None:
                 raise ServiceError("unknown query reference %d" % words[0])
-            try:
-                for method, args in calls:
-                    result = self._prover_call(active, method, args)
-            except AttributeError as exc:
-                # A step this query's prover does not have is the
-                # client's mistake, not a reason to drop the connection.
-                raise ServiceError("no such step for query kind %d: %s"
-                                   % (active.kind, exc)) from exc
+            results = self._run_steps(session, active, calls)
             return [
                 sp.pack_frame(
                     sp.T_P_REPLY,
                     session_id,
-                    sp.words_payload(field, result),
+                    sp.words_payload(field, results[-1]),
                 )
             ]
 
@@ -523,6 +530,26 @@ class ProverServer(FrameListener):
         raise ServiceError("frame type 0x%02x is not a request" % frame_type)
 
     # -- prover method dispatch ----------------------------------------------
+
+    def _run_steps(self, session, active, calls) -> List[List[int]]:
+        """Run prover steps in order; one reply word list per step.
+
+        The closing step's last reply ends the proof and releases the
+        prover: a later call on its reference is refused as unknown."""
+        results = []
+        try:
+            for method, args in calls:
+                results.append(self._prover_call(active, method, args))
+                if method == active.closing:
+                    active.closing_left -= 1
+        except AttributeError as exc:
+            # A step this query's prover does not have is the client's
+            # mistake, not a reason to drop the connection.
+            raise ServiceError("no such step for query kind %d: %s"
+                               % (active.kind, exc)) from exc
+        if active.closing is not None and active.closing_left <= 0:
+            session.close_query(active.ref)
+        return results
 
     def _prover_call(self, active, method: int, args: List[int]) -> List[int]:
         """Invoke one prover-side protocol step; returns reply words.

@@ -31,6 +31,27 @@ batch of one, the single-query protocol byte for byte; flag 0 opens
 exactly one descriptor of any other kind.  Any other open is a
 `T_ERROR` on a connection that stays up, and no prover is built.
 
+## Unit shapes
+
+A unit's first prover steps need no word the verifier holds, so the
+open runs them: the server builds the prover, announces the batch to
+it, runs the unit's *opening steps* from the descriptor alone and
+appends each replying one's words to the `T_QUERY_ACK` as a counted
+list, `[ref, n1, words1..., n2, words2...]`.  The client's proxy
+answers the verifier's matching first calls from the ack and refuses
+any other first call locally.  The *closing step* is the reply that ends
+the proof: once it is out the server releases the prover, and the
+client sends `T_QUERY_CLOSE` only for a unit it abandons before then (a
+rejected message, a transport fault).  An opening step that fails is a
+`T_ERROR` with nothing left open and no verifier copy spent.
+$unit_shapes
+So a sum-check unit of d rounds is d round trips (the open, then d − 1
+chained challenge-and-message trips), and so is a point lookup or range
+scan (the open, then d − 1 folds); at d = 1 the ack carries the whole
+proof.  Every other kind (heavy hitters, `f2(workers=w)`, k-largest,
+predecessor, successor) is acked with its reference alone and ends on
+`T_QUERY_CLOSE`.
+
 ## Error codes
 
 A structured refusal beats a bare connection reset: a `T_ERROR` payload
@@ -115,6 +136,20 @@ def wire_doc() -> str:
         ]),
         steps=_table(("opcode", "name", "args", "query kinds",
                       "prover method", "reply"), steps),
+        unit_shapes=_table(
+            ("unit", "opening steps", "T_QUERY_ACK carries after ref",
+             "closing step"), [
+                (unit,
+                 ", ".join(opcodes[opcode] + ("(lo, hi)" if opcode ==
+                                              sp.M_RECEIVE_QUERY else "")
+                           for opcode in shape.opening),
+                 ", ".join(opcodes[opcode] for opcode in shape.opening
+                           if sp.STEPS[opcode].default[1] != sp.REPLY_VOID),
+                 "its %s-th %s" % ("(d%+d)" % shape.closing_offset
+                                   if shape.closing_offset else "d",
+                                   opcodes[shape.closing]))
+                for unit, shape in sp.UNIT_SHAPES.items()
+            ]),
         codecs=_table(("reply", "T_P_REPLY words"), sp.REPLY_LAYOUTS.items()),
         void_steps=", ".join(opcodes[opcode]
                              for opcode in sorted(sp.VOID_METHODS)),

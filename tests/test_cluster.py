@@ -51,6 +51,7 @@ from repro.service import (
     ServiceUnavailableError,
     ThreadNodeManager,
     f2,
+    heavy_hitters,
     point_lookup,
     run_cluster_load,
 )
@@ -444,6 +445,10 @@ def kill_primary_at(harness, dataset, index, run):
     return result
 
 
+#: A query whose conversation ends on T_QUERY_CLOSE.
+HEAVY = heavy_hitters(1, 8)
+
+
 def test_kill_primary_at_every_frame_boundary_byte_identical(
     single_node, proxied_cluster
 ):
@@ -454,9 +459,11 @@ def test_kill_primary_at_every_frame_boundary_byte_identical(
     the client's retry fails over to the replica on the next copy and
     must land that copy's exact single-node bytes.  The supervisor then
     heals the blacked-out node (tail resync from the surviving replica)
-    before the next round."""
+    before the next round.  The query is heavy hitters, whose
+    conversation still ends on a close (a sum-check unit's last reply
+    releases its prover)."""
     reference, _ = run_workload(*single_node.address, fresh_dataset_id(),
-                                seed=23, queries=COPIES)
+                                seed=23, queries=COPIES, descriptor=HEAVY)
     want = transcript_bytes(reference)  # one per copy, in the order taken
     handle = proxied_cluster["handle"]
     router = proxied_cluster["router"]
@@ -466,7 +473,8 @@ def test_kill_primary_at_every_frame_boundary_byte_identical(
     calibration = fresh_dataset_id()
     primary = router.replicas(calibration)[0]
     base = proxied_cluster["proxies"][primary].proxy.global_frames
-    got, _ = run_workload(*handle.address, calibration, seed=23)
+    got, _ = run_workload(*handle.address, calibration, seed=23,
+                          descriptor=HEAVY)
     assert transcript_bytes(got) == want[:1]
     types = proxied_cluster["schedules"][primary].types[base:]
     assert len(types) > 10
@@ -478,8 +486,9 @@ def test_kill_primary_at_every_frame_boundary_byte_identical(
         dataset = fresh_dataset_id()
         got, client = kill_primary_at(
             proxied_cluster, dataset, index,
-            lambda: run_workload(*handle.address, dataset, seed=23))
-        spent = COPIES - client.pool_remaining(("f2",))
+            lambda: run_workload(*handle.address, dataset, seed=23,
+                                 descriptor=HEAVY))
+        spent = COPIES - client.pool_remaining(HEAVY)
         assert spent == (2 if opened < index < closing else 1), index
         assert all(o.result.accepted for o in got), index
         assert transcript_bytes(got) == [want[spent - 1]], index

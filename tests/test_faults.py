@@ -137,8 +137,13 @@ def run_via_proxy(server, schedule, **kwargs):
         handle.stop()
 
 
-@pytest.fixture(scope="module")
-def reference(server):
+def last_reply(types):
+    """Index of the conversation's last T_P_REPLY: once it is in, so is
+    the verdict."""
+    return len(types) - 1 - types[::-1].index(sp.T_P_REPLY)
+
+
+def make_reference(server, descriptors=(f2(),)):
     """The fault-free runs every recovery path must byte-match.
 
     ``types`` are the frame types of one conversation by global index;
@@ -146,7 +151,8 @@ def reference(server):
     ``copies``, in the order the client takes them.
     """
     log = FrameLog()
-    outcomes, client, proxy = run_via_proxy(server, log)
+    outcomes, client, proxy = run_via_proxy(server, log,
+                                            descriptors=descriptors)
     assert all(o.result.accepted for o in outcomes)
     assert client.retries == 0 and client.reconnects == 0
     pools = {}
@@ -154,25 +160,45 @@ def reference(server):
     def copy_bytes(copies):
         if copies not in pools:
             runs, _client, _proxy = run_via_proxy(
-                server, FaultSchedule(), copies=copies, queries=copies)
+                server, FaultSchedule(), copies=copies, queries=copies,
+                descriptors=descriptors)
             assert all(o.result.accepted for o in runs)
             pools[copies] = [encode_transcript(F, o.transcript)
                              for o in runs]
         return pools[copies]
 
+    (unit,) = QueryRouter.plan(descriptors)
     return {
         "frames": proxy.global_frames,
         "types": log.types,
         "values": [o.result.value for o in outcomes],
         "copy_bytes": copy_bytes,
+        "pool": unit.pool_key,
+        "descriptors": descriptors,
     }
+
+
+@pytest.fixture(scope="module")
+def reference(server):
+    """F2's: a sum-check unit, whose last reply releases its prover."""
+    return make_reference(server)
+
+
+#: A query whose conversation still ends on T_QUERY_CLOSE.
+HEAVY = heavy_hitters(1, 8)
+
+
+@pytest.fixture(scope="module")
+def closing_reference(server):
+    """Heavy hitters': the client closes the unit after its verdict."""
+    return make_reference(server, (HEAVY,))
 
 
 def assert_matches_reference(outcomes, reference, client, copies=COPIES):
     """Accepted, with the reference answer and the exact fault-free bytes
     of the copy the query ran on — the last one the client took.  Returns
     how many copies the query spent."""
-    spent = copies - client.pool_remaining(("f2",))
+    spent = copies - client.pool_remaining(reference["pool"])
     assert all(o.result.accepted for o in outcomes), [
         o.result.reason for o in outcomes
     ]
@@ -185,59 +211,78 @@ def assert_matches_reference(outcomes, reference, client, copies=COPIES):
 # -- the tentpole: byte-identity across every failure point --------------------
 
 
-def test_connection_drop_at_every_frame_boundary(server, reference):
+def drop_at_every_frame(server, reference):
     """Kill the connection at *every* frame of the conversation in turn.
 
     Up to and including the open's ack nothing about the copy has left
-    the client, and from the close on the verdict is in: either way the
-    query ends on the first copy's exact bytes.  In between, the retried
-    conversation must run on the next copy and end on its exact bytes."""
+    the client, and once the last reply is in so is the verdict: either
+    way the query ends on the first copy's exact bytes.  In between, the
+    retried conversation must run on the next copy and end on its exact
+    bytes."""
     types = reference["types"]
     opened = types.index(sp.T_QUERY_ACK)
-    closing = types.index(sp.T_QUERY_CLOSE)
+    verdict = last_reply(types) + 1
     for index in range(reference["frames"]):
         outcomes, client, proxy = run_via_proxy(
-            server, FaultSchedule.scripted({index: KIND_DROP})
+            server, FaultSchedule.scripted({index: KIND_DROP}),
+            descriptors=reference["descriptors"],
         )
         assert proxy.faults_injected == 1, index
         spent = assert_matches_reference(outcomes, reference, client)
-        assert spent == (2 if opened < index < closing else 1), index
-        assert client.retries == (1 if index < closing else 0), index
+        assert spent == (2 if opened < index < verdict else 1), index
+        assert client.retries == (1 if index < verdict else 0), index
+
+
+def test_connection_drop_at_every_frame_boundary(server, reference):
+    """F2: its last reply released the prover, so after the verdict the
+    conversation says nothing more."""
+    assert sp.T_QUERY_CLOSE not in reference["types"]
+    drop_at_every_frame(server, reference)
+
+
+def test_connection_drop_at_every_frame_boundary_of_a_closing_unit(
+        server, closing_reference):
+    """Heavy hitters: the verdict is in before the client's close."""
+    types = closing_reference["types"]
+    assert types[last_reply(types) + 1] == sp.T_QUERY_CLOSE
+    drop_at_every_frame(server, closing_reference)
 
 
 @pytest.mark.parametrize("frame", [sp.T_QUERY_CLOSE, sp.T_QUERY_CLOSE_ACK],
                          ids=["close", "close-ack"])
-def test_drop_on_the_close_keeps_the_verdict(server, reference, frame):
+def test_drop_on_the_close_keeps_the_verdict(server, closing_reference,
+                                             frame):
     """The verdict is decided before T_QUERY_CLOSE: a fault on the close
     round trip neither re-runs the query nor spends a second copy."""
-    index = reference["types"].index(frame)
+    index = closing_reference["types"].index(frame)
     outcomes, client, proxy = run_via_proxy(
-        server, FaultSchedule.scripted({index: KIND_DROP})
+        server, FaultSchedule.scripted({index: KIND_DROP}),
+        descriptors=(HEAVY,),
     )
     assert proxy.faults_injected == 1
     assert client.retries == 0
-    assert client.pool_remaining(("f2",)) == COPIES - 1
-    assert_matches_reference(outcomes, reference, client)
+    assert client.pool_remaining(HEAVY) == COPIES - 1
+    assert_matches_reference(outcomes, closing_reference, client)
 
 
 @pytest.mark.parametrize("fault", [Fault(KIND_DELAY, 0.45),
                                    Fault(KIND_CORRUPT)],
                          ids=["late", "damaged"])
-def test_a_failed_close_leaves_the_next_query_whole(server, reference,
+def test_a_failed_close_leaves_the_next_query_whole(server, closing_reference,
                                                     fault):
     """A close-ack that comes too late, or damaged, fails the close after
     the verdict is in.  What it leaves on the link must not be read as
     the next query's reply: the next query re-dials and runs on the next
     copy, each ending on its copy's fault-free bytes."""
-    index = reference["types"].index(sp.T_QUERY_CLOSE_ACK)
+    index = closing_reference["types"].index(sp.T_QUERY_CLOSE_ACK)
     outcomes, client, proxy = run_via_proxy(
         server, FaultSchedule.scripted({index: fault}), queries=COPIES,
-        op_timeout=0.3)
+        op_timeout=0.3, descriptors=(HEAVY,))
     assert proxy.faults_injected == 1
-    assert client.pool_remaining(("f2",)) == 0
+    assert client.pool_remaining(HEAVY) == 0
     assert all(o.result.accepted for o in outcomes)
     assert [encode_transcript(F, o.transcript) for o in outcomes] == \
-        reference["copy_bytes"](COPIES)
+        closing_reference["copy_bytes"](COPIES)
 
 
 def test_a_late_round_reply_is_retried(server, reference):
@@ -505,11 +550,10 @@ def test_retry_after_a_challenge_uses_fresh_challenges(descriptors):
     try:
         log = FrameLog()
         run_via_proxy(server_handle, log, descriptors=descriptors)
-        last_reply = log.types.index(sp.T_QUERY_CLOSE) - 1
-        assert log.types[last_reply] == sp.T_P_REPLY
         spy.log.clear()
         outcomes, client, _proxy = run_via_proxy(
-            server_handle, FaultSchedule.scripted({last_reply: KIND_DROP}),
+            server_handle,
+            FaultSchedule.scripted({last_reply(log.types): KIND_DROP}),
             descriptors=descriptors)
         assert all(o.result.accepted for o in outcomes)
         assert client.retries == 1
@@ -656,8 +700,8 @@ def test_rate_limited_session_backs_off_and_completes(reference):
     """A token-bucket squeeze slows the conversation down but does not
     change a single transcript byte: refused frames were never
     processed, so the resend continues exactly where the protocol was."""
-    # Burst 2 against the workload's 9 limited frames: a refusal is
-    # certain unless the conversation takes > 23 ms (it takes 4-7).
+    # Burst 2 against the workload's 7 limited frames: a refusal is
+    # certain unless the conversation takes > 17 ms (it takes 4-7).
     srv = ProverServer(F, rate_limit=(300.0, 2.0))
     handle = srv.serve_in_thread()
     try:

@@ -299,3 +299,38 @@ def test_the_numpy_backend_has_one_path():
             *dtype_forks(path))
     ]
     assert not found
+
+
+#: The deleted one-query sum-check provers.
+ONE_QUERY_PROVERS = {"F2Prover", "FkProver", "InnerProductProver",
+                     "RangeSumProver"}
+#: The one-query drivers: a batch of one each, which the service never
+#: calls (it announces even a lone query to the engine as a batch).
+ONE_QUERY_DRIVERS = {"run_f2", "run_fk", "run_inner_product",
+                     "run_range_sum"}
+
+
+def words(path):
+    """Every name a module's code uses or binds, and every whole word of
+    its strings."""
+    yield from identifiers(path)
+    for text in strings(path):
+        yield from re.findall(r"\w+", text)
+
+
+def test_the_service_proves_every_sumcheck_on_the_engine():
+    """``BatchedSumcheckEngine`` is the only prover of F2, Fk,
+    INNER-PRODUCT and RANGE-SUM, and the service drives it directly.  No
+    name of ``src/`` or ``examples/`` is, and no string holds as a whole
+    word, a deleted one-query prover class; and none of
+    ``src/repro/service`` names a one-query driver.  ``f2(workers=w)``
+    keeps ``DistributedF2Prover`` and ``run_distributed_f2``, which are
+    other words."""
+    found = [
+        (str(path), word)
+        for path in sorted([*SRC.rglob("*.py"), *EXAMPLES.rglob("*.py")])
+        for word in words(path)
+        if word in ONE_QUERY_PROVERS
+        or (word in ONE_QUERY_DRIVERS and SRC / "service" in path.parents)
+    ]
+    assert not found

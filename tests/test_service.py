@@ -24,12 +24,13 @@ import pytest
 
 from repro.adversary.cheating_provers import (
     ConcealingHeavyHittersProver,
+    OffsetClaimF2Prover,
     OmittingHeavyHittersProver,
     OmittingSubVectorProver,
     OutOfRangeHeavyHittersProver,
     PerQueryCheatingBatchEngine,
 )
-from repro.comm.channel import flip_word
+from repro.comm.channel import drop_last_word, flip_word
 from repro.comm.wire import MAX_MESSAGE_WORDS, encode_transcript
 from repro.core.base import pow2_dimension
 from repro.core.multiquery import MAX_MOMENT_ORDER
@@ -47,6 +48,7 @@ from repro.service import (
     ServiceBusyError,
     ServiceClient,
     ServiceClientError,
+    ServiceUnavailableError,
     f2,
     fk,
     heavy_hitters,
@@ -832,27 +834,39 @@ def test_service_sharded_f2_matches_plain_f2(server, monkeypatch):
             assert data == plain, (backend_name, workers)
 
 
-class _FailsAfterAck:
-    """An engine that opens fine and dies on its first round."""
+class _FailsAtRound:
+    """An engine that dies on its ``failing``-th round message: the
+    first runs at the open, the rest after the ack."""
+
+    def __init__(self, prover, failing):
+        self._prover = prover
+        self._left = failing
 
     def receive_batch(self, queries):
-        pass
+        self._prover.receive_batch(queries)
+
+    def receive_challenge(self, r):
+        self._prover.receive_challenge(r)
 
     def round_messages(self):
-        raise RuntimeError("injected: prover lost after the ack")
+        self._left -= 1
+        if not self._left:
+            raise RuntimeError("injected: prover lost at this round")
+        return self._prover.round_messages()
 
 
 def test_refused_open_returns_the_verifier_copy():
     """Copies are single-use and cannot be re-provisioned once the
     stream has started, so an open that was never acked — T_QUERY_OPEN
-    carries only the descriptor — must not cost one.  An open that was
-    acked and then failed still does: challenges may have left."""
+    carries only the descriptor — must not cost one, even when the
+    prover dies on g_1, which the open computes.  An open that was acked
+    and then failed still does: challenges may have left."""
     u = 64
     armed = []
     srv = ProverServer(
         F, max_inflight_queries=1,
         prover_wrapper=lambda unit, prover, dataset:
-            _FailsAfterAck() if armed else None,
+            _FailsAtRound(prover, armed[0]) if armed else None,
     )
     handle = srv.serve_in_thread()
     try:
@@ -879,9 +893,20 @@ def test_refused_open_returns_the_verifier_copy():
                 expect=sp.T_QUERY_ACK)
             with pytest.raises(ServiceBusyError):
                 client.query(f2())
-            client._request(sp.T_QUERY_CLOSE, client.session_id, payload,
+            ref = sp.parse_words(F, payload)[0]
+            client._request(sp.T_QUERY_CLOSE, client.session_id,
+                            sp.words_payload(F, [ref]),
                             expect=sp.T_QUERY_CLOSE_ACK)
             assert client.pool_remaining(("f2",)) == 6
+
+            # Refused by the prover's first round, which the open runs:
+            # closed before the error goes out, so the slot is free.
+            armed.append(1)
+            with pytest.raises(ServiceClientError, match="injected"):
+                client.query(f2())
+            assert not session.queries
+            assert client.pool_remaining(("f2",)) == 6
+            armed.clear()
 
             # The returned copy is the tail row of its pool again: the
             # stream must feed it, or the query that takes it next
@@ -897,7 +922,7 @@ def test_refused_open_returns_the_verifier_copy():
             assert client.pool_remaining(("f2",)) == 5
 
             # Acked, then failed: the verifier may have spoken.
-            armed.append(True)
+            armed.append(2)
             with pytest.raises(ServiceClientError, match="injected"):
                 client.query(f2())
             assert client.pool_remaining(("f2",)) == 4
@@ -905,6 +930,189 @@ def test_refused_open_returns_the_verifier_copy():
             (after,) = client.query(f2())
             assert after.result.accepted, after.result.reason
             assert client.pool_remaining(("f2",)) == 3
+    finally:
+        handle.stop()
+
+
+#: Opens no answer can exist for, one per domain rule the open enforces
+#: (u = 60, padded to 64): (batched flag, descriptors).
+OUT_OF_DOMAIN = {
+    "tree-range-past-u": (0, [range_scan(3, 64)]),
+    "tree-range-lo-above-hi": (0, [range_scan(5, 4)]),
+    "point-lookup-past-u": (0, [point_lookup(64)]),
+    "k-largest-rank-zero": (0, [k_largest(0)]),
+    "range-sum-member-past-u": (1, [f2(), range_sum(5, 64)]),
+    "fk-order-past-max": (1, [QueryDescriptor(KIND_FK,
+                                              (MAX_MOMENT_ORDER + 1,))]),
+    "heavy-hitters-phi-zero": (0, [heavy_hitters(0, 4)]),
+    "heavy-hitters-phi-above-one": (0, [heavy_hitters(5, 4)]),
+    "heavy-hitters-phi-den-zero": (0, [heavy_hitters(1, 0)]),
+    "f2-shard-count-not-a-power-of-two": (0, [f2(workers=3)]),
+    "f2-shards-under-two-entries": (0, [f2(workers=64)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_DOMAIN))
+def test_every_out_of_domain_open_is_refused_before_its_ack(name):
+    """The open runs prover steps now, so every domain rule is pinned at
+    it: a T_ERROR on a connection that stays up, no verifier copy spent
+    (through ``query`` wherever the client can provision the pool) and
+    no query left open on the server."""
+    batched, descriptors = OUT_OF_DOMAIN[name]
+    handle = ProverServer(F).serve_in_thread()
+    try:
+        with connect(handle, 60, 1, seed=29, retry=NO_RETRY) as client:
+            (unit,) = QueryRouter.plan(descriptors)
+            pools = [("tree",), ("f2",), ("batch",), ("heavy-hitters", 1, 4)]
+            if unit.pool_key[0] != "heavy-hitters":
+                pools.append(unit.pool_key)
+            for pool in dict.fromkeys(pools):
+                client.provision(pool, 2)
+            client.send_updates([(3, 1), (9, 2), (59, 4)])
+            words = [batched, *(w for q in descriptors for w in q.to_words())]
+            client._send(client._frame(sp.T_QUERY_OPEN, client.session_id,
+                                       sp.words_payload(F, words)))
+            reply_type, _session, payload = client._recv()
+            assert reply_type == sp.T_ERROR
+            assert sp.parse_error_struct(payload)[0] == sp.E_GENERIC
+            if unit.pool_key in pools:
+                with pytest.raises(ServiceClientError):
+                    client.query(*descriptors)
+            assert [client.pool_remaining(pool) for pool in pools] \
+                == [2] * len(pools)
+            assert client.stats()["open_queries"] == 0
+            assert client.query(f2())[0].result.accepted
+            assert client.reconnects == 0
+    finally:
+        handle.stop()
+
+
+class MangledAckServer(ProverServer):
+    """A real server whose every ``T_QUERY_ACK`` is rewritten by
+    ``mangle(words)``."""
+
+    def __init__(self, mangle):
+        super().__init__(F)
+        self.mangle = mangle
+
+    def _dispatch(self, frame_type, session_id, payload):
+        replies = super()._dispatch(frame_type, session_id, payload)
+        if frame_type != sp.T_QUERY_OPEN:
+            return replies
+        words = sp.parse_words(F, replies[0][sp.HEADER_LEN:])
+        return [sp.pack_frame(sp.T_QUERY_ACK, session_id,
+                              sp.words_payload(F, self.mangle(words)))]
+
+
+#: Damaged acks: (query, rewrite of the ack's words).
+MANGLED_ACKS = {
+    # [ref, 3, g_1(0), g_1(1), g_1(2)] claiming more words than follow.
+    "prefix-past-payload": (f2(), lambda w: [w[0], w[1] + 5, *w[2:]]),
+    # Two words where a degree-2 member needs three.
+    "g1-word-count": (f2(), lambda w: [w[0], w[1] - 1, *w[2:-1]]),
+    # [ref, 2, key, value, 2, index, hash]: an entries list of three.
+    "odd-pair-list": (point_lookup(3),
+                      lambda w: [w[0], w[1] + 1, *w[2:4], 7, *w[4:]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANGLED_ACKS))
+def test_a_malformed_ack_is_a_client_error_and_spends_the_copy(name):
+    """A ``T_QUERY_ACK`` whose opening replies do not decode is a
+    ``ServiceClientError`` — never an IndexError — and, like any acked
+    open, spends its copy.  The client drops the link, and with it the
+    query the server opened."""
+    descriptor, mangle = MANGLED_ACKS[name]
+    srv = MangledAckServer(mangle)
+    handle = srv.serve_in_thread()
+    try:
+        with connect(handle, 64, 1, seed=31) as client:
+            pool = client.provision(descriptor, 2)
+            client.send_updates([(3, 1), (9, 2)])
+            with pytest.raises(ServiceClientError, match="malformed") as info:
+                client.query(descriptor)
+            assert not isinstance(info.value, ServiceUnavailableError)
+            assert client.pool_remaining(pool) == 1
+            deadline = time.monotonic() + 5.0
+            while srv.registry.stats()["open_queries"] \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert srv.registry.stats()["open_queries"] == 0
+    finally:
+        handle.stop()
+
+
+class FrameTypeClient(ServiceClient):
+    """Records the type of every frame it sends."""
+
+    def __init__(self, *args, **kwargs):
+        self.sent_types = []
+        super().__init__(*args, **kwargs)
+
+    def _send(self, frame):
+        self.sent_types.append(frame[3])
+        super()._send(frame)
+
+
+#: One request of each unit shape that closes on a reply.
+SHAPED = {
+    "sum-check": [f2()],
+    "mixed-batch": [range_sum(0, 1), f2(), fk(3), inner_product()],
+    "point-lookup": [point_lookup(1)],
+    "range-scan": [range_scan(0, 1)],
+}
+
+
+@pytest.mark.parametrize("u", [2, (1 << 12) + 3], ids=["d1", "u4099"])
+def test_no_prover_outlives_its_unit(u):
+    """A completed unit of each shape costs d round trips, and its last
+    reply released the prover: the server holds no query and no
+    ``T_QUERY_CLOSE`` crossed the wire.  A unit the verifier abandons
+    early — a cheater rejected before round d, a rejected SUB-VECTOR
+    entries message — sends exactly one close.  At d = 1 the ack carries
+    the whole proof and the open releases it, so even a rejected unit
+    sends none."""
+    d = pow2_dimension(u)
+    cheating = []
+
+    def cheater(unit, prover, dataset):
+        if not cheating or not unit.batched:
+            return None
+        cheat = OffsetClaimF2Prover(F, dataset.u)
+        cheat.freq_a = prover.freq_a
+        return cheat
+
+    srv = ProverServer(F, prover_wrapper=cheater)
+    handle = srv.serve_in_thread()
+    host, port = handle.address
+    try:
+        with FrameTypeClient(host, port, F, u, dataset_id=1,
+                             rng=random.Random(37)) as client:
+            for pool in {QueryRouter.plan(descriptors)[0].pool_key
+                         for descriptors in SHAPED.values()}:
+                client.provision(pool, 3)
+            client.send_updates([(0, 2), (1, 3), (u - 1, 1)])
+            for name, descriptors in SHAPED.items():
+                client.sent_types.clear()
+                outcomes = client.query(*descriptors)
+                assert all(o.result.accepted for o in outcomes), name
+                assert outcomes[0].cost.frames == 2 * d, name
+                assert sp.T_QUERY_CLOSE not in client.sent_types, name
+                assert client.stats()["open_queries"] == 0, name
+
+            def abandoned(descriptor):
+                client.sent_types.clear()
+                (outcome,) = client.query(descriptor)
+                assert not outcome.result.accepted
+                assert client.sent_types.count(sp.T_QUERY_CLOSE) == (d > 1)
+                assert client.stats()["open_queries"] == 0
+                return outcome.result.reason
+
+            cheating.append(True)  # every engine now overstates g_1(0)
+            assert abandoned(f2()).startswith(
+                "round 1" if d > 1 else "query 0: final check")
+            client.tamper = drop_last_word(0)  # the entries lose a word
+            assert abandoned(point_lookup(1)) == "malformed entries message"
     finally:
         handle.stop()
 

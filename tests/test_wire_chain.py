@@ -66,18 +66,26 @@ REQUESTS = {
     "batch-mixed": [range_sum(2, 50), f2(), fk(3), inner_product()],
 }
 
-#: Round trips of a chained query, from the drivers' call order: open +
-#: close + one per replying call.  Every driver ends on a replying call
-#: (r_d is never revealed), and a batch is announced by its open frame.
+#: Round trips of a chained query, from the drivers' call order: the
+#: open, one per replying call the open's ack did not answer, and a close
+#: unless a closing step released the prover.  A sum-check unit is d:
+#: the ack carries g_1 and g_d releases it.  A point lookup or range scan
+#: is d: the ack carries the entries and the level-0 siblings, and the
+#: (d - 1)-th fold releases it.  Heavy hitters is open + d + close.
 ROUND_TRIPS = {
-    "f2": D + 2,
-    "fk": D + 2,
-    "range-sum": D + 2,
-    "inner-product": D + 2,
+    "f2": D,
+    "fk": D,
+    "range-sum": D,
+    "inner-product": D,
+    "point-lookup": D,
+    "range-scan": D,
     "heavy-hitters": D + 2,
-    "batch-range-sum": D + 2,
-    "batch-mixed": D + 2,
+    "batch-range-sum": D,
+    "batch-mixed": D,
 }
+#: The requests whose prover commits a round message before each
+#: challenge (a tree prover's receive_challenge is itself the reply).
+COMMITTING = ROUND_TRIPS.keys() - {"point-lookup", "range-scan"}
 
 #: The opcodes that used to announce a batch to its prover.
 RETIRED_OPCODES = (0x0A, 0x0C)
@@ -93,8 +101,8 @@ _PROVER_STEPS = frozenset([
 class UnchainedClient(ServiceClient):
     """The pre-chain dialect: every prover call is its own round trip."""
 
-    def _make_proxy(self, unit, ref):
-        proxy = super()._make_proxy(unit, ref)
+    def _make_proxy(self, unit, ack):
+        proxy = super()._make_proxy(unit, ack)
         proxy._defer = proxy._call
         return proxy
 
@@ -208,7 +216,7 @@ def test_chained_equals_unchained_equals_in_process(recording, name):
     # message that challenge is for.  (A tree prover's receive_challenge
     # is itself the replying step: nothing of that family is deferred
     # but receive_query.)
-    if name in ROUND_TRIPS:
+    if name in COMMITTING:
         committed = revealed = 0
         for step, _args in chained_log:
             if step in ("round_message", "round_messages"):
@@ -218,14 +226,15 @@ def test_chained_equals_unchained_equals_in_process(recording, name):
                 assert revealed <= committed, chained_log
 
     # Fewer frames, never more; exactly one round trip per round for the
-    # sum-check family.
+    # sum-check units and the point lookup and range scan.
     frames = chained[0].cost.frames
     assert frames <= plain[0].cost.frames
     assert frames <= 2 * (D + 4)
     if name in ROUND_TRIPS:
         assert frames == 2 * ROUND_TRIPS[name]
-        # Unchained: open, close, d commits and d - 1 reveals at least.
-        assert plain[0].cost.frames >= 2 * (2 * D + 1)
+    if name in COMMITTING:
+        # Unchained: the open, d - 1 commits and d - 1 reveals at least.
+        assert plain[0].cost.frames >= 2 * (2 * D - 1)
     wire = chained[0].cost.bytes_sent + chained[0].cost.bytes_received
     plain_wire = plain[0].cost.bytes_sent + plain[0].cost.bytes_received
     assert wire <= plain_wire
@@ -234,8 +243,8 @@ def test_chained_equals_unchained_equals_in_process(recording, name):
 class ProxyKeepingClient(ServiceClient):
     proxies = ()
 
-    def _make_proxy(self, unit, ref):
-        proxy = super()._make_proxy(unit, ref)
+    def _make_proxy(self, unit, ack):
+        proxy = super()._make_proxy(unit, ack)
         self.proxies = (*self.proxies, proxy)
         return proxy
 
@@ -248,6 +257,7 @@ def test_no_call_is_left_deferred_when_the_driver_returns(recording, name):
                                      REQUESTS[name], cls=ProxyKeepingClient)
     assert all(o.result.accepted for o in outcomes)
     assert [proxy._deferred for proxy in client.proxies] == [[]]
+    assert [proxy._opened for proxy in client.proxies] == [[]]
 
 
 def test_proxy_refuses_a_batch_other_than_the_one_it_opened(recording):
@@ -256,14 +266,56 @@ def test_proxy_refuses_a_batch_other_than_the_one_it_opened(recording):
     descriptors = REQUESTS["batch-mixed"]
     (unit,) = QueryRouter.plan(descriptors)
     members = [to_batch_query(q) for q in descriptors]
+    g_1 = list(range(sum(member.degree + 1 for member in members)))
     with open_session(recording.handle.address, descriptors) as client:
-        proxy = client._make_proxy(unit, ref=1)
+        proxy = client._make_proxy(unit, sp.ack_payload(F, 1, [g_1]))
         frames = client.frames_sent
         proxy.receive_batch(members)  # the batch it opened: fine
         for other in (members[:-1], members[::-1], []):
             with pytest.raises(RoutingError):
                 proxy.receive_batch(other)
         assert client.frames_sent == frames and proxy._deferred == []
+
+
+#: Calls a verifier might make first, which the open did not run:
+#: (request, ack replies, calls that must be refused).
+NOT_OPENED = {
+    "batch": ("batch-mixed", [list(range(3 + 3 + 4 + 3))], [
+        ("receive_challenge", (5,)), ("round_message", ())]),
+    "range-scan": ("range-scan", [[3, 1, 4, 1], [2, 0]], [
+        ("answer_entries", ()), ("receive_query", (3, 31)),
+        ("receive_query", (4, 30)), ("receive_challenge", (9,))]),
+    "point-lookup": ("point-lookup", [[7, 2], [6, 5]], [
+        ("level0_siblings", ()), ("receive_query", (7, 8))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_OPENED))
+def test_proxy_answers_only_the_opening_steps_from_the_ack(recording, name):
+    """The verifier's first calls must be the steps the open ran, with the
+    descriptor's arguments: each is answered from the ack, no frame
+    sent, and any other first call is a RoutingError."""
+    request, replies, refused = NOT_OPENED[name]
+    (unit,) = QueryRouter.plan(REQUESTS[request])
+    with open_session(recording.handle.address, REQUESTS[request]) as client:
+        frames = client.frames_sent
+        for method, args in refused:
+            proxy = client._make_proxy(unit, sp.ack_payload(F, 1, replies))
+            with pytest.raises(RoutingError, match="where the open ran"):
+                getattr(proxy, method)(*args)
+        proxy = client._make_proxy(unit, sp.ack_payload(F, 1, replies))
+        if unit.batched:
+            proxy.receive_batch([to_batch_query(q) for q in unit.descriptors])
+            first = proxy.round_messages()
+            assert [w for row in first for w in row] == replies[0]
+        else:
+            params = unit.descriptors[0].params
+            assert proxy.receive_query(params[0], params[-1]) is None
+            assert proxy.answer_entries() == list(zip(*[iter(replies[0])] * 2))
+            assert proxy.level0_siblings() \
+                == list(zip(*[iter(replies[1])] * 2))
+        assert proxy._opened == [] and not proxy.released
+        assert client.frames_sent == frames
 
 
 def test_parse_calls_reads_a_plain_call_and_a_chain():
